@@ -16,18 +16,9 @@ use holo_chaos::harness::run_scenarios;
 use holo_fuzz::{run_sweep, FuzzConfig};
 use holo_runtime::bench::Criterion;
 use holo_runtime::par;
-use holo_runtime::{bench_group, bench_main};
+use holo_runtime::{bench_group, bench_main, fnv1a64};
 use std::hint::black_box;
 use std::time::Instant;
-
-/// FNV-1a digest pinning "these exact bytes" across thread counts.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Best-of-`reps` wall-clock seconds for `f`, plus the digest of its
 /// rendered output (which must not depend on the thread count).

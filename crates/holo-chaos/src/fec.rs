@@ -11,82 +11,10 @@
 //!
 //! Two layers live here: the *byte codec* ([`parity_blocks`] /
 //! [`recover_stripe`]) proving the math on real payloads, and the
-//! *group accounting* ([`recoverable`]) the size-only chaos harness
-//! uses to decide which lost frames parity brings back.
-
-/// FEC rate: `k` data frames protected by `r` parity frames per group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FecConfig {
-    /// Data frames per group.
-    pub k: usize,
-    /// Parity frames per group.
-    pub r: usize,
-}
-
-/// Why a [`FecConfig`] failed [`FecConfig::validate`]: the typed
-/// taxonomy (variants, a stable [`kind`](FecError::kind), `Display`,
-/// `std::error::Error` — same shape as `holo_runtime::ser::DecodeError`
-/// and `holo_uep::PolicyError`) that replaced the stringly
-/// `Result<(), String>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FecError {
-    /// `k == 0`: a group with no data frames protects nothing.
-    NoDataFrames,
-    /// `r` outside `1..=k`: zero parity is "no FEC", and more parity
-    /// than data cannot form the interleaved stripes.
-    ParityOutOfRange {
-        /// Data frames per group.
-        k: usize,
-        /// Parity frames per group.
-        r: usize,
-    },
-}
-
-impl FecError {
-    /// Stable lowercase tag (report keys, counters).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FecError::NoDataFrames => "no_data_frames",
-            FecError::ParityOutOfRange { .. } => "parity_out_of_range",
-        }
-    }
-}
-
-impl std::fmt::Display for FecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FecError::NoDataFrames => write!(f, "FEC needs k >= 1 data frames per group"),
-            FecError::ParityOutOfRange { k, r } => {
-                write!(f, "FEC parity count r={r} must be in 1..=k={k}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FecError {}
-
-impl FecConfig {
-    /// The classic light-overhead rate from the acceptance criteria.
-    pub fn k4r1() -> Self {
-        Self { k: 4, r: 1 }
-    }
-
-    /// Bandwidth overhead fraction (`r / k`).
-    pub fn overhead(&self) -> f64 {
-        self.r as f64 / self.k.max(1) as f64
-    }
-
-    /// Structural checks: at least one data frame, `1 <= r <= k`.
-    pub fn validate(&self) -> Result<(), FecError> {
-        if self.k == 0 {
-            return Err(FecError::NoDataFrames);
-        }
-        if self.r == 0 || self.r > self.k {
-            return Err(FecError::ParityOutOfRange { k: self.k, r: self.r });
-        }
-        Ok(())
-    }
-}
+//! *group accounting* ([`recoverable`]) the size-only stream simulator
+//! uses to decide which lost frames parity brings back. The stripe
+//! geometry itself (`k`, `r`, and their validation) is
+//! [`holo_uep::StripeSpec`] — one vocabulary for both crates.
 
 /// Compute the `r` parity blocks for one group of data blocks.
 /// Parity `p` XORs data blocks with in-group index `i % r == p`,
@@ -154,24 +82,6 @@ pub fn recoverable(delivered_data: &[bool], delivered_parity: &[bool], r: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_validates() {
-        assert!(FecConfig::k4r1().validate().is_ok());
-        assert_eq!(FecConfig { k: 0, r: 1 }.validate().unwrap_err(), FecError::NoDataFrames);
-        assert_eq!(
-            FecConfig { k: 4, r: 0 }.validate().unwrap_err(),
-            FecError::ParityOutOfRange { k: 4, r: 0 }
-        );
-        let err = FecConfig { k: 4, r: 5 }.validate().unwrap_err();
-        assert_eq!(err, FecError::ParityOutOfRange { k: 4, r: 5 });
-        // Display keeps the historical message; kind() is the stable tag.
-        assert_eq!(err.to_string(), "FEC parity count r=5 must be in 1..=k=4");
-        assert_eq!(err.kind(), "parity_out_of_range");
-        assert_eq!(FecError::NoDataFrames.kind(), "no_data_frames");
-        let _: &dyn std::error::Error = &err;
-        assert!((FecConfig::k4r1().overhead() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn zero_r_clamps_to_one_stripe_everywhere() {

@@ -5,8 +5,9 @@
 //! layer hooks in:
 //!
 //! * **streams** — a size-only 30 fps frame stream over one faulted
-//!   [`Link`], protected by nothing, FEC, retransmission, or both.
-//!   This isolates the recovery mechanisms from codec behaviour.
+//!   link, protected by nothing, FEC, retransmission, or both (the
+//!   simulator itself is [`crate::stream`]). This isolates the
+//!   recovery mechanisms from codec behaviour.
 //! * **sessions** — the full `semholo` capture→encode→transport
 //!   pipeline under a fault plan, comparing transport loss policies.
 //! * **rooms** — a `holo-conf` room where the semantic degradation
@@ -15,342 +16,20 @@
 //! Everything runs in seeded virtual time; [`run_scenarios`] produces a
 //! [`ResilienceReport`] that renders byte-identically per seed.
 
-use crate::fec::{self, FecConfig};
 use crate::plan::FaultPlan;
 use crate::report::{
     GaussianRoomOutcome, ResilienceReport, RoomOutcome, SessionOutcome, StreamOutcome,
 };
-use crate::retransmit::RetransmitConfig;
+use crate::stream::{run_stream_scenario, Mechanisms, StreamConfig};
 use holo_conf::degrade::DegradationLadder;
-use holo_conf::frame::{DependencyTracker, FrameTag};
 use holo_conf::participant::ParticipantConfig;
 use holo_conf::room::{Room, RoomConfig};
-use holo_net::link::{Link, LinkConfig};
-use holo_net::time::SimTime;
 use holo_net::trace::BandwidthTrace;
-use holo_net::transport::{FrameTransport, LossPolicy};
-use holo_net::wire::WIRE_HEADER_BYTES;
+use holo_net::transport::LossPolicy;
 use semholo::config::SemHoloConfig;
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::scene::SceneSource;
 use semholo::session::{Session, SessionConfig};
-use std::time::Duration;
-
-/// The synthetic stream the mechanism matrix runs over.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// Frames offered.
-    pub frames: usize,
-    /// Capture rate.
-    pub fps: f64,
-    /// Payload per frame, bytes (all frames equal — parity sizing is
-    /// then exact).
-    pub payload_bytes: usize,
-    /// Keyframe cadence for the usability pass.
-    pub keyframe_interval: usize,
-    /// Quiet-link capacity, bps.
-    pub link_bps: f64,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self {
-            frames: 150,
-            fps: 30.0,
-            payload_bytes: 20_000,
-            keyframe_interval: 10,
-            // ~4.8 Mbps of media on a 50 Mbps link: protection needs
-            // headroom — retransmission bursts on a near-saturated link
-            // queue-drop and cascade.
-            link_bps: 50e6,
-        }
-    }
-}
-
-/// Which resilience mechanisms protect a stream scenario.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Mechanisms {
-    /// XOR-parity FEC, if any.
-    pub fec: Option<FecConfig>,
-    /// RTO-scheduled whole-frame retransmission, if any.
-    pub retransmit: Option<RetransmitConfig>,
-}
-
-impl Mechanisms {
-    /// No protection at all.
-    pub fn baseline() -> Self {
-        Self::default()
-    }
-
-    /// FEC(4,1) only.
-    pub fn fec() -> Self {
-        Self { fec: Some(FecConfig::k4r1()), retransmit: None }
-    }
-
-    /// Retransmission only.
-    pub fn retransmit() -> Self {
-        Self { fec: None, retransmit: Some(RetransmitConfig::default()) }
-    }
-
-    /// FEC(4,1) + retransmission — the acceptance-criteria pairing.
-    pub fn full() -> Self {
-        Self { fec: Some(FecConfig::k4r1()), retransmit: Some(RetransmitConfig::default()) }
-    }
-
-    /// Stable label used in reports and bench names.
-    pub fn label(&self) -> String {
-        match (self.fec, self.retransmit.is_some()) {
-            (None, false) => "baseline".into(),
-            (Some(f), false) => format!("fec({},{})", f.k, f.r),
-            (None, true) => "retransmit".into(),
-            (Some(f), true) => format!("fec({},{})+retransmit", f.k, f.r),
-        }
-    }
-}
-
-/// Per-frame bookkeeping for the stream sweep.
-#[derive(Clone, Copy)]
-struct Slot {
-    offered_at: SimTime,
-    available_at: Option<SimTime>,
-    recovered_retx: bool,
-    recovered_fec: bool,
-}
-
-/// One scheduled transmission in the stream sweep's event loop.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OfferKind {
-    /// Data frame `frame`, attempt number (0 = first try).
-    Data { frame: usize, attempt: u32 },
-    /// Parity frame `index` of FEC group `group`.
-    Parity { group: usize, index: usize },
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Offer {
-    at: SimTime,
-    seq: u64,
-    kind: OfferKind,
-}
-
-impl Ord for Offer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Earliest first; insertion order breaks ties deterministically.
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Offer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Run one stream scenario: `cfg.frames` equal-sized frames over a
-/// quiet link impaired by `plan`, protected by `mechanisms`. Parity
-/// frames for a FEC group ship right after the group's last data frame;
-/// a trailing partial group goes unprotected.
-pub fn run_stream_scenario(
-    plan: &FaultPlan,
-    mechanisms: &Mechanisms,
-    cfg: &StreamConfig,
-) -> StreamOutcome {
-    let link_cfg = LinkConfig { jitter_max: Duration::ZERO, ..Default::default() };
-    let mut link =
-        Link::new(link_cfg, BandwidthTrace::Constant { bps: cfg.link_bps }, plan.seed ^ 0x57A6);
-    link.set_fault(plan.compile(0));
-    // Recovery is owned by this layer, so the transport itself drops.
-    let mut transport = FrameTransport::new(link, LossPolicy::DropFrame);
-
-    let tracing = holo_trace::enabled();
-    if tracing {
-        for seg in &plan.segments {
-            if matches!(seg.effect, holo_net::fault::FaultEffect::LinkDown) {
-                holo_trace::span_enter("chaos.outage", seg.from.0);
-                holo_trace::span_exit(seg.until.0);
-            }
-        }
-    }
-
-    // Build the offer schedule: every data frame at its capture tick,
-    // and (under FEC) each full group's parity frames right after the
-    // group's last data frame. A trailing partial group goes
-    // unprotected. Everything then runs through ONE event loop in
-    // virtual-time order — retransmissions interleave with later
-    // frames on the shared link instead of jumping the queue.
-    let mut seq = 0u64;
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<Offer>> =
-        std::collections::BinaryHeap::new();
-    let mut push = |heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<Offer>>,
-                    at: SimTime,
-                    kind: OfferKind| {
-        heap.push(std::cmp::Reverse(Offer { at, seq, kind }));
-        seq += 1;
-    };
-    let full_groups = mechanisms.fec.map_or(0, |f| cfg.frames / f.k);
-    for i in 0..cfg.frames {
-        let at = SimTime::from_secs_f64(i as f64 / cfg.fps);
-        push(&mut heap, at, OfferKind::Data { frame: i, attempt: 0 });
-        if let Some(fec_cfg) = mechanisms.fec {
-            if (i + 1) % fec_cfg.k == 0 {
-                let group = i / fec_cfg.k;
-                for p in 0..fec_cfg.r {
-                    push(&mut heap, at, OfferKind::Parity { group, index: p });
-                }
-            }
-        }
-    }
-
-    let mut slots: Vec<Slot> = (0..cfg.frames)
-        .map(|i| Slot {
-            offered_at: SimTime::from_secs_f64(i as f64 / cfg.fps),
-            available_at: None,
-            recovered_retx: false,
-            recovered_fec: false,
-        })
-        .collect();
-    let mut wire_bytes = 0u64;
-    let mut corrupt_detected = 0usize;
-    let parity_r = mechanisms.fec.map_or(0, |f| f.r);
-    let mut parity_delivered: Vec<Vec<bool>> = vec![vec![false; parity_r]; full_groups];
-    let mut parity_at: Vec<Option<SimTime>> = vec![None; full_groups];
-    while let Some(std::cmp::Reverse(offer)) = heap.pop() {
-        // Every frame ships inside a `WireFrame` envelope; a frame that
-        // completes delivery can still arrive corrupted, in which case
-        // the CRC detects it and the receiver drops it — same recovery
-        // paths as a loss.
-        let result = transport.send_frame_sized(cfg.payload_bytes + WIRE_HEADER_BYTES, offer.at);
-        wire_bytes += result.wire_bytes;
-        let corrupted = result.complete
-            && result
-                .completed_at
-                .is_some_and(|t| transport.link.corrupt_roll(t).is_some());
-        if corrupted {
-            corrupt_detected += 1;
-            if tracing {
-                holo_trace::counter("chaos.corrupt_detected", 1);
-            }
-        }
-        let arrived = result.complete && !corrupted;
-        match offer.kind {
-            OfferKind::Data { frame, attempt } => {
-                if arrived {
-                    slots[frame].available_at = result.completed_at;
-                    slots[frame].recovered_retx = attempt > 0;
-                } else if let Some(rc) = &mechanisms.retransmit {
-                    if attempt < rc.max_retries {
-                        let retry_at = offer.at + crate::retransmit::backoff_delay(rc, attempt);
-                        heap.push(std::cmp::Reverse(Offer {
-                            at: retry_at,
-                            seq,
-                            kind: OfferKind::Data { frame, attempt: attempt + 1 },
-                        }));
-                        seq += 1;
-                    }
-                }
-            }
-            OfferKind::Parity { group, index } => {
-                parity_delivered[group][index] = arrived;
-                if arrived {
-                    parity_at[group] = parity_at[group].max(result.completed_at);
-                }
-            }
-        }
-    }
-
-    // FEC pass, after every retransmission has resolved: per group,
-    // rebuild what the interleaved parity stripes can.
-    if let Some(fec_cfg) = mechanisms.fec {
-        for g in 0..full_groups {
-            let members: Vec<usize> = (g * fec_cfg.k..(g + 1) * fec_cfg.k).collect();
-            let data_delivered: Vec<bool> =
-                members.iter().map(|&m| slots[m].available_at.is_some()).collect();
-            let after = fec::recoverable(&data_delivered, &parity_delivered[g], fec_cfg.r);
-            // A rebuilt frame becomes available once its whole stripe
-            // is in: after the group's last arriving data frame and
-            // its parity.
-            let group_last = members.iter().filter_map(|&m| slots[m].available_at).max();
-            let rebuilt_at = match (parity_at[g], group_last) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-            for (j, &m) in members.iter().enumerate() {
-                if after[j] && slots[m].available_at.is_none() {
-                    slots[m].available_at = rebuilt_at;
-                    slots[m].recovered_fec = true;
-                    if tracing {
-                        holo_trace::counter("chaos.recovered_fec", 1);
-                    }
-                }
-            }
-        }
-    }
-    if tracing {
-        holo_trace::counter("chaos.frames_offered", cfg.frames as u64);
-        let retx = slots.iter().filter(|s| s.recovered_retx).count();
-        holo_trace::counter("chaos.recovered_retx", retx as u64);
-    }
-
-    // Usability pass: keyframe/delta dependency rules over what is
-    // available after recovery.
-    let mut chain = DependencyTracker::new();
-    let mut delivered = 0usize;
-    let mut usable = 0usize;
-    let mut poisoned = 0usize;
-    let mut recovered_fec = 0usize;
-    let mut recovered_retx = 0usize;
-    let mut recovery_ms_sum = 0.0f64;
-    let mut recovery_count = 0usize;
-    for (i, slot) in slots.iter().enumerate() {
-        let available = slot.available_at.is_some();
-        if available {
-            delivered += 1;
-        }
-        if slot.recovered_fec {
-            recovered_fec += 1;
-        }
-        if slot.recovered_retx {
-            recovered_retx += 1;
-        }
-        if slot.recovered_fec || slot.recovered_retx {
-            let dt = slot.available_at.expect("recovered frames are available");
-            recovery_ms_sum += dt.saturating_since(slot.offered_at).as_secs_f64() * 1e3;
-            recovery_count += 1;
-        }
-        let tag = FrameTag::for_index(i, cfg.keyframe_interval);
-        if chain.advance(i, tag, available) {
-            usable += 1;
-        } else if available {
-            poisoned += 1;
-            if tracing {
-                holo_trace::counter("chaos.poisoned", 1);
-            }
-        }
-    }
-    if tracing {
-        holo_trace::counter("chaos.frames_lost", (cfg.frames - delivered) as u64);
-    }
-
-    StreamOutcome {
-        plan: plan.name.clone(),
-        mechanism: mechanisms.label(),
-        frames: cfg.frames,
-        delivered,
-        recovered_fec,
-        recovered_retx,
-        corrupt_detected,
-        usable,
-        usable_rate: usable as f64 / cfg.frames.max(1) as f64,
-        poisoned,
-        wire_bytes,
-        overhead: wire_bytes as f64 / (cfg.frames * cfg.payload_bytes).max(1) as f64,
-        mean_recovery_ms: if recovery_count > 0 {
-            recovery_ms_sum / recovery_count as f64
-        } else {
-            0.0
-        },
-    }
-}
 
 fn tiny_scene() -> SceneSource {
     let config =
@@ -617,65 +296,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clean_stream_needs_no_recovery() {
-        let out = run_stream_scenario(
-            &FaultPlan::clean(3),
-            &Mechanisms::baseline(),
-            &StreamConfig::default(),
-        );
-        assert_eq!(out.delivered, out.frames);
-        assert_eq!(out.usable, out.frames);
-        assert_eq!(out.recovered_fec + out.recovered_retx, 0);
-        assert_eq!(out.poisoned, 0);
-        assert!((out.overhead - 1.0).abs() < 0.1, "headers only, got {}", out.overhead);
-    }
-
-    #[test]
-    fn fec_rebuilds_frames_under_burst_loss() {
-        let out =
-            run_stream_scenario(&FaultPlan::burst5(11), &Mechanisms::fec(), &StreamConfig::default());
-        assert!(out.recovered_fec > 0, "FEC never engaged: {out:?}");
-        assert!(out.mean_recovery_ms >= 0.0);
-        // FEC(4,1) costs 25% parity plus per-packet headers.
-        assert!(out.overhead > 1.2, "parity overhead missing, got {}", out.overhead);
-    }
-
-    #[test]
-    fn full_protection_doubles_usable_rate_under_burst_loss() {
-        // The acceptance criterion: FEC(4,1)+retransmit retains at
-        // least 2x the usable frame rate of the unprotected baseline
-        // under ~5% Gilbert-Elliott burst loss.
-        let cfg = StreamConfig::default();
-        let plan = FaultPlan::burst5(11);
-        let base = run_stream_scenario(&plan, &Mechanisms::baseline(), &cfg);
-        let full = run_stream_scenario(&plan, &Mechanisms::full(), &cfg);
-        assert!(
-            full.usable as f64 >= 2.0 * base.usable as f64,
-            "protected {} vs baseline {} usable frames",
-            full.usable,
-            base.usable
-        );
-        assert!(full.usable_rate > 0.5, "protected stream unusable: {}", full.usable_rate);
-        assert!(full.recovered_retx > 0);
-    }
-
-    #[test]
-    fn retransmission_rides_out_a_flap_fec_does_not() {
-        let cfg = StreamConfig::default();
-        let plan = FaultPlan::flapping(5);
-        let retx = run_stream_scenario(&plan, &Mechanisms::retransmit(), &cfg);
-        let fec_only = run_stream_scenario(&plan, &Mechanisms::fec(), &cfg);
-        // A 300 ms outage kills whole FEC groups (parity dies with the
-        // data), but the backoff schedule reaches past it.
-        assert!(
-            retx.delivered > fec_only.delivered,
-            "retx {} <= fec {}",
-            retx.delivered,
-            fec_only.delivered
-        );
-    }
-
-    #[test]
     fn session_sweep_shows_retransmit_recovering() {
         let drop = run_session_scenario(&FaultPlan::burst5(11), LossPolicy::DropFrame);
         let retx = run_session_scenario(&FaultPlan::burst5(11), LossPolicy::RetransmitOnce);
@@ -696,31 +316,6 @@ mod tests {
         let out = run_room_scenario(&FaultPlan::churny(7, 3), 3, 10, 2);
         assert!(out.kept_flowing);
         assert!(out.min_usable_rate > 0.9, "clean churny room should stay usable: {out:?}");
-    }
-
-    #[test]
-    fn corruption_is_detected_dropped_and_recovered() {
-        // The PR 5 acceptance criterion: with PayloadCorrupt faults in
-        // the plan, corrupted frames are CRC-detected and dropped, and
-        // the full mechanism set recovers to a usable rate no worse
-        // than the unprotected baseline under the same loss plan.
-        let cfg = StreamConfig::default();
-        let corrupt =
-            run_stream_scenario(&FaultPlan::burst5_corrupt(11), &Mechanisms::full(), &cfg);
-        assert!(corrupt.corrupt_detected > 0, "corruption never injected: {corrupt:?}");
-        let base =
-            run_stream_scenario(&FaultPlan::burst5(11), &Mechanisms::baseline(), &cfg);
-        assert!(
-            corrupt.usable_rate >= base.usable_rate,
-            "protected-under-corruption {} fell below unprotected baseline {}",
-            corrupt.usable_rate,
-            base.usable_rate
-        );
-        // Plans without PayloadCorrupt windows must draw nothing from
-        // the corruption stream — existing scenarios replay unchanged.
-        let clean =
-            run_stream_scenario(&FaultPlan::clean(11), &Mechanisms::baseline(), &cfg);
-        assert_eq!(clean.corrupt_detected, 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The transport stack (`holo-net`), the end-to-end session
 //! (`semholo::session`), and the conference SFU (`holo-conf`) all
 //! behave beautifully on clean links. This crate is where they earn
-//! their keep on bad ones. Three pieces:
+//! their keep on bad ones. Four pieces:
 //!
 //! * **Fault plans** ([`plan`]) — a small DSL of named, seeded,
 //!   virtual-time impairment scenarios (Gilbert–Elliott burst loss,
@@ -13,8 +13,14 @@
 //!   ([`fec`]) and RTO-scheduled whole-frame retransmission
 //!   ([`retransmit`]); the third mechanism, the semantic degradation
 //!   ladder, lives in `holo_conf::degrade` where the SFU applies it.
-//! * **The harness** ([`harness`]) — sweeps plans × mechanisms over
-//!   streams, sessions, and rooms and emits a byte-identical
+//! * **The stream simulator** ([`stream`]) — the one event loop that
+//!   runs a protected stream over a faulted link (offer queue, FEC
+//!   stripes, retransmit schedule, dependency walk), read two ways:
+//!   class-blind ([`run_stream_scenario`] → [`StreamOutcome`]) and
+//!   class-aware ([`run_uep_stream_scenario`] → [`UepOutcome`]).
+//! * **The harness** ([`harness`], [`uep`]) — sweeps plans ×
+//!   mechanisms over streams, sessions, and rooms, and plans × UEP
+//!   policies over streams, and emits a byte-identical
 //!   [`report::ResilienceReport`].
 //!
 //! Everything is deterministic: same seed, same report bytes. That is
@@ -26,18 +32,18 @@ pub mod harness;
 pub mod plan;
 pub mod report;
 pub mod retransmit;
+pub mod stream;
 pub mod uep;
 
-pub use fec::{FecConfig, FecError};
 pub use harness::{
     gaussian_squeeze_plan, room_collapse_plan, run_gaussian_room_scenario,
     run_gaussian_scenarios, run_room_scenario, run_scenarios, run_session_scenario,
-    run_stream_scenario, Mechanisms, StreamConfig,
 };
 pub use plan::{ChurnEvent, FaultPlan};
 pub use report::{
     GaussianRoomOutcome, ResilienceReport, RoomOutcome, SessionOutcome, StreamOutcome,
     UepClassStats, UepOutcome,
 };
-pub use retransmit::{backoff_delay, send_with_retransmit, RetransmitConfig, SendOutcome};
-pub use uep::{run_uep_scenarios, run_uep_stream_scenario, uep_report, uep_sweep_plans};
+pub use retransmit::{backoff_delay, RetransmitConfig};
+pub use stream::{run_stream_scenario, run_uep_stream_scenario, Mechanisms, StreamConfig};
+pub use uep::{run_uep_scenarios, uep_report, uep_sweep_plans};

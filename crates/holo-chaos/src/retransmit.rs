@@ -2,13 +2,13 @@
 //!
 //! The transport's built-in `RetransmitOnce` resends lost fragments
 //! immediately — fine for thin links, but it gives up after one round
-//! and cannot outlast an outage. This layer re-offers the *frame* on a
-//! retransmission-timeout schedule (`rto · backoff^attempt`), which is
-//! what actually rides out a link flap: the first attempts die inside
-//! the outage window, a later one lands after it.
+//! and cannot outlast an outage. This layer is the *schedule* for
+//! re-offering a whole frame (`rto · backoff^attempt`), which is what
+//! actually rides out a link flap: the first attempts die inside the
+//! outage window, a later one lands after it. The stream simulator
+//! ([`crate::stream`]) executes it, re-offers queued in virtual-time
+//! order behind whatever else the link owes by then.
 
-use holo_net::time::SimTime;
-use holo_net::transport::FrameTransport;
 use std::time::Duration;
 
 /// Retransmission schedule.
@@ -43,132 +43,12 @@ pub fn backoff_delay(config: &RetransmitConfig, attempt: u32) -> Duration {
     Duration::from_secs_f64(secs)
 }
 
-/// Outcome of one frame offered under the retransmit schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SendOutcome {
-    /// Arrival of the first complete attempt, if any succeeded.
-    pub delivered_at: Option<SimTime>,
-    /// Attempts made (1 = clean first try).
-    pub attempts: u32,
-    /// Wire bytes across all attempts (headers + retransmissions).
-    pub wire_bytes: u64,
-}
-
-impl SendOutcome {
-    /// Delivered, but only thanks to at least one retry.
-    pub fn recovered(&self) -> bool {
-        self.delivered_at.is_some() && self.attempts > 1
-    }
-}
-
-/// Offer a size-only frame at `at`, retrying on the RTO schedule until
-/// it lands or the budget is spent. `config: None` sends exactly once
-/// (the unprotected baseline). The transport should carry
-/// `LossPolicy::DropFrame` — this layer owns recovery.
-pub fn send_with_retransmit(
-    transport: &mut FrameTransport,
-    payload_bytes: usize,
-    at: SimTime,
-    config: Option<&RetransmitConfig>,
-) -> SendOutcome {
-    let max_attempts = 1 + config.map_or(0, |c| c.max_retries);
-    let mut offer_at = at;
-    let mut wire_bytes = 0u64;
-    for attempt in 0..max_attempts {
-        let result = transport.send_frame_sized(payload_bytes, offer_at);
-        wire_bytes += result.wire_bytes;
-        if result.complete {
-            return SendOutcome {
-                delivered_at: result.completed_at,
-                attempts: attempt + 1,
-                wire_bytes,
-            };
-        }
-        if let Some(c) = config {
-            offer_at += backoff_delay(c, attempt);
-        }
-    }
-    SendOutcome { delivered_at: None, attempts: max_attempts, wire_bytes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holo_net::fault::{FaultClock, FaultEffect, FaultSegment, LossModel};
-    use holo_net::link::{Link, LinkConfig};
-    use holo_net::trace::BandwidthTrace;
-    use holo_net::transport::LossPolicy;
-
-    fn quiet_link(bps: f64, seed: u64) -> Link {
-        let cfg = LinkConfig { jitter_max: Duration::ZERO, ..Default::default() };
-        Link::new(cfg, BandwidthTrace::Constant { bps }, seed)
-    }
-
-    #[test]
-    fn clean_link_delivers_first_try() {
-        let mut t = FrameTransport::new(quiet_link(100e6, 1), LossPolicy::DropFrame);
-        let out = send_with_retransmit(&mut t, 20_000, SimTime::ZERO, Some(&Default::default()));
-        assert_eq!(out.attempts, 1);
-        assert!(out.delivered_at.is_some());
-        assert!(!out.recovered());
-    }
-
-    #[test]
-    fn backoff_outlasts_a_link_flap() {
-        // Outage covers [0, 120) ms. Default schedule offers at 0, 50,
-        // 150 ms — the third attempt clears the flap.
-        let mut link = quiet_link(100e6, 1);
-        link.set_fault(FaultClock::new(
-            None,
-            vec![FaultSegment {
-                from: SimTime::ZERO,
-                until: SimTime::from_millis(120),
-                effect: FaultEffect::LinkDown,
-            }],
-            5,
-        ));
-        let mut t = FrameTransport::new(link, LossPolicy::DropFrame);
-        let out = send_with_retransmit(&mut t, 20_000, SimTime::ZERO, Some(&Default::default()));
-        assert!(out.recovered(), "attempts {} delivered {:?}", out.attempts, out.delivered_at);
-        assert_eq!(out.attempts, 3);
-        assert!(out.delivered_at.unwrap() >= SimTime::from_millis(150));
-    }
-
-    #[test]
-    fn without_config_there_is_exactly_one_attempt() {
-        let mut link = quiet_link(100e6, 1);
-        link.set_fault(FaultClock::new(Some(LossModel::Bernoulli { rate: 1.0 }), Vec::new(), 2));
-        let mut t = FrameTransport::new(link, LossPolicy::DropFrame);
-        let out = send_with_retransmit(&mut t, 20_000, SimTime::ZERO, None);
-        assert_eq!(out.attempts, 1);
-        assert!(out.delivered_at.is_none());
-    }
-
-    #[test]
-    fn budget_exhausts_on_a_dead_link() {
-        let mut link = quiet_link(100e6, 1);
-        link.set_fault(FaultClock::new(Some(LossModel::Bernoulli { rate: 1.0 }), Vec::new(), 2));
-        let mut t = FrameTransport::new(link, LossPolicy::DropFrame);
-        let cfg = RetransmitConfig { max_retries: 4, ..Default::default() };
-        let out = send_with_retransmit(&mut t, 20_000, SimTime::ZERO, Some(&cfg));
-        assert_eq!(out.attempts, 5);
-        assert!(out.delivered_at.is_none());
-        assert!(out.wire_bytes > 0, "failed attempts still burned wire bytes");
-    }
 
     #[test]
     fn backoff_saturates_instead_of_panicking() {
-        // A 200-retry budget walks the exponent far past anything
-        // rto * 2^attempt can represent; the schedule must saturate,
-        // not abort in Duration::from_secs_f64.
-        let mut link = quiet_link(100e6, 1);
-        link.set_fault(FaultClock::new(Some(LossModel::Bernoulli { rate: 1.0 }), Vec::new(), 2));
-        let mut t = FrameTransport::new(link, LossPolicy::DropFrame);
-        let cfg = RetransmitConfig { max_retries: 200, ..Default::default() };
-        let out = send_with_retransmit(&mut t, 20_000, SimTime::ZERO, Some(&cfg));
-        assert_eq!(out.attempts, 201);
-        assert!(out.delivered_at.is_none());
-
         // Hostile configs degrade to the hourly cap, never to a panic.
         let hostile = [
             RetransmitConfig { backoff: f64::MAX, ..Default::default() },
@@ -201,21 +81,5 @@ mod tests {
             assert!(d >= prev);
             prev = d;
         }
-    }
-
-    #[test]
-    fn same_seed_same_outcome() {
-        let run = || {
-            let mut link = quiet_link(10e6, 3);
-            link.set_fault(FaultClock::new(Some(LossModel::burst5()), Vec::new(), 9));
-            let mut t = FrameTransport::new(link, LossPolicy::DropFrame);
-            (0..20)
-                .map(|i| {
-                    let at = SimTime::from_millis(i * 33);
-                    send_with_retransmit(&mut t, 20_000, at, Some(&Default::default()))
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
     }
 }

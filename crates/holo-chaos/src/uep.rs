@@ -1,399 +1,18 @@
-//! The unequal-protection scheduler: one event loop, two ways to
-//! spend the same redundancy budget.
+//! The unequal-protection sweep: two ways to spend the same
+//! redundancy budget, run through the one stream simulator
+//! ([`crate::stream`]) and judged head to head.
 //!
-//! [`run_uep_stream_scenario`] is the class-aware sibling of
-//! `harness::run_stream_scenario`: the same seeded link, the same
-//! virtual-time offer heap, the same CRC-detected corruption — but
-//! FEC striping, retransmit scheduling, and (new) deadline-aware
-//! abandonment are all driven by a [`holo_uep::UepPolicy`] instead of
-//! one flat mechanism set. Both policies run through THIS code path,
-//! so `uniform` vs `weighted` differences can only come from the
-//! policy table, never from divergent simulation machinery.
-//!
-//! Honesty rules the sweep enforces:
-//!
-//! * **Equal budget.** `weighted` may not emit more parity frames or
-//!   schedule more retry slots than `uniform`; the report carries both
-//!   sides of the ledger and [`uep_report`] checks them.
-//! * **Tag tax.** Tagged policies pay `UEP_HEADER_BYTES` per frame on
-//!   the wire — importance signalling is not free.
-//! * **Abandonment is not loss.** A frame whose retries were abandoned
-//!   past its dependency horizon is counted in `abandoned`, a separate
-//!   bucket from `lost`; `delivered + abandoned + lost == frames` in
-//!   every cell.
-//! * **Deadlines bind both policies.** `usable` here means
-//!   chain-decodable *and* inside the render deadline, judged by the
-//!   same rule for both.
+//! [`run_uep_scenarios`] fans every sweep plan × {`uniform`,
+//! `weighted`} over the fork-join pool; [`uep_report`] turns the cells
+//! into the dominance document with its budget ledger and per-plan
+//! verdicts.
 
-use crate::fec;
-use crate::harness::StreamConfig;
 use crate::plan::FaultPlan;
-use crate::report::{UepClassStats, UepOutcome};
-use crate::retransmit::{backoff_delay, RetransmitConfig};
-use holo_conf::frame::{gop_descendants, DependencyTracker, FrameTag};
-use holo_net::link::{Link, LinkConfig};
-use holo_net::time::SimTime;
-use holo_net::trace::BandwidthTrace;
-use holo_net::transport::{FrameTransport, LossPolicy};
-use holo_net::wire::{ImportanceClass, PayloadKind, UepHeader, UEP_HEADER_BYTES, WIRE_HEADER_BYTES};
+use crate::report::UepOutcome;
+use crate::stream::{run_uep_stream_scenario, StreamConfig};
+use holo_net::wire::PayloadKind;
 use holo_runtime::ser::{JsonValue, ToJson};
-use holo_uep::{classify, UepPolicy};
-use std::time::Duration;
-
-/// One scheduled transmission in the UEP event loop.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OfferKind {
-    /// Data frame `frame`, attempt number (0 = first try).
-    Data { frame: usize, attempt: u32 },
-    /// Parity frame `index` of FEC group `group`.
-    Parity { group: usize, index: usize },
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Offer {
-    at: SimTime,
-    seq: u64,
-    kind: OfferKind,
-}
-
-impl Ord for Offer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Earliest first; insertion order breaks ties deterministically.
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Offer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One finalized FEC group: `members` frames of one lane, `r` parity.
-struct Group {
-    members: Vec<usize>,
-    r: usize,
-}
-
-/// Per-frame bookkeeping.
-#[derive(Clone, Copy)]
-struct Slot {
-    offered_at: SimTime,
-    available_at: Option<SimTime>,
-    recovered_retx: bool,
-    recovered_fec: bool,
-    abandoned: bool,
-}
-
-/// Run one fault plan × one protection policy over the synthetic
-/// stream. Frames are classed by [`holo_uep::classify`]; each class's
-/// FEC lane stripes independently (a full group's parity ships at the
-/// capture tick of its last member — for the Critical (1,1) lane that
-/// means a keyframe's copy follows it immediately); retransmissions
-/// follow the class schedule and may be abandoned past the dependency
-/// horizon. The link, loss process, and corruption stream are seeded
-/// exactly like the class-blind harness.
-pub fn run_uep_stream_scenario(
-    plan: &FaultPlan,
-    policy: &UepPolicy,
-    cfg: &StreamConfig,
-    kind: PayloadKind,
-) -> UepOutcome {
-    policy.validate().expect("UEP sweep policies must validate");
-    let link_cfg = LinkConfig { jitter_max: Duration::ZERO, ..Default::default() };
-    let mut link =
-        Link::new(link_cfg, BandwidthTrace::Constant { bps: cfg.link_bps }, plan.seed ^ 0x57A6);
-    link.set_fault(plan.compile(0));
-    let mut transport = FrameTransport::new(link, LossPolicy::DropFrame);
-
-    let frame_period = Duration::from_secs_f64(1.0 / cfg.fps.max(1e-9));
-    let classes: Vec<ImportanceClass> =
-        (0..cfg.frames).map(|i| classify(i, cfg.frames, cfg.keyframe_interval, kind)).collect();
-    let descendants: Vec<usize> =
-        (0..cfg.frames).map(|i| gop_descendants(i, cfg.keyframe_interval, cfg.frames)).collect();
-
-    // Deal frames into FEC lanes in capture order; each full group of
-    // `k` lane frames finalizes with `r` parity offers at the capture
-    // tick of its last member. Trailing partials stay unprotected.
-    let mut seq = 0u64;
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<Offer>> =
-        std::collections::BinaryHeap::new();
-    let mut push = |heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<Offer>>,
-                    at: SimTime,
-                    kind: OfferKind| {
-        heap.push(std::cmp::Reverse(Offer { at, seq, kind }));
-        seq += 1;
-    };
-    let mut groups: Vec<Group> = Vec::new();
-    // (group id, in-group index) per frame, for wire tagging.
-    let mut frame_group: Vec<Option<(usize, usize)>> = vec![None; cfg.frames];
-    let mut lane_pending: [Vec<usize>; 4] = Default::default();
-    for (i, &class) in classes.iter().enumerate() {
-        let at = SimTime::from_secs_f64(i as f64 / cfg.fps);
-        push(&mut heap, at, OfferKind::Data { frame: i, attempt: 0 });
-        let lane = policy.fec_lane(class);
-        if let Some(stripe) = policy.lane_stripe(lane) {
-            lane_pending[lane].push(i);
-            if lane_pending[lane].len() == stripe.k as usize {
-                let group = groups.len();
-                for (j, &m) in lane_pending[lane].iter().enumerate() {
-                    frame_group[m] = Some((group, j));
-                }
-                for p in 0..stripe.r as usize {
-                    push(&mut heap, at, OfferKind::Parity { group, index: p });
-                }
-                groups.push(Group {
-                    members: std::mem::take(&mut lane_pending[lane]),
-                    r: stripe.r as usize,
-                });
-            }
-        }
-    }
-    let parity_frames: usize = groups.iter().map(|g| g.r).sum();
-    debug_assert_eq!(
-        parity_frames,
-        policy.parity_frames(cfg.frames, cfg.keyframe_interval, kind),
-        "scheduler and policy accounting must agree on the parity budget"
-    );
-
-    // Wire tagging: under a tagged policy every offer carries a
-    // `UepHeader` (and pays for it); the encode/decode roundtrip is
-    // asserted so the sweep doubles as an integration test of the
-    // header codec on every single offer.
-    let frame_bytes = |tagged: bool| {
-        cfg.payload_bytes + WIRE_HEADER_BYTES + if tagged { UEP_HEADER_BYTES } else { 0 }
-    };
-    let deadline_ms = (policy.deadline.as_secs_f64() * 1e3).round() as u16;
-    let tag_for = |kind_: OfferKind| -> UepHeader {
-        match kind_ {
-            OfferKind::Data { frame, .. } => {
-                let class = classes[frame];
-                let (group, index, k, r) = match frame_group[frame] {
-                    Some((g, j)) => {
-                        let stripe = policy
-                            .lane_stripe(policy.fec_lane(class))
-                            .expect("grouped frames have a stripe");
-                        (g as u32, j as u8, stripe.k, stripe.r)
-                    }
-                    // Ungrouped frames tag a singleton "group" of
-                    // themselves, flagged in the high bit.
-                    None => (0x8000_0000 | frame as u32, 0, 1, 0),
-                };
-                UepHeader {
-                    class,
-                    parity: false,
-                    abandonable: policy.protection(class).abandon,
-                    k,
-                    r,
-                    group,
-                    index,
-                    deadline_ms,
-                }
-            }
-            OfferKind::Parity { group, index } => {
-                let g = &groups[group];
-                let class = classes[g.members[0]];
-                let stripe = policy
-                    .lane_stripe(policy.fec_lane(class))
-                    .expect("parity groups have a stripe");
-                UepHeader {
-                    class,
-                    parity: true,
-                    abandonable: false,
-                    k: stripe.k,
-                    r: stripe.r,
-                    group: group as u32,
-                    index: index as u8,
-                    deadline_ms,
-                }
-            }
-        }
-    };
-
-    let mut slots: Vec<Slot> = (0..cfg.frames)
-        .map(|i| Slot {
-            offered_at: SimTime::from_secs_f64(i as f64 / cfg.fps),
-            available_at: None,
-            recovered_retx: false,
-            recovered_fec: false,
-            abandoned: false,
-        })
-        .collect();
-    let mut wire_bytes = 0u64;
-    let mut corrupt_detected = 0usize;
-    let mut retries_sent = 0u64;
-    let mut retries_abandoned = 0u64;
-    let mut parity_delivered: Vec<Vec<bool>> = groups.iter().map(|g| vec![false; g.r]).collect();
-    let mut parity_arrival: Vec<Option<SimTime>> = vec![None; groups.len()];
-    while let Some(std::cmp::Reverse(offer)) = heap.pop() {
-        if policy.tagged {
-            let header = tag_for(offer.kind);
-            debug_assert_eq!(
-                UepHeader::decode(&header.encode()).as_ref(),
-                Ok(&header),
-                "UEP wire tag must roundtrip"
-            );
-        }
-        let result = transport.send_frame_sized(frame_bytes(policy.tagged), offer.at);
-        wire_bytes += result.wire_bytes;
-        let corrupted = result.complete
-            && result
-                .completed_at
-                .is_some_and(|t| transport.link.corrupt_roll(t).is_some());
-        if corrupted {
-            corrupt_detected += 1;
-        }
-        let arrived = result.complete && !corrupted;
-        match offer.kind {
-            OfferKind::Data { frame, attempt } => {
-                if attempt > 0 {
-                    retries_sent += 1;
-                }
-                if arrived {
-                    slots[frame].available_at = result.completed_at;
-                    slots[frame].recovered_retx = attempt > 0;
-                } else {
-                    let class = classes[frame];
-                    let prot = policy.protection(class);
-                    if attempt < prot.max_retries {
-                        let rc = RetransmitConfig {
-                            rto: prot.rto,
-                            backoff: prot.backoff,
-                            max_retries: prot.max_retries,
-                        };
-                        let retry_at = offer.at + backoff_delay(&rc, attempt);
-                        if policy.should_abandon(
-                            class,
-                            retry_at,
-                            slots[frame].offered_at,
-                            descendants[frame],
-                            frame_period,
-                        ) {
-                            // Backoff never shrinks, so every later
-                            // retry is past the horizon too: the whole
-                            // remaining schedule is surrendered at once.
-                            retries_abandoned += u64::from(prot.max_retries - attempt);
-                            slots[frame].abandoned = true;
-                        } else {
-                            heap.push(std::cmp::Reverse(Offer {
-                                at: retry_at,
-                                seq,
-                                kind: OfferKind::Data { frame, attempt: attempt + 1 },
-                            }));
-                            seq += 1;
-                        }
-                    }
-                }
-            }
-            OfferKind::Parity { group, index } => {
-                parity_delivered[group][index] = arrived;
-                if arrived {
-                    parity_arrival[group] = parity_arrival[group].max(result.completed_at);
-                }
-            }
-        }
-    }
-
-    // FEC pass, after every retransmission has resolved.
-    for (g, group) in groups.iter().enumerate() {
-        let data_delivered: Vec<bool> =
-            group.members.iter().map(|&m| slots[m].available_at.is_some()).collect();
-        let after = fec::recoverable(&data_delivered, &parity_delivered[g], group.r);
-        let group_last = group.members.iter().filter_map(|&m| slots[m].available_at).max();
-        let rebuilt_at = match (parity_arrival[g], group_last) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        for (j, &m) in group.members.iter().enumerate() {
-            if after[j] && slots[m].available_at.is_none() {
-                slots[m].available_at = rebuilt_at;
-                slots[m].recovered_fec = true;
-            }
-        }
-    }
-    // Metrics pass. Two dependency walks over the same availability:
-    // `decodable` ignores time (the classic harness rule), `usable`
-    // additionally demands each chain frame arrived inside its own
-    // render deadline — a late base breaks timeliness downstream just
-    // like a lost one. Both policies are judged by both rules.
-    let mut any_chain = DependencyTracker::new();
-    let mut timely_chain = DependencyTracker::new();
-    let mut delivered = 0usize;
-    let mut decodable = 0usize;
-    let mut usable = 0usize;
-    let mut late = 0usize;
-    let mut abandoned = 0usize;
-    let mut lost = 0usize;
-    let mut recovered_fec = 0usize;
-    let mut recovered_retx = 0usize;
-    let mut per_class: [UepClassStats; 4] = ImportanceClass::ALL.map(|c| UepClassStats {
-        class: c.name().to_string(),
-        frames: 0,
-        delivered: 0,
-        usable: 0,
-        abandoned: 0,
-        lost: 0,
-    });
-    for (i, slot) in slots.iter().enumerate() {
-        let cs = &mut per_class[classes[i] as usize];
-        cs.frames += 1;
-        let available = slot.available_at.is_some();
-        let timely = slot
-            .available_at
-            .is_some_and(|t| t <= slot.offered_at + policy.deadline);
-        if available {
-            delivered += 1;
-            cs.delivered += 1;
-        } else if slot.abandoned {
-            abandoned += 1;
-            cs.abandoned += 1;
-        } else {
-            lost += 1;
-            cs.lost += 1;
-        }
-        if slot.recovered_fec {
-            recovered_fec += 1;
-        }
-        if slot.recovered_retx {
-            recovered_retx += 1;
-        }
-        let tag = FrameTag::for_index(i, cfg.keyframe_interval);
-        let dec = any_chain.advance(i, tag, available);
-        let use_ = timely_chain.advance(i, tag, timely);
-        if dec {
-            decodable += 1;
-        }
-        if use_ {
-            usable += 1;
-            cs.usable += 1;
-        } else if dec {
-            late += 1;
-        }
-    }
-    debug_assert_eq!(delivered + abandoned + lost, cfg.frames);
-
-    UepOutcome {
-        plan: plan.name.clone(),
-        policy: policy.name.to_string(),
-        frames: cfg.frames,
-        delivered,
-        decodable,
-        usable,
-        usable_rate: usable as f64 / cfg.frames.max(1) as f64,
-        late,
-        abandoned,
-        lost,
-        recovered_fec,
-        recovered_retx,
-        corrupt_detected,
-        parity_frames,
-        retries_scheduled: policy.scheduled_retries(cfg.frames, cfg.keyframe_interval, kind),
-        retries_sent,
-        retries_abandoned,
-        wire_bytes,
-        classes: per_class.into_iter().collect(),
-    }
-}
+use holo_uep::UepPolicy;
 
 /// The plans the UEP sweep runs: every non-clean stream plan of the
 /// base matrix plus [`FaultPlan::burst5_squeeze`], the queue-pressure
@@ -546,60 +165,6 @@ pub fn uep_report(seed: u64, cells: &[UepOutcome], spec: &holo_obs::SloSpec) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clean_link_is_perfect_under_both_policies() {
-        let cfg = StreamConfig::default();
-        for policy in [UepPolicy::uniform(), UepPolicy::weighted()] {
-            let out =
-                run_uep_stream_scenario(&FaultPlan::clean(3), &policy, &cfg, PayloadKind::Mesh);
-            assert_eq!(out.delivered, out.frames, "{}", out.policy);
-            assert_eq!(out.usable, out.frames, "{}", out.policy);
-            assert_eq!(out.abandoned + out.lost, 0);
-            assert_eq!(out.retries_sent, 0);
-            assert_eq!(out.retries_abandoned, 0);
-            assert_eq!(out.parity_frames, 37, "both policies spend 37 parity frames");
-        }
-    }
-
-    #[test]
-    fn tagged_policy_pays_the_header_tax() {
-        let cfg = StreamConfig::default();
-        let plan = FaultPlan::clean(3);
-        let uniform =
-            run_uep_stream_scenario(&plan, &UepPolicy::uniform(), &cfg, PayloadKind::Mesh);
-        let weighted =
-            run_uep_stream_scenario(&plan, &UepPolicy::weighted(), &cfg, PayloadKind::Mesh);
-        // Same frame+parity count, but every weighted envelope carries
-        // the 19-byte UEP tag.
-        let offers = (cfg.frames + 37) as u64;
-        assert_eq!(weighted.wire_bytes - uniform.wire_bytes, offers * UEP_HEADER_BYTES as u64);
-    }
-
-    #[test]
-    fn abandonment_engages_only_under_pressure_and_only_for_optional_classes() {
-        let cfg = StreamConfig::default();
-        let out = run_uep_stream_scenario(
-            &FaultPlan::burst5_squeeze(42),
-            &UepPolicy::weighted(),
-            &cfg,
-            PayloadKind::Mesh,
-        );
-        assert!(out.retries_abandoned > 0, "squeeze must trigger abandonment: {out:?}");
-        // Only Medium/Low opt in; Critical/High never abandon.
-        assert_eq!(out.classes[0].abandoned, 0, "critical is never abandoned");
-        assert_eq!(out.classes[1].abandoned, 0, "high is never abandoned");
-        assert_eq!(out.delivered + out.abandoned + out.lost, out.frames);
-        // Uniform never abandons by construction.
-        let u = run_uep_stream_scenario(
-            &FaultPlan::burst5_squeeze(42),
-            &UepPolicy::uniform(),
-            &cfg,
-            PayloadKind::Mesh,
-        );
-        assert_eq!(u.retries_abandoned, 0);
-        assert_eq!(u.abandoned, 0);
-    }
 
     #[test]
     fn the_sweep_is_deterministic_and_appends_cleanly() {

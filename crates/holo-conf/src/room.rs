@@ -4,8 +4,8 @@
 //! once per frame, and uploads the encoded frame to the SFU over its
 //! own uplink; the SFU fans each arrival out to the other N-1
 //! subscribers through bounded egress queues and per-subscriber
-//! downlinks (see [`crate::sfu`]). The loop is a single binary heap of
-//! `(SimTime, seq)`-ordered events — capture ticks and SFU ingresses —
+//! downlinks (see [`crate::sfu`]). The loop pops one
+//! [`holo_net::time::EventQueue`] of capture ticks and SFU ingresses,
 //! so runs are deterministic: ties break on insertion order, all
 //! randomness flows from the room seed, and the emitted
 //! [`RoomReport`] reproduces byte-identically.
@@ -20,14 +20,12 @@ use holo_math::Summary;
 use holo_net::abr::Ladder;
 use holo_trace::TraceReport;
 use holo_net::link::Link;
-use holo_net::time::SimTime;
+use holo_net::time::{EventQueue, SimTime};
 use holo_net::transport::{FrameTransport, LossPolicy};
 use holo_net::wire::WIRE_HEADER_BYTES;
 use semholo::error::{Result, SemHoloError};
 use semholo::scene::SceneSource;
 use semholo::semantics::{SemanticPipeline, StageCost};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::Path;
 use std::time::Duration;
 
@@ -117,16 +115,8 @@ struct FrameMeta {
     recon: StageCost,
 }
 
-/// A heap event. Ordering: time, then insertion sequence (FIFO ties).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
+/// What the room loop schedules.
+enum Event {
     /// Sender `0` captures (and uploads) frame `1`.
     Capture(usize, usize),
     /// Sender `0`'s frame `1` finished arriving at the SFU.
@@ -244,38 +234,33 @@ impl Room {
         let path_id = |sender: usize, index: usize| {
             cfg.trace_tag | ((sender as u64) << 32) | index as u64
         };
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<Reverse<Event>>, seq: &mut u64, at, kind| {
-            *seq += 1;
-            heap.push(Reverse(Event { at, seq: *seq, kind }));
-        };
+        let mut events = EventQueue::new();
         for index in 0..cfg.frames {
             let at = SimTime::from_secs_f64(index as f64 * frame_interval);
             for sender in 0..n {
                 // A participant outside its presence window captures
                 // nothing — the frame simply never exists (churn).
                 if cfg.participants[sender].active_at(at.as_secs_f64()) {
-                    push(&mut heap, &mut seq, at, EventKind::Capture(sender, index));
+                    events.push(at, Event::Capture(sender, index));
                 }
             }
         }
 
-        while let Some(Reverse(event)) = heap.pop() {
-            match event.kind {
-                EventKind::Capture(sender, index) => {
+        while let Some((now, event)) = events.pop() {
+            match event {
+                Event::Capture(sender, index) => {
                     let device = &cfg.participants[sender].device;
                     let m = if cfg.share_encoder {
                         if shared_cache[index].is_none() {
                             shared_cache[index] =
-                                Some(encode_frame(&mut *pipelines[0], scene, index, event.at)?);
+                                Some(encode_frame(&mut *pipelines[0], scene, index, now)?);
                         }
                         shared_cache[index].clone().unwrap()
                     } else {
-                        encode_frame(&mut *pipelines[sender], scene, index, event.at)?
+                        encode_frame(&mut *pipelines[sender], scene, index, now)?
                     };
                     let extract_t = m.extract.time_on(device)?;
-                    let send_at = event.at + extract_t;
+                    let send_at = now + extract_t;
                     // Uplink frames travel inside the checksummed wire
                     // envelope; the SFU validates before forwarding.
                     let result = uplinks[sender]
@@ -283,7 +268,7 @@ impl Room {
                     meta[sender][index] = Some(m);
                     if tracing {
                         holo_trace::set_lane(cfg.lane_base + sender as u32);
-                        holo_trace::span_enter_frame("room.extract", event.at.0, path_id(sender, index));
+                        holo_trace::span_enter_frame("room.extract", now.0, path_id(sender, index));
                         holo_trace::span_exit(send_at.0);
                         holo_trace::span_enter_frame("room.uplink", send_at.0, path_id(sender, index));
                         match result.completed_at {
@@ -304,7 +289,7 @@ impl Room {
                                     holo_trace::counter("room.uplink_corrupt", 1);
                                 }
                             } else {
-                                push(&mut heap, &mut seq, t, EventKind::Ingress(sender, index));
+                                events.push(t, Event::Ingress(sender, index));
                             }
                         }
                         _ => {
@@ -315,7 +300,7 @@ impl Room {
                         }
                     }
                 }
-                EventKind::Ingress(sender, index) => {
+                Event::Ingress(sender, index) => {
                     let m = meta[sender][index].as_ref().expect("ingress follows capture");
                     let device = &cfg.participants[sender].device;
                     let frame = StreamFrame {
@@ -330,9 +315,9 @@ impl Room {
                     // Presence can have changed since the last ingress:
                     // refresh the SFU's masks before fanning out.
                     for (i, p) in cfg.participants.iter().enumerate() {
-                        sfu.set_active(i, p.active_at(event.at.as_secs_f64()));
+                        sfu.set_active(i, p.active_at(now.as_secs_f64()));
                     }
-                    for rec in sfu.fan_out(&frame, event.at) {
+                    for rec in sfu.fan_out(&frame, now) {
                         if let ForwardOutcome::DeliveredAt(t) = rec.outcome {
                             arrivals[rec.subscriber][sender][index] =
                                 Some((t, rec.self_contained, rec.degraded));
@@ -340,7 +325,7 @@ impl Room {
                                 holo_trace::set_lane(cfg.lane_base + rec.subscriber as u32);
                                 holo_trace::span_enter_frame(
                                     "room.forward",
-                                    event.at.0,
+                                    now.0,
                                     path_id(sender, index),
                                 );
                                 holo_trace::span_exit(t.0);

@@ -155,11 +155,7 @@ impl FuzzReport {
 /// Stable per-target seed stream: FNV-1a over the name folded into the
 /// master seed.
 fn target_seed(seed: u64, name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    seed ^ h
+    seed ^ holo_runtime::fnv1a64(name.as_bytes())
 }
 
 /// Mutants per fork-join work chunk. Fixed — never derived from the

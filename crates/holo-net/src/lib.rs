@@ -7,7 +7,8 @@
 //! hidden threads), the simulator is fully deterministic from a seed, so
 //! every experiment that involves "the Internet" replays exactly.
 //!
-//! - [`time`] — virtual clock ([`SimTime`]), microsecond resolution.
+//! - [`time`] — virtual clock ([`SimTime`]), microsecond resolution, and
+//!   the time-ordered, FIFO-on-ties [`EventQueue`] the simulators share.
 //! - [`packet`] — packets carrying [`holo_runtime::bytes::Bytes`] payloads.
 //! - [`link`] — a bottleneck link: serialization at the (time-varying)
 //!   trace rate, propagation delay, jitter, tail-drop queue, random loss.
@@ -49,7 +50,7 @@ pub use mpc::{MpcController, MpcObjective};
 pub use link::{Link, LinkConfig, LinkStats};
 pub use packet::Packet;
 pub use predict::{BandwidthPredictor, EwmaPredictor, HarmonicMeanPredictor};
-pub use time::SimTime;
+pub use time::{EventQueue, SimTime};
 pub use trace::BandwidthTrace;
 pub use transport::{FrameReceiver, FrameSender, FrameTransport};
 pub use wire::{crc32, PayloadKind, WireFrame, MAX_WIRE_PAYLOAD, WIRE_HEADER_BYTES};

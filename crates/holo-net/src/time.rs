@@ -1,5 +1,8 @@
-//! Virtual simulation time.
+//! Virtual simulation time, and the one event queue every simulator
+//! loop in the workspace pops from.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
@@ -62,9 +65,110 @@ impl Sub for SimTime {
     }
 }
 
+/// A virtual-time event queue: [`pop`](EventQueue::pop) yields the
+/// earliest event, and events pushed for the same instant come back in
+/// the order they were pushed. That tie-break is what makes a seeded
+/// simulation replay byte-identically, so it lives here once instead
+/// of in every loop's own `Ord` impl; `T` itself is never compared.
+#[derive(Debug)]
+pub struct EventQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
+    pushed: u64,
+}
+
+#[derive(Debug)]
+struct Entry<T> {
+    at: SimTime,
+    seq: u64,
+    event: T,
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap, the queue pops earliest.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> EventQueue<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self { heap: BinaryHeap::new(), pushed: 0 }
+    }
+
+    /// Schedule `event` at `at`.
+    pub fn push(&mut self, at: SimTime, event: T) {
+        self.heap.push(Entry { at, seq: self.pushed, event });
+        self.pushed += 1;
+    }
+
+    /// The earliest scheduled event and its time; `None` when drained.
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.heap.pop().map(|e| (e.at, e.event))
+    }
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn queue_pops_in_time_order() {
+        let mut q = EventQueue::new();
+        for ms in [30, 10, 20, 0, 40] {
+            q.push(SimTime::from_millis(ms), ms);
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [0, 10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn queue_is_fifo_among_equal_times_across_interleaved_push_and_pop() {
+        // The payload type has no `Ord`: only time and push order decide.
+        struct Tag(&'static str);
+        let t = SimTime::from_millis(5);
+        let mut q = EventQueue::new();
+        q.push(t, Tag("a"));
+        q.push(t, Tag("b"));
+        q.push(SimTime::from_millis(1), Tag("early"));
+        assert_eq!(q.pop().map(|(at, e)| (at, e.0)), Some((SimTime::from_millis(1), "early")));
+        assert_eq!(q.pop().map(|(_, e)| e.0), Some("a"));
+        // Pushed after a pop, for the same instant: still behind "b".
+        q.push(t, Tag("c"));
+        q.push(SimTime::from_millis(9), Tag("late"));
+        q.push(t, Tag("d"));
+        let rest: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e.0).collect();
+        assert_eq!(rest, ["b", "c", "d", "late"]);
+    }
+
+    #[test]
+    fn empty_queue_pops_none() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert!(q.pop().is_none());
+        q.push(SimTime::ZERO, 1);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 1)));
+        assert!(q.pop().is_none());
+    }
 
     #[test]
     fn conversions() {

@@ -354,13 +354,8 @@ fn base_seed(name: &str) -> u64 {
             Err(_) => panic!("{SEED_ENV}={s:?} is not a u64 (decimal or 0x-hex)"),
         }
     }
-    // FNV-1a over the property name: stable across runs and platforms.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    // Derived from the property name: stable across runs and platforms.
+    crate::fnv1a64(name.as_bytes())
 }
 
 enum Outcome {

@@ -29,9 +29,10 @@ use holo_runtime::ser::{JsonValue, ToJson};
 use crate::classify::classify;
 
 /// One XOR-parity interleaved stripe configuration: `r` parity frames
-/// protect each full group of `k` data frames (the same shape as
-/// `holo-chaos::fec::FecConfig`, restated here because the dependency
-/// arrow points the other way).
+/// protect each full group of `k` data frames. This is the only FEC
+/// geometry type in the workspace — `holo-chaos` uses it for its
+/// class-blind mechanism sets too — and [`UepPolicy::validate`] is
+/// the only place it is vetted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeSpec {
     /// Data frames per group.

@@ -23,129 +23,69 @@ for example in quickstart remote_collaboration telesurgery \
     cargo run -q --release --offline --example "${example}" >/dev/null
 done
 
+# twice [VAR=val ...] EXAMPLE ARTIFACT...
+# Run the example twice under the given environment and require every
+# artifact to come out byte-identical (FIRST/SECOND: extra environment
+# for one run only). Everything below is seeded virtual time or
+# byte-derived — no wall clocks — so same seed means same bytes.
+twice() {
+  local envs=() artifact
+  while [[ "$1" == *=* ]]; do envs+=("$1"); shift; done
+  local example="$1"; shift
+  env "${envs[@]}" ${FIRST:-} \
+    cargo run -q --release --offline --example "${example}" >/dev/null
+  for artifact in "$@"; do mv "${artifact}" "/tmp/semholo_run1_${artifact}"; done
+  env "${envs[@]}" ${SECOND:-} \
+    cargo run -q --release --offline --example "${example}" >/dev/null
+  for artifact in "$@"; do
+    cmp "/tmp/semholo_run1_${artifact}" "${artifact}"
+    rm -f "/tmp/semholo_run1_${artifact}"
+  done
+}
+
+# threads_1_vs_8 [VAR=val ...] EXAMPLE ARTIFACT...
+# The fork-join pool's contract (DESIGN.md §10): thread count changes
+# wall-clock time only, never bytes — reports, SLO verdicts and
+# dominance documents must not know how many workers produced them.
+threads_1_vs_8() {
+  FIRST=SEMHOLO_THREADS=1 SECOND=SEMHOLO_THREADS=8 twice "$@"
+}
+
 echo "==> trace smoke: SEMHOLO_TRACE=1 quickstart, twice, byte-identical"
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_TRACE=1 \
-  cargo run -q --release --offline --example quickstart >/dev/null
-mv TRACE_quickstart.json /tmp/semholo_trace_run1.json
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_TRACE=1 \
-  cargo run -q --release --offline --example quickstart >/dev/null
-# The chrome trace is stamped in virtual SimTime: same seed, same bytes.
-cmp /tmp/semholo_trace_run1.json TRACE_quickstart.json
+twice SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_TRACE=1 quickstart TRACE_quickstart.json
 # And it must be valid trace-event JSON with the five stage spans.
 for stage in extract encode transmit decode render; do
   grep -q "\"name\":\"${stage}\"" TRACE_quickstart.json \
     || { echo "trace missing stage ${stage}"; exit 1; }
 done
-rm -f /tmp/semholo_trace_run1.json
 
 echo "==> chaos smoke: seeded scenario matrix, twice, byte-identical"
-SEMHOLO_EXAMPLE_QUICK=1 \
-  cargo run -q --release --offline --example chaos_recovery >/dev/null
-mv RESILIENCE_chaos.json /tmp/semholo_chaos_run1.json
-mv SLO_report.json /tmp/semholo_slo_run1.json
-SEMHOLO_EXAMPLE_QUICK=1 \
-  cargo run -q --release --offline --example chaos_recovery >/dev/null
-# The whole fault matrix is seeded virtual time: same seed, same bytes —
-# and so are the SLO verdicts judged from it.
-cmp /tmp/semholo_chaos_run1.json RESILIENCE_chaos.json
-cmp /tmp/semholo_slo_run1.json SLO_report.json
-rm -f /tmp/semholo_chaos_run1.json /tmp/semholo_slo_run1.json
+twice SEMHOLO_EXAMPLE_QUICK=1 chaos_recovery RESILIENCE_chaos.json SLO_report.json
 
 echo "==> fuzz smoke: seeded decoder sweep, twice, byte-identical"
-SEMHOLO_EXAMPLE_QUICK=1 \
-  cargo run -q --release --offline --example fuzz_sweep >/dev/null
-mv FUZZ_report.json /tmp/semholo_fuzz_run1.json
-SEMHOLO_EXAMPLE_QUICK=1 \
-  cargo run -q --release --offline --example fuzz_sweep >/dev/null
-# Mutants, corpora, and tallies all derive from the seed: same bytes.
-cmp /tmp/semholo_fuzz_run1.json FUZZ_report.json
-rm -f /tmp/semholo_fuzz_run1.json
+twice SEMHOLO_EXAMPLE_QUICK=1 fuzz_sweep FUZZ_report.json
 
 echo "==> fleet smoke: capacity search, twice, byte-identical"
-SEMHOLO_EXAMPLE_QUICK=1 \
-  cargo run -q --release --offline --example fleet_capacity >/dev/null
-mv FLEET_capacity.json /tmp/semholo_fleet_run1.json
-mv SLO_fleet.json /tmp/semholo_slofleet_run1.json
-SEMHOLO_EXAMPLE_QUICK=1 \
-  cargo run -q --release --offline --example fleet_capacity >/dev/null
-# Placement, probes, and every embedded room are seeded virtual time:
-# same seed, same bytes — including the attribution + SLO document.
-cmp /tmp/semholo_fleet_run1.json FLEET_capacity.json
-cmp /tmp/semholo_slofleet_run1.json SLO_fleet.json
-rm -f /tmp/semholo_fleet_run1.json /tmp/semholo_slofleet_run1.json
+twice SEMHOLO_EXAMPLE_QUICK=1 fleet_capacity FLEET_capacity.json SLO_fleet.json
 
 echo "==> gaussian smoke: amortization frontier, twice, byte-identical"
-SEMHOLO_EXAMPLE_QUICK=1 \
-  cargo run -q --release --offline --example gaussian_amortization >/dev/null
-mv BENCH_gaussian_amortization.json /tmp/semholo_gauss_run1.json
-mv GAUSSIAN_frontier.json /tmp/semholo_frontier_run1.json
-SEMHOLO_EXAMPLE_QUICK=1 \
-  cargo run -q --release --offline --example gaussian_amortization >/dev/null
-# Every value is byte-derived (payload sizes, break-even durations) —
-# no wall clocks, so the artifacts reproduce exactly.
-cmp /tmp/semholo_gauss_run1.json BENCH_gaussian_amortization.json
-cmp /tmp/semholo_frontier_run1.json GAUSSIAN_frontier.json
-rm -f /tmp/semholo_gauss_run1.json /tmp/semholo_frontier_run1.json
+twice SEMHOLO_EXAMPLE_QUICK=1 gaussian_amortization \
+  BENCH_gaussian_amortization.json GAUSSIAN_frontier.json
 
 echo "==> uep smoke: weighted-vs-uniform sweep, twice, byte-identical"
-cargo run -q --release --offline --example uep_comparison >/dev/null
-mv UEP_report.json /tmp/semholo_uep_run1.json
-cargo run -q --release --offline --example uep_comparison >/dev/null
-# The dominance document is seeded virtual time end to end: same seed,
-# same bytes — verdicts, budgets, and per-class tallies included.
-cmp /tmp/semholo_uep_run1.json UEP_report.json
-rm -f /tmp/semholo_uep_run1.json
+twice uep_comparison UEP_report.json
 
 echo "==> cross-thread gate: SEMHOLO_THREADS=1 vs =8, byte-identical"
-# The fork-join pool's contract (DESIGN.md §10): thread count changes
-# wall-clock time only, never bytes. Run the chaos matrix and the fuzz
-# sweep at both extremes and cmp the artifacts.
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_THREADS=1 \
-  cargo run -q --release --offline --example chaos_recovery >/dev/null
-mv RESILIENCE_chaos.json /tmp/semholo_chaos_t1.json
-mv SLO_report.json /tmp/semholo_slo_t1.json
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_THREADS=8 \
-  cargo run -q --release --offline --example chaos_recovery >/dev/null
-cmp /tmp/semholo_chaos_t1.json RESILIENCE_chaos.json
-# SLO verdicts must not know how many workers judged the run.
-cmp /tmp/semholo_slo_t1.json SLO_report.json
-rm -f /tmp/semholo_chaos_t1.json /tmp/semholo_slo_t1.json
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_THREADS=1 \
-  cargo run -q --release --offline --example fuzz_sweep >/dev/null
-mv FUZZ_report.json /tmp/semholo_fuzz_t1.json
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_THREADS=8 \
-  cargo run -q --release --offline --example fuzz_sweep >/dev/null
-cmp /tmp/semholo_fuzz_t1.json FUZZ_report.json
-rm -f /tmp/semholo_fuzz_t1.json
-# Fleet: rooms fan out across the pool, cascade merge is sequential —
-# the report must not know how many workers ran it.
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_THREADS=1 \
-  cargo run -q --release --offline --example fleet_capacity >/dev/null
-mv FLEET_capacity.json /tmp/semholo_fleet_t1.json
-mv SLO_fleet.json /tmp/semholo_slofleet_t1.json
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_THREADS=8 \
-  cargo run -q --release --offline --example fleet_capacity >/dev/null
-cmp /tmp/semholo_fleet_t1.json FLEET_capacity.json
-cmp /tmp/semholo_slofleet_t1.json SLO_fleet.json
-rm -f /tmp/semholo_fleet_t1.json /tmp/semholo_slofleet_t1.json
-# Gaussian amortization: byte-derived artifacts must not know the
-# thread count either.
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_THREADS=1 \
-  cargo run -q --release --offline --example gaussian_amortization >/dev/null
-mv BENCH_gaussian_amortization.json /tmp/semholo_gauss_t1.json
-SEMHOLO_EXAMPLE_QUICK=1 SEMHOLO_THREADS=8 \
-  cargo run -q --release --offline --example gaussian_amortization >/dev/null
-cmp /tmp/semholo_gauss_t1.json BENCH_gaussian_amortization.json
-rm -f /tmp/semholo_gauss_t1.json
-# UEP: the sweep fans plan x policy cells across the pool; the
-# dominance verdicts must not know how many workers judged them.
-SEMHOLO_THREADS=1 \
-  cargo run -q --release --offline --example uep_comparison >/dev/null
-mv UEP_report.json /tmp/semholo_uep_t1.json
-SEMHOLO_THREADS=8 \
-  cargo run -q --release --offline --example uep_comparison >/dev/null
-cmp /tmp/semholo_uep_t1.json UEP_report.json
-rm -f /tmp/semholo_uep_t1.json
+threads_1_vs_8 SEMHOLO_EXAMPLE_QUICK=1 chaos_recovery RESILIENCE_chaos.json SLO_report.json
+threads_1_vs_8 SEMHOLO_EXAMPLE_QUICK=1 fuzz_sweep FUZZ_report.json
+threads_1_vs_8 SEMHOLO_EXAMPLE_QUICK=1 fleet_capacity FLEET_capacity.json SLO_fleet.json
+threads_1_vs_8 SEMHOLO_EXAMPLE_QUICK=1 gaussian_amortization BENCH_gaussian_amortization.json
+threads_1_vs_8 uep_comparison UEP_report.json
+
+echo "==> benchmark smoke: benchmark/ builds against the public API and passes its checks"
+# The benchmark package is its own workspace, so nothing above compiles
+# it: a public-API break only it sees would pass otherwise. Writes nothing.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 if command -v cargo-clippy >/dev/null 2>&1; then
   echo "==> cargo clippy -p holo-runtime -p holo-trace -p holo-chaos -p holo-uep -p holo-fuzz -- -D warnings"

@@ -6,12 +6,67 @@
 use holo_chaos::{
     gaussian_squeeze_plan, room_collapse_plan, run_gaussian_room_scenario,
     run_gaussian_scenarios, run_room_scenario, run_scenarios, run_session_scenario,
-    run_stream_scenario, FaultPlan, Mechanisms, StreamConfig,
+    run_stream_scenario, run_uep_stream_scenario, uep_sweep_plans, FaultPlan, Mechanisms,
+    StreamConfig,
 };
 use holo_conf::degrade::{DegradationLadder, DegradeState};
 use holo_net::time::SimTime;
 use holo_net::transport::LossPolicy;
+use holo_net::wire::PayloadKind;
 use holo_runtime::ser::ToJson;
+use holo_uep::UepPolicy;
+
+/// The seven stream plans both laws below range over: the UEP sweep's
+/// six plus the clean link.
+fn stream_plans(seed: u64) -> Vec<FaultPlan> {
+    let mut plans = vec![FaultPlan::clean(seed)];
+    plans.extend(uep_sweep_plans(seed));
+    plans
+}
+
+/// The twin law: the class-blind stream report and the UEP report are
+/// two projections of one simulated run, so `Mechanisms::full()` and
+/// `UepPolicy::uniform()` — the same (4,1) stripe and 50 ms / 2x / 3
+/// schedule under two names — must agree on every ledger they share.
+#[test]
+fn stream_and_uep_reports_are_projections_of_one_run() {
+    let cfg = StreamConfig::default();
+    for seed in [7, 42] {
+        for plan in stream_plans(seed) {
+            let s = run_stream_scenario(&plan, &Mechanisms::full(), &cfg);
+            let u = run_uep_stream_scenario(&plan, &UepPolicy::uniform(), &cfg, PayloadKind::Mesh);
+            let cell = format!("{} seed {seed}", plan.name);
+            assert_eq!(s.delivered, u.delivered, "delivered, {cell}");
+            assert_eq!(s.usable, u.decodable, "usable vs decodable, {cell}");
+            assert_eq!(s.poisoned, u.delivered - u.decodable, "poisoned, {cell}");
+            assert_eq!(s.recovered_fec, u.recovered_fec, "recovered_fec, {cell}");
+            assert_eq!(s.recovered_retx, u.recovered_retx, "recovered_retx, {cell}");
+            assert_eq!(s.corrupt_detected, u.corrupt_detected, "corrupt_detected, {cell}");
+            assert_eq!(s.wire_bytes, u.wire_bytes, "wire_bytes, {cell}");
+        }
+    }
+}
+
+/// Every rendered byte of the class-blind projection, pinned: 7 plans
+/// x 4 mechanism sets at seed 7, 150 frames. The digest was taken from
+/// the stand-alone stream loop before it was folded into the UEP loop,
+/// so it holds the merged loop to the old one's bytes — `overhead` and
+/// `mean_recovery_ms` (an f64 sum in slot order) included.
+#[test]
+fn stream_outcome_bytes_are_pinned() {
+    let cfg = StreamConfig::default();
+    let mechanisms =
+        [Mechanisms::baseline(), Mechanisms::fec(), Mechanisms::retransmit(), Mechanisms::full()];
+    let mut cells = Vec::with_capacity(28);
+    for plan in stream_plans(7) {
+        for mech in &mechanisms {
+            cells.push(run_stream_scenario(&plan, mech, &cfg));
+        }
+    }
+    assert_eq!(cells.len(), 28);
+    let digest = holo_runtime::fnv1a64(cells.to_json().render().as_bytes());
+    assert_eq!(digest, 0xcd2a_4f79_e846_abfd, "StreamOutcome bytes moved: {digest:#018x}");
+}
 
 /// The headline criterion: with FEC(4,1) + retransmission, a stream
 /// under ~5% Gilbert–Elliott burst loss retains at least 2x the usable

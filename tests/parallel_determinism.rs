@@ -13,20 +13,10 @@ use holo_chaos::harness::run_scenarios;
 use holo_conf::{ParticipantConfig, Room, RoomConfig};
 use holo_fleet::{run_fleet, run_fleet_observed, FleetConfig, FleetTopology, RoomSpec};
 use holo_fuzz::{run_sweep, FuzzConfig};
-use holo_runtime::par;
+use holo_runtime::{fnv1a64, par};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::semantics::SemanticPipeline;
 use semholo::{SceneSource, SemHoloConfig};
-
-/// FNV-1a over the artifact bytes: stable, dependency-free, and enough
-/// to pin "these exact bytes" in a golden.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn scene() -> SceneSource {
     let config =
