@@ -13,7 +13,7 @@ use crate::expression::ExpressionBasis;
 use crate::params::SmplxParams;
 use crate::skeleton::{Joint, PosedSkeleton, Skeleton};
 use holo_math::{Aabb, Vec3};
-use holo_mesh::sdf::{smooth_min, GriddedUnion, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfSphere};
+use holo_mesh::sdf::{smooth_min, GriddedUnion, Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
 
 /// What surface detail to include when building a [`BodySdf`].
 #[derive(Debug, Clone, Copy)]
@@ -122,6 +122,15 @@ pub fn body_bones_from_positions(
     bones
 }
 
+/// The blend part for one bone: a capsule when it does not taper.
+fn bone_part(bone: &Bone) -> Primitive {
+    if (bone.ra - bone.rb).abs() < 1e-4 {
+        Primitive::Capsule(SdfCapsule { a: bone.a, b: bone.b, radius: bone.ra })
+    } else {
+        Primitive::RoundCone(SdfRoundCone { a: bone.a, b: bone.b, ra: bone.ra, rb: bone.rb })
+    }
+}
+
 /// Pull each expression bump's center onto the actual body surface
 /// (blendshape displacement is a *surface* phenomenon; head geometry
 /// varies with pose and girth, so the nominal face-frame anchor can sit
@@ -144,6 +153,9 @@ pub struct BodySdf {
     union: GriddedUnion,
     /// Expression bumps: `(center, radius, displacement)`.
     bumps: Vec<(Vec3, f32, f32)>,
+    /// A ball `(center, radius squared)` containing every bump's support;
+    /// a point outside it skips the bump loop, which could not touch it.
+    bump_ball: (Vec3, f32),
     cloth: Option<(f32, f32)>, // (amplitude, frequency)
     /// Only points below this height get cloth displacement (clothes cover
     /// the body, not the face).
@@ -167,26 +179,19 @@ impl BodySdf {
         detail: SurfaceDetail,
     ) -> Self {
         let girth = 1.0;
-        let mut parts: Vec<Box<dyn Sdf + Send>> = Vec::new();
-        for bone in body_bones_from_positions(positions, girth) {
-            if (bone.ra - bone.rb).abs() < 1e-4 {
-                parts.push(Box::new(SdfCapsule { a: bone.a, b: bone.b, radius: bone.ra }));
-            } else {
-                parts.push(Box::new(SdfRoundCone { a: bone.a, b: bone.b, ra: bone.ra, rb: bone.rb }));
-            }
-        }
+        let mut parts: Vec<Primitive> = body_bones_from_positions(positions, girth).iter().map(bone_part).collect();
         let head = positions[Joint::Head.index()];
         let neck = positions[Joint::Neck.index()];
         let head_up = (head - neck).normalized();
-        parts.push(Box::new(SdfEllipsoid {
+        parts.push(Primitive::Ellipsoid(SdfEllipsoid {
             center: head + head_up * 0.04,
             radii: Vec3::new(0.085, 0.115, 0.095),
         }));
         // Chin from the jaw keypoint directly.
         let jaw = positions[Joint::Jaw.index()];
-        parts.push(Box::new(SdfSphere { center: jaw + Vec3::new(0.0, -0.02, 0.02), radius: 0.045 }));
+        parts.push(Primitive::Sphere(SdfSphere { center: jaw + Vec3::new(0.0, -0.02, 0.02), radius: 0.045 }));
         let pelvis = positions[Joint::Pelvis.index()];
-        parts.push(Box::new(SdfEllipsoid {
+        parts.push(Primitive::Ellipsoid(SdfEllipsoid {
             center: pelvis - Vec3::new(0.0, 0.02, 0.0),
             radii: Vec3::new(0.14, 0.11, 0.10),
         }));
@@ -195,52 +200,38 @@ impl BodySdf {
         let eyes = (positions[Joint::LeftEye.index()] + positions[Joint::RightEye.index()]) * 0.5;
         let fwd = (eyes - head).normalized();
         let head_rot = quat_from_frame(if fwd.length_sq() > 1e-6 { fwd } else { Vec3::Z }, head_up);
-        let mut bumps = if detail.expression {
+        let bumps = if detail.expression {
             ExpressionBasis::standard().bumps(expression, head, head_rot)
         } else {
             Vec::new()
         };
-        project_bumps_to_surface(&union, &mut bumps);
-        let cloth = detail.cloth.then_some((detail.cloth_amplitude, detail.cloth_frequency));
-        let cloth_top = neck.y;
-        let mut bounds = union.bounds();
-        if detail.cloth {
-            bounds = bounds.expanded(detail.cloth_amplitude);
-        }
-        Self { union, bumps, cloth, cloth_top, bounds }
+        Self::assemble(union, bumps, detail, neck.y)
     }
 
     /// Build from an already-computed posed skeleton.
     pub fn from_posed(posed: &PosedSkeleton, params: &SmplxParams, detail: SurfaceDetail) -> Self {
         let girth = 1.0 + 0.06 * params.betas[4].clamp(-3.0, 3.0);
-        let mut parts: Vec<Box<dyn Sdf + Send>> = Vec::new();
-        for bone in body_bones(posed, girth) {
-            if (bone.ra - bone.rb).abs() < 1e-4 {
-                parts.push(Box::new(SdfCapsule { a: bone.a, b: bone.b, radius: bone.ra }));
-            } else {
-                parts.push(Box::new(SdfRoundCone { a: bone.a, b: bone.b, ra: bone.ra, rb: bone.rb }));
-            }
-        }
+        let mut parts: Vec<Primitive> = body_bones(posed, girth).iter().map(bone_part).collect();
         // Head: an ellipsoid around the head joint.
         let head = posed.position(Joint::Head);
         let head_up = posed.world[Joint::Head.index()].transform_dir(Vec3::Y);
-        parts.push(Box::new(SdfEllipsoid {
+        parts.push(Primitive::Ellipsoid(SdfEllipsoid {
             center: head + head_up * 0.04,
             radii: Vec3::new(0.085, 0.115, 0.095) * girth,
         }));
         // Jaw: a chin sphere attached to the jaw joint's *frame*, so
         // rotating the jaw (mouth opening) visibly moves the chin.
         let chin = posed.world[Joint::Jaw.index()].transform_point(Vec3::new(0.0, -0.025, 0.035));
-        parts.push(Box::new(SdfSphere { center: chin, radius: 0.045 * girth }));
+        parts.push(Primitive::Sphere(SdfSphere { center: chin, radius: 0.045 * girth }));
         // Pelvis mass.
         let pelvis = posed.position(Joint::Pelvis);
-        parts.push(Box::new(SdfEllipsoid {
+        parts.push(Primitive::Ellipsoid(SdfEllipsoid {
             center: pelvis - Vec3::new(0.0, 0.02, 0.0),
             radii: Vec3::new(0.14, 0.11, 0.10) * girth,
         }));
         let union = GriddedUnion::build(parts, 0.02, 24, 0.28);
 
-        let mut bumps = if detail.expression {
+        let bumps = if detail.expression {
             let basis = ExpressionBasis::standard();
             let head_rot = {
                 // Extract the head rotation from its world transform.
@@ -253,15 +244,22 @@ impl BodySdf {
         } else {
             Vec::new()
         };
-        project_bumps_to_surface(&union, &mut bumps);
+        Self::assemble(union, bumps, detail, posed.position(Joint::Neck).y)
+    }
 
+    /// The steps both constructors share once the blend is built: seat
+    /// the bumps on its surface, bound them, and derive cloth and bounds.
+    fn assemble(union: GriddedUnion, mut bumps: Vec<(Vec3, f32, f32)>, detail: SurfaceDetail, cloth_top: f32) -> Self {
+        project_bumps_to_surface(&union, &mut bumps);
+        let middle = bumps.iter().fold(Vec3::ZERO, |sum, b| sum + b.0) / bumps.len().max(1) as f32;
+        // The margin keeps rounding in `detail`'s own distance on the safe side.
+        let reach = bumps.iter().map(|&(c, r, _)| (c - middle).length() + r + 1e-4).fold(0.0, f32::max);
         let cloth = detail.cloth.then_some((detail.cloth_amplitude, detail.cloth_frequency));
-        let cloth_top = posed.position(Joint::Neck).y;
         let mut bounds = union.bounds();
         if detail.cloth {
             bounds = bounds.expanded(detail.cloth_amplitude);
         }
-        Self { union, bumps, cloth, cloth_top, bounds }
+        Self { union, bumps, bump_ball: (middle, reach * reach), cloth, cloth_top, bounds }
     }
 
     /// Number of primitive parts in the blend (a proxy for evaluation
@@ -311,15 +309,18 @@ fn quat_from_frame(fwd: Vec3, up: Vec3) -> holo_math::Quat {
     }
 }
 
-impl Sdf for BodySdf {
-    fn distance(&self, p: Vec3) -> f32 {
-        let mut d = self.union.distance(p);
+impl BodySdf {
+    /// Surface detail on top of the blended-primitive distance `d` at `p`.
+    #[inline]
+    fn detail(&self, p: Vec3, mut d: f32) -> f32 {
         // Expression bumps: local outward displacement.
-        for &(center, radius, disp) in &self.bumps {
-            let r = (p - center).length();
-            if r < radius {
-                let w = holo_math::smoothstep(radius, 0.0, r);
-                d -= disp * w;
+        if (p - self.bump_ball.0).length_sq() < self.bump_ball.1 {
+            for &(center, radius, disp) in &self.bumps {
+                let r = (p - center).length();
+                if r < radius {
+                    let w = holo_math::smoothstep(radius, 0.0, r);
+                    d -= disp * w;
+                }
             }
         }
         // Cloth folds: band-limited displacement below the neck.
@@ -334,9 +335,22 @@ impl Sdf for BodySdf {
         }
         d
     }
+}
+
+impl Sdf for BodySdf {
+    fn distance(&self, p: Vec3) -> f32 {
+        self.detail(p, self.union.distance(p))
+    }
 
     fn bounds(&self) -> Aabb {
         self.bounds
+    }
+
+    /// The detail is a function of the point and the union's value, so
+    /// the scope is the union's alone.
+    fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        let (d, scope) = self.union.distance_in(p, scope, radius);
+        (self.detail(p, d), scope)
     }
 }
 
@@ -438,6 +452,32 @@ mod tests {
         let knee = sk.rest_positions()[Joint::LeftKnee.index()];
         let probe = knee + Vec3::new(0.1, 0.0, 0.0);
         assert!((with_expr.distance(probe) - neutral.distance(probe)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bump_ball_only_skips_bumps_that_could_not_apply() {
+        let sk = Skeleton::neutral();
+        let mut params = SmplxParams::default();
+        params.expression = [0.8, -0.5, 0.6, 0.0, 1.0, 0.3, -0.7, 0.9, 0.0, 0.4];
+        let body = BodySdf::from_pose(&sk, &params, SurfaceDetail::bare());
+        assert!(body.bumps.len() >= 6);
+        let head = sk.rest_positions()[Joint::Head.index()];
+        let mut rng = Pcg32::new(11);
+        let mut displaced = 0;
+        for _ in 0..20_000 {
+            let p = head + Vec3::new(rng.range_f32(-0.2, 0.2), rng.range_f32(-0.2, 0.2), rng.range_f32(-0.2, 0.2));
+            // Every bump applied with no early-out.
+            let mut want = body.union.distance(p);
+            for &(center, radius, disp) in &body.bumps {
+                let r = (p - center).length();
+                if r < radius {
+                    want -= disp * holo_math::smoothstep(radius, 0.0, r);
+                    displaced += 1;
+                }
+            }
+            assert_eq!(body.distance(p).to_bits(), want.to_bits(), "at {p:?}");
+        }
+        assert!(displaced > 100, "the sample must reach the bumps ({displaced})");
     }
 
     #[test]

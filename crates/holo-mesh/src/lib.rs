@@ -25,6 +25,7 @@
 //! - [`voxel`] — occupancy voxelization helpers.
 
 pub mod grid;
+mod lattice;
 pub mod marching;
 pub mod metrics;
 pub mod pointcloud;
@@ -38,7 +39,7 @@ pub use grid::PointGrid;
 pub use marching::{marching_tetrahedra, MarchingConfig};
 pub use metrics::{chamfer_distance, f_score, hausdorff_distance, normal_consistency, MeshQuality};
 pub use pointcloud::PointCloud;
-pub use sdf::{Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfSphere};
+pub use sdf::{Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
 pub use simplify::simplify_cluster;
 pub use sparse::sparse_extract;
 pub use trimesh::TriMesh;

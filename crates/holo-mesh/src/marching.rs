@@ -14,10 +14,10 @@
 //! a time, so memory is `O(R^2)`. For `R = 1024` prefer
 //! [`crate::sparse::sparse_extract`], which skips empty space entirely.
 
+use crate::lattice::{corner_key, edge_key, LatticeMap};
 use crate::sdf::Sdf;
 use crate::trimesh::TriMesh;
 use holo_math::{Aabb, Vec3};
-use std::collections::HashMap;
 
 /// Parameters for isosurface extraction.
 #[derive(Debug, Clone)]
@@ -85,30 +85,32 @@ pub(crate) const CUBE_TETS: [[usize; 4]; 6] = [
 /// vertices keyed by global lattice corner ids.
 pub(crate) struct MeshBuilder {
     mesh: TriMesh,
-    edge_vertices: HashMap<(u64, u64), u32>,
+    edge_vertices: LatticeMap,
     pub stats: ExtractionStats,
 }
 
 impl MeshBuilder {
     pub fn new() -> Self {
-        Self { mesh: TriMesh::new(), edge_vertices: HashMap::new(), stats: ExtractionStats::default() }
+        Self { mesh: TriMesh::new(), edge_vertices: LatticeMap::new(), stats: ExtractionStats::default() }
     }
 
-    fn edge_vertex(&mut self, ka: u64, pa: Vec3, va: f32, kb: u64, pb: Vec3, vb: f32, iso: f32) -> u32 {
-        let key = if ka < kb { (ka, kb) } else { (kb, ka) };
-        if let Some(&idx) = self.edge_vertices.get(&key) {
+    /// The welded surface vertex on edge `a`-`b` (indices into the
+    /// tetrahedron's arrays), created on first use.
+    fn edge_vertex(&mut self, tet: &Tet, a: usize, b: usize) -> u32 {
+        let key = edge_key(tet.keys[a], tet.keys[b]);
+        if let Some(idx) = self.edge_vertices.get(key) {
             return idx;
         }
+        let (va, vb) = (tet.val[a], tet.val[b]);
         let denom = vb - va;
-        let t = if denom.abs() < 1e-12 { 0.5 } else { ((iso - va) / denom).clamp(0.0, 1.0) };
-        let p = pa.lerp(pb, t);
+        let t = if denom.abs() < 1e-12 { 0.5 } else { ((tet.iso - va) / denom).clamp(0.0, 1.0) };
         let idx = self.mesh.vertices.len() as u32;
-        self.mesh.vertices.push(p);
+        self.mesh.vertices.push(tet.pos[a].lerp(tet.pos[b], t));
         self.edge_vertices.insert(key, idx);
         idx
     }
 
-    fn push_triangle(&mut self, ia: u32, ib: u32, ic: u32, outward_hint: Vec3, anchor: Vec3) {
+    fn push_triangle(&mut self, ia: u32, ib: u32, ic: u32, anchor: Vec3) {
         if ia == ib || ib == ic || ia == ic {
             return; // degenerate after welding
         }
@@ -117,7 +119,7 @@ impl MeshBuilder {
         let c = self.mesh.vertices[ic as usize];
         let n = (b - a).cross(c - a);
         // Orient so the normal points from the inside anchor toward outside.
-        let want = ((a + b + c) / 3.0 - anchor) + outward_hint * 0.0;
+        let want = (a + b + c) / 3.0 - anchor;
         if n.dot(want) >= 0.0 {
             self.mesh.faces.push([ia, ib, ic]);
         } else {
@@ -126,43 +128,59 @@ impl MeshBuilder {
         self.stats.triangles_emitted += 1;
     }
 
-    /// Polygonize one tetrahedron given corner lattice keys, positions, and
-    /// field values.
-    pub fn do_tet(&mut self, keys: [u64; 4], pos: [Vec3; 4], val: [f32; 4], iso: f32) {
-        let inside: Vec<usize> = (0..4).filter(|&i| val[i] < iso).collect();
-        match inside.len() {
-            0 | 4 => {}
+    /// Polygonize one tetrahedron.
+    fn do_tet(&mut self, tet: &Tet) {
+        // Corner indices: the inside ones ascending, then the outside
+        // ones ascending.
+        let mut order = [0usize; 4];
+        let mut inside = 0;
+        let mut n = 0;
+        for want_inside in [true, false] {
+            for (i, &v) in tet.val.iter().enumerate() {
+                if (v < tet.iso) == want_inside {
+                    order[n] = i;
+                    n += 1;
+                }
+            }
+            if want_inside {
+                inside = n;
+            }
+        }
+        let [p, q, r, s] = order;
+        let pos = &tet.pos;
+        match inside {
             1 => {
-                let a = inside[0];
-                let outs: Vec<usize> = (0..4).filter(|&i| i != a).collect();
-                let v0 = self.edge_vertex(keys[a], pos[a], val[a], keys[outs[0]], pos[outs[0]], val[outs[0]], iso);
-                let v1 = self.edge_vertex(keys[a], pos[a], val[a], keys[outs[1]], pos[outs[1]], val[outs[1]], iso);
-                let v2 = self.edge_vertex(keys[a], pos[a], val[a], keys[outs[2]], pos[outs[2]], val[outs[2]], iso);
-                self.push_triangle(v0, v1, v2, Vec3::ZERO, pos[a]);
+                let v0 = self.edge_vertex(tet, p, q);
+                let v1 = self.edge_vertex(tet, p, r);
+                let v2 = self.edge_vertex(tet, p, s);
+                self.push_triangle(v0, v1, v2, pos[p]);
             }
             3 => {
-                let d = (0..4).find(|i| !inside.contains(i)).unwrap();
-                let ins: Vec<usize> = inside;
-                let v0 = self.edge_vertex(keys[d], pos[d], val[d], keys[ins[0]], pos[ins[0]], val[ins[0]], iso);
-                let v1 = self.edge_vertex(keys[d], pos[d], val[d], keys[ins[1]], pos[ins[1]], val[ins[1]], iso);
-                let v2 = self.edge_vertex(keys[d], pos[d], val[d], keys[ins[2]], pos[ins[2]], val[ins[2]], iso);
+                let v0 = self.edge_vertex(tet, s, p);
+                let v1 = self.edge_vertex(tet, s, q);
+                let v2 = self.edge_vertex(tet, s, r);
                 // Anchor at the centroid of the inside face.
-                let anchor = (pos[ins[0]] + pos[ins[1]] + pos[ins[2]]) / 3.0;
-                self.push_triangle(v0, v1, v2, Vec3::ZERO, anchor);
+                let anchor = (pos[p] + pos[q] + pos[r]) / 3.0;
+                self.push_triangle(v0, v1, v2, anchor);
             }
             2 => {
-                let (a, b) = (inside[0], inside[1]);
-                let outs: Vec<usize> = (0..4).filter(|&i| i != a && i != b).collect();
-                let (c, d) = (outs[0], outs[1]);
-                let vac = self.edge_vertex(keys[a], pos[a], val[a], keys[c], pos[c], val[c], iso);
-                let vad = self.edge_vertex(keys[a], pos[a], val[a], keys[d], pos[d], val[d], iso);
-                let vbc = self.edge_vertex(keys[b], pos[b], val[b], keys[c], pos[c], val[c], iso);
-                let vbd = self.edge_vertex(keys[b], pos[b], val[b], keys[d], pos[d], val[d], iso);
-                let anchor = (pos[a] + pos[b]) * 0.5;
-                self.push_triangle(vac, vad, vbd, Vec3::ZERO, anchor);
-                self.push_triangle(vac, vbd, vbc, Vec3::ZERO, anchor);
+                let vac = self.edge_vertex(tet, p, r);
+                let vad = self.edge_vertex(tet, p, s);
+                let vbc = self.edge_vertex(tet, q, r);
+                let vbd = self.edge_vertex(tet, q, s);
+                let anchor = (pos[p] + pos[q]) * 0.5;
+                self.push_triangle(vac, vad, vbd, anchor);
+                self.push_triangle(vac, vbd, vbc, anchor);
             }
-            _ => unreachable!(),
+            _ => {} // entirely inside or outside
+        }
+    }
+
+    /// Polygonize the cube whose corners (in [`CUBE_CORNERS`] order) have
+    /// the given lattice keys, positions and field values.
+    pub fn do_cube(&mut self, keys: &[u64; 8], pos: &[Vec3; 8], val: &[f32; 8], iso: f32) {
+        for t in &CUBE_TETS {
+            self.do_tet(&Tet { keys: t.map(|c| keys[c]), pos: t.map(|c| pos[c]), val: t.map(|c| val[c]), iso });
         }
     }
 
@@ -172,10 +190,13 @@ impl MeshBuilder {
     }
 }
 
-/// Pack lattice coordinates into a unique 64-bit corner id.
-#[inline]
-pub(crate) fn corner_key(x: u32, y: u32, z: u32) -> u64 {
-    ((x as u64) << 42) | ((y as u64) << 21) | z as u64
+/// One tetrahedron of a cube's split: corner lattice keys, positions and
+/// field values, and the isovalue to polygonize at.
+struct Tet {
+    keys: [u64; 4],
+    pos: [Vec3; 4],
+    val: [f32; 4],
+    iso: f32,
 }
 
 /// Extract the isosurface of `sdf` on a dense grid. Returns the welded
@@ -234,14 +255,7 @@ pub fn marching_tetrahedra_with_stats<S: Sdf + ?Sized>(
                 if all_pos || all_neg {
                     continue;
                 }
-                for tet in &CUBE_TETS {
-                    builder.do_tet(
-                        [keys[tet[0]], keys[tet[1]], keys[tet[2]], keys[tet[3]]],
-                        [pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]]],
-                        [val[tet[0]], val[tet[1]], val[tet[2]], val[tet[3]]],
-                        cfg.iso,
-                    );
-                }
+                builder.do_cube(&keys, &pos, &val, cfg.iso);
             }
         }
         below = above;

@@ -19,6 +19,17 @@ pub trait Sdf: Sync {
     /// A bounding box guaranteed to contain the zero level set.
     fn bounds(&self) -> Aabb;
 
+    /// [`Self::distance`] at `p` — the same bits — for a caller that is
+    /// sampling a region: `scope` must hold at `p` (start from
+    /// [`SdfScope::ALL`]), and the returned scope holds at every point
+    /// within `radius` of `p`. A composite field uses it to stop
+    /// evaluating parts that provably cannot change the result there; the
+    /// default narrows nothing.
+    fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        let _ = radius;
+        (self.distance(p), scope)
+    }
+
     /// Surface normal by central differences.
     fn normal(&self, p: Vec3, eps: f32) -> Vec3 {
         let dx = self.distance(p + Vec3::new(eps, 0.0, 0.0)) - self.distance(p - Vec3::new(eps, 0.0, 0.0));
@@ -26,6 +37,18 @@ pub trait Sdf: Sync {
         let dz = self.distance(p + Vec3::new(0.0, 0.0, eps)) - self.distance(p - Vec3::new(0.0, 0.0, eps));
         Vec3::new(dx, dy, dz).normalized()
     }
+}
+
+/// What a field has proven about a region, threaded through
+/// [`Sdf::distance_in`] by the octree extractor. Opaque: only the field
+/// that narrowed a scope can read it, and it must only be handed back to
+/// that same field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SdfScope(u64);
+
+impl SdfScope {
+    /// Nothing is known yet; valid everywhere.
+    pub const ALL: Self = Self(u64::MAX);
 }
 
 /// Sphere primitive.
@@ -201,6 +224,46 @@ impl Sdf for SdfUnion {
     }
 }
 
+/// The closed set of parts a [`GriddedUnion`] blends.
+#[derive(Debug, Clone, Copy)]
+pub enum Primitive {
+    Sphere(SdfSphere),
+    Capsule(SdfCapsule),
+    RoundCone(SdfRoundCone),
+    Ellipsoid(SdfEllipsoid),
+}
+
+impl Primitive {
+    /// True when `distance` is the exact Euclidean distance, hence
+    /// 1-Lipschitz — what culling in [`GriddedUnion`] rests on. The
+    /// ellipsoid is only a bound: its value can change faster than the
+    /// point moves, so it is never culled and never used to cull.
+    fn is_exact(&self) -> bool {
+        !matches!(self, Primitive::Ellipsoid(_))
+    }
+}
+
+impl Sdf for Primitive {
+    #[inline]
+    fn distance(&self, p: Vec3) -> f32 {
+        match self {
+            Primitive::Sphere(s) => s.distance(p),
+            Primitive::Capsule(s) => s.distance(p),
+            Primitive::RoundCone(s) => s.distance(p),
+            Primitive::Ellipsoid(s) => s.distance(p),
+        }
+    }
+
+    fn bounds(&self) -> Aabb {
+        match self {
+            Primitive::Sphere(s) => s.bounds(),
+            Primitive::Capsule(s) => s.bounds(),
+            Primitive::RoundCone(s) => s.bounds(),
+            Primitive::Ellipsoid(s) => s.bounds(),
+        }
+    }
+}
+
 /// A spatially accelerated smooth union: parts are bucketed into a coarse
 /// grid so evaluation touches only nearby parts instead of all of them.
 ///
@@ -210,8 +273,12 @@ impl Sdf for SdfUnion {
 /// from every listed part return a *conservative underestimate* (the
 /// margin, or the distance to the content bounds), which preserves
 /// correctness for both sphere tracing and octree pruning.
+///
+/// Through [`Sdf::distance_in`] it additionally drops parts that are
+/// exact no-ops of the blend throughout a ball (DESIGN.md §15, "Exact
+/// no-op culling"): the [`SdfScope`] is the set of parts `0..64` still alive.
 pub struct GriddedUnion {
-    parts: Vec<Box<dyn Sdf + Send>>,
+    parts: Vec<Primitive>,
     /// Blend radius.
     pub smoothness: f32,
     bounds: Aabb,
@@ -220,10 +287,16 @@ pub struct GriddedUnion {
     margin: f32,
 }
 
+/// Headroom in every culling inequality, meters. It absorbs what the
+/// real-number argument ignores: rounding inside the primitives (below
+/// `1e-5` at body scale), in the subtraction `smooth_min` performs, in the
+/// grid-cell index, and a leaf corner sitting at `radius * (1 + ulp)`.
+const CULL_SLACK: f32 = 1e-3;
+
 impl GriddedUnion {
     /// Build from parts with the given blend radius; `dims` grid cells
     /// per axis and `margin` meters of part-listing slack.
-    pub fn build(parts: Vec<Box<dyn Sdf + Send>>, smoothness: f32, dims: u32, margin: f32) -> Self {
+    pub fn build(parts: Vec<Primitive>, smoothness: f32, dims: u32, margin: f32) -> Self {
         let mut bounds = Aabb::EMPTY;
         for p in &parts {
             bounds.merge(&p.bounds());
@@ -269,15 +342,17 @@ impl GriddedUnion {
     pub fn is_empty(&self) -> bool {
         self.parts.is_empty()
     }
-}
 
-impl Sdf for GriddedUnion {
-    fn distance(&self, p: Vec3) -> f32 {
+    /// The one evaluation body. `SCOPED = false` is `distance`: every
+    /// listed part is blended and nothing is narrowed, at no cost for
+    /// the bookkeeping. `SCOPED = true` skips parts dead in `scope` and
+    /// kills those that are no-ops throughout the ball of `radius`.
+    fn eval<const SCOPED: bool>(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         // Outside the content box: distance to the box is a safe
         // underestimate of the distance to any part.
         let outside = self.bounds.signed_distance(p);
         if outside > 0.0 {
-            return outside;
+            return (outside, scope);
         }
         let size = self.bounds.size();
         let rel = p - self.bounds.min;
@@ -286,15 +361,47 @@ impl Sdf for GriddedUnion {
         let cell = &self.cells[((z * self.dims + y) * self.dims + x) as usize];
         // The margin minus the blend bulge bounds unlisted parts' reach.
         let cap = self.margin - self.smoothness;
+        let mut alive = scope.0;
+        // Part i is a no-op within `radius` when an earlier exact part j,
+        // listed in every grid cell the ball touches, is nearer by `gap`.
+        let gap = self.smoothness + 2.0 * radius + CULL_SLACK;
+        // j's box is within `margin` of the whole ball — so j is listed
+        // there — when j is at most this far from the center.
+        let witness_reach = self.margin - radius - CULL_SLACK;
+        let narrowing = SCOPED && witness_reach >= 0.0;
+        let mut nearest_exact = f32::INFINITY;
         let mut d = f32::INFINITY;
         for &pi in cell {
-            d = smooth_min(d, self.parts[pi as usize].distance(p), self.smoothness);
+            // Parts past the mask width have no bit and stay alive.
+            let bit = if pi < 64 { 1u64 << pi } else { 0 };
+            if SCOPED && !alive & bit != 0 {
+                continue;
+            }
+            let part = &self.parts[pi as usize];
+            let v = part.distance(p);
+            if narrowing && part.is_exact() {
+                if nearest_exact <= witness_reach && v - nearest_exact >= gap {
+                    alive &= !bit;
+                }
+                nearest_exact = nearest_exact.min(v);
+            }
+            d = smooth_min(d, v, self.smoothness);
         }
-        d.min(cap)
+        (d.min(cap), SdfScope(alive))
+    }
+}
+
+impl Sdf for GriddedUnion {
+    fn distance(&self, p: Vec3) -> f32 {
+        self.eval::<false>(p, SdfScope::ALL, 0.0).0
     }
 
     fn bounds(&self) -> Aabb {
         self.bounds.expanded(self.smoothness)
+    }
+
+    fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        self.eval::<true>(p, scope, radius)
     }
 }
 
@@ -334,6 +441,10 @@ impl<S: Sdf + ?Sized> Sdf for &S {
 
     fn bounds(&self) -> Aabb {
         (**self).bounds()
+    }
+
+    fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        (**self).distance_in(p, scope, radius)
     }
 }
 
@@ -444,30 +555,23 @@ mod tests {
 
     #[test]
     fn gridded_union_matches_plain_union_near_surface() {
-        let make_parts = || -> Vec<Box<dyn Sdf + Send>> {
-            let mut parts: Vec<Box<dyn Sdf + Send>> = Vec::new();
-            for i in 0..20 {
+        let parts: Vec<SdfSphere> = (0..20)
+            .map(|i| {
                 let t = i as f32 * 0.31;
-                parts.push(Box::new(SdfSphere {
+                SdfSphere {
                     center: Vec3::new(t.sin() * 0.8, 1.0 + (t * 1.7).cos() * 0.6, (t * 0.9).sin() * 0.4),
                     radius: 0.15,
-                }));
-            }
-            parts
-        };
+                }
+            })
+            .collect();
         let mut plain = SdfUnion::new(0.02);
-        for p in make_parts() {
-            plain.push(p);
+        let mut content = holo_math::Aabb::EMPTY;
+        for p in &parts {
+            plain.push(Box::new(*p));
+            content.merge(&p.bounds());
         }
-        let grid = GriddedUnion::build(make_parts(), 0.02, 16, 0.3);
+        let grid = GriddedUnion::build(parts.into_iter().map(Primitive::Sphere).collect(), 0.02, 16, 0.3);
         let mut rng = Pcg32::new(3);
-        let content = {
-            let mut b = holo_math::Aabb::EMPTY;
-            for p in make_parts() {
-                b.merge(&p.bounds());
-            }
-            b
-        };
         for _ in 0..3000 {
             let p = Vec3::new(rng.range_f32(-1.2, 1.2), rng.range_f32(-0.2, 2.0), rng.range_f32(-1.0, 1.0));
             let dp = plain.distance(p);
@@ -486,18 +590,43 @@ mod tests {
         }
     }
 
+    /// Two overlapping spheres: inside the content box the gridded union
+    /// and the plain union are the same field near the surface, so the
+    /// two extractions must be the same surface — closed, genus 0, the
+    /// same triangles over the same lattice edges, and bit-identical
+    /// vertices. Only where a sphere touches the content box may a vertex
+    /// slide along its edge: the outer corner reads the box distance.
     #[test]
-    fn gridded_union_extraction_identical_surface() {
-        let parts = |off: f32| -> Vec<Box<dyn Sdf + Send>> {
-            vec![
-                Box::new(SdfSphere { center: Vec3::new(off, 0.0, 0.0), radius: 0.5 }),
-                Box::new(SdfSphere { center: Vec3::new(-off, 0.0, 0.0), radius: 0.5 }),
-            ]
-        };
-        let grid = GriddedUnion::build(parts(0.3), 0.02, 12, 0.3);
+    fn gridded_union_extracts_the_plain_unions_surface() {
+        let spheres = [
+            SdfSphere { center: Vec3::new(0.3, 0.0, 0.0), radius: 0.5 },
+            SdfSphere { center: Vec3::new(-0.3, 0.0, 0.0), radius: 0.5 },
+        ];
+        let grid = GriddedUnion::build(spheres.iter().copied().map(Primitive::Sphere).collect(), 0.02, 12, 0.3);
+        let mut plain = SdfUnion::new(0.02);
+        for s in spheres {
+            plain.push(Box::new(s));
+        }
+        // Same lattice for both: the plain union's bounds are the grid's.
+        assert_eq!(grid.bounds(), plain.bounds());
         let mesh = crate::sparse::sparse_extract(&grid, 48, 0.05);
+        let reference = crate::sparse::sparse_extract(&plain, 48, 0.05);
         assert!(mesh.is_closed());
-        assert!(mesh.face_count() > 1000);
+        assert_eq!(mesh.euler_characteristic(), 2);
+        assert_eq!(mesh.faces, reference.faces);
+        assert_eq!(mesh.vertices.len(), reference.vertices.len());
+        let cell = 0.03; // res 48 rounds up to 64 leaves over ~1.7 m
+        let interior = grid.bounds().expanded(-0.02 - cell);
+        let mut compared = 0;
+        for (a, b) in mesh.vertices.iter().zip(&reference.vertices) {
+            if interior.contains(*a) {
+                assert_eq!(a, b);
+                compared += 1;
+            } else {
+                assert!(a.distance(*b) < cell, "vertex {a:?} vs {b:?}");
+            }
+        }
+        assert!(compared * 3 > mesh.vertices.len() * 2, "only {compared} of {} vertices interior", mesh.vertices.len());
     }
 
     #[test]

@@ -9,12 +9,17 @@
 //! extractor. Output vertices are welded on the *global* leaf lattice, so
 //! the result is identical in structure to the dense extraction restricted
 //! to near-surface cells.
+//!
+//! Every sample goes through [`Sdf::distance_in`]: each node hands the
+//! scope its center evaluation narrowed to its children and leaf corners,
+//! so a composite field stops evaluating parts that cannot matter inside
+//! the node — without changing one bit of any value (DESIGN.md §15).
 
-use crate::marching::{corner_key, ExtractionStats, MarchingConfig, MeshBuilder, CUBE_CORNERS, CUBE_TETS};
-use crate::sdf::Sdf;
+use crate::lattice::{corner_key, LatticeMap};
+use crate::marching::{ExtractionStats, MarchingConfig, MeshBuilder, CUBE_CORNERS};
+use crate::sdf::{Sdf, SdfScope};
 use crate::trimesh::TriMesh;
 use holo_math::Vec3;
-use std::collections::HashMap;
 
 /// Extract the isosurface of `sdf`, visiting only near-surface cells.
 ///
@@ -35,99 +40,97 @@ pub fn sparse_extract_with_stats<S: Sdf + ?Sized>(
 ) -> (TriMesh, ExtractionStats) {
     let res = resolution.max(2).next_power_of_two();
     let cfg = MarchingConfig::for_sdf(sdf, res);
-    let cell = cfg.cell_size();
-    let origin = cfg.bounds.min;
-    let levels = res.trailing_zeros(); // res = 2^levels
-    let mut builder = MeshBuilder::new();
+    let mut octree = Octree {
+        sdf,
+        origin: cfg.bounds.min,
+        cell: cfg.cell_size(),
+        levels: res.trailing_zeros(), // res = 2^levels
+        iso: cfg.iso,
+        safety,
+        corners: LatticeMap::new(),
+        builder: MeshBuilder::new(),
+    };
+    octree.descend(0, 0, 0, 0, SdfScope::ALL);
+    octree.builder.finish()
+}
 
-    // Recursive descent over octree nodes. A node at `level` spans
-    // 2^(levels-level) leaf cells per axis starting at integer leaf
-    // coordinate (x, y, z).
-    struct Ctx<'a, S: ?Sized> {
-        sdf: &'a S,
-        origin: Vec3,
-        cell: f32,
-        levels: u32,
-        iso: f32,
-        safety: f32,
-        /// Leaf-lattice corner values, shared across the up-to-8 leaf
-        /// cells that touch each corner.
-        corner_cache: std::cell::RefCell<HashMap<u64, f32>>,
-    }
+/// Recursive descent over octree nodes. A node at `level` spans
+/// `2^(levels-level)` leaf cells per axis starting at integer leaf
+/// coordinate `(x, y, z)`.
+struct Octree<'a, S: ?Sized> {
+    sdf: &'a S,
+    origin: Vec3,
+    cell: f32,
+    levels: u32,
+    iso: f32,
+    safety: f32,
+    /// Leaf-lattice corner values (as `f32` bits), shared across the
+    /// up-to-8 leaf cells that touch each corner.
+    corners: LatticeMap,
+    builder: MeshBuilder,
+}
 
-    impl<S: Sdf + ?Sized> Ctx<'_, S> {
-        fn corner_value(&self, builder: &mut MeshBuilder, key: u64, p: Vec3) -> f32 {
-            if let Some(&v) = self.corner_cache.borrow().get(&key) {
-                return v;
-            }
-            let v = self.sdf.distance(p);
-            builder.stats.field_evals += 1;
-            self.corner_cache.borrow_mut().insert(key, v);
-            v
+impl<S: Sdf + ?Sized> Octree<'_, S> {
+    /// Field value at a leaf-lattice corner; `scope` is the leaf's.
+    fn corner_value(&mut self, key: u64, p: Vec3, scope: SdfScope) -> f32 {
+        if let Some(bits) = self.corners.get(key) {
+            return f32::from_bits(bits);
         }
+        let v = self.sdf.distance_in(p, scope, 0.0).0;
+        // Narrowing is exact, not approximate: every extraction in a
+        // debug build checks it on every corner it samples.
+        debug_assert_eq!(v.to_bits(), self.sdf.distance(p).to_bits(), "scoped distance at {p:?}");
+        self.builder.stats.field_evals += 1;
+        self.corners.insert(key, v.to_bits());
+        v
     }
 
-    fn descend<S: Sdf + ?Sized>(ctx: &Ctx<'_, S>, builder: &mut MeshBuilder, level: u32, x: u32, y: u32, z: u32) {
-        let span = 1u32 << (ctx.levels - level); // leaf cells per axis
-        let side = span as f32 * ctx.cell;
-        let center = ctx.origin
+    /// Visit one node. `scope` is valid throughout the parent's bounding
+    /// ball, which contains this node's.
+    fn descend(&mut self, level: u32, x: u32, y: u32, z: u32, scope: SdfScope) {
+        let span = 1u32 << (self.levels - level); // leaf cells per axis
+        let side = span as f32 * self.cell;
+        let center = self.origin
             + Vec3::new(
-                (x as f32 + span as f32 * 0.5) * ctx.cell,
-                (y as f32 + span as f32 * 0.5) * ctx.cell,
-                (z as f32 + span as f32 * 0.5) * ctx.cell,
+                (x as f32 + span as f32 * 0.5) * self.cell,
+                (y as f32 + span as f32 * 0.5) * self.cell,
+                (z as f32 + span as f32 * 0.5) * self.cell,
             );
-        let d = ctx.sdf.distance(center);
-        builder.stats.field_evals += 1;
         let half_diag = side * 0.5 * 1.732_051;
-        if (d - ctx.iso).abs() > half_diag + ctx.safety {
+        // Children's centers and leaf corners all lie within `half_diag`
+        // of `center`, so the narrowed scope holds for everything below.
+        let (d, scope) = self.sdf.distance_in(center, scope, half_diag);
+        self.builder.stats.field_evals += 1;
+        if (d - self.iso).abs() > half_diag + self.safety {
             return; // no surface can cross this node
         }
-        if level == ctx.levels {
+        if level == self.levels {
             // Leaf: polygonize this single cell.
-            builder.stats.cubes_visited += 1;
+            self.builder.stats.cubes_visited += 1;
             let mut keys = [0u64; 8];
             let mut pos = [Vec3::ZERO; 8];
             let mut val = [0f32; 8];
             for (ci, &(dx, dy, dz)) in CUBE_CORNERS.iter().enumerate() {
                 let (cx, cy, cz) = (x + dx, y + dy, z + dz);
                 keys[ci] = corner_key(cx, cy, cz);
-                pos[ci] = ctx.origin + Vec3::new(cx as f32, cy as f32, cz as f32) * ctx.cell;
-                val[ci] = ctx.corner_value(builder, keys[ci], pos[ci]);
+                pos[ci] = self.origin + Vec3::new(cx as f32, cy as f32, cz as f32) * self.cell;
+                val[ci] = self.corner_value(keys[ci], pos[ci], scope);
             }
-            if val.iter().all(|&v| v >= ctx.iso) || val.iter().all(|&v| v < ctx.iso) {
+            if val.iter().all(|&v| v >= self.iso) || val.iter().all(|&v| v < self.iso) {
                 return;
             }
-            for tet in &CUBE_TETS {
-                builder.do_tet(
-                    [keys[tet[0]], keys[tet[1]], keys[tet[2]], keys[tet[3]]],
-                    [pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]]],
-                    [val[tet[0]], val[tet[1]], val[tet[2]], val[tet[3]]],
-                    ctx.iso,
-                );
-            }
+            self.builder.do_cube(&keys, &pos, &val, self.iso);
             return;
         }
         let half = span / 2;
         for dz in 0..2u32 {
             for dy in 0..2u32 {
                 for dx in 0..2u32 {
-                    descend(ctx, builder, level + 1, x + dx * half, y + dy * half, z + dz * half);
+                    self.descend(level + 1, x + dx * half, y + dy * half, z + dz * half, scope);
                 }
             }
         }
     }
-
-    let ctx = Ctx {
-        sdf,
-        origin,
-        cell,
-        levels,
-        iso: cfg.iso,
-        safety,
-        corner_cache: std::cell::RefCell::new(HashMap::new()),
-    };
-    descend(&ctx, &mut builder, 0, 0, 0, 0);
-    builder.finish()
 }
 
 #[cfg(test)]

@@ -1,0 +1,221 @@
+//! `Sdf::distance_in` is `Sdf::distance`, bit for bit.
+//!
+//! The octree extractor threads an `SdfScope` down its nodes so a
+//! `BodySdf` can stop evaluating parts that are exact no-ops of the
+//! blend inside a node's bounding ball (DESIGN.md §15, "Exact no-op
+//! culling"). No test here needs a golden: one extracts the same body
+//! with and without narrowing; two properties check the scoped value
+//! pointwise on random nested balls — inside them and on their boundary,
+//! where the extractor's leaf corners sit — around bodies and around
+//! random unions; and one builds the case the listing condition exists for.
+
+use holo_body::motion::{MotionClip, MotionKind, MotionSynthesizer};
+use holo_body::skeleton::{Skeleton, JOINT_COUNT};
+use holo_body::surface::{BodySdf, SurfaceDetail};
+use holo_math::{Aabb, Pcg32, Vec3};
+use holo_mesh::sdf::{smooth_min, GriddedUnion, Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
+use holo_mesh::sparse::sparse_extract_with_stats;
+use holo_runtime::check::any;
+use holo_runtime::{holo_prop, prop_assert_eq};
+use std::sync::OnceLock;
+
+const KINDS: [MotionKind; 4] = [MotionKind::Idle, MotionKind::Talking, MotionKind::Waving, MotionKind::Walking];
+
+/// Three one-second clips of every motion kind.
+fn clips() -> &'static [MotionClip] {
+    static CLIPS: OnceLock<Vec<MotionClip>> = OnceLock::new();
+    CLIPS.get_or_init(|| {
+        (0..12).map(|i| MotionSynthesizer::new(100 + i as u64).clip(KINDS[i % 4], 1.0, 30.0)).collect()
+    })
+}
+
+/// 96 bodies on random frames of those clips — both constructors, both
+/// detail levels — each with the joint positions it hangs on.
+fn bodies() -> &'static [(BodySdf, [Vec3; JOINT_COUNT])] {
+    static BODIES: OnceLock<Vec<(BodySdf, [Vec3; JOINT_COUNT])>> = OnceLock::new();
+    BODIES.get_or_init(|| {
+        let skeleton = Skeleton::neutral();
+        let mut rng = Pcg32::new(0x5C09ED);
+        (0..96)
+            .map(|i| {
+                let clip = &clips()[rng.next_u32() as usize % clips().len()];
+                let params = clip.frame(rng.next_u32() as usize % clip.len());
+                let detail = if i & 1 == 0 { SurfaceDetail::full() } else { SurfaceDetail::bare() };
+                let joints = skeleton.forward_kinematics(params).positions();
+                let sdf = if i & 2 == 0 {
+                    BodySdf::from_pose(&skeleton, params, detail)
+                } else {
+                    BodySdf::from_joint_positions(&joints, &params.expression, detail)
+                };
+                (sdf, joints)
+            })
+            .collect()
+    })
+}
+
+/// A body seen only through `distance` and `bounds`: it gets the trait's
+/// default `distance_in`, so nothing is ever narrowed.
+struct Unscoped<'a>(&'a BodySdf);
+
+impl Sdf for Unscoped<'_> {
+    fn distance(&self, p: Vec3) -> f32 {
+        self.0.distance(p)
+    }
+
+    fn bounds(&self) -> Aabb {
+        self.0.bounds()
+    }
+}
+
+fn bits(v: &[Vec3]) -> Vec<[u32; 3]> {
+    v.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
+}
+
+#[test]
+fn extraction_without_narrowing_is_the_same_mesh() {
+    let skeleton = Skeleton::neutral();
+    for (clip, frame, detail, resolution) in [
+        (1, 4, SurfaceDetail::bare(), 128),
+        (2, 17, SurfaceDetail::full(), 64),
+        (3, 29, SurfaceDetail::bare(), 64),
+        (5, 11, SurfaceDetail::full(), 128),
+    ] {
+        let sdf = BodySdf::from_pose(&skeleton, clips()[clip].frame(frame), detail);
+        let (scoped, scoped_stats) = sparse_extract_with_stats(&sdf, resolution, 0.03);
+        let (plain, plain_stats) = sparse_extract_with_stats(&Unscoped(&sdf), resolution, 0.03);
+        let case = format!("clip {clip} frame {frame} res {resolution}");
+        assert!(scoped.faces.len() > 10_000, "{case}: a body was extracted");
+        assert_eq!(scoped.faces, plain.faces, "{case}: index buffer");
+        assert_eq!(bits(&scoped.vertices), bits(&plain.vertices), "{case}: vertex buffer");
+        assert_eq!(bits(&scoped.normals), bits(&plain.normals), "{case}: normal buffer");
+        assert_eq!(
+            (scoped_stats.field_evals, scoped_stats.cubes_visited, scoped_stats.triangles_emitted),
+            (plain_stats.field_evals, plain_stats.cubes_visited, plain_stats.triangles_emitted),
+            "{case}: counters"
+        );
+    }
+}
+
+/// The nearer part that proves another a no-op must itself be blended at
+/// the sample point, and the grid lists a part only within `margin` of
+/// it. Here `near` is listed at the ball's center `c` but not one grid
+/// cell over at `q`; judged from `c` alone, `far` trails it by more than
+/// the blend radius plus the ball's diameter and would be dropped — yet
+/// at `q` it is the first part blended and shifts the result.
+#[test]
+fn a_part_is_not_culled_on_the_word_of_a_part_unlisted_nearby() {
+    let (smoothness, margin, radius) = (0.02, 0.1, 0.006);
+    let c = Vec3::new(0.003, 0.1, 0.1);
+    let q = Vec3::new(-0.003, 0.1, 0.1);
+    // A sphere of radius 0.05 whose surface is `gap` from `from` along `dir`.
+    let sphere = |from: Vec3, dir: Vec3, gap: f32| SdfSphere { center: from + dir * (gap + 0.05), radius: 0.05 };
+    let near = sphere(c, Vec3::X, 0.0975);
+    let far = sphere(q, Vec3::Y, 0.135);
+    let rest = [
+        sphere(q, -Vec3::Y, 0.12),
+        sphere(q, Vec3::Z, 0.11),
+        sphere(q, -Vec3::Z, 0.10),
+        sphere(q, -Vec3::Y, 0.09),
+        sphere(q, Vec3::Z, 0.082),
+    ];
+    // Two specks pin the content box to [-1, 1]^3: 8 cells of 0.25 per
+    // axis, with a cell wall at x = 0 between `q` and `c`.
+    let specks = [-0.99f32, 0.99].map(|at| SdfSphere { center: Vec3::splat(at), radius: 0.01 });
+    let parts: Vec<SdfSphere> = [near, far].into_iter().chain(rest).chain(specks).collect();
+    let union = GriddedUnion::build(parts.iter().copied().map(Primitive::Sphere).collect(), smoothness, 8, margin);
+
+    // From the center, `far` looks droppable on `near`'s word ...
+    assert!(far.distance(c) - near.distance(c) >= smoothness + 2.0 * radius + 1e-3);
+    // ... but at `q`, inside the ball, `near` is not blended and `far` is:
+    let cap = margin - smoothness;
+    let blend = |parts: &[SdfSphere]| parts.iter().fold(f32::INFINITY, |d, s| smooth_min(d, s.distance(q), smoothness)).min(cap);
+    assert_eq!(union.distance(q).to_bits(), blend(&parts[1..7]).to_bits(), "`near` is unlisted at q");
+    assert_ne!(union.distance(q).to_bits(), blend(&parts[2..7]).to_bits(), "`far` matters at q");
+
+    let (d, scope) = union.distance_in(c, SdfScope::ALL, radius);
+    assert_eq!(d.to_bits(), union.distance(c).to_bits());
+    assert_eq!(union.distance_in(q, scope, 0.0).0.to_bits(), union.distance(q).to_bits());
+}
+
+fn unit_vector(rng: &mut Pcg32) -> Vec3 {
+    let v = Vec3::new(rng.normal(), rng.normal(), rng.normal());
+    if v.length_sq() > 1e-12 { v.normalized() } else { Vec3::X }
+}
+
+/// Walk a chain of nested balls the way `descend` does — narrowing at
+/// each center — then sample the innermost ball, half the points exactly
+/// on its boundary. Returns the first point whose scoped value is not
+/// `distance`'s, to the bit.
+fn first_departure<S: Sdf>(sdf: &S, mut center: Vec3, mut radius: f32, rng: &mut Pcg32) -> Option<String> {
+    let mut scope = SdfScope::ALL;
+    for level in 0..1 + rng.next_u32() % 5 {
+        if level > 0 {
+            // A child ball inside the current one; an octree child
+            // touches its parent's boundary, so do that half the time.
+            let child = radius * rng.range_f32(0.2, 0.6);
+            let reach = if rng.chance(0.5) { 1.0 } else { rng.range_f32(0.0, 1.0) };
+            center += unit_vector(rng) * ((radius - child) * reach);
+            radius = child;
+        }
+        let (d, narrowed) = sdf.distance_in(center, scope, radius);
+        if d.to_bits() != sdf.distance(center).to_bits() {
+            return Some(format!("center {center:?} at level {level}: {d} vs {}", sdf.distance(center)));
+        }
+        scope = narrowed;
+    }
+    for i in 0..16 {
+        let reach = if i % 2 == 0 { 1.0 } else { rng.range_f32(0.0, 1.0) };
+        let p = center + unit_vector(rng) * (radius * reach);
+        let d = sdf.distance_in(p, scope, 0.0).0;
+        if d.to_bits() != sdf.distance(p).to_bits() {
+            return Some(format!("point {p:?} in ball {center:?} r {radius}: {d} vs {}", sdf.distance(p)));
+        }
+    }
+    None
+}
+
+holo_prop! {
+    #![cases(10_000)]
+
+    /// A body on a random clip frame, nested balls around a point near it.
+    fn scoped_distance_equals_distance_bit_for_bit(seed in any::<u64>()) {
+        let mut rng = Pcg32::new(seed);
+        let (sdf, joints) = &bodies()[rng.next_u32() as usize % bodies().len()];
+        let center = joints[rng.next_u32() as usize % joints.len()] + unit_vector(&mut rng) * rng.range_f32(0.0, 0.3);
+        let radius = rng.range_f32(0.005, 0.6);
+        prop_assert_eq!(first_departure(sdf, center, radius, &mut rng), None);
+    }
+}
+
+holo_prop! {
+    #![cases(2_500)]
+
+    /// The argument does not lean on the body's constants: a random soup
+    /// of up to 80 primitives (so some lie past the 64-part mask) of all
+    /// four kinds, with random blend radius, listing margin and grid.
+    fn scoped_distance_is_exact_on_random_unions(seed in any::<u64>()) {
+        let mut rng = Pcg32::new(seed);
+        let spread = rng.range_f32(0.1, 0.6);
+        let point = |rng: &mut Pcg32| Vec3::new(rng.range_f32(-spread, spread), rng.range_f32(-spread, spread), rng.range_f32(-spread, spread));
+        let parts: Vec<Primitive> = (0..1 + rng.next_u32() % 80)
+            .map(|_| {
+                let (a, ra) = (point(&mut rng), rng.range_f32(0.01, 0.12));
+                let (b, rb) = (a + unit_vector(&mut rng) * rng.range_f32(0.0, 0.3), rng.range_f32(0.01, 0.12));
+                match rng.next_u32() % 8 {
+                    0 | 1 => Primitive::Ellipsoid(SdfEllipsoid { center: a, radii: Vec3::new(ra, rb, rng.range_f32(0.01, 0.3)) }),
+                    2 => Primitive::Sphere(SdfSphere { center: a, radius: ra }),
+                    3 | 4 => Primitive::Capsule(SdfCapsule { a, b, radius: ra }),
+                    _ => Primitive::RoundCone(SdfRoundCone { a, b, ra, rb }),
+                }
+            })
+            .collect();
+        let smoothness = rng.range_f32(0.0, 0.05);
+        let margin = smoothness + rng.range_f32(0.02, 0.3);
+        let union = GriddedUnion::build(parts, smoothness, 1 + rng.next_u32() % 12, margin);
+        for _ in 0..16 {
+            let center = point(&mut rng) * 1.2;
+            let radius = rng.range_f32(0.002, 0.3);
+            prop_assert_eq!(first_departure(&union, center, radius, &mut rng), None);
+        }
+    }
+}
