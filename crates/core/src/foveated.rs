@@ -33,7 +33,6 @@ use holo_keypoints::fit::fit_params;
 use holo_math::{Pcg32, Vec2, Vec3};
 use holo_mesh::sparse::sparse_extract;
 use holo_mesh::trimesh::TriMesh;
-use std::time::Instant;
 
 /// Foveated pipeline configuration.
 #[derive(Debug, Clone)]
@@ -151,9 +150,11 @@ impl FoveatedPipeline {
         self.gaze_samples[idx].pos
     }
 
-    /// Cut the faces of `mesh` whose centroid falls inside the foveal
-    /// cone into a compact submesh.
-    fn foveal_submesh(mesh: &TriMesh, map: &FoveationMap) -> TriMesh {
+    /// The compact submesh of the faces of `mesh` whose centroid is
+    /// foveal (`keep_foveal`: the patch the sender ships) or is not
+    /// (`!keep_foveal`: what the receiver keeps of its peripheral
+    /// reconstruction, so that it does not z-fight with the patch).
+    fn submesh(mesh: &TriMesh, map: &FoveationMap, keep_foveal: bool) -> TriMesh {
         let mut out = TriMesh::new();
         let mut remap = vec![u32::MAX; mesh.vertex_count()];
         for f in &mesh.faces {
@@ -161,33 +162,7 @@ impl FoveatedPipeline {
                 + mesh.vertices[f[1] as usize]
                 + mesh.vertices[f[2] as usize])
                 / 3.0;
-            if !map.is_foveal(centroid) {
-                continue;
-            }
-            let mut nf = [0u32; 3];
-            for (k, &vi) in f.iter().enumerate() {
-                if remap[vi as usize] == u32::MAX {
-                    remap[vi as usize] = out.vertices.len() as u32;
-                    out.vertices.push(mesh.vertices[vi as usize]);
-                }
-                nf[k] = remap[vi as usize];
-            }
-            out.faces.push(nf);
-        }
-        out
-    }
-
-    /// Remove foveal faces from a mesh (receiver-side: the peripheral
-    /// reconstruction must not z-fight with the received patch).
-    fn without_foveal(mesh: &TriMesh, map: &FoveationMap) -> TriMesh {
-        let mut out = TriMesh::new();
-        let mut remap = vec![u32::MAX; mesh.vertex_count()];
-        for f in &mesh.faces {
-            let centroid = (mesh.vertices[f[0] as usize]
-                + mesh.vertices[f[1] as usize]
-                + mesh.vertices[f[2] as usize])
-                / 3.0;
-            if map.is_foveal(centroid) {
+            if map.is_foveal(centroid) != keep_foveal {
                 continue;
             }
             let mut nf = [0u32; 3];
@@ -210,13 +185,13 @@ impl SemanticPipeline for FoveatedPipeline {
     }
 
     fn encode(&mut self, frame: &SceneFrame) -> Result<EncodedFrame> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         let gaze = self.predicted_gaze_at(frame.time as f32);
         self.last_encode_gaze = gaze;
         let map = viewer_map(gaze, self.config.foveal_radius_deg);
         // Foveal patch: cut from the posed mesh, Draco-compress.
         let mesh = frame.posed_mesh();
-        let patch = Self::foveal_submesh(&mesh, &map);
+        let patch = Self::submesh(&mesh, &map, true);
         let patch_bytes = encode_mesh(&patch, &MeshCodecConfig { position_bits: self.config.quantization_bits });
         // Peripheral keypoints: the full pose payload (receiver needs the
         // whole skeleton anyway).
@@ -241,12 +216,12 @@ impl SemanticPipeline for FoveatedPipeline {
         payload.extend_from_slice(&pose_bytes);
         Ok(EncodedFrame {
             payload: Bytes::from(payload),
-            extract: StageCost { cpu_wall: t0.elapsed(), gpu: None },
+            extract: StageCost { cpu_wall: timer.stop("pipeline.foveated.extract_us"), gpu: None },
         })
     }
 
     fn decode(&mut self, payload: &[u8]) -> Result<Reconstructed> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         if payload.len() < 9 {
             return Err(SemHoloError::Codec("foveated payload too short".into()));
         }
@@ -269,13 +244,16 @@ impl SemanticPipeline for FoveatedPipeline {
         let sdf = BodySdf::from_pose(&self.skeleton, &pose.params, SurfaceDetail::bare());
         let periphery_full = sparse_extract(&sdf, self.config.peripheral_resolution, 0.03);
         let map = viewer_map(gaze, self.config.foveal_radius_deg);
-        let mut stitched = Self::without_foveal(&periphery_full, &map);
+        let mut stitched = Self::submesh(&periphery_full, &map, false);
         stitched.append(&patch);
         stitched.compute_normals();
         let workload = reconstruction_workload(self.config.peripheral_resolution, None).workload;
         Ok(Reconstructed {
             content: Content::Mesh(stitched),
-            recon: StageCost { cpu_wall: t0.elapsed(), gpu: Some(workload) },
+            recon: StageCost {
+                cpu_wall: timer.stop("pipeline.foveated.recon_us"),
+                gpu: Some(workload),
+            },
         })
     }
 
@@ -389,8 +367,8 @@ mod tests {
         let frame = scene.frame(0);
         let mesh = frame.posed_mesh();
         let map = viewer_map(Vec2::ZERO, 15.0);
-        let fov = FoveatedPipeline::foveal_submesh(&mesh, &map);
-        let per = FoveatedPipeline::without_foveal(&mesh, &map);
+        let fov = FoveatedPipeline::submesh(&mesh, &map, true);
+        let per = FoveatedPipeline::submesh(&mesh, &map, false);
         assert_eq!(fov.face_count() + per.face_count(), mesh.face_count());
         assert!(fov.face_count() > 0, "some faces must be foveal");
         assert!(per.face_count() > 0, "some faces must be peripheral");

@@ -21,7 +21,6 @@ use holo_gpu::Workload;
 use holo_math::{Pcg32, Vec3};
 use holo_neural::nerf::{NerfField, VolumeRenderer};
 use holo_neural::train::{psnr, RayDataset, TrainConfig, Trainer};
-use std::time::Instant;
 
 /// Image pipeline configuration. Defaults are laptop-scale tiny; the
 /// structure (not the pixel count) is what reproduces §3.2.
@@ -145,7 +144,7 @@ impl SemanticPipeline for ImagePipeline {
     }
 
     fn encode(&mut self, frame: &SceneFrame) -> Result<EncodedFrame> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         let fps = frame.context.config.fps as f64;
         let rung = self.pick_rung(fps);
         let (res, _) = self.config.ladder[rung];
@@ -161,12 +160,12 @@ impl SemanticPipeline for ImagePipeline {
         }
         Ok(EncodedFrame {
             payload: Bytes::from(payload),
-            extract: StageCost { cpu_wall: t0.elapsed(), gpu: None },
+            extract: StageCost { cpu_wall: timer.stop("pipeline.image.extract_us"), gpu: None },
         })
     }
 
     fn decode(&mut self, payload: &[u8]) -> Result<Reconstructed> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         let (rung, mut pos) = read_varint(payload).ok_or_else(|| SemHoloError::Codec("no rung".into()))?;
         let rung = (rung as usize).min(self.config.ladder.len() - 1);
         let (nviews, used) =
@@ -222,7 +221,10 @@ impl SemanticPipeline for ImagePipeline {
         };
         Ok(Reconstructed {
             content: Content::View(view),
-            recon: StageCost { cpu_wall: t0.elapsed(), gpu: Some(workload) },
+            recon: StageCost {
+                cpu_wall: timer.stop("pipeline.image.recon_us"),
+                gpu: Some(workload),
+            },
         })
     }
 

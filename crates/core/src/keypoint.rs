@@ -23,7 +23,6 @@ use holo_keypoints::filter::OneEuroFilter;
 use holo_keypoints::fit::fit_params;
 use holo_math::{Pcg32, Vec3};
 use holo_mesh::sparse::sparse_extract_with_stats;
-use std::time::Instant;
 
 /// How the receiver turns keypoints into geometry (ablation D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +146,7 @@ impl SemanticPipeline for KeypointPipeline {
     }
 
     fn encode(&mut self, frame: &SceneFrame) -> Result<EncodedFrame> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         self.frame_dt = 1.0 / frame.context.config.fps;
         let (fitted, detected) = self.fit_frame(frame)?;
         let mut keypoints = detected;
@@ -157,12 +156,15 @@ impl SemanticPipeline for KeypointPipeline {
         let gflops = self.config.detector.gflops_per_frame(self.config.landmarks.count());
         Ok(EncodedFrame {
             payload: Bytes::from(compressed),
-            extract: StageCost { cpu_wall: t0.elapsed(), gpu: Some(detector_workload(gflops)) },
+            extract: StageCost {
+                cpu_wall: timer.stop("pipeline.keypoint.extract_us"),
+                gpu: Some(detector_workload(gflops)),
+            },
         })
     }
 
     fn decode(&mut self, payload: &[u8]) -> Result<Reconstructed> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         let raw = lzma_decompress(payload).map_err(reject_decode)?;
         let pose = PosePayload::from_bytes(&raw).map_err(reject_decode)?;
         let sdf = match self.config.mode {
@@ -186,7 +188,10 @@ impl SemanticPipeline for KeypointPipeline {
         let workload = reconstruction_workload(self.config.resolution, None).workload;
         Ok(Reconstructed {
             content: Content::Mesh(mesh),
-            recon: StageCost { cpu_wall: t0.elapsed(), gpu: Some(workload) },
+            recon: StageCost {
+                cpu_wall: timer.stop("pipeline.keypoint.recon_us"),
+                gpu: Some(workload),
+            },
         })
     }
 

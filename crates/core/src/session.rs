@@ -256,7 +256,7 @@ impl Session {
                 holo_trace::span_enter("transmit", send_us);
                 holo_trace::span_exit(tx.completed_at.map_or(send_us, |t| t.0));
                 holo_trace::counter("session.frames", 1);
-                holo_trace::histogram("session.payload_bytes", wire_len as f64);
+                holo_trace::histogram("session.payload_bytes", wire_len as u64);
             }
             // A clean delivery sends exactly one fragment per MTU
             // chunk; anything beyond that was a retransmission.
@@ -339,7 +339,7 @@ impl Session {
                     holo_trace::span_exit(render_end);
                     holo_trace::span_exit(render_end); // "frame"
                     holo_trace::counter("session.frames_delivered", 1);
-                    holo_trace::histogram("session.e2e_ms", fr.e2e_ms);
+                    holo_trace::histogram("session.e2e_us", (fr.e2e_ms * 1_000.0).round() as u64);
                 }
                 if self.config.quality_every > 0 && frame.index % self.config.quality_every == 0 {
                     let q = pipeline.quality(&frame, &reconstructed.content);
@@ -380,20 +380,11 @@ impl Session {
         frames: usize,
         trace_path: &Path,
     ) -> Result<(SessionReport, TraceReport)> {
-        let was_enabled = holo_trace::enabled();
-        holo_trace::enable();
-        holo_trace::reset();
-        let outcome = self.run(pipeline, scene, frames);
-        let trace_report = holo_trace::trace_report();
-        let chrome = holo_trace::chrome_trace();
-        if !was_enabled {
-            holo_trace::disable();
-        }
-        let report = outcome?;
-        std::fs::write(trace_path, chrome.as_bytes()).map_err(|e| {
+        let report = holo_trace::traced(|| self.run(pipeline, scene, frames))?;
+        std::fs::write(trace_path, holo_trace::chrome_trace().as_bytes()).map_err(|e| {
             SemHoloError::Config(format!("cannot write trace {}: {e}", trace_path.display()))
         })?;
-        Ok((report, trace_report))
+        Ok((report, holo_trace::trace_report()))
     }
 }
 

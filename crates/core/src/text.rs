@@ -21,7 +21,6 @@ use holo_textsem::channels::{GlobalChannel, GlobalLocalCodec};
 use holo_textsem::decode::TextToCloud;
 use holo_textsem::delta::DeltaCoder;
 use holo_textsem::vq::Codebook;
-use std::time::Instant;
 
 /// Text pipeline configuration.
 #[derive(Debug, Clone)]
@@ -104,7 +103,7 @@ impl SemanticPipeline for TextPipeline {
     }
 
     fn encode(&mut self, frame: &SceneFrame) -> Result<EncodedFrame> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         self.ensure_codec(frame);
         let codec = self.codec.as_ref().unwrap();
         let cloud = frame.captured_cloud();
@@ -148,14 +147,14 @@ impl SemanticPipeline for TextPipeline {
         Ok(EncodedFrame {
             payload: Bytes::from(payload),
             extract: StageCost {
-                cpu_wall: t0.elapsed(),
+                cpu_wall: timer.stop("pipeline.text.extract_us"),
                 gpu: Some(Workload { flops, bytes: flops * 0.02, peak_memory: 3 * (1u64 << 30) }),
             },
         })
     }
 
     fn decode(&mut self, payload: &[u8]) -> Result<Reconstructed> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         let codec = self.codec.as_ref().ok_or_else(|| {
             SemHoloError::Reconstruction("codec not cold-started (decode before first encode)".into())
         })?;
@@ -197,7 +196,7 @@ impl SemanticPipeline for TextPipeline {
         Ok(Reconstructed {
             content: Content::Cloud(cloud),
             recon: StageCost {
-                cpu_wall: t0.elapsed(),
+                cpu_wall: timer.stop("pipeline.text.recon_us"),
                 gpu: Some(Workload { flops, bytes: flops * 0.02, peak_memory: 4 * (1u64 << 30) }),
             },
         })

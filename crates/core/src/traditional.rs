@@ -11,7 +11,6 @@ use crate::scene::SceneFrame;
 use crate::semantics::{mesh_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost};
 use holo_runtime::bytes::Bytes;
 use holo_compress::meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig};
-use std::time::Instant;
 
 /// Whether to compress the mesh on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +107,7 @@ impl SemanticPipeline for TraditionalPipeline {
     }
 
     fn encode(&mut self, frame: &SceneFrame) -> Result<EncodedFrame> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         let mesh = frame.posed_mesh();
         let bytes = match self.wire {
             MeshWire::Raw => mesh_to_raw_bytes(&mesh),
@@ -116,19 +115,22 @@ impl SemanticPipeline for TraditionalPipeline {
         };
         Ok(EncodedFrame {
             payload: Bytes::from(bytes),
-            extract: StageCost { cpu_wall: t0.elapsed(), gpu: None },
+            extract: StageCost {
+                cpu_wall: timer.stop("pipeline.traditional.extract_us"),
+                gpu: None,
+            },
         })
     }
 
     fn decode(&mut self, payload: &[u8]) -> Result<Reconstructed> {
-        let t0 = Instant::now();
+        let timer = holo_trace::WallTimer::start();
         let mesh = match self.wire {
             MeshWire::Raw => mesh_from_raw_bytes(payload).map_err(reject_decode)?,
             MeshWire::Compressed => decode_mesh(payload).map_err(reject_decode)?,
         };
         Ok(Reconstructed {
             content: Content::Mesh(mesh),
-            recon: StageCost { cpu_wall: t0.elapsed(), gpu: None },
+            recon: StageCost { cpu_wall: timer.stop("pipeline.traditional.recon_us"), gpu: None },
         })
     }
 

@@ -73,17 +73,19 @@ impl Models {
 /// Compress `data`. The output embeds the original length; an empty input
 /// produces a tiny valid stream.
 ///
-/// When tracing is on, records `compress.lzma.encode_ms` (wall clock —
+/// When tracing is on, records `compress.lzma.encode_us` (wall clock —
 /// the one nondeterministic metric family, excluded from the trace
-/// byte-identity guarantee), `compress.lzma.ratio`, and byte counters.
+/// byte-identity guarantee), `compress.lzma.ratio_permille`, and byte
+/// counters.
 pub fn lzma_compress(data: &[u8]) -> Vec<u8> {
     if !holo_trace::enabled() {
         return lzma_compress_inner(data);
     }
-    let start = std::time::Instant::now();
+    let timer = holo_trace::WallTimer::start();
     let out = lzma_compress_inner(data);
-    holo_trace::histogram_wall("compress.lzma.encode_ms", start.elapsed().as_secs_f64() * 1e3);
-    holo_trace::histogram("compress.lzma.ratio", out.len() as f64 / data.len().max(1) as f64);
+    timer.stop("compress.lzma.encode_us");
+    let permille = out.len() as u64 * 1000 / data.len().max(1) as u64;
+    holo_trace::histogram("compress.lzma.ratio_permille", permille);
     holo_trace::counter("compress.lzma.bytes_in", data.len() as u64);
     holo_trace::counter("compress.lzma.bytes_out", out.len() as u64);
     out
@@ -181,7 +183,7 @@ fn match_len(data: &[u8], from: usize, at: usize) -> usize {
 }
 
 /// Decompress a stream produced by [`lzma_compress`]. Records
-/// `compress.lzma.decode_ms` (wall clock) when tracing is on.
+/// `compress.lzma.decode_us` (wall clock) when tracing is on.
 ///
 /// Hostile-input contract: never panics, and never allocates beyond
 /// [`decode_cap`] of the input length — a header-declared size past
@@ -192,9 +194,9 @@ pub fn lzma_decompress(input: &[u8]) -> Result<Vec<u8>, DecodeError> {
     if !holo_trace::enabled() {
         return lzma_decompress_inner(input);
     }
-    let start = std::time::Instant::now();
+    let timer = holo_trace::WallTimer::start();
     let out = lzma_decompress_inner(input);
-    holo_trace::histogram_wall("compress.lzma.decode_ms", start.elapsed().as_secs_f64() * 1e3);
+    timer.stop("compress.lzma.decode_us");
     if let Ok(bytes) = &out {
         holo_trace::counter("compress.lzma.bytes_decoded", bytes.len() as u64);
     }
@@ -291,20 +293,16 @@ mod tests {
 
     #[test]
     fn tracing_records_codec_metrics() {
-        let was = holo_trace::enabled();
-        holo_trace::enable();
-        holo_trace::reset();
         let data = vec![7u8; 4096];
-        let c = lzma_compress(&data);
-        assert_eq!(lzma_decompress(&c).unwrap(), data);
+        holo_trace::traced(|| {
+            let c = lzma_compress(&data);
+            assert_eq!(lzma_decompress(&c).unwrap(), data);
+        });
         let snap = holo_trace::snapshot_json().render();
-        if !was {
-            holo_trace::disable();
-        }
         for key in [
-            "compress.lzma.encode_ms",
-            "compress.lzma.decode_ms",
-            "compress.lzma.ratio",
+            "compress.lzma.encode_us",
+            "compress.lzma.decode_us",
+            "compress.lzma.ratio_permille",
             "compress.lzma.bytes_in",
             "compress.lzma.bytes_out",
         ] {

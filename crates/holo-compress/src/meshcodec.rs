@@ -102,12 +102,13 @@ pub fn encode_mesh_with_permutation(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (V
     if !holo_trace::enabled() {
         return encode_mesh_inner(mesh, cfg);
     }
-    let start = std::time::Instant::now();
+    let timer = holo_trace::WallTimer::start();
     let out = encode_mesh_inner(mesh, cfg);
-    holo_trace::histogram_wall("compress.mesh.encode_ms", start.elapsed().as_secs_f64() * 1e3);
+    timer.stop("compress.mesh.encode_us");
     // Raw baseline: 12 bytes/vertex position + 12 bytes/face of indices.
     let raw = mesh.vertices.len() * 12 + mesh.faces.len() * 12;
-    holo_trace::histogram("compress.mesh.ratio", out.0.len() as f64 / raw.max(1) as f64);
+    let permille = out.0.len() as u64 * 1000 / raw.max(1) as u64;
+    holo_trace::histogram("compress.mesh.ratio_permille", permille);
     holo_trace::counter("compress.mesh.bytes_out", out.0.len() as u64);
     out
 }
@@ -238,9 +239,9 @@ pub fn decode_mesh(data: &[u8]) -> Result<TriMesh, DecodeError> {
     if !holo_trace::enabled() {
         return decode_mesh_inner(data);
     }
-    let start = std::time::Instant::now();
+    let timer = holo_trace::WallTimer::start();
     let out = decode_mesh_inner(data);
-    holo_trace::histogram_wall("compress.mesh.decode_ms", start.elapsed().as_secs_f64() * 1e3);
+    timer.stop("compress.mesh.decode_us");
     out
 }
 

@@ -493,20 +493,11 @@ impl Room {
         pipelines: &mut [Box<dyn SemanticPipeline>],
         trace_path: &Path,
     ) -> Result<(RoomReport, TraceReport)> {
-        let was_enabled = holo_trace::enabled();
-        holo_trace::enable();
-        holo_trace::reset();
-        let outcome = self.run(scene, pipelines);
-        let trace_report = holo_trace::trace_report();
-        let chrome = holo_trace::chrome_trace();
-        if !was_enabled {
-            holo_trace::disable();
-        }
-        let report = outcome?;
-        std::fs::write(trace_path, chrome.as_bytes()).map_err(|e| {
+        let report = holo_trace::traced(|| self.run(scene, pipelines))?;
+        std::fs::write(trace_path, holo_trace::chrome_trace().as_bytes()).map_err(|e| {
             SemHoloError::Config(format!("cannot write trace {}: {e}", trace_path.display()))
         })?;
-        Ok((report, trace_report))
+        Ok((report, holo_trace::trace_report()))
     }
 }
 

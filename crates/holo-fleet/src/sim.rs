@@ -575,29 +575,14 @@ pub fn run_fleet_observed(
     make_pipeline: &(dyn Fn(usize) -> Box<dyn SemanticPipeline> + Sync),
     spec: &holo_obs::SloSpec,
 ) -> Result<FleetObservation> {
-    let was_enabled = holo_trace::enabled();
-    holo_trace::enable();
-    holo_trace::reset();
-    let outcome = run_fleet(cfg, scene, make_pipeline);
-    let run = match outcome {
-        Ok(run) => run,
-        Err(e) => {
-            if !was_enabled {
-                holo_trace::disable();
-            }
-            return Err(e);
-        }
-    };
+    let run = holo_trace::traced(|| run_fleet(cfg, scene, make_pipeline))?;
     let opts = attribution_options(cfg, &run.placements);
     let mut attr = holo_obs::Attribution::with_nodes(opts.node_of_lane.clone());
-    let ingest = holo_trace::with_recorder(|r| {
+    holo_trace::with_recorder(|r| {
         attr.spans_dropped = r.spans_dropped;
         attr.ingest_spans(&r.spans, &opts)
-    });
-    if !was_enabled {
-        holo_trace::disable();
-    }
-    ingest.map_err(SemHoloError::Config)?;
+    })
+    .map_err(SemHoloError::Config)?;
     let attribution = attr.finish();
 
     // Per-node SLO inputs: subscribers grouped by the node they are

@@ -19,9 +19,8 @@ use semholo::error::{reject_decode, Result, SemHoloError};
 use semholo::scene::SceneFrame;
 use semholo::semantics::{
     cloud_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind,
-    SemanticPipeline, StageCost,
+    SemanticPipeline, StageCost, WallTimer,
 };
-use std::time::Instant;
 
 /// The gaussian-tier pipeline: prebuilt splat avatar + update stream.
 pub struct GaussianPipeline {
@@ -91,7 +90,7 @@ impl SemanticPipeline for GaussianPipeline {
     }
 
     fn encode(&mut self, frame: &SceneFrame) -> Result<EncodedFrame> {
-        let t0 = Instant::now();
+        let timer = WallTimer::start();
         self.ensure_prebuild(frame)?;
         let state = AvatarState::from_pose(frame.params.clone());
         let payload = self.encoder.encode(&state);
@@ -100,14 +99,14 @@ impl SemanticPipeline for GaussianPipeline {
         Ok(EncodedFrame {
             payload: Bytes::from(payload),
             extract: StageCost {
-                cpu_wall: t0.elapsed(),
+                cpu_wall: timer.stop("pipeline.gaussian.extract_us"),
                 gpu: Some(Workload { flops: 2.0e9, bytes: 8.0e6, peak_memory: 64 << 20 }),
             },
         })
     }
 
     fn decode(&mut self, payload: &[u8]) -> Result<Reconstructed> {
-        let t0 = Instant::now();
+        let timer = WallTimer::start();
         let avatar = self
             .avatar
             .as_ref()
@@ -121,7 +120,7 @@ impl SemanticPipeline for GaussianPipeline {
         Ok(Reconstructed {
             content: Content::Cloud(cloud),
             recon: StageCost {
-                cpu_wall: t0.elapsed(),
+                cpu_wall: timer.stop("pipeline.gaussian.recon_us"),
                 gpu: Some(Workload {
                     flops: n * 4.0e3,
                     bytes: n * 96.0,

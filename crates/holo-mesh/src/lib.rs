@@ -22,7 +22,6 @@
 //! - [`metrics`] — Chamfer distance, Hausdorff distance, F-score, and
 //!   normal consistency, the quality axis of Table 1 and Fig. 2.
 //! - [`simplify`] — vertex-clustering decimation for level-of-detail.
-//! - [`voxel`] — occupancy voxelization helpers.
 
 pub mod grid;
 mod lattice;
@@ -33,7 +32,6 @@ pub mod sdf;
 pub mod simplify;
 pub mod sparse;
 pub mod trimesh;
-pub mod voxel;
 
 pub use grid::PointGrid;
 pub use marching::{marching_tetrahedra, MarchingConfig};

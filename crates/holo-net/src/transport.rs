@@ -158,8 +158,8 @@ impl FrameTransport {
             holo_trace::counter("transport.frames_complete", 1);
             holo_trace::counter("transport.wire_bytes", result.wire_bytes);
             holo_trace::histogram(
-                "transport.frame_latency_ms",
-                (last_arrival - now).as_secs_f64() * 1e3,
+                "transport.frame_latency_us",
+                (last_arrival - now).as_micros() as u64,
             );
         }
         result

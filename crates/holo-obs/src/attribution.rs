@@ -28,9 +28,8 @@
 //! and per-stage totals (per run, per lane, per node, and per e2e
 //! bucket — which is what prices a percentile), never a per-frame list.
 
-use crate::sketch::LatencySketch;
 use holo_runtime::ser::{JsonValue, ToJson};
-use holo_trace::SpanEvent;
+use holo_trace::{LatencySketch, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -523,7 +522,7 @@ impl Attribution {
 
 /// Sketch bucket key for an e2e value (`u64::MAX` = overflow).
 fn bucket_key(e2e_us: u64) -> u64 {
-    crate::sketch::bucket_index(e2e_us).map(|b| b as u64).unwrap_or(u64::MAX)
+    holo_trace::sketch::bucket_index(e2e_us).map(|b| b as u64).unwrap_or(u64::MAX)
 }
 
 /// One stage's aggregate budget.

@@ -15,7 +15,7 @@
 //!
 //! The same module hosts the snapshot comparator: metric snapshots are
 //! byte-compared after stripping histograms flagged
-//! `nondeterministic: true` (the wall-clock codec timing family) — by
+//! `nondeterministic: true` (the wall-clock timer's families) — by
 //! flag, never by name list.
 
 use crate::slo::deterministic_histograms;
@@ -403,12 +403,12 @@ mod tests {
     fn snapshot_strip_removes_only_flagged_histograms() {
         let mut m = holo_trace::Metrics::default();
         m.counter("frames", 3);
-        m.histogram("stage_ms", 1.0);
-        m.histogram_wall("compress.lzma.encode_ms", 3.0);
+        m.histogram("stage_us", 1_000);
+        m.wall_time("compress.lzma.encode_us", std::time::Duration::from_millis(3));
         let stripped = strip_nondeterministic(&m.to_json());
         let text = stripped.render();
-        assert!(text.contains("stage_ms"));
-        assert!(!text.contains("compress.lzma.encode_ms"));
+        assert!(text.contains("stage_us"));
+        assert!(!text.contains("compress.lzma.encode_us"));
         assert!(text.contains("\"frames\":3"));
         // Stripping is idempotent and keeps canonical key order.
         assert_eq!(strip_nondeterministic(&stripped).render(), text);

@@ -4,9 +4,10 @@
 //! Four pieces, one contract — every number is a pure function of the
 //! run, byte-identical across repeats and thread counts:
 //!
-//! - [`sketch`]: bounded-memory HDR-style latency histograms whose
-//!   [`sketch::LatencySketch::absorb`] merge is exact, so fleet-scale
-//!   aggregation costs O(buckets), not O(frames).
+//! - [`LatencySketch`] (re-exported from `holo-trace`, where the
+//!   recorder stores its histograms in it): bounded-memory HDR-style
+//!   latency histograms whose [`LatencySketch::absorb`] merge is
+//!   exact, so fleet-scale aggregation costs O(buckets), not O(frames).
 //! - [`attribution`]: reassembles every delivered frame's span chain
 //!   into an additive stage budget (extract / encode / uplink /
 //!   SFU-forward / cascade-hop / downlink / decode / render) that tiles
@@ -22,12 +23,11 @@
 
 pub mod attribution;
 pub mod gate;
-pub mod sketch;
 pub mod slo;
 
 pub use attribution::{
     collect_paths, Attribution, AttributionOptions, AttributionReport, FramePath, Segment, Stage,
 };
 pub use gate::{BenchEntry, Delta, DeltaStatus, GateConfig, GateReport};
-pub use sketch::LatencySketch;
+pub use holo_trace::LatencySketch;
 pub use slo::{FrameObs, SloSpec, SloSummary, SloVerdict};

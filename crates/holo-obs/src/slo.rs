@@ -16,8 +16,8 @@
 //! that averages fine but dies for two seconds mid-call fails here
 //! while passing the whole-run averages.
 
-use crate::sketch::LatencySketch;
 use holo_runtime::ser::{JsonValue, ToJson};
+use holo_trace::LatencySketch;
 
 /// One frame's observation: capture instant plus its end-to-end
 /// latency when the frame reached the eye usable (`None` = lost,
@@ -354,7 +354,7 @@ impl SloVerdict {
 
 /// Histograms of a metric snapshot that are safe to gate on: every
 /// histogram **not** flagged `nondeterministic: true`. Wall-clock
-/// families (the compression codecs' timing histograms) are excluded by
+/// families (whatever `holo_trace::WallTimer` recorded) are excluded by
 /// their flag — never by a name list, so a new wall-clock metric is
 /// excluded the day it is added, not the day someone remembers to
 /// update a list.
@@ -505,10 +505,10 @@ mod tests {
     #[test]
     fn flag_filter_drops_wall_clock_histograms() {
         let mut m = holo_trace::Metrics::default();
-        m.histogram("stage_ms", 1.0);
-        m.histogram_wall("compress.lzma.encode_ms", 3.0);
+        m.histogram("stage_us", 1_000);
+        m.wall_time("compress.lzma.encode_us", std::time::Duration::from_millis(3));
         let kept = deterministic_histograms(&m.to_json());
         assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].0, "stage_ms");
+        assert_eq!(kept[0].0, "stage_us");
     }
 }

@@ -11,9 +11,9 @@
 //! 1. **Determinism.** Spans are stamped in virtual [`SimTime`]
 //!    microseconds supplied by the simulation, never the wall clock, so
 //!    two runs of the same seed produce **byte-identical** trace-event
-//!    JSON. (Wall-clock measurements are allowed only in histograms,
-//!    which are excluded from the byte-identity guarantee; see
-//!    [`metrics`].)
+//!    JSON. (Wall-clock measurements enter only through
+//!    [`WallTimer`], into histograms flagged `nondeterministic`, which
+//!    are excluded from the byte-identity guarantee.)
 //! 2. **A free disabled path.** Every recording entry point first reads
 //!    one relaxed `AtomicBool`; when tracing is off the call returns
 //!    immediately without allocating or touching the thread-local
@@ -27,8 +27,10 @@
 //!
 //! - [`recorder`] — the thread-local [`Recorder`]: span enter/exit with
 //!   parent nesting, logical lane ids (chrome "tids"), metrics.
-//! - [`metrics`] — counters, gauges, and fixed-bucket histograms with a
+//! - [`metrics`] — counters, gauges, and histograms with a
 //!   canonical-JSON snapshot (sorted keys, via `holo_runtime::ser`).
+//! - [`sketch`] — [`LatencySketch`], the one histogram: log-linear,
+//!   integer, exact to merge in any split and order.
 //! - [`chrome`] — `chrome://tracing` / Perfetto trace-event export.
 //! - [`report`] — [`TraceReport`]: the per-stage latency table printed
 //!   by `examples/quickstart.rs` and the benches.
@@ -58,13 +60,16 @@ pub mod metrics;
 pub mod parallel;
 pub mod recorder;
 pub mod report;
+pub mod sketch;
 
-pub use metrics::{Gauge, Histogram, Metrics};
+pub use metrics::{Gauge, Metrics};
 pub use recorder::{Recorder, SpanEvent};
 pub use report::{StageStat, TraceReport};
+pub use sketch::LatencySketch;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Process-wide enable flag: the fast path every instrumentation site
 /// checks first.
@@ -114,6 +119,26 @@ pub fn disable() {
 /// Clear this thread's recorder: spans, open stack, metrics, lane.
 pub fn reset() {
     RECORDER.with(|r| r.borrow_mut().reset());
+}
+
+/// Run `f` with tracing force-enabled on a freshly reset recorder, and
+/// restore the previous enable state on the way out — by a drop guard,
+/// so an `Err` result and a panic unwinding through here are covered
+/// alike. The recorder is left as `f` filled it: read the evidence
+/// ([`trace_report`], [`chrome_trace`], [`with_recorder`]) afterwards.
+pub fn traced<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if !self.0 {
+                disable();
+            }
+        }
+    }
+    let _restore = Restore(enabled());
+    enable();
+    reset();
+    f()
 }
 
 /// Run `f` with mutable access to this thread's recorder (for tests and
@@ -180,26 +205,43 @@ pub fn gauge(name: &str, value: f64) {
     RECORDER.with(|r| r.borrow_mut().metrics.gauge(name, value));
 }
 
-/// Record a value into a fixed-bucket histogram.
+/// Record an integer observation into a histogram, in the unit `name`
+/// ends with (`_us`, `_bytes`, `_permille`).
 #[inline]
-pub fn histogram(name: &str, value: f64) {
+pub fn histogram(name: &str, value: u64) {
     if !enabled() {
         return;
     }
     RECORDER.with(|r| r.borrow_mut().metrics.histogram(name, value));
 }
 
-/// Record a **wall-clock** value into a fixed-bucket histogram. The
-/// histogram is tagged `nondeterministic: true` in the snapshot, which
-/// is how the SLO engine and the bench regression gate know to skip the
-/// family — by flag, not by a hard-coded name list. Use this (and only
-/// this) for real-time measurements; everything else stays virtual.
-#[inline]
-pub fn histogram_wall(name: &str, value: f64) {
-    if !enabled() {
-        return;
+/// The one wall-clock timer: the only place the workspace's pipeline
+/// and codec code reads the real clock. [`WallTimer::stop`] hands the
+/// elapsed time back (the pipelines fill `StageCost::cpu_wall` with it)
+/// and, when tracing is on, records it into the histogram it names —
+/// tagged `nondeterministic: true` in the snapshot, which is how the
+/// SLO engine and the bench regression gate know to skip the family by
+/// flag, not by a hard-coded name list. Everything else stays virtual.
+#[derive(Debug)]
+pub struct WallTimer(Instant);
+
+impl WallTimer {
+    /// Read the clock.
+    #[inline]
+    pub fn start() -> Self {
+        Self(Instant::now())
     }
-    RECORDER.with(|r| r.borrow_mut().metrics.histogram_wall(name, value));
+
+    /// Read it again; record the difference into the wall-clock
+    /// histogram `name` (which ends in `_us`) if tracing is on.
+    #[inline]
+    pub fn stop(self, name: &str) -> Duration {
+        let wall = self.0.elapsed();
+        if enabled() {
+            RECORDER.with(|r| r.borrow_mut().metrics.wall_time(name, wall));
+        }
+        wall
+    }
 }
 
 /// Canonical-JSON metric snapshot of this thread's recorder (sorted
@@ -211,8 +253,8 @@ pub fn snapshot_json() -> holo_runtime::ser::JsonValue {
         let r = r.borrow();
         let mut doc = r.metrics.to_json();
         if let JsonValue::Obj(pairs) = &mut doc {
-            // Keys stay sorted: bucket_bounds, counters, gauges,
-            // histograms, spans_dropped.
+            // Keys stay sorted: counters, gauges, histograms,
+            // spans_dropped.
             pairs.push(("spans_dropped".to_string(), r.spans_dropped.to_json()));
         }
         doc
@@ -254,12 +296,28 @@ mod tests {
         span_enter("s", 0);
         span_exit(10);
         counter("c", 1);
-        histogram("h", 1.0);
+        histogram("h", 1);
         gauge("g", 1.0);
+        WallTimer::start().stop("t_us");
         with_recorder(|r| {
             assert!(r.spans.is_empty());
             assert!(r.metrics.is_empty());
         });
+    }
+
+    #[test]
+    fn the_timer_records_only_when_tracing_is_on() {
+        let _g = flag_lock();
+        enable();
+        reset();
+        let wall = WallTimer::start().stop("t_us");
+        with_recorder(|r| {
+            let h = &r.metrics.histograms["t_us"];
+            assert!(h.nondeterministic);
+            assert_eq!((h.count, h.max_us), (1, wall.as_micros() as u64));
+        });
+        disable();
+        reset();
     }
 
     #[test]
@@ -274,7 +332,7 @@ mod tests {
         counter("c", 2);
         counter("c", 3);
         gauge("depth", 4.0);
-        histogram("lat_ms", 0.3);
+        histogram("lat_us", 300);
         with_recorder(|r| {
             assert_eq!(r.spans.len(), 2);
             // Children complete (and are recorded) before parents.

@@ -1,25 +1,18 @@
-//! Counters, gauges, and fixed-bucket histograms.
+//! Counters, gauges, and histograms.
 //!
 //! All three are keyed by name in `BTreeMap`s, so the JSON snapshot
-//! iterates in sorted order and renders canonically. Histograms use one
-//! fixed 1–2.5–5 geometric bucket ladder spanning `1e-6 .. 1e6` — wide
-//! enough for ratios, milliseconds, and byte counts alike — so two
-//! histograms are always mergeable and the snapshot shape never depends
-//! on the data. Values recorded from the wall clock (the compression
-//! codecs' timing histograms) are the one deliberately nondeterministic
-//! input; everything else in the recorder is virtual-time only.
+//! iterates in sorted order and renders canonically. Every histogram is
+//! a [`LatencySketch`]: integer observations whose unit is the suffix
+//! of the metric's name (`_us`, `_bytes`, `_permille`), so two
+//! histograms always merge exactly. Values recorded from the wall clock
+//! (through [`crate::WallTimer`], the only way in) are the one
+//! deliberately nondeterministic input; everything else in the recorder
+//! is virtual-time only.
 
+use crate::sketch::LatencySketch;
 use holo_runtime::ser::{JsonValue, ToJson};
 use std::collections::BTreeMap;
-
-/// Upper bounds of the fixed histogram buckets (1–2.5–5 per decade,
-/// `1e-6 ..= 1e6`); values above the last bound land in an overflow
-/// bucket.
-pub const BUCKET_BOUNDS: [f64; 37] = [
-    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2,
-    5e-2, 1e-1, 2.5e-1, 5e-1, 1.0, 2.5, 5.0, 1e1, 2.5e1, 5e1, 1e2, 2.5e2, 5e2, 1e3, 2.5e3, 5e3,
-    1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6,
-];
+use std::time::Duration;
 
 /// A last-value gauge that also keeps min/max/mean of its observations.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -92,139 +85,6 @@ impl ToJson for Gauge {
     }
 }
 
-/// A fixed-bucket histogram over [`BUCKET_BOUNDS`], plus exact
-/// count/sum/min/max.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Count per bucket (`value <= BUCKET_BOUNDS[i]`, cumulative-free).
-    counts: [u64; BUCKET_BOUNDS.len()],
-    /// Values above the last bound.
-    pub overflow: u64,
-    /// Observation count.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// True when any observation came from the wall clock (see
-    /// [`Metrics::histogram_wall`]). Marked in the snapshot so
-    /// downstream consumers — the SLO engine, the bench regression
-    /// gate — can skip the family by flag instead of by name list.
-    pub nondeterministic: bool,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            counts: [0; BUCKET_BOUNDS.len()],
-            overflow: 0,
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            nondeterministic: false,
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one observation (NaN is counted but lands in overflow).
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        match BUCKET_BOUNDS.iter().position(|&b| v <= b) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Occupied buckets as `(upper_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        BUCKET_BOUNDS
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|(_, &c)| c > 0)
-            .map(|(&b, &c)| (b, c))
-            .collect()
-    }
-
-    /// Fold another histogram's observations into this one. Bucket
-    /// counts and totals add exactly; only `sum` is float, so the merge
-    /// is order-sensitive in at most the last ulp — see DESIGN.md §10
-    /// for why no cross-thread-deterministic report depends on it.
-    pub fn absorb(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c += o;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.nondeterministic |= other.nondeterministic;
-    }
-
-    /// Approximate quantile `q` in `[0, 1]` from the bucket counts:
-    /// the upper bound of the bucket containing the q-th observation
-    /// (`max` for the overflow bucket, `NaN` when empty).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return BUCKET_BOUNDS[i];
-            }
-        }
-        self.max
-    }
-}
-
-impl ToJson for Histogram {
-    fn to_json(&self) -> JsonValue {
-        let buckets = self
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(b, c)| JsonValue::Arr(vec![b.to_json(), c.to_json()]))
-            .collect();
-        let mut doc = JsonValue::obj([
-            ("count", self.count.to_json()),
-            ("sum", self.sum.to_json()),
-            ("min", if self.count == 0 { JsonValue::Null } else { self.min.to_json() }),
-            ("max", if self.count == 0 { JsonValue::Null } else { self.max.to_json() }),
-            ("buckets", JsonValue::Arr(buckets)),
-            ("overflow", self.overflow.to_json()),
-        ]);
-        // Wall-clock families carry an explicit marker; deterministic
-        // histograms keep their exact prior shape (byte-identity).
-        if self.nondeterministic {
-            if let JsonValue::Obj(pairs) = &mut doc {
-                pairs.push(("nondeterministic".to_string(), JsonValue::Bool(true)));
-            }
-        }
-        doc
-    }
-}
-
 /// The recorder's metric registry.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
@@ -233,7 +93,7 @@ pub struct Metrics {
     /// Gauges.
     pub gauges: BTreeMap<String, Gauge>,
     /// Histograms.
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: BTreeMap<String, LatencySketch>,
 }
 
 impl Metrics {
@@ -259,25 +119,29 @@ impl Metrics {
         }
     }
 
-    /// Record a histogram observation.
-    pub fn histogram(&mut self, name: &str, value: f64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                self.histograms.insert(name.to_string(), h);
-            }
+    /// The histogram `name`, created empty on first use (no `String`
+    /// is allocated for a name already present).
+    fn sketch(&mut self, name: &str) -> &mut LatencySketch {
+        if !self.histograms.contains_key(name) {
+            self.histograms.insert(name.to_string(), LatencySketch::new());
         }
+        self.histograms.get_mut(name).expect("present or just inserted")
     }
 
-    /// Record a wall-clock histogram observation: same ladder, but the
-    /// histogram is permanently tagged `nondeterministic` so snapshot
-    /// consumers can exclude it from byte-identity and gating by flag.
-    pub fn histogram_wall(&mut self, name: &str, value: f64) {
-        let h = self.histograms.entry(name.to_string()).or_default();
+    /// Record a histogram observation, in the unit `name` ends with.
+    pub fn histogram(&mut self, name: &str, value: u64) {
+        self.sketch(name).record(value);
+    }
+
+    /// Record a **wall-clock** duration into the histogram `name`
+    /// (which ends in `_us`), permanently tagging it `nondeterministic`
+    /// so snapshot consumers can exclude it from byte-identity and
+    /// gating by flag.
+    pub fn wall_time(&mut self, name: &str, wall: Duration) {
+        debug_assert!(name.ends_with("_us"), "wall-clock histogram {name:?} records µs");
+        let h = self.sketch(name);
         h.nondeterministic = true;
-        h.record(value);
+        h.record(wall.as_micros() as u64);
     }
 
     /// A counter's current value (0 when absent).
@@ -291,10 +155,10 @@ impl Metrics {
     }
 
     /// Fold another registry into this one: counters add, gauges and
-    /// histograms [`Gauge::absorb`]/[`Histogram::absorb`]. The caller
-    /// (the fork-join scope merge) invokes this in canonical worker
-    /// order, so counter totals — the values report assertions read —
-    /// are exact and thread-count-independent.
+    /// histograms [`Gauge::absorb`]/[`LatencySketch::absorb`]. Counters
+    /// and histograms are integral, so their merge is exact in any
+    /// split and order; the caller (the fork-join scope merge) invokes
+    /// this in canonical worker order for the gauges' float sums.
     pub fn merge(&mut self, other: &Metrics) {
         for (name, delta) in &other.counters {
             self.counter(name, *delta);
@@ -308,16 +172,10 @@ impl Metrics {
     }
 
     /// Canonical JSON snapshot: `BTreeMap` iteration gives sorted keys,
-    /// so equal metric states render byte-identically. The shared
-    /// bucket ladder is emitted once up front (`bucket_bounds`), so a
-    /// downstream tool can reconstruct percentiles from any histogram's
-    /// `buckets` pairs without compiled-in knowledge of the ladder.
+    /// so equal metric states render byte-identically. Each histogram
+    /// carries its own `[lower, upper, count]` bucket bounds.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj([
-            (
-                "bucket_bounds",
-                JsonValue::Arr(BUCKET_BOUNDS.iter().map(|b| b.to_json()).collect()),
-            ),
             (
                 "counters",
                 JsonValue::Obj(
@@ -331,7 +189,10 @@ impl Metrics {
             (
                 "histograms",
                 JsonValue::Obj(
-                    self.histograms.iter().map(|(k, v)| (k.clone(), v.to_json())).collect(),
+                    self.histograms
+                        .iter()
+                        .map(|(k, v)| (k.clone(), v.to_json_with_unit("")))
+                        .collect(),
                 ),
             ),
         ])
@@ -365,48 +226,27 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_values() {
-        let mut h = Histogram::default();
-        h.record(0.3); // <= 0.5
-        h.record(0.4); // <= 0.5
-        h.record(42.0); // <= 50
-        h.record(5e7); // overflow
-        assert_eq!(h.count, 4);
-        assert_eq!(h.overflow, 1);
-        let buckets = h.nonzero_buckets();
-        assert_eq!(buckets, vec![(0.5, 2), (50.0, 1)]);
-        assert_eq!(h.quantile(0.25), 0.5);
-        assert_eq!(h.quantile(0.75), 50.0);
-        assert_eq!(h.quantile(1.0), 5e7); // overflow resolves to max
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_nan() {
-        assert!(Histogram::default().quantile(0.5).is_nan());
-    }
-
-    #[test]
     fn merge_equals_sequential_recording() {
         // Recording a+b sequentially must equal recording them into two
         // registries and merging — the fork-join identity contract.
-        let obs_a = [0.3, 42.0, 5e7];
-        let obs_b = [0.4, 2.0];
+        let obs_a = [3u64, 42, 50_000_000];
+        let obs_b = [4u64, 2];
         let mut seq = Metrics::default();
         for &v in obs_a.iter().chain(&obs_b) {
             seq.counter("n", 1);
-            seq.gauge("g", v);
+            seq.gauge("g", v as f64);
             seq.histogram("h", v);
         }
         let mut left = Metrics::default();
         for &v in &obs_a {
             left.counter("n", 1);
-            left.gauge("g", v);
+            left.gauge("g", v as f64);
             left.histogram("h", v);
         }
         let mut right = Metrics::default();
         for &v in &obs_b {
             right.counter("n", 1);
-            right.gauge("g", v);
+            right.gauge("g", v as f64);
             right.histogram("h", v);
         }
         left.merge(&right);
@@ -418,7 +258,7 @@ mod tests {
         let mut m = Metrics::default();
         m.counter("c", 7);
         m.gauge("g", 1.0);
-        m.histogram("h", 2.0);
+        m.histogram("h", 2);
         let before = m.to_json().render();
         m.merge(&Metrics::default());
         assert_eq!(before, m.to_json().render());
@@ -430,32 +270,19 @@ mod tests {
     #[test]
     fn wall_clock_histograms_carry_the_marker() {
         let mut m = Metrics::default();
-        m.histogram("det_ms", 1.0);
-        m.histogram_wall("wall_ms", 1.0);
-        assert!(!m.histograms["det_ms"].nondeterministic);
-        assert!(m.histograms["wall_ms"].nondeterministic);
-        let text = m.to_json().render();
-        assert!(text.contains("\"wall_ms\":{") && text.contains("\"nondeterministic\":true"));
-        assert!(!text.contains("\"det_ms\":{\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[1,1]],\"overflow\":0,\"nondeterministic\""));
+        m.histogram("det_us", 1);
+        m.wall_time("wall_us", Duration::from_micros(1));
+        assert!(!m.histograms["det_us"].nondeterministic);
+        assert!(m.histograms["wall_us"].nondeterministic);
+        let doc = m.to_json();
+        let flag = |name| doc.get("histograms").unwrap().get(name).unwrap().get("nondeterministic");
+        assert_eq!(flag("wall_us"), Some(&JsonValue::Bool(true)));
+        assert_eq!(flag("det_us"), None);
         // The marker survives a fork-join merge in either direction.
         let mut other = Metrics::default();
-        other.histogram("wall_ms", 2.0);
+        other.histogram("wall_us", 2);
         other.merge(&m);
-        assert!(other.histograms["wall_ms"].nondeterministic);
-    }
-
-    #[test]
-    fn snapshot_exports_the_bucket_ladder() {
-        let mut m = Metrics::default();
-        m.histogram("h", 0.02);
-        let doc = m.to_json();
-        let bounds = doc.get("bucket_bounds").unwrap().as_array().unwrap();
-        assert_eq!(bounds.len(), BUCKET_BOUNDS.len());
-        assert_eq!(bounds[0].as_f64(), Some(1e-6));
-        assert_eq!(bounds[BUCKET_BOUNDS.len() - 1].as_f64(), Some(1e6));
-        // bucket_bounds sorts ahead of counters/gauges/histograms.
-        let text = doc.render();
-        assert!(text.starts_with("{\"bucket_bounds\":["), "{text}");
+        assert!(other.histograms["wall_us"].nondeterministic);
     }
 
     #[test]
@@ -464,7 +291,7 @@ mod tests {
         m.counter("z.late", 1);
         m.counter("a.early", 2);
         m.gauge("g", 1.5);
-        m.histogram("h", 0.02);
+        m.histogram("h", 20);
         let text = m.to_json().render();
         // Sorted keys: a.early before z.late.
         assert!(text.find("a.early").unwrap() < text.find("z.late").unwrap());

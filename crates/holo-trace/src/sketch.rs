@@ -1,4 +1,9 @@
-//! Bounded-memory percentile sketches over integer microseconds.
+//! The workspace's one histogram: a bounded-memory percentile sketch
+//! over integers.
+//!
+//! The fields say microseconds because latency is the main client, but
+//! the recorder's [`crate::Metrics`] stores every histogram in it —
+//! bytes and permille too, with the unit in the metric's name.
 //!
 //! A [`LatencySketch`] is an HDR-style log-linear histogram: each
 //! power-of-two octave is split into [`SUBBUCKETS`] linear sub-buckets,
@@ -38,7 +43,7 @@ fn bucket_of(us: u64) -> usize {
 }
 
 /// Bucket index for `us`, or `None` when it would land in overflow.
-pub(crate) fn bucket_index(us: u64) -> Option<usize> {
+pub fn bucket_index(us: u64) -> Option<usize> {
     if us >> MAX_EXP != 0 {
         None
     } else {
@@ -73,6 +78,11 @@ pub struct LatencySketch {
     pub min_us: u64,
     /// Largest observation (µs; 0 when empty).
     pub max_us: u64,
+    /// True when any observation came from the wall clock (see
+    /// [`crate::WallTimer`]). Marked in the JSON so downstream
+    /// consumers — the SLO engine, the bench regression gate — can skip
+    /// the family by flag instead of by name list.
+    pub nondeterministic: bool,
 }
 
 impl Default for LatencySketch {
@@ -84,6 +94,7 @@ impl Default for LatencySketch {
             sum_us: 0,
             min_us: u64::MAX,
             max_us: 0,
+            nondeterministic: false,
         }
     }
 }
@@ -119,6 +130,7 @@ impl LatencySketch {
         self.sum_us += other.sum_us;
         self.min_us = self.min_us.min(other.min_us);
         self.max_us = self.max_us.max(other.max_us);
+        self.nondeterministic |= other.nondeterministic;
     }
 
     /// Mean observation in µs (0 when empty).
@@ -182,22 +194,35 @@ impl LatencySketch {
     /// Canonical JSON: exact integral state, occupied buckets only
     /// (each as `[lower_us, upper_us, count]`).
     pub fn to_json(&self) -> JsonValue {
+        self.to_json_with_unit("_us")
+    }
+
+    /// The same document with `unit` appended to every value key:
+    /// `"_us"` for a latency sketch, `""` in the metric snapshot, where
+    /// the unit is in the histogram's name. A wall-clock histogram
+    /// carries an explicit `nondeterministic` marker.
+    pub(crate) fn to_json_with_unit(&self, unit: &str) -> JsonValue {
+        let key = |k: &str| format!("{k}{unit}");
         let buckets = self
             .nonzero_buckets()
             .into_iter()
             .map(|(lo, hi, c)| JsonValue::Arr(vec![lo.to_json(), hi.to_json(), c.to_json()]))
             .collect();
-        JsonValue::obj([
-            ("count", self.count.to_json()),
-            ("sum_us", (self.sum_us as f64).to_json()),
-            ("min_us", if self.count == 0 { JsonValue::Null } else { self.min_us.to_json() }),
-            ("max_us", if self.count == 0 { JsonValue::Null } else { self.max_us.to_json() }),
-            ("p50_us", self.quantile_us(0.50).to_json()),
-            ("p90_us", self.quantile_us(0.90).to_json()),
-            ("p99_us", self.quantile_us(0.99).to_json()),
-            ("buckets", JsonValue::Arr(buckets)),
-            ("overflow", self.overflow.to_json()),
-        ])
+        let mut pairs = vec![
+            ("count".to_string(), self.count.to_json()),
+            (key("sum"), (self.sum_us as f64).to_json()),
+            (key("min"), if self.count == 0 { JsonValue::Null } else { self.min_us.to_json() }),
+            (key("max"), if self.count == 0 { JsonValue::Null } else { self.max_us.to_json() }),
+            (key("p50"), self.quantile_us(0.50).to_json()),
+            (key("p90"), self.quantile_us(0.90).to_json()),
+            (key("p99"), self.quantile_us(0.99).to_json()),
+            ("buckets".to_string(), JsonValue::Arr(buckets)),
+            ("overflow".to_string(), self.overflow.to_json()),
+        ];
+        if self.nondeterministic {
+            pairs.push(("nondeterministic".to_string(), JsonValue::Bool(true)));
+        }
+        JsonValue::Obj(pairs)
     }
 }
 

@@ -76,8 +76,9 @@ fn fleet_slo_doc() -> String {
 
 /// One full artifact set at the current thread count:
 /// `(room, resilience, fuzz, chrome trace, metric snapshot, fleet,
-/// SLO_fleet)` digests.
-fn artifact_digests() -> [u64; 7] {
+/// SLO_fleet)` digests, plus the traced run's exact metric sections
+/// (counters and deterministic histograms) rendered as text.
+fn artifact_digests() -> ([u64; 7], String) {
     let room = fnv1a64(room_report().as_bytes());
     let resilience = fnv1a64(run_scenarios(42).render().as_bytes());
     // 600 mutants per target spans three fixed 250-mutant chunks, so
@@ -87,23 +88,22 @@ fn artifact_digests() -> [u64; 7] {
     );
     // A traced chaos matrix: worker spans (chaos.outage) and counters
     // (chaos.*) must merge into the caller's recorder identically.
-    // Only the counters section is digested — histograms may hold
-    // wall-clock values (the compress codecs' timing histograms), which
-    // are excluded from the byte-identity guarantee by design.
-    holo_trace::enable();
-    holo_trace::reset();
-    let _ = run_scenarios(42);
+    // Only the counters section is digested into the golden; the
+    // histograms that hold no wall-clock value are integer sketches,
+    // exact to merge in any split, and are compared between thread
+    // counts by the caller. Gauges keep a float sum and are left out.
+    let _ = holo_trace::traced(|| run_scenarios(42));
     let chrome = fnv1a64(holo_trace::chrome_trace().as_bytes());
-    let counters = holo_trace::snapshot_json()
-        .get("counters")
-        .expect("snapshot has a counters section")
-        .render();
+    let stripped = holo_obs::gate::strip_nondeterministic(&holo_trace::snapshot_json());
+    let counters = stripped.get("counters").expect("snapshot has a counters section").render();
+    let histograms = stripped.get("histograms").expect("snapshot has a histograms section");
+    assert!(histograms.get("transport.frame_latency_us").is_some(), "{}", histograms.render());
+    let exact_metrics = format!("{counters}\n{}", histograms.render());
     let snapshot = fnv1a64(counters.as_bytes());
-    holo_trace::disable();
     holo_trace::reset();
     let fleet = fnv1a64(fleet_report().as_bytes());
     let slo = fnv1a64(fleet_slo_doc().as_bytes());
-    [room, resilience, fuzz, chrome, snapshot, fleet, slo]
+    ([room, resilience, fuzz, chrome, snapshot, fleet, slo], exact_metrics)
 }
 
 /// Goldens for the artifact set (order: room, resilience, fuzz, chrome,
@@ -132,9 +132,15 @@ fn reports_and_traces_byte_identical_at_threads_1_2_8() {
         "FleetReport",
         "SLO_fleet",
     ];
+    let mut exact_metrics_at_1 = None;
     for t in [1usize, 2, 8] {
         par::set_thread_override(Some(t));
-        let digests = artifact_digests();
+        let (digests, exact_metrics) = artifact_digests();
+        let at_1 = exact_metrics_at_1.get_or_insert_with(|| exact_metrics.clone());
+        assert_eq!(
+            &exact_metrics, at_1,
+            "counters + deterministic histograms diverged at SEMHOLO_THREADS={t}"
+        );
         for (i, name) in names.iter().enumerate() {
             assert_eq!(
                 digests[i], GOLDEN[i],

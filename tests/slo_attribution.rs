@@ -41,15 +41,9 @@ fn scene() -> SceneSource {
 /// Run `f` with tracing force-enabled; hand back its output plus the
 /// recorded spans, restoring the previous enable state.
 fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<SpanEvent>) {
-    let was = holo_trace::enabled();
-    holo_trace::enable();
-    holo_trace::reset();
-    let out = f();
+    let out = holo_trace::traced(f);
     let spans = holo_trace::with_recorder(|r| std::mem::take(&mut r.spans));
     holo_trace::reset();
-    if !was {
-        holo_trace::disable();
-    }
     (out, spans)
 }
 

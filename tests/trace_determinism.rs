@@ -2,7 +2,8 @@
 //! byte-identical across runs of the same seed, because every span is
 //! stamped in virtual `SimTime` rather than wall clock. These tests pin
 //! that property for both the point-to-point session and the N-party
-//! room, plus the contract that a disabled recorder stays empty.
+//! room, plus the contracts that a disabled recorder stays empty and
+//! that the traced-run scope always puts the enable flag back.
 
 use holo_conf::{ParticipantConfig, Room, RoomConfig};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
@@ -111,9 +112,42 @@ fn disabled_recorder_stays_empty() {
         KeypointPipeline::new(KeypointConfig { resolution: 32, ..Default::default() }, 3);
     let mut session = Session::new(SessionConfig::default());
     session.run(&mut pipeline, &scene, 3).unwrap();
-    let (spans, counters) = holo_trace::with_recorder(|r| {
-        (r.spans.len(), r.metrics.counters.len())
-    });
+    // The pipeline's stage timers and the transport's histograms ran
+    // too: with the flag off none of them may leave anything behind.
+    holo_trace::WallTimer::start().stop("test.disabled_us");
+    holo_trace::histogram("test.disabled_bytes", 1);
+    let (spans, metrics_empty) =
+        holo_trace::with_recorder(|r| (r.spans.len(), r.metrics.is_empty()));
     assert_eq!(spans, 0, "disabled tracing must record no spans");
-    assert_eq!(counters, 0, "disabled tracing must record no counters");
+    assert!(metrics_empty, "disabled tracing must record no counter, gauge or histogram");
+}
+
+#[test]
+fn traced_scope_restores_the_flag_on_err_and_on_panic() {
+    let _guard = lock();
+    let was_enabled = holo_trace::enabled();
+
+    holo_trace::disable();
+    let failed: Result<(), &str> = holo_trace::traced(|| {
+        assert!(holo_trace::enabled(), "the scope forces tracing on");
+        holo_trace::counter("scope.ran", 1);
+        Err("the run failed")
+    });
+    assert_eq!(failed, Err("the run failed"));
+    assert!(!holo_trace::enabled(), "flag not restored after Err");
+    // What the closure recorded is still readable after the scope.
+    assert_eq!(holo_trace::with_recorder(|r| r.metrics.counter_value("scope.ran")), 1);
+
+    let unwound = std::panic::catch_unwind(|| holo_trace::traced(|| panic!("the run panicked")));
+    assert!(unwound.is_err());
+    assert!(!holo_trace::enabled(), "flag not restored after a panic");
+
+    holo_trace::enable();
+    holo_trace::traced(|| ());
+    assert!(holo_trace::enabled(), "a previously-enabled flag must stay enabled");
+
+    if !was_enabled {
+        holo_trace::disable();
+    }
+    holo_trace::reset();
 }
