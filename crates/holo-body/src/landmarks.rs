@@ -223,8 +223,7 @@ mod tests {
     #[test]
     fn landmarks_track_pose() {
         let sk = Skeleton::neutral();
-        let mut params = SmplxParams::default();
-        params.translation = Vec3::new(0.5, 0.0, 0.0);
+        let params = SmplxParams { translation: Vec3::new(0.5, 0.0, 0.0), ..Default::default() };
         let moved = sk.forward_kinematics(&params);
         let rest = sk.forward_kinematics(&SmplxParams::default());
         let set = LandmarkSet::new(StandardLandmarks::Standard100);

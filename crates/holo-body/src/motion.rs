@@ -156,7 +156,7 @@ impl MotionSynthesizer {
                 // Fine detail: a pout/smirk that comes and goes.
                 for k in 3..EXPRESSION_DIM {
                     let v = s(0.5 + 0.13 * k as f32, (k + 4) % 16) - 0.55;
-                    p.expression[k] = v.max(0.0).min(1.0);
+                    p.expression[k] = v.clamp(0.0, 1.0);
                 }
             }
             MotionKind::Waving => {

@@ -398,8 +398,7 @@ mod tests {
     #[test]
     fn translation_shifts_root() {
         let sk = Skeleton::neutral();
-        let mut params = SmplxParams::default();
-        params.translation = Vec3::new(1.0, 0.0, -2.0);
+        let params = SmplxParams { translation: Vec3::new(1.0, 0.0, -2.0), ..Default::default() };
         let posed = sk.forward_kinematics(&params);
         let rest = sk.rest_positions();
         let delta = posed.position(Joint::Head) - rest[Joint::Head.index()];

@@ -148,6 +148,12 @@ fn project_bumps_to_surface(union: &GriddedUnion, bumps: &mut [(Vec3, f32, f32)]
     }
 }
 
+/// How every body blends its parts: blend radius (meters), grid cells
+/// per axis, and part-listing margin (meters) of its [`GriddedUnion`].
+const BLEND_RADIUS: f32 = 0.02;
+const GRID_DIMS: u32 = 24;
+const LIST_MARGIN: f32 = 0.28;
+
 /// The posed body surface as a signed distance field.
 pub struct BodySdf {
     union: GriddedUnion,
@@ -195,7 +201,7 @@ impl BodySdf {
             center: pelvis - Vec3::new(0.0, 0.02, 0.0),
             radii: Vec3::new(0.14, 0.11, 0.10),
         }));
-        let union = GriddedUnion::build(parts, 0.02, 24, 0.28);
+        let union = GriddedUnion::build(parts, BLEND_RADIUS, GRID_DIMS, LIST_MARGIN);
         // Head frame: forward from the eye midpoint.
         let eyes = (positions[Joint::LeftEye.index()] + positions[Joint::RightEye.index()]) * 0.5;
         let fwd = (eyes - head).normalized();
@@ -229,7 +235,7 @@ impl BodySdf {
             center: pelvis - Vec3::new(0.0, 0.02, 0.0),
             radii: Vec3::new(0.14, 0.11, 0.10) * girth,
         }));
-        let union = GriddedUnion::build(parts, 0.02, 24, 0.28);
+        let union = GriddedUnion::build(parts, BLEND_RADIUS, GRID_DIMS, LIST_MARGIN);
 
         let bumps = if detail.expression {
             let basis = ExpressionBasis::standard();
@@ -266,6 +272,11 @@ impl BodySdf {
     /// cost, used by the GPU workload model).
     pub fn part_count(&self) -> usize {
         self.union.len()
+    }
+
+    /// The blended primitives, before expression and cloth detail.
+    pub fn union(&self) -> &GriddedUnion {
+        &self.union
     }
 
     /// World-space centers of the active expression bumps (projected onto
@@ -457,8 +468,8 @@ mod tests {
     #[test]
     fn bump_ball_only_skips_bumps_that_could_not_apply() {
         let sk = Skeleton::neutral();
-        let mut params = SmplxParams::default();
-        params.expression = [0.8, -0.5, 0.6, 0.0, 1.0, 0.3, -0.7, 0.9, 0.0, 0.4];
+        let params =
+            SmplxParams { expression: [0.8, -0.5, 0.6, 0.0, 1.0, 0.3, -0.7, 0.9, 0.0, 0.4], ..Default::default() };
         let body = BodySdf::from_pose(&sk, &params, SurfaceDetail::bare());
         assert!(body.bumps.len() >= 6);
         let head = sk.rest_positions()[Joint::Head.index()];
@@ -478,6 +489,47 @@ mod tests {
             assert_eq!(body.distance(p).to_bits(), want.to_bits(), "at {p:?}");
         }
         assert!(displaced > 100, "the sample must reach the bumps ({displaced})");
+    }
+
+    /// The grid's flat cell lists hold, cell by cell, what one vector per
+    /// cell filled by pushes in part order held.
+    #[test]
+    fn flat_cell_lists_are_the_nested_vectors() {
+        let sk = Skeleton::neutral();
+        let clip = crate::motion::MotionSynthesizer::new(42).clip(crate::motion::MotionKind::Waving, 1.0, 30.0);
+        let body = BodySdf::from_pose(&sk, clip.frame(11), SurfaceDetail::full());
+        let parts = body.union.parts();
+        let (dims, margin) = (GRID_DIMS, LIST_MARGIN);
+        let mut bounds = Aabb::EMPTY;
+        for part in parts {
+            bounds.merge(&part.bounds());
+        }
+        let cell_size = bounds.size() / dims as f32;
+        let mut cells = vec![Vec::new(); (dims as usize).pow(3)];
+        for (pi, part) in parts.iter().enumerate() {
+            let pb = part.bounds().expanded(margin);
+            let per_meter = Vec3::new(1.0 / cell_size.x, 1.0 / cell_size.y, 1.0 / cell_size.z);
+            let lo = (pb.min - bounds.min).mul_elem(per_meter);
+            let hi = (pb.max - bounds.min).mul_elem(per_meter);
+            let clamp_idx = |v: f32| (v.floor().max(0.0) as u32).min(dims - 1);
+            for z in clamp_idx(lo.z)..=clamp_idx(hi.z) {
+                for y in clamp_idx(lo.y)..=clamp_idx(hi.y) {
+                    for x in clamp_idx(lo.x)..=clamp_idx(hi.x) {
+                        cells[((z * dims + y) * dims + x) as usize].push(pi as u16);
+                    }
+                }
+            }
+        }
+        assert!(cells.iter().map(Vec::len).sum::<usize>() > 50_000, "a body fills the grid");
+        for z in 0..dims {
+            for y in 0..dims {
+                for x in 0..dims {
+                    let center = bounds.min + Vec3::new(x as f32 + 0.5, y as f32 + 0.5, z as f32 + 0.5).mul_elem(cell_size);
+                    let nested = &cells[((z * dims + y) * dims + x) as usize];
+                    assert_eq!(body.union.listed_at(center), Ok(&nested[..]), "cell ({x}, {y}, {z})");
+                }
+            }
+        }
     }
 
     #[test]

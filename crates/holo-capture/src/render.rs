@@ -79,6 +79,7 @@ pub fn render_rgbd<S: Sdf + ?Sized>(
     let bounds = sdf.bounds();
     let light = shading.light_dir.normalized() * -1.0;
     let eps = bounds.longest_side() * 2e-4;
+    let world_to_camera = camera.pose.rigid_inverse();
 
     for y in 0..k.height {
         for x in 0..k.width {
@@ -107,7 +108,7 @@ pub fn render_rgbd<S: Sdf + ?Sized>(
             let n = sdf.normal(p, eps.max(1e-4));
             let cos_inc = n.dot(ray.dir).abs();
             // Depth channel: camera-space z with sensor noise.
-            let cam_z = camera.pose.rigid_inverse().transform_point(p).z;
+            let cam_z = world_to_camera.transform_point(p).z;
             if let Some(z) = noise.apply(cam_z, cos_inc, rng) {
                 depth.depths[(y * k.width + x) as usize] = z;
             }

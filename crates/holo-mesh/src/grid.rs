@@ -79,7 +79,7 @@ impl PointGrid {
             if ring > max_ring {
                 for (i, p) in self.points.iter().enumerate() {
                     let d = p.distance_sq(q);
-                    if best.map_or(true, |(_, bd)| d < bd) {
+                    if best.is_none_or(|(_, bd)| d < bd) {
                         best = Some((i as u32, d));
                     }
                 }
@@ -95,7 +95,7 @@ impl PointGrid {
                         if let Some(bucket) = self.buckets.get(&(cx + dx, cy + dy, cz + dz)) {
                             for &i in bucket {
                                 let d = self.points[i as usize].distance_sq(q);
-                                if best.map_or(true, |(_, bd)| d < bd) {
+                                if best.is_none_or(|(_, bd)| d < bd) {
                                     best = Some((i, d));
                                 }
                             }

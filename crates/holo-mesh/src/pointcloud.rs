@@ -68,7 +68,7 @@ impl PointCloud {
         if !self.colors.is_empty() || !other.colors.is_empty() {
             self.colors.resize(self.points.len(), Vec3::ONE);
             if other.colors.is_empty() {
-                self.colors.extend(std::iter::repeat(Vec3::ONE).take(other.points.len()));
+                self.colors.extend(std::iter::repeat_n(Vec3::ONE, other.points.len()));
             } else {
                 self.colors.extend_from_slice(&other.colors);
             }

@@ -20,11 +20,15 @@ pub trait Sdf: Sync {
     fn bounds(&self) -> Aabb;
 
     /// [`Self::distance`] at `p` — the same bits — for a caller that is
-    /// sampling a region: `scope` must hold at `p` (start from
-    /// [`SdfScope::ALL`]), and the returned scope holds at every point
-    /// within `radius` of `p`. A composite field uses it to stop
-    /// evaluating parts that provably cannot change the result there; the
-    /// default narrows nothing.
+    /// sampling nested regions. The returned scope holds at every point
+    /// within `radius` of `p`; the `scope` passed in must be
+    /// [`SdfScope::ALL`] or one returned for a ball that *contains this
+    /// one* — `p` lying in that ball is not enough, because what a scope
+    /// has dropped stays dropped, and where the field answers without
+    /// consulting its parts the scope comes back unchanged. The octree's
+    /// node balls nest; consecutive steps along a ray do not. A composite
+    /// field uses it to stop evaluating parts that provably cannot change
+    /// the result there; the default narrows nothing.
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         let _ = radius;
         (self.distance(p), scope)
@@ -241,6 +245,19 @@ impl Primitive {
     fn is_exact(&self) -> bool {
         !matches!(self, Primitive::Ellipsoid(_))
     }
+
+    /// A ball `(center, radius)` around the solid, so that `distance(p)`
+    /// is at least `|p - center| - radius` everywhere. That needs the
+    /// exact distance: an inexact part gets an infinite radius, which
+    /// bounds nothing.
+    fn bounding_ball(&self) -> (Vec3, f32) {
+        match self {
+            Primitive::Sphere(s) => (s.center, s.radius),
+            Primitive::Capsule(s) => ((s.a + s.b) * 0.5, (s.b - s.a).length() * 0.5 + s.radius),
+            Primitive::RoundCone(s) => ((s.a + s.b) * 0.5, (s.b - s.a).length() * 0.5 + s.ra.max(s.rb)),
+            Primitive::Ellipsoid(s) => (s.center, f32::INFINITY),
+        }
+    }
 }
 
 impl Sdf for Primitive {
@@ -277,13 +294,21 @@ impl Sdf for Primitive {
 /// Through [`Sdf::distance_in`] it additionally drops parts that are
 /// exact no-ops of the blend throughout a ball (DESIGN.md §15, "Exact
 /// no-op culling"): the [`SdfScope`] is the set of parts `0..64` still alive.
+/// [`Sdf::distance`] has no region to reason about and instead skips, point
+/// by point, the parts whose bounding ball already proves them no-ops
+/// (§15, "Per-point culling").
 pub struct GriddedUnion {
     parts: Vec<Primitive>,
+    /// [`Primitive::bounding_ball`] of each part.
+    balls: Vec<(Vec3, f32)>,
     /// Blend radius.
     pub smoothness: f32,
     bounds: Aabb,
     dims: u32,
-    cells: Vec<Vec<u16>>,
+    /// Cell `c` lists the parts `listed[cell_start[c]..cell_start[c + 1]]`,
+    /// in ascending order.
+    cell_start: Vec<u32>,
+    listed: Vec<u16>,
     margin: f32,
 }
 
@@ -305,32 +330,53 @@ impl GriddedUnion {
             bounds = Aabb::new(Vec3::ZERO, Vec3::ONE);
         }
         let dims = dims.clamp(1, 64);
-        let mut cells = vec![Vec::new(); (dims as usize).pow(3)];
-        let size = bounds.size();
-        let cell_size = size / dims as f32;
-        for (pi, part) in parts.iter().enumerate() {
-            let pb = part.bounds().expanded(margin);
-            // Cell index range overlapped by the padded part box.
-            let lo = (pb.min - bounds.min).mul_elem(Vec3::new(
-                1.0 / cell_size.x.max(1e-9),
-                1.0 / cell_size.y.max(1e-9),
-                1.0 / cell_size.z.max(1e-9),
-            ));
-            let hi = (pb.max - bounds.min).mul_elem(Vec3::new(
-                1.0 / cell_size.x.max(1e-9),
-                1.0 / cell_size.y.max(1e-9),
-                1.0 / cell_size.z.max(1e-9),
-            ));
-            let clamp_idx = |v: f32| (v.floor().max(0.0) as u32).min(dims - 1);
-            for z in clamp_idx(lo.z)..=clamp_idx(hi.z) {
-                for y in clamp_idx(lo.y)..=clamp_idx(hi.y) {
-                    for x in clamp_idx(lo.x)..=clamp_idx(hi.x) {
-                        cells[((z * dims + y) * dims + x) as usize].push(pi as u16);
-                    }
+        let n = dims as usize;
+        let cell_size = bounds.size() / dims as f32;
+        let per_meter =
+            Vec3::new(1.0 / cell_size.x.max(1e-9), 1.0 / cell_size.y.max(1e-9), 1.0 / cell_size.z.max(1e-9));
+        let clamp_idx = |v: f32| (v.floor().max(0.0) as u32).min(dims - 1) as usize;
+        // Cell index range, per axis, overlapped by each padded part box.
+        let ranges: Vec<[(usize, usize); 3]> = parts
+            .iter()
+            .map(|part| {
+                let pb = part.bounds().expanded(margin);
+                let lo = (pb.min - bounds.min).mul_elem(per_meter);
+                let hi = (pb.max - bounds.min).mul_elem(per_meter);
+                [(clamp_idx(lo.x), clamp_idx(hi.x)), (clamp_idx(lo.y), clamp_idx(hi.y)), (clamp_idx(lo.z), clamp_idx(hi.z))]
+            })
+            .collect();
+        // The x-runs of cells one part is listed in.
+        let runs = |&[(x0, x1), (y0, y1), (z0, z1)]: &[(usize, usize); 3]| {
+            (z0..=z1).flat_map(move |z| (y0..=y1).map(move |y| (z * n + y) * n + x0..=(z * n + y) * n + x1))
+        };
+        // Counting sort by cell: count, running sum (now `cell_start[c]`
+        // is where cell `c` ends), then fill each cell from its end with
+        // the parts in descending order — which leaves every list
+        // ascending and `cell_start[c]` where cell `c` begins.
+        let mut cell_start = vec![0u32; n * n * n + 1];
+        for part in &ranges {
+            for run in runs(part) {
+                for count in &mut cell_start[run] {
+                    *count += 1;
                 }
             }
         }
-        Self { parts, smoothness, bounds, dims, cells, margin }
+        let mut end = 0;
+        for slot in &mut cell_start {
+            end += *slot;
+            *slot = end;
+        }
+        let mut listed = vec![0u16; end as usize];
+        for (pi, part) in ranges.iter().enumerate().rev() {
+            for run in runs(part) {
+                for start in &mut cell_start[run] {
+                    *start -= 1;
+                    listed[*start as usize] = pi as u16;
+                }
+            }
+        }
+        let balls = parts.iter().map(Primitive::bounding_ball).collect();
+        Self { parts, balls, smoothness, bounds, dims, cell_start, listed, margin }
     }
 
     /// Number of parts.
@@ -343,24 +389,46 @@ impl GriddedUnion {
         self.parts.is_empty()
     }
 
-    /// The one evaluation body. `SCOPED = false` is `distance`: every
-    /// listed part is blended and nothing is narrowed, at no cost for
-    /// the bookkeeping. `SCOPED = true` skips parts dead in `scope` and
-    /// kills those that are no-ops throughout the ball of `radius`.
-    fn eval<const SCOPED: bool>(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+    /// The parts, in blend order.
+    pub fn parts(&self) -> &[Primitive] {
+        &self.parts
+    }
+
+    /// The value the blend is clamped to: the margin minus the blend
+    /// bulge bounds unlisted parts' reach.
+    pub fn cap(&self) -> f32 {
+        self.margin - self.smoothness
+    }
+
+    /// What the field is made of at `p`: the parts blended there, as
+    /// ascending indices into [`Self::parts`] — or, as `Err`, the distance
+    /// to the content box where that is the answer instead. Public so that
+    /// a test can fold the list again with nothing skipped.
+    pub fn listed_at(&self, p: Vec3) -> Result<&[u16], f32> {
         // Outside the content box: distance to the box is a safe
         // underestimate of the distance to any part.
         let outside = self.bounds.signed_distance(p);
         if outside > 0.0 {
-            return (outside, scope);
+            return Err(outside);
         }
         let size = self.bounds.size();
         let rel = p - self.bounds.min;
         let idx = |r: f32, s: f32| (((r / s.max(1e-9)) * self.dims as f32) as u32).min(self.dims - 1);
         let (x, y, z) = (idx(rel.x, size.x), idx(rel.y, size.y), idx(rel.z, size.z));
-        let cell = &self.cells[((z * self.dims + y) * self.dims + x) as usize];
-        // The margin minus the blend bulge bounds unlisted parts' reach.
-        let cap = self.margin - self.smoothness;
+        let cell = ((z * self.dims + y) * self.dims + x) as usize;
+        Ok(&self.listed[self.cell_start[cell] as usize..self.cell_start[cell + 1] as usize])
+    }
+
+    /// The one evaluation body. `SCOPED = false` is `distance`: nothing
+    /// is narrowed, at no cost for the bookkeeping, and a listed part is
+    /// skipped when its bounding ball proves it a no-op at `p`.
+    /// `SCOPED = true` skips parts dead in `scope` and kills those that
+    /// are no-ops throughout the ball of `radius`.
+    fn eval<const SCOPED: bool>(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        let cell = match self.listed_at(p) {
+            Ok(cell) => cell,
+            Err(outside) => return (outside, scope),
+        };
         let mut alive = scope.0;
         // Part i is a no-op within `radius` when an earlier exact part j,
         // listed in every grid cell the ball touches, is nearer by `gap`.
@@ -377,6 +445,16 @@ impl GriddedUnion {
             if SCOPED && !alive & bit != 0 {
                 continue;
             }
+            if !SCOPED {
+                // Part i is at least `|p - c| - r` away; once that exceeds
+                // the running blend by the blend radius it cannot move it.
+                // Region culling already did this work for a scoped caller.
+                let (c, r) = self.balls[pi as usize];
+                let reach = d + self.smoothness + CULL_SLACK + r;
+                if (p - c).length_sq() >= reach * reach {
+                    continue;
+                }
+            }
             let part = &self.parts[pi as usize];
             let v = part.distance(p);
             if narrowing && part.is_exact() {
@@ -387,7 +465,7 @@ impl GriddedUnion {
             }
             d = smooth_min(d, v, self.smoothness);
         }
-        (d.min(cap), SdfScope(alive))
+        (d.min(self.cap()), SdfScope(alive))
     }
 }
 

@@ -144,7 +144,7 @@ impl TriMesh {
             // Keep lengths consistent: pad whichever side lacks normals.
             self.normals.resize(base as usize, Vec3::ZERO);
             if other.normals.is_empty() {
-                self.normals.extend(std::iter::repeat(Vec3::ZERO).take(other.vertices.len()));
+                self.normals.extend(std::iter::repeat_n(Vec3::ZERO, other.vertices.len()));
             } else {
                 self.normals.extend_from_slice(&other.normals);
             }
@@ -152,7 +152,7 @@ impl TriMesh {
         if !self.colors.is_empty() || !other.colors.is_empty() {
             self.colors.resize(base as usize, Vec3::ONE);
             if other.colors.is_empty() {
-                self.colors.extend(std::iter::repeat(Vec3::ONE).take(other.vertices.len()));
+                self.colors.extend(std::iter::repeat_n(Vec3::ONE, other.vertices.len()));
             } else {
                 self.colors.extend_from_slice(&other.colors);
             }

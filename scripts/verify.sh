@@ -88,7 +88,7 @@ echo "==> benchmark smoke: benchmark/ builds against the public API and passes i
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 if command -v cargo-clippy >/dev/null 2>&1; then
-  echo "==> cargo clippy -p holo-runtime -p holo-trace -p holo-chaos -p holo-uep -p holo-fuzz -- -D warnings"
+  echo "==> cargo clippy (holo-runtime, -trace, -chaos, -uep, -fuzz, -fleet, -obs, -gaussian, -mesh, -body, -capture) -- -D warnings"
   cargo clippy -q --offline -p holo-runtime --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-trace --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-chaos --no-deps --all-targets -- -D warnings
@@ -97,6 +97,9 @@ if command -v cargo-clippy >/dev/null 2>&1; then
   cargo clippy -q --offline -p holo-fleet --no-deps --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-obs --no-deps --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-gaussian --no-deps --all-targets -- -D warnings
+  cargo clippy -q --offline -p holo-mesh --no-deps --all-targets -- -D warnings
+  cargo clippy -q --offline -p holo-body --no-deps --all-targets -- -D warnings
+  cargo clippy -q --offline -p holo-capture --no-deps --all-targets -- -D warnings
 else
   echo "==> clippy unavailable; skipping lint step"
 fi

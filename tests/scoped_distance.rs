@@ -7,7 +7,9 @@
 //! with and without narrowing; two properties check the scoped value
 //! pointwise on random nested balls — inside them and on their boundary,
 //! where the extractor's leaf corners sit — around bodies and around
-//! random unions; and one builds the case the listing condition exists for.
+//! random unions; one builds the case the listing condition exists for;
+//! and two check `distance` itself, which skips parts point by point
+//! ("Per-point culling"), against a fold of the same list that skips none.
 
 use holo_body::motion::{MotionClip, MotionKind, MotionSynthesizer};
 use holo_body::skeleton::{Skeleton, JOINT_COUNT};
@@ -187,35 +189,94 @@ holo_prop! {
     }
 }
 
+/// A random soup of up to 80 primitives (so some lie past the 64-part
+/// mask) of all four kinds, with random blend radius, listing margin and
+/// grid; `spread` bounds the part centers per axis.
+fn random_union(rng: &mut Pcg32) -> (GriddedUnion, f32) {
+    let spread = rng.range_f32(0.1, 0.6);
+    let parts: Vec<Primitive> = (0..1 + rng.next_u32() % 80)
+        .map(|_| {
+            let (a, ra) = (point_within(rng, spread), rng.range_f32(0.01, 0.12));
+            let (b, rb) = (a + unit_vector(rng) * rng.range_f32(0.0, 0.3), rng.range_f32(0.01, 0.12));
+            match rng.next_u32() % 8 {
+                0 | 1 => Primitive::Ellipsoid(SdfEllipsoid { center: a, radii: Vec3::new(ra, rb, rng.range_f32(0.01, 0.3)) }),
+                2 => Primitive::Sphere(SdfSphere { center: a, radius: ra }),
+                3 | 4 => Primitive::Capsule(SdfCapsule { a, b, radius: ra }),
+                _ => Primitive::RoundCone(SdfRoundCone { a, b, ra, rb }),
+            }
+        })
+        .collect();
+    let smoothness = rng.range_f32(0.0, 0.05);
+    let margin = smoothness + rng.range_f32(0.02, 0.3);
+    (GriddedUnion::build(parts, smoothness, 1 + rng.next_u32() % 12, margin), spread)
+}
+
+fn point_within(rng: &mut Pcg32, spread: f32) -> Vec3 {
+    Vec3::new(rng.range_f32(-spread, spread), rng.range_f32(-spread, spread), rng.range_f32(-spread, spread))
+}
+
 holo_prop! {
     #![cases(2_500)]
 
-    /// The argument does not lean on the body's constants: a random soup
-    /// of up to 80 primitives (so some lie past the 64-part mask) of all
-    /// four kinds, with random blend radius, listing margin and grid.
+    /// The argument does not lean on the body's constants.
     fn scoped_distance_is_exact_on_random_unions(seed in any::<u64>()) {
         let mut rng = Pcg32::new(seed);
-        let spread = rng.range_f32(0.1, 0.6);
-        let point = |rng: &mut Pcg32| Vec3::new(rng.range_f32(-spread, spread), rng.range_f32(-spread, spread), rng.range_f32(-spread, spread));
-        let parts: Vec<Primitive> = (0..1 + rng.next_u32() % 80)
-            .map(|_| {
-                let (a, ra) = (point(&mut rng), rng.range_f32(0.01, 0.12));
-                let (b, rb) = (a + unit_vector(&mut rng) * rng.range_f32(0.0, 0.3), rng.range_f32(0.01, 0.12));
-                match rng.next_u32() % 8 {
-                    0 | 1 => Primitive::Ellipsoid(SdfEllipsoid { center: a, radii: Vec3::new(ra, rb, rng.range_f32(0.01, 0.3)) }),
-                    2 => Primitive::Sphere(SdfSphere { center: a, radius: ra }),
-                    3 | 4 => Primitive::Capsule(SdfCapsule { a, b, radius: ra }),
-                    _ => Primitive::RoundCone(SdfRoundCone { a, b, ra, rb }),
-                }
-            })
-            .collect();
-        let smoothness = rng.range_f32(0.0, 0.05);
-        let margin = smoothness + rng.range_f32(0.02, 0.3);
-        let union = GriddedUnion::build(parts, smoothness, 1 + rng.next_u32() % 12, margin);
+        let (union, spread) = random_union(&mut rng);
         for _ in 0..16 {
-            let center = point(&mut rng) * 1.2;
+            let center = point_within(&mut rng, spread) * 1.2;
             let radius = rng.range_f32(0.002, 0.3);
             prop_assert_eq!(first_departure(&union, center, radius, &mut rng), None);
+        }
+    }
+}
+
+/// `distance` the slow way: every part listed at `p` blended, none skipped.
+fn unculled(union: &GriddedUnion, p: Vec3) -> f32 {
+    match union.listed_at(p) {
+        Ok(listed) => listed
+            .iter()
+            .fold(f32::INFINITY, |d, &i| smooth_min(d, union.parts()[i as usize].distance(p), union.smoothness))
+            .min(union.cap()),
+        Err(box_distance) => box_distance,
+    }
+}
+
+holo_prop! {
+    #![cases(10_000)]
+
+    /// Skipping a part on its bounding ball's word never moves a bit:
+    /// deep inside a body, at its skin, in the shell around the content
+    /// box, and out where the box distance answers.
+    fn distance_skips_only_no_ops_around_bodies(seed in any::<u64>()) {
+        let mut rng = Pcg32::new(seed);
+        let (sdf, joints) = &bodies()[rng.next_u32() as usize % bodies().len()];
+        let union = sdf.union();
+        let joint = joints[rng.next_u32() as usize % joints.len()];
+        let b = sdf.bounds();
+        let face = Vec3::new(
+            if rng.chance(0.5) { b.min.x } else { b.max.x },
+            rng.range_f32(b.min.y, b.max.y),
+            rng.range_f32(b.min.z, b.max.z),
+        );
+        for p in [
+            joint + unit_vector(&mut rng) * rng.range_f32(0.0, 0.12),
+            joint + unit_vector(&mut rng) * rng.range_f32(0.0, 0.5),
+            face + unit_vector(&mut rng) * rng.range_f32(0.0, 0.4),
+        ] {
+            prop_assert_eq!(union.distance(p).to_bits(), unculled(union, p).to_bits());
+        }
+    }
+}
+
+holo_prop! {
+    #![cases(2_500)]
+
+    fn distance_skips_only_no_ops_on_random_unions(seed in any::<u64>()) {
+        let mut rng = Pcg32::new(seed);
+        let (union, spread) = random_union(&mut rng);
+        for _ in 0..16 {
+            let p = point_within(&mut rng, spread) * 1.5;
+            prop_assert_eq!(union.distance(p).to_bits(), unculled(&union, p).to_bits());
         }
     }
 }
