@@ -7,7 +7,7 @@
 //! with and without narrowing; two properties check the scoped value
 //! pointwise on random nested balls — inside them and on their boundary,
 //! where the extractor's leaf corners sit — around bodies and around
-//! random unions; one builds the case the listing condition exists for;
+//! random unions, within the parts' box, astride its faces and outside it; one builds the case the listing condition exists for;
 //! and two check `distance` itself, which skips parts point by point
 //! ("Per-point culling"), against a fold of the same list that skips none.
 
@@ -144,6 +144,23 @@ fn unit_vector(rng: &mut Pcg32) -> Vec3 {
     if v.length_sq() > 1e-12 { v.normalized() } else { Vec3::X }
 }
 
+/// A point within `reach` of a random spot on the faces of `b`. For a
+/// union's `bounds()` that is around the faces of its content box: astride
+/// them, outside them where the projected cell's list is read, and out
+/// where the box distance answers.
+fn near_a_face(b: &Aabb, reach: f32, rng: &mut Pcg32) -> Vec3 {
+    let mut p = Vec3::new(rng.range_f32(b.min.x, b.max.x), rng.range_f32(b.min.y, b.max.y), rng.range_f32(b.min.z, b.max.z));
+    match rng.next_u32() % 6 {
+        0 => p.x = b.min.x,
+        1 => p.x = b.max.x,
+        2 => p.y = b.min.y,
+        3 => p.y = b.max.y,
+        4 => p.z = b.min.z,
+        _ => p.z = b.max.z,
+    }
+    p + unit_vector(rng) * rng.range_f32(0.0, reach)
+}
+
 /// Walk a chain of nested balls the way `descend` does — narrowing at
 /// each center — then sample the innermost ball, half the points exactly
 /// on its boundary. Returns the first point whose scoped value is not
@@ -186,6 +203,11 @@ holo_prop! {
         let center = joints[rng.next_u32() as usize % joints.len()] + unit_vector(&mut rng) * rng.range_f32(0.0, 0.3);
         let radius = rng.range_f32(0.005, 0.6);
         prop_assert_eq!(first_departure(sdf, center, radius, &mut rng), None);
+        // And balls astride or wholly outside the content box, where a
+        // sample reads the list of the cell it projects to.
+        let center = near_a_face(&sdf.bounds(), 1.2 * sdf.union().cap(), &mut rng);
+        let radius = rng.range_f32(0.005, 0.3);
+        prop_assert_eq!(first_departure(sdf, center, radius, &mut rng), None);
     }
 }
 
@@ -222,8 +244,12 @@ holo_prop! {
     fn scoped_distance_is_exact_on_random_unions(seed in any::<u64>()) {
         let mut rng = Pcg32::new(seed);
         let (union, spread) = random_union(&mut rng);
-        for _ in 0..16 {
-            let center = point_within(&mut rng, spread) * 1.2;
+        for i in 0..16 {
+            let center = if i % 2 == 0 {
+                point_within(&mut rng, spread) * 1.2
+            } else {
+                near_a_face(&union.bounds(), 1.2 * union.cap(), &mut rng)
+            };
             let radius = rng.range_f32(0.002, 0.3);
             prop_assert_eq!(first_departure(&union, center, radius, &mut rng), None);
         }
@@ -252,16 +278,10 @@ holo_prop! {
         let (sdf, joints) = &bodies()[rng.next_u32() as usize % bodies().len()];
         let union = sdf.union();
         let joint = joints[rng.next_u32() as usize % joints.len()];
-        let b = sdf.bounds();
-        let face = Vec3::new(
-            if rng.chance(0.5) { b.min.x } else { b.max.x },
-            rng.range_f32(b.min.y, b.max.y),
-            rng.range_f32(b.min.z, b.max.z),
-        );
         for p in [
             joint + unit_vector(&mut rng) * rng.range_f32(0.0, 0.12),
             joint + unit_vector(&mut rng) * rng.range_f32(0.0, 0.5),
-            face + unit_vector(&mut rng) * rng.range_f32(0.0, 0.4),
+            near_a_face(&sdf.bounds(), 1.5 * union.cap(), &mut rng),
         ] {
             prop_assert_eq!(union.distance(p).to_bits(), unculled(union, p).to_bits());
         }
@@ -274,8 +294,12 @@ holo_prop! {
     fn distance_skips_only_no_ops_on_random_unions(seed in any::<u64>()) {
         let mut rng = Pcg32::new(seed);
         let (union, spread) = random_union(&mut rng);
-        for _ in 0..16 {
-            let p = point_within(&mut rng, spread) * 1.5;
+        for i in 0..16 {
+            let p = if i % 2 == 0 {
+                point_within(&mut rng, spread) * 1.5
+            } else {
+                near_a_face(&union.bounds(), 1.5 * union.cap(), &mut rng)
+            };
             prop_assert_eq!(union.distance(p).to_bits(), unculled(&union, p).to_bits());
         }
     }
