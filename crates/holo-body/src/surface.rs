@@ -148,8 +148,8 @@ fn project_bumps_to_surface(union: &GriddedUnion, bumps: &mut [(Vec3, f32, f32)]
     }
 }
 
-/// How every body blends its parts: blend radius (meters), grid cells
-/// per axis, and part-listing margin (meters) of its [`GriddedUnion`].
+// How every body blends its parts: blend radius (meters), grid cells
+// per axis, and part-listing margin (meters) of its `GriddedUnion`.
 const BLEND_RADIUS: f32 = 0.02;
 const GRID_DIMS: u32 = 24;
 const LIST_MARGIN: f32 = 0.28;

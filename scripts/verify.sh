@@ -88,7 +88,7 @@ echo "==> benchmark smoke: benchmark/ builds against the public API and passes i
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 if command -v cargo-clippy >/dev/null 2>&1; then
-  echo "==> cargo clippy (holo-runtime, -trace, -chaos, -uep, -fuzz, -fleet, -obs, -gaussian, -mesh, -body, -capture) -- -D warnings"
+  echo "==> cargo clippy -- -D warnings, on the crates held to it"
   cargo clippy -q --offline -p holo-runtime --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-trace --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-chaos --no-deps --all-targets -- -D warnings
