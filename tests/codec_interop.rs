@@ -4,7 +4,9 @@
 use holo_body::params::{PosePayload, SmplxParams};
 use holo_body::{MotionKind, MotionSynthesizer};
 use holo_compress::lzma::{lzma_compress, lzma_decompress};
-use holo_compress::meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig};
+use holo_compress::meshcodec::{
+    decode_mesh, encode_mesh, encode_mesh_with_permutation, MeshCodecConfig,
+};
 use holo_compress::texture::{Texture, TextureCodec};
 use holo_math::Pcg32;
 use holo_runtime::check::{any, collection};
@@ -37,6 +39,41 @@ fn mesh_codec_roundtrips_posed_bodies_across_a_clip() {
         let ratio = mesh.raw_size_bytes() as f64 / encoded.len() as f64;
         assert!(ratio > 5.0, "frame ratio {ratio:.1}");
     }
+}
+
+/// Cross-commit identity pin: what the codec reconstructs is a function
+/// of the mesh and the quantization depth, not of the entropy coder
+/// behind it. The digest covers, per frame of the seed-7 walking clip,
+/// every decoded vertex (`to_bits`, in decoded order), every decoded
+/// face, and the encoder's vertex permutation. It was computed with the
+/// adaptive range coder's `MCD1` format and must survive any change of
+/// wire format unedited.
+#[test]
+fn mesh_codec_reconstruction_is_pinned_across_wire_formats() {
+    let model = holo_body::BodyModel::standard();
+    let mut synth = MotionSynthesizer::new(7);
+    let clip = synth.clip(MotionKind::Walking, 0.3, 10.0);
+    let mut bytes = Vec::new();
+    for frame in &clip.frames {
+        let mesh = model.pose_mesh(frame);
+        let (encoded, perm) = encode_mesh_with_permutation(&mesh, &MeshCodecConfig::default());
+        let decoded = decode_mesh(&encoded).unwrap();
+        for v in &decoded.vertices {
+            for c in [v.x, v.y, v.z] {
+                bytes.extend_from_slice(&c.to_bits().to_le_bytes());
+            }
+        }
+        for i in decoded.faces.iter().flatten().chain(&perm) {
+            bytes.extend_from_slice(&i.to_le_bytes());
+        }
+    }
+    assert_eq!(clip.frames.len(), 3);
+    assert_eq!(
+        holo_runtime::fnv1a64(&bytes),
+        0x7028_11c7_f83a_b362,
+        "{} bytes digested",
+        bytes.len()
+    );
 }
 
 #[test]
