@@ -27,6 +27,7 @@ pub mod lzma;
 pub mod temporal;
 pub mod meshcodec;
 pub mod primitives;
+pub mod rans;
 pub mod rc;
 pub mod texture;
 

@@ -46,6 +46,19 @@ pub fn read_varint(data: &[u8]) -> Option<(u32, usize)> {
     None
 }
 
+/// Split `value` into its bucket slot (< 64) and the bit width of the
+/// mantissa under it — LZMA's distance slots: values below 4 are their
+/// own slot; above, a slot names the top bit's position and the bit under
+/// it (so its values start at `(2 | slot & 1) << bits`), the rest is raw.
+#[inline]
+pub fn bucket_slot(value: u32) -> (u32, u32) {
+    if value < 4 {
+        return (value, 0);
+    }
+    let top = 31 - value.leading_zeros();
+    ((top << 1) | ((value >> (top - 1)) & 1), top - 1)
+}
+
 /// In-place forward delta: `out[i] = in[i] - in[i-1]` (first element kept).
 pub fn delta_encode(values: &mut [i32]) {
     for i in (1..values.len()).rev() {

@@ -3,8 +3,9 @@
 //! The classic LZMA-style arithmetic coder: probabilities are 11-bit
 //! adaptive counters, the encoder keeps a 32-bit range with a 64-bit low
 //! accumulator and byte-wise carry propagation, the decoder mirrors it.
-//! Everything else in this crate (the LZ codec, the mesh codec) is built
-//! from three primitives: adaptive bits, bit trees, and direct bits.
+//! The LZ codec (and the pose-delta and gaussian-update streams of other
+//! crates) is built from three primitives: adaptive bits, bit trees,
+//! and direct bits. The mesh path codes through [`crate::rans`] instead.
 
 /// Number of probability quantization bits (LZMA uses 11).
 const PROB_BITS: u32 = 11;
@@ -51,7 +52,7 @@ pub struct BitTree {
 impl BitTree {
     /// A tree coding `bits`-wide symbols.
     pub fn new(bits: u32) -> Self {
-        assert!(bits >= 1 && bits <= 16);
+        assert!((1..=16).contains(&bits));
         Self { bits, models: vec![BitModel::new(); 1 << bits] }
     }
 
@@ -122,15 +123,9 @@ impl RangeEncoder {
         let mut ctx = 1usize;
         for i in (0..tree.bits).rev() {
             let bit = ((symbol >> i) & 1) as u8;
-            let m = &mut tree.models[ctx];
-            self.encode_bit_raw(m, bit);
+            self.encode_bit(&mut tree.models[ctx], bit);
             ctx = (ctx << 1) | bit as usize;
         }
-    }
-
-    // encode_bit without the borrow gymnastics of indexing twice
-    fn encode_bit_raw(&mut self, model: &mut BitModel, bit: u8) {
-        self.encode_bit(model, bit);
     }
 
     /// Encode `bits` raw (uniform) bits, MSB first.
@@ -215,15 +210,10 @@ impl<'a> RangeDecoder<'a> {
     pub fn decode_tree(&mut self, tree: &mut BitTree) -> u32 {
         let mut ctx = 1usize;
         for _ in 0..tree.bits {
-            let m = &mut tree.models[ctx];
-            let bit = self.decode_bit_raw(m);
+            let bit = self.decode_bit(&mut tree.models[ctx]);
             ctx = (ctx << 1) | bit as usize;
         }
         ctx as u32 - (1 << tree.bits)
-    }
-
-    fn decode_bit_raw(&mut self, model: &mut BitModel) -> u8 {
-        self.decode_bit(model)
     }
 
     /// Decode `bits` raw bits.
@@ -252,18 +242,9 @@ impl<'a> RangeDecoder<'a> {
 /// logarithmically. `slot_tree` must be 6 bits wide (64 slots).
 pub fn encode_bucketed(enc: &mut RangeEncoder, slot_tree: &mut BitTree, value: u32) {
     debug_assert_eq!(slot_tree.width(), 6);
-    let slot = if value < 4 {
-        value
-    } else {
-        let bits = 31 - value.leading_zeros();
-        (bits << 1) | ((value >> (bits - 1)) & 1)
-    };
+    let (slot, bits) = crate::primitives::bucket_slot(value);
     enc.encode_tree(slot_tree, slot);
-    if slot >= 4 {
-        let bits = (slot >> 1) - 1;
-        let base = (2 | (slot & 1)) << bits;
-        enc.encode_direct(value - base, bits);
-    }
+    enc.encode_direct(value & ((1 << bits) - 1), bits);
 }
 
 /// Inverse of [`encode_bucketed`].

@@ -129,6 +129,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes left to read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -144,6 +145,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Consume the next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::Truncated { needed: n, available: self.remaining() });
@@ -161,7 +163,9 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// Consume one byte.
+    /// Consume one byte. Inlined across crates: entropy decoders call
+    /// it once per coded byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
