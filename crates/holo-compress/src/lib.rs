@@ -6,15 +6,17 @@
 //! a sanctioned offline crate, so this crate implements the same algorithm
 //! families from scratch:
 //!
-//! - [`rc`] — an adaptive binary range coder (the entropy backbone of both
-//!   codecs), with adaptive bit models, bit trees, and direct bits.
+//! - [`rc`] — an adaptive binary range coder (the LZ codec's entropy
+//!   backbone), with adaptive bit models, bit trees, and direct bits.
+//! - [`rans`] — static table-driven rANS over buffered symbol arrays, the
+//!   mesh path's entropy coder.
 //! - [`primitives`] — zigzag, varint, and delta transforms.
 //! - [`lzma`] — an LZ77 codec with hash-chain match finding, order-1
 //!   literal contexts, and rep-distance modeling: structurally an LZMA
 //!   sibling, used everywhere the paper says "LZMA".
 //! - [`meshcodec`] — a Draco-class triangle-mesh codec: connectivity by
 //!   region-growing traversal with implicit vertex numbering, positions by
-//!   quantization + parallelogram prediction, everything entropy-coded.
+//!   quantization + parallelogram prediction, everything rANS-coded.
 //! - [`texture`] — a DXT/BTC-style 4x4 block texture codec (4 bpp), the
 //!   "compressed 2D texture" channel of §3.1.
 //! - [`temporal`] — inter-frame mesh compression for fixed-topology

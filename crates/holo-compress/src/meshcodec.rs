@@ -12,18 +12,18 @@
 //! 3. **Parallelogram prediction**: a newly attached vertex is predicted
 //!    from the known triangle across the shared edge; only the (small)
 //!    residual is coded.
-//! 4. **Adaptive range coding** of every symbol class.
+//! 4. **Static rANS coding** of every symbol class ([`crate::rans`]): the
+//!    traversal buffers symbols, a second pass codes them (DESIGN.md §16).
 //!
 //! The codec is lossless in connectivity (up to vertex re-ordering;
 //! unreferenced vertices are dropped) and lossy in positions by at most
 //! half a quantization step per component.
 
 use crate::primitives::{unzigzag, zigzag};
-use crate::rc::{decode_bucketed, encode_bucketed, BitModel, BitTree, RangeDecoder, RangeEncoder};
+use crate::rans::{RansDecoder, RansEncoder};
 use holo_math::Vec3;
 use holo_mesh::trimesh::TriMesh;
 use holo_runtime::ser::{ByteReader, DecodeError};
-use std::collections::HashMap;
 
 /// Codec parameters.
 #[derive(Debug, Clone, Copy)]
@@ -38,37 +38,29 @@ impl Default for MeshCodecConfig {
     }
 }
 
-const MAGIC: u32 = 0x4D43_4431; // "MCD1"
+const MAGIC: u32 = 0x4D43_4432; // "MCD2"
+const BITS_RANGE: std::ops::RangeInclusive<u32> = 4..=20;
 
-struct Models {
-    /// First op bit: 1 = skip (no face across this edge).
-    skip: BitModel,
-    /// Second op bit: 1 = new vertex, 0 = known vertex.
-    is_new: BitModel,
-    /// Seed-vertex "already discovered" bit.
-    seed_known: BitModel,
-    /// Residual magnitude trees per component (attach prediction).
-    attach: [BitTree; 3],
-    /// Delta trees per component (seed absolute coding).
-    seed: [BitTree; 3],
-    /// Known-vertex back-reference tree.
-    backref: BitTree,
-}
+// A vertex is a back-reference or a residual; an edge may also attach nothing.
+const OP_KNOWN: u32 = 0;
+const OP_NEW: u32 = 1;
+const OP_SKIP: u32 = 2;
 
-impl Models {
-    fn new() -> Self {
-        Self {
-            skip: BitModel::new(),
-            is_new: BitModel::new(),
-            seed_known: BitModel::new(),
-            attach: [BitTree::new(6), BitTree::new(6), BitTree::new(6)],
-            seed: [BitTree::new(6), BitTree::new(6), BitTree::new(6)],
-            backref: BitTree::new(6),
-        }
-    }
+// rANS contexts. An edge's op is coded under the two ops before it
+// (contexts 0..9, `prev2 * 3 + prev`): the traversal's skip/known/new
+// rhythm is what makes connectivity cheap, and order 0 gives it away.
+const CTX_SEED_OP: usize = 9;
+const CTX_ATTACH: usize = 10;
+const CTX_SEED: usize = 13;
+const CTX_BACKREF: usize = 16;
+const ALPHABETS: [u8; 17] = [3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 64, 64, 64, 64, 64, 64, 64];
+
+fn next_op_context(context: usize, op: u32) -> usize {
+    (context * 3 + op as usize) % 9
 }
 
 type QPos = [i32; 3];
+const UNDISCOVERED: u32 = u32::MAX;
 
 fn quantize_positions(mesh: &TriMesh, bits: u32) -> (Vec<QPos>, Vec3, f32) {
     let bounds = mesh.bounds();
@@ -89,6 +81,37 @@ fn quantize_positions(mesh: &TriMesh, bits: u32) -> (Vec<QPos>, Vec3, f32) {
     (q, origin, step)
 }
 
+/// Parallelogram prediction across edge `(u, v)` of a known triangle
+/// whose third vertex is `opp`. Wrapping: hostile input may not fit i32
+/// sums; its positions are garbage anyway, but debug must not panic.
+fn parallelogram(q: &[QPos], u: u32, v: u32, opp: u32) -> QPos {
+    let (a, b, o) = (q[u as usize], q[v as usize], q[opp as usize]);
+    std::array::from_fn(|k| a[k].wrapping_add(b[k]).wrapping_sub(o[k]))
+}
+
+/// Directed half-edges `[destination, face, third vertex]` grouped by
+/// source vertex and in face order within a group, as CSR: vertex `v`'s
+/// group is `edges[first[v]..first[v + 1]]`.
+fn half_edges(mesh: &TriMesh) -> (Vec<u32>, Vec<[u32; 3]>) {
+    let mut first = vec![0u32; mesh.vertices.len() + 1];
+    for &a in mesh.faces.iter().flatten() {
+        first[a as usize + 1] += 1;
+    }
+    for v in 0..mesh.vertices.len() {
+        first[v + 1] += first[v];
+    }
+    let mut cursor = first.clone();
+    let mut edges = vec![[0u32; 3]; mesh.faces.len() * 3];
+    for (fi, f) in mesh.faces.iter().enumerate() {
+        for k in 0..3 {
+            let at = &mut cursor[f[k] as usize];
+            edges[*at as usize] = [f[(k + 1) % 3], fi as u32, f[(k + 2) % 3]];
+            *at += 1;
+        }
+    }
+    (first, edges)
+}
+
 /// Encode a mesh. Unreferenced vertices are not preserved.
 pub fn encode_mesh(mesh: &TriMesh, cfg: &MeshCodecConfig) -> Vec<u8> {
     encode_mesh_with_permutation(mesh, cfg).0
@@ -99,22 +122,8 @@ pub fn encode_mesh(mesh: &TriMesh, cfg: &MeshCodecConfig) -> Vec<u8> {
 /// will emit at position `k` (discovery order). Temporal coding needs it
 /// to compute deltas against the receiver's reordered reference.
 pub fn encode_mesh_with_permutation(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (Vec<u8>, Vec<u32>) {
-    if !holo_trace::enabled() {
-        return encode_mesh_inner(mesh, cfg);
-    }
     let timer = holo_trace::WallTimer::start();
-    let out = encode_mesh_inner(mesh, cfg);
-    timer.stop("compress.mesh.encode_us");
-    // Raw baseline: 12 bytes/vertex position + 12 bytes/face of indices.
-    let raw = mesh.vertices.len() * 12 + mesh.faces.len() * 12;
-    let permille = out.0.len() as u64 * 1000 / raw.max(1) as u64;
-    holo_trace::histogram("compress.mesh.ratio_permille", permille);
-    holo_trace::counter("compress.mesh.bytes_out", out.0.len() as u64);
-    out
-}
-
-fn encode_mesh_inner(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (Vec<u8>, Vec<u32>) {
-    let bits = cfg.position_bits.clamp(4, 20);
+    let bits = cfg.position_bits.clamp(*BITS_RANGE.start(), *BITS_RANGE.end());
     let (qpos, origin, step) = quantize_positions(mesh, bits);
 
     // Header (uncoded): magic, bits, face count, origin, step.
@@ -126,135 +135,130 @@ fn encode_mesh_inner(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (Vec<u8>, Vec<u32
         out.extend_from_slice(&c.to_le_bytes());
     }
 
-    let mut order: Vec<u32> = Vec::with_capacity(mesh.vertices.len());
-    if mesh.faces.is_empty() {
-        return (out, order);
-    }
-
-    // Directed edge -> (face index, third vertex). First writer wins;
-    // duplicate directed edges (non-manifold) are reached via seeding.
-    let mut edge_map: HashMap<(u32, u32), (u32, u32)> = HashMap::new();
-    for (fi, f) in mesh.faces.iter().enumerate() {
-        for k in 0..3 {
-            let a = f[k];
-            let b = f[(k + 1) % 3];
-            let c = f[(k + 2) % 3];
-            edge_map.entry((a, b)).or_insert((fi as u32, c));
-        }
-    }
-
-    let mut enc = RangeEncoder::new();
-    let mut models = Models::new();
+    // Pass 1: walk the mesh, buffering symbols.
+    let (first, edges) = half_edges(mesh);
+    let mut enc = RansEncoder::default();
     let mut visited = vec![false; mesh.faces.len()];
-    let mut disc: Vec<Option<u32>> = vec![None; mesh.vertices.len()];
-    let mut next_disc = 0u32;
+    let mut disc = vec![UNDISCOVERED; mesh.vertices.len()];
+    let mut order: Vec<u32> = Vec::with_capacity(mesh.vertices.len());
+    // Code vertex `v`, the choice under `op_context`: a back-reference
+    // if discovered, else its residual against `pred` under `context`.
+    let mut vertex = |enc: &mut RansEncoder, op_context: usize, v: u32, pred: QPos, context: usize| {
+        let d = disc[v as usize];
+        if d != UNDISCOVERED {
+            enc.symbol(op_context, OP_KNOWN);
+            enc.bucketed(CTX_BACKREF, order.len() as u32 - 1 - d);
+            return OP_KNOWN;
+        }
+        enc.symbol(op_context, OP_NEW);
+        for (k, p) in pred.iter().enumerate() {
+            enc.bucketed(context + k, zigzag(qpos[v as usize][k].wrapping_sub(*p)));
+        }
+        disc[v as usize] = order.len() as u32;
+        order.push(v);
+        OP_NEW
+    };
     let mut last_abs: QPos = [0, 0, 0];
+    let mut op_context = 0;
     // Stack entries: (u, v, opp) — find the face containing directed edge
     // (u, v); `opp` supports parallelogram prediction.
     let mut stack: Vec<(u32, u32, u32)> = Vec::new();
-
-    let encode_residual = |enc: &mut RangeEncoder, models: &mut [BitTree; 3], r: QPos| {
-        for (k, tree) in models.iter_mut().enumerate() {
-            encode_bucketed(enc, tree, zigzag(r[k]));
-        }
-    };
 
     for seed_face in 0..mesh.faces.len() {
         if visited[seed_face] {
             continue;
         }
-        // Start a component: emit the seed triangle's vertices.
+        // Start a component: the seed triangle, each vertex a delta on the last.
         visited[seed_face] = true;
-        let f = mesh.faces[seed_face];
-        for &v in &f {
-            match disc[v as usize] {
-                Some(d) => {
-                    enc.encode_bit(&mut models.seed_known, 1);
-                    encode_bucketed(&mut enc, &mut models.backref, next_disc - 1 - d);
-                }
-                None => {
-                    enc.encode_bit(&mut models.seed_known, 0);
-                    let q = qpos[v as usize];
-                    let r = [q[0] - last_abs[0], q[1] - last_abs[1], q[2] - last_abs[2]];
-                    encode_residual(&mut enc, &mut models.seed, r);
-                    last_abs = q;
-                    disc[v as usize] = Some(next_disc);
-                    order.push(v);
-                    next_disc += 1;
-                }
-            }
+        let [s0, s1, s2] = mesh.faces[seed_face];
+        for v in [s0, s1, s2] {
+            vertex(&mut enc, CTX_SEED_OP, v, last_abs, CTX_SEED);
+            last_abs = qpos[v as usize];
         }
-        let (s0, s1, s2) = (f[0], f[1], f[2]);
-        stack.push((s1, s0, s2));
-        stack.push((s2, s1, s0));
-        stack.push((s0, s2, s1));
+        stack.extend([(s1, s0, s2), (s2, s1, s0), (s0, s2, s1)]);
 
         while let Some((u, v, opp)) = stack.pop() {
-            let hit = edge_map.get(&(u, v)).copied();
-            let (fi, c) = match hit {
-                Some((fi, c)) if !visited[fi as usize] => (fi, c),
+            // The first face in face order on directed edge (u, v);
+            // later duplicates (non-manifold) are reached via seeding.
+            let group = &edges[first[u as usize] as usize..first[u as usize + 1] as usize];
+            let op = match group.iter().find(|e| e[0] == v) {
+                Some(&[_, fi, c]) if !visited[fi as usize] => {
+                    visited[fi as usize] = true;
+                    stack.push((c, v, u));
+                    stack.push((u, c, v));
+                    vertex(&mut enc, op_context, c, parallelogram(&qpos, u, v, opp), CTX_ATTACH)
+                }
                 _ => {
-                    enc.encode_bit(&mut models.skip, 1);
-                    continue;
+                    enc.symbol(op_context, OP_SKIP);
+                    OP_SKIP
                 }
             };
-            enc.encode_bit(&mut models.skip, 0);
-            visited[fi as usize] = true;
-            match disc[c as usize] {
-                Some(d) => {
-                    enc.encode_bit(&mut models.is_new, 0);
-                    encode_bucketed(&mut enc, &mut models.backref, next_disc - 1 - d);
-                }
-                None => {
-                    enc.encode_bit(&mut models.is_new, 1);
-                    let (qu, qv, qo) =
-                        (qpos[u as usize], qpos[v as usize], qpos[opp as usize]);
-                    let pred = [qu[0] + qv[0] - qo[0], qu[1] + qv[1] - qo[1], qu[2] + qv[2] - qo[2]];
-                    let q = qpos[c as usize];
-                    let r = [q[0] - pred[0], q[1] - pred[1], q[2] - pred[2]];
-                    encode_residual(&mut enc, &mut models.attach, r);
-                    disc[c as usize] = Some(next_disc);
-                    order.push(c);
-                    next_disc += 1;
-                }
-            }
-            stack.push((c, v, u));
-            stack.push((u, c, v));
+            op_context = next_op_context(op_context, op);
         }
     }
 
-    out.extend_from_slice(&enc.finish());
+    // Pass 2: histogram, tables, code.
+    enc.finish(&ALPHABETS, &mut out);
+    timer.stop("compress.mesh.encode_us");
+    // Raw baseline: 12 bytes/vertex position + 12 bytes/face of indices.
+    let raw = mesh.vertices.len() * 12 + mesh.faces.len() * 12;
+    holo_trace::histogram("compress.mesh.ratio_permille", out.len() as u64 * 1000 / raw.max(1) as u64);
+    holo_trace::counter("compress.mesh.bytes_out", out.len() as u64);
     (out, order)
 }
 
 /// Decode a mesh produced by [`encode_mesh`]. Vertices come back in
 /// discovery order; faces keep their original winding.
 ///
-/// Hostile-input contract: never panics (all header parsing is
-/// bounds-checked, residual arithmetic wraps instead of overflowing),
-/// and never allocates beyond what the coded bytes actually pay for —
-/// a truncated or zero-padded stream is caught by the range decoder's
-/// exhaustion check instead of spinning to a 100M-face declared count.
+/// Hostile-input contract: never panics (header parsing is bounds-checked,
+/// residual arithmetic wraps), never sizes a buffer from a declared count
+/// — vectors grow with the faces the coded bytes actually yield — and
+/// accepts only a stream consumed to its last byte (see [`RansDecoder`]).
 pub fn decode_mesh(data: &[u8]) -> Result<TriMesh, DecodeError> {
-    if !holo_trace::enabled() {
-        return decode_mesh_inner(data);
-    }
     let timer = holo_trace::WallTimer::start();
     let out = decode_mesh_inner(data);
     timer.stop("compress.mesh.decode_us");
     out
 }
 
-/// Most faces one coded byte can legitimately produce: a saturated
-/// skip/is_new model pair costs ~0.011 bits per face, so ~715
-/// faces/byte is the physical ceiling; 1024 adds margin without
-/// admitting absurd declared counts.
-const MAX_FACES_PER_BYTE: usize = 1024;
+/// Most faces one coded byte can legitimately produce. A face costs at
+/// least two symbols (its op, then a back-reference slot or three
+/// residual slots), and the 12-bit static tables cap a frequency at
+/// 4095/4096, so a symbol costs at least log2(4096/4095) = 3.523e-4
+/// bits: 8 / (2 × 3.523e-4) = 11 355.6 faces per byte.
+const MAX_FACES_PER_BYTE: usize = 11_356;
+
+/// The vertex `op` names: a back-reference into `qverts`, or a new
+/// entry decoded as a residual on `pred` under `context`.
+fn decode_vertex(
+    dec: &mut RansDecoder<'_>,
+    op: u32,
+    qverts: &mut Vec<QPos>,
+    mut pred: QPos,
+    context: usize,
+) -> Result<u32, DecodeError> {
+    let n = qverts.len() as u32;
+    if op == OP_KNOWN {
+        let back = dec.bucketed(CTX_BACKREF)?;
+        if back >= n {
+            return Err(DecodeError::corrupt("mesh", "backref out of range"));
+        }
+        return Ok(n - 1 - back);
+    }
+    for (k, p) in pred.iter_mut().enumerate() {
+        *p = p.wrapping_add(unzigzag(dec.bucketed(context + k)?));
+    }
+    qverts.push(pred);
+    Ok(n)
+}
 
 fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
     let mut r = ByteReader::new(data);
     r.expect_magic(MAGIC)?;
-    let _bits = r.u8()?;
+    let bits = r.u8()? as u32;
+    if !BITS_RANGE.contains(&bits) {
+        return Err(DecodeError::corrupt("mesh header", format!("position bits {bits} outside 4..=20")));
+    }
     let face_count = r.u32_le()? as usize;
     let fl = [r.f32_le()?, r.f32_le()?, r.f32_le()?, r.f32_le()?];
     let (origin, step) = (Vec3::new(fl[0], fl[1], fl[2]), fl[3]);
@@ -262,13 +266,8 @@ fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
         return Err(DecodeError::corrupt("mesh header", "invalid quantization step"));
     }
 
-    let mut mesh = TriMesh::new();
-    if face_count == 0 {
-        return Ok(mesh);
-    }
-    // Guard against absurd declared counts on corrupted input: more
-    // faces than the coded bytes could possibly encode.
-    let face_cap = data.len().saturating_mul(MAX_FACES_PER_BYTE).min(100_000_000);
+    // More faces declared than the coded bytes could possibly encode?
+    let face_cap = r.remaining().saturating_mul(MAX_FACES_PER_BYTE).min(100_000_000);
     if face_count > face_cap {
         return Err(DecodeError::LimitExceeded {
             what: "mesh faces",
@@ -277,86 +276,41 @@ fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
         });
     }
 
-    let mut dec = RangeDecoder::new(r.rest());
-    let mut models = Models::new();
+    let mut dec = RansDecoder::new(&mut r, &ALPHABETS)?;
+    let mut mesh = TriMesh::new();
     let mut qverts: Vec<QPos> = Vec::new();
     let mut last_abs: QPos = [0, 0, 0];
+    let mut op_context = 0;
     let mut stack: Vec<(u32, u32, u32)> = Vec::new();
 
-    let decode_residual = |dec: &mut RangeDecoder<'_>, trees: &mut [BitTree; 3]| -> QPos {
-        let mut r = [0i32; 3];
-        for (k, tree) in trees.iter_mut().enumerate() {
-            r[k] = unzigzag(decode_bucketed(dec, tree));
-        }
-        r
-    };
-
     while mesh.faces.len() < face_count {
-        if dec.exhausted() {
-            // A valid stream always carries enough coded bytes for its
-            // declared face count; running dry means truncation (or a
-            // zero-fed tail after corruption).
-            return Err(DecodeError::Truncated { needed: face_count, available: mesh.faces.len() });
+        // Seed triangle.
+        let mut ids = [0u32; 3];
+        for id in &mut ids {
+            let op = dec.symbol(CTX_SEED_OP)?;
+            *id = decode_vertex(&mut dec, op, &mut qverts, last_abs, CTX_SEED)?;
+            last_abs = qverts[*id as usize];
         }
-        if stack.is_empty() {
-            // Seed triangle.
-            let mut ids = [0u32; 3];
-            for slot in &mut ids {
-                if dec.decode_bit(&mut models.seed_known) == 1 {
-                    let back = decode_bucketed(&mut dec, &mut models.backref);
-                    let n = qverts.len() as u32;
-                    if back >= n {
-                        return Err(DecodeError::corrupt("mesh", "seed backref out of range"));
-                    }
-                    *slot = n - 1 - back;
-                } else {
-                    let r = decode_residual(&mut dec, &mut models.seed);
-                    // Wrapping: hostile residuals may not fit i32 sums;
-                    // the reconstructed positions are garbage either
-                    // way, but the decoder must not panic in debug.
-                    let q = [
-                        last_abs[0].wrapping_add(r[0]),
-                        last_abs[1].wrapping_add(r[1]),
-                        last_abs[2].wrapping_add(r[2]),
-                    ];
-                    last_abs = q;
-                    *slot = qverts.len() as u32;
-                    qverts.push(q);
-                }
+        mesh.faces.push(ids);
+        let [s0, s1, s2] = ids;
+        stack.extend([(s1, s0, s2), (s2, s1, s0), (s0, s2, s1)]);
+
+        while let Some((u, v, opp)) = stack.pop() {
+            let op = dec.symbol(op_context)?;
+            op_context = next_op_context(op_context, op);
+            if op == OP_SKIP {
+                continue;
             }
-            mesh.faces.push(ids);
-            let (s0, s1, s2) = (ids[0], ids[1], ids[2]);
-            stack.push((s1, s0, s2));
-            stack.push((s2, s1, s0));
-            stack.push((s0, s2, s1));
-            continue;
+            let pred = parallelogram(&qverts, u, v, opp);
+            let c = decode_vertex(&mut dec, op, &mut qverts, pred, CTX_ATTACH)?;
+            mesh.faces.push([u, v, c]);
+            stack.push((c, v, u));
+            stack.push((u, c, v));
         }
-        let Some((u, v, opp)) = stack.pop() else { unreachable!("stack checked non-empty") };
-        if dec.decode_bit(&mut models.skip) == 1 {
-            continue;
-        }
-        let c = if dec.decode_bit(&mut models.is_new) == 1 {
-            let (qu, qv, qo) = (qverts[u as usize], qverts[v as usize], qverts[opp as usize]);
-            let r = decode_residual(&mut dec, &mut models.attach);
-            let q = [
-                qu[0].wrapping_add(qv[0]).wrapping_sub(qo[0]).wrapping_add(r[0]),
-                qu[1].wrapping_add(qv[1]).wrapping_sub(qo[1]).wrapping_add(r[1]),
-                qu[2].wrapping_add(qv[2]).wrapping_sub(qo[2]).wrapping_add(r[2]),
-            ];
-            let id = qverts.len() as u32;
-            qverts.push(q);
-            id
-        } else {
-            let back = decode_bucketed(&mut dec, &mut models.backref);
-            let n = qverts.len() as u32;
-            if back >= n {
-                return Err(DecodeError::corrupt("mesh", "backref out of range"));
-            }
-            n - 1 - back
-        };
-        mesh.faces.push([u, v, c]);
-        stack.push((c, v, u));
-        stack.push((u, c, v));
+    }
+    dec.finish()?;
+    if mesh.faces.len() != face_count {
+        return Err(DecodeError::corrupt("mesh", "more faces coded than declared"));
     }
 
     mesh.vertices = qverts
@@ -528,6 +482,52 @@ mod tests {
         let mut data = encode_mesh(&mesh, &MeshCodecConfig::default());
         data[0] ^= 0xFF;
         assert!(decode_mesh(&data).is_err());
+    }
+
+    #[test]
+    fn header_bits_byte_is_validated() {
+        let mut data = encode_mesh(&sphere_mesh(), &MeshCodecConfig::default());
+        assert_eq!(data[4], 14);
+        for bad in [0, 3, 21, 0xFF] {
+            data[4] = bad;
+            let err = decode_mesh(&data).unwrap_err();
+            assert!(
+                matches!(err, DecodeError::Corrupt { context: "mesh header", .. }),
+                "bits {bad}: {err}"
+            );
+        }
+        for good in [4, 20] {
+            data[4] = good;
+            decode_mesh(&data).expect("bits only label the quantization");
+        }
+    }
+
+    #[test]
+    fn stream_must_be_consumed_exactly() {
+        let mut m = sphere_mesh();
+        m.append(&TriMesh::uv_sphere(Vec3::new(5.0, 0.0, 0.0), 0.5, 4, 6));
+        for mesh in [m, TriMesh::new()] {
+            let data = encode_mesh(&mesh, &MeshCodecConfig::default());
+            decode_mesh(&data).unwrap();
+            for cut in 0..data.len() {
+                assert!(decode_mesh(&data[..cut]).is_err(), "truncation to {cut}/{}", data.len());
+            }
+            let mut long = data.clone();
+            long.push(0);
+            assert!(decode_mesh(&long).is_err(), "trailing byte accepted");
+        }
+    }
+
+    #[test]
+    fn declared_faces_beyond_what_bytes_can_pay_for_are_refused() {
+        let mut data = encode_mesh(&sphere_mesh(), &MeshCodecConfig::default());
+        data[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_mesh(&data).unwrap_err().kind(), "limit_exceeded");
+        // Within the cap but more than the stream holds: the coded
+        // bytes run dry, nothing was sized from the forged count.
+        let forged = (data.len() * 100) as u32;
+        data[5..9].copy_from_slice(&forged.to_le_bytes());
+        assert_eq!(decode_mesh(&data).unwrap_err().kind(), "truncated");
     }
 
     #[test]

@@ -13,16 +13,18 @@
 //! - keyframe: the full static-codec bitstream ([`crate::meshcodec`]).
 //! - delta frame: per-vertex quantized position residuals against the
 //!   *previous reconstructed* frame (closed loop, so errors never
-//!   accumulate), zigzag + bucketed range coding.
+//!   accumulate), zigzag + bucketed static rANS ([`crate::rans`]).
 
 use crate::meshcodec::{decode_mesh, encode_mesh_with_permutation, MeshCodecConfig};
 use crate::primitives::{unzigzag, zigzag};
-use crate::rc::{decode_bucketed, encode_bucketed, BitTree, RangeDecoder, RangeEncoder};
+use crate::rans::{RansDecoder, RansEncoder};
 use holo_math::Vec3;
 use holo_mesh::trimesh::TriMesh;
 use holo_runtime::ser::{ByteReader, DecodeError};
 
-const DELTA_MAGIC: u32 = 0x4D44_4C54; // "MDLT"
+const DELTA_MAGIC: u32 = 0x4D44_4C32; // "MDL2"
+/// One bucket-slot context per position component.
+const DELTA_ALPHABETS: [u8; 3] = [64; 3];
 const KEY_MAGIC: u32 = 0x4D4B_4559; // "MKEY"
 
 /// Encoder state: the previous frame as the receiver reconstructed it.
@@ -42,6 +44,7 @@ pub struct TemporalMeshEncoder {
 }
 
 /// Decoder state.
+#[derive(Default)]
 pub struct TemporalMeshDecoder {
     reference: Option<TriMesh>,
 }
@@ -85,8 +88,7 @@ impl TemporalMeshEncoder {
         out.extend_from_slice(&DELTA_MAGIC.to_le_bytes());
         out.extend_from_slice(&(reference.vertex_count() as u32).to_le_bytes());
         out.extend_from_slice(&self.delta_step.to_le_bytes());
-        let mut enc = RangeEncoder::new();
-        let mut trees = [BitTree::new(6), BitTree::new(6), BitTree::new(6)];
+        let mut enc = RansEncoder::default();
         let inv = 1.0 / self.delta_step;
         // Closed loop: the reference advances by the *quantized* deltas,
         // in the decoder's (permuted) vertex order.
@@ -98,34 +100,28 @@ impl TemporalMeshEncoder {
                 (d.y * inv).round() as i32,
                 (d.z * inv).round() as i32,
             ];
-            for (k, tree) in trees.iter_mut().enumerate() {
-                encode_bucketed(&mut enc, tree, zigzag(q[k]));
+            for (k, &c) in q.iter().enumerate() {
+                enc.bucketed(k, zigzag(c));
             }
             *r += Vec3::new(q[0] as f32, q[1] as f32, q[2] as f32) * self.delta_step;
         }
-        out.extend_from_slice(&enc.finish());
+        enc.finish(&DELTA_ALPHABETS, &mut out);
         out
-    }
-}
-
-impl Default for TemporalMeshDecoder {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 impl TemporalMeshDecoder {
     /// Fresh decoder (expects a keyframe first).
     pub fn new() -> Self {
-        Self { reference: None }
+        Self::default()
     }
 
     /// Decode one frame.
     ///
     /// Hostile-input contract: typed errors on truncation, bad magic,
     /// and count/step mismatches; a delta frame whose coded bytes run
-    /// dry mid-stream is rejected (and the reference rolled back)
-    /// instead of silently applying zero-fed garbage deltas.
+    /// dry mid-stream, or are not consumed to the last one, is rejected
+    /// and leaves the reference as it was.
     pub fn decode(&mut self, data: &[u8]) -> Result<TriMesh, DecodeError> {
         let mut r = ByteReader::new(data);
         let magic = r.u32_le()?;
@@ -150,21 +146,18 @@ impl TemporalMeshDecoder {
                 if !step.is_finite() || step <= 0.0 {
                     return Err(DecodeError::corrupt("temporal", "invalid delta step"));
                 }
-                let mut dec = RangeDecoder::new(r.rest());
-                let mut trees = [BitTree::new(6), BitTree::new(6), BitTree::new(6)];
+                let mut dec = RansDecoder::new(&mut r, &DELTA_ALPHABETS)?;
                 // Closed loop: apply to a scratch copy so a mid-stream
                 // truncation doesn't poison the reference.
                 let mut verts = reference.vertices.clone();
-                for (i, v) in verts.iter_mut().enumerate() {
-                    if dec.exhausted() {
-                        return Err(DecodeError::Truncated { needed: nv, available: i });
-                    }
+                for v in &mut verts {
                     let mut q = [0i32; 3];
-                    for (k, tree) in trees.iter_mut().enumerate() {
-                        q[k] = unzigzag(decode_bucketed(&mut dec, tree));
+                    for (k, c) in q.iter_mut().enumerate() {
+                        *c = unzigzag(dec.bucketed(k)?);
                     }
                     *v += Vec3::new(q[0] as f32, q[1] as f32, q[2] as f32) * step;
                 }
+                dec.finish()?;
                 reference.vertices = verts;
                 let mut out = reference.clone();
                 out.compute_normals();
