@@ -82,7 +82,7 @@ impl Texture {
                 let (base, detail) = if v < 0.33 {
                     (Vec3::new(0.85, 0.66, 0.55), ((u * 40.0).sin() * (v * 55.0).cos()) * 0.03)
                 } else {
-                    let stripe = if ((v * 24.0) as u32) % 2 == 0 { 0.12 } else { -0.05 };
+                    let stripe = if ((v * 24.0) as u32).is_multiple_of(2) { 0.12 } else { -0.05 };
                     (Vec3::new(0.25, 0.35, 0.60) + Vec3::splat(stripe), ((u * 90.0).sin() * (v * 70.0).sin()) * 0.06)
                 };
                 let c = base + Vec3::splat(detail);
@@ -147,8 +147,8 @@ impl TextureCodec {
             for bx in 0..tex.width.div_ceil(4) {
                 // Gather the block (edge-clamped).
                 let mut pix = [[0u8; 3]; 16];
-                for i in 0..16 {
-                    pix[i] = tex.get(bx * 4 + (i % 4) as u32, by * 4 + (i / 4) as u32);
+                for (i, p) in pix.iter_mut().enumerate() {
+                    *p = tex.get(bx * 4 + (i % 4) as u32, by * 4 + (i / 4) as u32);
                 }
                 // Endpoints: min/max along the principal luminance axis.
                 let lum = |p: [u8; 3]| p[0] as u32 * 2 + p[1] as u32 * 5 + p[2] as u32;

@@ -100,6 +100,7 @@ if command -v cargo-clippy >/dev/null 2>&1; then
   cargo clippy -q --offline -p holo-mesh --no-deps --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-body --no-deps --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-capture --no-deps --all-targets -- -D warnings
+  cargo clippy -q --offline -p holo-compress --no-deps --all-targets -- -D warnings
 else
   echo "==> clippy unavailable; skipping lint step"
 fi
