@@ -5,7 +5,7 @@
 //! kind, sequence number, length, CRC32 — so a receiver can tell
 //! *before decoding* whether the bytes it holds are the bytes that were
 //! sent. The paper's semantic payloads are compact and structure-heavy:
-//! one flipped bit in a range-coded mesh stream silently reshapes a
+//! one flipped bit in an entropy-coded mesh stream silently reshapes a
 //! whole avatar, which is why the envelope checksums every payload and
 //! [`Session`]/the SFU treat a failed check as a *detected loss* the
 //! resilience layer (retransmit / FEC / ladder) can then repair.
