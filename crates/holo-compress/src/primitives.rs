@@ -46,10 +46,9 @@ pub fn read_varint(data: &[u8]) -> Option<(u32, usize)> {
     None
 }
 
-/// Split `value` into its bucket slot (< 64) and the bit width of the
-/// mantissa under it — LZMA's distance slots: values below 4 are their
-/// own slot; above, a slot names the top bit's position and the bit under
-/// it (so its values start at `(2 | slot & 1) << bits`), the rest is raw.
+/// Split `value` into its bucket slot (< 64) and the bit width of the raw
+/// mantissa under it — LZMA's distance slots: values below 4 are their own
+/// slot; above, a slot names the top bit's position and the bit under it.
 #[inline]
 pub fn bucket_slot(value: u32) -> (u32, u32) {
     if value < 4 {
@@ -57,6 +56,17 @@ pub fn bucket_slot(value: u32) -> (u32, u32) {
     }
     let top = 31 - value.leading_zeros();
     ((top << 1) | ((value >> (top - 1)) & 1), top - 1)
+}
+
+/// Inverse of [`bucket_slot`]: the first value of `slot`'s bucket and
+/// the bit width of the mantissa to add to it.
+#[inline]
+pub fn bucket_base(slot: u32) -> (u32, u32) {
+    if slot < 4 {
+        return (slot, 0);
+    }
+    let bits = (slot >> 1) - 1;
+    ((2 | (slot & 1)) << bits, bits)
 }
 
 /// In-place forward delta: `out[i] = in[i] - in[i-1]` (first element kept).

@@ -13,7 +13,7 @@
 //! of the rANS bytes, those bytes (initial state first, big endian), then
 //! the mantissas, LSB first, to the end of the buffer.
 
-use crate::primitives::{bucket_slot, write_varint};
+use crate::primitives::{bucket_base, bucket_slot, write_varint};
 use holo_runtime::ser::{ByteReader, DecodeError};
 
 const SCALE_BITS: u32 = 12;
@@ -196,11 +196,7 @@ impl<'a> RansDecoder<'a> {
     /// Inverse of [`RansEncoder::bucketed`].
     #[inline]
     pub fn bucketed(&mut self, context: usize) -> Result<u32, DecodeError> {
-        let slot = self.symbol(context)?;
-        if slot < 4 {
-            return Ok(slot);
-        }
-        let bits = (slot >> 1) - 1;
+        let (base, bits) = bucket_base(self.symbol(context)?);
         while self.acc_bits < bits {
             self.acc |= (self.mantissas.u8()? as u64) << self.acc_bits;
             self.acc_bits += 8;
@@ -208,7 +204,7 @@ impl<'a> RansDecoder<'a> {
         let mantissa = self.acc as u32 & ((1 << bits) - 1);
         self.acc >>= bits;
         self.acc_bits -= bits;
-        Ok(((2 | (slot & 1)) << bits) + mantissa)
+        Ok(base + mantissa)
     }
 
     /// Close the stream: the state must be back at the encoder's initial constant,

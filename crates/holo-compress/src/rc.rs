@@ -249,14 +249,8 @@ pub fn encode_bucketed(enc: &mut RangeEncoder, slot_tree: &mut BitTree, value: u
 
 /// Inverse of [`encode_bucketed`].
 pub fn decode_bucketed(dec: &mut RangeDecoder<'_>, slot_tree: &mut BitTree) -> u32 {
-    let slot = dec.decode_tree(slot_tree);
-    if slot < 4 {
-        slot
-    } else {
-        let bits = (slot >> 1) - 1;
-        let base = (2 | (slot & 1)) << bits;
-        base + dec.decode_direct(bits)
-    }
+    let (base, bits) = crate::primitives::bucket_base(dec.decode_tree(slot_tree));
+    base + dec.decode_direct(bits)
 }
 
 #[cfg(test)]
