@@ -49,9 +49,12 @@ impl MarchingConfig {
 /// cost model that converts workload into modeled device time (Fig. 4).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExtractionStats {
-    /// Number of field evaluations performed.
+    /// Distinct positions sampled: neither extractor evaluates the field
+    /// twice at one point.
     pub field_evals: u64,
-    /// Number of grid cubes visited (dense: all; sparse: near-surface).
+    /// Leaf cubes whose eight corners were examined (dense: all; sparse:
+    /// the eight of every 2×2×2 block that survived pruning, crossing or
+    /// not).
     pub cubes_visited: u64,
     /// Triangles emitted before degenerate removal.
     pub triangles_emitted: u64,

@@ -320,7 +320,7 @@ pub struct GriddedUnion {
 /// Headroom in every culling inequality, meters. It absorbs what the
 /// real-number argument ignores: rounding inside the primitives (below
 /// `1e-5` at body scale), in the subtraction `smooth_min` performs, in the
-/// grid-cell index, and a leaf corner sitting at `radius * (1 + ulp)`.
+/// grid-cell index, and a block corner sitting at `radius * (1 + ulp)`.
 const CULL_SLACK: f32 = 1e-3;
 
 impl GriddedUnion {

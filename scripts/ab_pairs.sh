@@ -1,0 +1,106 @@
+#!/usr/bin/env bash
+# The house A/B protocol (benchmark/README.md, "The estimator"): N
+# alternating pairs of one benchmark run at a parent commit and one at
+# the working tree, and per end-to-end metric every pair, both medians
+# with quartiles, the parent's interquartile range as a share of its
+# median, and the pairs the change won.
+#
+#   scripts/ab_pairs.sh <parent-ref> <workload|all> [pairs=10] [seconds=30] [seed=42]
+#
+# The parent is checked out under target/ab/ with `git archive` (not
+# `git worktree add`: nothing is left registered in .git, and rerunning
+# needs no prune), each side builds its own benchmark/ package with its
+# own CARGO_TARGET_DIR, and each binary runs from the root of its own
+# tree, so each writes its own benchmark/out. Odd pairs run the parent
+# first, even pairs the change. No network, nothing under benchmark/ is
+# touched. `all` takes the workloads of BENCHMARK.json one after another.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+[[ $# -ge 2 ]] || { sed -n '2,16s/^# \{0,1\}//p' "$0"; exit 2; }
+ref="$1" which="$2" pairs="${3:-10}" seconds="${4:-30}" seed="${5:-42}"
+root="$PWD" ab="$PWD/target/ab"
+commit="$(git rev-parse --short "${ref}^{commit}")"
+
+# BENCHMARK.json is one key per line: the workloads' names, and each
+# end-to-end metric's name with the direction that is better.
+workload_names() {
+  awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
+    on && /"name":/ { gsub(/[",]/, ""); print $2 }' BENCHMARK.json
+}
+metrics() {
+  awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+    on && /"name":/ { gsub(/[",]/, ""); name = $2 }
+    on && /"better":/ { gsub(/[",]/, ""); print name, $2 }' BENCHMARK.json
+}
+workloads="$which"
+[[ "$which" != all ]] || workloads="$(workload_names)"
+
+rm -rf "$ab/parent" "$ab/runs" && mkdir -p "$ab/parent" "$ab/runs"
+git archive "$commit" | tar -x -C "$ab/parent"
+echo "==> building parent ${commit} and the working tree" >&2
+(cd "$ab/parent" && CARGO_TARGET_DIR="$ab/parent-target" \
+  cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+CARGO_TARGET_DIR="$ab/change-target" \
+  cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
+# run <side> <workload> <pair>: the run's last stdout line, a JSON
+# object; all of its stdout is kept under target/ab/runs/.
+run() {
+  local dir="$root"
+  [[ "$1" == change ]] || dir="$ab/parent"
+  (cd "$dir" && "$ab/$1-target/release/semholo-benchmark" \
+    --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0) >"$ab/runs/$1_$2_$3.txt"
+  tail -n 1 "$ab/runs/$1_$2_$3.txt"
+}
+# field <json> <name>: a top-level number, or a metric's value.
+field() {
+  sed -n "s/.*\"$2\":\({\"value\":\)\{0,1\}\([-0-9.eE+]*\).*/\2/p" <<<"$1"
+}
+
+for workload in $workloads; do
+  parent=() change=()
+  for ((i = 1; i <= pairs; i++)); do
+    echo "--> ${workload}: pair ${i}/${pairs}" >&2
+    if ((i % 2)); then
+      parent+=("$(run parent "$workload" "$i")"); change+=("$(run change "$workload" "$i")")
+    else
+      change+=("$(run change "$workload" "$i")"); parent+=("$(run parent "$workload" "$i")")
+    fi
+  done
+  echo "== ${workload}: ${pairs} pairs x ${seconds} s, seed ${seed}, parent ${commit} vs working tree =="
+  failed=""
+  for ((i = 0; i < pairs; i++)); do
+    failed+=" $(field "${parent[i]}" failed)/$(field "${change[i]}" failed)"
+  done
+  echo "failed, parent/change:${failed}"
+  for side in parent change; do
+    echo "digests, ${side}:"
+    grep -h digest "$ab/runs/${side}_${workload}_"*.txt | sed 's/, [0-9]* [a-z]* agree//' | sort | uniq -c
+  done
+  metrics | while read -r metric better; do
+    for ((i = 0; i < pairs; i++)); do
+      echo "$(field "${parent[i]}" "$metric") $(field "${change[i]}" "$metric")"
+    done | awk -v metric="$metric" -v better="$better" '
+      # Quantile by linear interpolation between order statistics.
+      function quantile(v, n, p,    h, lo) {
+        h = (n - 1) * p; lo = int(h)
+        return v[lo + 1] + (h - lo) * (v[(lo + 1 < n ? lo + 2 : n)] - v[lo + 1])
+      }
+      function sorted(src, dst, n,    i, j, t) {
+        for (i = 1; i <= n; i++) dst[i] = src[i]
+        for (i = 2; i <= n; i++) for (j = i; j > 1 && dst[j - 1] > dst[j]; j--) { t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t }
+      }
+      { a[NR] = $1; b[NR] = $2; list = list sprintf(" %.6g/%.6g", $1, $2)
+        if ($1 != $2) { if (($2 < $1) == (better == "lower")) wins++; else losses++ } }
+      END {
+        sorted(a, sa, NR); sorted(b, sb, NR)
+        ma = quantile(sa, NR, 0.5); mb = quantile(sb, NR, 0.5)
+        printf "%s (%s is better)\n  pairs, parent/change:%s\n", metric, better, list
+        printf "  parent median %.6g [%.6g, %.6g], IQR %.2f %% of it\n", ma, quantile(sa, NR, 0.25), quantile(sa, NR, 0.75), (ma ? 100 * (quantile(sa, NR, 0.75) - quantile(sa, NR, 0.25)) / ma : 0)
+        printf "  change median %.6g [%.6g, %.6g], %+.2f %%", mb, quantile(sb, NR, 0.25), quantile(sb, NR, 0.75), (ma ? 100 * (mb - ma) / ma : 0)
+        if (ma && mb) printf " (%.2fx)", (better == "lower" ? ma / mb : mb / ma)
+        printf "\n  wins %d/%d, losses %d, ties %d\n", wins, NR, losses, NR - wins - losses
+      }'
+  done
+done

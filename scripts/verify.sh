@@ -105,6 +105,9 @@ else
   echo "==> clippy unavailable; skipping lint step"
 fi
 
+echo "==> scripts/ab_pairs.sh parses (not run here: it builds a second tree)"
+bash -n scripts/ab_pairs.sh
+
 echo "==> bench gate self-test: injected 2x slowdown must fail the gate"
 bash scripts/bench_gate.sh --self-test
 

@@ -4,9 +4,11 @@
 //! `BodySdf` can stop evaluating parts that are exact no-ops of the
 //! blend inside a node's bounding ball (DESIGN.md §15, "Exact no-op
 //! culling"). No test here needs a golden: one extracts the same body
-//! with and without narrowing; two properties check the scoped value
+//! with and without narrowing; one records where an extraction samples
+//! and holds it to "no lattice site twice, and nowhere else" ("The last
+//! level"); two properties check the scoped value
 //! pointwise on random nested balls — inside them and on their boundary,
-//! where the extractor's leaf corners sit — around bodies and around
+//! where the extractor's block corners sit — around bodies and around
 //! random unions, within the parts' box, astride its faces and outside it; one builds the case the listing condition exists for;
 //! and two check `distance` itself, which skips parts point by point
 //! ("Per-point culling"), against a fold of the same list that skips none.
@@ -15,11 +17,13 @@ use holo_body::motion::{MotionClip, MotionKind, MotionSynthesizer};
 use holo_body::skeleton::{Skeleton, JOINT_COUNT};
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_math::{Aabb, Pcg32, Vec3};
+use holo_mesh::marching::MarchingConfig;
 use holo_mesh::sdf::{smooth_min, GriddedUnion, Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
 use holo_mesh::sparse::sparse_extract_with_stats;
 use holo_runtime::check::any;
-use holo_runtime::{holo_prop, prop_assert_eq};
-use std::sync::OnceLock;
+use holo_runtime::{holo_prop, prop_assert, prop_assert_eq};
+use std::collections::HashSet;
+use std::sync::{Mutex, OnceLock};
 
 const KINDS: [MotionKind; 4] = [MotionKind::Idle, MotionKind::Talking, MotionKind::Waving, MotionKind::Walking];
 
@@ -95,6 +99,65 @@ fn extraction_without_narrowing_is_the_same_mesh() {
             (plain_stats.field_evals, plain_stats.cubes_visited, plain_stats.triangles_emitted),
             "{case}: counters"
         );
+    }
+}
+
+/// A body that notes where, and over what radius, `distance_in` is asked.
+/// `distance` is not noted: a debug build's extractor calls it to check
+/// each sample.
+struct Recording<'a> {
+    sdf: &'a BodySdf,
+    calls: Mutex<Vec<(Vec3, f32)>>,
+}
+
+impl Sdf for Recording<'_> {
+    fn distance(&self, p: Vec3) -> f32 {
+        self.sdf.distance(p)
+    }
+
+    fn bounds(&self) -> Aabb {
+        self.sdf.bounds()
+    }
+
+    fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        self.calls.lock().unwrap().push((p, radius));
+        self.sdf.distance_in(p, scope, radius)
+    }
+}
+
+holo_prop! {
+    #![cases(256)]
+
+    /// Every sample of an extraction is at a site of the leaf lattice —
+    /// a node's center is one, a leaf's center is not and is never asked
+    /// — and no site is asked twice: `field_evals` counts distinct
+    /// positions.
+    fn an_extraction_samples_lattice_sites_and_none_twice(seed in any::<u64>()) {
+        let mut rng = Pcg32::new(seed);
+        let sdf = &bodies()[rng.next_u32() as usize % bodies().len()].0;
+        let recording = Recording { sdf, calls: Mutex::default() };
+        let resolution = [16, 32, 64, 128][rng.next_u32() as usize % 4];
+        let safety = [0.0, 0.03, 0.1][rng.next_u32() as usize % 3];
+        let (mesh, stats) = sparse_extract_with_stats(&recording, resolution, safety);
+        prop_assert!(!mesh.faces.is_empty());
+
+        let calls = recording.calls.into_inner().unwrap();
+        prop_assert_eq!(stats.field_evals, calls.len() as u64);
+        let distinct: HashSet<[u32; 3]> = bits(&calls.iter().map(|c| c.0).collect::<Vec<_>>()).into_iter().collect();
+        prop_assert_eq!(distinct.len(), calls.len());
+
+        let lattice = MarchingConfig::for_sdf(sdf, resolution);
+        let (origin, cell) = (lattice.bounds.min, lattice.cell_size());
+        for &(p, radius) in &calls {
+            let site = <[f32; 3]>::from((p - origin) / cell).map(f32::round);
+            prop_assert!(site.iter().all(|c| (0.0..=resolution as f32).contains(c)), "{p:?} is outside the lattice");
+            prop_assert_eq!(bits(&[origin + Vec3::from(site) * cell]), bits(&[p]));
+            // A node of span 2^k >= 2 is centered on an odd multiple of
+            // 2^(k-1) and asks over its half diagonal; only a block's
+            // corners are asked over no radius at all.
+            let span = (radius / (cell * 0.5 * 1.732_051)).round();
+            prop_assert!(radius == 0.0 || (span >= 2.0 && site.iter().all(|c| c / (span * 0.5) % 2.0 == 1.0)), "{p:?} asked over {radius}");
+        }
     }
 }
 
