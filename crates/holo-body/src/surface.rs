@@ -358,10 +358,19 @@ impl Sdf for BodySdf {
     }
 
     /// The detail is a function of the point and the union's value, so
-    /// the scope is the union's alone.
+    /// which parts are alive is the union's alone; the interval the
+    /// union proves is loosened by what `detail` can add inside the ball.
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         let (d, scope) = self.union.distance_in(p, scope, radius);
-        (self.detail(p, d), scope)
+        let v = self.detail(p, d);
+        if radius == 0.0 {
+            return (v, scope); // the union bounds nothing at a point
+        }
+        // Every bump whose support meets the ball, at full strength, and
+        // the cloth's amplitude where the ball dips below the neck line.
+        let bumps: f32 = self.bumps.iter().filter(|&&(c, r, _)| (p - c).length() < r + radius).map(|b| b.2.abs()).sum();
+        let cloth = self.cloth.filter(|_| p.y - radius < self.cloth_top).map_or(0.0, |(amp, _)| amp);
+        (v, scope.loosened(bumps + cloth))
     }
 }
 

@@ -28,7 +28,8 @@ pub trait Sdf: Sync {
     /// consulting its parts the scope comes back unchanged. The octree's
     /// node balls nest; consecutive steps along a ray do not. A composite
     /// field uses it to stop evaluating parts that provably cannot change
-    /// the result there; the default narrows nothing.
+    /// the result there, and to say what values it can take there
+    /// ([`SdfScope::excludes`]); the default narrows and proves nothing.
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         let _ = radius;
         (self.distance(p), scope)
@@ -47,12 +48,31 @@ pub trait Sdf: Sync {
 /// [`Sdf::distance_in`] by the octree extractor. Opaque: only the field
 /// that narrowed a scope can read it, and it must only be handed back to
 /// that same field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SdfScope(u64);
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SdfScope {
+    /// For [`GriddedUnion`], the set of parts `0..64` still alive.
+    alive: u64,
+    /// The field's value stays in `lo..=hi` throughout the ball the scope
+    /// was narrowed for; infinite where the field has proven no bound.
+    lo: f32,
+    hi: f32,
+}
 
 impl SdfScope {
     /// Nothing is known yet; valid everywhere.
-    pub const ALL: Self = Self(u64::MAX);
+    pub const ALL: Self = Self { alive: u64::MAX, lo: f32::NEG_INFINITY, hi: f32::INFINITY };
+
+    /// True when the field has proven that it takes the value `v` nowhere
+    /// in the ball: no level set of `v` passes through it.
+    pub fn excludes(self, v: f32) -> bool {
+        v < self.lo || v > self.hi
+    }
+
+    /// The scope of a field that stays within `by` of the one that
+    /// narrowed this scope, throughout the ball.
+    pub fn loosened(self, by: f32) -> Self {
+        Self { lo: self.lo - by, hi: self.hi + by, ..self }
+    }
 }
 
 /// Sphere primitive.
@@ -150,11 +170,23 @@ pub struct SdfEllipsoid {
     pub radii: Vec3,
 }
 
+impl SdfEllipsoid {
+    fn r_min(&self) -> f32 {
+        self.radii.x.min(self.radii.y).min(self.radii.z)
+    }
+
+    /// The ellipsoid's gauge at offset `q` from its center: below 1
+    /// inside, 1 on the surface, and at most `1 / r_min` per meter steep.
+    fn k0(&self, q: Vec3) -> f32 {
+        Vec3::new(q.x / self.radii.x, q.y / self.radii.y, q.z / self.radii.z).length()
+    }
+}
+
 impl Sdf for SdfEllipsoid {
     fn distance(&self, p: Vec3) -> f32 {
         // IQ's ellipsoid bound: exact sign, conservative magnitude.
         let q = p - self.center;
-        let k0 = Vec3::new(q.x / self.radii.x, q.y / self.radii.y, q.z / self.radii.z).length();
+        let k0 = self.k0(q);
         let k1 = Vec3::new(
             q.x / (self.radii.x * self.radii.x),
             q.y / (self.radii.y * self.radii.y),
@@ -162,7 +194,7 @@ impl Sdf for SdfEllipsoid {
         )
         .length();
         if k1 < 1e-12 {
-            return -self.radii.x.min(self.radii.y).min(self.radii.z);
+            return -self.r_min();
         }
         k0 * (k0 - 1.0) / k1
     }
@@ -258,6 +290,34 @@ impl Primitive {
             Primitive::Ellipsoid(s) => (s.center, f32::INFINITY),
         }
     }
+
+    /// A value `distance` does not exceed within `radius` of `p`, where
+    /// it is `v`. An exact part rises no faster than the point moves. The
+    /// ellipsoid's bound does, but a ball inside the solid stays
+    /// `r_min * (1 - k0)` deep: `k0` rises by at most `radius / r_min`,
+    /// and `k0 / k1 >= r_min`. Unless the whole ball is inside, nothing
+    /// is claimed for it.
+    fn ceiling(&self, p: Vec3, v: f32, radius: f32) -> f32 {
+        match self {
+            Primitive::Ellipsoid(s) => {
+                let inside = radius - s.r_min() * (1.0 - s.k0(p - s.center));
+                if inside < 0.0 { inside } else { f32::INFINITY }
+            }
+            _ => v + radius,
+        }
+    }
+
+    /// True when `distance` falls no faster than the point moves along a
+    /// segment that stays outside the solid, and is at least `m` outside
+    /// the part's box padded by `m`. IQ's ellipsoid bound does both while
+    /// `r_max^2 <= 2 r_min^2` and the first for no longer (DESIGN.md §15,
+    /// "The field bounds itself").
+    fn falls_no_faster_outside(&self) -> bool {
+        match self {
+            Primitive::Ellipsoid(s) => s.radii.max_component().powi(2) <= 2.0 * s.r_min().powi(2),
+            _ => true,
+        }
+    }
 }
 
 impl Sdf for Primitive {
@@ -298,10 +358,11 @@ impl Sdf for Primitive {
 ///
 /// Through [`Sdf::distance_in`] it additionally drops parts that are
 /// exact no-ops of the blend throughout a ball (DESIGN.md §15, "Exact
-/// no-op culling"): the [`SdfScope`] is the set of parts `0..64` still alive.
-/// [`Sdf::distance`] has no region to reason about and instead skips, point
-/// by point, the parts whose bounding ball already proves them no-ops
-/// (§15, "Per-point culling").
+/// no-op culling"): the [`SdfScope`] is the set of parts `0..64` still
+/// alive, with an interval the value stays in throughout the ball (§15,
+/// "The field bounds itself"). [`Sdf::distance`] has no region to reason
+/// about and instead skips, point by point, the parts whose bounding
+/// ball already proves them no-ops (§15, "Per-point culling").
 pub struct GriddedUnion {
     parts: Vec<Primitive>,
     /// [`Primitive::bounding_ball`] of each part.
@@ -315,6 +376,9 @@ pub struct GriddedUnion {
     cell_start: Vec<u32>,
     listed: Vec<u16>,
     margin: f32,
+    /// Every part's value falls no faster than the point moves outside
+    /// the part — what a scope's lower bound rests on.
+    falls_no_faster: bool,
 }
 
 /// Headroom in every culling inequality, meters. It absorbs what the
@@ -381,7 +445,8 @@ impl GriddedUnion {
             }
         }
         let balls = parts.iter().map(Primitive::bounding_ball).collect();
-        Self { parts, balls, smoothness, bounds, dims, cell_start, listed, margin }
+        let falls_no_faster = parts.iter().all(Primitive::falls_no_faster_outside);
+        Self { parts, balls, smoothness, bounds, dims, cell_start, listed, margin, falls_no_faster }
     }
 
     /// Number of parts.
@@ -432,14 +497,15 @@ impl GriddedUnion {
     /// The one evaluation body. `SCOPED = false` is `distance`: nothing
     /// is narrowed, at no cost for the bookkeeping, and a listed part is
     /// skipped when its bounding ball proves it a no-op at `p`.
-    /// `SCOPED = true` skips parts dead in `scope` and kills those that
-    /// are no-ops throughout the ball of `radius`.
+    /// `SCOPED = true` skips parts dead in `scope`, kills those that
+    /// are no-ops throughout the ball of `radius`, and bounds the value
+    /// there (DESIGN.md §15, "The field bounds itself").
     fn eval<const SCOPED: bool>(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         let cell = match self.listed_at(p) {
             Ok(cell) => cell,
             Err(outside) => return (outside, scope),
         };
-        let mut alive = scope.0;
+        let mut alive = scope.alive;
         // Part i is a no-op within `radius` when an earlier exact part j,
         // listed in every grid cell the ball touches, is nearer by `gap`.
         let gap = self.smoothness + 2.0 * radius + CULL_SLACK;
@@ -447,7 +513,13 @@ impl GriddedUnion {
         // there — when j is at most this far from the center.
         let witness_reach = self.margin - radius - CULL_SLACK;
         let narrowing = SCOPED && witness_reach >= 0.0;
+        // A point has no region to bound.
+        let bounding = SCOPED && radius > 0.0;
         let mut nearest_exact = f32::INFINITY;
+        let mut hi = f32::INFINITY;
+        // The same fold begun at the clamp: no part unlisted here, more
+        // than `margin` away, can take the union's fold below it.
+        let mut floor = self.cap();
         let mut d = f32::INFINITY;
         for &pi in cell {
             // Parts past the mask width have no bit and stay alive.
@@ -473,9 +545,20 @@ impl GriddedUnion {
                 }
                 nearest_exact = nearest_exact.min(v);
             }
+            if bounding {
+                // The blend never exceeds a blended part, and where a
+                // part is not listed it is farther than the clamp.
+                hi = hi.min(part.ceiling(p, v, radius));
+                floor = smooth_min(floor, v, self.smoothness);
+            }
             d = smooth_min(d, v, self.smoothness);
         }
-        (d.min(self.cap()), SdfScope(alive))
+        // A fold falls no faster than its fastest argument, and a segment
+        // that enters an ellipsoid starts within `radius` of it, where
+        // `lo` is negative.
+        let lo = floor - radius - CULL_SLACK;
+        let lo = if bounding && self.falls_no_faster && lo > 0.0 { lo } else { f32::NEG_INFINITY };
+        (d.min(self.cap()), SdfScope { alive, lo, hi: hi + CULL_SLACK })
     }
 }
 
@@ -544,12 +627,18 @@ impl Sdf for Box<dyn Sdf + Send> {
     fn bounds(&self) -> Aabb {
         (**self).bounds()
     }
+
+    fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        (**self).distance_in(p, scope, radius)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use holo_math::{approx_eq, Pcg32};
+    use holo_runtime::check::any;
+    use holo_runtime::{holo_prop, prop_assert};
 
     #[test]
     fn sphere_distance_exact() {
@@ -605,6 +694,76 @@ mod tests {
         assert!(e.distance(Vec3::new(3.0, 0.0, 0.0)) > 0.0);
         assert!(approx_eq(e.distance(Vec3::new(2.0, 0.0, 0.0)), 0.0, 1e-4));
         assert!(approx_eq(e.distance(Vec3::new(0.0, 0.0, 0.5)), 0.0, 1e-4));
+    }
+
+    holo_prop! {
+        #![cases(1024)]
+
+        /// What a scope's lower bound rests on: while `r_max <= sqrt(2) r_min`
+        /// IQ's bound falls no faster than the point moves, along any
+        /// segment that stays outside the ellipsoid, and outside the
+        /// ellipsoid's box padded by a margin — where the grid no longer
+        /// lists it — it reads no less than that margin. (The `1e-6` is
+        /// `f32` rounding of two values near 1.)
+        fn a_rounded_ellipsoids_bound_falls_no_faster_than_the_point_moves(seed in any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let r_min = rng.range_f32(0.02, 0.2);
+            let mut radii = [r_min, r_min * rng.range_f32(1.0, 1.414), r_min * rng.range_f32(1.0, 1.414)];
+            radii.rotate_left(rng.next_u32() as usize % 3);
+            let e = SdfEllipsoid { center: Vec3::ZERO, radii: Vec3::from(radii) };
+            prop_assert!(Primitive::Ellipsoid(e).falls_no_faster_outside());
+            let unit = |rng: &mut Pcg32| Vec3::new(rng.normal(), rng.normal(), rng.normal()).normalized();
+            let scaled = |p: Vec3| Vec3::new(p.x / radii[0], p.y / radii[1], p.z / radii[2]);
+            for i in 0..64 {
+                // From the skin to ten radii out; any direction, and the
+                // one the bound falls fastest in.
+                let a = unit(&mut rng).mul_elem(e.radii) * (1.0 + rng.range_f32(0.0, 3.0).powi(2));
+                let heading = if i % 2 == 0 { unit(&mut rng) } else { -e.normal(a, 1e-3) };
+                let b = a + heading * rng.range_f32(0.01, 0.5);
+                // The gauge is the length in scaled space, so its least
+                // value on the segment is at the foot of the perpendicular.
+                let (u, w) = (scaled(a), scaled(b - a));
+                let foot = u + w * (-u.dot(w) / w.length_sq()).clamp(0.0, 1.0);
+                if foot.length() < 1.0 {
+                    continue;
+                }
+                let fell = e.distance(a) - e.distance(b);
+                prop_assert!(fell <= (a - b).length() * (1.0 + 1e-5) + 1e-6, "{e:?}: {a:?} -> {b:?} fell {fell} over {}", (a - b).length());
+
+                // A point on a face of the padded box, and beyond it.
+                let margin = rng.range_f32(0.01, 0.5);
+                let mut q = <[f32; 3]>::from(unit(&mut rng).mul_elem(e.radii + Vec3::splat(margin)) * 2.0);
+                let axis = rng.next_u32() as usize % 3;
+                q[axis] = (radii[axis] + margin + rng.range_f32(0.0, 0.2).powi(2)).copysign(q[axis]);
+                let read = e.distance(Vec3::from(q));
+                prop_assert!(read >= margin * (1.0 - 1e-5) - 1e-6, "{e:?}: {read} at {q:?}, outside the box padded by {margin}");
+            }
+        }
+    }
+
+    /// Past `sqrt(2)` it does not hold, so the gate on `lo` is needed: off
+    /// the tip of a 1 : 3 : 1 ellipsoid the bound falls more than twice
+    /// as fast as the point moves, and a union holding that ellipsoid
+    /// reports no lower bound where a rounder one does.
+    #[test]
+    fn an_elongated_ellipsoids_bound_outruns_the_point_and_its_union_reports_no_floor() {
+        let long = SdfEllipsoid { center: Vec3::ZERO, radii: Vec3::new(0.1, 0.3, 0.1) };
+        let (a, b) = (Vec3::new(0.29, -4.0, 0.0), Vec3::new(0.30, -4.0, 0.0));
+        assert!(long.k0(a) > 1.0 && long.k0(b) > 1.0, "both outside");
+        assert!(long.distance(a) - long.distance(b) > 2.0 * (a - b).length(), "{} -> {}", long.distance(a), long.distance(b));
+        assert!(!Primitive::Ellipsoid(long).falls_no_faster_outside());
+
+        let round = SdfEllipsoid { radii: Vec3::new(0.1, 0.14, 0.1), ..long };
+        let scope_of = |e: SdfEllipsoid| {
+            let union = GriddedUnion::build(vec![Primitive::Ellipsoid(e)], 0.02, 8, 0.3);
+            let (d, scope) = union.distance_in(Vec3::new(0.2, 0.0, 0.0), SdfScope::ALL, 0.05);
+            assert!((d - 0.1).abs() < 1e-6, "outside, 5 cm clear of the ball: {d}");
+            scope
+        };
+        let (long, round) = (scope_of(long), scope_of(round));
+        assert_eq!(long.lo, f32::NEG_INFINITY);
+        assert!((round.lo - (0.1 - 0.05 - CULL_SLACK)).abs() < 1e-6, "{round:?}");
+        assert!(round.excludes(0.0) && !long.excludes(0.0));
     }
 
     #[test]
@@ -679,8 +838,10 @@ mod tests {
     /// Two overlapping spheres: within `cap` of the parts the gridded
     /// union *is* the plain union, outside the content box as well as in
     /// it, so the two extractions are the same surface — closed, genus 0,
-    /// the same triangles over the same lattice edges, every vertex
-    /// bit-identical — found by the same descent.
+    /// the same triangles over the same lattice edges, every vertex and
+    /// normal bit-identical. The plain union proves nothing about a
+    /// region, so its descent is the assumed band's alone; the gridded
+    /// union's own interval only ever takes nodes away from that.
     #[test]
     fn gridded_union_extracts_the_plain_unions_surface() {
         let spheres = [
@@ -702,14 +863,12 @@ mod tests {
         assert_eq!(mesh.vertices.len(), reference.vertices.len());
         let moved = mesh.vertices.iter().zip(&reference.vertices).filter(|(a, b)| a != b).count();
         assert_eq!(moved, 0, "vertices that differ, of {}", mesh.vertices.len());
-        // The box distance kept every node along six faces alive; the
-        // clamp to `cap` costs this descent nothing against the plain
-        // union's true far field — measured, not owed: a field clamped
-        // lower could keep a coarse node more.
-        assert_eq!(
-            (stats.cubes_visited, stats.field_evals),
-            (reference_stats.cubes_visited, reference_stats.field_evals),
-            "leaves and samples, against the plain union's"
+        let turned = mesh.normals.iter().zip(&reference.normals).filter(|(a, b)| a != b).count();
+        assert_eq!((turned, mesh.normals.len()), (0, reference.normals.len()), "normals that differ");
+        assert_eq!(stats.triangles_emitted, reference_stats.triangles_emitted);
+        assert!(
+            stats.cubes_visited <= reference_stats.cubes_visited && stats.field_evals <= reference_stats.field_evals,
+            "leaves and samples {stats:?}, against the plain union's {reference_stats:?}"
         );
     }
 

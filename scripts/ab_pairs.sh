@@ -3,7 +3,8 @@
 # alternating pairs of one benchmark run at a parent commit and one at
 # the working tree, and per end-to-end metric every pair, both medians
 # with quartiles, the parent's interquartile range as a share of its
-# median, and the pairs the change won.
+# median, and the pairs the change won; then, from one traced run per
+# side, where the difference is: every per-layer metric that moved.
 #
 #   scripts/ab_pairs.sh <parent-ref> <workload|all> [pairs=10] [seconds=30] [seed=42]
 #
@@ -17,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 2 ]] || { sed -n '2,16s/^# \{0,1\}//p' "$0"; exit 2; }
+[[ $# -ge 2 ]] || { sed -n '2,17s/^# \{0,1\}//p' "$0"; exit 2; }
 ref="$1" which="$2" pairs="${3:-10}" seconds="${4:-30}" seed="${5:-42}"
 root="$PWD" ab="$PWD/target/ab"
 commit="$(git rev-parse --short "${ref}^{commit}")"
@@ -33,6 +34,9 @@ metrics() {
     on && /"name":/ { gsub(/[",]/, ""); name = $2 }
     on && /"better":/ { gsub(/[",]/, ""); print name, $2 }' BENCHMARK.json
 }
+layers() {
+  awk '/"per_layer"/ { on = 1 } on && /"name":/ { gsub(/[",]/, ""); print $2 }' BENCHMARK.json
+}
 workloads="$which"
 [[ "$which" != all ]] || workloads="$(workload_names)"
 
@@ -44,15 +48,17 @@ echo "==> building parent ${commit} and the working tree" >&2
 CARGO_TARGET_DIR="$ab/change-target" \
   cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
-# run <side> <workload> <pair>: the run's last stdout line, a JSON
-# object; all of its stdout is kept under target/ab/runs/.
+# run <side> <workload> <pair> [trace=0]: the run's last stdout line, a
+# JSON object; all of its stdout is kept under target/ab/runs/.
 run() {
   local dir="$root"
   [[ "$1" == change ]] || dir="$ab/parent"
   (cd "$dir" && "$ab/$1-target/release/semholo-benchmark" \
-    --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0) >"$ab/runs/$1_$2_$3.txt"
+    --workload "$2" --seed "$seed" --seconds "$seconds" --trace "${4:-0}") >"$ab/runs/$1_$2_$3.txt"
   tail -n 1 "$ab/runs/$1_$2_$3.txt"
 }
+# traced_frame <side> <workload>: the frame time a traced run printed.
+traced_frame() { awk '$1 == "frame_ms_p50" { print $2 }' "$ab/runs/$1_$2_traced.txt"; }
 # field <json> <name>: a top-level number, or a metric's value.
 field() {
   sed -n "s/.*\"$2\":\({\"value\":\)\{0,1\}\([-0-9.eE+]*\).*/\2/p" <<<"$1"
@@ -103,4 +109,17 @@ for workload in $workloads; do
         printf "\n  wins %d/%d, losses %d, ties %d\n", wins, NR, losses, NR - wins - losses
       }'
   done
+  # Where: a traced run's last line holds the per-layer metrics (its
+  # frame time, which pays for the tracing, is in the text above it).
+  # Counts repeat run to run and are printed in full; timings are one
+  # run's, so read them against the spread of the pairs above.
+  echo "--> ${workload}: one traced run per side" >&2
+  traced_parent="$(run parent "$workload" traced 1)" traced_change="$(run change "$workload" traced 1)"
+  echo "where, one traced run per side: per-layer metrics that differ (parent, change, change vs parent)"
+  {
+    echo "frame_ms_p50 $(traced_frame parent "$workload") $(traced_frame change "$workload")"
+    layers | while read -r metric; do
+      echo "$metric $(field "$traced_parent" "$metric") $(field "$traced_change" "$metric")"
+    done
+  } | awk '$2 != $3 { printf "  %-36s %18.12g %18.12g %+8.2f %%\n", $1, $2, $3, ($2 ? 100 * ($3 - $2) / $2 : 0) }'
 done

@@ -1,25 +1,32 @@
-//! `Sdf::distance_in` is `Sdf::distance`, bit for bit.
+//! `Sdf::distance_in` is `Sdf::distance`, bit for bit, and the interval
+//! its scope carries holds every value the field takes in the ball.
 //!
 //! The octree extractor threads an `SdfScope` down its nodes so a
 //! `BodySdf` can stop evaluating parts that are exact no-ops of the
 //! blend inside a node's bounding ball (DESIGN.md §15, "Exact no-op
-//! culling"). No test here needs a golden: one extracts the same body
-//! with and without narrowing; one records where an extraction samples
-//! and holds it to "no lattice site twice, and nowhere else" ("The last
-//! level"); two properties check the scoped value
-//! pointwise on random nested balls — inside them and on their boundary,
-//! where the extractor's block corners sit — around bodies and around
-//! random unions, within the parts' box, astride its faces and outside it; one builds the case the listing condition exists for;
-//! and two check `distance` itself, which skips parts point by point
-//! ("Per-point culling"), against a fold of the same list that skips none.
+//! culling"), and can say that no surface crosses the ball ("The field
+//! bounds itself"). No test here needs a golden: one extracts the same
+//! body with and without a scope — the same mesh, from far fewer samples
+//! — and once more through a `Box`; one extracts bodies pruned by the
+//! interval alone and by nothing at all; one records where an extraction
+//! samples and holds it to "no lattice site twice, and nowhere else"
+//! ("The last level"); two properties check the scoped value, and that
+//! the scope excludes no value taken, pointwise on random nested balls —
+//! inside them and on their boundary, where the extractor's block
+//! corners sit — around bodies and around random unions, within the
+//! parts' box, astride its faces and outside it; one builds the case the
+//! listing condition exists for; and two check `distance` itself, which
+//! skips parts point by point ("Per-point culling"), against a fold of
+//! the same list that skips none.
 
 use holo_body::motion::{MotionClip, MotionKind, MotionSynthesizer};
 use holo_body::skeleton::{Skeleton, JOINT_COUNT};
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_math::{Aabb, Pcg32, Vec3};
-use holo_mesh::marching::MarchingConfig;
+use holo_mesh::marching::{ExtractionStats, MarchingConfig};
 use holo_mesh::sdf::{smooth_min, GriddedUnion, Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
 use holo_mesh::sparse::sparse_extract_with_stats;
+use holo_mesh::TriMesh;
 use holo_runtime::check::any;
 use holo_runtime::{holo_prop, prop_assert, prop_assert_eq};
 use std::collections::HashSet;
@@ -60,7 +67,8 @@ fn bodies() -> &'static [(BodySdf, [Vec3; JOINT_COUNT])] {
 }
 
 /// A body seen only through `distance` and `bounds`: it gets the trait's
-/// default `distance_in`, so nothing is ever narrowed.
+/// default `distance_in`, so nothing is ever narrowed or proven, and its
+/// descent is pruned by the caller's assumed band alone.
 struct Unscoped<'a>(&'a BodySdf);
 
 impl Sdf for Unscoped<'_> {
@@ -77,6 +85,16 @@ fn bits(v: &[Vec3]) -> Vec<[u32; 3]> {
     v.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
 }
 
+type Extraction = (TriMesh, ExtractionStats);
+
+/// The same mesh: all three buffers bit for bit, and as many triangles.
+fn assert_same_mesh((mesh, stats): &Extraction, (want, want_stats): &Extraction, case: &str) {
+    assert_eq!(mesh.faces, want.faces, "{case}: index buffer");
+    assert_eq!(bits(&mesh.vertices), bits(&want.vertices), "{case}: vertex buffer");
+    assert_eq!(bits(&mesh.normals), bits(&want.normals), "{case}: normal buffer");
+    assert_eq!(stats.triangles_emitted, want_stats.triangles_emitted, "{case}: triangles");
+}
+
 #[test]
 fn extraction_without_narrowing_is_the_same_mesh() {
     let skeleton = Skeleton::neutral();
@@ -87,17 +105,56 @@ fn extraction_without_narrowing_is_the_same_mesh() {
         (5, 11, SurfaceDetail::full(), 128),
     ] {
         let sdf = BodySdf::from_pose(&skeleton, clips()[clip].frame(frame), detail);
-        let (scoped, scoped_stats) = sparse_extract_with_stats(&sdf, resolution, 0.03);
-        let (plain, plain_stats) = sparse_extract_with_stats(&Unscoped(&sdf), resolution, 0.03);
+        let scoped = sparse_extract_with_stats(&sdf, resolution, 0.03);
+        let plain = sparse_extract_with_stats(&Unscoped(&sdf), resolution, 0.03);
         let case = format!("clip {clip} frame {frame} res {resolution}");
-        assert!(scoped.faces.len() > 10_000, "{case}: a body was extracted");
-        assert_eq!(scoped.faces, plain.faces, "{case}: index buffer");
-        assert_eq!(bits(&scoped.vertices), bits(&plain.vertices), "{case}: vertex buffer");
-        assert_eq!(bits(&scoped.normals), bits(&plain.normals), "{case}: normal buffer");
+        assert!(scoped.0.faces.len() > 10_000, "{case}: a body was extracted");
+        assert_same_mesh(&scoped, &plain, &case);
+        // The field's own interval only takes nodes away from the assumed
+        // band's descent; at the pipelines' resolution, three in ten.
+        let share = if resolution == 128 { 0.7 } else { 1.0 };
+        assert!(
+            scoped.1.field_evals as f64 <= share * plain.1.field_evals as f64
+                && scoped.1.cubes_visited as f64 <= share * plain.1.cubes_visited as f64,
+            "{case}: {:?} against {:?}",
+            scoped.1,
+            plain.1
+        );
+
+        // A boxed field is the same field: same scope, same descent.
+        let boxed: Box<dyn Sdf + Send> = Box::new(sdf);
+        let through_box = sparse_extract_with_stats(&boxed, resolution, 0.03);
+        assert_same_mesh(&through_box, &scoped, &format!("{case}, boxed"));
         assert_eq!(
-            (scoped_stats.field_evals, scoped_stats.cubes_visited, scoped_stats.triangles_emitted),
-            (plain_stats.field_evals, plain_stats.cubes_visited, plain_stats.triangles_emitted),
-            "{case}: counters"
+            (through_box.1.field_evals, through_box.1.cubes_visited),
+            (scoped.1.field_evals, scoped.1.cubes_visited),
+            "{case}: boxed counters"
+        );
+    }
+}
+
+/// The field's own interval, alone, against the descent that prunes
+/// nothing: an infinite `safety` switches the assumed band off, so a body
+/// drops a node only on what it has proven, and the same body seen
+/// through `Unscoped` has every cube of the lattice examined. The same
+/// mesh — but the interval alone is no replacement for the band: the far
+/// field and the clamp to `cap` prove nothing over a large ball, so it
+/// keeps an order of magnitude more of the lattice than `0.03` does.
+#[test]
+fn the_interval_alone_extracts_the_dense_mesh() {
+    for (i, (sdf, _)) in bodies()[..12].iter().enumerate() {
+        let alone = sparse_extract_with_stats(sdf, 64, f32::INFINITY);
+        let dense = sparse_extract_with_stats(&Unscoped(sdf), 64, f32::INFINITY);
+        assert_eq!(dense.1.cubes_visited, 64 * 64 * 64);
+        assert!(alone.0.faces.len() > 10_000, "a body was extracted");
+        assert_same_mesh(&alone, &dense, &format!("body {i}"));
+        let banded = sparse_extract_with_stats(sdf, 64, 0.03).1;
+        assert!(
+            alone.1.field_evals < dense.1.field_evals && alone.1.field_evals > 5 * banded.field_evals,
+            "body {i} positions: interval alone {}, dense {}, with the band {}",
+            alone.1.field_evals,
+            dense.1.field_evals,
+            banded.field_evals
         );
     }
 }
@@ -227,7 +284,7 @@ fn near_a_face(b: &Aabb, reach: f32, rng: &mut Pcg32) -> Vec3 {
 /// Walk a chain of nested balls the way `descend` does — narrowing at
 /// each center — then sample the innermost ball, half the points exactly
 /// on its boundary. Returns the first point whose scoped value is not
-/// `distance`'s, to the bit.
+/// `distance`'s, to the bit, or whose value the ball's scope excludes.
 fn first_departure<S: Sdf>(sdf: &S, mut center: Vec3, mut radius: f32, rng: &mut Pcg32) -> Option<String> {
     let mut scope = SdfScope::ALL;
     for level in 0..1 + rng.next_u32() % 5 {
@@ -243,6 +300,9 @@ fn first_departure<S: Sdf>(sdf: &S, mut center: Vec3, mut radius: f32, rng: &mut
         if d.to_bits() != sdf.distance(center).to_bits() {
             return Some(format!("center {center:?} at level {level}: {d} vs {}", sdf.distance(center)));
         }
+        if narrowed.excludes(d) {
+            return Some(format!("center {center:?} r {radius} at level {level}: {narrowed:?} excludes its own {d}"));
+        }
         scope = narrowed;
     }
     for i in 0..16 {
@@ -251,6 +311,9 @@ fn first_departure<S: Sdf>(sdf: &S, mut center: Vec3, mut radius: f32, rng: &mut
         let d = sdf.distance_in(p, scope, 0.0).0;
         if d.to_bits() != sdf.distance(p).to_bits() {
             return Some(format!("point {p:?} in ball {center:?} r {radius}: {d} vs {}", sdf.distance(p)));
+        }
+        if scope.excludes(d) {
+            return Some(format!("point {p:?} in ball {center:?} r {radius}: {scope:?} excludes {d}"));
         }
     }
     None
