@@ -4,10 +4,11 @@
 //! The scenario matrix (fault plans × protection mechanisms over a
 //! 30 fps hologram stream, plus ladder-protected rooms) runs in seeded
 //! virtual time, so every number here is byte-reproducible. The
-//! measured usable-frame rates are embedded in the benchmark names, so
-//! `BENCH_chaos_resilience.json` records them alongside the timings —
-//! including the headline cell: FEC(4,1)+retransmit vs the unprotected
-//! baseline under ~5% Gilbert–Elliott burst loss.
+//! measured usable-frame rates are recorded as facts, so
+//! `BENCH_chaos_resilience.json` carries them beside the timings and
+//! the gate compares them exactly — including the headline cell:
+//! FEC(4,1)+retransmit vs the unprotected baseline under ~5%
+//! Gilbert–Elliott burst loss.
 
 use holo_bench::{report, report_header};
 use holo_chaos::{
@@ -19,7 +20,7 @@ use holo_runtime::{bench_group, bench_main};
 use std::hint::black_box;
 
 fn chaos_resilience(c: &mut Criterion) {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let quick = c.quick();
     let seed = 42;
     let cfg = StreamConfig {
         frames: if quick { 60 } else { 150 },
@@ -76,19 +77,11 @@ fn chaos_resilience(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("chaos_resilience");
     group.sample_size(10);
-    // Record the measured usable rates in the report JSON via the
-    // bench names (milli-usable-rate keeps the names integral).
     for o in &cells {
         let permille = (o.usable_rate * 1000.0).round() as u64;
-        group.bench_function(
-            format!("usable_permille/{}/{}={}", o.plan, o.mechanism, permille),
-            |b| b.iter(|| black_box(permille)),
-        );
+        group.fact(format!("usable/{}/{}", o.plan, o.mechanism), permille, "permille");
     }
-    let flowing = if room.kept_flowing { 1 } else { 0 };
-    group.bench_function(format!("ladder_kept_flowing={flowing}"), |b| {
-        b.iter(|| black_box(flowing))
-    });
+    group.fact("ladder_kept_flowing", u8::from(room.kept_flowing), "flag");
     // Honest timings: one protected stream cell and the ladder room.
     group.bench_function("stream_burst5_full_protection", |b| {
         b.iter(|| black_box(run_stream_scenario(&plans[0], &Mechanisms::full(), &cfg)))

@@ -6,12 +6,13 @@
 //! The closed-form bound only counts mean bits; the simulation also
 //! sees SFU egress queueing, keyframe/delta loss coupling, and the
 //! latency criterion, so its answer is at most the closed-form one.
-//! The measured max sizes are embedded in the benchmark names, so
-//! `BENCH_conference_sfu.json` records them alongside the timings.
+//! The measured max sizes are recorded as facts, so
+//! `BENCH_conference_sfu.json` carries them beside the timings and the
+//! gate compares them exactly.
 
 use holo_bench::{report, report_header};
 use holo_conf::{measure_max_room_size, CapacityConfig, ParticipantConfig, Room, RoomConfig};
-use holo_runtime::bench::Criterion;
+use holo_runtime::bench::{self, Criterion};
 use holo_runtime::{bench_group, bench_main};
 use semholo::image::{ImageConfig, ImagePipeline};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
@@ -32,7 +33,7 @@ fn make_pipeline(kind: &str) -> Box<dyn SemanticPipeline> {
 }
 
 fn conference_sfu(c: &mut Criterion) {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let quick = c.quick();
     let config = SemHoloConfig {
         capture_resolution: (48, 36),
         camera_count: 2,
@@ -89,7 +90,8 @@ fn conference_sfu(c: &mut Criterion) {
 
     // Observability: one traced 4-party room. The per-stage table goes
     // into the bench report; the chrome://tracing JSON (virtual-time
-    // spans, byte-identical per seed) lands next to the BENCH JSONs.
+    // spans, byte-identical per seed and mode) lands next to the BENCH
+    // JSONs, wherever the harness writes those.
     {
         let room_cfg = RoomConfig {
             participants: ParticipantConfig::uniform_room(4, 100e6),
@@ -99,10 +101,8 @@ fn conference_sfu(c: &mut Criterion) {
         };
         let mut room = Room::new(room_cfg).unwrap();
         let mut pipelines = vec![make_pipeline("keypoint")];
-        // Land next to the BENCH_*.json reports at the repo root, not in
-        // the bench package dir cargo runs us from.
-        let trace_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../TRACE_conference_room.json");
+        let trace_path =
+            bench::out_dir(env!("CARGO_MANIFEST_DIR")).join("TRACE_conference_room.json");
         let (_, trace) = room
             .run_traced(&scene, &mut pipelines, &trace_path)
             .expect("traced room");
@@ -114,12 +114,8 @@ fn conference_sfu(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("conference_sfu");
     group.sample_size(10);
-    // Record the measured sizes in the report JSON via the bench names.
     for (kind, m) in &measurements {
-        let size = m.max_size;
-        group.bench_function(format!("max_room/{kind}={size}"), |b| {
-            b.iter(|| black_box(size))
-        });
+        group.fact(format!("max_room/{kind}"), m.max_size, "participants");
     }
     // Honest timing: one 4-party keypoint room, end to end.
     group.bench_function("room4_keypoint", |b| {

@@ -5,10 +5,11 @@
 //! The holo-fleet monotone search places uniform rooms of 4 with the
 //! least-loaded policy and finds how many the fleet sustains before a
 //! node's egress, a node's compute, or a cascade edge saturates. The
-//! measured subscriber counts and bottleneck labels are embedded in
-//! the benchmark names, so `BENCH_fleet_capacity.json` records the
-//! scaling curve alongside the timings; the curve itself is asserted
-//! monotone — more nodes must never sustain fewer subscribers.
+//! measured subscriber counts and bottleneck labels are recorded as
+//! facts, so `BENCH_fleet_capacity.json` carries the scaling curve
+//! beside the timings and the gate compares it exactly; the curve
+//! itself is asserted monotone — more nodes must never sustain fewer
+//! subscribers.
 
 use holo_bench::{report, report_header};
 use holo_fleet::{fleet_capacity, FleetCapacityConfig, FleetTopology, PolicyKind};
@@ -35,7 +36,7 @@ fn make_pipeline(kind: &str, room: usize) -> Box<dyn SemanticPipeline> {
 }
 
 fn fleet_capacity_bench(c: &mut Criterion) {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let quick = c.quick();
     let config = SemHoloConfig {
         capture_resolution: (48, 36),
         camera_count: 2,
@@ -111,13 +112,9 @@ fn fleet_capacity_bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fleet_capacity");
     group.sample_size(10);
-    // Record the curve in the report JSON via the bench names.
     for (tier, nodes, subs, bottleneck) in &curve {
-        let label = bottleneck.replace("->", "_").replace(':', "_");
-        group.bench_function(
-            format!("subscribers/{tier}/nodes{nodes}={subs} [{label}]"),
-            |b| b.iter(|| black_box(*subs)),
-        );
+        group.fact(format!("subscribers/{tier}/nodes{nodes}"), subs, "subscribers");
+        group.fact(format!("bottleneck/{tier}/nodes{nodes}"), bottleneck, "label");
     }
     // Honest timing: the full monotone search on a 2-node fleet.
     group.bench_function("search_2node_keypoint", |b| {

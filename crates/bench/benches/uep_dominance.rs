@@ -2,11 +2,12 @@
 //! uniform protection at an equal redundancy budget.
 //!
 //! Runs the full weighted-vs-uniform sweep (`holo-chaos::uep`) in
-//! seeded virtual time and embeds the measured usable-frame rates in
-//! the benchmark names, so `BENCH_uep_dominance.json` records the
-//! head-to-head alongside the timings. The budget twins are asserted
-//! here too: both policies must spend identical parity frames and
-//! scheduled retries, or the comparison is meaningless.
+//! seeded virtual time and records the measured usable-frame rates as
+//! facts, so `BENCH_uep_dominance.json` carries the head-to-head
+//! beside the timings and the gate compares it exactly. The budget
+//! twins are asserted here too: both policies must spend identical
+//! parity frames and scheduled retries, or the comparison is
+//! meaningless.
 
 use holo_bench::{report, report_header};
 use holo_chaos::{run_uep_scenarios, run_uep_stream_scenario, FaultPlan, StreamConfig};
@@ -45,19 +46,12 @@ fn uep_dominance(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("uep_dominance");
     group.sample_size(10);
-    // Record the measured usable rates in the report JSON via the
-    // bench names (milli-usable-rate keeps the names integral).
     for o in &cells {
         let permille = (o.usable_rate * 1000.0).round() as u64;
-        group.bench_function(
-            format!("usable_permille/{}/{}={}", o.plan, o.policy, permille),
-            |b| b.iter(|| black_box(permille)),
-        );
+        group.fact(format!("usable/{}/{}", o.plan, o.policy), permille, "permille");
     }
-    group.bench_function(format!("dominates={}", u8::from(dominates)), |b| {
-        b.iter(|| black_box(dominates))
-    });
-    group.bench_function(format!("strict_wins={strict}"), |b| b.iter(|| black_box(strict)));
+    group.fact("dominates", u8::from(dominates), "flag");
+    group.fact("strict_wins", strict, "plans");
     // Honest timings: the queue-pressure cell under both policies.
     let cfg = StreamConfig::default();
     let squeeze = FaultPlan::burst5_squeeze(seed);

@@ -1,166 +1,67 @@
-//! The perf regression gate CLI (wrapped by `scripts/bench_gate.sh`).
+//! The bench gate CLI (wrapped by `scripts/bench_gate.sh`).
 //!
-//! Modes:
-//!
-//! - `bench_gate compare <baseline_dir> <current_dir> [--report FILE]
-//!   [--tolerance R] [--override PREFIX=R ...]` — join every
-//!   `BENCH_*.json` in both directories on `(group, name)` medians,
-//!   print the delta table, write the machine-readable report, exit 1
-//!   on any regression. Unmatched metrics (machine-shaped bench names)
-//!   warn and pass. `--override` pins a per-metric tolerance by longest
-//!   `"group/name"` prefix — e.g. `--override gaussian_amortization/=1.05`
-//!   holds byte-derived benches far tighter than wall-clock ones.
-//! - `bench_gate scale <in.json> <factor> <out.json>` — multiply every
-//!   `*_ns` statistic by `factor`; the self-test's regression injector.
-//! - `bench_gate snapshot-diff <a.json> <b.json>` — byte-compare two
-//!   metric snapshots after stripping histograms flagged
-//!   `nondeterministic: true`; exit 1 on any difference.
+//! `bench_gate <committed_dir> <fresh_dir> [--report FILE]` — parse
+//! every `BENCH_*.json` in both directories, compare their facts
+//! exactly (see `holo_obs::gate`), print the failures old -> new and
+//! the advisory timing table, optionally write the machine-readable
+//! report. Exit 0 when every fact matched, 1 when one did not, 2 when
+//! the arguments or a document could not be read.
 
-use holo_obs::gate::{parse_bench_text, strip_nondeterministic, GateConfig, GateReport};
+use holo_obs::gate::{parse_bench, BenchDoc, GateReport};
 use std::path::Path;
 use std::process::ExitCode;
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("bench_gate: {msg}");
-    ExitCode::from(2)
-}
-
-/// All `BENCH_*.json` entries under `dir`, sorted by file name.
-fn load_dir(dir: &Path) -> Result<Vec<holo_obs::BenchEntry>, String> {
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
+/// All `BENCH_*.json` documents under `dir`, sorted by file name.
+fn load_dir(dir: &str) -> Result<Vec<BenchDoc>, String> {
+    let mut files: Vec<_> = std::fs::read_dir(Path::new(dir))
+        .map_err(|e| format!("cannot read {dir}: {e}"))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| {
             p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                // The gate's own delta report lives next to the bench
-                // artifacts; never read it back as a bench document.
+                // The gate's own report lives next to the committed
+                // documents; never read it back as one.
                 n.starts_with("BENCH_") && n.ends_with(".json") && n != "BENCH_gate_report.json"
             })
         })
         .collect();
     files.sort();
     if files.is_empty() {
-        return Err(format!("no BENCH_*.json files in {}", dir.display()));
+        return Err(format!("no BENCH_*.json files in {dir}"));
     }
-    let mut out = Vec::new();
-    for f in files {
-        let text = std::fs::read_to_string(&f)
-            .map_err(|e| format!("cannot read {}: {e}", f.display()))?;
-        out.extend(
-            parse_bench_text(&text).map_err(|e| format!("{}: {e}", f.display()))?,
-        );
-    }
-    Ok(out)
+    files
+        .iter()
+        .map(|f| {
+            let text = std::fs::read_to_string(f)
+                .map_err(|e| format!("cannot read {}: {e}", f.display()))?;
+            parse_bench(&text).map_err(|e| format!("{}: {e}", f.display()))
+        })
+        .collect()
 }
 
-fn cmd_compare(args: &[String]) -> ExitCode {
-    let mut positional = Vec::new();
-    let mut report_path: Option<String> = None;
-    let mut cfg = GateConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--report" => match it.next() {
-                Some(p) => report_path = Some(p.clone()),
-                None => return fail("--report needs a path"),
-            },
-            "--tolerance" => match it.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(r) if r >= 1.0 => cfg.max_ratio = r,
-                _ => return fail("--tolerance needs a ratio >= 1.0"),
-            },
-            "--override" => match it.next().and_then(|o| {
-                let (prefix, ratio) = o.split_once('=')?;
-                let ratio: f64 = ratio.parse().ok()?;
-                (ratio >= 1.0 && !prefix.is_empty()).then(|| (prefix.to_string(), ratio))
-            }) {
-                Some(pair) => cfg.overrides.push(pair),
-                None => return fail("--override needs PREFIX=RATIO with ratio >= 1.0"),
-            },
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [baseline_dir, current_dir] = positional.as_slice() else {
-        return fail("compare needs <baseline_dir> <current_dir>");
+fn run(args: &[String]) -> Result<bool, String> {
+    let (dirs, report_path) = match args {
+        [a, b] => ((a, b), None),
+        [a, b, flag, path] if flag == "--report" => ((a, b), Some(path)),
+        _ => return Err("usage: bench_gate <committed_dir> <fresh_dir> [--report FILE]".into()),
     };
-    let baseline = match load_dir(Path::new(baseline_dir)) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let current = match load_dir(Path::new(current_dir)) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let report = GateReport::compare(&baseline, &current, &cfg);
+    let report = GateReport::compare(&load_dir(dirs.0)?, &load_dir(dirs.1)?);
     print!("{}", report.table());
     if let Some(path) = report_path {
-        let text = report.to_json().render();
-        if let Err(e) = std::fs::write(&path, text + "\n") {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
-        println!("delta report -> {path}");
+        std::fs::write(path, report.to_json().render() + "\n")
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("report -> {path}");
     }
-    if report.pass() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_scale(args: &[String]) -> ExitCode {
-    let [input, factor, output] = args else {
-        return fail("scale needs <in.json> <factor> <out.json>");
-    };
-    let Ok(factor) = factor.parse::<f64>() else {
-        return fail("factor must be a number");
-    };
-    let text = match std::fs::read_to_string(input) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {input}: {e}")),
-    };
-    let doc = match holo_runtime::ser::parse(&text) {
-        Ok(d) => d,
-        Err(e) => return fail(&format!("{input} did not parse: {e:?}")),
-    };
-    let scaled = holo_obs::gate::scale_bench(&doc, factor);
-    match std::fs::write(output, scaled.render() + "\n") {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&format!("cannot write {output}: {e}")),
-    }
-}
-
-fn cmd_snapshot_diff(args: &[String]) -> ExitCode {
-    let [a, b] = args else {
-        return fail("snapshot-diff needs <a.json> <b.json>");
-    };
-    let load = |path: &str| -> Result<String, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
-        let doc = holo_runtime::ser::parse(&text)
-            .map_err(|e| format!("{path} did not parse: {e:?}"))?;
-        Ok(strip_nondeterministic(&doc).render())
-    };
-    match (load(a), load(b)) {
-        (Ok(da), Ok(db)) if da == db => {
-            println!("snapshots identical modulo nondeterministic histograms");
-            ExitCode::SUCCESS
-        }
-        (Ok(_), Ok(_)) => {
-            eprintln!("bench_gate: deterministic snapshot content differs between {a} and {b}");
-            ExitCode::FAILURE
-        }
-        (Err(e), _) | (_, Err(e)) => fail(&e),
-    }
+    Ok(report.pass())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
-        Some((cmd, rest)) => match cmd.as_str() {
-            "compare" => cmd_compare(rest),
-            "scale" => cmd_scale(rest),
-            "snapshot-diff" => cmd_snapshot_diff(rest),
-            other => fail(&format!("unknown mode {other:?} (compare | scale | snapshot-diff)")),
-        },
-        None => fail("usage: bench_gate <compare|scale|snapshot-diff> ..."),
+    match run(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(msg) => {
+            eprintln!("bench_gate: {msg}");
+            ExitCode::from(2)
+        }
     }
 }

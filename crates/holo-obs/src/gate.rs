@@ -1,266 +1,227 @@
-//! The perf regression gate: compare fresh `BENCH_*.json` artifacts
-//! against committed baselines with per-metric tolerances.
+//! The bench gate: compare fresh `BENCH_*.json` documents against the
+//! committed ones. It does one job exactly and one job not at all:
 //!
-//! Bench results join on `(group, name)`. Two realities shape the
-//! rules:
+//! - **Facts** — the seeded, byte-derived values a bench records with
+//!   `fact(name, value, unit)` — join on `(bench, group, name)` and
+//!   must match to the digit. A changed value or unit, a fact or a
+//!   document present on one side only, or two documents made in
+//!   different modes (`quick` against `full`) fails the gate, printing
+//!   old and new.
+//! - **Timings** are listed as an advisory ratio table that never
+//!   touches the outcome: quick-mode medians on a shared box sit
+//!   1.1–1.9x apart with no code change between them. The instrument
+//!   for timings is `benchmark/` with `scripts/ab_pairs.sh`.
 //!
-//! - Some benches embed machine-shaped facts in their *names*
-//!   (`detected_cores=8`, per-node egress rows), so a pair present on
-//!   only one side is a **warning**, never a failure — the gate must
-//!   run identically on a 4-core laptop and a 64-core CI box.
-//! - Wall-clock medians are noisy, so a regression needs both a ratio
-//!   breach (`current > baseline × tolerance`) *and* an absolute floor
-//!   (`current − baseline > min_delta_ns`) — a 40 ns → 95 ns blip on a
-//!   nanosecond-scale bench is not a regression worth failing a build.
-//!
-//! The same module hosts the snapshot comparator: metric snapshots are
-//! byte-compared after stripping histograms flagged
+//! The same module hosts [`strip_nondeterministic`]: metric snapshots
+//! are byte-compared after dropping histograms flagged
 //! `nondeterministic: true` (the wall-clock timer's families) — by
 //! flag, never by name list.
 
 use crate::slo::deterministic_histograms;
 use holo_runtime::ser::{self, JsonValue, ToJson};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One bench result row, the join key plus the gated statistic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Bench group (e.g. `"codec"`).
-    pub group: String,
-    /// Bench name within the group.
-    pub name: String,
-    /// Median wall time per iteration, ns — the gated statistic
-    /// (medians resist outliers; means don't).
-    pub median_ns: f64,
+/// A row's join key within its document: `(group, name)`.
+pub type RowKey = (String, String);
+
+/// One parsed `BENCH_*.json` document.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BenchDoc {
+    /// Bench target name.
+    pub bench: String,
+    /// How it was made: `"quick"` or `"full"`.
+    pub mode: String,
+    /// Each fact as `"<canonical JSON value> <unit>"` — what is compared.
+    pub facts: BTreeMap<RowKey, String>,
+    /// Each timing's median wall time per iteration, ns.
+    pub timings: BTreeMap<RowKey, f64>,
 }
 
-/// Parse one `BENCH_*.json` document into its entries.
-pub fn parse_bench(doc: &JsonValue) -> Result<Vec<BenchEntry>, String> {
-    let results = doc
-        .get("results")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| "bench document has no results array".to_string())?;
-    results
-        .iter()
-        .map(|r| {
-            let field = |k: &str| {
-                r.get(k).ok_or_else(|| format!("bench result missing field {k:?}"))
-            };
-            Ok(BenchEntry {
-                group: field("group")?
-                    .as_str()
-                    .ok_or_else(|| "group is not a string".to_string())?
-                    .to_string(),
-                name: field("name")?
-                    .as_str()
-                    .ok_or_else(|| "name is not a string".to_string())?
-                    .to_string(),
-                median_ns: field("median_ns")?
-                    .as_f64()
-                    .ok_or_else(|| "median_ns is not a number".to_string())?,
-            })
-        })
-        .collect()
-}
-
-/// Gate tolerances.
-#[derive(Debug, Clone)]
-pub struct GateConfig {
-    /// Default allowed slowdown ratio (current / baseline).
-    pub max_ratio: f64,
-    /// Absolute slack: deltas under this many ns never regress.
-    pub min_delta_ns: f64,
-    /// Per-metric overrides, matched by longest `"group/name"` prefix.
-    pub overrides: Vec<(String, f64)>,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        Self {
-            // Virtual-time sims on shared CI boxes jitter; 1.6× on the
-            // median with a 200 ns floor separates real pessimizations
-            // from scheduler noise in practice.
-            max_ratio: 1.6,
-            min_delta_ns: 200.0,
-            overrides: Vec::new(),
+/// Parse one `BENCH_*.json` document from its text. A fact whose value
+/// is not a JSON scalar, or a `(group, name)` recorded twice, is an
+/// error: neither can be joined.
+pub fn parse_bench(text: &str) -> Result<BenchDoc, String> {
+    let doc = &ser::parse(text).map_err(|e| format!("bench json did not parse: {e:?}"))?;
+    fn string(v: &JsonValue, k: &str) -> Result<String, String> {
+        let s = v.get(k).and_then(|s| s.as_str());
+        s.map(str::to_string).ok_or_else(|| format!("missing string field {k:?}"))
+    }
+    let rows = |k: &str| {
+        doc.get(k).and_then(|r| r.as_array()).ok_or_else(|| format!("no {k:?} array"))
+    };
+    let key = |r: &JsonValue| Ok::<_, String>((string(r, "group")?, string(r, "name")?));
+    let mut out =
+        BenchDoc { bench: string(doc, "bench")?, mode: string(doc, "mode")?, ..Default::default() };
+    for r in rows("facts")? {
+        let key = key(r)?;
+        let value = match r.get("value") {
+            Some(v @ (JsonValue::Num(_) | JsonValue::Str(_) | JsonValue::Bool(_))) => v.render(),
+            other => return Err(format!("fact {key:?}: value {other:?} is not a scalar")),
+        };
+        let fact = format!("{value} {}", string(r, "unit")?);
+        if let Some(old) = out.facts.insert(key.clone(), fact) {
+            return Err(format!("fact {key:?} appears twice (first as {old})"));
         }
     }
-}
-
-impl GateConfig {
-    /// Tolerance for one metric: the longest matching override prefix,
-    /// else the default.
-    pub fn ratio_for(&self, group: &str, name: &str) -> f64 {
-        let key = format!("{group}/{name}");
-        self.overrides
-            .iter()
-            .filter(|(prefix, _)| key.starts_with(prefix.as_str()))
-            .max_by_key(|(prefix, _)| prefix.len())
-            .map(|&(_, r)| r)
-            .unwrap_or(self.max_ratio)
+    for r in rows("results")? {
+        let median = r.get("median_ns").and_then(|m| m.as_f64());
+        out.timings.insert(key(r)?, median.ok_or("timing without a numeric median_ns")?);
     }
+    Ok(out)
 }
 
-/// A joined pair's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaStatus {
-    /// Within tolerance.
-    Ok,
-    /// Got faster by more than the tolerance (informational).
-    Improved,
-    /// Slower than tolerance allows — fails the gate.
-    Regressed,
-    /// Present only in the baseline (machine-shaped name) — warning.
-    MissingCurrent,
-    /// Present only in the fresh run — warning.
-    MissingBaseline,
-}
+/// Printed for the side a fact or document is missing from.
+pub const ABSENT: &str = "(absent)";
 
-impl DeltaStatus {
-    /// Canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeltaStatus::Ok => "ok",
-            DeltaStatus::Improved => "improved",
-            DeltaStatus::Regressed => "regressed",
-            DeltaStatus::MissingCurrent => "missing_current",
-            DeltaStatus::MissingBaseline => "missing_baseline",
-        }
-    }
-}
-
-/// One metric's comparison.
+/// One reason the gate fails.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Delta {
-    /// Bench group.
-    pub group: String,
-    /// Bench name.
-    pub name: String,
-    /// Baseline median ns (0 when missing).
-    pub baseline_ns: f64,
-    /// Fresh median ns (0 when missing).
-    pub current_ns: f64,
-    /// current / baseline (1.0 when either side is missing).
-    pub ratio: f64,
-    /// Tolerance applied to this metric.
-    pub tolerance: f64,
-    /// Outcome.
-    pub status: DeltaStatus,
+pub struct Failure {
+    /// What differs: `fact <bench> <group>/<name>` (value or unit
+    /// changed, or one side lacks it), `document <bench>` (one side
+    /// lacks it) or `mode <bench>` (quick against full).
+    pub what: String,
+    /// The committed side.
+    pub old: String,
+    /// The fresh side.
+    pub new: String,
 }
 
-/// The gate's machine-readable outcome.
+/// One timing row, for the advisory table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Timing {
+    /// `<bench> <group>/<name>`.
+    pub what: String,
+    /// Committed median ns, if that side has the row.
+    pub baseline_ns: Option<f64>,
+    /// Fresh median ns, if that side has the row.
+    pub current_ns: Option<f64>,
+}
+
+impl Timing {
+    /// current / baseline, when both sides have the row.
+    pub fn ratio(&self) -> Option<f64> {
+        Some(self.current_ns? / self.baseline_ns?)
+    }
+}
+
+/// The gate's outcome.
 #[derive(Debug, Clone, Default)]
 pub struct GateReport {
-    /// All joined and unjoined metrics, sorted by `(group, name)`.
-    pub deltas: Vec<Delta>,
+    /// Fact keys joined and compared.
+    pub facts_compared: usize,
+    /// Everything that fails the gate, in `(bench, group, name)` order.
+    pub failures: Vec<Failure>,
+    /// Every timing row of documents present on both sides. Advisory.
+    pub timings: Vec<Timing>,
+}
+
+fn union_keys<'a, V>(
+    a: &'a BTreeMap<RowKey, V>,
+    b: &'a BTreeMap<RowKey, V>,
+) -> BTreeSet<&'a RowKey> {
+    a.keys().chain(b.keys()).collect()
 }
 
 impl GateReport {
-    /// Compare baseline entries against fresh ones.
-    pub fn compare(baseline: &[BenchEntry], current: &[BenchEntry], cfg: &GateConfig) -> Self {
-        use std::collections::BTreeMap;
-        let mut joined: BTreeMap<(String, String), (Option<f64>, Option<f64>)> = BTreeMap::new();
-        for e in baseline {
-            joined.entry((e.group.clone(), e.name.clone())).or_default().0 = Some(e.median_ns);
+    /// Compare committed documents against fresh ones.
+    pub fn compare(baseline: &[BenchDoc], current: &[BenchDoc]) -> Self {
+        fn find<'a>(docs: &'a [BenchDoc], bench: &str) -> Option<&'a BenchDoc> {
+            docs.iter().find(|d| d.bench == bench)
         }
-        for e in current {
-            joined.entry((e.group.clone(), e.name.clone())).or_default().1 = Some(e.median_ns);
+        fn fact<'a>(doc: &'a BenchDoc, key: &RowKey) -> &'a str {
+            doc.facts.get(key).map_or(ABSENT, String::as_str)
         }
-        let deltas = joined
-            .into_iter()
-            .map(|((group, name), sides)| {
-                let tolerance = cfg.ratio_for(&group, &name);
-                let (baseline_ns, current_ns, ratio, status) = match sides {
-                    (Some(b), Some(c)) => {
-                        let ratio = if b > 0.0 { c / b } else { 1.0 };
-                        let status = if ratio > tolerance && c - b > cfg.min_delta_ns {
-                            DeltaStatus::Regressed
-                        } else if ratio < 1.0 / tolerance && b - c > cfg.min_delta_ns {
-                            DeltaStatus::Improved
-                        } else {
-                            DeltaStatus::Ok
-                        };
-                        (b, c, ratio, status)
+        let benches: BTreeSet<&str> =
+            baseline.iter().chain(current).map(|d| d.bench.as_str()).collect();
+        let mut report = Self::default();
+        for bench in benches {
+            let mut fail = |what: String, old: &str, new: &str| {
+                report.failures.push(Failure { what, old: old.into(), new: new.into() })
+            };
+            match (find(baseline, bench), find(current, bench)) {
+                // Quick and full runs probe different sizes: one
+                // failure, not one per fact.
+                (Some(b), Some(c)) if b.mode != c.mode => {
+                    fail(format!("mode {bench}"), &b.mode, &c.mode)
+                }
+                (Some(b), Some(c)) => {
+                    for key @ (group, name) in union_keys(&b.facts, &c.facts) {
+                        let (old, new) = (fact(b, key), fact(c, key));
+                        if old != new {
+                            fail(format!("fact {bench} {group}/{name}"), old, new);
+                        }
+                        report.facts_compared += 1;
                     }
-                    (Some(b), None) => (b, 0.0, 1.0, DeltaStatus::MissingCurrent),
-                    (None, Some(c)) => (0.0, c, 1.0, DeltaStatus::MissingBaseline),
-                    (None, None) => unreachable!("joined map entries have at least one side"),
-                };
-                Delta { group, name, baseline_ns, current_ns, ratio, tolerance, status }
-            })
-            .collect();
-        Self { deltas }
+                    for key @ (group, name) in union_keys(&b.timings, &c.timings) {
+                        report.timings.push(Timing {
+                            what: format!("{bench} {group}/{name}"),
+                            baseline_ns: b.timings.get(key).copied(),
+                            current_ns: c.timings.get(key).copied(),
+                        });
+                    }
+                }
+                (Some(_), None) => fail(format!("document {bench}"), "present", ABSENT),
+                (None, _) => fail(format!("document {bench}"), ABSENT, "present"),
+            }
+        }
+        report
     }
 
-    /// Deltas with the given status.
-    pub fn with_status(&self, status: DeltaStatus) -> impl Iterator<Item = &Delta> {
-        self.deltas.iter().filter(move |d| d.status == status)
-    }
-
-    /// True when nothing regressed (warnings don't fail the gate).
+    /// True when every fact, document and mode matched. Timings never
+    /// enter into it.
     pub fn pass(&self) -> bool {
-        self.with_status(DeltaStatus::Regressed).next().is_none()
+        self.failures.is_empty()
     }
 
-    /// Human table of everything that isn't a plain `ok`.
+    /// Human report: the verdict, each failure old -> new, then the
+    /// advisory timing table.
     pub fn table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let counts = |s| self.with_status(s).count();
         let _ = writeln!(
             out,
-            "bench gate: {} compared, {} regressed, {} improved, {} unmatched",
-            self.deltas.len(),
-            counts(DeltaStatus::Regressed),
-            counts(DeltaStatus::Improved),
-            counts(DeltaStatus::MissingCurrent) + counts(DeltaStatus::MissingBaseline),
+            "bench gate: {} — {} facts compared exactly, {} failed",
+            if self.pass() { "PASS" } else { "FAIL" },
+            self.facts_compared,
+            self.failures.len(),
         );
-        for d in &self.deltas {
-            if d.status == DeltaStatus::Ok {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "  {:<16} {}/{}: {:.0} ns -> {:.0} ns ({:.2}x, tol {:.2}x)",
-                d.status.name(),
-                d.group,
-                d.name,
-                d.baseline_ns,
-                d.current_ns,
-                d.ratio,
-                d.tolerance,
-            );
+        for f in &self.failures {
+            let _ = writeln!(out, "  FAIL {}: {} -> {}", f.what, f.old, f.new);
+        }
+        let _ = writeln!(
+            out,
+            "timings (advisory, never gated; measure with benchmark/ + scripts/ab_pairs.sh):",
+        );
+        let ns = |v: Option<f64>| v.map_or(ABSENT.to_string(), |v| format!("{v:.0} ns"));
+        for t in &self.timings {
+            let ratio = t.ratio().map_or("    -".to_string(), |r| format!("{r:>5.2}x"));
+            let _ = writeln!(out, "  {ratio} {}: {} -> {}", t.what, ns(t.baseline_ns), ns(t.current_ns));
         }
         out
     }
 
-    /// Machine-readable delta report (canonical JSON).
+    /// Machine-readable report (canonical JSON).
     pub fn to_json(&self) -> JsonValue {
+        let failure = |f: &Failure| {
+            JsonValue::obj([
+                ("what", f.what.to_json()),
+                ("old", f.old.to_json()),
+                ("new", f.new.to_json()),
+            ])
+        };
+        let timing = |t: &Timing| {
+            JsonValue::obj([
+                ("what", t.what.to_json()),
+                ("baseline_ns", t.baseline_ns.to_json()),
+                ("current_ns", t.current_ns.to_json()),
+                ("ratio", t.ratio().to_json()),
+            ])
+        };
         JsonValue::obj([
             ("pass", JsonValue::Bool(self.pass())),
-            ("compared", self.deltas.len().to_json()),
-            (
-                "regressions",
-                self.with_status(DeltaStatus::Regressed).count().to_json(),
-            ),
-            (
-                "deltas",
-                JsonValue::Arr(
-                    self.deltas
-                        .iter()
-                        .map(|d| {
-                            JsonValue::obj([
-                                ("group", d.group.to_json()),
-                                ("name", d.name.to_json()),
-                                ("baseline_ns", d.baseline_ns.to_json()),
-                                ("current_ns", d.current_ns.to_json()),
-                                ("ratio", d.ratio.to_json()),
-                                ("tolerance", d.tolerance.to_json()),
-                                ("status", d.status.name().to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("facts_compared", self.facts_compared.to_json()),
+            ("failures", JsonValue::Arr(self.failures.iter().map(failure).collect())),
+            ("advisory_timings", JsonValue::Arr(self.timings.iter().map(timing).collect())),
         ])
     }
 }
@@ -288,115 +249,125 @@ pub fn strip_nondeterministic(snapshot: &JsonValue) -> JsonValue {
     )
 }
 
-/// Multiply every `*_ns` statistic in a bench document by `factor` —
-/// the gate self-test's regression injector (`scripts/bench_gate.sh
-/// --self-test` scales a copied baseline 2× and asserts the gate
-/// fails).
-pub fn scale_bench(doc: &JsonValue, factor: f64) -> JsonValue {
-    fn walk(v: &JsonValue, factor: f64, under_ns_key: bool) -> JsonValue {
-        match v {
-            JsonValue::Obj(pairs) => JsonValue::Obj(
-                pairs
-                    .iter()
-                    .map(|(k, inner)| {
-                        (k.clone(), walk(inner, factor, k.ends_with("_ns")))
-                    })
-                    .collect(),
-            ),
-            JsonValue::Arr(items) => {
-                JsonValue::Arr(items.iter().map(|i| walk(i, factor, false)).collect())
-            }
-            JsonValue::Num(n) if under_ns_key => JsonValue::Num(n * factor),
-            other => other.clone(),
-        }
-    }
-    walk(doc, factor, false)
-}
-
-/// Parse a bench document from its JSON text.
-pub fn parse_bench_text(text: &str) -> Result<Vec<BenchEntry>, String> {
-    let doc = ser::parse(text).map_err(|e| format!("bench json did not parse: {e:?}"))?;
-    parse_bench(&doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(group: &str, name: &str, median_ns: f64) -> BenchEntry {
-        BenchEntry { group: group.to_string(), name: name.to_string(), median_ns }
+    /// A two-fact, two-timing document the way the harness writes it.
+    fn doc(bench: &str) -> BenchDoc {
+        parse_bench(&format!(
+            r#"{{"bench":"{bench}","mode":"quick","cores":2,"facts":[
+                {{"group":"uep","name":"usable/burst5/weighted","value":553,"unit":"permille"}},
+                {{"group":"fleet","name":"bottleneck/mesh/nodes2","value":"node-egress:0","unit":"label"}}],
+              "results":[{{"group":"codec","name":"encode","median_ns":10000}},
+                {{"group":"codec","name":"decode","median_ns":5000}}]}}"#
+        ))
+        .unwrap()
+    }
+
+    fn key(group: &str, name: &str) -> RowKey {
+        (group.to_string(), name.to_string())
+    }
+
+    /// The one failure of a comparison that must have exactly one.
+    fn sole_failure(base: &[BenchDoc], cur: &[BenchDoc]) -> Failure {
+        let report = GateReport::compare(base, cur);
+        assert!(!report.pass());
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.table().starts_with("bench gate: FAIL"));
+        report.failures[0].clone()
     }
 
     #[test]
     fn identical_runs_pass() {
-        let base = vec![entry("codec", "encode", 10_000.0), entry("codec", "decode", 5_000.0)];
-        let report = GateReport::compare(&base, &base, &GateConfig::default());
+        let docs = [doc("a"), doc("b")];
+        let report = GateReport::compare(&docs, &docs);
         assert!(report.pass());
-        assert!(report.deltas.iter().all(|d| d.status == DeltaStatus::Ok));
+        assert_eq!((report.facts_compared, report.timings.len()), (4, 4));
+        assert!(report.table().starts_with("bench gate: PASS"));
     }
 
     #[test]
-    fn two_x_slowdown_fails() {
-        let base = vec![entry("codec", "encode", 10_000.0)];
-        let cur = vec![entry("codec", "encode", 20_000.0)];
-        let report = GateReport::compare(&base, &cur, &GateConfig::default());
-        assert!(!report.pass());
-        assert_eq!(report.deltas[0].status, DeltaStatus::Regressed);
-        assert!(report.table().contains("regressed"));
+    fn one_digit_of_one_fact_fails_naming_it() {
+        let mut cur = doc("a");
+        cur.facts.insert(key("uep", "usable/burst5/weighted"), "554 permille".to_string());
+        let f = sole_failure(&[doc("a"), doc("b")], &[cur, doc("b")]);
+        assert_eq!(f.what, "fact a uep/usable/burst5/weighted");
+        assert_eq!((f.old.as_str(), f.new.as_str()), ("553 permille", "554 permille"));
+        let table = GateReport::compare(&[doc("a")], &[{
+            let mut d = doc("a");
+            d.facts.insert(key("fleet", "bottleneck/mesh/nodes2"), "\"cascade:0->1\" label".into());
+            d
+        }])
+        .table();
+        assert!(
+            table.contains(
+                "FAIL fact a fleet/bottleneck/mesh/nodes2: \"node-egress:0\" label -> \"cascade:0->1\" label"
+            ),
+            "{table}"
+        );
     }
 
     #[test]
-    fn nanosecond_noise_is_not_a_regression() {
-        // 3.3x ratio but only 70 ns absolute — under the floor.
-        let base = vec![entry("tiny", "op", 30.0)];
-        let cur = vec![entry("tiny", "op", 100.0)];
-        let report = GateReport::compare(&base, &cur, &GateConfig::default());
+    fn changed_unit_fails() {
+        let mut cur = doc("a");
+        cur.facts.insert(key("uep", "usable/burst5/weighted"), "553 percent".to_string());
+        let f = sole_failure(&[doc("a")], &[cur]);
+        assert_eq!((f.old.as_str(), f.new.as_str()), ("553 permille", "553 percent"));
+    }
+
+    #[test]
+    fn a_fact_on_one_side_only_fails() {
+        let mut cur = doc("a");
+        let fact = cur.facts.remove(&key("uep", "usable/burst5/weighted")).unwrap();
+        let gone = sole_failure(&[doc("a")], std::slice::from_ref(&cur));
+        assert_eq!((gone.old.as_str(), gone.new.as_str()), (fact.as_str(), ABSENT));
+        let born = sole_failure(&[cur], &[doc("a")]);
+        assert_eq!((born.old.as_str(), born.new.as_str()), (ABSENT, fact.as_str()));
+    }
+
+    #[test]
+    fn a_document_on_one_side_only_fails() {
+        let gone = sole_failure(&[doc("a"), doc("b")], &[doc("a")]);
+        assert_eq!((gone.what.as_str(), gone.new.as_str()), ("document b", ABSENT));
+        let born = sole_failure(&[doc("a")], &[doc("a"), doc("b")]);
+        assert_eq!((born.what.as_str(), born.old.as_str()), ("document b", ABSENT));
+    }
+
+    #[test]
+    fn quick_against_full_is_one_mode_failure_not_n_fact_diffs() {
+        let mut full = doc("a");
+        full.mode = "full".to_string();
+        for fact in full.facts.values_mut() {
+            fact.push('0');
+        }
+        let f = sole_failure(&[doc("a")], &[full]);
+        assert_eq!((f.what.as_str(), f.old.as_str(), f.new.as_str()), ("mode a", "quick", "full"));
+    }
+
+    #[test]
+    fn ten_x_slower_timings_pass_and_are_listed_as_advisory() {
+        let mut slow = doc("a");
+        for median in slow.timings.values_mut() {
+            *median *= 10.0;
+        }
+        let report = GateReport::compare(&[doc("a")], &[slow]);
         assert!(report.pass());
+        assert!(report.timings.iter().all(|t| t.ratio() == Some(10.0)));
+        let table = report.table();
+        assert!(table.contains("timings (advisory"), "{table}");
+        assert!(table.contains("10.00x a codec/encode: 10000 ns -> 100000 ns"), "{table}");
     }
 
     #[test]
-    fn machine_shaped_names_warn_not_fail() {
-        let base = vec![entry("parallel", "detected_cores=8", 1e6)];
-        let cur = vec![entry("parallel", "detected_cores=4", 1e6)];
-        let report = GateReport::compare(&base, &cur, &GateConfig::default());
-        assert!(report.pass());
-        assert_eq!(report.with_status(DeltaStatus::MissingCurrent).count(), 1);
-        assert_eq!(report.with_status(DeltaStatus::MissingBaseline).count(), 1);
-    }
-
-    #[test]
-    fn overrides_match_longest_prefix() {
-        let cfg = GateConfig {
-            overrides: vec![("codec/".to_string(), 3.0), ("codec/encode".to_string(), 1.1)],
-            ..GateConfig::default()
-        };
-        assert_eq!(cfg.ratio_for("codec", "encode"), 1.1);
-        assert_eq!(cfg.ratio_for("codec", "decode"), 3.0);
-        assert_eq!(cfg.ratio_for("mesh", "simplify"), 1.6);
-    }
-
-    #[test]
-    fn scale_bench_hits_only_ns_fields() {
-        let doc = ser::parse(
-            r#"{"bench":"b","results":[{"group":"g","name":"n","samples":20,"median_ns":100,"p95_ns":150}]}"#,
-        )
-        .unwrap();
-        let scaled = scale_bench(&doc, 2.0);
-        let r = &scaled.get("results").unwrap().as_array().unwrap()[0];
-        assert_eq!(r.get("median_ns").unwrap().as_f64(), Some(200.0));
-        assert_eq!(r.get("p95_ns").unwrap().as_f64(), Some(300.0));
-        assert_eq!(r.get("samples").unwrap().as_f64(), Some(20.0));
-        assert_eq!(scaled.get("bench").unwrap().as_str(), Some("b"));
-    }
-
-    #[test]
-    fn scaled_baseline_fails_the_gate() {
-        let text = r#"{"bench":"b","results":[{"group":"g","name":"n","median_ns":5000}]}"#;
-        let base = parse_bench_text(text).unwrap();
-        let scaled_doc = scale_bench(&ser::parse(text).unwrap(), 2.0);
-        let cur = parse_bench(&scaled_doc).unwrap();
-        let report = GateReport::compare(&base, &cur, &GateConfig::default());
-        assert!(!report.pass());
+    fn unjoinable_documents_do_not_parse() {
+        let no_mode = r#"{"bench":"b","results":[],"facts":[]}"#;
+        assert!(parse_bench(no_mode).unwrap_err().contains("mode"));
+        let fact = r#"{"group":"g","name":"n","value":1,"unit":"u"}"#;
+        let twice = format!(r#"{{"bench":"b","mode":"full","facts":[{fact},{fact}],"results":[]}}"#);
+        assert!(parse_bench(&twice).unwrap_err().contains("twice"));
+        let null = r#"{"bench":"b","mode":"full","facts":[{"group":"g","name":"n","value":null,"unit":"u"}],"results":[]}"#;
+        assert!(parse_bench(null).unwrap_err().contains("not a scalar"));
     }
 
     #[test]
@@ -416,11 +387,15 @@ mod tests {
 
     #[test]
     fn gate_report_json_is_canonical() {
-        let base = vec![entry("g", "n", 1000.0)];
-        let cur = vec![entry("g", "n", 5000.0)];
-        let report = GateReport::compare(&base, &cur, &GateConfig::default());
-        let a = report.to_json().render();
+        let mut cur = doc("a");
+        cur.facts.insert(key("uep", "usable/burst5/weighted"), "554 permille".to_string());
+        cur.timings.remove(&key("codec", "decode"));
+        let a = GateReport::compare(&[doc("a")], &[cur]).to_json().render();
         assert!(ser::parse(&a).is_ok());
         assert!(a.contains("\"pass\":false"));
+        let failure = r#"{"what":"fact a uep/usable/burst5/weighted","old":"553 permille","new":"554 permille"}"#;
+        assert!(a.contains(failure), "{a}");
+        let one_sided = r#"{"what":"a codec/decode","baseline_ns":5000,"current_ns":null,"ratio":null}"#;
+        assert!(a.contains(&format!(r#""advisory_timings":[{one_sided},"#)), "{a}");
     }
 }

@@ -15,9 +15,9 @@
 //! - [`slo`]: declarative objectives (p99 motion-to-photon, usable
 //!   rate, stall budget, windowed burn rates, tier floors) evaluated in
 //!   virtual time.
-//! - [`gate`]: the bench regression gate behind
-//!   `scripts/bench_gate.sh` — fresh `BENCH_*.json` vs committed
-//!   baselines, per-metric tolerances, machine-readable delta report.
+//! - [`gate`]: the bench gate behind `scripts/bench_gate.sh` — fresh
+//!   `BENCH_*.json` vs the committed ones: facts compared exactly,
+//!   timings listed as advisory, machine-readable report.
 //!
 //! See DESIGN.md §12 for how the pieces compose.
 
@@ -28,6 +28,6 @@ pub mod slo;
 pub use attribution::{
     collect_paths, Attribution, AttributionOptions, AttributionReport, FramePath, Segment, Stage,
 };
-pub use gate::{BenchEntry, Delta, DeltaStatus, GateConfig, GateReport};
+pub use gate::{BenchDoc, GateReport};
 pub use holo_trace::LatencySketch;
 pub use slo::{FrameObs, SloSpec, SloSummary, SloVerdict};

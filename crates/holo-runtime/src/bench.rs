@@ -7,18 +7,21 @@
 //! inner iteration count, times a set of samples, and records
 //! median/p95/mean/min/max wall-clock per iteration.
 //!
+//! A bench also records **facts** ([`Criterion::fact`],
+//! [`BenchmarkGroup::fact`]): seeded, byte-derived values — usable-frame
+//! permilles, room sizes, payload bytes — under a stable name with a
+//! unit and no closure to time. `holo_obs::gate` compares them exactly.
+//!
 //! When the binary exits, the harness writes `BENCH_<target>.json` at
-//! the repo root (one file per bench target) so successive PRs can
-//! track the perf trajectory, and prints one summary line per
-//! benchmark to stderr.
+//! the repo root (one file per bench target): `mode` and `cores` say
+//! how the document was made, `facts` hold the values, `results` the
+//! timings. One summary line per benchmark goes to stderr.
 //!
 //! Knobs:
 //! - `--quick` CLI flag (as in `cargo bench -- --quick`): fewer
-//!   samples, shorter warmup.
-//! - `HOLO_BENCH_ITERS`: fixed inner iteration count (skips
-//!   calibration) — used by the harness smoke test.
-//! - `HOLO_BENCH_SAMPLES`: fixed sample count.
-//! - `HOLO_BENCH_OUT_DIR`: override the output directory.
+//!   samples, shorter warmup; benches read it back through
+//!   [`Criterion::quick`] to cap their probes.
+//! - `HOLO_BENCH_OUT_DIR`: override the output directory ([`out_dir`]).
 
 use crate::ser::{JsonValue, ToJson};
 use std::path::{Path, PathBuf};
@@ -43,20 +46,13 @@ pub struct BenchConfig {
 
 impl Default for BenchConfig {
     fn default() -> Self {
-        let mut cfg = Self {
+        Self {
             sample_size: 20,
             iters_per_sample: None,
             warmup: Duration::from_millis(100),
             target_sample_time: Duration::from_millis(20),
             quick: false,
-        };
-        if let Some(n) = env_u64("HOLO_BENCH_SAMPLES") {
-            cfg.sample_size = (n as usize).max(1);
         }
-        if let Some(n) = env_u64("HOLO_BENCH_ITERS") {
-            cfg.iters_per_sample = Some(n.max(1));
-        }
-        cfg
     }
 }
 
@@ -64,26 +60,14 @@ impl BenchConfig {
     /// The `--quick` profile: enough samples for a stable median, small
     /// enough that all nine paper benches finish in CI.
     pub fn quick() -> Self {
-        let mut cfg = Self {
+        Self {
             sample_size: 5,
             iters_per_sample: None,
             warmup: Duration::from_millis(10),
             target_sample_time: Duration::from_millis(5),
             quick: true,
-        };
-        // Env overrides still win over the profile.
-        if let Some(n) = env_u64("HOLO_BENCH_SAMPLES") {
-            cfg.sample_size = (n as usize).max(1);
         }
-        if let Some(n) = env_u64("HOLO_BENCH_ITERS") {
-            cfg.iters_per_sample = Some(n.max(1));
-        }
-        cfg
     }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// Statistics for one benchmark, in nanoseconds per iteration.
@@ -121,6 +105,27 @@ impl ToJson for BenchResult {
             ("mean_ns", self.mean_ns.to_json()),
             ("min_ns", self.min_ns.to_json()),
             ("max_ns", self.max_ns.to_json()),
+        ])
+    }
+}
+
+/// One recorded fact: a value the bench computed, not a timing. The
+/// name is stable (it never carries the value); the unit says what the
+/// value counts (`"permille"`, `"bytes"`, `"label"`, ..).
+struct Fact {
+    group: String,
+    name: String,
+    value: JsonValue,
+    unit: String,
+}
+
+impl ToJson for Fact {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("group", self.group.to_json()),
+            ("name", self.name.to_json()),
+            ("value", self.value.clone()),
+            ("unit", self.unit.to_json()),
         ])
     }
 }
@@ -181,18 +186,20 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 pub struct Criterion {
     config: BenchConfig,
     results: Vec<BenchResult>,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Self::with_config(BenchConfig::default())
-    }
+    facts: Vec<Fact>,
 }
 
 impl Criterion {
     /// Harness with an explicit configuration (tests use this).
     pub fn with_config(config: BenchConfig) -> Self {
-        Self { config, results: Vec::new() }
+        Self { config, results: Vec::new(), facts: Vec::new() }
+    }
+
+    /// Whether this run uses the `--quick` profile. A bench caps its
+    /// probes on this, so they cannot disagree with the document's
+    /// `mode`.
+    pub fn quick(&self) -> bool {
+        self.config.quick
     }
 
     /// Harness configured from the CLI arguments `cargo bench` passes
@@ -200,11 +207,7 @@ impl Criterion {
     /// (`--bench`, filters) is accepted and ignored.
     pub fn from_args() -> Self {
         let quick = std::env::args().skip(1).any(|a| a == "--quick");
-        if quick {
-            Self::with_config(BenchConfig::quick())
-        } else {
-            Self::with_config(BenchConfig::default())
-        }
+        Self::with_config(if quick { BenchConfig::quick() } else { BenchConfig::default() })
     }
 
     /// Open a named group; benchmarks registered through it share the
@@ -218,6 +221,26 @@ impl Criterion {
         self.run_bench(String::new(), name.into(), None, f);
     }
 
+    /// Record an ungrouped fact; see [`BenchmarkGroup::fact`].
+    pub fn fact(&mut self, name: impl Into<String>, value: impl ToJson, unit: &str) {
+        self.record_fact(String::new(), name.into(), value.to_json(), unit);
+    }
+
+    fn record_fact(&mut self, group: String, name: String, value: JsonValue, unit: &str) {
+        let label = format!("{group}/{name}");
+        let scalar = match &value {
+            JsonValue::Num(n) => n.is_finite(),
+            JsonValue::Str(_) | JsonValue::Bool(_) => true,
+            _ => false,
+        };
+        assert!(scalar, "fact {label}: {value:?} is not a finite number, a string or a bool");
+        if let Some(old) = self.facts.iter().find(|f| f.group == group && f.name == name) {
+            panic!("fact {label} recorded twice: {} then {}", old.value.render(), value.render());
+        }
+        eprintln!("[fact] {label} = {} {unit}", value.render());
+        self.facts.push(Fact { group, name, value, unit: unit.to_string() });
+    }
+
     fn run_bench(
         &mut self,
         group: String,
@@ -227,11 +250,8 @@ impl Criterion {
     ) {
         let mut config = self.config.clone();
         if let Some(n) = sample_size {
-            // Group-level sample_size, unless the env var pinned it;
-            // --quick caps it at the profile count instead.
-            if std::env::var("HOLO_BENCH_SAMPLES").is_err() {
-                config.sample_size = if config.quick { n.min(config.sample_size) } else { n };
-            }
+            // --quick caps a group-level sample_size at the profile count.
+            config.sample_size = if config.quick { n.min(config.sample_size) } else { n };
         }
         let mut bencher = Bencher { config: &config, sample_ns: Vec::new(), iters_per_sample: 0 };
         f(&mut bencher);
@@ -274,8 +294,12 @@ impl Criterion {
 
     /// Serialize the whole run as a JSON tree.
     pub fn report_json(&self, bench_name: &str) -> JsonValue {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         JsonValue::obj([
             ("bench", bench_name.to_json()),
+            ("mode", if self.quick() { "quick" } else { "full" }.to_json()),
+            ("cores", cores.to_json()),
+            ("facts", self.facts.to_json()),
             ("results", self.results.to_json()),
         ])
     }
@@ -289,18 +313,26 @@ impl Criterion {
     }
 
     /// Called by [`bench_main!`](crate::bench_main) after all groups
-    /// ran: resolve the bench target name and repo root, write the
-    /// report.
+    /// ran: resolve the bench target name and output directory, write
+    /// the report. The gate needs the document, so a failed write
+    /// fails the bench.
     pub fn finalize(&self, manifest_dir: &str) {
         let name = bench_target_name();
-        let out_dir = std::env::var("HOLO_BENCH_OUT_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| repo_root(manifest_dir));
-        match self.write_report(&out_dir, &name) {
+        match self.write_report(&out_dir(manifest_dir), &name) {
             Ok(path) => eprintln!("[bench] report: {}", path.display()),
-            Err(e) => eprintln!("[bench] report write failed for {name}: {e}"),
+            Err(e) => {
+                eprintln!("[bench] report write failed for {name}: {e}");
+                std::process::exit(1);
+            }
         }
     }
+}
+
+/// Where a bench writes its artifacts: `HOLO_BENCH_OUT_DIR` if set,
+/// else the repo root above the crate's manifest dir.
+pub fn out_dir(manifest_dir: &str) -> PathBuf {
+    std::env::var_os("HOLO_BENCH_OUT_DIR")
+        .map_or_else(|| repo_root(manifest_dir), PathBuf::from)
 }
 
 /// The bench target name, recovered from the executable path by
@@ -366,6 +398,14 @@ impl<'a> BenchmarkGroup<'a> {
         self.criterion.run_bench(self.group.clone(), name.into(), self.sample_size, f);
     }
 
+    /// Record a fact in this group. Panics on a value that is not a
+    /// finite number, a string or a bool, and on a `(group, name)`
+    /// already recorded: either would make a document the gate
+    /// mis-joins.
+    pub fn fact(&mut self, name: impl Into<String>, value: impl ToJson, unit: &str) {
+        self.criterion.record_fact(self.group.clone(), name.into(), value.to_json(), unit);
+    }
+
     /// End the group (results are recorded eagerly; this exists for
     /// criterion source-compatibility).
     pub fn finish(self) {}
@@ -373,7 +413,6 @@ impl<'a> BenchmarkGroup<'a> {
 
 /// Define a bench group function: `bench_group!(benches, fn_a, fn_b)`
 /// creates `fn benches(&mut Criterion)` running each target in order.
-/// Alias: `criterion_group!`.
 #[macro_export]
 macro_rules! bench_group {
     ($group:ident, $($target:path),+ $(,)?) => {
@@ -385,7 +424,7 @@ macro_rules! bench_group {
 
 /// Define `main()` for a `harness = false` bench target: parses CLI
 /// args, runs the groups, writes `BENCH_<target>.json` at the repo
-/// root. Alias: `criterion_main!`.
+/// root.
 #[macro_export]
 macro_rules! bench_main {
     ($($group:path),+ $(,)?) => {
@@ -395,18 +434,6 @@ macro_rules! bench_main {
             c.finalize(env!("CARGO_MANIFEST_DIR"));
         }
     };
-}
-
-/// Criterion-compatible alias for [`bench_group!`](crate::bench_group).
-#[macro_export]
-macro_rules! criterion_group {
-    ($($tt:tt)+) => { $crate::bench_group!($($tt)+); };
-}
-
-/// Criterion-compatible alias for [`bench_main!`](crate::bench_main).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($tt:tt)+) => { $crate::bench_main!($($tt)+); };
 }
 
 #[cfg(test)]
@@ -454,6 +481,21 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert!(results[0].get("median_ns").unwrap().as_f64().unwrap() > 0.0);
         assert!(results[0].get("p95_ns").unwrap().as_f64().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "fact g/n recorded twice: 553 then 554")]
+    fn a_fact_recorded_twice_panics_with_both_values() {
+        let mut c = Criterion::with_config(tiny_config());
+        let mut group = c.benchmark_group("g");
+        group.fact("n", 553u64, "permille");
+        group.fact("n", 554u64, "permille");
+    }
+
+    #[test]
+    #[should_panic(expected = "fact /ratio: Num(NaN) is not a finite number")]
+    fn a_non_finite_fact_panics() {
+        Criterion::with_config(tiny_config()).fact("ratio", f64::NAN, "ratio");
     }
 
     #[test]

@@ -369,6 +369,12 @@ impl ToJson for str {
     }
 }
 
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> JsonValue {
+        (**self).to_json()
+    }
+}
+
 impl ToJson for String {
     fn to_json(&self) -> JsonValue {
         JsonValue::Str(self.clone())

@@ -18,14 +18,10 @@ use holo_chaos::{
 };
 
 fn main() {
-    let quick = std::env::var("SEMHOLO_EXAMPLE_QUICK").is_ok();
     let seed = 42;
 
     // 1. One faulted stream, four protection strategies.
-    let cfg = StreamConfig {
-        frames: if quick { 60 } else { 150 },
-        ..Default::default()
-    };
+    let cfg = StreamConfig { frames: 150, ..Default::default() };
     let plan = FaultPlan::burst5(seed);
     println!(
         "stream: {} frames at {:.0} fps, {} B payloads on a {:.0} Mbps link",

@@ -11,7 +11,6 @@
 //! `SLO_fleet.json` with the same byte-identity guarantee.
 //!
 //! Run with: `cargo run --release --example fleet_capacity`
-//! (`SEMHOLO_EXAMPLE_QUICK=1` shrinks frames and the search ceiling.)
 
 use holo_fleet::{fleet_capacity, FleetCapacityConfig, FleetTopology, PolicyKind};
 use holo_runtime::ser::ToJson;
@@ -19,7 +18,6 @@ use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
 
 fn main() {
-    let quick = std::env::var("SEMHOLO_EXAMPLE_QUICK").is_ok();
     let config = SemHoloConfig {
         capture_resolution: (48, 36),
         camera_count: 2,
@@ -38,7 +36,7 @@ fn main() {
     // labels, not datacenter-scale numbers.
     let egress_bps = 60e6;
     let cascade_bps = 400e6;
-    let frames = if quick { 3 } else { 5 };
+    let frames = 5;
     let max_rooms = 256;
 
     println!("fleet capacity, keypoint semantics, {egress_bps:.0e} bps node egress");

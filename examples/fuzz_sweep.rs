@@ -12,7 +12,6 @@
 //! non-zero on any contract violation.
 //!
 //! Run with: `cargo run --release --example fuzz_sweep`
-//! (`SEMHOLO_EXAMPLE_QUICK=1` shrinks the sweep for CI smoke runs.)
 
 use holo_fuzz::{run_sweep, FuzzConfig, TrackingAllocator};
 
@@ -20,8 +19,7 @@ use holo_fuzz::{run_sweep, FuzzConfig, TrackingAllocator};
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 fn main() {
-    let quick = std::env::var("SEMHOLO_EXAMPLE_QUICK").is_ok();
-    let cfg = FuzzConfig { seed: 7, mutations_per_target: if quick { 400 } else { 10_000 } };
+    let cfg = FuzzConfig { seed: 7, mutations_per_target: 10_000 };
 
     println!(
         "fuzz sweep: seed {}, {} mutants per target, allocation caps enforced\n",

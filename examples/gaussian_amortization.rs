@@ -8,19 +8,19 @@
 //! updates undercut the rival's total wire bytes. Two canonical
 //! artifacts come out:
 //!
-//! - `BENCH_gaussian_amortization.json` — the measured cost model in
-//!   bench-entry schema, so `scripts/bench_gate.sh` can regression-gate
-//!   it. Every value is derived from encoded byte counts, never from
-//!   wall clocks, so the file is byte-identical across runs and thread
-//!   counts.
+//! - `BENCH_gaussian_amortization.json` — the measured cost model as
+//!   the bench harness's facts (no timings), so `scripts/bench_gate.sh`
+//!   compares it exactly. Every value is derived from encoded byte
+//!   counts, never from wall clocks, so the file is byte-identical
+//!   across runs and thread counts.
 //! - `GAUSSIAN_frontier.json` — break-even duration vs mesh and
 //!   keypoints as a function of prebuild size and update rate.
 //!
 //! Run with: `cargo run --release --example gaussian_amortization`
 
 use holo_gaussian::{break_even_seconds, FrontierReport, GaussianPipeline, TierCost};
-use holo_runtime::bench::BenchResult;
-use holo_runtime::ser::{JsonValue, ToJson};
+use holo_runtime::bench::Criterion;
+use holo_runtime::ser::ToJson;
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::traditional::{MeshWire, TraditionalPipeline};
 use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
@@ -35,23 +35,6 @@ fn steady_payload(pipeline: &mut dyn SemanticPipeline, scene: &SceneSource, fram
         total += pipeline.encode(&scene.frame(i)).expect("encode").payload.len();
     }
     total as f64 / (frames - 1) as f64
-}
-
-/// One deterministic bench entry: the measured value rides the `_ns`
-/// fields (bytes, bps, or nanoseconds — see the entry name), with a
-/// flat distribution since nothing was sampled from a clock.
-fn entry(name: &str, value: f64) -> BenchResult {
-    BenchResult {
-        group: "gaussian_amortization".into(),
-        name: name.into(),
-        samples: 1,
-        iters_per_sample: 1,
-        median_ns: value,
-        p95_ns: value,
-        mean_ns: value,
-        min_ns: value,
-        max_ns: value,
-    }
 }
 
 fn main() {
@@ -131,23 +114,19 @@ fn main() {
         rates.len()
     );
 
-    // The bench artifact: byte-derived values in bench-entry schema so
-    // the regression gate watches codec efficiency drift. `*_ns` carries
-    // bytes / bps / break-even-nanoseconds per the entry name.
-    let results = vec![
-        entry("prebuild_bytes", prebuild as f64),
-        entry("update_payload_bytes", g_payload),
-        entry("mesh_payload_bytes", m_payload),
-        entry("keypoint_payload_bytes", k_payload),
-        entry("gaussian_steady_bps", g.steady_bps),
-        entry("break_even_vs_mesh_ns", be_mesh * 1e9),
-        entry("break_even_vs_keypoints_ns", be_keypoints * 1e9),
-    ];
-    let doc = JsonValue::obj([
-        ("bench", "gaussian_amortization".to_json()),
-        ("results", results.to_json()),
-    ]);
-    std::fs::write("BENCH_gaussian_amortization.json", doc.render() + "\n")
+    // The bench artifact: byte-derived facts, so the gate fails on any
+    // codec efficiency drift.
+    let mut c = Criterion::from_args();
+    let mut group = c.benchmark_group("gaussian_amortization");
+    group.fact("prebuild", prebuild, "bytes");
+    group.fact("update_payload", g_payload, "bytes");
+    group.fact("mesh_payload", m_payload, "bytes");
+    group.fact("keypoint_payload", k_payload, "bytes");
+    group.fact("gaussian_steady", g.steady_bps, "bps");
+    group.fact("break_even_vs_mesh", be_mesh * 1e9, "ns");
+    group.fact("break_even_vs_keypoints", be_keypoints * 1e9, "ns");
+    group.finish();
+    c.write_report(std::path::Path::new("."), "gaussian_amortization")
         .expect("write BENCH_gaussian_amortization.json");
-    println!("wrote BENCH_gaussian_amortization.json (canonical: byte-derived, no wall clocks)");
+    println!("wrote BENCH_gaussian_amortization.json (byte-derived facts, no wall clocks)");
 }

@@ -64,7 +64,7 @@ fn main() {
     // on and show where the milliseconds go. Every span is stamped in
     // virtual SimTime, so TRACE_quickstart.json is byte-identical across
     // runs of the same seed (open it in chrome://tracing or Perfetto).
-    let frames = if std::env::var("SEMHOLO_EXAMPLE_QUICK").is_ok() { 5 } else { 30 };
+    let frames = 30;
     let mut session = Session::new(SessionConfig::default());
     let trace_path = std::path::Path::new("TRACE_quickstart.json");
     let (report, trace) = session
