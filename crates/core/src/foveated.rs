@@ -22,7 +22,7 @@ use holo_body::params::PosePayload;
 use holo_body::skeleton::Skeleton;
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_compress::lzma::{lzma_compress, lzma_decompress};
-use holo_compress::meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig};
+use holo_compress::meshcodec::{decode_mesh, MeshCodecConfig, MeshEncoder};
 use holo_compress::primitives::{read_varint, write_varint};
 use holo_gaze::classify::{GazeClass, IvtClassifier};
 use holo_gaze::foveation::FoveationMap;
@@ -80,6 +80,9 @@ pub struct FoveatedPipeline {
     last_encode_gaze: Vec2,
     /// Per-frame byte split: (foveal mesh bytes, keypoint bytes).
     pub last_split: (usize, usize),
+    /// Codes the foveal patch. Its topology moves with the gaze, so most
+    /// frames re-walk it — into the memory the last frame's walk used.
+    patch_encoder: MeshEncoder,
 }
 
 impl FoveatedPipeline {
@@ -96,6 +99,7 @@ impl FoveatedPipeline {
             rng: Pcg32::with_stream(seed, 0xF0),
             last_encode_gaze: Vec2::ZERO,
             last_split: (0, 0),
+            patch_encoder: MeshEncoder::default(),
         }
     }
 
@@ -192,7 +196,7 @@ impl SemanticPipeline for FoveatedPipeline {
         // Foveal patch: cut from the posed mesh, Draco-compress.
         let mesh = frame.posed_mesh();
         let patch = Self::submesh(&mesh, &map, true);
-        let patch_bytes = encode_mesh(&patch, &MeshCodecConfig { position_bits: self.config.quantization_bits });
+        let patch_bytes = self.patch_encoder.encode(&patch, &MeshCodecConfig { position_bits: self.config.quantization_bits });
         // Peripheral keypoints: the full pose payload (receiver needs the
         // whole skeleton anyway).
         let posed = self.skeleton.forward_kinematics(&frame.params);

@@ -10,7 +10,7 @@ use crate::error::{reject_decode, Result};
 use crate::scene::SceneFrame;
 use crate::semantics::{mesh_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost};
 use holo_runtime::bytes::Bytes;
-use holo_compress::meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig};
+use holo_compress::meshcodec::{decode_mesh, MeshCodecConfig, MeshEncoder};
 
 /// Whether to compress the mesh on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +29,9 @@ pub struct TraditionalPipeline {
     pub codec: MeshCodecConfig,
     /// Quality reference resolution.
     pub quality_reference_resolution: u32,
+    /// The compressed mode's encoder: the avatar's topology never
+    /// changes, so its connectivity is walked on the first frame only.
+    encoder: MeshEncoder,
 }
 
 impl TraditionalPipeline {
@@ -38,6 +41,7 @@ impl TraditionalPipeline {
             wire,
             codec: MeshCodecConfig { position_bits: quantization_bits },
             quality_reference_resolution: 96,
+            encoder: MeshEncoder::default(),
         }
     }
 }
@@ -111,7 +115,7 @@ impl SemanticPipeline for TraditionalPipeline {
         let mesh = frame.posed_mesh();
         let bytes = match self.wire {
             MeshWire::Raw => mesh_to_raw_bytes(&mesh),
-            MeshWire::Compressed => encode_mesh(&mesh, &self.codec),
+            MeshWire::Compressed => self.encoder.encode(&mesh, &self.codec),
         };
         Ok(EncodedFrame {
             payload: Bytes::from(bytes),

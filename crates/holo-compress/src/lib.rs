@@ -34,6 +34,6 @@ pub mod rc;
 pub mod texture;
 
 pub use lzma::{lzma_compress, lzma_decompress};
-pub use meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig};
+pub use meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig, MeshEncoder};
 pub use temporal::{TemporalMeshDecoder, TemporalMeshEncoder};
 pub use texture::{Texture, TextureCodec};

@@ -62,25 +62,6 @@ fn next_op_context(context: usize, op: u32) -> usize {
 type QPos = [i32; 3];
 const UNDISCOVERED: u32 = u32::MAX;
 
-fn quantize_positions(mesh: &TriMesh, bits: u32) -> (Vec<QPos>, Vec3, f32) {
-    let bounds = mesh.bounds();
-    let (origin, step) = if mesh.vertices.is_empty() {
-        (Vec3::ZERO, 1.0)
-    } else {
-        let longest = bounds.longest_side().max(1e-9);
-        (bounds.min, longest / ((1u64 << bits) - 1) as f32)
-    };
-    let q = mesh
-        .vertices
-        .iter()
-        .map(|v| {
-            let r = (*v - origin) / step;
-            [r.x.round() as i32, r.y.round() as i32, r.z.round() as i32]
-        })
-        .collect();
-    (q, origin, step)
-}
-
 /// Parallelogram prediction across edge `(u, v)` of a known triangle
 /// whose third vertex is `opp`. Wrapping: hostile input may not fit i32
 /// sums; its positions are garbage anyway, but debug must not panic.
@@ -92,119 +73,193 @@ fn parallelogram(q: &[QPos], u: u32, v: u32, opp: u32) -> QPos {
 /// Directed half-edges `[destination, face, third vertex]` grouped by
 /// source vertex and in face order within a group, as CSR: vertex `v`'s
 /// group is `edges[first[v]..first[v + 1]]`.
-fn half_edges(mesh: &TriMesh) -> (Vec<u32>, Vec<[u32; 3]>) {
-    let mut first = vec![0u32; mesh.vertices.len() + 1];
-    for &a in mesh.faces.iter().flatten() {
-        first[a as usize + 1] += 1;
+fn half_edges(faces: &[[u32; 3]], vertex_count: usize, first: &mut Vec<u32>, edges: &mut Vec<[u32; 3]>) {
+    // Out-degrees are counted two places up, so that after the prefix
+    // sum `first[v + 1]` is v's start; filling advances it to v's end,
+    // which is v + 1's start.
+    first.clear();
+    first.resize(vertex_count + 2, 0);
+    for &a in faces.iter().flatten() {
+        first[a as usize + 2] += 1;
     }
-    for v in 0..mesh.vertices.len() {
-        first[v + 1] += first[v];
+    for v in 2..first.len() {
+        first[v] += first[v - 1];
     }
-    let mut cursor = first.clone();
-    let mut edges = vec![[0u32; 3]; mesh.faces.len() * 3];
-    for (fi, f) in mesh.faces.iter().enumerate() {
+    edges.clear();
+    edges.resize(faces.len() * 3, [0; 3]);
+    for (fi, f) in faces.iter().enumerate() {
         for k in 0..3 {
-            let at = &mut cursor[f[k] as usize];
+            let at = &mut first[f[k] as usize + 1];
             edges[*at as usize] = [f[(k + 1) % 3], fi as u32, f[(k + 2) % 3]];
             *at += 1;
         }
     }
-    (first, edges)
 }
 
 /// Encode a mesh. Unreferenced vertices are not preserved.
 pub fn encode_mesh(mesh: &TriMesh, cfg: &MeshCodecConfig) -> Vec<u8> {
-    encode_mesh_with_permutation(mesh, cfg).0
+    MeshEncoder::default().encode(mesh, cfg)
 }
 
-/// Like [`encode_mesh`], additionally returning the vertex permutation:
-/// `perm[k]` is the index in `mesh.vertices` of the vertex the decoder
-/// will emit at position `k` (discovery order). Temporal coding needs it
-/// to compute deltas against the receiver's reordered reference.
-pub fn encode_mesh_with_permutation(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (Vec<u8>, Vec<u32>) {
-    let timer = holo_trace::WallTimer::start();
-    let bits = cfg.position_bits.clamp(*BITS_RANGE.start(), *BITS_RANGE.end());
-    let (qpos, origin, step) = quantize_positions(mesh, bits);
+/// An encoder that keeps its memory between meshes and, while `faces`
+/// repeats, its walk: but for the residual slots, which every call
+/// rewrites, the buffered stream is a function of connectivity alone
+/// (DESIGN.md §16). What it emits never depends on what it encoded before.
+#[derive(Default)]
+pub struct MeshEncoder {
+    /// The `faces` the stream below was walked from; `None` until a walk
+    /// has finished, so an unwound one cannot be matched.
+    key: Option<Vec<[u32; 3]>>,
+    enc: RansEncoder,
+    /// Per new vertex `[place, c, u, v, opp]`: its three residuals' place
+    /// in `enc`, then itself and its parallelogram as indices into `qpos`.
+    residuals: Vec<[u32; 5]>,
+    order: Vec<u32>,
+    /// This mesh's quantized positions, vertex `v` at `v + 1` behind an
+    /// all-zero entry: a seed vertex's delta on the seed vertex before it
+    /// is the parallelogram `(previous, 0, 0)`, the very first `(0, 0, 0)`.
+    qpos: Vec<QPos>,
+    // The walk's scratch. Stack entries: (u, v, opp) — find the face
+    // containing directed edge (u, v); `opp` supports the prediction.
+    first: Vec<u32>,
+    edges: Vec<[u32; 3]>,
+    visited: Vec<bool>,
+    disc: Vec<u32>,
+    stack: Vec<(u32, u32, u32)>,
+    /// What the last output took; the next is allocated once, from this.
+    last_len: usize,
+}
 
-    // Header (uncoded): magic, bits, face count, origin, step.
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(bits as u8);
-    out.extend_from_slice(&(mesh.faces.len() as u32).to_le_bytes());
-    for c in [origin.x, origin.y, origin.z, step] {
-        out.extend_from_slice(&c.to_le_bytes());
+impl MeshEncoder {
+    /// [`encode_mesh`], in kept memory.
+    pub fn encode(&mut self, mesh: &TriMesh, cfg: &MeshCodecConfig) -> Vec<u8> {
+        let timer = holo_trace::WallTimer::start();
+        let bits = cfg.position_bits.clamp(*BITS_RANGE.start(), *BITS_RANGE.end());
+        let (origin, step) = if mesh.vertices.is_empty() {
+            (Vec3::ZERO, 1.0)
+        } else {
+            let bounds = mesh.bounds();
+            (bounds.min, bounds.longest_side().max(1e-9) / ((1u64 << bits) - 1) as f32)
+        };
+        self.qpos.clear();
+        self.qpos.push([0; 3]);
+        self.qpos.extend(mesh.vertices.iter().map(|v| {
+            let r = (*v - origin) / step;
+            [r.x.round() as i32, r.y.round() as i32, r.z.round() as i32]
+        }));
+
+        // Header (uncoded): magic, bits, face count, origin, step.
+        let mut out = Vec::with_capacity(self.last_len + self.last_len / 8);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.push(bits as u8);
+        out.extend_from_slice(&(mesh.faces.len() as u32).to_le_bytes());
+        for c in [origin.x, origin.y, origin.z, step] {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+
+        // Pass 1, when connectivity changed: walk it, buffering symbols.
+        if !self.walked(&mesh.faces) {
+            let mut key = self.key.take().unwrap_or_default();
+            self.walk(&mesh.faces, mesh.vertices.len());
+            key.clone_from(&mesh.faces);
+            self.key = Some(key);
+        }
+        // Pass 2: this mesh's residuals into their slots.
+        for &[place, c, u, v, opp] in &self.residuals {
+            let (q, pred) = (self.qpos[c as usize], parallelogram(&self.qpos, u, v, opp));
+            for k in 0..3 {
+                self.enc.replace(place as usize + k, zigzag(q[k].wrapping_sub(pred[k])));
+            }
+        }
+        // Pass 3: histogram, tables, code.
+        self.enc.finish(&ALPHABETS, &mut out);
+        self.last_len = out.len();
+        timer.stop("compress.mesh.encode_us");
+        // Raw baseline: 12 bytes/vertex position + 12 bytes/face of indices.
+        let raw = mesh.vertices.len() * 12 + mesh.faces.len() * 12;
+        holo_trace::histogram("compress.mesh.ratio_permille", out.len() as u64 * 1000 / raw.max(1) as u64);
+        holo_trace::counter("compress.mesh.bytes_out", out.len() as u64);
+        out
     }
 
-    // Pass 1: walk the mesh, buffering symbols.
-    let (first, edges) = half_edges(mesh);
-    let mut enc = RansEncoder::default();
-    let mut visited = vec![false; mesh.faces.len()];
-    let mut disc = vec![UNDISCOVERED; mesh.vertices.len()];
-    let mut order: Vec<u32> = Vec::with_capacity(mesh.vertices.len());
-    // Code vertex `v`, the choice under `op_context`: a back-reference
-    // if discovered, else its residual against `pred` under `context`.
-    let mut vertex = |enc: &mut RansEncoder, op_context: usize, v: u32, pred: QPos, context: usize| {
-        let d = disc[v as usize];
-        if d != UNDISCOVERED {
-            enc.symbol(op_context, OP_KNOWN);
-            enc.bucketed(CTX_BACKREF, order.len() as u32 - 1 - d);
-            return OP_KNOWN;
-        }
-        enc.symbol(op_context, OP_NEW);
-        for (k, p) in pred.iter().enumerate() {
-            enc.bucketed(context + k, zigzag(qpos[v as usize][k].wrapping_sub(*p)));
-        }
-        disc[v as usize] = order.len() as u32;
-        order.push(v);
-        OP_NEW
-    };
-    let mut last_abs: QPos = [0, 0, 0];
-    let mut op_context = 0;
-    // Stack entries: (u, v, opp) — find the face containing directed edge
-    // (u, v); `opp` supports parallelogram prediction.
-    let mut stack: Vec<(u32, u32, u32)> = Vec::new();
-
-    for seed_face in 0..mesh.faces.len() {
-        if visited[seed_face] {
-            continue;
-        }
-        // Start a component: the seed triangle, each vertex a delta on the last.
-        visited[seed_face] = true;
-        let [s0, s1, s2] = mesh.faces[seed_face];
-        for v in [s0, s1, s2] {
-            vertex(&mut enc, CTX_SEED_OP, v, last_abs, CTX_SEED);
-            last_abs = qpos[v as usize];
-        }
-        stack.extend([(s1, s0, s2), (s2, s1, s0), (s0, s2, s1)]);
-
-        while let Some((u, v, opp)) = stack.pop() {
-            // The first face in face order on directed edge (u, v);
-            // later duplicates (non-manifold) are reached via seeding.
-            let group = &edges[first[u as usize] as usize..first[u as usize + 1] as usize];
-            let op = match group.iter().find(|e| e[0] == v) {
-                Some(&[_, fi, c]) if !visited[fi as usize] => {
-                    visited[fi as usize] = true;
-                    stack.push((c, v, u));
-                    stack.push((u, c, v));
-                    vertex(&mut enc, op_context, c, parallelogram(&qpos, u, v, opp), CTX_ATTACH)
-                }
-                _ => {
-                    enc.symbol(op_context, OP_SKIP);
-                    OP_SKIP
-                }
-            };
-            op_context = next_op_context(op_context, op);
-        }
+    /// The last mesh's vertex permutation: `perm[k]` is the index in
+    /// `mesh.vertices` of the vertex the decoder emits at position `k`
+    /// (discovery order) — what a delta against its output is taken over.
+    pub fn permutation(&self) -> &[u32] {
+        &self.order
     }
 
-    // Pass 2: histogram, tables, code.
-    enc.finish(&ALPHABETS, &mut out);
-    timer.stop("compress.mesh.encode_us");
-    // Raw baseline: 12 bytes/vertex position + 12 bytes/face of indices.
-    let raw = mesh.vertices.len() * 12 + mesh.faces.len() * 12;
-    holo_trace::histogram("compress.mesh.ratio_permille", out.len() as u64 * 1000 / raw.max(1) as u64);
-    holo_trace::counter("compress.mesh.bytes_out", out.len() as u64);
-    (out, order)
+    /// Whether the buffered stream is `faces`' — a compare of the arrays
+    /// themselves: no hash, length or pointer stands in for connectivity.
+    pub(crate) fn walked(&self, faces: &[[u32; 3]]) -> bool {
+        self.key.as_deref() == Some(faces)
+    }
+
+    /// Buffer `faces`' ops, back-references and a placeholder per residual.
+    fn walk(&mut self, faces: &[[u32; 3]], vertex_count: usize) {
+        let Self { enc, residuals, order, first, edges, visited, disc, stack, .. } = self;
+        half_edges(faces, vertex_count, first, edges);
+        enc.clear();
+        residuals.clear();
+        order.clear();
+        stack.clear();
+        visited.clear();
+        visited.resize(faces.len(), false);
+        disc.clear();
+        disc.resize(vertex_count, UNDISCOVERED);
+        // Code vertex `v`, the choice under `op_context`: a back-reference
+        // if discovered, else its residual against `pred` under `context`.
+        let mut vertex = |enc: &mut RansEncoder, op_context: usize, v: u32, pred: [u32; 3], context: usize| {
+            let d = disc[v as usize];
+            if d != UNDISCOVERED {
+                enc.symbol(op_context, OP_KNOWN);
+                enc.bucketed(CTX_BACKREF, order.len() as u32 - 1 - d);
+                return OP_KNOWN;
+            }
+            enc.symbol(op_context, OP_NEW);
+            let place = enc.bucketed(context, 0);
+            enc.bucketed(context + 1, 0);
+            enc.bucketed(context + 2, 0);
+            residuals.push([place as u32, v + 1, pred[0], pred[1], pred[2]]);
+            disc[v as usize] = order.len() as u32;
+            order.push(v);
+            OP_NEW
+        };
+        let mut last = 0;
+        let mut op_context = 0;
+        for seed_face in 0..faces.len() {
+            if visited[seed_face] {
+                continue;
+            }
+            // Start a component: the seed triangle, each vertex a delta on the last.
+            visited[seed_face] = true;
+            let [s0, s1, s2] = faces[seed_face];
+            for v in [s0, s1, s2] {
+                vertex(enc, CTX_SEED_OP, v, [last, 0, 0], CTX_SEED);
+                last = v + 1;
+            }
+            stack.extend([(s1, s0, s2), (s2, s1, s0), (s0, s2, s1)]);
+
+            while let Some((u, v, opp)) = stack.pop() {
+                // The first face in face order on directed edge (u, v);
+                // later duplicates (non-manifold) are reached via seeding.
+                let group = &edges[first[u as usize] as usize..first[u as usize + 1] as usize];
+                let op = match group.iter().find(|e| e[0] == v) {
+                    Some(&[_, fi, c]) if !visited[fi as usize] => {
+                        visited[fi as usize] = true;
+                        stack.push((c, v, u));
+                        stack.push((u, c, v));
+                        vertex(enc, op_context, c, [u + 1, v + 1, opp + 1], CTX_ATTACH)
+                    }
+                    _ => {
+                        enc.symbol(op_context, OP_SKIP);
+                        OP_SKIP
+                    }
+                };
+                op_context = next_op_context(op_context, op);
+            }
+        }
+    }
 }
 
 /// Decode a mesh produced by [`encode_mesh`]. Vertices come back in
@@ -326,6 +381,8 @@ mod tests {
     use super::*;
     use holo_math::Pcg32;
     use holo_mesh::sdf::SdfSphere;
+    use holo_runtime::check::{any, collection};
+    use holo_runtime::{holo_prop, prop_assert, prop_assert_eq};
     use holo_mesh::sparse::sparse_extract;
 
     fn assert_roundtrip(mesh: &TriMesh, bits: u32) -> TriMesh {
@@ -448,9 +505,8 @@ mod tests {
         assert_roundtrip(&m, 14);
     }
 
-    #[test]
-    fn nonmanifold_edge_survives() {
-        // Three triangles sharing one edge.
+    /// Three triangles sharing one edge.
+    fn nonmanifold_fan() -> TriMesh {
         let mut m = TriMesh::new();
         m.vertices = vec![
             Vec3::ZERO,
@@ -460,6 +516,12 @@ mod tests {
             Vec3::new(0.0, 0.0, 1.0),
         ];
         m.faces = vec![[0, 1, 2], [0, 1, 3], [0, 1, 4]];
+        m
+    }
+
+    #[test]
+    fn nonmanifold_edge_survives() {
+        let m = nonmanifold_fan();
         let data = encode_mesh(&m, &MeshCodecConfig::default());
         let decoded = decode_mesh(&data).unwrap();
         assert_eq!(decoded.face_count(), 3);
@@ -530,32 +592,119 @@ mod tests {
         assert_eq!(decode_mesh(&data).unwrap_err().kind(), "truncated");
     }
 
-    #[test]
-    fn random_soup_roundtrips() {
-        // Random triangle soup (worst case for prediction, still correct).
-        let mut rng = Pcg32::new(7);
+    /// Random triangle soup (worst case for prediction, still correct):
+    /// `faces` triangles over `faces * 2 / 3` vertices.
+    fn random_soup(seed: u64, faces: u32) -> TriMesh {
+        let mut rng = Pcg32::new(seed);
+        let n = faces * 2 / 3;
         let mut m = TriMesh::new();
-        for _ in 0..200 {
+        for _ in 0..n {
             m.vertices.push(Vec3::new(
                 rng.range_f32(-1.0, 1.0),
                 rng.range_f32(-1.0, 1.0),
                 rng.range_f32(-1.0, 1.0),
             ));
         }
-        for _ in 0..300 {
-            let a = rng.range_u32(200);
-            let mut b = rng.range_u32(200);
-            let mut c = rng.range_u32(200);
+        for _ in 0..faces {
+            let a = rng.range_u32(n);
+            let mut b = rng.range_u32(n);
+            let mut c = rng.range_u32(n);
             if b == a {
-                b = (b + 1) % 200;
+                b = (b + 1) % n;
             }
             if c == a || c == b {
-                c = (c + 2) % 200;
+                c = (c + 2) % n;
             }
             m.faces.push([a, b, c]);
         }
+        m
+    }
+
+    #[test]
+    fn random_soup_roundtrips() {
+        let m = random_soup(7, 300);
         let data = encode_mesh(&m, &MeshCodecConfig::default());
         let decoded = decode_mesh(&data).unwrap();
         assert_eq!(decoded.face_count(), m.face_count());
+    }
+
+    /// The next mesh of a kept encoder's sequence: `mesh` under edit
+    /// `kind`, its free choices drawn from `seed`.
+    fn edited(mesh: &TriMesh, kind: u32, seed: u64) -> TriMesh {
+        let mut rng = Pcg32::new(seed);
+        let mut m = mesh.clone();
+        let face = (!m.faces.is_empty()).then(|| rng.index(m.faces.len().max(1)));
+        match (kind, face) {
+            // Equal faces, every vertex moved.
+            (0, _) => m.vertices.iter_mut().for_each(|v| *v += Vec3::new(rng.normal(), rng.normal(), rng.normal()) * 0.01),
+            (1, Some(f)) => drop(m.faces.remove(f)),
+            (2, Some(f)) => {
+                let other = rng.index(m.faces.len());
+                m.faces.swap(f, other);
+            }
+            (3, Some(f)) => m.faces[f].swap(1, 2),
+            // Equal faces, an unreferenced vertex more — or one fewer.
+            (4, _) => m.vertices.push(Vec3::splat(rng.range_f32(-2.0, 2.0))),
+            (5, _) if m.faces.iter().flatten().all(|&i| (i as usize) < m.vertices.len() - 1) => drop(m.vertices.pop()),
+            (6, _) => m = TriMesh::new(),
+            (7, _) => m = nonmanifold_fan(),
+            (8, _) => m = random_soup(seed, 60),
+            (9, _) => {
+                m = TriMesh::uv_sphere(Vec3::ZERO, 1.0, 5, 7);
+                m.append(&TriMesh::uv_sphere(Vec3::new(3.0, 0.0, 0.0), 0.5, 4, 5));
+            }
+            // Nothing to edit: the same mesh again (perhaps at another depth).
+            _ => {}
+        }
+        m.normals.clear();
+        m
+    }
+
+    holo_prop! {
+        #![cases(256)]
+
+        /// A kept encoder never differs from a fresh one, whatever it
+        /// encoded before: bytes, permutation, and the decode.
+        fn kept_encoder_equals_a_fresh_one_after_any_history(
+            start in 6u32..10,
+            edits in collection::vec((0u32..11, any::<u64>(), 2u32..23), 2..9),
+        ) {
+            let mut kept = MeshEncoder::default();
+            let mut mesh = edited(&TriMesh::new(), start, 1);
+            for (kind, seed, bits) in edits {
+                mesh = edited(&mesh, kind, seed);
+                let cfg = MeshCodecConfig { position_bits: bits };
+                let mut fresh = MeshEncoder::default();
+                let data = kept.encode(&mesh, &cfg);
+                prop_assert!(data == fresh.encode(&mesh, &cfg), "bytes differ after edit {} at {} bits", kind, bits);
+                prop_assert_eq!(kept.permutation(), fresh.permutation());
+                prop_assert!(kept.walked(&mesh.faces));
+                let decoded = decode_mesh(&data).expect("decode");
+                prop_assert_eq!(decoded.face_count(), mesh.face_count());
+                prop_assert_eq!(decoded.vertex_count(), kept.permutation().len());
+                prop_assert!(decoded.validate().is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn unwound_walk_is_never_matched() {
+        let cfg = MeshCodecConfig::default();
+        let good = sphere_mesh();
+        let mut bad = good.clone();
+        bad.faces[100][1] = bad.vertices.len() as u32 + 7;
+        let mut kept = MeshEncoder::default();
+        kept.encode(&good, &cfg);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kept.encode(&bad, &cfg)));
+        assert!(unwound.is_err(), "a face index out of range must not encode");
+        // The key was given up before the walk began, so nothing matches
+        // what it left behind — not even the empty mesh, whose `faces`
+        // equal a cleared key.
+        for mesh in [&bad, &good, &TriMesh::new()] {
+            assert!(!kept.walked(&mesh.faces));
+        }
+        for mesh in [&TriMesh::new(), &good] {
+            assert_eq!(kept.encode(mesh, &cfg), encode_mesh(mesh, &cfg));
+        }
     }
 }

@@ -22,17 +22,17 @@ const SCALE: u32 = 1 << SCALE_BITS;
 /// `RANS_L`, so a decoder that has undone every step must end there.
 const RANS_L: u32 = 1 << 23;
 
-/// Normalise a histogram to frequencies summing to `SCALE` (all zero
+/// Normalise a histogram into `freqs`, summing to `SCALE` (all zero
 /// stays all zero): a counted symbol keeps at least 1, and none exceeds
 /// `SCALE - 1` — a lone symbol cedes one count to a neighbour — so every
 /// symbol costs at least log2(4096/4095) bits and bytes bound symbols.
-fn normalise(counts: &[u32]) -> Vec<u32> {
+fn normalise(counts: &[u32], freqs: &mut [u32]) {
     let total: u64 = counts.iter().map(|&c| c as u64).sum();
-    if total == 0 {
-        return vec![0; counts.len()];
-    }
     let scaled = |c: u32| if c == 0 { 0 } else { ((c as u64 * SCALE as u64 / total) as u32).max(1) };
-    let mut freqs: Vec<u32> = counts.iter().map(|&c| scaled(c)).collect();
+    freqs.iter_mut().zip(counts).for_each(|(f, &c)| *f = scaled(c));
+    if total == 0 {
+        return;
+    }
     // Rounding down leaves a deficit, lifting rare symbols to 1 an
     // excess of at most one per lifted symbol; the largest frequency
     // (at least 64 even with all 64 symbols in play) absorbs either.
@@ -42,18 +42,48 @@ fn normalise(counts: &[u32]) -> Vec<u32> {
         freqs[largest] = SCALE - 1;
         freqs[if largest == 0 { 1 } else { 0 }] = 1;
     }
-    freqs
 }
 
-/// Buffers a stream's symbols and mantissas (start from `default()`);
-/// [`RansEncoder::finish`] builds the tables and codes it.
+/// One `(context, symbol)`'s coding step with the division done ahead
+/// (ryg_rans' `RansEncSymbol`): for `ℓ = ⌈log2 freq⌉`, `x / freq` is
+/// `x · ⌈2^(31 + ℓ) / freq⌉ >> (31 + ℓ)`, exact for every `x < 2³¹`
+/// (Granlund–Montgomery) — and the state never reaches 2³¹.
+#[derive(Clone, Copy, Default)]
+struct EncStep {
+    start: u32,
+    freq: u32,
+    rcp: u32,
+    shift: u32,
+}
+
+impl EncStep {
+    fn new(start: u32, freq: u32) -> Self {
+        let shift = 63 - (freq.max(1) - 1).leading_zeros();
+        Self { start, freq, rcp: (1u64 << shift).div_ceil(freq.max(1) as u64) as u32, shift }
+    }
+
+    /// `((x / freq) << 12) + x % freq + start`, as `x + start + (x / freq) · (4096 − freq)`.
+    #[inline]
+    fn apply(&self, x: u32) -> u32 {
+        x + self.start + ((x as u64 * self.rcp as u64) >> self.shift) as u32 * (SCALE - self.freq)
+    }
+}
+
+/// Buffers a stream's symbols and bucketed values (start from
+/// `default()`); [`RansEncoder::finish`] builds the tables and codes it
+/// and leaves it buffered, so a caller whose next stream differs only in
+/// some values [`RansEncoder::replace`]s those and finishes again.
 #[derive(Default)]
 pub struct RansEncoder {
     /// `(context, symbol)` in decode order.
     symbols: Vec<(u8, u8)>,
-    mantissas: Vec<u8>,
-    acc: u64,
-    acc_bits: u32,
+    /// Per bucketed value, in order: where its slot sits in `symbols`,
+    /// and the value, whose mantissa `finish` packs.
+    values: Vec<(u32, u32)>,
+    // `finish`'s scratch, the first two indexed `context << 8 | symbol`.
+    counts: Vec<u32>,
+    steps: Vec<EncStep>,
+    coded: Vec<u8>,
 }
 
 impl RansEncoder {
@@ -65,59 +95,81 @@ impl RansEncoder {
 
     /// Append an unsigned value as a bucket slot under `context`
     /// (alphabet 64) plus raw mantissa bits: cost grows with log(value).
+    /// Returns the value's place, for [`RansEncoder::replace`].
     #[inline]
-    pub fn bucketed(&mut self, context: usize, value: u32) {
-        let (slot, bits) = bucket_slot(value);
-        self.symbol(context, slot);
-        self.acc |= ((value & ((1 << bits) - 1)) as u64) << self.acc_bits;
-        self.acc_bits += bits;
-        while self.acc_bits >= 8 {
-            self.mantissas.push(self.acc as u8);
-            self.acc >>= 8;
-            self.acc_bits -= 8;
-        }
+    pub fn bucketed(&mut self, context: usize, value: u32) -> usize {
+        self.values.push((self.symbols.len() as u32, value));
+        self.symbol(context, bucket_slot(value).0);
+        self.values.len() - 1
+    }
+
+    /// Overwrite the value appended at `place`, under the same context.
+    #[inline]
+    pub fn replace(&mut self, place: usize, value: u32) {
+        let at = self.values[place].0 as usize;
+        self.values[place].1 = value;
+        self.symbols[at].1 = bucket_slot(value).0 as u8;
+    }
+
+    /// Forget the stream, keep the memory.
+    pub fn clear(&mut self) {
+        self.symbols.clear();
+        self.values.clear();
     }
 
     /// Code the stream onto `out`. `alphabets[c]` is context `c`'s
     /// alphabet size: at least 2, and above every symbol appended under `c`.
-    pub fn finish(mut self, alphabets: &[u8], out: &mut Vec<u8>) {
-        let mut counts: Vec<Vec<u32>> = alphabets.iter().map(|&n| vec![0; n as usize]).collect();
+    pub fn finish(&mut self, alphabets: &[u8], out: &mut Vec<u8>) {
+        self.counts.clear();
+        self.counts.resize(alphabets.len() << 8, 0);
         for &(c, s) in &self.symbols {
-            counts[c as usize][s as usize] += 1;
+            self.counts[(c as usize) << 8 | s as usize] += 1;
         }
-        // Per context and symbol: (start, freq).
-        let mut tables: Vec<Vec<(u32, u32)>> = Vec::with_capacity(counts.len());
-        for counts in &counts {
-            let freqs = normalise(counts);
+        self.steps.resize(self.counts.len(), EncStep::default()); // every step read below is rewritten first
+        let mut freqs = [0u32; 256];
+        for ((counts, steps), &n) in self.counts.chunks(256).zip(self.steps.chunks_mut(256)).zip(alphabets) {
+            let (counts, beyond) = counts.split_at(n as usize);
+            assert!(beyond.iter().all(|&k| k == 0), "a symbol at or above its context's alphabet size");
+            let freqs = &mut freqs[..n as usize];
+            normalise(counts, freqs);
             let used = freqs.iter().rposition(|&f| f != 0).map_or(0, |i| i + 1);
             out.push(used as u8);
             freqs[..used].iter().for_each(|&f| write_varint(out, f));
-            let mut end = 0;
-            let range = |&f: &u32| {
-                end += f;
-                (end - f, f)
-            };
-            tables.push(freqs.iter().map(range).collect());
+            let mut start = 0;
+            for (step, &f) in steps.iter_mut().zip(freqs.iter()) {
+                *step = EncStep::new(start, f);
+                start += f;
+            }
         }
         // Backwards over the symbols, emitting bytes last-first.
-        let mut coded = Vec::with_capacity(self.symbols.len() / 2 + 4);
+        self.coded.clear();
         let mut x = RANS_L;
         for &(c, s) in self.symbols.iter().rev() {
-            let (start, freq) = tables[c as usize][s as usize];
-            while x >= ((RANS_L >> SCALE_BITS) << 8) * freq {
-                coded.push(x as u8);
+            let step = &self.steps[(c as usize) << 8 | s as usize];
+            while x >= ((RANS_L >> SCALE_BITS) << 8) * step.freq {
+                self.coded.push(x as u8);
                 x >>= 8;
             }
-            x = ((x / freq) << SCALE_BITS) + x % freq + start;
+            x = step.apply(x);
         }
-        coded.extend_from_slice(&x.to_le_bytes());
-        coded.reverse();
-        out.extend_from_slice(&(coded.len() as u32).to_le_bytes());
-        out.extend_from_slice(&coded);
-        if self.acc_bits > 0 {
-            self.mantissas.push(self.acc as u8);
+        self.coded.extend_from_slice(&x.to_le_bytes());
+        self.coded.reverse();
+        out.extend_from_slice(&(self.coded.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.coded);
+        let (mut acc, mut acc_bits) = (0u64, 0u32);
+        for &(_, value) in &self.values {
+            let bits = bucket_slot(value).1;
+            acc |= ((value & ((1 << bits) - 1)) as u64) << acc_bits;
+            acc_bits += bits;
+            while acc_bits >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                acc_bits -= 8;
+            }
         }
-        out.extend_from_slice(&self.mantissas);
+        if acc_bits > 0 {
+            out.push(acc as u8);
+        }
     }
 }
 
@@ -290,6 +342,25 @@ mod tests {
                 coded >= ideal,
                 "coded {coded} bytes beats the entropy {ideal:.0}"
             );
+        }
+    }
+
+    #[test]
+    fn reciprocal_step_is_the_division_for_every_frequency() {
+        let mut rng = Pcg32::new(5);
+        for freq in 1..SCALE {
+            // What renormalisation leaves a symbol of this frequency:
+            // `[x_max >> 8, x_max)`; the initial state when inside it.
+            let (lo, hi) = (freq << 11, freq << 19);
+            let step = EncStep::new(SCALE - freq, freq);
+            let edges = [lo, hi - 1, RANS_L.clamp(lo, hi - 1), (1 << 31) - SCALE];
+            for x in edges.into_iter().chain((0..1000).map(|_| lo + rng.range_u32(hi - lo))) {
+                let q = ((x as u64 * step.rcp as u64) >> step.shift) as u32;
+                assert_eq!(q, x / freq, "freq {freq}, x {x}");
+                if x < hi {
+                    assert_eq!(step.apply(x), ((x / freq) << SCALE_BITS) + x % freq + step.start, "freq {freq}, x {x}");
+                }
+            }
         }
     }
 

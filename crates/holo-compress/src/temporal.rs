@@ -15,7 +15,7 @@
 //!   *previous reconstructed* frame (closed loop, so errors never
 //!   accumulate), zigzag + bucketed static rANS ([`crate::rans`]).
 
-use crate::meshcodec::{decode_mesh, encode_mesh_with_permutation, MeshCodecConfig};
+use crate::meshcodec::{decode_mesh, MeshCodecConfig, MeshEncoder};
 use crate::primitives::{unzigzag, zigzag};
 use crate::rans::{RansDecoder, RansEncoder};
 use holo_math::Vec3;
@@ -33,11 +33,10 @@ pub struct TemporalMeshEncoder {
     /// Quantization step for delta frames, meters.
     pub delta_step: f32,
     reference: Option<TriMesh>,
-    /// Topology of the last keyframe *input* (decoder-side topology is
-    /// permuted, so identity is checked against the original).
-    key_faces: Vec<[u32; 3]>,
-    /// `perm[k]` = input-vertex index behind decoded vertex `k`.
-    perm: Vec<u32>,
+    /// Codes the keyframes, and so remembers the last one's *input*
+    /// topology (the decoder's is permuted) and its vertex permutation:
+    /// `permutation()[k]` = input-vertex index behind decoded vertex `k`.
+    keyframes: MeshEncoder,
     frames_since_key: u32,
     /// Force a keyframe every N frames (loss recovery); 0 = never.
     pub keyframe_interval: u32,
@@ -56,8 +55,7 @@ impl TemporalMeshEncoder {
             cfg,
             delta_step: delta_step.max(1e-6),
             reference: None,
-            key_faces: Vec::new(),
-            perm: Vec::new(),
+            keyframes: MeshEncoder::default(),
             frames_since_key: 0,
             keyframe_interval: 120,
         }
@@ -67,16 +65,14 @@ impl TemporalMeshEncoder {
     /// keyframe interval, or on the first frame; otherwise a delta frame.
     pub fn encode(&mut self, mesh: &TriMesh) -> Vec<u8> {
         let need_key = self.reference.is_none()
-            || self.key_faces != mesh.faces
+            || !self.keyframes.walked(&mesh.faces)
             || (self.keyframe_interval > 0 && self.frames_since_key >= self.keyframe_interval);
         if need_key {
             self.frames_since_key = 0;
-            let (body, perm) = encode_mesh_with_permutation(mesh, &self.cfg);
+            let body = self.keyframes.encode(mesh, &self.cfg);
             // The receiver's reference is the *decoded* keyframe (the
-            // static codec reorders vertices; `perm` maps back).
+            // static codec reorders vertices; the permutation maps back).
             self.reference = Some(decode_mesh(&body).expect("own keyframe must decode"));
-            self.key_faces = mesh.faces.clone();
-            self.perm = perm;
             let mut out = Vec::with_capacity(body.len() + 4);
             out.extend_from_slice(&KEY_MAGIC.to_le_bytes());
             out.extend_from_slice(&body);
@@ -92,7 +88,7 @@ impl TemporalMeshEncoder {
         let inv = 1.0 / self.delta_step;
         // Closed loop: the reference advances by the *quantized* deltas,
         // in the decoder's (permuted) vertex order.
-        for (r, &src_idx) in reference.vertices.iter_mut().zip(&self.perm) {
+        for (r, &src_idx) in reference.vertices.iter_mut().zip(self.keyframes.permutation()) {
             let v = &mesh.vertices[src_idx as usize];
             let d = *v - *r;
             let q = [

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! The allocator forwards to the system allocator and keeps **per
-//! thread** counters — live bytes and a high-water mark — in const-init
+//! thread** counters — live bytes, a high-water mark, and running totals
+//! of allocation calls and bytes requested — in const-init
 //! `thread_local!` cells (no lazy init, no destructor, so the hooks are
 //! allocation-free and safe even during TLS teardown). Per-thread is
 //! what makes the sweep parallelizable: each decode call runs entirely
@@ -39,6 +40,8 @@ static INSTALLED: AtomicBool = AtomicBool::new(false);
 thread_local! {
     static LIVE: Cell<usize> = const { Cell::new(0) };
     static PEAK: Cell<usize> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A counting wrapper around the system allocator (see module docs).
@@ -53,6 +56,8 @@ fn on_alloc(size: usize) {
         live.set(now);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
     });
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let _ = BYTES.try_with(|bytes| bytes.set(bytes.get() + size as u64));
 }
 
 fn on_dealloc(size: usize) {
@@ -95,6 +100,18 @@ pub fn live_bytes() -> usize {
     LIVE.try_with(Cell::get).unwrap_or(0)
 }
 
+/// Allocation calls this thread has made so far (0 when not
+/// installed): `alloc`, `alloc_zeroed`, and a `realloc` as one call.
+/// Bracket a region by subtracting two readings.
+pub fn alloc_calls() -> u64 {
+    CALLS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Bytes those calls asked for, a `realloc` counted at its new size.
+pub fn alloc_bytes() -> u64 {
+    BYTES.try_with(Cell::get).unwrap_or(0)
+}
+
 /// Reset this thread's high-water mark to its current live count;
 /// returns the baseline the next [`peak_since`] call should subtract.
 pub fn reset_watermark() -> usize {
@@ -123,6 +140,7 @@ mod tests {
         let base = reset_watermark();
         let v = vec![0u8; 1 << 16];
         assert_eq!(peak_since(base), 0);
+        assert_eq!((alloc_calls(), alloc_bytes()), (0, 0));
         assert!(!installed());
         drop(v);
     }

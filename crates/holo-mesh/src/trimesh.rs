@@ -112,17 +112,20 @@ impl TriMesh {
     /// Recompute per-vertex normals as the area-weighted average of
     /// adjacent face normals.
     pub fn compute_normals(&mut self) {
-        let mut acc = vec![Vec3::ZERO; self.vertices.len()];
+        self.normals.clear();
+        self.normals.resize(self.vertices.len(), Vec3::ZERO);
         for f in &self.faces {
             let a = self.vertices[f[0] as usize];
             let b = self.vertices[f[1] as usize];
             let c = self.vertices[f[2] as usize];
             let n = (b - a).cross(c - a); // length encodes 2x area
             for &idx in f {
-                acc[idx as usize] += n;
+                self.normals[idx as usize] += n;
             }
         }
-        self.normals = acc.into_iter().map(|n| n.normalized()).collect();
+        for n in &mut self.normals {
+            *n = n.normalized();
+        }
     }
 
     /// Apply an affine transform to vertices (and rotate normals).

@@ -87,11 +87,25 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, data)
 }
 
+/// Slicing-by-8: eight bytes a step through eight tables, `T[k]`
+/// advancing a byte's contribution past `k` further bytes; the tail goes
+/// a byte at a time through `T[0]`.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    for &b in data {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+    const T: [[u32; 256]; 8] = crc32_tables();
+    let mut steps = data.chunks_exact(8);
+    for s in &mut steps {
+        let lo = crc ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        crc = T[7][(lo & 0xFF) as usize]
+            ^ T[6][((lo >> 8) & 0xFF) as usize]
+            ^ T[5][((lo >> 16) & 0xFF) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][s[4] as usize]
+            ^ T[2][s[5] as usize]
+            ^ T[1][s[6] as usize]
+            ^ T[0][s[7] as usize];
+    }
+    for &b in steps.remainder() {
+        crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -105,8 +119,8 @@ pub fn crc32_concat(parts: &[&[u8]]) -> u32 {
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -115,10 +129,20 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// One framed payload: the unit `Session` and the SFU put on every hop.
@@ -382,12 +406,47 @@ impl UepHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holo_runtime::check::{any, collection};
+    use holo_runtime::{holo_prop, prop_assert_eq};
+
+    /// The reference: one table lookup per byte.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        const T0: [u32; 256] = crc32_tables()[0];
+        !data.iter().fold(!0u32, |crc, &b| (crc >> 8) ^ T0[((crc ^ b as u32) & 0xFF) as usize])
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // The classic check value: CRC32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_concat_splits_anywhere() {
+        let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(73) ^ 0x5A).collect();
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_concat(&[a, b]), crc32_bytewise(&data), "cut {cut}");
+        }
+    }
+
+    holo_prop! {
+        #![cases(64)]
+
+        /// Eight bytes a step equals a byte a step, wherever the slice
+        /// starts in its buffer and whatever tail the steps leave.
+        fn crc32_by_eight_equals_bytewise(
+            data in collection::vec(any::<u8>(), 0..4200),
+        ) {
+            for start in 0..8.min(data.len() + 1) {
+                for len in (0..64).chain([data.len()]) {
+                    let slice = &data[start..(start + len).min(data.len())];
+                    prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "start {} len {}", start, slice.len());
+                }
+            }
+        }
     }
 
     #[test]

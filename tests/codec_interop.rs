@@ -4,9 +4,7 @@
 use holo_body::params::{PosePayload, SmplxParams};
 use holo_body::{MotionKind, MotionSynthesizer};
 use holo_compress::lzma::{lzma_compress, lzma_decompress};
-use holo_compress::meshcodec::{
-    decode_mesh, encode_mesh, encode_mesh_with_permutation, MeshCodecConfig,
-};
+use holo_compress::meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig, MeshEncoder};
 use holo_compress::texture::{Texture, TextureCodec};
 use holo_math::Pcg32;
 use holo_runtime::check::{any, collection};
@@ -54,16 +52,17 @@ fn mesh_codec_reconstruction_is_pinned_across_wire_formats() {
     let mut synth = MotionSynthesizer::new(7);
     let clip = synth.clip(MotionKind::Walking, 0.3, 10.0);
     let mut bytes = Vec::new();
+    let mut encoder = MeshEncoder::default();
     for frame in &clip.frames {
         let mesh = model.pose_mesh(frame);
-        let (encoded, perm) = encode_mesh_with_permutation(&mesh, &MeshCodecConfig::default());
+        let encoded = encoder.encode(&mesh, &MeshCodecConfig::default());
         let decoded = decode_mesh(&encoded).unwrap();
         for v in &decoded.vertices {
             for c in [v.x, v.y, v.z] {
                 bytes.extend_from_slice(&c.to_bits().to_le_bytes());
             }
         }
-        for i in decoded.faces.iter().flatten().chain(&perm) {
+        for i in decoded.faces.iter().flatten().chain(encoder.permutation()) {
             bytes.extend_from_slice(&i.to_le_bytes());
         }
     }
