@@ -147,3 +147,59 @@ holo_prop! {
         prop_assert_eq!((d.width, d.height), (w, h));
     }
 }
+
+/// Cross-commit byte pin of the two closed-loop vector delta streams
+/// (`holo-keypoints::posedelta`, `holo-gaussian::update`): every frame
+/// of a seeded 30-frame talking clip, length-prefixed, under the default
+/// configs (one key, then deltas) and under `keyframe_interval: 3`.
+/// Computed before the two coders shared one closed-loop body and must
+/// survive that move unedited.
+#[test]
+fn closed_loop_delta_streams_are_pinned() {
+    use holo_gaussian::splat::AvatarState;
+    use holo_gaussian::update::{GaussianUpdateConfig, GaussianUpdateEncoder};
+    use holo_keypoints::posedelta::{PoseDeltaConfig, PoseDeltaEncoder};
+
+    let clip = MotionSynthesizer::new(4).clip(MotionKind::Talking, 1.0, 30.0);
+    assert_eq!(clip.frames.len(), 30);
+    let states: Vec<AvatarState> = clip
+        .frames
+        .iter()
+        .enumerate()
+        .map(|(i, pose)| {
+            let mut s = AvatarState::from_pose(pose.clone());
+            s.region_opacity[3] = 1.0 - 0.002 * i as f32;
+            s.region_scale[7] = 1.0 + 0.003 * i as f32;
+            s
+        })
+        .collect();
+    fn digest(frames: impl Iterator<Item = Vec<u8>>) -> (u64, usize) {
+        let mut bytes = Vec::new();
+        for f in frames {
+            bytes.extend_from_slice(&(f.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&f);
+        }
+        (holo_runtime::fnv1a64(&bytes), bytes.len())
+    }
+    let pose = |cfg| {
+        let mut enc = PoseDeltaEncoder::new(cfg);
+        digest(clip.frames.iter().map(|f| enc.encode(f)))
+    };
+    let gaussian = |cfg| {
+        let mut enc = GaussianUpdateEncoder::new(cfg);
+        digest(states.iter().map(|s| enc.encode(s)))
+    };
+    let got = [
+        pose(PoseDeltaConfig::default()),
+        pose(PoseDeltaConfig { keyframe_interval: 3, ..Default::default() }),
+        gaussian(GaussianUpdateConfig::default()),
+        gaussian(GaussianUpdateConfig { keyframe_interval: 3, ..Default::default() }),
+    ];
+    let pinned: [(u64, usize); 4] = [
+        (0xc06e_2db0_eccd_981d, 1361),
+        (0x0ef3_57a5_b322_500c, 1902),
+        (0x06ce_62e9_76d4_1244, 1226),
+        (0x8552_fe69_272e_c4e3, 1650),
+    ];
+    assert_eq!(got, pinned, "{got:#x?}");
+}
