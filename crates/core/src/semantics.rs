@@ -42,15 +42,11 @@ impl SemanticKind {
     }
 }
 
-/// The timer that fills [`StageCost::cpu_wall`], re-exported for
-/// pipelines in crates that do not depend on `holo-trace` themselves.
-pub use holo_trace::WallTimer;
-
 /// CPU + modeled-GPU cost of a pipeline stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageCost {
     /// Wall-clock time our implementation actually spent, as
-    /// [`WallTimer::stop`] measured it.
+    /// [`holo_trace::WallTimer::stop`] measured it.
     pub cpu_wall: Duration,
     /// Modeled accelerator workload (None when the stage is trivially
     /// CPU-bound, like parsing a pose payload).

@@ -19,7 +19,6 @@ use holo_net::time::SimTime;
 use holo_net::trace::BandwidthTrace;
 use holo_net::transport::{FrameTransport, LossPolicy, MTU_PAYLOAD};
 use holo_net::wire::{PayloadKind, WireFrame};
-use holo_runtime::bytes::Bytes;
 use holo_trace::TraceReport;
 use std::path::Path;
 use std::time::Duration;
@@ -240,7 +239,7 @@ impl Session {
             let envelope =
                 WireFrame::new(wire_kind, frame.index as u64, encoded.payload.clone()).encode();
             let wire_len = envelope.len();
-            let tx = self.transport.send_frame(Bytes::from(envelope.clone()), send_at);
+            let tx = self.transport.send_frame_sized(wire_len, send_at);
             // Virtual stage boundaries in microseconds. The encode slice
             // is the payload-serialization tail of extraction, modeled
             // at 1 GB/s (1 byte/ns) and clamped into the extract window.

@@ -6,11 +6,12 @@
 //! a sanctioned offline crate, so this crate implements the same algorithm
 //! families from scratch:
 //!
-//! - [`rc`] — an adaptive binary range coder (the LZ codec's entropy
-//!   backbone), with adaptive bit models, bit trees, and direct bits.
+//! - `rc` (private) — an adaptive binary range coder, with adaptive bit
+//!   models, bit trees, and direct bits: the entropy backbone of
+//!   [`lzma`] and [`closedloop`].
 //! - [`rans`] — static table-driven rANS over buffered symbol arrays, the
 //!   mesh path's entropy coder.
-//! - [`primitives`] — zigzag, varint, and delta transforms.
+//! - [`primitives`] — zigzag, varint, quantization and bucket transforms.
 //! - [`lzma`] — an LZ77 codec with hash-chain match finding, order-1
 //!   literal contexts, and rep-distance modeling: structurally an LZMA
 //!   sibling, used everywhere the paper says "LZMA".
@@ -22,15 +23,18 @@
 //! - [`temporal`] — inter-frame mesh compression for fixed-topology
 //!   streams (connectivity once, closed-loop position deltas after), the
 //!   Draco-animation-class upgrade of the traditional baseline.
+//! - [`closedloop`] — the closed-loop quantized vector delta chain the
+//!   pose-delta and gaussian-update streams share.
 //!
 //! All codecs are deterministic and round-trip tested (holo_prop!).
 
+pub mod closedloop;
 pub mod lzma;
 pub mod temporal;
 pub mod meshcodec;
 pub mod primitives;
 pub mod rans;
-pub mod rc;
+mod rc;
 pub mod texture;
 
 pub use lzma::{lzma_compress, lzma_decompress};

@@ -1,8 +1,8 @@
-//! Byte-level transform primitives: zigzag, varint, delta.
+//! Byte-level transform primitives: zigzag, varint, quantize, buckets.
 //!
 //! These are the pre-transforms both codecs and several wire formats use:
-//! delta-encode a slowly-varying stream, zigzag-map signed residuals to
-//! unsigned, varint-pack the result.
+//! quantize a residual to a step grid, zigzag-map it to unsigned,
+//! varint-pack it or split it into a bucket slot and mantissa bits.
 
 /// Map a signed integer to unsigned with small magnitudes first
 /// (0, -1, 1, -2, 2, ...).
@@ -69,30 +69,10 @@ pub fn bucket_base(slot: u32) -> (u32, u32) {
     ((2 | (slot & 1)) << bits, bits)
 }
 
-/// In-place forward delta: `out[i] = in[i] - in[i-1]` (first element kept).
-pub fn delta_encode(values: &mut [i32]) {
-    for i in (1..values.len()).rev() {
-        values[i] = values[i].wrapping_sub(values[i - 1]);
-    }
-}
-
-/// Inverse of [`delta_encode`].
-pub fn delta_decode(values: &mut [i32]) {
-    for i in 1..values.len() {
-        values[i] = values[i].wrapping_add(values[i - 1]);
-    }
-}
-
 /// Quantize a float to a signed grid with the given step.
 #[inline]
 pub fn quantize(v: f32, step: f32) -> i32 {
     (v / step).round() as i32
-}
-
-/// Inverse of [`quantize`].
-#[inline]
-pub fn dequantize(q: i32, step: f32) -> f32 {
-    q as f32 * step
 }
 
 #[cfg(test)]
@@ -140,30 +120,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrip() {
-        let mut rng = Pcg32::new(2);
-        let original: Vec<i32> = (0..500).map(|_| rng.next_u32() as i32).collect();
-        let mut work = original.clone();
-        delta_encode(&mut work);
-        delta_decode(&mut work);
-        assert_eq!(work, original);
-    }
-
-    #[test]
-    fn delta_shrinks_smooth_streams() {
-        let smooth: Vec<i32> = (0..1000).map(|i| 10_000 + i * 3).collect();
-        let mut d = smooth.clone();
-        delta_encode(&mut d);
-        assert!(d[1..].iter().all(|&x| x == 3));
-    }
-
-    #[test]
     fn quantize_error_bounded() {
         let mut rng = Pcg32::new(3);
         let step = 0.01f32;
         for _ in 0..1000 {
             let v = rng.range_f32(-100.0, 100.0);
-            let back = dequantize(quantize(v, step), step);
+            let back = quantize(v, step) as f32 * step;
             assert!((v - back).abs() <= step * 0.5 + 1e-4);
         }
     }

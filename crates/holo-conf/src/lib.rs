@@ -18,8 +18,8 @@
 //!   devices (heterogeneous rooms are the point).
 //! - [`frame`] — keyframe/delta dependency tags and the chain rules
 //!   (a delta whose base was dropped is unusable).
-//! - [`queue`] — the SFU's bounded per-subscriber egress queue with an
-//!   explicit drop policy (tail-drop or keyframe-preserving).
+//! - [`queue`] — the SFU's bounded per-subscriber egress queue; it
+//!   tail-drops.
 //! - [`sfu`] — the forwarder: per-subscriber ports, each with its own
 //!   `AbrController` thinning the stream to the downlink's share.
 //! - [`degrade`] — the semantic degradation ladder (mesh → keypoints →
@@ -60,7 +60,7 @@ pub use capacity::{
 pub use degrade::{DegradationLadder, DegradeState, SemanticTier, TierSpec};
 pub use frame::{DependencyTracker, FrameTag, StreamFrame};
 pub use participant::ParticipantConfig;
-pub use queue::{DropPolicy, EgressQueue};
+pub use queue::EgressQueue;
 pub use report::{jain_index, RoomReport, SubscriberReport};
 pub use room::{Room, RoomConfig};
 pub use sfu::{ForwardOutcome, ForwardRecord, Sfu, SubscriberPort};

@@ -3,38 +3,23 @@
 //! The forwarder cannot buffer arbitrarily: when a subscriber's
 //! downlink falls behind the room's aggregate frame rate, frames pile
 //! up at the SFU's egress port. The queue is bounded **in frames** and
-//! applies an explicit drop policy at admission time — this is where
-//! backpressure becomes frame loss, and (via the keyframe/delta
-//! dependency rules) where one congested moment poisons a whole
-//! delta run for that subscriber only.
+//! tail-drops at admission time — this is where backpressure becomes
+//! frame loss, and (via the keyframe/delta dependency rules) where one
+//! congested moment poisons a whole delta run for that subscriber only.
 
 use holo_math::Summary;
 use holo_net::time::SimTime;
-
-/// What to drop when the egress queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropPolicy {
-    /// Tail drop: reject any incoming frame while the queue is full.
-    TailDrop,
-    /// Reject incoming deltas at the soft bound, but admit keyframes up
-    /// to twice the bound — sacrificing deltas (which are individually
-    /// cheap to lose) to protect the frames that reset dependency
-    /// chains.
-    PreferKeyframes,
-}
 
 /// A bounded egress queue in front of one subscriber's downlink.
 ///
 /// The downlink link model already serializes admitted frames in
 /// virtual time; the queue tracks how many admitted frames are still
-/// in flight (not yet fully serialized) and gates admission on that
-/// occupancy.
+/// in flight (not yet fully serialized) and rejects any incoming frame
+/// while that occupancy is at the bound.
 #[derive(Debug, Clone)]
 pub struct EgressQueue {
-    /// Soft occupancy bound, frames.
+    /// Occupancy bound, frames.
     pub capacity: usize,
-    /// Drop policy at the bound.
-    pub policy: DropPolicy,
     in_flight: Vec<SimTime>,
     /// Frames admitted to the downlink.
     pub admitted: u64,
@@ -48,10 +33,9 @@ pub struct EgressQueue {
 
 impl EgressQueue {
     /// An empty queue.
-    pub fn new(capacity: usize, policy: DropPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            policy,
             in_flight: Vec::new(),
             admitted: 0,
             dropped_deltas: 0,
@@ -71,14 +55,7 @@ impl EgressQueue {
     pub fn admit(&mut self, now: SimTime, is_key: bool) -> bool {
         let occ = self.occupancy_at(now);
         self.occupancy.record(occ as f64);
-        let admit = if occ < self.capacity {
-            true
-        } else {
-            match self.policy {
-                DropPolicy::TailDrop => false,
-                DropPolicy::PreferKeyframes => is_key && occ < self.capacity * 2,
-            }
-        };
+        let admit = occ < self.capacity;
         if !admit {
             if is_key {
                 self.dropped_keys += 1;
@@ -112,7 +89,7 @@ mod tests {
 
     #[test]
     fn admits_until_full_then_tail_drops() {
-        let mut q = EgressQueue::new(2, DropPolicy::TailDrop);
+        let mut q = EgressQueue::new(2);
         assert!(q.admit(t(0), false));
         q.commit(t(100));
         assert!(q.admit(t(0), false));
@@ -126,23 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn prefer_keyframes_sacrifices_deltas() {
-        let mut q = EgressQueue::new(1, DropPolicy::PreferKeyframes);
-        assert!(q.admit(t(0), false));
-        q.commit(t(100));
-        // Full: delta rejected, key admitted (soft overshoot).
-        assert!(!q.admit(t(0), false));
-        assert!(q.admit(t(0), true));
-        q.commit(t(100));
-        // At the hard bound (2x) even keys drop.
-        assert!(!q.admit(t(0), true));
-        assert_eq!(q.dropped_deltas, 1);
-        assert_eq!(q.dropped_keys, 1);
-    }
-
-    #[test]
     fn occupancy_drains_with_time() {
-        let mut q = EgressQueue::new(8, DropPolicy::TailDrop);
+        let mut q = EgressQueue::new(8);
         for i in 0..5u64 {
             assert!(q.admit(t(0), false));
             q.commit(t(10 * (i + 1)));

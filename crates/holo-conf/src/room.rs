@@ -13,7 +13,6 @@
 use crate::degrade::DegradationLadder;
 use crate::frame::{DependencyTracker, FrameTag, StreamFrame};
 use crate::participant::ParticipantConfig;
-use crate::queue::DropPolicy;
 use crate::report::{jain_index, RoomReport, SubscriberReport};
 use crate::sfu::{ForwardOutcome, Sfu};
 use holo_math::Summary;
@@ -29,6 +28,12 @@ use semholo::semantics::{SemanticPipeline, StageCost};
 use std::path::Path;
 use std::time::Duration;
 
+/// Uplink loss policy (sender -> SFU): one retransmission round.
+const UPLINK_POLICY: LossPolicy = LossPolicy::RetransmitOnce;
+
+/// Fixed render/display overhead per frame.
+const RENDER_OVERHEAD: Duration = Duration::from_millis(11);
+
 /// Room parameters.
 #[derive(Debug, Clone)]
 pub struct RoomConfig {
@@ -41,8 +46,6 @@ pub struct RoomConfig {
     pub keyframe_interval: usize,
     /// SFU egress queue bound, frames.
     pub queue_capacity: usize,
-    /// SFU egress drop policy.
-    pub drop_policy: DropPolicy,
     /// Per-subscriber thinning ladder; `None` forwards full quality.
     pub ladder: Option<Ladder>,
     /// Semantic degradation ladder (mesh → keypoints → text, or the
@@ -53,14 +56,6 @@ pub struct RoomConfig {
     /// prebuild-gated ladder rungs at its port. `None` means nobody
     /// prebuilt (gated rungs stay closed).
     pub prebuild_ready: Option<Vec<bool>>,
-    /// ABR safety margin (fraction of predicted bandwidth used).
-    pub abr_safety: f64,
-    /// Uplink loss policy (sender -> SFU).
-    pub uplink_policy: LossPolicy,
-    /// Downlink loss policy (SFU -> subscriber). Live rooms drop.
-    pub downlink_policy: LossPolicy,
-    /// Fixed render/display overhead per frame.
-    pub render_overhead: Duration,
     /// Latency budget for the `within_budget` statistic, ms.
     pub latency_budget_ms: f64,
     /// Room seed: drives every link RNG (unless overridden per
@@ -88,14 +83,9 @@ impl Default for RoomConfig {
             frames: 30,
             keyframe_interval: 10,
             queue_capacity: 8,
-            drop_policy: DropPolicy::TailDrop,
             ladder: None,
             degrade: None,
             prebuild_ready: None,
-            abr_safety: 0.8,
-            uplink_policy: LossPolicy::RetransmitOnce,
-            downlink_policy: LossPolicy::DropFrame,
-            render_overhead: Duration::from_millis(11),
             latency_budget_ms: 100.0,
             seed: 1,
             share_encoder: false,
@@ -183,7 +173,7 @@ impl Room {
                 if let Some(f) = &p.uplink_fault {
                     link.set_fault(f.clone());
                 }
-                FrameTransport::new(link, cfg.uplink_policy)
+                FrameTransport::new(link, UPLINK_POLICY)
             })
             .collect();
         let downlinks: Vec<Link> = cfg
@@ -200,16 +190,9 @@ impl Room {
                 link
             })
             .collect();
-        let mut sfu = Sfu::new(
-            downlinks,
-            cfg.downlink_policy,
-            cfg.queue_capacity,
-            cfg.drop_policy,
-            cfg.ladder.clone(),
-            cfg.abr_safety,
-            cfg.degrade.clone(),
-        )
-        .map_err(SemHoloError::Config)?;
+        let mut sfu =
+            Sfu::new(downlinks, cfg.queue_capacity, cfg.ladder.clone(), cfg.degrade.clone())
+                .map_err(SemHoloError::Config)?;
         if let Some(ready) = &cfg.prebuild_ready {
             for (i, &r) in ready.iter().enumerate() {
                 sfu.set_prebuild_ready(i, r);
@@ -342,7 +325,7 @@ impl Room {
         // deterministic fork-join pool: one item per subscriber id,
         // reports collected back in id order. Byte-identical across
         // `SEMHOLO_THREADS=1..N`.
-        let render_ms = cfg.render_overhead.as_secs_f64() * 1000.0;
+        let render_ms = RENDER_OVERHEAD.as_secs_f64() * 1000.0;
         let meta = &meta;
         let arrivals = &arrivals;
         let sfu_ref = &sfu;
@@ -404,8 +387,7 @@ impl Room {
                         // subscriber lane so attribution can tile
                         // capture -> photon exactly (integer µs).
                         let recon_end = arrival.0 + recon_t.as_micros() as u64;
-                        let render_end =
-                            recon_end + cfg.render_overhead.as_micros() as u64;
+                        let render_end = recon_end + RENDER_OVERHEAD.as_micros() as u64;
                         holo_trace::set_lane(cfg.lane_base + s as u32);
                         holo_trace::span_enter_frame("room.decode", arrival.0, path_id(u, index));
                         holo_trace::span_exit(recon_end);
@@ -446,7 +428,7 @@ impl Room {
                 e2e_ms: e2e,
                 stall_ms,
                 sfu_dropped: port.queue.dropped(),
-                downlink_lost: port.transport.receiver.frames_dropped,
+                downlink_lost: port.transport.frames_dropped,
                 mean_rung_fraction: if port.rung_fraction.count() > 0 {
                     port.rung_fraction.mean()
                 } else {

@@ -12,15 +12,23 @@
 
 use crate::degrade::{DegradationLadder, DegradeState, SemanticTier};
 use crate::frame::{DependencyTracker, FrameTag, StreamFrame};
-use crate::queue::{DropPolicy, EgressQueue};
+use crate::queue::EgressQueue;
 use holo_net::abr::{AbrController, Ladder};
 use holo_net::link::Link;
-use holo_net::predict::{BandwidthPredictor, EwmaPredictor};
+use holo_net::predict::EwmaPredictor;
 use holo_net::time::SimTime;
 use holo_net::trace::BandwidthTrace;
 use holo_net::transport::{FrameTransport, LossPolicy};
 use holo_net::wire::WIRE_HEADER_BYTES;
 use holo_math::Summary;
+
+/// Downlink loss policy (SFU -> subscriber): live rooms drop an
+/// incomplete frame rather than wait a round trip for it.
+const DOWNLINK_POLICY: LossPolicy = LossPolicy::DropFrame;
+
+/// ABR safety margin: the fraction of a stream's predicted bandwidth
+/// share a ladder rung may use.
+const ABR_SAFETY: f64 = 0.8;
 
 /// Outcome of forwarding one frame to one subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +95,6 @@ impl SubscriberPort {
     /// Build a port over a downlink.
     pub fn new(
         link: Link,
-        policy: LossPolicy,
         queue: EgressQueue,
         abr: Option<AbrController>,
         degrade: Option<DegradeState>,
@@ -97,7 +104,7 @@ impl SubscriberPort {
             .map(|d| vec![0; d.ladder.tiers.len()])
             .unwrap_or_default();
         Self {
-            transport: FrameTransport::new(link, policy),
+            transport: FrameTransport::new(link, DOWNLINK_POLICY),
             queue,
             abr,
             predictor: EwmaPredictor::new(0.3),
@@ -223,14 +230,10 @@ pub struct Sfu {
 
 impl Sfu {
     /// Build a forwarder from per-participant downlinks.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         downlinks: Vec<Link>,
-        policy: LossPolicy,
         queue_capacity: usize,
-        drop_policy: DropPolicy,
         ladder: Option<Ladder>,
-        abr_safety: f64,
         degrade: Option<DegradationLadder>,
     ) -> Result<Self, String> {
         if let Some(d) = &degrade {
@@ -241,14 +244,13 @@ impl Sfu {
         for link in downlinks {
             let abr = match &ladder {
                 Some(l) => {
-                    Some(AbrController::new(l.clone(), abr_safety).map_err(|e| e.to_string())?)
+                    Some(AbrController::new(l.clone(), ABR_SAFETY).map_err(|e| e.to_string())?)
                 }
                 None => None,
             };
             ports.push(SubscriberPort::new(
                 link,
-                policy,
-                EgressQueue::new(queue_capacity, drop_policy),
+                EgressQueue::new(queue_capacity),
                 abr,
                 degrade.clone().map(DegradeState::new),
             ));
@@ -391,9 +393,7 @@ mod tests {
     #[test]
     fn fan_out_skips_the_sender() {
         let links = (0..3).map(|i| constant_link(quiet_cfg(), 100e6, i)).collect();
-        let mut sfu =
-            Sfu::new(links, LossPolicy::DropFrame, 8, DropPolicy::TailDrop, None, 0.8, None)
-                .unwrap();
+        let mut sfu = Sfu::new(links, 8, None, None).unwrap();
         let records = sfu.fan_out(&frame(1, 0, 2000), SimTime::ZERO);
         let subs: Vec<usize> = records.iter().map(|r| r.subscriber).collect();
         assert_eq!(subs, vec![0, 2]);
@@ -405,9 +405,7 @@ mod tests {
     #[test]
     fn inactive_subscribers_are_skipped() {
         let links = (0..3).map(|i| constant_link(quiet_cfg(), 100e6, i)).collect();
-        let mut sfu =
-            Sfu::new(links, LossPolicy::DropFrame, 8, DropPolicy::TailDrop, None, 0.8, None)
-                .unwrap();
+        let mut sfu = Sfu::new(links, 8, None, None).unwrap();
         sfu.set_active(2, false);
         let records = sfu.fan_out(&frame(1, 0, 2000), SimTime::ZERO);
         let subs: Vec<usize> = records.iter().map(|r| r.subscriber).collect();
@@ -424,9 +422,7 @@ mod tests {
             constant_link(quiet_cfg(), 100e6, 1),
             constant_link(quiet_cfg(), 200e3, 2),
         ];
-        let mut sfu =
-            Sfu::new(links, LossPolicy::DropFrame, 2, DropPolicy::TailDrop, None, 0.8, None)
-                .unwrap();
+        let mut sfu = Sfu::new(links, 2, None, None).unwrap();
         let mut dropped = 0;
         for i in 0..30 {
             let f = frame(0, i, 50_000);
@@ -451,16 +447,7 @@ mod tests {
             constant_link(quiet_cfg(), 60e6, 1),
             constant_link(quiet_cfg(), 3e6, 2),
         ];
-        let mut sfu = Sfu::new(
-            links,
-            LossPolicy::DropFrame,
-            64,
-            DropPolicy::TailDrop,
-            Some(Ladder::standard()),
-            0.9,
-            None,
-        )
-        .unwrap();
+        let mut sfu = Sfu::new(links, 64, Some(Ladder::standard()), None).unwrap();
         for i in 0..40 {
             let f = frame(0, i, 25_000); // 6 Mbps at 30 FPS
             sfu.fan_out(&f, SimTime::from_millis(i as u64 * 33));
@@ -479,16 +466,7 @@ mod tests {
             constant_link(quiet_cfg(), 0.0, 0),
             constant_link(quiet_cfg(), 0.0, 1),
         ];
-        let mut sfu = Sfu::new(
-            links,
-            LossPolicy::DropFrame,
-            8,
-            DropPolicy::TailDrop,
-            Some(Ladder::standard()),
-            0.9,
-            None,
-        )
-        .unwrap();
+        let mut sfu = Sfu::new(links, 8, Some(Ladder::standard()), None).unwrap();
         let records = sfu.fan_out(&frame(0, 0, 2000), SimTime::ZERO);
         assert_eq!(records.len(), 1);
         let f = sfu.ports[1].rung_fraction.mean();
@@ -505,16 +483,7 @@ mod tests {
             constant_link(quiet_cfg(), 100e6, 0),
             constant_link(quiet_cfg(), 100e3, 1),
         ];
-        let mut sfu = Sfu::new(
-            links,
-            LossPolicy::DropFrame,
-            4,
-            DropPolicy::TailDrop,
-            None,
-            0.8,
-            Some(DegradationLadder::standard()),
-        )
-        .unwrap();
+        let mut sfu = Sfu::new(links, 4, None, Some(DegradationLadder::standard())).unwrap();
         let mut delivered_snapshots = 0;
         for i in 0..30 {
             let f = frame(0, i, 20_000); // ~4.8 Mbps at 30 FPS
@@ -543,16 +512,7 @@ mod tests {
                 constant_link(quiet_cfg(), 100e6, 0),
                 constant_link(quiet_cfg(), 300e3, 1),
             ];
-            Sfu::new(
-                links,
-                LossPolicy::DropFrame,
-                8,
-                DropPolicy::TailDrop,
-                None,
-                0.8,
-                Some(DegradationLadder::amortized()),
-            )
-            .unwrap()
+            Sfu::new(links, 8, None, Some(DegradationLadder::amortized())).unwrap()
         };
         let run = |sfu: &mut Sfu| {
             for i in 0..60 {

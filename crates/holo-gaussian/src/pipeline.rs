@@ -19,8 +19,9 @@ use semholo::error::{reject_decode, Result, SemHoloError};
 use semholo::scene::SceneFrame;
 use semholo::semantics::{
     cloud_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind,
-    SemanticPipeline, StageCost, WallTimer,
+    SemanticPipeline, StageCost,
 };
+use holo_trace::WallTimer;
 
 /// The gaussian-tier pipeline: prebuilt splat avatar + update stream.
 pub struct GaussianPipeline {

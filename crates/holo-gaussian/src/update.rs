@@ -5,16 +5,16 @@
 //! translation + 55 per-region opacity multipliers + 55 per-region scale
 //! multipliers = 278 floats. A keyframe carries the LZMA-compressed raw
 //! vector; delta frames carry quantized, entropy-coded parameter deltas
-//! in a closed loop (the encoder tracks the receiver's reconstruction,
-//! so quantization error never accumulates). Steady-state cost is a few
-//! hundred bytes per frame — the whole point of the amortized tier.
+//! in a closed loop ([`holo_compress::closedloop`]: the encoder tracks
+//! the receiver's reconstruction, so quantization error never
+//! accumulates). Steady-state cost is a few hundred bytes per frame —
+//! the whole point of the amortized tier.
 
 use crate::splat::AvatarState;
 use holo_body::params::SmplxParams;
 use holo_body::skeleton::JOINT_COUNT;
+use holo_compress::closedloop::{ClosedLoopDecoder, ClosedLoopEncoder};
 use holo_compress::lzma::{lzma_compress, lzma_decompress};
-use holo_compress::primitives::{unzigzag, zigzag};
-use holo_compress::rc::{decode_bucketed, encode_bucketed, BitTree, RangeDecoder, RangeEncoder};
 use holo_math::{Quat, Vec3};
 use holo_runtime::ser::DecodeError;
 
@@ -90,53 +90,39 @@ fn step_for(index: usize, cfg: &GaussianUpdateConfig) -> f32 {
 pub struct GaussianUpdateEncoder {
     /// Configuration (must match the decoder's).
     pub config: GaussianUpdateConfig,
-    reference: Option<Vec<f32>>,
-    frames_since_key: u32,
+    chain: ClosedLoopEncoder,
 }
 
 /// Decoder state.
 #[derive(Default)]
 pub struct GaussianUpdateDecoder {
-    reference: Option<Vec<f32>>,
+    chain: ClosedLoopDecoder,
 }
 
 impl GaussianUpdateEncoder {
     /// Build an encoder.
     pub fn new(config: GaussianUpdateConfig) -> Self {
-        Self { config, reference: None, frames_since_key: 0 }
+        Self { config, chain: ClosedLoopEncoder::default() }
     }
 
     /// Encode one conditioning state.
     pub fn encode(&mut self, state: &AvatarState) -> Vec<u8> {
-        let need_key = self.reference.is_none()
-            || (self.config.keyframe_interval > 0
-                && self.frames_since_key >= self.config.keyframe_interval);
         let current = state_vector(state);
-        if need_key {
-            self.frames_since_key = 0;
+        if self.chain.key_due(self.config.keyframe_interval) {
             let mut raw = Vec::with_capacity(UPDATE_VEC_LEN * 4);
             for f in &current {
                 raw.extend_from_slice(&f.to_le_bytes());
             }
             // f32 bytes roundtrip exactly, so the wire vector *is* the
             // receiver's reference.
-            self.reference = Some(current);
+            self.chain.key(current);
             let mut out = vec![KEY_MAGIC];
             out.extend_from_slice(&lzma_compress(&raw));
             return out;
         }
-        self.frames_since_key += 1;
-        let reference = self.reference.as_mut().unwrap();
-        let mut enc = RangeEncoder::new();
-        let mut tree = BitTree::new(6);
-        for (i, (r, &c)) in reference.iter_mut().zip(&current).enumerate() {
-            let step = step_for(i, &self.config);
-            let q = ((c - *r) / step).round() as i32;
-            encode_bucketed(&mut enc, &mut tree, zigzag(q));
-            *r += q as f32 * step; // closed loop
-        }
+        let coded = self.chain.delta(&current, |i| step_for(i, &self.config));
         let mut out = vec![DELTA_MAGIC];
-        out.extend_from_slice(&enc.finish());
+        out.extend_from_slice(&coded);
         out
     }
 }
@@ -177,27 +163,12 @@ impl GaussianUpdateDecoder {
                     return Err(DecodeError::corrupt("gaussian update", "non-finite keyframe value"));
                 }
                 let state = state_from_vector(&v);
-                self.reference = Some(v);
+                self.chain.key(v);
                 Ok(state)
             }
             DELTA_MAGIC => {
-                let reference = self.reference.as_mut().ok_or_else(|| {
-                    DecodeError::corrupt("gaussian update", "delta frame before any keyframe")
-                })?;
-                let mut dec = RangeDecoder::new(body);
-                let mut tree = BitTree::new(6);
-                let mut next = reference.clone();
-                for (i, r) in next.iter_mut().enumerate() {
-                    if dec.exhausted() {
-                        return Err(DecodeError::Truncated {
-                            needed: reference.len(),
-                            available: i,
-                        });
-                    }
-                    let q = unzigzag(decode_bucketed(&mut dec, &mut tree));
-                    *r += q as f32 * step_for(i, config);
-                }
-                *reference = next;
+                let reference =
+                    self.chain.delta(body, "gaussian update", |i| step_for(i, config))?;
                 Ok(state_from_vector(reference))
             }
             other => Err(DecodeError::corrupt(

@@ -9,14 +9,14 @@
 //! further ~3-4x below the paper's 0.30 Mbps figure and is reported as
 //! an extension in EXPERIMENTS.md.
 //!
-//! Closed-loop design: the encoder tracks the receiver's reconstructed
-//! parameters, so quantization error never accumulates.
+//! Closed-loop design ([`holo_compress::closedloop`]): the encoder tracks
+//! the receiver's reconstructed parameters, so quantization error never
+//! accumulates.
 
 use holo_body::params::{PosePayload, SmplxParams, EXPRESSION_DIM, SHAPE_DIM};
 use holo_body::skeleton::JOINT_COUNT;
+use holo_compress::closedloop::{ClosedLoopDecoder, ClosedLoopEncoder};
 use holo_compress::lzma::{lzma_compress, lzma_decompress};
-use holo_compress::primitives::{unzigzag, zigzag};
-use holo_compress::rc::{decode_bucketed, encode_bucketed, BitTree, RangeDecoder, RangeEncoder};
 use holo_math::{Quat, Vec3};
 use holo_runtime::ser::DecodeError;
 
@@ -89,57 +89,41 @@ fn step_for(index: usize, cfg: &PoseDeltaConfig) -> f32 {
 pub struct PoseDeltaEncoder {
     /// Configuration.
     pub config: PoseDeltaConfig,
-    reference: Option<Vec<f32>>,
+    chain: ClosedLoopEncoder,
     betas: [f32; SHAPE_DIM],
-    frames_since_key: u32,
 }
 
 /// Decoder state.
 #[derive(Default)]
 pub struct PoseDeltaDecoder {
-    reference: Option<Vec<f32>>,
+    chain: ClosedLoopDecoder,
     betas: [f32; SHAPE_DIM],
 }
 
 impl PoseDeltaEncoder {
     /// Build an encoder.
     pub fn new(config: PoseDeltaConfig) -> Self {
-        Self { config, reference: None, betas: [0.0; SHAPE_DIM], frames_since_key: 0 }
+        Self { config, chain: ClosedLoopEncoder::default(), betas: [0.0; SHAPE_DIM] }
     }
 
     /// Encode one pose (keypoints are only shipped in keyframes; the
     /// receiver reconstructs from parameters between keys).
     pub fn encode(&mut self, params: &SmplxParams) -> Vec<u8> {
-        let need_key = self.reference.is_none()
-            || self.betas != params.betas
-            || (self.config.keyframe_interval > 0
-                && self.frames_since_key >= self.config.keyframe_interval);
-        if need_key {
-            self.frames_since_key = 0;
+        if self.chain.key_due(self.config.keyframe_interval) || self.betas != params.betas {
             self.betas = params.betas;
             // Reference is the *payload-roundtripped* parameters, which
             // is what the receiver will hold.
             let payload = PosePayload::new(params.clone(), vec![]);
             let bytes = payload.to_bytes();
             let decoded = PosePayload::from_bytes(&bytes).expect("own payload").params;
-            self.reference = Some(param_vector(&decoded));
+            self.chain.key(param_vector(&decoded));
             let mut out = vec![KEY_MAGIC];
             out.extend_from_slice(&lzma_compress(&bytes));
             return out;
         }
-        self.frames_since_key += 1;
-        let reference = self.reference.as_mut().unwrap();
-        let current = param_vector(params);
-        let mut enc = RangeEncoder::new();
-        let mut tree = BitTree::new(6);
-        for (i, (r, &c)) in reference.iter_mut().zip(&current).enumerate() {
-            let step = step_for(i, &self.config);
-            let q = ((c - *r) / step).round() as i32;
-            encode_bucketed(&mut enc, &mut tree, zigzag(q));
-            *r += q as f32 * step; // closed loop
-        }
+        let coded = self.chain.delta(&param_vector(params), |i| step_for(i, &self.config));
         let mut out = vec![DELTA_MAGIC];
-        out.extend_from_slice(&enc.finish());
+        out.extend_from_slice(&coded);
         out
     }
 }
@@ -152,9 +136,9 @@ impl PoseDeltaDecoder {
 
     /// Decode one frame. `config` must match the encoder's.
     ///
-    /// Hostile-input contract: typed errors, and a delta frame whose
-    /// coded bytes run dry is rejected with the reference rolled back
-    /// (zero-fed deltas would silently corrupt the closed loop).
+    /// Hostile-input contract: typed errors; a delta frame before any
+    /// keyframe, or one whose coded bytes run dry, is rejected with the
+    /// reference untouched.
     pub fn decode(
         &mut self,
         data: &[u8],
@@ -168,27 +152,11 @@ impl PoseDeltaDecoder {
                 let raw = lzma_decompress(body)?;
                 let payload = PosePayload::from_bytes(&raw)?;
                 self.betas = payload.params.betas;
-                self.reference = Some(param_vector(&payload.params));
+                self.chain.key(param_vector(&payload.params));
                 Ok(payload.params)
             }
             DELTA_MAGIC => {
-                let reference = self.reference.as_mut().ok_or_else(|| {
-                    DecodeError::corrupt("pose delta", "delta frame before any keyframe")
-                })?;
-                let mut dec = RangeDecoder::new(body);
-                let mut tree = BitTree::new(6);
-                let mut next = reference.clone();
-                for (i, r) in next.iter_mut().enumerate() {
-                    if dec.exhausted() {
-                        return Err(DecodeError::Truncated {
-                            needed: reference.len(),
-                            available: i,
-                        });
-                    }
-                    let q = unzigzag(decode_bucketed(&mut dec, &mut tree));
-                    *r += q as f32 * step_for(i, config);
-                }
-                *reference = next;
+                let reference = self.chain.delta(body, "pose delta", |i| step_for(i, config))?;
                 Ok(params_from_vector(reference, &self.betas))
             }
             other => Err(DecodeError::corrupt(

@@ -21,7 +21,6 @@
 //! - [`grid`] — spatial hash grid for nearest-neighbor queries.
 //! - [`metrics`] — Chamfer distance, Hausdorff distance, F-score, and
 //!   normal consistency, the quality axis of Table 1 and Fig. 2.
-//! - [`simplify`] — vertex-clustering decimation for level-of-detail.
 
 pub mod grid;
 mod lattice;
@@ -29,7 +28,6 @@ pub mod marching;
 pub mod metrics;
 pub mod pointcloud;
 pub mod sdf;
-pub mod simplify;
 pub mod sparse;
 pub mod trimesh;
 
@@ -38,6 +36,5 @@ pub use marching::{marching_tetrahedra, MarchingConfig};
 pub use metrics::{chamfer_distance, f_score, hausdorff_distance, normal_consistency, MeshQuality};
 pub use pointcloud::PointCloud;
 pub use sdf::{Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
-pub use simplify::simplify_cluster;
 pub use sparse::sparse_extract;
 pub use trimesh::TriMesh;

@@ -576,34 +576,6 @@ impl Sdf for GriddedUnion {
     }
 }
 
-/// An SDF displaced by a bounded high-frequency function, modeling surface
-/// detail that keypoints cannot carry (cloth folds — the detail Fig. 2's
-/// keypoint reconstructions lose).
-pub struct SdfDisplaced<S: Sdf> {
-    pub base: S,
-    /// Displacement amplitude in meters.
-    pub amplitude: f32,
-    /// Spatial frequency of the displacement in cycles per meter.
-    pub frequency: f32,
-}
-
-impl<S: Sdf> Sdf for SdfDisplaced<S> {
-    fn distance(&self, p: Vec3) -> f32 {
-        let d = self.base.distance(p);
-        // Only displace near the surface so far-field distances stay valid.
-        if d.abs() > self.amplitude * 4.0 {
-            return d;
-        }
-        let w = self.frequency * std::f32::consts::TAU;
-        let disp = (p.x * w).sin() * (p.y * w * 0.83).sin() * (p.z * w * 1.19).sin();
-        d + disp * self.amplitude
-    }
-
-    fn bounds(&self) -> Aabb {
-        self.base.bounds().expanded(self.amplitude)
-    }
-}
-
 /// Blanket impl so `&S` and boxed SDFs work wherever an `Sdf` is expected.
 impl<S: Sdf + ?Sized> Sdf for &S {
     fn distance(&self, p: Vec3) -> f32 {
@@ -877,18 +849,5 @@ mod tests {
         let grid = GriddedUnion::build(Vec::new(), 0.02, 8, 0.3);
         assert!(grid.is_empty());
         assert!(grid.distance(Vec3::ZERO) > -1.0);
-    }
-
-    #[test]
-    fn displacement_stays_within_amplitude() {
-        let base = SdfSphere { center: Vec3::ZERO, radius: 1.0 };
-        let disp = SdfDisplaced { base, amplitude: 0.02, frequency: 8.0 };
-        let mut rng = Pcg32::new(2);
-        for _ in 0..500 {
-            let dir = Vec3::new(rng.normal(), rng.normal(), rng.normal()).normalized();
-            let p = dir * 1.0;
-            let d = disp.distance(p);
-            assert!(d.abs() <= 0.021, "displaced distance {d} at surface");
-        }
     }
 }

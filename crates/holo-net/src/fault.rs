@@ -159,11 +159,6 @@ impl FaultClock {
         Self::new(None, Vec::new(), seed)
     }
 
-    /// The configured loss process, if any.
-    pub fn loss_model(&self) -> Option<&LossModel> {
-        self.loss.as_ref()
-    }
-
     /// The schedule's segments.
     pub fn segments(&self) -> &[FaultSegment] {
         &self.segments

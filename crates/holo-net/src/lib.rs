@@ -7,22 +7,25 @@
 //! hidden threads), the simulator is fully deterministic from a seed, so
 //! every experiment that involves "the Internet" replays exactly.
 //!
+//! The link model moves *sizes*, not bytes: a frame is offered to a
+//! [`FrameTransport`] as its wire length, fragments are offered to a
+//! [`Link`] as theirs, and what comes back is when (or whether) they
+//! arrive. The bytes themselves stay with the caller, wrapped in a
+//! [`WireFrame`] when a hop needs corruption to be detectable.
+//!
 //! - [`time`] — virtual clock ([`SimTime`]), microsecond resolution, and
 //!   the time-ordered, FIFO-on-ties [`EventQueue`] the simulators share.
-//! - [`packet`] — packets carrying [`holo_runtime::bytes::Bytes`] payloads.
 //! - [`link`] — a bottleneck link: serialization at the (time-varying)
 //!   trace rate, propagation delay, jitter, tail-drop queue, random loss.
 //! - [`trace`] — bandwidth traces: constant, stepped, broadband (25 Mbps
 //!   class), and LTE-like Markov traces.
-//! - [`transport`] — frame framing/fragmentation over a link, reassembly,
-//!   per-frame latency accounting, selective retransmission.
-//! - [`predict`] — bandwidth predictors (EWMA, harmonic mean) used by
-//!   rate adaptation (§3.2).
+//! - [`transport`] — a frame's size fragmented over a link: per-packet
+//!   header overhead, per-frame completion and latency accounting, one
+//!   retransmission round for lost fragments.
+//! - [`predict`] — the EWMA bandwidth predictor used by rate adaptation
+//!   (§3.2).
 //! - [`abr`] — the rate-adaptation ladder controller that picks an image
 //!   resolution per predicted bandwidth (§3.2).
-//! - [`mpc`] — a model-predictive controller in the Pensieve/RobustMPC
-//!   family the paper cites: plans rung choices over a horizon against a
-//!   frame-queue model.
 //! - [`fault`] — deterministic fault injection: seeded Gilbert–Elliott
 //!   burst loss, bandwidth drops, link flaps, delay spikes, and payload
 //!   corruption compiled into per-link [`FaultClock`]s consumed inside
@@ -36,8 +39,6 @@
 pub mod abr;
 pub mod fault;
 pub mod link;
-pub mod mpc;
-pub mod packet;
 pub mod predict;
 pub mod time;
 pub mod trace;
@@ -46,11 +47,9 @@ pub mod wire;
 
 pub use abr::{AbrController, Ladder, LadderRung};
 pub use fault::{FaultClock, FaultEffect, FaultSegment, LossModel};
-pub use mpc::{MpcController, MpcObjective};
 pub use link::{Link, LinkConfig, LinkStats};
-pub use packet::Packet;
-pub use predict::{BandwidthPredictor, EwmaPredictor, HarmonicMeanPredictor};
+pub use predict::EwmaPredictor;
 pub use time::{EventQueue, SimTime};
 pub use trace::BandwidthTrace;
-pub use transport::{FrameReceiver, FrameSender, FrameTransport};
+pub use transport::FrameTransport;
 pub use wire::{crc32, PayloadKind, WireFrame, MAX_WIRE_PAYLOAD, WIRE_HEADER_BYTES};

@@ -222,11 +222,6 @@ impl Link {
         }
         Delivery::At(self.busy_until + self.config.propagation + jitter + extra)
     }
-
-    /// Achieved goodput over an interval, bps.
-    pub fn goodput_bps(&self, duration: Duration) -> f64 {
-        self.stats.bytes_delivered as f64 * 8.0 / duration.as_secs_f64().max(1e-9)
-    }
 }
 
 #[cfg(test)]

@@ -1,23 +1,10 @@
 //! Bandwidth prediction.
 //!
-//! Rate adaptation (§3.2) needs a forecast of available bandwidth. Two
-//! standard estimators are provided: exponentially-weighted moving
-//! average and the harmonic mean of recent samples (robust to outliers;
-//! the choice of MPC-style ABR systems).
+//! Rate adaptation (§3.2) needs a forecast of available bandwidth: an
+//! exponentially-weighted moving average of throughput samples, which
+//! the SFU feeds per subscriber downlink.
 
-use std::collections::VecDeque;
-
-/// A bandwidth predictor fed with throughput samples (bps).
-pub trait BandwidthPredictor {
-    /// Record an observed throughput sample.
-    fn observe(&mut self, bps: f64);
-    /// Predict near-future available bandwidth, bps.
-    fn predict(&self) -> f64;
-    /// Reset state.
-    fn reset(&mut self);
-}
-
-/// Exponentially weighted moving average.
+/// Exponentially weighted moving average of throughput samples (bps).
 #[derive(Debug, Clone)]
 pub struct EwmaPredictor {
     /// Smoothing factor in (0, 1]; higher reacts faster.
@@ -30,10 +17,9 @@ impl EwmaPredictor {
     pub fn new(alpha: f64) -> Self {
         Self { alpha: alpha.clamp(1e-3, 1.0), value: None }
     }
-}
 
-impl BandwidthPredictor for EwmaPredictor {
-    fn observe(&mut self, bps: f64) {
+    /// Record an observed throughput sample.
+    pub fn observe(&mut self, bps: f64) {
         // A NaN/inf sample would poison the average forever (every
         // later EWMA term inherits it); a negative one is meaningless.
         // Drop them instead — the zero-sample case is already the
@@ -47,50 +33,14 @@ impl BandwidthPredictor for EwmaPredictor {
         });
     }
 
-    fn predict(&self) -> f64 {
+    /// Predict near-future available bandwidth, bps (0 before any sample).
+    pub fn predict(&self) -> f64 {
         self.value.unwrap_or(0.0)
     }
 
-    fn reset(&mut self) {
+    /// Reset state.
+    pub fn reset(&mut self) {
         self.value = None;
-    }
-}
-
-/// Harmonic mean of the last N samples.
-#[derive(Debug, Clone)]
-pub struct HarmonicMeanPredictor {
-    /// Window length.
-    pub window: usize,
-    samples: VecDeque<f64>,
-}
-
-impl HarmonicMeanPredictor {
-    /// Create with a window length.
-    pub fn new(window: usize) -> Self {
-        Self { window: window.max(1), samples: VecDeque::new() }
-    }
-}
-
-impl BandwidthPredictor for HarmonicMeanPredictor {
-    fn observe(&mut self, bps: f64) {
-        if bps.is_finite() && bps > 0.0 {
-            self.samples.push_back(bps);
-            while self.samples.len() > self.window {
-                self.samples.pop_front();
-            }
-        }
-    }
-
-    fn predict(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let inv_sum: f64 = self.samples.iter().map(|s| 1.0 / s).sum();
-        self.samples.len() as f64 / inv_sum
-    }
-
-    fn reset(&mut self) {
-        self.samples.clear();
     }
 }
 
@@ -122,38 +72,14 @@ mod tests {
     }
 
     #[test]
-    fn harmonic_mean_penalizes_dips() {
-        let mut h = HarmonicMeanPredictor::new(5);
-        let mut e = EwmaPredictor::new(1.0 / 5.0);
-        for s in [10e6, 10e6, 1e6, 10e6, 10e6] {
-            h.observe(s);
-            e.observe(s);
-        }
-        // Harmonic mean of [10,10,1,10,10] Mbps = 5/(4*0.1+1) = 3.57 Mbps,
-        // well below the arithmetic-ish EWMA.
-        assert!(h.predict() < 4.0e6, "harmonic {}", h.predict());
-        assert!(h.predict() < e.predict());
-    }
-
-    #[test]
-    fn harmonic_window_slides() {
-        let mut h = HarmonicMeanPredictor::new(3);
-        for s in [1e6, 1e6, 1e6, 9e6, 9e6, 9e6] {
-            h.observe(s);
-        }
-        assert!((h.predict() - 9e6).abs() < 1.0, "window should forget old dips");
-    }
-
-    #[test]
     fn empty_predictors_return_zero() {
         assert_eq!(EwmaPredictor::new(0.2).predict(), 0.0);
-        assert_eq!(HarmonicMeanPredictor::new(4).predict(), 0.0);
     }
 
     #[test]
     fn prediction_error_on_broadband_trace_small() {
         let trace = BandwidthTrace::us_broadband(2);
-        let mut p = HarmonicMeanPredictor::new(8);
+        let mut p = EwmaPredictor::new(0.3);
         let mut errors = Vec::new();
         for i in 0..240 {
             let t = i as f64 * 0.5;
@@ -178,13 +104,6 @@ mod tests {
         e.observe(f64::NAN);
         assert!((e.predict() - 10e6).abs() < 1.0, "NaN after real samples must be a no-op");
         assert!(e.predict().is_finite());
-
-        let mut h = HarmonicMeanPredictor::new(4);
-        h.observe(f64::NAN);
-        h.observe(f64::INFINITY);
-        assert_eq!(h.predict(), 0.0);
-        h.observe(8e6);
-        assert!((h.predict() - 8e6).abs() < 1.0);
     }
 
     #[test]

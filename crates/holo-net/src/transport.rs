@@ -1,19 +1,22 @@
-//! Frame transport: fragmentation, reassembly, latency accounting.
+//! Frame transport: fragmentation and latency accounting, by size.
 //!
 //! A holographic frame (pose payload, compressed mesh, image set, token
-//! stream) is fragmented into MTU-sized packets, offered to the link, and
-//! reassembled at the receiver. Frame completion time is the arrival of
-//! the last fragment; loss handling is configurable (a frame with missing
-//! fragments is either discarded — live mode — or retransmitted once).
+//! stream) reaches the link model as a wire size: it is cut into
+//! MTU-sized fragments, each fragment's size is offered to the link, and
+//! the frame completes at the arrival of its last fragment. Loss handling
+//! is configurable (a frame with missing fragments is either discarded —
+//! live mode — or its lost fragments are retransmitted once).
 
 use crate::link::{Delivery, Link};
-use crate::packet::Packet;
 use crate::time::SimTime;
 use holo_runtime::bytes::Bytes;
 use std::time::Duration;
 
 /// Payload bytes per packet (1500 MTU minus headers).
 pub const MTU_PAYLOAD: usize = 1460;
+
+/// Per-packet header estimate on the wire (IP + UDP + our framing).
+pub const PACKET_HEADER_BYTES: usize = 40;
 
 /// Loss-handling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,32 +44,17 @@ pub struct FrameResult {
     pub wire_bytes: u64,
 }
 
-/// Sender side: fragments frames onto a link.
+/// A frame transport bound to a link. The simulation is synchronous, so
+/// both ends' bookkeeping lives here.
 #[derive(Debug)]
-pub struct FrameSender {
-    next_seq: u64,
-    next_frame: u64,
+pub struct FrameTransport {
     /// Loss policy.
     pub policy: LossPolicy,
-}
-
-/// Receiver-side statistics (reassembly bookkeeping happens inline in
-/// [`FrameTransport::send_frame`] since the simulation is synchronous).
-#[derive(Debug, Default, Clone)]
-pub struct FrameReceiver {
     /// Completed frame count.
     pub frames_complete: u64,
     /// Dropped (incomplete) frame count.
     pub frames_dropped: u64,
-}
-
-/// A frame transport bound to a link.
-#[derive(Debug)]
-pub struct FrameTransport {
-    /// The sender state.
-    pub sender: FrameSender,
-    /// The receiver state.
-    pub receiver: FrameReceiver,
+    next_frame: u64,
     /// The underlying link.
     pub link: Link,
 }
@@ -74,29 +62,23 @@ pub struct FrameTransport {
 impl FrameTransport {
     /// Bind a transport to a link.
     pub fn new(link: Link, policy: LossPolicy) -> Self {
-        Self {
-            sender: FrameSender { next_seq: 0, next_frame: 0, policy },
-            receiver: FrameReceiver::default(),
-            link,
-        }
+        Self { policy, frames_complete: 0, frames_dropped: 0, next_frame: 0, link }
     }
 
-    /// Send one frame of `payload` at time `now`; returns the delivery
-    /// outcome. The synchronous simulation resolves the entire frame's
-    /// fate immediately (virtual time still advances correctly because the
-    /// link tracks its own busy horizon).
+    /// Convenience for callers that hold the frame's bytes: exactly
+    /// [`send_frame_sized`](Self::send_frame_sized) on `payload.len()`.
     pub fn send_frame(&mut self, payload: Bytes, now: SimTime) -> FrameResult {
         self.send_frame_sized(payload.len(), now)
     }
 
-    /// Size-only variant of [`send_frame`](Self::send_frame): the link
-    /// model only consumes wire sizes, so forwarding paths that fan one
-    /// frame out to many receivers (the SFU) can account a frame without
-    /// materializing a payload buffer per receiver. Byte-for-byte
-    /// equivalent to `send_frame` on a payload of `payload_len` bytes.
+    /// Send one frame of `payload_len` bytes at time `now`; returns the
+    /// delivery outcome. The link model consumes only wire sizes, so no
+    /// payload buffer is needed. The synchronous simulation resolves the
+    /// entire frame's fate immediately (virtual time still advances
+    /// correctly because the link tracks its own busy horizon).
     pub fn send_frame_sized(&mut self, payload_len: usize, now: SimTime) -> FrameResult {
-        let frame_id = self.sender.next_frame;
-        self.sender.next_frame += 1;
+        let frame_id = self.next_frame;
+        self.next_frame += 1;
         holo_trace::counter("transport.frames_sent", 1);
         let fragment_count = payload_len.div_ceil(MTU_PAYLOAD).max(1) as u32;
         let mut result = FrameResult {
@@ -113,8 +95,7 @@ impl FrameTransport {
         for frag in 0..fragment_count {
             let lo = frag as usize * MTU_PAYLOAD;
             let hi = (lo + MTU_PAYLOAD).min(payload_len);
-            let wire_size = hi - lo + Packet::HEADER_BYTES;
-            self.sender.next_seq += 1;
+            let wire_size = hi - lo + PACKET_HEADER_BYTES;
             result.packets_sent += 1;
             result.wire_bytes += wire_size as u64;
             match self.link.transmit(wire_size, now) {
@@ -123,14 +104,14 @@ impl FrameTransport {
             }
         }
 
-        if !lost_fragments.is_empty() && self.sender.policy == LossPolicy::RetransmitOnce {
+        if !lost_fragments.is_empty() && self.policy == LossPolicy::RetransmitOnce {
             // NACK arrives one propagation later; retransmit from there.
             let nack_at = last_arrival.max(now) + self.link.config.propagation;
             let mut still_lost = false;
             for frag in lost_fragments.drain(..) {
                 let lo = frag as usize * MTU_PAYLOAD;
                 let hi = (lo + MTU_PAYLOAD).min(payload_len);
-                let size = hi - lo + Packet::HEADER_BYTES;
+                let size = hi - lo + PACKET_HEADER_BYTES;
                 result.packets_sent += 1;
                 result.wire_bytes += size as u64;
                 holo_trace::counter("transport.retx_fragments", 1);
@@ -140,12 +121,12 @@ impl FrameTransport {
                 }
             }
             if still_lost {
-                self.receiver.frames_dropped += 1;
+                self.frames_dropped += 1;
                 holo_trace::counter("transport.frames_dropped", 1);
                 return result;
             }
         } else if !lost_fragments.is_empty() {
-            self.receiver.frames_dropped += 1;
+            self.frames_dropped += 1;
             holo_trace::counter("transport.frames_dropped", 1);
             return result;
         }
@@ -153,7 +134,7 @@ impl FrameTransport {
         result.complete = true;
         result.completed_at = Some(last_arrival);
         result.latency = Some(last_arrival - now);
-        self.receiver.frames_complete += 1;
+        self.frames_complete += 1;
         if holo_trace::enabled() {
             holo_trace::counter("transport.frames_complete", 1);
             holo_trace::counter("transport.wire_bytes", result.wire_bytes);
@@ -169,7 +150,7 @@ impl FrameTransport {
     /// including per-packet header overhead, in bps — the Table 2 metric.
     pub fn required_bps(frame_bytes: usize, fps: f64) -> f64 {
         let packets = frame_bytes.div_ceil(MTU_PAYLOAD).max(1);
-        let wire = frame_bytes + packets * Packet::HEADER_BYTES;
+        let wire = frame_bytes + packets * PACKET_HEADER_BYTES;
         wire as f64 * 8.0 * fps
     }
 }
@@ -246,7 +227,7 @@ mod tests {
         }
         // 14 packets/frame at 5% loss: ~49% of frames survive.
         assert!(complete > 40 && complete < 160, "complete {complete}");
-        assert!(t.receiver.frames_dropped > 0);
+        assert!(t.frames_dropped > 0);
     }
 
     #[test]
@@ -291,8 +272,8 @@ mod tests {
 
     #[test]
     fn sized_send_matches_payload_send() {
-        // The SFU fan-out path sends sizes, not buffers; both paths must
-        // drive the link (and its RNG) identically.
+        // `send_frame` is the by-size path on `payload.len()`: on a lossy
+        // link both must drive the link (and its RNG) identically.
         let mut a = transport(20e6, 0.03, LossPolicy::RetransmitOnce);
         let mut b = transport(20e6, 0.03, LossPolicy::RetransmitOnce);
         for i in 0..50u64 {

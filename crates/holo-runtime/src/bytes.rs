@@ -1,260 +1,65 @@
-//! Cheap-clone byte buffers, compatible with the subset of the `bytes`
-//! crate surface this workspace uses.
+//! The cheap-clone byte buffer frame payloads travel in.
 //!
-//! [`Bytes`] is an immutable, reference-counted view into a shared
-//! allocation: `clone()` and `slice()` are O(1) and never copy.
-//! [`BytesMut`] is a growable builder with `put_*` writers that
-//! [`BytesMut::freeze`]s into a `Bytes` (one copy into the shared
-//! allocation, then free sharing).
-//!
-//! Semantics intentionally match the documented `bytes` crate behaviour
-//! (see `tests/runtime_conformance.rs`): out-of-range `slice`/`split_*`
-//! panic, `get_*` panics on underflow, big-endian is the unsuffixed
-//! byte order, `_le` variants are little-endian.
+//! [`Bytes`] is an immutable, reference-counted `Arc<[u8]>`: `clone()`
+//! is O(1) and shares the allocation, so one encoded frame can sit in an
+//! `EncodedFrame`, a `WireFrame` and a fan-out list without being
+//! copied. It derefs to `&[u8]`; everything that *reads* structure out
+//! of a payload does so through [`crate::ser::ByteReader`], the one
+//! cursor, with typed errors.
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// Immutable reference-counted byte buffer. Cloning and slicing are
-/// O(1): both share the underlying allocation.
-#[derive(Clone, Default)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-    offset: usize,
-    len: usize,
-}
+/// Immutable reference-counted byte buffer. Cloning is O(1) and shares
+/// the underlying allocation; equality is content equality.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
-    /// An empty buffer (no allocation is shared until data exists).
+    /// An empty buffer.
     pub fn new() -> Self {
-        Self { data: Arc::from(&[][..]), offset: 0, len: 0 }
+        Self::default()
     }
 
     /// Copy a slice into a fresh shared allocation.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        let len = data.len();
-        Self { data: Arc::from(data), offset: 0, len }
+        Self(Arc::from(data))
     }
 
-    /// Number of bytes in this view.
+    /// Number of bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.0.len()
     }
 
-    /// True when the view is empty.
+    /// True when the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn resolve(&self, range: impl RangeBounds<usize>) -> (usize, usize) {
-        let start = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
-        };
-        let end = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len,
-        };
-        assert!(
-            start <= end && end <= self.len,
-            "range {start}..{end} out of bounds for Bytes of length {}",
-            self.len
-        );
-        (start, end)
-    }
-
-    /// O(1) sub-view sharing the same allocation. Panics if the range
-    /// is out of bounds.
-    pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
-        let (start, end) = self.resolve(range);
-        Bytes { data: Arc::clone(&self.data), offset: self.offset + start, len: end - start }
-    }
-
-    /// Split off and return the first `at` bytes; `self` keeps the
-    /// rest. O(1). Panics if `at > len`.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len, "split_to({at}) out of bounds for length {}", self.len);
-        let head = Bytes { data: Arc::clone(&self.data), offset: self.offset, len: at };
-        self.offset += at;
-        self.len -= at;
-        head
-    }
-
-    /// Split off and return everything from `at` on; `self` keeps the
-    /// prefix. O(1). Panics if `at > len`.
-    pub fn split_off(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len, "split_off({at}) out of bounds for length {}", self.len);
-        let tail =
-            Bytes { data: Arc::clone(&self.data), offset: self.offset + at, len: self.len - at };
-        self.len = at;
-        tail
-    }
-
-    /// Shorten the view to `len` bytes (no-op if already shorter).
-    pub fn truncate(&mut self, len: usize) {
-        self.len = self.len.min(len);
-    }
-
-    /// Drop the first `n` bytes. Panics if `n > len`.
-    pub fn advance(&mut self, n: usize) {
-        assert!(n <= self.len, "advance({n}) out of bounds for length {}", self.len);
-        self.offset += n;
-        self.len -= n;
-    }
-
-    /// Reset to an empty view.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Remaining readable bytes (`Buf`-style name).
-    pub fn remaining(&self) -> usize {
-        self.len
-    }
-
-    fn take(&mut self, n: usize) -> &[u8] {
-        assert!(n <= self.len, "buffer underflow: need {n} bytes, have {}", self.len);
-        let s = &self.data[self.offset..self.offset + n];
-        self.offset += n;
-        self.len -= n;
-        s
-    }
-
-    /// Read one byte, advancing the view. Panics on underflow.
-    pub fn get_u8(&mut self) -> u8 {
-        self.take(1)[0]
-    }
-
-    /// Read a big-endian u16, advancing the view.
-    pub fn get_u16(&mut self) -> u16 {
-        u16::from_be_bytes(self.take(2).try_into().unwrap())
-    }
-
-    /// Read a little-endian u16, advancing the view.
-    pub fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(self.take(2).try_into().unwrap())
-    }
-
-    /// Read a big-endian u32, advancing the view.
-    pub fn get_u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.take(4).try_into().unwrap())
-    }
-
-    /// Read a little-endian u32, advancing the view.
-    pub fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
-    }
-
-    /// Read a big-endian u64, advancing the view.
-    pub fn get_u64(&mut self) -> u64 {
-        u64::from_be_bytes(self.take(8).try_into().unwrap())
-    }
-
-    /// Read a little-endian u64, advancing the view.
-    pub fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
-    }
-
-    /// Read a big-endian f32, advancing the view.
-    pub fn get_f32(&mut self) -> f32 {
-        f32::from_be_bytes(self.take(4).try_into().unwrap())
-    }
-
-    /// Read a little-endian f32, advancing the view.
-    pub fn get_f32_le(&mut self) -> f32 {
-        f32::from_le_bytes(self.take(4).try_into().unwrap())
-    }
-
-    /// Copy the view out into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_ref().to_vec()
+        self.0.is_empty()
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.offset..self.offset + self.len]
+        &self.0
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        self
+        &self.0
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let len = v.len();
-        Self { data: Arc::from(v.into_boxed_slice()), offset: 0, len }
-    }
-}
-
-impl From<Box<[u8]>> for Bytes {
-    fn from(v: Box<[u8]>) -> Self {
-        let len = v.len();
-        Self { data: Arc::from(v), offset: 0, len }
-    }
-}
-
-impl From<&'static [u8]> for Bytes {
-    fn from(v: &'static [u8]) -> Self {
-        Self::copy_from_slice(v)
-    }
-}
-
-impl From<String> for Bytes {
-    fn from(s: String) -> Self {
-        Self::from(s.into_bytes())
+        Self(Arc::from(v))
     }
 }
 
 impl FromIterator<u8> for Bytes {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
         Self::from(iter.into_iter().collect::<Vec<u8>>())
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_ref() == other.as_ref()
-    }
-}
-impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_ref() == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_ref() == *other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_ref() == other.as_slice()
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_ref().hash(state);
     }
 }
 
@@ -274,248 +79,25 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// Growable byte builder with `put_*` writers; `freeze()` converts to a
-/// shareable [`Bytes`].
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
-
-    /// An empty builder with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { buf: Vec::with_capacity(cap) }
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no bytes have been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Reserve room for at least `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    /// Drop all contents, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Shorten to `len` bytes (no-op if already shorter).
-    pub fn truncate(&mut self, len: usize) {
-        self.buf.truncate(len);
-    }
-
-    /// Resize, filling new space with `value`.
-    pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.buf.resize(new_len, value);
-    }
-
-    /// Append a slice.
-    pub fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-
-    /// Append a slice (`Vec`-style name).
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-
-    /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a big-endian u16.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a little-endian u16.
-    pub fn put_u16_le(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a big-endian u32.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a little-endian u32.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a big-endian u64.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a little-endian u64.
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a big-endian f32.
-    pub fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a little-endian f32.
-    pub fn put_f32_le(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Split off and return the first `at` bytes as a new builder;
-    /// `self` keeps the rest. Panics if `at > len`.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len(), "split_to({at}) out of bounds for length {}", self.len());
-        let tail = self.buf.split_off(at);
-        BytesMut { buf: std::mem::replace(&mut self.buf, tail) }
-    }
-
-    /// Split off and return everything from `at` on. Panics if
-    /// `at > len`.
-    pub fn split_off(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len(), "split_off({at}) out of bounds for length {}", self.len());
-        BytesMut { buf: self.buf.split_off(at) }
-    }
-
-    /// Convert to an immutable, cheaply-shareable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl std::ops::DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(buf: Vec<u8>) -> Self {
-        Self { buf }
-    }
-}
-
-impl From<&[u8]> for BytesMut {
-    fn from(s: &[u8]) -> Self {
-        Self { buf: s.to_vec() }
-    }
-}
-
-impl Extend<u8> for BytesMut {
-    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
-        self.buf.extend(iter);
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&Bytes::copy_from_slice(self), f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn clone_and_slice_share_allocation() {
+    fn clone_shares_allocation() {
         let b = Bytes::from(vec![1u8, 2, 3, 4, 5, 6]);
-        let s = b.slice(2..5);
-        assert_eq!(&s[..], &[3, 4, 5]);
-        assert_eq!(Arc::as_ptr(&b.data), Arc::as_ptr(&s.data));
         let c = b.clone();
-        assert_eq!(Arc::as_ptr(&b.data), Arc::as_ptr(&c.data));
-    }
-
-    #[test]
-    fn slice_of_slice_composes_offsets() {
-        let b = Bytes::from((0u8..100).collect::<Vec<_>>());
-        let s = b.slice(10..50).slice(5..10);
-        assert_eq!(&s[..], &[15, 16, 17, 18, 19]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn slice_out_of_range_panics() {
-        Bytes::from(vec![1u8, 2, 3]).slice(1..5);
-    }
-
-    #[test]
-    fn split_to_and_off() {
-        let mut b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
-        let head = b.split_to(2);
-        assert_eq!(&head[..], &[1, 2]);
-        assert_eq!(&b[..], &[3, 4, 5]);
-        let tail = b.split_off(1);
-        assert_eq!(&b[..], &[3]);
-        assert_eq!(&tail[..], &[4, 5]);
-    }
-
-    #[test]
-    fn put_get_roundtrip_all_widths() {
-        let mut m = BytesMut::new();
-        m.put_u8(7);
-        m.put_u16(0x0102);
-        m.put_u16_le(0x0304);
-        m.put_u32(0xDEAD_BEEF);
-        m.put_u32_le(0xFEED_FACE);
-        m.put_u64(0x0102_0304_0506_0708);
-        m.put_u64_le(42);
-        m.put_f32(1.5);
-        m.put_f32_le(-2.25);
-        let mut b = m.freeze();
-        assert_eq!(b.get_u8(), 7);
-        assert_eq!(b.get_u16(), 0x0102);
-        assert_eq!(b.get_u16_le(), 0x0304);
-        assert_eq!(b.get_u32(), 0xDEAD_BEEF);
-        assert_eq!(b.get_u32_le(), 0xFEED_FACE);
-        assert_eq!(b.get_u64(), 0x0102_0304_0506_0708);
-        assert_eq!(b.get_u64_le(), 42);
-        assert_eq!(b.get_f32(), 1.5);
-        assert_eq!(b.get_f32_le(), -2.25);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn get_underflow_panics() {
-        Bytes::from(vec![1u8]).get_u32();
+        assert_eq!(&c[..], &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(b.as_ptr(), c.as_ptr());
     }
 
     #[test]
     fn equality_across_representations() {
         let b = Bytes::from(vec![1u8, 2, 3]);
-        assert_eq!(b, vec![1u8, 2, 3]);
-        assert_eq!(b, &[1u8, 2, 3][..]);
-        assert_eq!(b, Bytes::from(vec![0u8, 1, 2, 3, 4]).slice(1..4));
+        assert_eq!(b, Bytes::copy_from_slice(&[1, 2, 3]));
+        assert_eq!(b, [1u8, 2, 3].into_iter().collect::<Bytes>());
+        assert_ne!(b, Bytes::from(vec![1u8, 2]));
+        assert!(Bytes::new().is_empty());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Everything the workspace previously pulled from crates.io lives here,
 //! so a cold-cache `cargo build --offline` succeeds with no network:
 //!
-//! - [`bytes`] — cheap-clone, Arc-backed byte buffers compatible with
-//!   the `bytes` crate surface the workspace uses (`Bytes`, `BytesMut`,
-//!   `slice`, `freeze`, `put_*`/`get_*`).
+//! - [`bytes`] — [`bytes::Bytes`], the cheap-clone `Arc<[u8]>` frame
+//!   payloads travel in.
 //! - [`check`] — a deterministic property-testing mini-framework:
 //!   seeded shrinking generators driven by the [`holo_prop!`] macro.
 //!   Override the base seed with the `HOLO_PROP_SEED` env var.

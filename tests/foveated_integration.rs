@@ -78,19 +78,3 @@ fn gaze_prediction_stays_in_field_of_view() {
         assert!(g.x.abs() < 60.0 && g.y.abs() < 60.0, "predicted gaze {g:?} out of FOV");
     }
 }
-
-#[test]
-fn simplified_periphery_is_an_option() {
-    // LoD for the periphery: clustering the peripheral reconstruction
-    // keeps the body shape at a fraction of the triangles.
-    let scene = scene();
-    let frame = scene.frame(1);
-    let mut p = pipeline(10.0, 13);
-    let enc = p.encode(&frame).unwrap();
-    let rec = p.decode(&enc.payload).unwrap();
-    let Content::Mesh(mesh) = &rec.content else { panic!() };
-    let lod = holo_mesh::simplify::simplify_cluster(mesh, 48);
-    assert!(lod.face_count() * 2 < mesh.face_count());
-    let q = holo_mesh::metrics::compare_meshes(mesh, &lod, 3000, 0.05, 5);
-    assert!(q.chamfer < 0.05, "LoD chamfer {}", q.chamfer);
-}

@@ -128,9 +128,9 @@ holo_prop! {
             }
             prop_assert!(r.wire_bytes as usize >= size);
         }
-        prop_assert_eq!(complete, t.receiver.frames_complete);
+        prop_assert_eq!(complete, t.frames_complete);
         prop_assert_eq!(
-            t.receiver.frames_complete + t.receiver.frames_dropped,
+            t.frames_complete + t.frames_dropped,
             n as u64
         );
     }

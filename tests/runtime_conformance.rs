@@ -1,14 +1,11 @@
-//! Conformance: `holo_runtime::bytes` must match the documented
-//! behaviour of the `bytes` crate it replaced, for arbitrary inputs.
-//!
-//! These properties pin the semantics the rest of the workspace relies
-//! on — O(1) views that alias the same allocation, split arithmetic,
-//! and `put_*`/`get_*` round-trips — so a future reimplementation (or
-//! a return to the external crate) can be validated against them.
+//! Conformance: what the workspace relies on from
+//! `holo_runtime::bytes::Bytes`, for arbitrary inputs — a faithful,
+//! immutable view of the bytes it was built from, content equality, and
+//! clones that alias one allocation.
 
-use holo_runtime::bytes::{Bytes, BytesMut};
+use holo_runtime::bytes::Bytes;
 use holo_runtime::check::{any, collection};
-use holo_runtime::{holo_prop, prop_assert, prop_assert_eq, prop_assume};
+use holo_runtime::{holo_prop, prop_assert, prop_assert_eq};
 
 holo_prop! {
     #![cases(64)]
@@ -17,160 +14,36 @@ holo_prop! {
     fn from_vec_roundtrip(data in collection::vec(any::<u8>(), 0..512)) {
         let b = Bytes::from(data.clone());
         prop_assert_eq!(b.len(), data.len());
+        prop_assert_eq!(b.is_empty(), data.is_empty());
         prop_assert_eq!(b.to_vec(), data);
     }
 
-    /// `slice(lo..hi)` equals the same slice of the source vec, and
-    /// clones observe the same contents.
-    fn slice_matches_vec_slice(
-        data in collection::vec(any::<u8>(), 1..512),
-        a in any::<usize>(),
-        b in any::<usize>(),
-    ) {
-        let (lo, hi) = (a % data.len(), b % data.len());
-        prop_assume!(lo <= hi);
-        let bytes = Bytes::from(data.clone());
-        let s = bytes.slice(lo..hi);
-        prop_assert_eq!(&s[..], &data[lo..hi]);
-        let c = s.clone();
-        prop_assert_eq!(&c[..], &data[lo..hi]);
-        // The parent view is unaffected by slicing.
-        prop_assert_eq!(bytes.to_vec(), data);
-    }
-
-    /// Slicing a slice composes like slicing the vec twice.
-    fn slice_composes(data in collection::vec(any::<u8>(), 4..256)) {
-        let n = data.len();
-        let outer = Bytes::from(data.clone()).slice(1..n - 1);
-        let inner = outer.slice(1..outer.len() - 1);
-        prop_assert_eq!(&inner[..], &data[2..n - 2]);
-    }
-
-    /// `split_to(k)` + remainder reassemble the original; lengths
-    /// conserve (the documented `bytes` split arithmetic).
-    fn split_to_conserves(data in collection::vec(any::<u8>(), 0..512), k in any::<usize>()) {
-        let mut b = Bytes::from(data.clone());
-        let at = if data.is_empty() { 0 } else { k % (data.len() + 1) };
-        let head = b.split_to(at);
-        prop_assert_eq!(head.len() + b.len(), data.len());
-        let mut rejoined = head.to_vec();
-        rejoined.extend_from_slice(&b);
-        prop_assert_eq!(rejoined, data);
-    }
-
-    /// `split_off(k)` mirrors `split_to`: self keeps the prefix.
-    fn split_off_conserves(data in collection::vec(any::<u8>(), 0..512), k in any::<usize>()) {
-        let mut b = Bytes::from(data.clone());
-        let at = if data.is_empty() { 0 } else { k % (data.len() + 1) };
-        let tail = b.split_off(at);
-        prop_assert_eq!(&b[..], &data[..at]);
-        prop_assert_eq!(&tail[..], &data[at..]);
-    }
-
-    /// `BytesMut` put -> `freeze` -> get round-trips every integer
-    /// width in both byte orders, in arbitrary interleavings.
-    fn put_get_roundtrip(ops in collection::vec(any::<u64>(), 0..64)) {
-        let mut m = BytesMut::new();
-        for &v in &ops {
-            match v % 5 {
-                0 => m.put_u8(v as u8),
-                1 => m.put_u16(v as u16),
-                2 => m.put_u32_le(v as u32),
-                3 => m.put_u64(v),
-                _ => m.put_f32_le(f32::from_bits((v as u32) & 0x7F7F_FFFF)),
-            }
-        }
-        let mut b = m.freeze();
-        for &v in &ops {
-            match v % 5 {
-                0 => prop_assert_eq!(b.get_u8(), v as u8),
-                1 => prop_assert_eq!(b.get_u16(), v as u16),
-                2 => prop_assert_eq!(b.get_u32_le(), v as u32),
-                3 => prop_assert_eq!(b.get_u64(), v),
-                _ => prop_assert_eq!(
-                    b.get_f32_le().to_bits(),
-                    (v as u32) & 0x7F7F_FFFF
-                ),
-            }
-        }
-        prop_assert!(b.is_empty(), "leftover bytes: {}", b.len());
-    }
-
-    /// `advance` + `truncate` behave like narrowing the vec.
-    fn advance_truncate(
-        data in collection::vec(any::<u8>(), 0..256),
-        a in any::<usize>(),
-        t in any::<usize>(),
-    ) {
-        let mut b = Bytes::from(data.clone());
-        let adv = if data.is_empty() { 0 } else { a % (data.len() + 1) };
-        b.advance(adv);
-        prop_assert_eq!(&b[..], &data[adv..]);
-        let keep = t % (b.len() + 1);
-        b.truncate(keep);
-        prop_assert_eq!(&b[..], &data[adv..adv + keep]);
-    }
-
-    /// Equality is content equality, independent of how the view was
-    /// constructed (direct vs slice of a larger buffer).
-    fn eq_is_content_eq(data in collection::vec(any::<u8>(), 0..128)) {
+    /// Equality is content equality, independent of how the buffer was
+    /// constructed, and a one-byte difference is a difference.
+    fn eq_is_content_eq(data in collection::vec(any::<u8>(), 0..128), at in any::<usize>()) {
         let direct = Bytes::from(data.clone());
-        let mut padded = vec![0xAAu8; 3];
-        padded.extend_from_slice(&data);
-        padded.push(0x55);
-        let sliced = Bytes::from(padded).slice(3..3 + data.len());
-        prop_assert_eq!(direct.clone(), sliced);
-        prop_assert_eq!(direct, data);
-    }
-
-    /// `BytesMut::split_to` keeps builder semantics: both halves
-    /// concatenate to the original and stay independently writable.
-    fn bytesmut_split_to(data in collection::vec(any::<u8>(), 1..128), k in any::<usize>()) {
-        let at = k % (data.len() + 1);
-        let mut m = BytesMut::from(data.as_slice());
-        let mut head = m.split_to(at);
-        prop_assert_eq!(&head[..], &data[..at]);
-        prop_assert_eq!(&m[..], &data[at..]);
-        head.put_u8(0xEE);
-        m.put_u8(0xFF);
-        prop_assert_eq!(head.len(), at + 1);
-        prop_assert_eq!(m.len(), data.len() - at + 1);
+        prop_assert_eq!(direct.clone(), Bytes::copy_from_slice(&data));
+        prop_assert_eq!(direct.clone(), data.iter().copied().collect::<Bytes>());
+        prop_assert_eq!(direct.as_ref(), data.as_slice());
+        let mut other = data.clone();
+        match other.len() {
+            0 => other.push(0),
+            n => other[at % n] ^= 1,
+        }
+        prop_assert!(direct != Bytes::from(other));
     }
 }
 
-/// Out-of-range operations must panic exactly like the `bytes` crate
-/// documents (not silently clamp): these are the contract the codecs
-/// rely on to catch framing bugs.
+/// Cloning never copies: a megabyte frame fanned out to many holders
+/// stays one allocation (what `EncodedFrame` → `WireFrame` → SFU
+/// fan-out relies on).
 #[test]
-fn out_of_range_panics() {
-    use std::panic::catch_unwind;
-    let b = Bytes::from(vec![1u8, 2, 3]);
-    assert!(catch_unwind(|| b.slice(2..5)).is_err());
-    assert!(catch_unwind(|| b.slice(4..)).is_err());
-    assert!(catch_unwind(|| b.clone().split_to(4)).is_err());
-    assert!(catch_unwind(|| b.clone().split_off(4)).is_err());
-    assert!(catch_unwind(|| b.clone().get_u32()).is_err());
-    // In-range equivalents do not panic.
-    assert_eq!(b.slice(2..3), vec![3u8]);
-    assert_eq!(b.clone().split_to(3), vec![1u8, 2, 3]);
-}
-
-/// Freezing and re-slicing never copies: a megabyte payload fanned out
-/// into many packet views stays one allocation (the property the
-/// network simulator's packetizer depends on).
-#[test]
-fn packetize_like_usage_is_zero_copy() {
-    let mut m = BytesMut::with_capacity(1 << 20);
-    m.resize(1 << 20, 0x42);
-    let frame = m.freeze();
-    let payloads: Vec<Bytes> =
-        (0..(1 << 20) / 1200).map(|i| frame.slice(i * 1200..(i + 1) * 1200)).collect();
-    for (i, p) in payloads.iter().enumerate() {
-        assert_eq!(p.len(), 1200);
-        assert_eq!(p[0], 0x42);
-        // Aliasing check: the slice's first byte lives inside the
-        // frame's allocation, at the expected offset.
-        let base = frame.as_ref().as_ptr() as usize;
-        assert_eq!(p.as_ref().as_ptr() as usize, base + i * 1200);
+fn fan_out_clones_are_zero_copy() {
+    let frame = Bytes::from(vec![0x42u8; 1 << 20]);
+    let holders: Vec<Bytes> = (0..64).map(|_| frame.clone()).collect();
+    for h in &holders {
+        assert_eq!(h.len(), 1 << 20);
+        assert_eq!(h[0], 0x42);
+        assert_eq!(h.as_ptr(), frame.as_ptr());
     }
 }
