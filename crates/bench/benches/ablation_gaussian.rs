@@ -23,7 +23,7 @@ fn sweep_density() -> Vec<(f32, usize, usize, f64, usize)> {
     let scene = bench_scene(0.5);
     let mut rows = Vec::new();
     for voxel in [0.04f32, 0.025, 0.015, 0.01] {
-        let fit = FitConfig { voxel_size: voxel, ..Default::default() };
+        let fit = FitConfig { voxel_size: voxel };
         let mut p = GaussianPipeline::new(fit, GaussianUpdateConfig::default());
         p.quality_reference_resolution = 64;
         let frame = scene.frame(0);
@@ -123,7 +123,7 @@ fn ablation(c: &mut Criterion) {
     group.bench_function("update_decode", |b| {
         b.iter(|| {
             let mut d = GaussianUpdateDecoder::new();
-            d.decode(black_box(&first), &cfg).unwrap()
+            d.decode(black_box(&first)).unwrap()
         })
     });
     group.bench_function("decode_and_pose", |b| {

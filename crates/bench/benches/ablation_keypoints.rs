@@ -15,7 +15,7 @@ use holo_runtime::bench::Criterion;
 use holo_runtime::{bench_group, bench_main};
 use holo_bench::{bench_scene, report, report_header};
 use holo_body::landmarks::StandardLandmarks;
-use holo_keypoints::detector::DetectorKind;
+use holo_keypoints::detector::KeypointDetector;
 use semholo::keypoint::{KeypointConfig, KeypointPipeline, ReconstructionMode};
 use semholo::{Content, SemanticPipeline};
 use std::hint::black_box;
@@ -30,7 +30,7 @@ fn run(landmarks: StandardLandmarks, mode: ReconstructionMode) -> (usize, f64, f
     let enc = p.encode(&frame).unwrap();
     let rec = p.decode(&enc.payload).unwrap();
     let q = p.quality(&frame, &rec.content);
-    let gflops = p.config.detector.gflops_per_frame(landmarks.count());
+    let gflops = KeypointDetector::gflops_per_frame(landmarks.count());
     // Temporal jitter: re-encode the same true pose twice (detector noise
     // differs) and measure how much the reconstructed surface moves.
     let enc2 = p.encode(&frame).unwrap();
@@ -89,8 +89,8 @@ fn ablation(c: &mut Criterion) {
     }
     // Paper-shape claims:
     // (1) extraction compute grows with keypoint count.
-    let g25 = DetectorKind::RgbdDirect.gflops_per_frame(25);
-    let g244 = DetectorKind::RgbdDirect.gflops_per_frame(244);
+    let g25 = KeypointDetector::gflops_per_frame(25);
+    let g244 = KeypointDetector::gflops_per_frame(244);
     assert!(g244 > g25, "compute must grow with keypoints");
     // (2) the parametric model caps the benefit of extra keypoints: going
     // from 100 to 244 landmarks barely moves quality.

@@ -9,11 +9,6 @@ use holo_capture::rig::RigConfig;
 pub struct SemHoloConfig {
     /// Capture/display frame rate.
     pub fps: f32,
-    /// Marching-cubes resolution for keypoint reconstruction (the paper
-    /// sweeps 128, 256, 512, 1024).
-    pub reconstruction_resolution: u32,
-    /// Mesh codec quantization bits (Draco-style, default 14).
-    pub mesh_quantization_bits: u32,
     /// Motion the captured participant performs.
     pub motion: MotionKind,
     /// Master seed; every stochastic component forks from it.
@@ -28,8 +23,6 @@ impl Default for SemHoloConfig {
     fn default() -> Self {
         Self {
             fps: 30.0,
-            reconstruction_resolution: 128,
-            mesh_quantization_bits: 14,
             motion: MotionKind::Talking,
             seed: 42,
             camera_count: 4,
@@ -43,12 +36,6 @@ impl SemHoloConfig {
     pub fn validate(&self) -> Result<(), String> {
         if !(1.0..=240.0).contains(&self.fps) {
             return Err(format!("fps {} out of range", self.fps));
-        }
-        if !(8..=2048).contains(&self.reconstruction_resolution) {
-            return Err(format!("resolution {} out of range", self.reconstruction_resolution));
-        }
-        if !(4..=20).contains(&self.mesh_quantization_bits) {
-            return Err(format!("quantization bits {} out of range", self.mesh_quantization_bits));
         }
         if self.camera_count == 0 {
             return Err("need at least one camera".into());
@@ -83,9 +70,6 @@ mod tests {
     fn rejects_bad_values() {
         let mut c = SemHoloConfig::default();
         c.fps = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = SemHoloConfig::default();
-        c.reconstruction_resolution = 4;
         assert!(c.validate().is_err());
         let mut c = SemHoloConfig::default();
         c.camera_count = 0;

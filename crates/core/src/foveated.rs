@@ -27,12 +27,17 @@ use holo_compress::primitives::{read_varint, write_varint};
 use holo_gaze::classify::{GazeClass, IvtClassifier};
 use holo_gaze::foveation::FoveationMap;
 use holo_gaze::landing::SaccadePredictor;
-use holo_gaze::trace::{GazeSample, GazeSynthesizer, GazeTraceConfig};
+use holo_gaze::trace::{GazeSample, GazeSynthesizer};
 use holo_gpu::workloads::reconstruction_workload;
 use holo_keypoints::fit::fit_params;
 use holo_math::{Pcg32, Vec2, Vec3};
 use holo_mesh::sparse::sparse_extract;
 use holo_mesh::trimesh::TriMesh;
+
+/// Gaze feedback delay (one network RTT), seconds.
+const GAZE_DELAY_S: f32 = 0.04;
+/// Mesh codec bits for the foveal patch.
+const PATCH_CODEC: MeshCodecConfig = MeshCodecConfig { position_bits: 14 };
 
 /// Foveated pipeline configuration.
 #[derive(Debug, Clone)]
@@ -42,12 +47,8 @@ pub struct FoveatedConfig {
     /// Peripheral reconstruction resolution (low; the fovea carries the
     /// true mesh).
     pub peripheral_resolution: u32,
-    /// Gaze feedback delay (one network RTT), seconds.
-    pub gaze_delay_s: f32,
     /// Use saccade landing prediction to aim the fovea ahead of the eye.
     pub predict_saccades: bool,
-    /// Mesh codec bits for the foveal patch.
-    pub quantization_bits: u32,
 }
 
 impl Default for FoveatedConfig {
@@ -55,9 +56,7 @@ impl Default for FoveatedConfig {
         Self {
             foveal_radius_deg: 12.0,
             peripheral_resolution: 48,
-            gaze_delay_s: 0.04,
             predict_saccades: true,
-            quantization_bits: 14,
         }
     }
 }
@@ -88,7 +87,7 @@ pub struct FoveatedPipeline {
 impl FoveatedPipeline {
     /// Build with a synthesized viewer gaze trace covering `duration_s`.
     pub fn new(config: FoveatedConfig, duration_s: f32, seed: u64) -> Self {
-        let mut synth = GazeSynthesizer::new(GazeTraceConfig::default(), seed ^ 0xEE);
+        let mut synth = GazeSynthesizer::new(seed ^ 0xEE);
         let gaze_samples = synth.generate(duration_s.max(1.0) + 2.0);
         Self {
             config,
@@ -114,7 +113,7 @@ impl FoveatedPipeline {
     /// feedback delay old, optionally corrected by saccade landing
     /// prediction.
     pub fn predicted_gaze_at(&mut self, t: f32) -> Vec2 {
-        let delayed_t = (t - self.config.gaze_delay_s).max(0.0);
+        let delayed_t = (t - GAZE_DELAY_S).max(0.0);
         let rate = 120.0;
         let idx = ((delayed_t * rate) as usize).min(self.gaze_samples.len().saturating_sub(1));
         if !self.config.predict_saccades {
@@ -196,7 +195,7 @@ impl SemanticPipeline for FoveatedPipeline {
         // Foveal patch: cut from the posed mesh, Draco-compress.
         let mesh = frame.posed_mesh();
         let patch = Self::submesh(&mesh, &map, true);
-        let patch_bytes = self.patch_encoder.encode(&patch, &MeshCodecConfig { position_bits: self.config.quantization_bits });
+        let patch_bytes = self.patch_encoder.encode(&patch, &PATCH_CODEC);
         // Peripheral keypoints: the full pose payload (receiver needs the
         // whole skeleton anyway).
         let posed = self.skeleton.forward_kinematics(&frame.params);

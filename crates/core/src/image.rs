@@ -22,20 +22,21 @@ use holo_math::{Pcg32, Vec3};
 use holo_neural::nerf::{NerfField, VolumeRenderer};
 use holo_neural::train::{psnr, RayDataset, TrainConfig, Trainer};
 
+/// Number of sender views per frame.
+const VIEWS: usize = 2;
+/// Volume samples per ray.
+const RAY_SAMPLES: usize = 8;
+
 /// Image pipeline configuration. Defaults are laptop-scale tiny; the
 /// structure (not the pixel count) is what reproduces §3.2.
 #[derive(Debug, Clone)]
 pub struct ImageConfig {
     /// Resolution ladder (square view side lengths), ascending.
     pub ladder: Vec<(u32, usize)>,
-    /// Number of sender views per frame.
-    pub views: usize,
     /// Fine-tune steps per frame.
     pub finetune_steps: usize,
     /// Cold-start pre-training steps.
     pub pretrain_steps: usize,
-    /// Volume samples per ray.
-    pub ray_samples: usize,
 }
 
 impl Default for ImageConfig {
@@ -43,10 +44,8 @@ impl Default for ImageConfig {
         Self {
             // (resolution, slimmable width) rungs.
             ladder: vec![(12, 8), (16, 16), (24, 24)],
-            views: 2,
             finetune_steps: 12,
             pretrain_steps: 250,
-            ray_samples: 8,
         }
     }
 }
@@ -71,7 +70,7 @@ impl ImagePipeline {
     pub fn new(config: ImageConfig, seed: u64) -> Self {
         let mut rng = Pcg32::with_stream(seed, 0x4E46);
         let field = NerfField::new(4, 32, 3, &mut rng);
-        let renderer = VolumeRenderer::new(config.ray_samples, Vec3::ZERO);
+        let renderer = VolumeRenderer::new(RAY_SAMPLES, Vec3::ZERO);
         let trainer = Trainer::new(renderer, seed ^ 0x11);
         let train_cfg = TrainConfig { steps: config.finetune_steps, batch: 24, lr: 2e-3, t_near: 0.8, t_far: 4.2 };
         Self {
@@ -98,7 +97,7 @@ impl ImagePipeline {
         // the hint.
         let mut chosen = 0;
         for (i, &(res, _)) in self.config.ladder.iter().enumerate() {
-            let bytes = TextureCodec::compressed_size(res, res) * self.config.views;
+            let bytes = TextureCodec::compressed_size(res, res) * VIEWS;
             let bps = bytes as f64 * 8.0 * fps;
             if bps <= self.bandwidth_hint * 0.8 {
                 chosen = i;
@@ -148,10 +147,10 @@ impl SemanticPipeline for ImagePipeline {
         let fps = frame.context.config.fps as f64;
         let rung = self.pick_rung(fps);
         let (res, _) = self.config.ladder[rung];
-        let cams = self.view_cameras(res, self.config.views);
+        let cams = self.view_cameras(res, VIEWS);
         let mut payload = Vec::new();
         write_varint(&mut payload, rung as u32);
-        write_varint(&mut payload, self.config.views as u32);
+        write_varint(&mut payload, VIEWS as u32);
         for cam in &cams {
             let img = self.gt_view(frame, cam);
             let compressed = TextureCodec::compress(&img);

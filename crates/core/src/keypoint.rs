@@ -10,7 +10,7 @@
 
 use crate::error::{reject_decode, Result, SemHoloError};
 use crate::scene::SceneFrame;
-use crate::semantics::{mesh_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost};
+use crate::semantics::{mesh_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost, QUALITY_REFERENCE_RESOLUTION};
 use holo_runtime::bytes::Bytes;
 use holo_body::landmarks::{LandmarkSet, StandardLandmarks};
 use holo_body::params::{PosePayload, SmplxParams, EXPRESSION_DIM, PAYLOAD_KEYPOINTS};
@@ -18,7 +18,7 @@ use holo_body::skeleton::{Skeleton, JOINT_COUNT};
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_compress::lzma::{lzma_compress, lzma_decompress};
 use holo_gpu::workloads::{detector_workload, reconstruction_workload};
-use holo_keypoints::detector::{DetectorKind, KeypointDetector};
+use holo_keypoints::detector::KeypointDetector;
 use holo_keypoints::filter::OneEuroFilter;
 use holo_keypoints::fit::fit_params;
 use holo_math::{Pcg32, Vec3};
@@ -35,36 +35,30 @@ pub enum ReconstructionMode {
     ModelFree,
 }
 
+/// Temporal smoothing of fitted parameters in [0, 1): each frame's fit
+/// is slerped toward the previous one by this factor. This is the
+/// smoothing effect of encoding into a parametric model that the paper
+/// credits for "smooth streaming" (the model-free path has no such prior
+/// and inherits detector jitter).
+const PARAMETER_SMOOTHING: f32 = 0.4;
+
 /// Keypoint pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct KeypointConfig {
     /// Marching-cubes resolution at the receiver (128-1024 in the paper).
     pub resolution: u32,
-    /// Detector family.
-    pub detector: DetectorKind,
     /// Landmark density.
     pub landmarks: StandardLandmarks,
-    /// Apply One-Euro temporal filtering to detections.
-    pub filter: bool,
     /// Receiver reconstruction mode.
     pub mode: ReconstructionMode,
-    /// Temporal smoothing of fitted parameters in [0, 1): each frame's
-    /// fit is slerped toward the previous one by this factor. This is
-    /// the smoothing effect of encoding into a parametric model that the
-    /// paper credits for "smooth streaming" (the model-free path has no
-    /// such prior and inherits detector jitter).
-    pub parameter_smoothing: f32,
 }
 
 impl Default for KeypointConfig {
     fn default() -> Self {
         Self {
             resolution: 128,
-            detector: DetectorKind::RgbdDirect,
             landmarks: StandardLandmarks::Standard100,
-            filter: true,
             mode: ReconstructionMode::Parametric,
-            parameter_smoothing: 0.4,
         }
     }
 }
@@ -80,15 +74,13 @@ pub struct KeypointPipeline {
     prev_fit: Option<SmplxParams>,
     rng: Pcg32,
     frame_dt: f32,
-    /// Ground-truth reference resolution for quality metrics.
-    pub quality_reference_resolution: u32,
 }
 
 impl KeypointPipeline {
     /// Build the pipeline. The detector observes from the first rig
     /// camera's position.
     pub fn new(config: KeypointConfig, seed: u64) -> Self {
-        let detector = KeypointDetector::new(config.detector, Vec3::new(0.0, 1.3, 2.0));
+        let detector = KeypointDetector::new(Vec3::new(0.0, 1.3, 2.0));
         let n = config.landmarks.count();
         Self {
             config,
@@ -99,7 +91,6 @@ impl KeypointPipeline {
             prev_fit: None,
             rng: Pcg32::with_stream(seed, 0x4B50),
             frame_dt: 1.0 / 30.0,
-            quality_reference_resolution: 96,
         }
     }
 
@@ -108,10 +99,8 @@ impl KeypointPipeline {
         let posed = self.skeleton.forward_kinematics(&frame.params);
         let truth = LandmarkSet::new(self.config.landmarks).positions(&posed);
         let mut detected = self.detector.detect_with_hold(&truth, self.prev_detection.as_deref(), &mut self.rng);
-        if self.config.filter {
-            for (f, p) in self.filters.iter_mut().zip(detected.iter_mut()) {
-                *p = f.filter(*p, self.frame_dt);
-            }
+        for (f, p) in self.filters.iter_mut().zip(detected.iter_mut()) {
+            *p = f.filter(*p, self.frame_dt);
         }
         self.prev_detection = Some(detected.clone());
         if detected.len() < 25 {
@@ -129,11 +118,8 @@ impl KeypointPipeline {
             *e = (t + self.rng.normal() * 0.02).clamp(-1.0, 2.0);
         }
         // Parametric temporal prior: blend toward the previous fit.
-        let s = self.config.parameter_smoothing.clamp(0.0, 0.95);
-        if s > 0.0 {
-            if let Some(prev) = &self.prev_fit {
-                fitted = fitted.lerp(prev, s);
-            }
+        if let Some(prev) = &self.prev_fit {
+            fitted = fitted.lerp(prev, PARAMETER_SMOOTHING);
         }
         self.prev_fit = Some(fitted.clone());
         Ok((fitted, detected))
@@ -153,7 +139,7 @@ impl SemanticPipeline for KeypointPipeline {
         keypoints.truncate(PAYLOAD_KEYPOINTS);
         let payload = PosePayload::new(fitted, keypoints);
         let compressed = lzma_compress(&payload.to_bytes());
-        let gflops = self.config.detector.gflops_per_frame(self.config.landmarks.count());
+        let gflops = KeypointDetector::gflops_per_frame(self.config.landmarks.count());
         Ok(EncodedFrame {
             payload: Bytes::from(compressed),
             extract: StageCost {
@@ -199,7 +185,7 @@ impl SemanticPipeline for KeypointPipeline {
         let Content::Mesh(mesh) = content else {
             return QualityReport::default();
         };
-        let gt = frame.ground_truth_mesh(self.quality_reference_resolution);
+        let gt = frame.ground_truth_mesh(QUALITY_REFERENCE_RESOLUTION);
         mesh_quality(&gt, mesh, frame.context.config.seed ^ frame.index as u64)
     }
 }

@@ -86,8 +86,7 @@ impl SceneSource {
     pub fn new(config: &SemHoloConfig, duration_s: f32) -> Self {
         let mut synth = MotionSynthesizer::new(config.seed);
         let clip = synth.clip(config.motion, duration_s, config.fps);
-        let mut rig_rng = Pcg32::with_stream(config.seed, 0xCA);
-        let rig = CaptureRig::new(&config.rig_config(), &mut rig_rng);
+        let rig = CaptureRig::new(&config.rig_config());
         let context = Arc::new(SceneContext {
             config: config.clone(),
             skeleton: Skeleton::neutral(),

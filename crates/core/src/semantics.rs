@@ -132,6 +132,10 @@ pub trait SemanticPipeline {
     fn quality(&mut self, frame: &SceneFrame, content: &Content) -> QualityReport;
 }
 
+/// Ground-truth reference resolution the mesh-producing pipelines grade
+/// themselves against.
+pub(crate) const QUALITY_REFERENCE_RESOLUTION: u32 = 96;
+
 /// Shared geometric quality measurement: compare reconstructed geometry
 /// against the ground-truth surface.
 pub fn mesh_quality(gt: &TriMesh, mesh: &TriMesh, seed: u64) -> QualityReport {

@@ -34,6 +34,9 @@ pub fn payload_kind_for(kind: SemanticKind) -> PayloadKind {
     }
 }
 
+/// Fixed render/display overhead added to every frame.
+const RENDER_OVERHEAD: Duration = Duration::from_millis(11);
+
 /// Session parameters.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -41,12 +44,6 @@ pub struct SessionConfig {
     pub link: LinkConfig,
     /// Bandwidth trace of the bottleneck.
     pub trace: BandwidthTrace,
-    /// Device running sender-side extraction.
-    pub sender_device: Device,
-    /// Device running receiver-side reconstruction.
-    pub receiver_device: Device,
-    /// Fixed render/display overhead added to every frame.
-    pub render_overhead: Duration,
     /// Evaluate quality every N frames. Quality evaluation is by far
     /// the most expensive per-frame step (it samples and compares whole
     /// surfaces), so it is opt-in: the conventional value `0` means
@@ -69,9 +66,6 @@ impl Default for SessionConfig {
         Self {
             link: LinkConfig::default(),
             trace: BandwidthTrace::Constant { bps: 100e6 },
-            sender_device: Device::a100(),
-            receiver_device: Device::a100(),
-            render_overhead: Duration::from_millis(11),
             quality_every: 0,
             seed: 1,
             loss_policy: LossPolicy::RetransmitOnce,
@@ -196,6 +190,9 @@ pub struct Session {
     /// Configuration.
     pub config: SessionConfig,
     transport: FrameTransport,
+    /// The edge device at both sites: sender-side extraction and
+    /// receiver-side reconstruction are charged to the paper's A100.
+    device: Device,
 }
 
 impl Session {
@@ -206,7 +203,7 @@ impl Session {
             link.set_fault(f.clone());
         }
         let transport = FrameTransport::new(link, config.loss_policy);
-        Self { config, transport }
+        Self { config, transport, device: Device::a100() }
     }
 
     /// Run `frames` frames of `scene` through `pipeline`.
@@ -231,7 +228,7 @@ impl Session {
         for frame in scene.frames(frames) {
             let capture_t = frame.time;
             let encoded = pipeline.encode(&frame)?;
-            let extract = encoded.extract.time_on(&self.config.sender_device)?;
+            let extract = encoded.extract.time_on(&self.device)?;
             extract_s.record(extract.as_secs_f64());
             let send_at = SimTime::from_secs_f64(capture_t + extract.as_secs_f64());
             // Every frame crosses the link inside the versioned,
@@ -315,10 +312,10 @@ impl Session {
                     )));
                 }
                 let reconstructed = pipeline.decode(&received.payload)?;
-                let recon = reconstructed.recon.time_on(&self.config.receiver_device)?;
+                let recon = reconstructed.recon.time_on(&self.device)?;
                 recon_s.record(recon.as_secs_f64());
                 fr.reconstruct_ms = recon.as_secs_f64() * 1000.0;
-                fr.render_ms = self.config.render_overhead.as_secs_f64() * 1000.0;
+                fr.render_ms = RENDER_OVERHEAD.as_secs_f64() * 1000.0;
                 fr.e2e_ms = fr.extract_ms + fr.network_ms + fr.reconstruct_ms + fr.render_ms;
                 report.e2e_ms.record(fr.e2e_ms);
                 report.delivered += 1;
@@ -331,7 +328,7 @@ impl Session {
                 if tracing {
                     let arrival_us = tx.completed_at.expect("complete implies arrival").0;
                     let recon_end = arrival_us + recon.as_micros() as u64;
-                    let render_end = recon_end + self.config.render_overhead.as_micros() as u64;
+                    let render_end = recon_end + RENDER_OVERHEAD.as_micros() as u64;
                     holo_trace::span_enter("decode", arrival_us);
                     holo_trace::span_exit(recon_end);
                     holo_trace::span_enter("render", recon_end);
@@ -536,7 +533,7 @@ mod tests {
         let cfg = SessionConfig::default();
         let copy = cfg.clone();
         let text = format!("{copy:?}");
-        assert!(text.contains("render_overhead"), "{text}");
+        assert!(text.contains("quality_every"), "{text}");
         assert_eq!(copy.quality_every, cfg.quality_every);
     }
 

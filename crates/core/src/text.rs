@@ -10,7 +10,7 @@
 
 use crate::error::{reject_decode, Result, SemHoloError};
 use crate::scene::SceneFrame;
-use crate::semantics::{cloud_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost};
+use crate::semantics::{cloud_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost, QUALITY_REFERENCE_RESOLUTION};
 use holo_runtime::bytes::Bytes;
 use holo_compress::primitives::{read_varint, write_varint};
 use holo_gpu::Workload;
@@ -52,8 +52,6 @@ pub struct TextPipeline {
     sender_delta: DeltaCoder,
     receiver_delta: DeltaCoder,
     seed: u64,
-    /// Ground-truth reference resolution for quality metrics.
-    pub quality_reference_resolution: u32,
 }
 
 impl TextPipeline {
@@ -65,7 +63,6 @@ impl TextPipeline {
             sender_delta: DeltaCoder::new(),
             receiver_delta: DeltaCoder::new(),
             seed,
-            quality_reference_resolution: 96,
         }
     }
 
@@ -206,7 +203,7 @@ impl SemanticPipeline for TextPipeline {
         let Content::Cloud(cloud) = content else {
             return QualityReport::default();
         };
-        let gt = frame.ground_truth_mesh(self.quality_reference_resolution);
+        let gt = frame.ground_truth_mesh(QUALITY_REFERENCE_RESOLUTION);
         cloud_quality(&gt, cloud, frame.context.config.seed ^ frame.index as u64)
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::error::{reject_decode, Result};
 use crate::scene::SceneFrame;
-use crate::semantics::{mesh_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost};
+use crate::semantics::{mesh_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost, QUALITY_REFERENCE_RESOLUTION};
 use holo_runtime::bytes::Bytes;
 use holo_compress::meshcodec::{decode_mesh, MeshCodecConfig, MeshEncoder};
 
@@ -27,8 +27,6 @@ pub struct TraditionalPipeline {
     pub wire: MeshWire,
     /// Codec config for the compressed mode.
     pub codec: MeshCodecConfig,
-    /// Quality reference resolution.
-    pub quality_reference_resolution: u32,
     /// The compressed mode's encoder: the avatar's topology never
     /// changes, so its connectivity is walked on the first frame only.
     encoder: MeshEncoder,
@@ -40,7 +38,6 @@ impl TraditionalPipeline {
         Self {
             wire,
             codec: MeshCodecConfig { position_bits: quantization_bits },
-            quality_reference_resolution: 96,
             encoder: MeshEncoder::default(),
         }
     }
@@ -142,7 +139,7 @@ impl SemanticPipeline for TraditionalPipeline {
         let Content::Mesh(mesh) = content else {
             return QualityReport::default();
         };
-        let gt = frame.ground_truth_mesh(self.quality_reference_resolution);
+        let gt = frame.ground_truth_mesh(QUALITY_REFERENCE_RESOLUTION);
         mesh_quality(&gt, mesh, frame.context.config.seed ^ frame.index as u64)
     }
 }

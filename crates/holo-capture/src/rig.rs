@@ -4,24 +4,25 @@
 //! different viewing angles (§2.1). A [`CaptureRig`] places N cameras on a
 //! ring, captures them all against one SDF, and fuses the depth maps into
 //! a colored point cloud with voxel-grid filtering — the "synchronization,
-//! calibration, and filtering" merge step of the paper. An optional
-//! calibration error model perturbs extrinsics to simulate imperfect
-//! registration.
+//! calibration, and filtering" merge step of the paper.
 
 use crate::camera::{Camera, CameraIntrinsics};
 use crate::noise::DepthNoiseModel;
 use crate::render::{render_rgbd, RgbdFrame, ShadingConfig};
-use holo_math::{Mat4, Pcg32, Quat, Vec3};
+use holo_math::{Pcg32, Vec3};
 use holo_mesh::pointcloud::PointCloud;
 use holo_mesh::sdf::Sdf;
+
+/// Ring radius, meters.
+const RING_RADIUS: f32 = 2.0;
+/// Voxel size for fusion downsampling, meters.
+const FUSION_VOXEL: f32 = 0.015;
 
 /// Rig construction parameters.
 #[derive(Debug, Clone)]
 pub struct RigConfig {
     /// Number of cameras on the ring.
     pub camera_count: usize,
-    /// Ring radius, meters.
-    pub radius: f32,
     /// Camera height, meters.
     pub height: f32,
     /// Point the cameras aim at.
@@ -30,60 +31,40 @@ pub struct RigConfig {
     pub intrinsics: CameraIntrinsics,
     /// Depth sensor noise.
     pub noise: DepthNoiseModel,
-    /// Standard deviation of calibration error: rotation (radians) and
-    /// translation (meters) applied to each camera's extrinsics.
-    pub calibration_rot_sigma: f32,
-    pub calibration_trans_sigma: f32,
-    /// Voxel size for fusion downsampling, meters (0 disables).
-    pub fusion_voxel: f32,
 }
 
 impl Default for RigConfig {
     fn default() -> Self {
         Self {
             camera_count: 4,
-            radius: 2.0,
             height: 1.3,
             target: Vec3::new(0.0, 1.1, 0.0),
             intrinsics: CameraIntrinsics::from_fov(160, 120, 1.1),
             noise: DepthNoiseModel::default(),
-            calibration_rot_sigma: 0.0,
-            calibration_trans_sigma: 0.0,
-            fusion_voxel: 0.015,
         }
     }
 }
 
-/// A constructed rig (cameras with any calibration error baked in).
+/// A constructed rig.
 #[derive(Debug, Clone)]
 pub struct CaptureRig {
-    /// The (possibly mis-calibrated) cameras.
+    /// The cameras.
     pub cameras: Vec<Camera>,
     /// Noise model applied at capture time.
     pub noise: DepthNoiseModel,
-    /// Fusion voxel size.
-    pub fusion_voxel: f32,
 }
 
 impl CaptureRig {
-    /// Build a ring rig. Calibration errors are drawn from `rng`.
-    pub fn new(cfg: &RigConfig, rng: &mut Pcg32) -> Self {
-        let mut cameras = Vec::with_capacity(cfg.camera_count);
-        for i in 0..cfg.camera_count {
-            let theta = std::f32::consts::TAU * i as f32 / cfg.camera_count as f32;
-            let eye = Vec3::new(cfg.radius * theta.cos(), cfg.height, cfg.radius * theta.sin());
-            let mut cam = Camera::look_at(cfg.intrinsics, eye, cfg.target);
-            if cfg.calibration_rot_sigma > 0.0 || cfg.calibration_trans_sigma > 0.0 {
-                let axis = Vec3::new(rng.normal(), rng.normal(), rng.normal()).normalized();
-                let perturb = Mat4::from_rotation_translation(
-                    Quat::from_axis_angle(axis, rng.normal() * cfg.calibration_rot_sigma),
-                    Vec3::new(rng.normal(), rng.normal(), rng.normal()) * cfg.calibration_trans_sigma,
-                );
-                cam.pose = perturb * cam.pose;
-            }
-            cameras.push(cam);
-        }
-        Self { cameras, noise: cfg.noise, fusion_voxel: cfg.fusion_voxel }
+    /// Build a ring rig.
+    pub fn new(cfg: &RigConfig) -> Self {
+        let cameras = (0..cfg.camera_count)
+            .map(|i| {
+                let theta = std::f32::consts::TAU * i as f32 / cfg.camera_count as f32;
+                let eye = Vec3::new(RING_RADIUS * theta.cos(), cfg.height, RING_RADIUS * theta.sin());
+                Camera::look_at(cfg.intrinsics, eye, cfg.target)
+            })
+            .collect();
+        Self { cameras, noise: cfg.noise }
     }
 
     /// Capture every camera against `sdf`.
@@ -115,17 +96,11 @@ impl CaptureRig {
                 }
             }
         }
-        if self.fusion_voxel > 0.0 && !cloud.is_empty() {
-            cloud.voxel_downsample(self.fusion_voxel)
-        } else {
+        if cloud.is_empty() {
             cloud
+        } else {
+            cloud.voxel_downsample(FUSION_VOXEL)
         }
-    }
-
-    /// Convenience: capture and fuse in one call.
-    pub fn capture_cloud<S: Sdf + ?Sized>(&self, sdf: &S, rng: &mut Pcg32) -> PointCloud {
-        let frames = self.capture(sdf, rng);
-        self.fuse(&frames)
     }
 }
 
@@ -147,10 +122,13 @@ mod tests {
         SdfSphere { center: Vec3::new(0.0, 1.0, 0.0), radius: 0.5 }
     }
 
+    fn capture_cloud(rig: &CaptureRig, rng: &mut Pcg32) -> PointCloud {
+        rig.fuse(&rig.capture(&sphere(), rng))
+    }
+
     #[test]
     fn cameras_on_ring_aim_at_target() {
-        let mut rng = Pcg32::new(1);
-        let rig = CaptureRig::new(&small_cfg(), &mut rng);
+        let rig = CaptureRig::new(&small_cfg());
         assert_eq!(rig.cameras.len(), 3);
         for cam in &rig.cameras {
             let dist = (cam.position() - Vec3::new(0.0, 1.3, 0.0)).length();
@@ -165,8 +143,8 @@ mod tests {
     fn fused_cloud_lies_on_sphere() {
         let mut rng = Pcg32::new(2);
         let cfg = RigConfig { noise: DepthNoiseModel::none(), ..small_cfg() };
-        let rig = CaptureRig::new(&cfg, &mut rng);
-        let cloud = rig.capture_cloud(&sphere(), &mut rng);
+        let rig = CaptureRig::new(&cfg);
+        let cloud = capture_cloud(&rig, &mut rng);
         assert!(cloud.len() > 300, "cloud size {}", cloud.len());
         assert_eq!(cloud.colors.len(), cloud.len());
         for &p in &cloud.points {
@@ -178,8 +156,8 @@ mod tests {
     #[test]
     fn multi_view_covers_more_than_single() {
         let mut rng = Pcg32::new(3);
-        let cfg = RigConfig { noise: DepthNoiseModel::none(), fusion_voxel: 0.02, ..small_cfg() };
-        let rig = CaptureRig::new(&cfg, &mut rng);
+        let cfg = RigConfig { noise: DepthNoiseModel::none(), ..small_cfg() };
+        let rig = CaptureRig::new(&cfg);
         let frames = rig.capture(&sphere(), &mut rng);
         let all = rig.fuse(&frames);
         let single = rig.fuse(&frames[..1]);
@@ -188,59 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn calibration_error_degrades_fusion() {
-        let run = |rot_sigma: f32| {
-            let mut rng = Pcg32::new(4);
-            let cfg = RigConfig {
-                noise: DepthNoiseModel::none(),
-                calibration_rot_sigma: rot_sigma,
-                fusion_voxel: 0.0,
-                ..small_cfg()
-            };
-            let rig = CaptureRig::new(&cfg, &mut rng);
-            // Capture with TRUE extrinsics error: render uses the
-            // perturbed camera, so unprojection is consistent; simulate
-            // registration error by unprojecting with the unperturbed
-            // pose instead.
-            let ideal_rig = {
-                let mut rng2 = Pcg32::new(4);
-                let cfg2 = RigConfig { noise: DepthNoiseModel::none(), fusion_voxel: 0.0, ..small_cfg() };
-                CaptureRig::new(&cfg2, &mut rng2)
-            };
-            let frames = rig.capture(&sphere(), &mut rng);
-            // Swap in the ideal cameras for unprojection.
-            let mut misregistered = Vec::new();
-            for (f, ideal) in frames.into_iter().zip(&ideal_rig.cameras) {
-                let mut f = f;
-                f.camera = *ideal;
-                misregistered.push(f);
-            }
-            let cloud = ideal_rig.fuse(&misregistered);
-            // RMS radial error against the true sphere.
-            let rms: f32 = (cloud
-                .points
-                .iter()
-                .map(|p| {
-                    let r = (*p - Vec3::new(0.0, 1.0, 0.0)).length() - 0.5;
-                    r * r
-                })
-                .sum::<f32>()
-                / cloud.len().max(1) as f32)
-                .sqrt();
-            rms
-        };
-        let clean = run(0.0);
-        let bad = run(0.02);
-        assert!(bad > clean * 2.0, "calibration error effect: clean {clean} bad {bad}");
-    }
-
-    #[test]
     fn deterministic_capture() {
         let cfg = small_cfg();
         let run = || {
             let mut rng = Pcg32::new(7);
-            let rig = CaptureRig::new(&cfg, &mut rng);
-            rig.capture_cloud(&sphere(), &mut rng)
+            let rig = CaptureRig::new(&cfg);
+            capture_cloud(&rig, &mut rng)
         };
         let a = run();
         let b = run();

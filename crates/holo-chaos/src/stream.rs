@@ -53,6 +53,9 @@ use holo_net::wire::{ImportanceClass, PayloadKind, UepHeader, UEP_HEADER_BYTES, 
 use holo_uep::{classify, ClassProtection, StripeSpec, UepPolicy};
 use std::time::Duration;
 
+/// Keyframe cadence for the usability pass.
+const KEYFRAME_INTERVAL: usize = 10;
+
 /// The synthetic stream the mechanism matrix runs over.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
@@ -63,8 +66,6 @@ pub struct StreamConfig {
     /// Payload per frame, bytes (all frames equal — parity sizing is
     /// then exact).
     pub payload_bytes: usize,
-    /// Keyframe cadence for the usability pass.
-    pub keyframe_interval: usize,
     /// Quiet-link capacity, bps.
     pub link_bps: f64,
 }
@@ -75,7 +76,6 @@ impl Default for StreamConfig {
             frames: 150,
             fps: 30.0,
             payload_bytes: 20_000,
-            keyframe_interval: 10,
             // ~4.8 Mbps of media on a 50 Mbps link: protection needs
             // headroom — retransmission bursts on a near-saturated link
             // queue-drop and cascade.
@@ -223,7 +223,7 @@ fn simulate(
     let frame_period = Duration::from_secs_f64(1.0 / cfg.fps.max(1e-9));
     let capture_at = |i: usize| SimTime::from_secs_f64(i as f64 / cfg.fps);
     let classes: Vec<ImportanceClass> =
-        (0..cfg.frames).map(|i| classify(i, cfg.frames, cfg.keyframe_interval, kind)).collect();
+        (0..cfg.frames).map(|i| classify(i, cfg.frames, KEYFRAME_INTERVAL, kind)).collect();
 
     // Deal frames into FEC lanes in capture order; each full group of
     // `k` lane frames finalizes with `r` parity offers at the capture
@@ -257,7 +257,7 @@ fn simulate(
     let parity_frames: usize = groups.iter().map(|g| g.r).sum();
     debug_assert_eq!(
         parity_frames,
-        policy.parity_frames(cfg.frames, cfg.keyframe_interval, kind),
+        policy.parity_frames(cfg.frames, KEYFRAME_INTERVAL, kind),
         "scheduler and policy accounting must agree on the parity budget"
     );
 
@@ -381,7 +381,7 @@ fn simulate(
                     class,
                     retry_at,
                     slots[frame].offered_at,
-                    gop_descendants(frame, cfg.keyframe_interval, cfg.frames),
+                    gop_descendants(frame, KEYFRAME_INTERVAL, cfg.frames),
                     frame_period,
                 ) {
                     // Backoff never shrinks, so every later retry is
@@ -432,7 +432,7 @@ fn simulate(
     for (i, slot) in slots.iter_mut().enumerate() {
         let available = slot.available_at.is_some();
         slot.decodable =
-            chain.advance(i, FrameTag::for_index(i, cfg.keyframe_interval), available);
+            chain.advance(i, FrameTag::for_index(i, KEYFRAME_INTERVAL), available);
         if tracing && available && !slot.decodable {
             holo_trace::counter("chaos.poisoned", 1);
         }
@@ -551,7 +551,7 @@ impl StreamRun {
             recovered_fec += usize::from(slot.recovered_fec);
             recovered_retx += usize::from(slot.recovered_retx);
             let timely = slot.available_at.is_some_and(|t| t <= slot.offered_at + policy.deadline);
-            if timely_chain.advance(i, FrameTag::for_index(i, cfg.keyframe_interval), timely) {
+            if timely_chain.advance(i, FrameTag::for_index(i, KEYFRAME_INTERVAL), timely) {
                 usable += 1;
                 cs.usable += 1;
             }
@@ -572,7 +572,7 @@ impl StreamRun {
             recovered_retx,
             corrupt_detected: self.corrupt_detected,
             parity_frames: self.parity_frames,
-            retries_scheduled: policy.scheduled_retries(cfg.frames, cfg.keyframe_interval, kind),
+            retries_scheduled: policy.scheduled_retries(cfg.frames, KEYFRAME_INTERVAL, kind),
             retries_sent: self.retries_sent,
             retries_abandoned: self.retries_abandoned,
             wire_bytes: self.wire_bytes,

@@ -6,8 +6,7 @@
 //! collapses — or whose delta chain is poisoned — should not stall: the
 //! SFU can *degrade* the stream to a cheaper tier and climb back up once
 //! the link has been stable for a window. This is rate adaptation along
-//! the **semantic** axis, orthogonal to the per-rung bitrate thinning in
-//! [`holo_net::abr`].
+//! the **semantic** axis, and the only adaptation an SFU port applies.
 //!
 //! The walk is **data-driven** over an ordered tier list — no tier is
 //! special-cased, so a four-tier (or N-tier) ladder needs no match-arm
@@ -250,10 +249,15 @@ impl DegradeState {
         let feasible = (0..tiers.len())
             .find(|&i| self.available(i) && share_bps >= tiers[i].min_share_bps)
             .unwrap_or(tiers.len() - 1);
-        if feasible > self.level {
-            // Starvation (or a revoked prebuild): drop immediately, as
-            // deep as needed, skipping unavailable tiers.
-            self.level = feasible;
+        // Where a revoked prebuild leaves the subscriber: the nearest
+        // available tier at or below the current one.
+        let held = (self.level..tiers.len()).find(|&i| self.available(i)).unwrap_or(tiers.len() - 1);
+        let floor = feasible.max(held);
+        if floor > self.level {
+            // Starvation or a revoked prebuild: drop immediately, as
+            // deep as needed, skipping unavailable tiers. The climb
+            // back, if the share affords one, starts from there.
+            self.level = floor;
             self.downgrades += 1;
             self.pending_up_since = None;
         } else if poisoned && !is_key && tiers[self.level].delta_coded {
@@ -292,6 +296,8 @@ impl DegradeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holo_runtime::check::collection;
+    use holo_runtime::{holo_prop, prop_assert, prop_assert_eq};
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -461,5 +467,38 @@ mod tests {
         assert_eq!(s.level(), 1);
         s.set_prebuild_ready(false);
         assert_eq!(s.decide(ms(33), 300e3, false, false), 2, "gated tier no longer usable");
+
+        // The same at a share that affords mesh: evicted first, then the
+        // ordinary climb — never another gaussian frame on the way.
+        let mut s = DegradeState::new(DegradationLadder::amortized());
+        s.set_prebuild_ready(true);
+        assert_eq!(s.decide(ms(0), 300e3, false, true), 1);
+        s.set_prebuild_ready(false);
+        assert_eq!(s.decide(ms(33), 5e6, false, false), 2, "evicted although mesh is affordable");
+        assert_eq!(s.downgrades, 2);
+        assert_eq!(s.decide(ms(66), 5e6, false, false), 2, "window starts");
+        assert_eq!(s.decide(ms(600), 5e6, false, true), 0, "climbs past the closed gate");
+    }
+
+    holo_prop! {
+        #![cases(10_000)]
+
+        /// Whatever the share, the poison, the keyframes and the blob
+        /// do, `decide` ships at a tier this subscriber can use.
+        fn decide_never_returns_an_unavailable_tier(
+            events in collection::vec(0u32..96, 1..48),
+        ) {
+            const SHARES: [f64; 6] = [0.0, 50e3, 130e3, 300e3, 5e6, 10e6];
+            let mut s = DegradeState::new(DegradationLadder::amortized());
+            for (i, e) in events.iter().enumerate() {
+                if e & 8 != 0 {
+                    s.set_prebuild_ready(!s.prebuild_ready());
+                }
+                let share = SHARES[(e >> 4) as usize];
+                let level = s.decide(ms(i as u64 * 120), share, e & 1 != 0, e & 2 != 0);
+                prop_assert!(s.available(level), "event {i}: tier {level} without the blob");
+                prop_assert_eq!(level, s.level());
+            }
+        }
     }
 }

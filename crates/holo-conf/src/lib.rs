@@ -9,7 +9,7 @@
 //!
 //! ```text
 //!            uplink                         downlink (x N-1 each)
-//!  sender ──► Link ──► SFU ──► [egress queue | ABR thinning] ──► Link ──► subscriber
+//!  sender ──► Link ──► SFU ──► [ladder tier | egress queue] ──► Link ──► subscriber
 //!  (SemanticPipeline)   │
 //!                       └── fan-out to every other participant
 //! ```
@@ -20,12 +20,12 @@
 //!   (a delta whose base was dropped is unusable).
 //! - [`queue`] — the SFU's bounded per-subscriber egress queue; it
 //!   tail-drops.
-//! - [`sfu`] — the forwarder: per-subscriber ports, each with its own
-//!   `AbrController` thinning the stream to the downlink's share.
+//! - [`sfu`] — the forwarder: per-subscriber ports, each a predictor,
+//!   a ladder state, a queue and a downlink.
 //! - [`degrade`] — the semantic degradation ladder (mesh → keypoints →
-//!   text): starved or poisoned subscribers drop to self-contained
-//!   snapshot tiers instead of stalling, and climb back after a
-//!   stability window.
+//!   text), the one adaptation mechanism: starved or poisoned
+//!   subscribers drop to self-contained snapshot tiers instead of
+//!   stalling, and climb back after a stability window.
 //! - [`room`] — the seeded event loop over `SimTime` driving captures,
 //!   uplinks, and fan-outs; emits a [`RoomReport`]. Participants can
 //!   join/leave mid-run (churn) and carry per-link fault clocks.

@@ -142,14 +142,6 @@ impl RoomReport {
         self.subscribers.iter().map(|s| s.usable_rate).fold(f64::INFINITY, f64::min)
     }
 
-    /// Mean usable-frame rate across subscribers.
-    pub fn mean_usable_rate(&self) -> f64 {
-        if self.subscribers.is_empty() {
-            return 0.0;
-        }
-        self.subscribers.iter().map(|s| s.usable_rate).sum::<f64>() / self.subscribers.len() as f64
-    }
-
     /// Mean end-to-end latency across subscribers' usable frames, ms.
     pub fn mean_e2e_ms(&self) -> f64 {
         let mut s = Summary::new();

@@ -16,7 +16,6 @@ use crate::participant::ParticipantConfig;
 use crate::report::{jain_index, RoomReport, SubscriberReport};
 use crate::sfu::{ForwardOutcome, Sfu};
 use holo_math::Summary;
-use holo_net::abr::Ladder;
 use holo_trace::TraceReport;
 use holo_net::link::Link;
 use holo_net::time::{EventQueue, SimTime};
@@ -46,8 +45,6 @@ pub struct RoomConfig {
     pub keyframe_interval: usize,
     /// SFU egress queue bound, frames.
     pub queue_capacity: usize,
-    /// Per-subscriber thinning ladder; `None` forwards full quality.
-    pub ladder: Option<Ladder>,
     /// Semantic degradation ladder (mesh → keypoints → text, or the
     /// amortized 4-tier variant); `None` always ships the top tier.
     pub degrade: Option<DegradationLadder>,
@@ -83,7 +80,6 @@ impl Default for RoomConfig {
             frames: 30,
             keyframe_interval: 10,
             queue_capacity: 8,
-            ladder: None,
             degrade: None,
             prebuild_ready: None,
             latency_budget_ms: 100.0,
@@ -137,8 +133,14 @@ impl Room {
         if config.frames == 0 {
             return Err(SemHoloError::Config("room must run at least one frame".into()));
         }
-        if let Some(ladder) = &config.ladder {
-            ladder.validate().map_err(|e| SemHoloError::Config(e.to_string()))?;
+        if let Some(ready) = &config.prebuild_ready {
+            if ready.len() != config.participants.len() {
+                return Err(SemHoloError::Config(format!(
+                    "prebuild_ready has {} entries for {} participants",
+                    ready.len(),
+                    config.participants.len()
+                )));
+            }
         }
         Ok(Self { config })
     }
@@ -190,9 +192,8 @@ impl Room {
                 link
             })
             .collect();
-        let mut sfu =
-            Sfu::new(downlinks, cfg.queue_capacity, cfg.ladder.clone(), cfg.degrade.clone())
-                .map_err(SemHoloError::Config)?;
+        let mut sfu = Sfu::new(downlinks, cfg.queue_capacity, cfg.degrade.clone())
+            .map_err(SemHoloError::Config)?;
         if let Some(ready) = &cfg.prebuild_ready {
             for (i, &r) in ready.iter().enumerate() {
                 sfu.set_prebuild_ready(i, r);
@@ -537,6 +538,14 @@ mod tests {
             ..Default::default()
         };
         assert!(Room::new(cfg).is_err());
+        for ready in [vec![true], vec![true; 3]] {
+            let cfg = RoomConfig {
+                participants: ParticipantConfig::uniform_room(2, 25e6),
+                prebuild_ready: Some(ready),
+                ..Default::default()
+            };
+            assert!(Room::new(cfg).is_err(), "prebuild_ready must name every participant");
+        }
     }
 
     #[test]

@@ -3,21 +3,19 @@
 //! The SFU receives each sender's uplink stream and forwards every
 //! frame to the other N-1 subscribers. Each subscriber owns an egress
 //! **port**: a bounded queue ([`EgressQueue`]), the subscriber's
-//! downlink, and a per-subscriber [`AbrController`] that thins the
-//! forwarded stream to a ladder rung the downlink's predicted
-//! *per-stream share* can carry — the semantic analogue of an SVC-aware
-//! SFU dropping enhancement layers, enabled by the workspace's layered
-//! codecs (slimmable NeRF widths, token channels). Slow downlinks get
-//! lower rungs; fast ones get the full stream.
+//! downlink, and the one adaptation mechanism — a [`DegradeState`] that
+//! moves the subscriber down the semantic [`DegradationLadder`] to the
+//! richest tier the downlink's predicted *per-stream share* can carry,
+//! the semantic analogue of an SVC-aware SFU dropping enhancement
+//! layers. Slow downlinks get cheaper tiers; fast ones get the full
+//! stream.
 
 use crate::degrade::{DegradationLadder, DegradeState, SemanticTier};
 use crate::frame::{DependencyTracker, FrameTag, StreamFrame};
 use crate::queue::EgressQueue;
-use holo_net::abr::{AbrController, Ladder};
 use holo_net::link::Link;
 use holo_net::predict::EwmaPredictor;
 use holo_net::time::SimTime;
-use holo_net::trace::BandwidthTrace;
 use holo_net::transport::{FrameTransport, LossPolicy};
 use holo_net::wire::WIRE_HEADER_BYTES;
 use holo_math::Summary;
@@ -25,10 +23,6 @@ use holo_math::Summary;
 /// Downlink loss policy (SFU -> subscriber): live rooms drop an
 /// incomplete frame rather than wait a round trip for it.
 const DOWNLINK_POLICY: LossPolicy = LossPolicy::DropFrame;
-
-/// ABR safety margin: the fraction of a stream's predicted bandwidth
-/// share a ladder rung may use.
-const ABR_SAFETY: f64 = 0.8;
 
 /// Outcome of forwarding one frame to one subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +56,8 @@ pub struct ForwardRecord {
     /// from `self_contained` once the ladder holds delta-coded rungs
     /// below the top (the amortized gaussian tier).
     pub degraded: bool,
-    /// Wire bytes relative to the full-quality frame (ABR rung or tier
-    /// fraction, whichever applied).
+    /// Wire bytes relative to the full-quality frame (the shipped
+    /// tier's `payload_fraction`; 1.0 without a ladder).
     pub fraction: f64,
 }
 
@@ -73,9 +67,7 @@ pub struct SubscriberPort {
     pub transport: FrameTransport,
     /// Bounded egress queue.
     pub queue: EgressQueue,
-    /// Per-subscriber rate adaptation; `None` forwards at full quality.
-    pub abr: Option<AbrController>,
-    /// Downlink bandwidth predictor feeding the controller.
+    /// Downlink bandwidth predictor feeding the ladder.
     pub predictor: EwmaPredictor,
     /// Rung fraction (forwarded bytes / full bytes) per forward.
     pub rung_fraction: Summary,
@@ -93,12 +85,7 @@ pub struct SubscriberPort {
 
 impl SubscriberPort {
     /// Build a port over a downlink.
-    pub fn new(
-        link: Link,
-        queue: EgressQueue,
-        abr: Option<AbrController>,
-        degrade: Option<DegradeState>,
-    ) -> Self {
+    pub fn new(link: Link, queue: EgressQueue, degrade: Option<DegradeState>) -> Self {
         let tier_delivered = degrade
             .as_ref()
             .map(|d| vec![0; d.ladder.tiers.len()])
@@ -106,7 +93,6 @@ impl SubscriberPort {
         Self {
             transport: FrameTransport::new(link, DOWNLINK_POLICY),
             queue,
-            abr,
             predictor: EwmaPredictor::new(0.3),
             rung_fraction: Summary::new(),
             degrade,
@@ -126,8 +112,8 @@ impl SubscriberPort {
         share: usize,
     ) -> ForwardRecord {
         // Predict this stream's share of the downlink. The effective
-        // rate folds in any installed fault clock, so the ladder and
-        // ABR react to injected bandwidth collapses too.
+        // rate folds in any installed fault clock, so the ladder
+        // reacts to injected bandwidth collapses too.
         self.predictor.observe(self.transport.link.effective_bps_at(now.as_secs_f64()));
         let per_stream_bps = self.predictor.predict() / share.max(1) as f64;
 
@@ -139,7 +125,7 @@ impl SubscriberPort {
         // The semantic ladder picks a tier; degraded tiers ship at a
         // fixed fraction of the payload, and a tier is self-contained
         // exactly when its codec is not delta-coded.
-        let (tier, self_contained, tier_fraction, level) = match &mut self.degrade {
+        let (tier, self_contained, fraction, level) = match &mut self.degrade {
             Some(d) => {
                 let level = d.decide(now, per_stream_bps, poisoned, frame.tag.is_key());
                 let spec = &d.ladder.tiers[level];
@@ -148,21 +134,6 @@ impl SubscriberPort {
             None => (SemanticTier::Mesh, false, 1.0, None),
         };
         let degraded = level.is_some_and(|l| l > 0);
-
-        // ABR bitrate thinning applies at the top (full-fidelity) tier;
-        // degraded tiers are already far below any rung.
-        let fraction = if degraded {
-            tier_fraction
-        } else {
-            match &mut self.abr {
-                Some(abr) => {
-                    let top = abr.ladder.top().bitrate_bps;
-                    let rung = abr.decide(per_stream_bps);
-                    (rung.bitrate_bps / top).clamp(0.0, 1.0)
-                }
-                None => 1.0,
-            }
-        };
         self.rung_fraction.record(fraction);
         // Every forwarded copy re-wraps the payload in the versioned,
         // checksummed wire envelope for its hop to the subscriber.
@@ -233,7 +204,6 @@ impl Sfu {
     pub fn new(
         downlinks: Vec<Link>,
         queue_capacity: usize,
-        ladder: Option<Ladder>,
         degrade: Option<DegradationLadder>,
     ) -> Result<Self, String> {
         if let Some(d) = &degrade {
@@ -242,16 +212,9 @@ impl Sfu {
         let n = downlinks.len();
         let mut ports = Vec::with_capacity(n);
         for link in downlinks {
-            let abr = match &ladder {
-                Some(l) => {
-                    Some(AbrController::new(l.clone(), ABR_SAFETY).map_err(|e| e.to_string())?)
-                }
-                None => None,
-            };
             ports.push(SubscriberPort::new(
                 link,
                 EgressQueue::new(queue_capacity),
-                abr,
                 degrade.clone().map(DegradeState::new),
             ));
         }
@@ -361,18 +324,18 @@ impl Sfu {
     }
 }
 
-/// Convenience: a constant-rate downlink.
-pub fn constant_link(config: holo_net::link::LinkConfig, bps: f64, seed: u64) -> Link {
-    Link::new(config, BandwidthTrace::Constant { bps }, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::FrameTag;
     use holo_net::link::LinkConfig;
+    use holo_net::trace::BandwidthTrace;
     use semholo::semantics::StageCost;
     use std::time::Duration;
+
+    fn constant_link(config: LinkConfig, bps: f64, seed: u64) -> Link {
+        Link::new(config, BandwidthTrace::Constant { bps }, seed)
+    }
 
     fn frame(sender: usize, index: usize, bytes: usize) -> StreamFrame {
         StreamFrame {
@@ -393,7 +356,7 @@ mod tests {
     #[test]
     fn fan_out_skips_the_sender() {
         let links = (0..3).map(|i| constant_link(quiet_cfg(), 100e6, i)).collect();
-        let mut sfu = Sfu::new(links, 8, None, None).unwrap();
+        let mut sfu = Sfu::new(links, 8, None).unwrap();
         let records = sfu.fan_out(&frame(1, 0, 2000), SimTime::ZERO);
         let subs: Vec<usize> = records.iter().map(|r| r.subscriber).collect();
         assert_eq!(subs, vec![0, 2]);
@@ -405,7 +368,7 @@ mod tests {
     #[test]
     fn inactive_subscribers_are_skipped() {
         let links = (0..3).map(|i| constant_link(quiet_cfg(), 100e6, i)).collect();
-        let mut sfu = Sfu::new(links, 8, None, None).unwrap();
+        let mut sfu = Sfu::new(links, 8, None).unwrap();
         sfu.set_active(2, false);
         let records = sfu.fan_out(&frame(1, 0, 2000), SimTime::ZERO);
         let subs: Vec<usize> = records.iter().map(|r| r.subscriber).collect();
@@ -422,7 +385,7 @@ mod tests {
             constant_link(quiet_cfg(), 100e6, 1),
             constant_link(quiet_cfg(), 200e3, 2),
         ];
-        let mut sfu = Sfu::new(links, 2, None, None).unwrap();
+        let mut sfu = Sfu::new(links, 2, None).unwrap();
         let mut dropped = 0;
         for i in 0..30 {
             let f = frame(0, i, 50_000);
@@ -439,15 +402,15 @@ mod tests {
     }
 
     #[test]
-    fn abr_thins_slow_subscriber_more() {
+    fn ladder_thins_slow_subscriber_more() {
         // Two subscribers: 60 Mbps vs 3 Mbps downlinks, one 6 Mbps-class
-        // stream each way. The slow one must settle on a lower rung.
+        // stream each way. The slow one must settle on a cheaper tier.
         let links = vec![
             constant_link(quiet_cfg(), 1e9, 0), // sender's own port, unused
             constant_link(quiet_cfg(), 60e6, 1),
             constant_link(quiet_cfg(), 3e6, 2),
         ];
-        let mut sfu = Sfu::new(links, 64, Some(Ladder::standard()), None).unwrap();
+        let mut sfu = Sfu::new(links, 64, Some(DegradationLadder::standard())).unwrap();
         for i in 0..40 {
             let f = frame(0, i, 25_000); // 6 Mbps at 30 FPS
             sfu.fan_out(&f, SimTime::from_millis(i as u64 * 33));
@@ -460,13 +423,13 @@ mod tests {
     #[test]
     fn zero_bandwidth_first_window_is_guarded() {
         // Regression: a dead link predicts ~0 bps on the very first
-        // forward. The ABR fraction must stay finite and positive (the
-        // bottom rung), never NaN from a zero-sample first window.
+        // forward. The shipped fraction must stay finite and positive
+        // (the bottom tier), never NaN from a zero-sample first window.
         let links = vec![
             constant_link(quiet_cfg(), 0.0, 0),
             constant_link(quiet_cfg(), 0.0, 1),
         ];
-        let mut sfu = Sfu::new(links, 8, Some(Ladder::standard()), None).unwrap();
+        let mut sfu = Sfu::new(links, 8, Some(DegradationLadder::standard())).unwrap();
         let records = sfu.fan_out(&frame(0, 0, 2000), SimTime::ZERO);
         assert_eq!(records.len(), 1);
         let f = sfu.ports[1].rung_fraction.mean();
@@ -483,7 +446,7 @@ mod tests {
             constant_link(quiet_cfg(), 100e6, 0),
             constant_link(quiet_cfg(), 100e3, 1),
         ];
-        let mut sfu = Sfu::new(links, 4, None, Some(DegradationLadder::standard())).unwrap();
+        let mut sfu = Sfu::new(links, 4, Some(DegradationLadder::standard())).unwrap();
         let mut delivered_snapshots = 0;
         for i in 0..30 {
             let f = frame(0, i, 20_000); // ~4.8 Mbps at 30 FPS
@@ -512,7 +475,7 @@ mod tests {
                 constant_link(quiet_cfg(), 100e6, 0),
                 constant_link(quiet_cfg(), 300e3, 1),
             ];
-            Sfu::new(links, 8, None, Some(DegradationLadder::amortized())).unwrap()
+            Sfu::new(links, 8, Some(DegradationLadder::amortized())).unwrap()
         };
         let run = |sfu: &mut Sfu| {
             for i in 0..60 {

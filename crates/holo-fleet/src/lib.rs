@@ -11,7 +11,7 @@
 //!  │ node 0 │◄──────────────────────────────────────►│ node 2 │
 //!  │ node 1 │◄──────────────────────────────────────►│ node 3 │
 //!  └────────┘   one copy per (publisher, edge, frame)  └────────┘
-//!      ▲ access fan-out: holo-conf SFU/queue/ABR/ladder per room
+//!      ▲ access fan-out: holo-conf SFU/queue/ladder per room
 //! ```
 //!
 //! - [`topology`] — regions, nodes (`holo_gpu::Device` + egress

@@ -1,7 +1,7 @@
 //! The fleet run: many rooms, sharded across nodes, in virtual time.
 //!
-//! Each room is a full `holo_conf::Room` — the SFU, its queues, ABR
-//! thinning, and the semantic degradation ladder all run unchanged —
+//! Each room is a full `holo_conf::Room` — the SFU, its queues and the
+//! semantic degradation ladder all run unchanged —
 //! anchored at a **home** node chosen by the placement policy. A room
 //! that spans nodes pays the cascade: remote publishers' uplinks and
 //! remote subscribers' downlinks gain the inter-node propagation delay,

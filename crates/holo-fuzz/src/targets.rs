@@ -14,8 +14,8 @@
 //! instantly.
 
 use crate::corpus;
-use holo_gaussian::{GaussianUpdateConfig, GaussianUpdateDecoder};
-use holo_keypoints::posedelta::{PoseDeltaConfig, PoseDeltaDecoder};
+use holo_gaussian::GaussianUpdateDecoder;
+use holo_keypoints::posedelta::PoseDeltaDecoder;
 use holo_runtime::ser::DecodeError;
 
 /// One fuzzed decoder.
@@ -103,10 +103,9 @@ pub fn registry(seed: u64) -> Vec<Target> {
             corpus: pose_items,
             alloc_cap: 32 * MIB,
             decode: Box::new(move |d| {
-                let cfg = PoseDeltaConfig::default();
                 let mut dec = PoseDeltaDecoder::default();
-                dec.decode(&pose_key, &cfg)?;
-                dec.decode(d, &cfg).map(|_| ())
+                dec.decode(&pose_key)?;
+                dec.decode(d).map(|_| ())
             }),
         },
         Target {
@@ -120,10 +119,9 @@ pub fn registry(seed: u64) -> Vec<Target> {
             corpus: gaussian_items,
             alloc_cap: 32 * MIB,
             decode: Box::new(move |d| {
-                let cfg = GaussianUpdateConfig::default();
                 let mut dec = GaussianUpdateDecoder::new();
-                dec.decode(&gaussian_key, &cfg)?;
-                dec.decode(d, &cfg).map(|_| ())
+                dec.decode(&gaussian_key)?;
+                dec.decode(d).map(|_| ())
             }),
         },
         Target {

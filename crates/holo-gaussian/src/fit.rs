@@ -12,18 +12,19 @@ use holo_body::skeleton::JOINT_COUNT;
 use holo_math::{Aabb, Quat, Vec3};
 use semholo::scene::SceneFrame;
 
+/// Hard cap on splat count (deterministic truncation).
+const MAX_SPLATS: usize = 40_000;
+
 /// Offline fitting configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FitConfig {
     /// Voxel edge for downsampling the fused cloud, meters.
     pub voxel_size: f32,
-    /// Hard cap on splat count (deterministic truncation).
-    pub max_splats: usize,
 }
 
 impl Default for FitConfig {
     fn default() -> Self {
-        Self { voxel_size: 0.015, max_splats: 40_000 }
+        Self { voxel_size: 0.015 }
     }
 }
 
@@ -34,8 +35,8 @@ pub fn fit_avatar(frame: &SceneFrame, config: &FitConfig) -> GaussianAvatar {
     let rest = skeleton.rest_positions();
     let posed = skeleton.forward_kinematics(&frame.params).positions();
     let radius = config.voxel_size * 0.6;
-    let mut splats = Vec::with_capacity(cloud.points.len().min(config.max_splats));
-    for (i, &p) in cloud.points.iter().enumerate().take(config.max_splats) {
+    let mut splats = Vec::with_capacity(cloud.points.len().min(MAX_SPLATS));
+    for (i, &p) in cloud.points.iter().enumerate().take(MAX_SPLATS) {
         // Bind to the nearest posed joint, then un-pose into rest space.
         let mut region = 0usize;
         let mut best = f32::INFINITY;
@@ -100,14 +101,6 @@ mod tests {
         }
         let size = a.bounds.size();
         assert!(size.y > 1.0 && size.y < 2.5, "avatar height {size:?}");
-    }
-
-    #[test]
-    fn max_splats_caps_output() {
-        let scene = scene();
-        let cfg = FitConfig { max_splats: 100, ..Default::default() };
-        let a = fit_avatar(&scene.frame(0), &cfg);
-        assert_eq!(a.splats.len(), 100);
         assert!(a.splats.iter().all(|s| (s.region as usize) < JOINT_COUNT));
     }
 }

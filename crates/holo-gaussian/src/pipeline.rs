@@ -27,8 +27,6 @@ use holo_trace::WallTimer;
 pub struct GaussianPipeline {
     /// Offline fitting configuration.
     pub fit: FitConfig,
-    /// Update-stream quantization configuration.
-    pub update: GaussianUpdateConfig,
     /// Ground-truth reference resolution for quality metrics.
     pub quality_reference_resolution: u32,
     avatar: Option<GaussianAvatar>,
@@ -43,7 +41,6 @@ impl GaussianPipeline {
     pub fn new(fit: FitConfig, update: GaussianUpdateConfig) -> Self {
         Self {
             fit,
-            update,
             quality_reference_resolution: 96,
             avatar: None,
             prebuild_bytes: 0,
@@ -112,7 +109,7 @@ impl SemanticPipeline for GaussianPipeline {
             .avatar
             .as_ref()
             .ok_or_else(|| SemHoloError::Reconstruction("no prebuilt avatar for update".into()))?;
-        let state = self.decoder.decode(payload, &self.update).map_err(reject_decode)?;
+        let state = self.decoder.decode(payload).map_err(reject_decode)?;
         let cloud = avatar.posed_cloud(&self.skeleton, &state);
         // Splat rasterization is linear in splat count — orders of
         // magnitude below the implicit-surface reconstruction the

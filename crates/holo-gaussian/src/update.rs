@@ -25,27 +25,24 @@ const DELTA_MAGIC: u8 = 0x67; // 'g'
 /// opacity, region scale.
 pub const UPDATE_VEC_LEN: usize = JOINT_COUNT * 3 + 3 + JOINT_COUNT + JOINT_COUNT;
 
-/// Quantization steps for the update stream.
+// Quantization steps for the update stream, part of the format.
+/// Axis-angle component step, radians.
+const ROTATION_STEP: f32 = 0.002;
+/// Translation component step, meters.
+const TRANSLATION_STEP: f32 = 0.001;
+/// Per-region opacity/scale multiplier step.
+const REGION_STEP: f32 = 0.004;
+
+/// Sender-side stream parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct GaussianUpdateConfig {
-    /// Axis-angle component step, radians.
-    pub rotation_step: f32,
-    /// Translation component step, meters.
-    pub translation_step: f32,
-    /// Per-region opacity/scale multiplier step.
-    pub region_step: f32,
     /// Keyframe refresh interval in frames (0 = never).
     pub keyframe_interval: u32,
 }
 
 impl Default for GaussianUpdateConfig {
     fn default() -> Self {
-        Self {
-            rotation_step: 0.002,
-            translation_step: 0.001,
-            region_step: 0.004,
-            keyframe_interval: 120,
-        }
+        Self { keyframe_interval: 120 }
     }
 }
 
@@ -75,20 +72,20 @@ fn state_from_vector(v: &[f32]) -> AvatarState {
     state
 }
 
-fn step_for(index: usize, cfg: &GaussianUpdateConfig) -> f32 {
+fn step_for(index: usize) -> f32 {
     let rot_end = JOINT_COUNT * 3;
     if index < rot_end {
-        cfg.rotation_step
+        ROTATION_STEP
     } else if index < rot_end + 3 {
-        cfg.translation_step
+        TRANSLATION_STEP
     } else {
-        cfg.region_step
+        REGION_STEP
     }
 }
 
 /// Encoder: keyframe + closed-loop quantized deltas.
 pub struct GaussianUpdateEncoder {
-    /// Configuration (must match the decoder's).
+    /// Configuration.
     pub config: GaussianUpdateConfig,
     chain: ClosedLoopEncoder,
 }
@@ -120,7 +117,7 @@ impl GaussianUpdateEncoder {
             out.extend_from_slice(&lzma_compress(&raw));
             return out;
         }
-        let coded = self.chain.delta(&current, |i| step_for(i, &self.config));
+        let coded = self.chain.delta(&current, step_for);
         let mut out = vec![DELTA_MAGIC];
         out.extend_from_slice(&coded);
         out
@@ -133,16 +130,12 @@ impl GaussianUpdateDecoder {
         Self::default()
     }
 
-    /// Decode one update frame. `config` must match the encoder's.
+    /// Decode one update frame.
     ///
     /// Hostile-input contract: typed errors; a delta whose coded bytes
     /// run dry is rejected with the reference rolled back; a delta before
     /// any keyframe is rejected (the closed loop has no basis yet).
-    pub fn decode(
-        &mut self,
-        data: &[u8],
-        config: &GaussianUpdateConfig,
-    ) -> Result<AvatarState, DecodeError> {
+    pub fn decode(&mut self, data: &[u8]) -> Result<AvatarState, DecodeError> {
         let (&magic, body) = data
             .split_first()
             .ok_or(DecodeError::Truncated { needed: 1, available: 0 })?;
@@ -167,8 +160,7 @@ impl GaussianUpdateDecoder {
                 Ok(state)
             }
             DELTA_MAGIC => {
-                let reference =
-                    self.chain.delta(body, "gaussian update", |i| step_for(i, config))?;
+                let reference = self.chain.delta(body, "gaussian update", step_for)?;
                 Ok(state_from_vector(reference))
             }
             other => Err(DecodeError::corrupt(
@@ -210,7 +202,7 @@ mod tests {
         let mut dec = GaussianUpdateDecoder::new();
         let sk = Skeleton::neutral();
         for s in &states {
-            let out = dec.decode(&enc.encode(s), &cfg).unwrap();
+            let out = dec.decode(&enc.encode(s)).unwrap();
             let a = sk.forward_kinematics(&s.pose).positions();
             let b = sk.forward_kinematics(&out.pose).positions();
             for (x, y) in a.iter().zip(b.iter()) {
@@ -245,7 +237,7 @@ mod tests {
     #[test]
     fn keyframe_interval_refreshes() {
         let states = clip(10);
-        let cfg = GaussianUpdateConfig { keyframe_interval: 3, ..Default::default() };
+        let cfg = GaussianUpdateConfig { keyframe_interval: 3 };
         let mut enc = GaussianUpdateEncoder::new(cfg);
         let keys = states.iter().filter(|s| enc.encode(s)[0] == KEY_MAGIC).count();
         assert!(keys >= 3, "keys {keys}");
@@ -260,9 +252,9 @@ mod tests {
         let delta = enc.encode(&states[1]);
         let mut dec = GaussianUpdateDecoder::new();
         // Delta before key, empty input, unknown magic.
-        assert!(dec.decode(&delta, &cfg).is_err());
-        assert!(dec.decode(&[], &cfg).is_err());
-        assert!(dec.decode(&[0xFF, 1, 2], &cfg).is_err());
+        assert!(dec.decode(&delta).is_err());
+        assert!(dec.decode(&[]).is_err());
+        assert!(dec.decode(&[0xFF, 1, 2]).is_err());
     }
 
     #[test]
@@ -274,12 +266,12 @@ mod tests {
         let delta1 = enc.encode(&states[1]);
         let delta2 = enc.encode(&states[2]);
         let mut dec = GaussianUpdateDecoder::new();
-        dec.decode(&key, &cfg).unwrap();
+        dec.decode(&key).unwrap();
         // A starved delta must not poison the closed loop...
-        assert!(dec.decode(&delta1[..2], &cfg).is_err());
+        assert!(dec.decode(&delta1[..2]).is_err());
         // ...so the intact retransmit still lands exactly.
-        let out = dec.decode(&delta1, &cfg).unwrap();
+        let out = dec.decode(&delta1).unwrap();
         assert!((out.pose.translation - states[1].pose.translation).length() < 0.01);
-        dec.decode(&delta2, &cfg).unwrap();
+        dec.decode(&delta2).unwrap();
     }
 }

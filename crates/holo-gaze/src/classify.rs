@@ -108,11 +108,11 @@ pub fn classify_trace(samples: &[GazeSample]) -> Vec<GazeClass> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{GazeSynthesizer, GazeTraceConfig};
+    use crate::trace::GazeSynthesizer;
 
     #[test]
     fn accuracy_high_on_synthetic_trace() {
-        let mut synth = GazeSynthesizer::new(GazeTraceConfig::default(), 11);
+        let mut synth = GazeSynthesizer::new(11);
         let samples = synth.generate(30.0);
         let acc = IvtClassifier::default().accuracy(&samples);
         assert!(acc > 0.8, "I-VT accuracy {acc}");
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn saccade_recall_specifically() {
-        let mut synth = GazeSynthesizer::new(GazeTraceConfig::default(), 12);
+        let mut synth = GazeSynthesizer::new(12);
         let samples = synth.generate(30.0);
         let classes = IvtClassifier::default().classify(&samples);
         let mut tp = 0;

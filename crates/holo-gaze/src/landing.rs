@@ -131,7 +131,7 @@ pub fn evaluate_landing_error(samples: &[GazeSample], observe_fraction: f32) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{GazeSynthesizer, GazeTraceConfig};
+    use crate::trace::GazeSynthesizer;
 
     fn mean(v: &[f32]) -> f32 {
         v.iter().sum::<f32>() / v.len().max(1) as f32
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn prediction_improves_with_observation() {
-        let mut synth = GazeSynthesizer::new(GazeTraceConfig::default(), 21);
+        let mut synth = GazeSynthesizer::new(21);
         let samples = synth.generate(60.0);
         let (early, n1) = evaluate_landing_error(&samples, 0.4);
         let (late, n2) = evaluate_landing_error(&samples, 0.9);
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn late_prediction_reasonably_accurate() {
-        let mut synth = GazeSynthesizer::new(GazeTraceConfig::default(), 22);
+        let mut synth = GazeSynthesizer::new(22);
         let samples = synth.generate(60.0);
         let (late, _) = evaluate_landing_error(&samples, 0.9);
         // Mean error after seeing 90% of the saccade should be a small

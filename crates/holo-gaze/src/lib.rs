@@ -25,4 +25,4 @@ pub mod trace;
 pub use classify::{classify_trace, GazeClass, IvtClassifier};
 pub use foveation::FoveationMap;
 pub use landing::SaccadePredictor;
-pub use trace::{GazeSample, GazeSynthesizer, GazeTraceConfig};
+pub use trace::{GazeSample, GazeSynthesizer};

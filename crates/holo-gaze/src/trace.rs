@@ -25,49 +25,24 @@ pub const CLASS_FIXATION: u8 = 0;
 pub const CLASS_PURSUIT: u8 = 1;
 pub const CLASS_SACCADE: u8 = 2;
 
-/// Synthesizer configuration.
-#[derive(Debug, Clone)]
-pub struct GazeTraceConfig {
-    /// Sampling rate, Hz (eye trackers: 90-240).
-    pub sample_rate: f32,
-    /// Fixation duration range, seconds.
-    pub fixation_duration: (f32, f32),
-    /// Saccade amplitude range, degrees.
-    pub saccade_amplitude: (f32, f32),
-    /// Probability that a movement is a smooth pursuit instead of a
-    /// saccade.
-    pub pursuit_probability: f32,
-    /// Pursuit angular speed range, degrees/second.
-    pub pursuit_speed: (f32, f32),
-    /// Fixation tremor standard deviation, degrees.
-    pub tremor_sigma: f32,
-    /// Field of view half-extent, degrees (gaze stays inside).
-    pub fov_half: f32,
-}
-
-impl Default for GazeTraceConfig {
-    fn default() -> Self {
-        Self {
-            sample_rate: 120.0,
-            fixation_duration: (0.15, 0.5),
-            saccade_amplitude: (3.0, 18.0),
-            pursuit_probability: 0.25,
-            pursuit_speed: (35.0, 80.0),
-            tremor_sigma: 0.03,
-            fov_half: 40.0,
-        }
-    }
-}
+/// Sampling rate, Hz (eye trackers: 90-240).
+const SAMPLE_RATE: f32 = 120.0;
+/// Fixation duration range, seconds.
+const FIXATION_DURATION: (f32, f32) = (0.15, 0.5);
+/// Saccade amplitude range, degrees.
+const SACCADE_AMPLITUDE: (f32, f32) = (3.0, 18.0);
+/// Probability that a movement is a smooth pursuit instead of a saccade.
+const PURSUIT_PROBABILITY: f32 = 0.25;
+/// Pursuit angular speed range, degrees/second.
+const PURSUIT_SPEED: (f32, f32) = (35.0, 80.0);
+/// Fixation tremor standard deviation, degrees.
+const TREMOR_SIGMA: f32 = 0.03;
+/// Field of view half-extent, degrees (gaze stays inside).
+const FOV_HALF: f32 = 40.0;
 
 /// Saccade duration from amplitude (main sequence): ~2.2 ms/deg + 21 ms.
 pub fn saccade_duration(amplitude_deg: f32) -> f32 {
     0.021 + 0.0022 * amplitude_deg
-}
-
-/// Peak velocity from amplitude (main sequence, soft-saturating):
-/// `Vmax = 500 * (1 - exp(-A / 15))` deg/s.
-pub fn saccade_peak_velocity(amplitude_deg: f32) -> f32 {
-    500.0 * (1.0 - (-amplitude_deg / 15.0).exp())
 }
 
 /// Minimum-jerk position profile on [0, 1].
@@ -78,31 +53,30 @@ fn min_jerk(s: f32) -> f32 {
 
 /// Deterministic gaze trace generator.
 pub struct GazeSynthesizer {
-    cfg: GazeTraceConfig,
     rng: Pcg32,
 }
 
 impl GazeSynthesizer {
     /// Create with a seed.
-    pub fn new(cfg: GazeTraceConfig, seed: u64) -> Self {
-        Self { cfg, rng: Pcg32::new(seed) }
+    pub fn new(seed: u64) -> Self {
+        Self { rng: Pcg32::new(seed) }
     }
 
     /// Generate `duration_s` seconds of gaze.
     pub fn generate(&mut self, duration_s: f32) -> Vec<GazeSample> {
-        let dt = 1.0 / self.cfg.sample_rate;
-        let n = (duration_s * self.cfg.sample_rate) as usize;
+        let dt = 1.0 / SAMPLE_RATE;
+        let n = (duration_s * SAMPLE_RATE) as usize;
         let mut samples = Vec::with_capacity(n);
         let mut pos = Vec2::new(0.0, 0.0);
         let mut t = 0.0f32;
 
         while samples.len() < n {
             // Fixation.
-            let fix_dur = self.rng.range_f32(self.cfg.fixation_duration.0, self.cfg.fixation_duration.1);
+            let fix_dur = self.rng.range_f32(FIXATION_DURATION.0, FIXATION_DURATION.1);
             let fix_end = t + fix_dur;
             let anchor = pos;
             while t < fix_end && samples.len() < n {
-                let tremor = Vec2::new(self.rng.normal(), self.rng.normal()) * self.cfg.tremor_sigma;
+                let tremor = Vec2::new(self.rng.normal(), self.rng.normal()) * TREMOR_SIGMA;
                 pos = anchor + tremor;
                 samples.push(GazeSample { t, pos, true_class: CLASS_FIXATION });
                 t += dt;
@@ -112,8 +86,8 @@ impl GazeSynthesizer {
             }
             // Movement: pursuit or saccade toward a new target.
             let target = self.pick_target(anchor);
-            if self.rng.chance(self.cfg.pursuit_probability) {
-                let speed = self.rng.range_f32(self.cfg.pursuit_speed.0, self.cfg.pursuit_speed.1);
+            if self.rng.chance(PURSUIT_PROBABILITY) {
+                let speed = self.rng.range_f32(PURSUIT_SPEED.0, PURSUIT_SPEED.1);
                 let dist = anchor.distance(target);
                 let dur = (dist / speed).clamp(0.2, 1.5);
                 let end = t + dur;
@@ -122,7 +96,7 @@ impl GazeSynthesizer {
                 while t < end && samples.len() < n {
                     let s = (t - start_t) / dur;
                     pos = start.lerp(target, s)
-                        + Vec2::new(self.rng.normal(), self.rng.normal()) * (self.cfg.tremor_sigma * 0.5);
+                        + Vec2::new(self.rng.normal(), self.rng.normal()) * (TREMOR_SIGMA * 0.5);
                     samples.push(GazeSample { t, pos, true_class: CLASS_PURSUIT });
                     t += dt;
                 }
@@ -146,10 +120,10 @@ impl GazeSynthesizer {
 
     fn pick_target(&mut self, from: Vec2) -> Vec2 {
         for _ in 0..32 {
-            let amp = self.rng.range_f32(self.cfg.saccade_amplitude.0, self.cfg.saccade_amplitude.1);
+            let amp = self.rng.range_f32(SACCADE_AMPLITUDE.0, SACCADE_AMPLITUDE.1);
             let theta = self.rng.range_f32(0.0, std::f32::consts::TAU);
             let target = from + Vec2::new(amp * theta.cos(), amp * theta.sin());
-            if target.x.abs() < self.cfg.fov_half && target.y.abs() < self.cfg.fov_half {
+            if target.x.abs() < FOV_HALF && target.y.abs() < FOV_HALF {
                 return target;
             }
         }
@@ -162,7 +136,7 @@ mod tests {
     use super::*;
 
     fn trace(seed: u64, secs: f32) -> Vec<GazeSample> {
-        GazeSynthesizer::new(GazeTraceConfig::default(), seed).generate(secs)
+        GazeSynthesizer::new(seed).generate(secs)
     }
 
     #[test]
@@ -205,10 +179,7 @@ mod tests {
 
     #[test]
     fn main_sequence_monotone() {
-        assert!(saccade_peak_velocity(20.0) > saccade_peak_velocity(5.0));
         assert!(saccade_duration(20.0) > saccade_duration(5.0));
-        // Peak velocity saturates below 500 deg/s.
-        assert!(saccade_peak_velocity(60.0) < 500.0);
     }
 
     #[test]

@@ -121,20 +121,6 @@ impl Device {
         }
     }
 
-    /// How many concurrent rooms this device sustains in real time,
-    /// where `per_room` is **one room's forwarding work per second of
-    /// wall clock**. A room is sustained when the device retires its
-    /// per-second workload in at most one second, so the count is
-    /// `floor(1s / exec_time(per_room))`; a workload the device cannot
-    /// hold at all (OOM) sustains 0 rooms. Free workloads are clamped
-    /// to the launch-overhead floor, so the result is always finite.
-    pub fn sustained_rooms(&self, per_room: &Workload) -> u64 {
-        match self.exec_time(per_room) {
-            Ok(t) => (1.0 / t.as_secs_f64().max(1e-12)).floor() as u64,
-            Err(_) => 0,
-        }
-    }
-
     /// Roofline execution time, or OOM.
     pub fn exec_time(&self, w: &Workload) -> Result<Duration, ExecError> {
         if w.peak_memory > self.vram_bytes {
@@ -224,31 +210,6 @@ mod tests {
         assert!(s.vram_bytes > Device::a100().vram_bytes * 4);
         assert!(s.fp32_tflops < Device::a100().fp32_tflops);
         assert!(s.launch_overhead < Duration::from_micros(50));
-    }
-
-    #[test]
-    fn sustained_rooms_counts_per_second_workloads() {
-        let s = Device::sfu_server();
-        // A room moving 100 MB/s through the forwarder: the server must
-        // sustain many such rooms, and halving the work doubles (about)
-        // the count.
-        let room = Workload { flops: 1e9, bytes: 200e6, peak_memory: 1 << 30 };
-        let n = s.sustained_rooms(&room);
-        assert!(n > 50, "sustained {n}");
-        let half = Workload { flops: 0.5e9, bytes: 100e6, peak_memory: 1 << 30 };
-        let n2 = s.sustained_rooms(&half);
-        assert!(n2 > n && n2 < n * 3, "half-size room: {n2} vs {n}");
-    }
-
-    #[test]
-    fn sustained_rooms_zero_on_oom_and_finite_on_free_work() {
-        let s = Device::mobile_soc();
-        let oom = Workload { flops: 1.0, bytes: 1.0, peak_memory: 100 * (1u64 << 30) };
-        assert_eq!(s.sustained_rooms(&oom), 0, "OOM sustains nothing");
-        // A free workload is floored by launch overhead, never infinite.
-        let free = Workload::default();
-        let n = s.sustained_rooms(&free);
-        assert!(n > 0 && n < u64::MAX, "free workload rooms {n}");
     }
 
     #[test]

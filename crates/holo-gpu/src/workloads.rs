@@ -54,7 +54,7 @@ pub fn reconstruction_workload(resolution: u32, measured_queries: Option<u64>) -
 }
 
 /// Workload of a keypoint detector inference pass (`gflops` from
-/// `DetectorKind::gflops_per_frame`).
+/// `KeypointDetector::gflops_per_frame`).
 pub fn detector_workload(gflops: f64) -> Workload {
     Workload {
         flops: gflops * 1e9,

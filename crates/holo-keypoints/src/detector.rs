@@ -3,13 +3,9 @@
 //! A DL pose estimator is, from the pipeline's point of view, a function
 //! from the true body state to a noisy, occasionally-missing set of 3D
 //! keypoints plus a compute cost. We simulate exactly that interface with
-//! error models taken from the two detector families of §2.3:
-//!
-//! - **Direct RGB-D** (Kinect body tracking): axial depth noise dominates;
-//!   per-keypoint error ~1 cm at 2 m; cheap (runs on the sensor SDK).
-//! - **2D + lifting** (OpenPose/VideoPose3D style): good image-plane
-//!   accuracy but inflated depth error from monocular lifting; 2-4x the
-//!   compute of the direct path.
+//! the error model of §2.3's **direct RGB-D** family (Kinect body
+//! tracking): axial depth noise dominates; per-keypoint error ~1 cm at
+//! 2 m; cheap (runs on the sensor SDK).
 //!
 //! Occluded keypoints (back-facing relative to the camera ring) have a
 //! higher miss probability; misses are reported as `None` so the filter
@@ -18,35 +14,9 @@
 use holo_capture::noise::DepthNoiseModel;
 use holo_math::{Pcg32, Vec3};
 
-/// Which detector family to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorKind {
-    /// Direct 3D extraction from RGB-D (fast, balanced error).
-    RgbdDirect,
-    /// 2D detection + learned lifting (RGB only, higher depth error,
-    /// higher compute).
-    TwoStageLift,
-}
-
-impl DetectorKind {
-    /// Model-inference compute cost per frame, in GFLOPs. Used by the GPU
-    /// cost model to attribute extraction latency (Table 1's "extract"
-    /// column).
-    pub fn gflops_per_frame(self, keypoints: usize) -> f64 {
-        match self {
-            // Kinect-class body tracking network.
-            DetectorKind::RgbdDirect => 4.0 + keypoints as f64 * 0.02,
-            // 2D backbone (HRNet-class) + temporal lifting model.
-            DetectorKind::TwoStageLift => 14.0 + keypoints as f64 * 0.06,
-        }
-    }
-}
-
-/// A configured detector.
+/// A direct RGB-D detector (fast, balanced error).
 #[derive(Debug, Clone)]
 pub struct KeypointDetector {
-    /// The simulated family.
-    pub kind: DetectorKind,
     /// Observing camera position (for axial error direction and
     /// occlusion).
     pub camera_pos: Vec3,
@@ -57,27 +27,21 @@ pub struct KeypointDetector {
 
 impl KeypointDetector {
     /// Detector with family-typical error parameters.
-    pub fn new(kind: DetectorKind, camera_pos: Vec3) -> Self {
-        let noise = match kind {
-            DetectorKind::RgbdDirect => DepthNoiseModel {
-                sigma_base: 0.008,
-                sigma_quadratic: 0.0015,
-                dropout_base: 0.0,
-                grazing_cos_threshold: 0.0,
-            },
-            DetectorKind::TwoStageLift => DepthNoiseModel {
-                // Lifting triples the axial (depth) uncertainty.
-                sigma_base: 0.022,
-                sigma_quadratic: 0.004,
-                dropout_base: 0.0,
-                grazing_cos_threshold: 0.0,
-            },
+    pub fn new(camera_pos: Vec3) -> Self {
+        let noise = DepthNoiseModel {
+            sigma_base: 0.008,
+            sigma_quadratic: 0.0015,
+            dropout_base: 0.0,
+            grazing_cos_threshold: 0.0,
         };
-        let miss_rate = match kind {
-            DetectorKind::RgbdDirect => 0.01,
-            DetectorKind::TwoStageLift => 0.03,
-        };
-        Self { kind, camera_pos, miss_rate, noise }
+        Self { camera_pos, miss_rate: 0.01, noise }
+    }
+
+    /// Model-inference compute cost per frame, in GFLOPs (a Kinect-class
+    /// body tracking network). Used by the GPU cost model to attribute
+    /// extraction latency (Table 1's "extract" column).
+    pub fn gflops_per_frame(keypoints: usize) -> f64 {
+        4.0 + keypoints as f64 * 0.02
     }
 
     /// Observe the true keypoint set: each true position becomes a noisy
@@ -112,13 +76,6 @@ impl KeypointDetector {
             })
             .collect()
     }
-
-    /// RMS position error of this detector at a given subject distance
-    /// (analytic, for reporting).
-    pub fn expected_rms(&self, distance: f32) -> f32 {
-        let s = self.noise.sigma_at(distance);
-        (s * s * (1.0 + 2.0 * 0.16)).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -131,9 +88,16 @@ mod tests {
             .collect()
     }
 
+    /// Analytic RMS position error at a given subject distance: the
+    /// oracle the empirical noise profile is held to.
+    fn expected_rms(det: &KeypointDetector, distance: f32) -> f32 {
+        let s = det.noise.sigma_at(distance);
+        (s * s * (1.0 + 2.0 * 0.16)).sqrt()
+    }
+
     #[test]
     fn direct_detector_error_in_range() {
-        let det = KeypointDetector::new(DetectorKind::RgbdDirect, Vec3::new(0.0, 1.2, 2.0));
+        let det = KeypointDetector::new(Vec3::new(0.0, 1.2, 2.0));
         let mut rng = Pcg32::new(1);
         let t = truth();
         let mut sum = 0.0;
@@ -151,38 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn lifting_detector_noisier_than_direct() {
-        let cam = Vec3::new(0.0, 1.2, 2.0);
-        let t = truth();
-        let rms = |kind| {
-            let det = KeypointDetector::new(kind, cam);
-            let mut rng = Pcg32::new(2);
-            let mut sum = 0.0;
-            let mut n = 0;
-            for _ in 0..200 {
-                for (obs, tr) in det.detect(&t, &mut rng).iter().zip(&t) {
-                    if let Some(p) = obs {
-                        sum += (*p - *tr).length_sq();
-                        n += 1;
-                    }
-                }
-            }
-            (sum / n as f32).sqrt()
-        };
-        assert!(rms(DetectorKind::TwoStageLift) > rms(DetectorKind::RgbdDirect) * 1.5);
-    }
-
-    #[test]
-    fn lifting_costs_more_compute() {
-        assert!(
-            DetectorKind::TwoStageLift.gflops_per_frame(100)
-                > DetectorKind::RgbdDirect.gflops_per_frame(100) * 2.0
-        );
-    }
-
-    #[test]
     fn misses_happen_and_hold_fills_them() {
-        let det = KeypointDetector::new(DetectorKind::TwoStageLift, Vec3::new(0.0, 1.2, 2.0));
+        let det = KeypointDetector::new(Vec3::new(0.0, 1.2, 2.0));
         let mut rng = Pcg32::new(3);
         let t = truth();
         let mut missed = 0;
@@ -199,7 +133,7 @@ mod tests {
     #[test]
     fn expected_rms_matches_empirical() {
         let cam = Vec3::new(0.0, 1.0, 2.0);
-        let det = KeypointDetector::new(DetectorKind::RgbdDirect, cam);
+        let det = KeypointDetector::new(cam);
         let p = Vec3::new(0.0, 1.0, 0.0);
         let mut rng = Pcg32::new(4);
         let n = 20_000;
@@ -210,7 +144,7 @@ mod tests {
             }
         }
         let rms = (sum / n as f32).sqrt();
-        let expected = det.expected_rms(2.0);
+        let expected = expected_rms(&det, 2.0);
         assert!((rms - expected).abs() / expected < 0.1, "rms {rms} vs {expected}");
     }
 }

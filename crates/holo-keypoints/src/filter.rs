@@ -1,10 +1,9 @@
 //! Temporal filters for keypoint streams.
 //!
-//! Raw detector output jitters; real pipelines smooth it. Two standard
-//! choices are implemented: the One-Euro filter (Casiez et al. 2012 — an
-//! adaptive low-pass whose cutoff rises with speed, trading lag for
-//! jitter exactly where it matters) and a constant-velocity Kalman filter
-//! per keypoint.
+//! Raw detector output jitters; real pipelines smooth it, here with the
+//! One-Euro filter (Casiez et al. 2012 — an adaptive low-pass whose
+//! cutoff rises with speed, trading lag for jitter exactly where it
+//! matters).
 
 use holo_math::Vec3;
 
@@ -79,88 +78,6 @@ impl OneEuroFilter {
     }
 }
 
-/// Constant-velocity Kalman filter for one 3D keypoint. Each axis is an
-/// independent (position, velocity) state.
-#[derive(Debug, Clone)]
-pub struct KalmanFilter3 {
-    /// Process noise (acceleration) standard deviation, m/s^2.
-    pub process_sigma: f32,
-    /// Measurement noise standard deviation, m.
-    pub measurement_sigma: f32,
-    // Per-axis state: position, velocity, and 2x2 covariance (p00, p01, p11).
-    state: [[f32; 5]; 3],
-    initialized: bool,
-}
-
-impl KalmanFilter3 {
-    /// Build with the given noise magnitudes.
-    pub fn new(process_sigma: f32, measurement_sigma: f32) -> Self {
-        Self {
-            process_sigma,
-            measurement_sigma,
-            state: [[0.0, 0.0, 1.0, 0.0, 1.0]; 3],
-            initialized: false,
-        }
-    }
-
-    /// Predict-update with one measurement `z` after `dt` seconds.
-    pub fn step(&mut self, z: Vec3, dt: f32) -> Vec3 {
-        let dt = dt.max(1e-4);
-        let meas = [z.x, z.y, z.z];
-        if !self.initialized {
-            for (k, s) in self.state.iter_mut().enumerate() {
-                *s = [meas[k], 0.0, self.measurement_sigma * self.measurement_sigma, 0.0, 1.0];
-            }
-            self.initialized = true;
-            return z;
-        }
-        let q = self.process_sigma * self.process_sigma;
-        let r = self.measurement_sigma * self.measurement_sigma;
-        let mut out = [0f32; 3];
-        for (k, s) in self.state.iter_mut().enumerate() {
-            let [x, v, p00, p01, p11] = *s;
-            // Predict.
-            let xp = x + v * dt;
-            let vp = v;
-            // F P F^T + Q (discrete white-acceleration model).
-            let dt2 = dt * dt;
-            let q00 = q * dt2 * dt2 / 4.0;
-            let q01 = q * dt2 * dt / 2.0;
-            let q11 = q * dt2;
-            let pp00 = p00 + 2.0 * dt * p01 + dt2 * p11 + q00;
-            let pp01 = p01 + dt * p11 + q01;
-            let pp11 = p11 + q11;
-            // Update with measurement of position.
-            let innov = meas[k] - xp;
-            let s_cov = pp00 + r;
-            let k0 = pp00 / s_cov;
-            let k1 = pp01 / s_cov;
-            let xn = xp + k0 * innov;
-            let vn = vp + k1 * innov;
-            let p00n = (1.0 - k0) * pp00;
-            let p01n = (1.0 - k0) * pp01;
-            let p11n = pp11 - k1 * pp01;
-            *s = [xn, vn, p00n, p01n, p11n];
-            out[k] = xn;
-        }
-        Vec3::new(out[0], out[1], out[2])
-    }
-
-    /// Predict the position `dt` seconds ahead without a measurement.
-    pub fn predict(&self, dt: f32) -> Vec3 {
-        Vec3::new(
-            self.state[0][0] + self.state[0][1] * dt,
-            self.state[1][0] + self.state[1][1] * dt,
-            self.state[2][0] + self.state[2][1] * dt,
-        )
-    }
-}
-
-/// Apply a filter bank (one per keypoint) to a frame of observations.
-pub fn filter_frame(filters: &mut [OneEuroFilter], frame: &[Vec3], dt: f32) -> Vec<Vec3> {
-    filters.iter_mut().zip(frame).map(|(f, &p)| f.filter(p, dt)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,35 +126,10 @@ mod tests {
     }
 
     #[test]
-    fn kalman_reduces_noise() {
-        let (truth, noisy) = noisy_track(2, 300, 0.01);
-        let mut f = KalmanFilter3::new(2.0, 0.01);
-        let filtered: Vec<Vec3> = noisy.iter().map(|&p| f.step(p, 1.0 / 30.0)).collect();
-        let raw_err = rmse(&noisy[30..].to_vec(), &truth[30..].to_vec());
-        let filt_err = rmse(&filtered[30..].to_vec(), &truth[30..].to_vec());
-        assert!(filt_err < raw_err * 0.85, "raw {raw_err} filtered {filt_err}");
-    }
-
-    #[test]
-    fn kalman_predicts_constant_velocity() {
-        let mut f = KalmanFilter3::new(0.5, 0.001);
-        // Feed a constant-velocity track.
-        for i in 0..60 {
-            let t = i as f32 / 30.0;
-            f.step(Vec3::new(t * 0.6, 0.0, 0.0), 1.0 / 30.0);
-        }
-        let pred = f.predict(0.1);
-        let expected_x = (59.0 / 30.0) * 0.6 + 0.1 * 0.6;
-        assert!((pred.x - expected_x).abs() < 0.02, "pred {pred:?} vs {expected_x}");
-    }
-
-    #[test]
     fn first_sample_passes_through() {
         let mut f = OneEuroFilter::new(1.0, 0.1);
         let p = Vec3::new(3.0, -1.0, 2.0);
         assert_eq!(f.filter(p, 1.0 / 30.0), p);
-        let mut k = KalmanFilter3::new(1.0, 0.01);
-        assert_eq!(k.step(p, 1.0 / 30.0), p);
     }
 
     #[test]
@@ -248,13 +140,5 @@ mod tests {
         f.reset();
         let p = Vec3::new(5.0, 5.0, 5.0);
         assert_eq!(f.filter(p, 1.0 / 30.0), p);
-    }
-
-    #[test]
-    fn filter_bank_applies_elementwise() {
-        let mut bank: Vec<OneEuroFilter> = (0..3).map(|_| OneEuroFilter::new(1.0, 0.1)).collect();
-        let frame = vec![Vec3::X, Vec3::Y, Vec3::Z];
-        let out = filter_frame(&mut bank, &frame, 1.0 / 30.0);
-        assert_eq!(out, frame); // first samples pass through
     }
 }

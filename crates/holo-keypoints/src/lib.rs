@@ -3,13 +3,13 @@
 //! §2.3 describes two families of 3D keypoint detectors: direct RGB-D
 //! extraction (fast, depth-sensor accurate) and 2D-detection-plus-lifting
 //! (works from RGB alone, but with extra compute and more depth error).
-//! [`detector`] simulates both as noisy observation processes whose error
-//! and latency characteristics match that taxonomy. [`filter`] provides
-//! the temporal smoothers real systems run on detector output (One-Euro
-//! and constant-velocity Kalman), and [`fit`] recovers SMPL-X parameters
-//! from noisy keypoints by hierarchical rotation fitting — the
-//! "keypoints aligned with SMPL-X" step the paper's proof-of-concept
-//! transmits. [`posedelta`] applies the paper's temporal-delta idea
+//! [`detector`] simulates the first — the one the proof of concept runs —
+//! as a noisy observation process with that family's error and latency
+//! characteristics. [`filter`] provides the One-Euro temporal smoother
+//! real systems run on detector output, and [`fit`] recovers SMPL-X
+//! parameters from noisy keypoints by hierarchical rotation fitting —
+//! the "keypoints aligned with SMPL-X" step the paper's
+//! proof-of-concept transmits. [`posedelta`] applies the paper's temporal-delta idea
 //! (§3.3) to the pose stream itself: keyframe + closed-loop quantized
 //! parameter deltas, a further ~3x below per-frame LZMA.
 
@@ -18,7 +18,7 @@ pub mod filter;
 pub mod fit;
 pub mod posedelta;
 
-pub use detector::{DetectorKind, KeypointDetector};
-pub use filter::{KalmanFilter3, OneEuroFilter};
+pub use detector::KeypointDetector;
+pub use filter::OneEuroFilter;
 pub use fit::fit_params;
 pub use posedelta::{PoseDeltaConfig, PoseDeltaDecoder, PoseDeltaEncoder};

@@ -23,29 +23,25 @@ use holo_runtime::ser::DecodeError;
 const KEY_MAGIC: u8 = 0x4B; // 'K'
 const DELTA_MAGIC: u8 = 0x44; // 'D'
 
-/// Quantization steps: axis-angle radians, translation meters, unitless
-/// coefficients. Chosen so the decoded pose is visually indistinguishable
-/// (sub-millimeter surface motion).
+// Quantization steps, part of the format: chosen so the decoded pose is
+// visually indistinguishable (sub-millimeter surface motion).
+/// Axis-angle component step, radians.
+const ROTATION_STEP: f32 = 0.002;
+/// Translation component step, meters.
+const TRANSLATION_STEP: f32 = 0.001;
+/// Shape/expression coefficient step.
+const COEFFICIENT_STEP: f32 = 0.005;
+
+/// Sender-side stream parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct PoseDeltaConfig {
-    /// Axis-angle component step, radians.
-    pub rotation_step: f32,
-    /// Translation component step, meters.
-    pub translation_step: f32,
-    /// Shape/expression coefficient step.
-    pub coefficient_step: f32,
     /// Keyframe refresh interval in frames (0 = never).
     pub keyframe_interval: u32,
 }
 
 impl Default for PoseDeltaConfig {
     fn default() -> Self {
-        Self {
-            rotation_step: 0.002,
-            translation_step: 0.001,
-            coefficient_step: 0.005,
-            keyframe_interval: 300,
-        }
+        Self { keyframe_interval: 300 }
     }
 }
 
@@ -74,14 +70,14 @@ fn params_from_vector(v: &[f32], betas: &[f32; SHAPE_DIM]) -> SmplxParams {
     p
 }
 
-fn step_for(index: usize, cfg: &PoseDeltaConfig) -> f32 {
+fn step_for(index: usize) -> f32 {
     let rot_end = JOINT_COUNT * 3;
     if index < rot_end {
-        cfg.rotation_step
+        ROTATION_STEP
     } else if index < rot_end + 3 {
-        cfg.translation_step
+        TRANSLATION_STEP
     } else {
-        cfg.coefficient_step
+        COEFFICIENT_STEP
     }
 }
 
@@ -121,7 +117,7 @@ impl PoseDeltaEncoder {
             out.extend_from_slice(&lzma_compress(&bytes));
             return out;
         }
-        let coded = self.chain.delta(&param_vector(params), |i| step_for(i, &self.config));
+        let coded = self.chain.delta(&param_vector(params), step_for);
         let mut out = vec![DELTA_MAGIC];
         out.extend_from_slice(&coded);
         out
@@ -134,16 +130,12 @@ impl PoseDeltaDecoder {
         Self::default()
     }
 
-    /// Decode one frame. `config` must match the encoder's.
+    /// Decode one frame.
     ///
     /// Hostile-input contract: typed errors; a delta frame before any
     /// keyframe, or one whose coded bytes run dry, is rejected with the
     /// reference untouched.
-    pub fn decode(
-        &mut self,
-        data: &[u8],
-        config: &PoseDeltaConfig,
-    ) -> Result<SmplxParams, DecodeError> {
+    pub fn decode(&mut self, data: &[u8]) -> Result<SmplxParams, DecodeError> {
         let (&magic, body) = data
             .split_first()
             .ok_or(DecodeError::Truncated { needed: 1, available: 0 })?;
@@ -156,7 +148,7 @@ impl PoseDeltaDecoder {
                 Ok(payload.params)
             }
             DELTA_MAGIC => {
-                let reference = self.chain.delta(body, "pose delta", |i| step_for(i, config))?;
+                let reference = self.chain.delta(body, "pose delta", step_for)?;
                 Ok(params_from_vector(reference, &self.betas))
             }
             other => Err(DecodeError::corrupt(
@@ -187,7 +179,7 @@ mod tests {
         let sk = Skeleton::neutral();
         for f in &frames {
             let bytes = enc.encode(f);
-            let out = dec.decode(&bytes, &cfg).unwrap();
+            let out = dec.decode(&bytes).unwrap();
             // Joint positions of the decoded pose match the input within
             // quantization tolerance.
             let a = sk.forward_kinematics(f).positions();
@@ -229,7 +221,7 @@ mod tests {
         let sk = Skeleton::neutral();
         let mut last = None;
         for f in &frames {
-            last = Some(dec.decode(&enc.encode(f), &cfg).unwrap());
+            last = Some(dec.decode(&enc.encode(f)).unwrap());
         }
         let a = sk.forward_kinematics(frames.last().unwrap()).positions();
         let b = sk.forward_kinematics(&last.unwrap()).positions();
@@ -240,7 +232,7 @@ mod tests {
     #[test]
     fn keyframe_interval_refreshes() {
         let frames = clip(10);
-        let cfg = PoseDeltaConfig { keyframe_interval: 3, ..Default::default() };
+        let cfg = PoseDeltaConfig { keyframe_interval: 3 };
         let mut enc = PoseDeltaEncoder::new(cfg);
         let kinds: Vec<u8> = frames.iter().map(|f| enc.encode(f)[0]).collect();
         assert!(kinds.iter().filter(|&&k| k == KEY_MAGIC).count() >= 3);
@@ -254,8 +246,8 @@ mod tests {
         let _ = enc.encode(&frames[0]);
         let delta = enc.encode(&frames[1]);
         let mut dec = PoseDeltaDecoder::new();
-        assert!(dec.decode(&delta, &cfg).is_err());
-        assert!(dec.decode(&[], &cfg).is_err());
-        assert!(dec.decode(&[0xFF, 1, 2], &cfg).is_err());
+        assert!(dec.decode(&delta).is_err());
+        assert!(dec.decode(&[]).is_err());
+        assert!(dec.decode(&[0xFF, 1, 2]).is_err());
     }
 }

@@ -22,10 +22,9 @@
 //! - [`transport`] — a frame's size fragmented over a link: per-packet
 //!   header overhead, per-frame completion and latency accounting, one
 //!   retransmission round for lost fragments.
-//! - [`predict`] — the EWMA bandwidth predictor used by rate adaptation
+//! - [`predict`] — the EWMA bandwidth predictor that feeds the one
+//!   adaptation mechanism, `holo-conf`'s semantic degradation ladder
 //!   (§3.2).
-//! - [`abr`] — the rate-adaptation ladder controller that picks an image
-//!   resolution per predicted bandwidth (§3.2).
 //! - [`fault`] — deterministic fault injection: seeded Gilbert–Elliott
 //!   burst loss, bandwidth drops, link flaps, delay spikes, and payload
 //!   corruption compiled into per-link [`FaultClock`]s consumed inside
@@ -36,7 +35,6 @@
 //!
 //! [`Link::transmit`]: link::Link::transmit
 
-pub mod abr;
 pub mod fault;
 pub mod link;
 pub mod predict;
@@ -45,7 +43,6 @@ pub mod trace;
 pub mod transport;
 pub mod wire;
 
-pub use abr::{AbrController, Ladder, LadderRung};
 pub use fault::{FaultClock, FaultEffect, FaultSegment, LossModel};
 pub use link::{Link, LinkConfig, LinkStats};
 pub use predict::EwmaPredictor;

@@ -108,11 +108,6 @@ impl Recorder {
             frame: open.frame,
         });
     }
-
-    /// Number of spans still open (unbalanced enters).
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,7 @@ mod tests {
         r.span_exit(50);
         let names: Vec<_> = r.spans.iter().map(|s| (s.name, s.depth)).collect();
         assert_eq!(names, vec![("c", 2), ("b", 1), ("a", 0)]);
-        assert_eq!(r.open_spans(), 0);
+        assert!(r.open.is_empty());
     }
 
     #[test]

@@ -95,6 +95,9 @@ fi
 echo "==> scripts/ab_pairs.sh parses (not run here: it builds a second tree)"
 bash -n scripts/ab_pairs.sh
 
+echo "==> option audit: every config field has a setter or an outside reader"
+bash scripts/option_audit.sh --check >/dev/null
+
 echo "==> bench gate: quick benches into a scratch directory, facts exact vs committed"
 bash scripts/bench_gate.sh
 

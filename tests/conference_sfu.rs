@@ -4,7 +4,7 @@
 //! closed-form bound.
 
 use holo_conf::{
-    measure_max_room_size, CapacityConfig, ParticipantConfig, Room, RoomConfig,
+    measure_max_room_size, CapacityConfig, DegradationLadder, ParticipantConfig, Room, RoomConfig,
 };
 use holo_net::trace::BandwidthTrace;
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
@@ -29,7 +29,7 @@ fn kp(seed: u64) -> Box<dyn SemanticPipeline> {
     ))
 }
 
-/// A heterogeneous, lossy, ABR-enabled room reproduces its report byte
+/// A heterogeneous, lossy, ladder-enabled room reproduces its report byte
 /// for byte from the same seed — across independently constructed
 /// rooms and pipelines.
 #[test]
@@ -38,14 +38,14 @@ fn same_seed_is_byte_identical_even_under_stress() {
     let run = || {
         let mut participants = ParticipantConfig::uniform_room(4, 25e6);
         // One congested subscriber and one lossy uplink stress every
-        // RNG path: queue drops, ABR decisions, retransmissions.
+        // RNG path: queue drops, ladder decisions, retransmissions.
         participants[2].downlink_trace = BandwidthTrace::Constant { bps: 100e3 };
         participants[3].uplink.loss_rate = 0.3;
         let cfg = RoomConfig {
             participants,
             frames: 8,
             queue_capacity: 2,
-            ladder: Some(holo_net::abr::Ladder::standard()),
+            degrade: Some(DegradationLadder::standard()),
             seed: 77,
             share_encoder: true,
             ..Default::default()
