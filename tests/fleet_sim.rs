@@ -12,9 +12,10 @@
 
 use holo_conf::{ParticipantConfig, Room, RoomConfig};
 use holo_fleet::{
-    room_seed, run_fleet, FleetConfig, FleetTopology, PolicyKind, RoomSpec,
+    fleet_capacity, room_seed, run_fleet, FleetCapacityConfig, FleetConfig, FleetTopology,
+    PolicyKind, RoomSpec,
 };
-use holo_runtime::par;
+use holo_runtime::{fnv1a64, par};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::semantics::SemanticPipeline;
 use semholo::{SceneSource, SemHoloConfig};
@@ -142,5 +143,76 @@ fn fleet_report_byte_identical_across_thread_counts() {
         let (report_t, rooms_t) = render_at(t);
         assert_eq!(report1, report_t, "FleetReport diverged at SEMHOLO_THREADS={t}");
         assert_eq!(rooms1, rooms_t, "per-room reports diverged at SEMHOLO_THREADS={t}");
+    }
+}
+
+/// Pins every placement policy end to end: the `FleetReport` bytes and
+/// the placements of a mixed-region fleet, and the capacity search's
+/// verdict on a tight fleet. Written against the trait-object policies
+/// so the move to plain `PolicyKind` functions is held to these bytes.
+#[test]
+fn every_policy_places_and_sizes_as_pinned() {
+    let scene = scene();
+    let rooms: Vec<RoomSpec> = [
+        vec![0, 0, 1],
+        vec![0, 1, 2],
+        vec![0, 0, 2, 1],
+        vec![1, 1, 2],
+        vec![0, 0, 0],
+        vec![2, 2, 0],
+        vec![0, 1],
+        vec![1, 1, 1, 0],
+        vec![0, 2, 0],
+    ]
+    .into_iter()
+    .map(|participant_regions| RoomSpec { participant_regions, access_bps: 25e6 })
+    .collect();
+    let pins = [
+        (PolicyKind::RoundRobin, 0xec01c6294b8ac452, 0xf4d901fb39e8cd27, 2, "cascade:0->1"),
+        (PolicyKind::LeastLoaded, 0x16cc1ebbfaab21f3, 0x838a875b8807b749, 4, "cascade:2->3"),
+        (PolicyKind::RegionAffinity, 0x0c18c8acf2faae8a, 0xae872765ac2501f0, 8, "node-egress:0"),
+    ];
+    for (policy, report_digest, placement_digest, max_rooms, bottleneck) in pins {
+        let cfg = FleetConfig {
+            topology: FleetTopology::uniform(3, 2, 1e9, 1e9, 1.0, 20.0),
+            rooms: rooms.clone(),
+            policy,
+            frames: 4,
+            seed: 5,
+            ..Default::default()
+        };
+        let run = run_fleet(&cfg, &scene, &make_pipeline).unwrap();
+        let placements: String = run
+            .placements
+            .iter()
+            .map(|p| format!("{}:{:?};", p.home, p.participant_nodes))
+            .collect();
+        if policy == PolicyKind::LeastLoaded {
+            // Placement homes a room on its majority node (ties low);
+            // a home anywhere else was moved by the rebalancing pass.
+            let moved = run.placements.iter().filter(|p| {
+                let count = |n: usize| p.participant_nodes.iter().filter(|&&m| m == n).count();
+                let majority = (0..cfg.topology.nodes.len())
+                    .fold(0, |best, n| if count(n) > count(best) { n } else { best });
+                p.home != majority
+            });
+            assert!(moved.count() >= 1, "least-loaded must rebalance a home: {placements}");
+        }
+
+        let capacity = FleetCapacityConfig {
+            topology: FleetTopology::uniform(2, 2, 12e6, 3e6, 1.0, 20.0),
+            frames: 4,
+            policy,
+            max_rooms: 64,
+            ..Default::default()
+        };
+        let m = fleet_capacity(&capacity, &scene, &make_pipeline).unwrap();
+        let got = (
+            fnv1a64(run.report.render().as_bytes()),
+            fnv1a64(placements.as_bytes()),
+            m.max_rooms,
+            m.bottleneck.as_str(),
+        );
+        assert_eq!(got, (report_digest, placement_digest, max_rooms, bottleneck), "{policy:?}");
     }
 }
