@@ -8,18 +8,10 @@
 
 use crate::participant::ParticipantConfig;
 use crate::room::{Room, RoomConfig};
+use semholo::conference::{closed_form_max_participants, simulated_max_participants};
 use semholo::error::Result;
 use semholo::scene::SceneSource;
 use semholo::semantics::SemanticPipeline;
-
-// The oracle hooks, re-exported so layers embedding a `Room` as a
-// component (holo-fleet's sharded SFU fabric) reach the whole
-// capacity toolkit — monotone search, closed-form bounds, comparison —
-// through this crate without depending on `core` paths directly.
-pub use semholo::conference::{
-    closed_form_fleet_capacity, closed_form_max_participants, compare_capacity,
-    simulated_max_participants, CapacityComparison,
-};
 
 /// When does a room still "fit"?
 #[derive(Debug, Clone, Copy)]
@@ -159,9 +151,10 @@ fn probe_room(
     let report = room.run(scene, &mut pipelines)?;
     let min_usable_rate = report.min_usable_rate();
     let mean_e2e_ms = report.mean_e2e_ms();
+    // A NaN rate fails the first comparison, so it never fits.
     let fits = min_usable_rate >= cfg.criteria.min_usable_rate
         && (mean_e2e_ms.is_nan() || mean_e2e_ms <= cfg.criteria.max_mean_e2e_ms)
-        && !(min_usable_rate <= 0.0);
+        && min_usable_rate > 0.0;
     Ok(CapacityProbe { size: n, min_usable_rate, mean_e2e_ms, fits })
 }
 

@@ -25,7 +25,7 @@ impl FrameTag {
     /// Tag of frame `index` under a keyframe cadence of `interval`
     /// (`interval <= 1` makes every frame a keyframe).
     pub fn for_index(index: usize, interval: usize) -> FrameTag {
-        if interval <= 1 || index % interval == 0 {
+        if interval <= 1 || index.is_multiple_of(interval) {
             FrameTag::Key
         } else {
             FrameTag::Delta

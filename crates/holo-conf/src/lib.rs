@@ -33,9 +33,7 @@
 //!   distributions, Jain fairness, queue occupancy; byte-identical
 //!   rendering per seed.
 //! - [`capacity`] — the empirical "how many people fit" measurement,
-//!   validated against `core::conference`'s closed-form bound, with the
-//!   oracle hooks (monotone search, closed forms) re-exported for
-//!   embedders.
+//!   validated against `core::conference`'s closed-form bound.
 //!
 //! A [`Room`] is deliberately an **embeddable component**, not just a
 //! top-level experiment: `holo-fleet` instantiates one per room across
@@ -53,9 +51,7 @@ pub mod room;
 pub mod sfu;
 
 pub use capacity::{
-    closed_form_fleet_capacity, closed_form_max_participants, compare_capacity,
-    measure_max_room_size, simulated_max_participants, CapacityComparison, CapacityConfig,
-    CapacityCriteria, CapacityMeasurement, CapacityProbe,
+    measure_max_room_size, CapacityConfig, CapacityCriteria, CapacityMeasurement, CapacityProbe,
 };
 pub use degrade::{DegradationLadder, DegradeState, SemanticTier, TierSpec};
 pub use frame::{DependencyTracker, FrameTag, StreamFrame};

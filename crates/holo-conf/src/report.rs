@@ -230,21 +230,11 @@ impl RoomReport {
     /// passes (an SLO is a floor, not an average — one starved
     /// subscriber fails the room).
     pub fn slo_room(&self, spec: &holo_obs::SloSpec) -> holo_obs::SloVerdict {
-        let per_sub = self.slo_summaries();
-        let combined = holo_obs::SloSummary {
-            frames_expected: per_sub.iter().map(|s| s.frames_expected).sum(),
-            frames_usable: per_sub.iter().map(|s| s.frames_usable).sum(),
-            usable_rate: None,
-            // Worst subscriber's p99: conservative, floor-shaped.
-            p99_e2e_ms: per_sub
-                .iter()
-                .filter_map(|s| s.p99_e2e_ms)
-                .fold(None, |acc: Option<f64>, p| Some(acc.map_or(p, |a| a.max(p)))),
-            max_stall_ms: None,
-            worst_window_burn: None,
-            tier_fractions: Vec::new(),
-        };
-        spec.evaluate_summary(&combined)
+        let mut room = holo_obs::SloSummary::default();
+        for s in &self.slo_summaries() {
+            room.absorb(s);
+        }
+        spec.evaluate_summary(&room)
     }
 }
 

@@ -101,6 +101,9 @@ struct FrameMeta {
     recon: StageCost,
 }
 
+/// A copy's `(arrival, self_contained, degraded)`, if it arrived.
+type Arrival = Option<(SimTime, bool, bool)>;
+
 /// What the room loop schedules.
 enum Event {
     /// Sender `0` captures (and uploads) frame `1`.
@@ -203,10 +206,7 @@ impl Room {
         // --- The event loop. ---
         // meta[sender][index]; arrivals[subscriber][sender][index].
         let mut meta: Vec<Vec<Option<FrameMeta>>> = vec![vec![None; cfg.frames]; n];
-        // arrivals[subscriber][sender][index] =
-        //   (arrival, self_contained, degraded).
-        let mut arrivals: Vec<Vec<Vec<Option<(SimTime, bool, bool)>>>> =
-            vec![vec![vec![None; cfg.frames]; n]; n];
+        let mut arrivals: Vec<Vec<Vec<Arrival>>> = vec![vec![vec![None; cfg.frames]; n]; n];
         let mut shared_cache: Vec<Option<FrameMeta>> = vec![None; cfg.frames];
         let mut uplink_lost = 0u64;
         let mut uplink_corrupt = 0u64;
@@ -602,7 +602,7 @@ mod tests {
             ..Default::default()
         };
         let mut room = Room::new(cfg).unwrap();
-        let report = room.run(&scene, &mut vec![kp()]).unwrap();
+        let report = room.run(&scene, &mut [kp()]).unwrap();
         let healthy = &report.subscribers[0];
         let starved = &report.subscribers[2];
         assert_eq!(healthy.usable, healthy.expected, "healthy subscriber unaffected");
@@ -626,7 +626,7 @@ mod tests {
         };
         let path = std::env::temp_dir().join("holo_conf_room_trace.json");
         let mut room = Room::new(cfg).unwrap();
-        let (report, trace) = room.run_traced(&scene, &mut vec![kp()], &path).unwrap();
+        let (report, trace) = room.run_traced(&scene, &mut [kp()], &path).unwrap();
         assert_eq!(report.participants, 3);
         // 3 senders x 4 frames of extract/uplink; each ingress fans out
         // to 2 subscribers.
@@ -654,7 +654,7 @@ mod tests {
             ..Default::default()
         };
         let mut room = Room::new(cfg).unwrap();
-        let report = room.run(&scene, &mut vec![kp()]).unwrap();
+        let report = room.run(&scene, &mut [kp()]).unwrap();
         // Subscribers 0 and 1 expect 10 from each other + 5 from the
         // early leaver; subscriber 2 expects 5 from each of the others.
         assert_eq!(report.subscribers[0].expected, 15);
@@ -692,7 +692,7 @@ mod tests {
             ..Default::default()
         };
         let mut room = Room::new(cfg).unwrap();
-        let report = room.run(&scene, &mut vec![kp()]).unwrap();
+        let report = room.run(&scene, &mut [kp()]).unwrap();
         let starved = &report.subscribers[2];
         assert!(starved.ladder_downgrades >= 1, "ladder never engaged");
         assert!(starved.degraded > 0, "no degraded frames reached the subscriber");
@@ -727,7 +727,7 @@ mod tests {
                 share_encoder: true,
                 ..Default::default()
             };
-            Room::new(cfg).unwrap().run(&scene, &mut vec![kp()]).unwrap()
+            Room::new(cfg).unwrap().run(&scene, &mut [kp()]).unwrap()
         };
 
         let with_blob = run(true);
@@ -765,14 +765,14 @@ mod tests {
             share_encoder: true,
             ..Default::default()
         };
-        let r1 = Room::new(make_cfg()).unwrap().run(&scene, &mut vec![kp()]).unwrap();
-        let r2 = Room::new(make_cfg()).unwrap().run(&scene, &mut vec![kp()]).unwrap();
+        let r1 = Room::new(make_cfg()).unwrap().run(&scene, &mut [kp()]).unwrap();
+        let r2 = Room::new(make_cfg()).unwrap().run(&scene, &mut [kp()]).unwrap();
         assert_eq!(r1.render(), r2.render());
         // A different seed on a lossy room must be observable somewhere;
         // on this clean room at least the seed field differs.
         let mut cfg3 = make_cfg();
         cfg3.seed = 43;
-        let r3 = Room::new(cfg3).unwrap().run(&scene, &mut vec![kp()]).unwrap();
+        let r3 = Room::new(cfg3).unwrap().run(&scene, &mut [kp()]).unwrap();
         assert_ne!(r1.render(), r3.render());
     }
 }

@@ -12,20 +12,24 @@
 //!    not change with fleet size. One representative room is simulated
 //!    up front; if its worst subscriber misses the usable-rate floor,
 //!    the capacity is 0 rooms with bottleneck `room-quality`.
-//! 2. **Monotone resource probe.** `fits(R)` places R rooms with a
-//!    fresh policy (placement of room *i* depends only on rooms < *i*,
-//!    so probes are prefix-stable and the predicate is monotone) and
-//!    checks every node-egress, node-compute, and cascade-edge
-//!    utilization against 1.0 using the measured stream wire rate.
+//! 2. **Monotone resource probe.** `fits(R)` places R rooms exactly as
+//!    the run does (placement of room *i* depends only on rooms < *i*)
+//!    and prices them with the run's load model — cascade legs, node
+//!    rates, compute cost, bottleneck scan — fed the sized stream's
+//!    per-second rate instead of measured traffic, checking every
+//!    node-egress, node-compute, and cascade-edge utilization against
+//!    1.0.
 //!
 //! The first failing probe's highest-utilization resource becomes the
 //! bottleneck attribution, and a definitive [`run_fleet`] at the
 //! measured capacity produces the byte-identical [`FleetReport`]
 //! artifact.
 
-use crate::placement::{FleetLoad, Placement, PolicyKind};
+use crate::placement::{place_rooms, PolicyKind};
 use crate::report::FleetReport;
-use crate::sim::{forward_copy_workload, run_fleet, FleetConfig, RoomSpec};
+use crate::sim::{
+    compute_utilization, first_bottleneck, node_rates, run_fleet, FleetConfig, RoomSpec,
+};
 use crate::topology::FleetTopology;
 use holo_net::wire::WIRE_HEADER_BYTES;
 use holo_runtime::ser::{JsonValue, ToJson};
@@ -122,86 +126,33 @@ fn probe_rooms(cfg: &FleetCapacityConfig, count: usize) -> Vec<RoomSpec> {
         .collect()
 }
 
-/// A probe's verdict: the highest resource utilization and its label.
-struct Probe {
-    peak_utilization: f64,
-    label: String,
-}
-
-/// Place `count` rooms and compute every resource's utilization
-/// arithmetically from the measured stream rate.
-fn probe(cfg: &FleetCapacityConfig, stream_wire_bps: f64, mean_wire_bytes: f64, count: usize) -> Probe {
+/// Place `count` rooms and price every resource from the measured
+/// stream rate: the first bottleneck's label and utilization.
+fn probe(cfg: &FleetCapacityConfig, stream_wire_bps: f64, mean_wire_bytes: f64, count: usize) -> (String, f64) {
     let topo = &cfg.topology;
-    let fps_copies = stream_wire_bps / (mean_wire_bytes * 8.0).max(1e-9);
-    let mut policy = cfg.policy.build();
-    let mut load = FleetLoad::new(topo.nodes.len());
-    let mut placements: Vec<Placement> = Vec::with_capacity(count);
-    for spec in &probe_rooms(cfg, count) {
-        let p = policy.place(spec, topo, &load);
-        load.absorb(&p);
-        placements.push(p);
-    }
-    for m in policy.rebalance(&placements, topo, &load) {
-        placements[m.room].home = m.to;
-    }
-
-    let k = cfg.room_size;
-    let mut egress = vec![0.0f64; topo.nodes.len()];
-    let mut copies = vec![0.0f64; topo.nodes.len()];
+    let copy_bits = (mean_wire_bytes * 8.0).max(1e-9);
+    let (placements, _) = place_rooms(topo, cfg.policy, &probe_rooms(cfg, count));
     let mut edges: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     for placement in &placements {
-        let home = placement.home;
-        // Access fan-out at each attachment node.
-        for &node in &placement.participant_nodes {
-            egress[node] += (k - 1) as f64 * stream_wire_bps;
-            copies[node] += (k - 1) as f64 * fps_copies;
-        }
-        // Cascade legs, one copy per (publisher, edge) — the same
-        // counting as `sim::cascade_offers`, per second instead of per
-        // frame.
-        for p in 0..k {
-            let a = placement.participant_nodes[p];
-            if a != home {
-                *edges.entry((a, home)).or_insert(0.0) += stream_wire_bps;
-            }
-            let mut remote: BTreeMap<usize, bool> = BTreeMap::new();
-            for s in 0..k {
-                let b = placement.participant_nodes[s];
-                if s != p && b != home {
-                    remote.insert(b, true);
-                }
-            }
-            for &b in remote.keys() {
-                *edges.entry((home, b)).or_insert(0.0) += stream_wire_bps;
+        for p in 0..placement.participant_nodes.len() {
+            for (from, to, _) in placement.cascade_legs(p) {
+                *edges.entry((from, to)).or_insert(0.0) += stream_wire_bps;
             }
         }
     }
-    for (&(from, _), bps) in &edges {
-        egress[from] += bps;
-        copies[from] += bps / (mean_wire_bytes * 8.0).max(1e-9);
-    }
-
-    let mut peak = Probe { peak_utilization: 0.0, label: "none".into() };
-    for (id, spec) in topo.nodes.iter().enumerate() {
-        let e = egress[id] / spec.egress_bps;
-        if e > peak.peak_utilization {
-            peak = Probe { peak_utilization: e, label: format!("node-egress:{id}") };
-        }
-        let c = match spec.device.exec_time(&forward_copy_workload(mean_wire_bytes as usize)) {
-            Ok(t) => copies[id] * t.as_secs_f64(),
-            Err(_) => f64::INFINITY,
-        };
-        if c > peak.peak_utilization {
-            peak = Probe { peak_utilization: c, label: format!("node-compute:{id}") };
-        }
-    }
-    for (&(from, to), bps) in &edges {
-        let u = bps / topo.cascade_bps.max(1.0);
-        if u > peak.peak_utilization {
-            peak = Probe { peak_utilization: u, label: format!("cascade:{from}->{to}") };
-        }
-    }
-    peak
+    let (egress, copies) = node_rates(
+        topo.nodes.len(),
+        &placements,
+        |_| (stream_wire_bps, stream_wire_bps / copy_bits),
+        edges.iter().map(|(&(from, _), &bps)| (from, bps, bps / copy_bits)),
+    );
+    first_bottleneck(
+        topo.nodes.iter().enumerate().map(|(id, node)| {
+            let copy_wire = mean_wire_bytes as usize;
+            (egress[id] / node.egress_bps, compute_utilization(node, copies[id], copy_wire))
+        }),
+        edges.iter().map(|(&edge, bps)| (edge, bps / topo.cascade_bps.max(1.0))),
+    )
 }
 
 /// Measure the fleet's room capacity and attribute the bottleneck.
@@ -249,7 +200,7 @@ pub fn fleet_capacity(
         });
     }
 
-    let fits = |rooms: usize| probe(cfg, stream_wire_bps, mean_wire_bytes, rooms).peak_utilization <= 1.0;
+    let fits = |rooms: usize| probe(cfg, stream_wire_bps, mean_wire_bytes, rooms).1 <= 1.0;
     let max_rooms = if !fits(1) {
         0
     } else if cfg.max_rooms <= 1 {
@@ -260,7 +211,7 @@ pub fn fleet_capacity(
     let bottleneck = if max_rooms >= cfg.max_rooms {
         "search-ceiling".into()
     } else {
-        probe(cfg, stream_wire_bps, mean_wire_bytes, max_rooms + 1).label
+        probe(cfg, stream_wire_bps, mean_wire_bytes, max_rooms + 1).0
     };
     let report = if max_rooms > 0 {
         Some(run_fleet(&fleet_cfg(max_rooms), scene, make_pipeline)?.report)

@@ -16,14 +16,16 @@
 //!
 //! - [`topology`] — regions, nodes (`holo_gpu::Device` + egress
 //!   budget), and the heterogeneous-latency cascade mesh.
-//! - [`placement`] — the [`PlacementPolicy`] trait (least-loaded,
-//!   region-affinity, round-robin) with rebalancing hooks.
+//! - [`placement`] — [`PolicyKind`] (least-loaded, region-affinity,
+//!   round-robin): placement and rebalancing as plain functions, and
+//!   `place_rooms`, the one loop the run and the capacity probe share.
 //! - [`sim`] — [`run_fleet`]: rooms embed unchanged [`holo_conf::Room`]
 //!   machinery; spanning streams cross each inter-node link **once**
 //!   per frame (cascade forwarding), and a 1-node fleet reproduces a
 //!   standalone room byte for byte.
 //! - [`capacity`] — [`fleet_capacity`]: the monotone-oracle search in
-//!   rooms, with first-bottleneck attribution.
+//!   rooms, priced with the run's load model, with first-bottleneck
+//!   attribution.
 //! - [`report`] — the canonical [`FleetReport`]; byte-identical across
 //!   reruns and `SEMHOLO_THREADS` settings.
 
@@ -34,13 +36,10 @@ pub mod sim;
 pub mod topology;
 
 pub use capacity::{fleet_capacity, FleetCapacityConfig, FleetCapacityMeasurement};
-pub use placement::{
-    FleetLoad, LeastLoaded, Migration, Placement, PlacementPolicy, PolicyKind, RegionAffinity,
-    RoundRobin,
-};
+pub use placement::{FleetLoad, Placement, PolicyKind};
 pub use report::{CascadeEdgeReport, FleetReport, NodeReport, RegionLatency, RoomSummary};
 pub use sim::{
     attribution_options, forward_copy_workload, room_seed, run_fleet, run_fleet_observed,
-    run_fleet_with_policy, FleetConfig, FleetObservation, FleetRun, RoomSpec, LANE_STRIDE,
+    FleetConfig, FleetObservation, FleetRun, RoomSpec, LANE_STRIDE,
 };
 pub use topology::{FleetTopology, NodeSpec};

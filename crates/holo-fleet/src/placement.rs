@@ -4,8 +4,10 @@
 //! attaches to (always a node in the participant's region — access
 //! networks terminate locally) and which node anchors the room's SFU
 //! (the **home** node; remote participants' streams transit it over
-//! the cascade). Policies are deterministic: identical inputs place
-//! identically, so fleet reports stay byte-identical.
+//! the cascade). A policy is a pure function of the room, the topology
+//! and the load placed so far; ties always break toward the lowest node
+//! id, so identical inputs place identically and fleet reports stay
+//! byte-identical.
 
 use crate::sim::RoomSpec;
 use crate::topology::FleetTopology;
@@ -27,6 +29,31 @@ impl Placement {
         nodes.sort_unstable();
         nodes.dedup();
         nodes
+    }
+
+    /// The cascade legs one frame of `publisher`'s stream crosses, as
+    /// `(from, to, subscribers)`: the up-leg to the home node when the
+    /// publisher is remote (one copy either way), then one leg from the
+    /// home to each remote node hosting subscribers, ascending, with
+    /// how many subscribers it serves there.
+    pub(crate) fn cascade_legs(&self, publisher: usize) -> Vec<(usize, usize, u64)> {
+        let (home, at) = (self.home, self.participant_nodes[publisher]);
+        let mut legs = Vec::new();
+        if at != home {
+            legs.push((at, home, 1));
+        }
+        let mut remote: Vec<usize> = self
+            .participant_nodes
+            .iter()
+            .enumerate()
+            .filter(|&(s, &b)| s != publisher && b != home)
+            .map(|(_, &b)| b)
+            .collect();
+        remote.sort_unstable();
+        for same in remote.chunk_by(|a, b| a == b) {
+            legs.push((home, same[0], same.len() as u64));
+        }
+        legs
     }
 }
 
@@ -54,46 +81,12 @@ impl FleetLoad {
     }
 }
 
-/// A proposed home move produced by a rebalancing pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Migration {
-    /// Which room (index into the fleet's room list).
-    pub room: usize,
-    /// Its new home node.
-    pub to: usize,
-}
-
-/// The placement decision point. Implementations must be deterministic
-/// functions of their inputs and internal state; ties always break
-/// toward the lowest node id.
-pub trait PlacementPolicy {
-    /// Short label recorded in the fleet report.
-    fn name(&self) -> &'static str;
-
-    /// Place one room: attach each participant to a node in its region
-    /// and pick the home node.
-    fn place(&mut self, spec: &RoomSpec, topo: &FleetTopology, load: &FleetLoad) -> Placement;
-
-    /// Rebalancing hook, called once after all rooms are placed with
-    /// every placement visible. The default does nothing; policies can
-    /// return home moves (`Migration`s) the fleet applies before
-    /// simulating.
-    fn rebalance(
-        &mut self,
-        _placements: &[Placement],
-        _topo: &FleetTopology,
-        _load: &FleetLoad,
-    ) -> Vec<Migration> {
-        Vec::new()
-    }
-}
-
-/// Pick the home node for a placed participant set: the node hosting
-/// the most participants, ties to the lowest id.
-fn majority_home(participant_nodes: &[usize], nodes: usize) -> usize {
-    let mut counts = vec![0u64; nodes];
-    for &n in participant_nodes {
-        counts[n] += 1;
+/// The most frequent of `ids` (each `< n`), ties to the lowest id: a
+/// placed room's home node, or region affinity's majority region.
+fn majority(ids: &[usize], n: usize) -> usize {
+    let mut counts = vec![0u64; n];
+    for &i in ids {
+        counts[i] += 1;
     }
     let mut best = 0;
     for (i, &c) in counts.iter().enumerate() {
@@ -104,170 +97,121 @@ fn majority_home(participant_nodes: &[usize], nodes: usize) -> usize {
     best
 }
 
-/// Round-robin: participants cycle through their region's nodes in
-/// arrival order, globally (one counter per region).
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next_in_region: Vec<usize>,
+/// The placement policies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyKind {
+    /// Participants cycle through their region's nodes in arrival
+    /// order, fleet-wide; the home is the majority node.
+    RoundRobin,
+    /// Each participant attaches to the least-populated node in its
+    /// region (by attached participants, ties to the lowest id); the
+    /// home is the majority node. Rebalancing then levels homes.
+    LeastLoaded,
+    /// The whole room lands on one node — the least-loaded node in the
+    /// room's majority region — so rooms never span the cascade.
+    /// Participants whose own region differs still attach there (they
+    /// pay the access latency, not cascade transit).
+    RegionAffinity,
 }
 
-impl PlacementPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
+impl PolicyKind {
+    /// Short label recorded in the fleet report.
+    pub fn name(self) -> &'static str {
+        match self {
+            PolicyKind::RoundRobin => "round-robin",
+            PolicyKind::LeastLoaded => "least-loaded",
+            PolicyKind::RegionAffinity => "region-affinity",
+        }
     }
 
-    fn place(&mut self, spec: &RoomSpec, topo: &FleetTopology, _load: &FleetLoad) -> Placement {
-        self.next_in_region.resize(topo.regions.len().max(self.next_in_region.len()), 0);
-        let participant_nodes: Vec<usize> = spec
-            .participant_regions
-            .iter()
-            .map(|&r| {
-                let candidates = topo.nodes_in_region(r);
-                let slot = self.next_in_region[r] % candidates.len();
-                self.next_in_region[r] += 1;
-                candidates[slot]
-            })
-            .collect();
-        let home = majority_home(&participant_nodes, topo.nodes.len());
-        Placement { home, participant_nodes }
-    }
-}
-
-/// Least-loaded: each participant attaches to the least-populated node
-/// in its region (by attached participants, ties to the lowest id);
-/// the home is the majority node. Its rebalancing pass levels homes:
-/// while some node homes 2+ more rooms than another, it moves one room
-/// from the most- to the least-loaded node.
-#[derive(Debug, Default)]
-pub struct LeastLoaded;
-
-impl PlacementPolicy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn place(&mut self, spec: &RoomSpec, topo: &FleetTopology, load: &FleetLoad) -> Placement {
+    /// Place one room: attach each participant to a node and pick the
+    /// home node, given the load of every room placed before it.
+    pub fn place(self, spec: &RoomSpec, topo: &FleetTopology, load: &FleetLoad) -> Placement {
+        if self == PolicyKind::RegionAffinity {
+            let region = majority(&spec.participant_regions, topo.regions.len());
+            let home = *topo
+                .nodes_in_region(region)
+                .iter()
+                .min_by_key(|&&n| (load.participants[n], n))
+                .expect("validated topology: every region has a node");
+            let participant_nodes = vec![home; spec.participant_regions.len()];
+            return Placement { home, participant_nodes };
+        }
         // Account in-room attachments too, so one room's participants
-        // spread instead of piling onto the globally-least node.
+        // spread instead of piling onto one node.
         let mut pending = vec![0u64; topo.nodes.len()];
         let participant_nodes: Vec<usize> = spec
             .participant_regions
             .iter()
             .map(|&r| {
                 let candidates = topo.nodes_in_region(r);
-                let best = *candidates
-                    .iter()
-                    .min_by_key(|&&n| (load.participants[n] + pending[n], n))
-                    .expect("validated topology: every region has a node");
-                pending[best] += 1;
-                best
+                let node = if self == PolicyKind::RoundRobin {
+                    // A region's participants attach only inside it, so
+                    // its nodes' tallies count its arrivals so far.
+                    let arrived: u64 =
+                        candidates.iter().map(|&n| load.participants[n] + pending[n]).sum();
+                    candidates[(arrived % candidates.len() as u64) as usize]
+                } else {
+                    *candidates
+                        .iter()
+                        .min_by_key(|&&n| (load.participants[n] + pending[n], n))
+                        .expect("validated topology: every region has a node")
+                };
+                pending[node] += 1;
+                node
             })
             .collect();
-        let home = majority_home(&participant_nodes, topo.nodes.len());
+        let home = majority(&participant_nodes, topo.nodes.len());
         Placement { home, participant_nodes }
     }
 
-    fn rebalance(
-        &mut self,
-        placements: &[Placement],
-        _topo: &FleetTopology,
-        load: &FleetLoad,
-    ) -> Vec<Migration> {
-        let mut rooms = load.rooms.clone();
-        let mut moves = Vec::new();
-        while let Some(max_node) = rooms
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &c)| (c, usize::MAX - i))
-            .map(|(i, _)| i)
-        {
-            let min_node = rooms
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &c)| (c, i))
-                .map(|(i, _)| i)
-                .unwrap_or(max_node);
+    /// Rebalance homes once every room is placed, keeping `load.rooms`
+    /// in step. Only least-loaded moves anything: while some node homes
+    /// 2+ more rooms than another, the lowest-indexed room not yet moved
+    /// goes from the most- to the least-loaded node.
+    pub fn rebalance(self, placements: &mut [Placement], load: &mut FleetLoad) {
+        if self != PolicyKind::LeastLoaded {
+            return;
+        }
+        let rooms = &mut load.rooms;
+        let mut moved = vec![false; placements.len()];
+        // Both ends break count ties toward the lowest node id.
+        while let (Some(max_node), Some(min_node)) = (
+            (0..rooms.len()).max_by_key(|&i| (rooms[i], usize::MAX - i)),
+            (0..rooms.len()).min_by_key(|&i| (rooms[i], i)),
+        ) {
             if rooms[max_node] < rooms[min_node] + 2 {
                 break;
             }
-            // Move the lowest-indexed room homed on the hot node whose
-            // home we have not already moved.
-            let victim = placements
-                .iter()
-                .enumerate()
-                .position(|(i, p)| {
-                    p.home == max_node && !moves.iter().any(|m: &Migration| m.room == i)
-                });
-            match victim {
-                Some(room) => {
-                    moves.push(Migration { room, to: min_node });
-                    rooms[max_node] -= 1;
-                    rooms[min_node] += 1;
-                }
-                None => break,
-            }
-        }
-        moves
-    }
-}
-
-/// Region affinity: the whole room lands on one node — the
-/// least-loaded node in the room's majority region — so rooms never
-/// span the cascade. Participants whose own region differs still
-/// attach there (they pay the access latency, not cascade transit).
-#[derive(Debug, Default)]
-pub struct RegionAffinity;
-
-impl PlacementPolicy for RegionAffinity {
-    fn name(&self) -> &'static str {
-        "region-affinity"
-    }
-
-    fn place(&mut self, spec: &RoomSpec, topo: &FleetTopology, load: &FleetLoad) -> Placement {
-        let mut counts = vec![0u64; topo.regions.len()];
-        for &r in &spec.participant_regions {
-            counts[r] += 1;
-        }
-        let mut region = 0;
-        for (r, &c) in counts.iter().enumerate() {
-            if c > counts[region] {
-                region = r;
-            }
-        }
-        let candidates = topo.nodes_in_region(region);
-        let home = *candidates
-            .iter()
-            .min_by_key(|&&n| (load.participants[n], n))
-            .expect("validated topology: every region has a node");
-        Placement {
-            home,
-            participant_nodes: vec![home; spec.participant_regions.len()],
+            let Some(room) = (0..placements.len())
+                .find(|&i| placements[i].home == max_node && !moved[i])
+            else {
+                break;
+            };
+            moved[room] = true;
+            placements[room].home = min_node;
+            rooms[max_node] -= 1;
+            rooms[min_node] += 1;
         }
     }
 }
 
-/// The built-in policies, as a `Copy` selector for configs that must
-/// stay `Clone` (custom policies go through
-/// [`crate::sim::run_fleet_with_policy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// [`RoundRobin`].
-    RoundRobin,
-    /// [`LeastLoaded`].
-    LeastLoaded,
-    /// [`RegionAffinity`].
-    RegionAffinity,
-}
-
-impl PolicyKind {
-    /// Instantiate the policy.
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
-        match self {
-            PolicyKind::RoundRobin => Box::new(RoundRobin::default()),
-            PolicyKind::LeastLoaded => Box::new(LeastLoaded),
-            PolicyKind::RegionAffinity => Box::new(RegionAffinity),
-        }
+/// Place `rooms` in order, then rebalance: every fleet decision — the
+/// run's and the capacity probe's — goes through here.
+pub(crate) fn place_rooms(
+    topo: &FleetTopology,
+    policy: PolicyKind,
+    rooms: &[RoomSpec],
+) -> (Vec<Placement>, FleetLoad) {
+    let mut load = FleetLoad::new(topo.nodes.len());
+    let mut placements = Vec::with_capacity(rooms.len());
+    for spec in rooms {
+        let p = policy.place(spec, topo, &load);
+        load.absorb(&p);
+        placements.push(p);
     }
+    policy.rebalance(&mut placements, &mut load);
+    (placements, load)
 }
 
 #[cfg(test)]
@@ -285,24 +229,22 @@ mod tests {
     #[test]
     fn round_robin_cycles_region_nodes() {
         let topo = topo();
-        let mut rr = RoundRobin::default();
-        let load = FleetLoad::new(topo.nodes.len());
-        let a = rr.place(&spec(&[0, 0]), &topo, &load);
-        let b = rr.place(&spec(&[0, 0]), &topo, &load);
-        // Region 0 owns nodes 0 and 1: four attachments cycle 0,1,0,1.
-        assert_eq!(a.participant_nodes, vec![0, 1]);
-        assert_eq!(b.participant_nodes, vec![0, 1]);
-        assert_eq!(a.home, 0, "ties break to the lowest node id");
+        let (placements, _) =
+            place_rooms(&topo, PolicyKind::RoundRobin, &[spec(&[0, 0, 0]), spec(&[0, 0])]);
+        // Region 0 owns nodes 0 and 1: five attachments cycle 0,1,0,1,0.
+        assert_eq!(placements[0].participant_nodes, vec![0, 1, 0]);
+        assert_eq!(placements[1].participant_nodes, vec![1, 0]);
+        assert_eq!(placements[1].home, 0, "ties break to the lowest node id");
     }
 
     #[test]
     fn least_loaded_spreads_and_rebalances() {
         let topo = topo();
-        let mut ll = LeastLoaded;
+        let policy = PolicyKind::LeastLoaded;
         let mut load = FleetLoad::new(topo.nodes.len());
         let mut placements = Vec::new();
         for _ in 0..4 {
-            let p = ll.place(&spec(&[0]), &topo, &load);
+            let p = policy.place(&spec(&[0]), &topo, &load);
             load.absorb(&p);
             placements.push(p);
         }
@@ -317,20 +259,24 @@ mod tests {
         load.absorb(&skew);
         placements.push(skew.clone());
         placements.push(skew);
-        let moves = ll.rebalance(&placements, &topo, &load);
-        assert!(!moves.is_empty(), "imbalance of 4 vs 2 must trigger a move");
-        for m in &moves {
-            assert_eq!(placements[m.room].home, 0, "moves come off the hot node");
+        let before = placements.clone();
+        policy.rebalance(&mut placements, &mut load);
+        let moved: Vec<usize> =
+            (0..placements.len()).filter(|&i| placements[i] != before[i]).collect();
+        assert!(!moved.is_empty(), "imbalance of 4 vs 2 must trigger a move");
+        for &i in &moved {
+            assert_eq!(before[i].home, 0, "moves come off the hot node");
         }
+        let homed = |n: usize| placements.iter().filter(|p| p.home == n).count() as u64;
+        assert!((0..topo.nodes.len()).all(|n| load.rooms[n] == homed(n)), "load tracks moves");
     }
 
     #[test]
     fn region_affinity_never_spans() {
         let topo = topo();
-        let mut ra = RegionAffinity;
         let load = FleetLoad::new(topo.nodes.len());
         // Majority region 1 (nodes 2, 3): the whole room lands there.
-        let p = ra.place(&spec(&[1, 1, 0]), &topo, &load);
+        let p = PolicyKind::RegionAffinity.place(&spec(&[1, 1, 0]), &topo, &load);
         assert_eq!(p.nodes_spanned().len(), 1);
         assert!(topo.nodes_in_region(1).contains(&p.home));
         assert!(p.participant_nodes.iter().all(|&n| n == p.home));
@@ -339,19 +285,19 @@ mod tests {
     #[test]
     fn policies_are_deterministic() {
         let topo = topo();
+        let rooms: Vec<RoomSpec> = (0..6).map(|i| spec(&[i % 2, (i + 1) % 2])).collect();
         for kind in [PolicyKind::RoundRobin, PolicyKind::LeastLoaded, PolicyKind::RegionAffinity] {
-            let run = |_| {
-                let mut policy = kind.build();
-                let mut load = FleetLoad::new(topo.nodes.len());
-                let mut out = Vec::new();
-                for i in 0..6 {
-                    let p = policy.place(&spec(&[i % 2, (i + 1) % 2]), &topo, &load);
-                    load.absorb(&p);
-                    out.push(p);
-                }
-                out
-            };
-            assert_eq!(run(0), run(1), "{kind:?} placed differently across runs");
+            let run = || place_rooms(&topo, kind, &rooms).0;
+            assert_eq!(run(), run(), "{kind:?} placed differently across runs");
         }
+    }
+
+    #[test]
+    fn cascade_legs_ship_one_copy_per_remote_node() {
+        let p = Placement { home: 0, participant_nodes: vec![0, 2, 1, 2] };
+        // A home publisher: one leg per remote node, counting subscribers.
+        assert_eq!(p.cascade_legs(0), vec![(0, 1, 1), (0, 2, 2)]);
+        // A remote publisher: the up-leg first, then the fan-out legs.
+        assert_eq!(p.cascade_legs(1), vec![(2, 0, 1), (0, 1, 1), (0, 2, 1)]);
     }
 }

@@ -97,8 +97,9 @@ impl FleetTopology {
     }
 
     /// Structural validation: at least one node, every node in a known
-    /// region, a square latency matrix, and a usable cascade whenever
-    /// more than one node exists.
+    /// region with a finite positive egress budget, a square matrix of
+    /// finite non-negative latencies, and a finite cascade budget,
+    /// positive whenever more than one node exists.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("a fleet needs at least one node".into());
@@ -110,14 +111,20 @@ impl FleetTopology {
             if n.region >= self.regions.len() {
                 return Err(format!("node {i} references unknown region {}", n.region));
             }
-            if n.egress_bps <= 0.0 {
-                return Err(format!("node {i} has a non-positive egress budget"));
+            if !n.egress_bps.is_finite() || n.egress_bps <= 0.0 {
+                return Err(format!("node {i} needs a finite positive egress budget"));
             }
         }
         if self.region_latency_ms.len() != self.regions.len()
             || self.region_latency_ms.iter().any(|row| row.len() != self.regions.len())
         {
             return Err("region latency matrix must be regions x regions".into());
+        }
+        if self.region_latency_ms.iter().flatten().any(|&ms| !ms.is_finite() || ms < 0.0) {
+            return Err("region latencies must be finite and >= 0 ms".into());
+        }
+        if !self.cascade_bps.is_finite() || self.cascade_bps < 0.0 {
+            return Err("cascade_bps must be finite and >= 0".into());
         }
         if self.nodes.len() > 1 && self.cascade_bps <= 0.0 {
             return Err("a multi-node fleet needs cascade_bps > 0".into());
@@ -132,6 +139,11 @@ impl FleetTopology {
         self.region_latency_ms[a][b]
     }
 
+    /// One-way propagation between two nodes.
+    pub fn hop(&self, from_node: usize, to_node: usize) -> Duration {
+        Duration::from_secs_f64(self.latency_ms(from_node, to_node) / 1e3)
+    }
+
     /// Node ids in a region, ascending.
     pub fn nodes_in_region(&self, region: usize) -> Vec<usize> {
         (0..self.nodes.len()).filter(|&i| self.nodes[i].region == region).collect()
@@ -142,7 +154,7 @@ impl FleetTopology {
     /// ever configured) stays decorrelated per edge and per run.
     pub fn cascade_link(&self, from: usize, to: usize, fleet_seed: u64) -> Link {
         let config = LinkConfig {
-            propagation: Duration::from_secs_f64(self.latency_ms(from, to) / 1e3),
+            propagation: self.hop(from, to),
             jitter_max: Duration::ZERO,
             loss_rate: 0.0,
             max_queue_delay: Duration::from_millis(200),
@@ -186,6 +198,19 @@ mod tests {
         assert!(t.validate().is_err(), "ragged latency matrix");
         t = FleetTopology::uniform(2, 1, 0.0, 1e9, 1.0, 20.0);
         assert!(t.validate().is_err(), "zero egress budget");
+        for egress in [f64::NAN, f64::INFINITY] {
+            t = FleetTopology::uniform(2, 1, egress, 1e9, 1.0, 20.0);
+            assert!(t.validate().is_err(), "egress budget {egress}");
+        }
+        for cascade in [f64::NAN, f64::INFINITY, -1.0] {
+            t = FleetTopology::uniform(2, 1, 100e6, cascade, 1.0, 20.0);
+            assert!(t.validate().is_err(), "cascade budget {cascade}");
+        }
+        for ms in [f64::NAN, f64::INFINITY, -5.0] {
+            t = FleetTopology::uniform(2, 1, 100e6, 1e9, 1.0, 20.0);
+            t.region_latency_ms[0][1] = ms;
+            assert!(t.validate().is_err(), "latency {ms} ms");
+        }
     }
 
     #[test]

@@ -232,6 +232,19 @@ pub struct SloSummary {
     pub tier_fractions: Vec<(String, f64)>,
 }
 
+impl SloSummary {
+    /// Roll `other` up into this summary as a floor, not an average:
+    /// counts add and p99 is the worst present value. Nothing else is
+    /// carried — rates, stalls, burns and tier splits do not add up.
+    pub fn absorb(&mut self, other: &SloSummary) {
+        self.frames_expected += other.frames_expected;
+        self.frames_usable += other.frames_usable;
+        if let Some(p) = other.p99_e2e_ms {
+            self.p99_e2e_ms = Some(self.p99_e2e_ms.map_or(p, |a| a.max(p)));
+        }
+    }
+}
+
 /// One objective's outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloCheck {
@@ -490,6 +503,26 @@ mod tests {
         assert!(v.skipped.contains(&"worst_window_burn".to_string()));
         let text = v.to_json().render();
         assert!(text.contains("\"skipped\":["), "{text}");
+    }
+
+    #[test]
+    fn absorb_adds_counts_and_keeps_the_worst_p99() {
+        let mut total = SloSummary::default();
+        let sub = |usable, p99| SloSummary {
+            frames_expected: 10,
+            frames_usable: usable,
+            p99_e2e_ms: p99,
+            max_stall_ms: Some(5.0),
+            tier_fractions: vec![("full".to_string(), 1.0)],
+            ..SloSummary::default()
+        };
+        for s in [sub(9, Some(80.0)), sub(10, None), sub(7, Some(120.0)), sub(10, Some(90.0))] {
+            total.absorb(&s);
+        }
+        assert_eq!((total.frames_expected, total.frames_usable), (40, 36));
+        assert_eq!(total.p99_e2e_ms, Some(120.0));
+        assert_eq!(total.max_stall_ms, None, "per-subject inputs are not carried");
+        assert!(total.tier_fractions.is_empty());
     }
 
     #[test]
