@@ -7,12 +7,14 @@
 //! bandwidth consumption [but] could alleviate the burden of refining
 //! the mesh generated from keypoints." And saccade-landing prediction is
 //! proposed to keep the fovea ahead of the eye. This bench sweeps the
-//! foveal radius and toggles prediction, reporting bandwidth and
-//! true-gaze foveal quality.
+//! foveal radius (payload, bandwidth and foveal chamfer at the true
+//! gaze, over 6 frames) and toggles prediction (mean gaze aiming error
+//! and fovea-miss rate — the eye outside half a 10° fovea — over a 20 s
+//! trace).
 
 use holo_runtime::bench::Criterion;
 use holo_runtime::{bench_group, bench_main};
-use holo_bench::{bandwidth_at_30fps, bench_scene, mbps, report, report_header};
+use holo_bench::{bench_scene, mbps_at_30fps};
 use semholo::foveated::{FoveatedConfig, FoveatedPipeline};
 use semholo::{Content, SemanticPipeline};
 use std::hint::black_box;
@@ -24,7 +26,6 @@ fn run_radius(radius: f32, predict: bool, frames: usize) -> (f64, f64) {
             foveal_radius_deg: radius,
             peripheral_resolution: 48,
             predict_saccades: predict,
-            ..Default::default()
         },
         2.0,
         42,
@@ -50,22 +51,14 @@ fn run_radius(radius: f32, predict: bool, frames: usize) -> (f64, f64) {
 }
 
 fn ablation(c: &mut Criterion) {
-    report_header("Ablation A: foveal radius sweep (bandwidth vs foveal quality at the true gaze)");
-    report(&format!(
-        "{:>12} {:>14} {:>14} {:>22}",
-        "radius(deg)", "payload(B)", "bw@30fps", "foveal chamfer(mm)"
-    ));
+    let mut group = c.benchmark_group("ablation_foveation");
     let mut prev_bytes = 0.0;
     let mut results = Vec::new();
-    for radius in [4.0f32, 8.0, 12.0, 20.0, 30.0] {
-        let (bytes, chamfer) = run_radius(radius, true, 6);
-        report(&format!(
-            "{:>12.0} {:>14.0} {:>14} {:>22.2}",
-            radius,
-            bytes,
-            mbps(bandwidth_at_30fps(bytes as usize)),
-            chamfer * 1000.0
-        ));
+    for radius in [4u8, 8, 12, 20, 30] {
+        let (bytes, chamfer) = run_radius(radius as f32, true, 6);
+        group.fact(format!("payload/radius{radius}"), bytes, "bytes");
+        group.fact(format!("bandwidth/radius{radius}"), mbps_at_30fps(bytes as usize), "Mbps");
+        group.fact(format!("foveal_chamfer/radius{radius}"), chamfer * 1000.0, "mm");
         assert!(bytes >= prev_bytes * 0.8, "bandwidth should broadly grow with radius");
         prev_bytes = bytes;
         results.push((radius, bytes, chamfer));
@@ -103,15 +96,10 @@ fn ablation(c: &mut Criterion) {
     };
     let (err_with, miss_with) = aim(true);
     let (err_without, miss_without) = aim(false);
-    report(&format!(
-        "gaze aiming error @10 deg fovea over 20 s: {:.2} deg with prediction vs {:.2} deg without",
-        err_with, err_without
-    ));
-    report(&format!(
-        "fovea-miss rate (eye outside half the fovea): {:.1}% with prediction vs {:.1}% without",
-        miss_with * 100.0,
-        miss_without * 100.0
-    ));
+    group.fact("aim_error/with_prediction", err_with, "deg");
+    group.fact("aim_error/without_prediction", err_without, "deg");
+    group.fact("fovea_miss/with_prediction", miss_with * 100.0, "%");
+    group.fact("fovea_miss/without_prediction", miss_without * 100.0, "%");
     assert!(
         err_with <= err_without * 1.05,
         "prediction must not clearly increase aiming error: {err_with} vs {err_without}"
@@ -121,7 +109,6 @@ fn ablation(c: &mut Criterion) {
         "prediction must not increase the fovea-miss rate: {miss_with} vs {miss_without}"
     );
 
-    let mut group = c.benchmark_group("ablation_foveation");
     group.sample_size(10);
     let scene = bench_scene(1.0);
     let mut p = FoveatedPipeline::new(FoveatedConfig::default(), 1.0, 42);

@@ -9,7 +9,7 @@
 //! shows the update stream is density-invariant, and times the three
 //! hot paths: offline fit, update encode, update decode + splat posing.
 
-use holo_bench::{bandwidth_at_30fps, bench_scene, mbps, report, report_header};
+use holo_bench::{bench_scene, mbps_at_30fps};
 use holo_gaussian::{
     encode_prebuild, fit_avatar, FitConfig, GaussianPipeline, GaussianUpdateConfig,
     GaussianUpdateDecoder, GaussianUpdateEncoder,
@@ -44,17 +44,14 @@ fn sweep_density() -> Vec<(f32, usize, usize, f64, usize)> {
 }
 
 fn ablation(c: &mut Criterion) {
-    report_header("Ablation: gaussian prebuild density vs quality vs startup bytes (96x72 / 4 cams)");
-    report(&format!(
-        "{:>10} {:>10} {:>14} {:>14} {:>12}",
-        "voxel(m)", "splats", "prebuild(B)", "chamfer(mm)", "update(B)"
-    ));
+    let mut group = c.benchmark_group("ablation_gaussian");
     let rows = sweep_density();
     for (voxel, splats, prebuild, chamfer, update) in &rows {
-        report(&format!(
-            "{:>10.3} {:>10} {:>14} {:>14.1} {:>12}",
-            voxel, splats, prebuild, chamfer, update
-        ));
+        let voxel = format!("voxel{:.0}mm", voxel * 1000.0);
+        group.fact(format!("splats/{voxel}"), splats, "count");
+        group.fact(format!("prebuild/{voxel}"), prebuild, "bytes");
+        group.fact(format!("chamfer/{voxel}"), chamfer, "mm");
+        group.fact(format!("update/{voxel}"), update, "bytes");
     }
     // Paper-shape claims:
     // (1) density costs startup bytes, never steady-state — and near
@@ -87,23 +84,13 @@ fn ablation(c: &mut Criterion) {
         dense.4,
         coarse.4
     );
-    report(&format!(
-        "prebuild grows {:.1}x ({} -> {} B) while updates stay ~{} B: geometry amortized, conditioning streamed",
-        dense.2 as f64 / coarse.2 as f64,
-        coarse.2,
-        dense.2,
-        dense.4
-    ));
-    report(&format!(
-        "steady-state update stream: {} (vs mesh tiers in the Mbps range)",
-        mbps(bandwidth_at_30fps(dense.4))
-    ));
+    group.fact("prebuild_growth", dense.2 as f64 / coarse.2 as f64, "ratio");
+    group.fact("update_bandwidth", mbps_at_30fps(dense.4), "Mbps");
 
     // --- Criterion timings of the tier's three hot paths. ---
     let scene = bench_scene(0.5);
     let frame = scene.frame(2);
     let fit_cfg = FitConfig::default();
-    let mut group = c.benchmark_group("ablation_gaussian");
     group.sample_size(10);
     group.bench_function("fit_prebuild", |b| {
         b.iter(|| encode_prebuild(&fit_avatar(black_box(&frame), &fit_cfg)))

@@ -5,10 +5,14 @@
 //! frame fine-tuning should reach target quality in far fewer steps;
 //! (2) slimmable sub-networks trade reconstruction quality for speed so
 //! the model width can follow the delivered image resolution.
+//!
+//! Part 1 counts the steps a pre-trained field and a fresh one need to
+//! reach loss 0.02 on the next frame; part 2 sandwich-trains one weight
+//! set at widths 8, 16 and 48 and records held-out PSNR and FLOPs per
+//! query at each width.
 
 use holo_runtime::bench::Criterion;
 use holo_runtime::{bench_group, bench_main};
-use holo_bench::{report, report_header};
 use holo_capture::camera::{Camera, CameraIntrinsics};
 use holo_capture::noise::DepthNoiseModel;
 use holo_capture::render::{render_rgbd, ShadingConfig};
@@ -42,6 +46,7 @@ fn scene_views(center: Vec3, n: usize, res: u32, seed: u64) -> Vec<(Camera, Text
 }
 
 fn ablation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_nerf");
     let cfg = TrainConfig { steps: 400, batch: 24, lr: 2e-3, t_near: 0.5, t_far: 4.5 };
     let res = 12u32;
 
@@ -58,13 +63,9 @@ fn ablation(c: &mut Criterion) {
     let mut scratch = NerfField::new(4, 24, 3, &mut Pcg32::new(55));
     let scratch_steps = Trainer::new(VolumeRenderer::new(10, Vec3::ZERO), 7)
         .train_to_loss(&mut scratch, &frame_b, &cfg, target_loss, 800);
-    report_header("Ablation B.1: per-frame fine-tune vs retrain-from-scratch (steps to reach loss 0.02)");
-    report(&format!("fine-tune from pre-trained weights: {fine_steps:>5} steps"));
-    report(&format!("retrain from scratch:               {scratch_steps:>5} steps"));
-    report(&format!(
-        "speedup: {:.1}x (paper: fine-tuning should make continuous NeRF training feasible)",
-        scratch_steps as f64 / fine_steps.max(1) as f64
-    ));
+    group.fact("steps_to_loss/fine_tune", fine_steps, "steps");
+    group.fact("steps_to_loss/retrain", scratch_steps, "steps");
+    group.fact("retrain_over_fine_tune", scratch_steps as f64 / fine_steps.max(1) as f64, "ratio");
     assert!(fine_steps * 2 < scratch_steps + 1, "fine-tuning must be much cheaper");
 
     // --- Part 2: slimmable widths. ---
@@ -87,15 +88,14 @@ fn ablation(c: &mut Criterion) {
         }
         opt.step(&mut field.mlp);
     }
-    report_header("Ablation B.2: slimmable sub-network width vs quality and cost");
-    report(&format!("{:>8} {:>14} {:>16}", "width", "PSNR (dB)", "FLOPs/query"));
     let t = Trainer::new(VolumeRenderer::new(10, Vec3::ZERO), 11);
     let mut psnrs = Vec::new();
     for &w in &widths {
         field.set_active_width(w);
         let img = t.render_image(&field, &held_out.0, &cfg);
         let p = psnr(&img, &held_out.1);
-        report(&format!("{:>8} {:>14.1} {:>16.0}", w, p, field.flops_per_query()));
+        group.fact(format!("psnr/width{w}"), p, "dB");
+        group.fact(format!("flops_per_query/width{w}"), field.flops_per_query(), "FLOP");
         psnrs.push(p);
     }
     assert!(
@@ -103,7 +103,6 @@ fn ablation(c: &mut Criterion) {
         "full width must not be clearly worse than the slimmest"
     );
 
-    let mut group = c.benchmark_group("ablation_nerf");
     group.sample_size(10);
     field.set_active_width(48);
     let ray = holo_math::Ray::new(Vec3::new(0.0, 0.0, -2.0), Vec3::Z);

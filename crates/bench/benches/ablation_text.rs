@@ -5,10 +5,15 @@
 //! differences from the preceding frame"; (2) the two-step global+local
 //! encoding prevents "the potential loss of global information, such as
 //! the overall body pose, caused by the segmentation of human models".
+//!
+//! Part 1 streams 8 frames with full captions and with temporal deltas
+//! (first-frame bytes, mean bytes of the rest, mean chamfer); part 2
+//! streams 4 frames with a deliberately coarse 8-token local vocabulary,
+//! with and without the global channel.
 
 use holo_runtime::bench::Criterion;
 use holo_runtime::{bench_group, bench_main};
-use holo_bench::{bench_scene, report, report_header};
+use holo_bench::bench_scene;
 use semholo::text::{TextConfig, TextPipeline};
 use semholo::{Content, SemanticPipeline};
 use std::hint::black_box;
@@ -36,28 +41,18 @@ fn run(config: TextConfig, frames: usize) -> (f64, f64, f64) {
 }
 
 fn ablation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_text");
     let frames = 8;
     let (full_first, full_rest, full_q) =
         run(TextConfig { use_delta: false, use_global_channel: true, ..Default::default() }, frames);
     let (delta_first, delta_rest, delta_q) =
         run(TextConfig { use_delta: true, use_global_channel: true, ..Default::default() }, frames);
-    report_header("Ablation C.1: full captions vs temporal deltas (bytes per frame)");
-    report(&format!(
-        "full captions:   first {:.0} B, subsequent mean {:.0} B (chamfer {:.1} mm)",
-        full_first,
-        full_rest,
-        full_q * 1000.0
-    ));
-    report(&format!(
-        "delta captions:  first {:.0} B, subsequent mean {:.0} B (chamfer {:.1} mm)",
-        delta_first,
-        delta_rest,
-        delta_q * 1000.0
-    ));
-    report(&format!(
-        "delta saving on steady-state frames: {:.1}x (paper: inter-frame differences are small)",
-        full_rest / delta_rest.max(1.0)
-    ));
+    for (name, first, rest, q) in [("full", full_first, full_rest, full_q), ("delta", delta_first, delta_rest, delta_q)] {
+        group.fact(format!("{name}/first_frame"), first, "bytes");
+        group.fact(format!("{name}/steady_mean"), rest, "bytes");
+        group.fact(format!("{name}/chamfer"), q * 1000.0, "mm");
+    }
+    group.fact("delta_saving", full_rest / delta_rest.max(1.0), "ratio");
     assert!(delta_rest < full_rest, "deltas must shrink steady-state frames");
     assert!((delta_q - full_q).abs() < 0.03, "delta coding must not change reconstruction quality");
 
@@ -67,15 +62,13 @@ fn ablation(c: &mut Criterion) {
     let coarse_off = TextConfig { vocabulary: 8, use_delta: false, use_global_channel: false, ..Default::default() };
     let (_, _, with_global) = run(coarse, 4);
     let (_, _, without_global) = run(coarse_off, 4);
-    report_header("Ablation C.2: global+local channels vs flat local coding (8-token vocabulary)");
-    report(&format!("with global channel:    chamfer {:.2} mm", with_global * 1000.0));
-    report(&format!("without global channel: chamfer {:.2} mm", without_global * 1000.0));
+    group.fact("global_channel/with", with_global * 1000.0, "mm");
+    group.fact("global_channel/without", without_global * 1000.0, "mm");
     assert!(
         with_global <= without_global * 1.05,
         "global channel must not hurt: {with_global} vs {without_global}"
     );
 
-    let mut group = c.benchmark_group("ablation_text");
     group.sample_size(10);
     let scene = bench_scene(0.5);
     let mut p = TextPipeline::new(TextConfig::default(), 42);

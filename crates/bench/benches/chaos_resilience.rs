@@ -8,9 +8,9 @@
 //! `BENCH_chaos_resilience.json` carries them beside the timings and
 //! the gate compares them exactly — including the headline cell:
 //! FEC(4,1)+retransmit vs the unprotected baseline under ~5%
-//! Gilbert–Elliott burst loss.
+//! Gilbert–Elliott burst loss. The stream is 60 frames (150 in full
+//! mode) of 20 000 B payloads at 30 fps on a 50 Mbps link, seed 42.
 
-use holo_bench::{report, report_header};
 use holo_chaos::{
     room_collapse_plan, run_room_scenario, run_stream_scenario, FaultPlan, Mechanisms,
     StreamConfig,
@@ -27,53 +27,17 @@ fn chaos_resilience(c: &mut Criterion) {
         ..Default::default()
     };
 
-    report_header("Chaos resilience: usable frames under injected faults");
-    report(&format!(
-        "stream: {} frames at {:.0} fps, {} B payloads, {:.0} Mbps link, seed {seed}",
-        cfg.frames,
-        cfg.fps,
-        cfg.payload_bytes,
-        cfg.link_bps / 1e6,
-    ));
-
     let plans = [FaultPlan::burst5(seed), FaultPlan::flapping(seed)];
     let mechanisms =
         [Mechanisms::baseline(), Mechanisms::fec(), Mechanisms::retransmit(), Mechanisms::full()];
-    let mut cells = Vec::new();
-    for plan in &plans {
-        for mech in &mechanisms {
-            let o = run_stream_scenario(plan, mech, &cfg);
-            report(&format!(
-                "{:<10} {:<22} usable {:>5.3} delivered {:>3}/{:<3} fec {:>2} retx {:>3} overhead {:.2}x",
-                o.plan,
-                o.mechanism,
-                o.usable_rate,
-                o.delivered,
-                o.frames,
-                o.recovered_fec,
-                o.recovered_retx,
-                o.overhead,
-            ));
-            cells.push(o);
-        }
-    }
-    let base = cells.iter().find(|o| o.plan == "burst5" && o.mechanism == "baseline").unwrap();
-    let full = cells
+    let cells: Vec<_> = plans
         .iter()
-        .find(|o| o.plan == "burst5" && o.mechanism == "fec(4,1)+retransmit")
-        .unwrap();
-    report(&format!(
-        "headline: fec(4,1)+retransmit keeps {:.1}x the baseline's usable frames under burst5",
-        full.usable as f64 / (base.usable.max(1)) as f64,
-    ));
+        .flat_map(|plan| mechanisms.iter().map(|mech| run_stream_scenario(plan, mech, &cfg)))
+        .collect();
 
     // The ladder scenario: a starved subscriber kept flowing by
     // mesh -> keypoints -> text degradation.
     let room = run_room_scenario(&room_collapse_plan(seed), 3, if quick { 8 } else { 12 }, 2);
-    report(&format!(
-        "room collapse: starved usable {:.3}, {} degraded frames, {} downgrades, kept flowing: {}",
-        room.starved_usable_rate, room.degraded, room.ladder_downgrades, room.kept_flowing,
-    ));
 
     let mut group = c.benchmark_group("chaos_resilience");
     group.sample_size(10);

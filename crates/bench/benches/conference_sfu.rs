@@ -5,12 +5,14 @@
 //!
 //! The closed-form bound only counts mean bits; the simulation also
 //! sees SFU egress queueing, keyframe/delta loss coupling, and the
-//! latency criterion, so its answer is at most the closed-form one.
-//! The measured max sizes are recorded as facts, so
+//! latency criterion, so its answer is at most the closed-form one. A
+//! room size fits when every subscriber gets at least 90 % of its frames
+//! usable within its latency budget; the search probes up to 32
+//! participants in quick mode (64 in full) and reports a capped answer
+//! as the cap. The measured max sizes are recorded as facts, so
 //! `BENCH_conference_sfu.json` carries them beside the timings and the
 //! gate compares them exactly.
 
-use holo_bench::{report, report_header};
 use holo_conf::{measure_max_room_size, CapacityConfig, ParticipantConfig, Room, RoomConfig};
 use holo_runtime::bench::{self, Criterion};
 use holo_runtime::{bench_group, bench_main};
@@ -47,13 +49,6 @@ fn conference_sfu(c: &mut Criterion) {
         ..Default::default()
     };
 
-    report_header("Conference SFU: empirical max room size on a 100 Mbps access link");
-    report(&format!(
-        "fit = every subscriber >={:.0}% usable frames within its latency budget; probe cap {}",
-        base_cfg.criteria.min_usable_rate * 100.0,
-        base_cfg.cap,
-    ));
-
     let mut measurements = Vec::new();
     // Keypoint reconstruction is interactive; image (NeRF) and text
     // (generative) reconstruction carry a seconds-class constant cost,
@@ -64,34 +59,12 @@ fn conference_sfu(c: &mut Criterion) {
         cap_cfg.criteria.max_mean_e2e_ms = budget_ms;
         let mut make = || make_pipeline(kind);
         let m = measure_max_room_size(&scene, &cap_cfg, &mut make).expect("capacity measurement");
-        report(&format!(
-            "{:>9}: stream {:7.3} Mbps, budget {:4.0} ms -> simulated max {:>3}{}  (closed-form bound {})",
-            kind,
-            m.stream_bps / 1e6,
-            budget_ms,
-            m.max_size,
-            if m.capped { "+" } else { " " },
-            m.closed_form,
-        ));
-        for p in &m.probes {
-            report(&format!(
-                "           probe n={:<3} min_usable {:.3} mean_e2e {:7.1} ms -> {}",
-                p.size,
-                p.min_usable_rate,
-                p.mean_e2e_ms,
-                if p.fits { "fits" } else { "fails" },
-            ));
-        }
         measurements.push((kind, m));
     }
-    report(
-        "simulated <= closed-form: the bound ignores queueing, loss coupling, and latency.",
-    );
 
-    // Observability: one traced 4-party room. The per-stage table goes
-    // into the bench report; the chrome://tracing JSON (virtual-time
-    // spans, byte-identical per seed and mode) lands next to the BENCH
-    // JSONs, wherever the harness writes those.
+    // Observability: one traced 4-party room. The chrome://tracing JSON
+    // (virtual-time spans, byte-identical per seed and mode) lands next
+    // to the BENCH JSONs, wherever the harness writes those.
     {
         let room_cfg = RoomConfig {
             participants: ParticipantConfig::uniform_room(4, 100e6),
@@ -103,13 +76,7 @@ fn conference_sfu(c: &mut Criterion) {
         let mut pipelines = vec![make_pipeline("keypoint")];
         let trace_path =
             bench::out_dir(env!("CARGO_MANIFEST_DIR")).join("TRACE_conference_room.json");
-        let (_, trace) = room
-            .run_traced(&scene, &mut pipelines, &trace_path)
-            .expect("traced room");
-        report("traced 4-party room (virtual-time spans -> TRACE_conference_room.json):");
-        for line in trace.table().lines() {
-            report(&format!("  {line}"));
-        }
+        room.run_traced(&scene, &mut pipelines, &trace_path).expect("traced room");
     }
 
     let mut group = c.benchmark_group("conference_sfu");

@@ -12,21 +12,29 @@
 //!
 //! - **surface discretization error** (mean |SDF| of mesh vertices against
 //!   the exact implicit surface), overall and in the detail-critical
-//!   hand region — the "detail rises with resolution" series;
-//! - **chamfer against the clothed ground truth** — flat across
-//!   resolutions at the cloth-detail floor, the "folds never recovered"
-//!   result.
+//!   hand and face regions — the "detail rises with resolution" series;
+//! - **chamfer against the clothed ground truth**, per resolution and for
+//!   a bare resolution-256 reference at sampling seed 9, beside
+//!   its **sampling floor**: the chamfer of the clothed ground truth
+//!   against itself at the same 4 000 samples and seed. Two independent
+//!   samplings of one surface sit ≈ ½·√(area/n) apart, so the floor is
+//!   what the metric reads for a perfect reconstruction. Every
+//!   resolution sits a few tenths of a millimetre above it: the series is
+//!   flat because the metric cannot resolve more at this sample count,
+//!   not because it measures the folds.
+//!
+//! Extraction at resolution 128 is timed by the repository benchmark's
+//! `keypoint_recon` workload, so this bench records facts only.
 
-use holo_runtime::bench::Criterion;
-use holo_runtime::{bench_group, bench_main};
-use holo_bench::{bench_scene, report, report_header};
+use holo_bench::bench_scene;
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_body::{Joint, Skeleton};
 use holo_math::Vec3;
 use holo_mesh::sdf::Sdf;
 use holo_mesh::sparse::sparse_extract;
+use holo_runtime::bench::Criterion;
+use holo_runtime::{bench_group, bench_main};
 use semholo::semantics::mesh_quality;
-use std::hint::black_box;
 
 fn fig2(c: &mut Criterion) {
     let scene = bench_scene(1.0);
@@ -53,11 +61,9 @@ fn fig2(c: &mut Criterion) {
         (if n > 0 { sum / n as f64 } else { f64::NAN }, n)
     };
 
-    report_header("Figure 2: reconstruction detail vs resolution (paper: hands/face sharpen with resolution; cloth folds never recovered)");
-    report(&format!(
-        "{:>10} {:>16} {:>16} {:>12} {:>14} {:>18}",
-        "resolution", "surface err(mm)", "hand err(mm)", "hand verts", "face err(mm)", "clothed chamfer(mm)"
-    ));
+    let mut group = c.benchmark_group("fig2");
+    let sampling_floor = mesh_quality(&gt_clothed, &gt_clothed, 7).chamfer.unwrap() * 1000.0;
+    group.fact("chamfer_clothed/sampling_floor", sampling_floor, "mm");
     let mut hand_errors = Vec::new();
     let mut clothed_chamfers = Vec::new();
     for res in [128u32, 256, 512, 1024] {
@@ -72,27 +78,21 @@ fn fig2(c: &mut Criterion) {
             / mesh.vertex_count().max(1) as f64;
         let (hand_err, hand_verts) = region_error(&mesh, &wrists, 0.14);
         let (face_err, _) = region_error(&mesh, &[head], 0.16);
-        let q = mesh_quality(&gt_clothed, &mesh, 7);
-        report(&format!(
-            "{:>10} {:>16.3} {:>16.3} {:>12} {:>14.3} {:>18.2}",
-            res,
-            overall * 1000.0,
-            hand_err * 1000.0,
-            hand_verts,
-            face_err * 1000.0,
-            q.chamfer.unwrap() * 1000.0
-        ));
+        let chamfer = mesh_quality(&gt_clothed, &mesh, 7).chamfer.unwrap() * 1000.0;
+        group.fact(format!("surface_err/res{res}"), overall * 1000.0, "mm");
+        group.fact(format!("hand_err/res{res}"), hand_err * 1000.0, "mm");
+        group.fact(format!("hand_verts/res{res}"), hand_verts, "count");
+        group.fact(format!("face_err/res{res}"), face_err * 1000.0, "mm");
+        group.fact(format!("chamfer_clothed/res{res}"), chamfer, "mm");
         hand_errors.push(hand_err);
-        clothed_chamfers.push(q.chamfer.unwrap() as f64);
+        clothed_chamfers.push(chamfer);
     }
-    // Cloth floor: even a perfect bare reconstruction differs from the
-    // clothed truth by this much.
     let bare_ref = sparse_extract(&bare_sdf, 256, 0.03);
-    let floor = mesh_quality(&gt_clothed, &bare_ref, 9).chamfer.unwrap() as f64;
-    report(&format!(
-        "cloth-detail floor: {:.2} mm chamfer — every resolution sits at it (folds are unrecoverable from keypoints)",
-        floor * 1000.0
-    ));
+    let bare_ref = mesh_quality(&gt_clothed, &bare_ref, 9).chamfer.unwrap() * 1000.0;
+    group.fact("chamfer_clothed/bare_reference", bare_ref, "mm");
+    clothed_chamfers.push(bare_ref);
+    group.finish();
+
     // Paper-shape assertions.
     assert!(
         hand_errors[2] < hand_errors[0] * 0.5,
@@ -104,18 +104,10 @@ fn fig2(c: &mut Criterion) {
     );
     for &cc in &clothed_chamfers {
         assert!(
-            (cc - floor).abs() < floor * 0.35,
-            "clothed chamfer {cc} should sit near the cloth floor {floor}"
+            sampling_floor < cc && cc < sampling_floor * 1.05,
+            "clothed chamfer {cc} mm should sit just above the sampling floor {sampling_floor} mm"
         );
     }
-
-    // Criterion: the real-time-adjacent reconstruction.
-    let mut group = c.benchmark_group("fig2");
-    group.sample_size(10);
-    group.bench_function("bare_surface_extract_res128", |b| {
-        b.iter(|| sparse_extract(black_box(&bare_sdf), 128, 0.03))
-    });
-    group.finish();
 }
 
 bench_group!(benches, fig2);

@@ -8,18 +8,24 @@
 //! a quantitative experiment: drive the expression space with the exact
 //! scenario (open mouth + pout), reconstruct it through the learned
 //! (low-pass) model, and measure per-component and geometric error.
+//! Two controls are asserted: away from the face the two surfaces are
+//! identical, and a coarse-only expression reconstructs with error 0.
+//!
+//! Extraction at resolution 128 is timed by the repository benchmark's
+//! `keypoint_recon` workload, so this bench records facts only.
 
-use holo_runtime::bench::Criterion;
-use holo_runtime::{bench_group, bench_main};
-use holo_bench::{bench_scene, report, report_header};
+use holo_bench::bench_scene;
 use holo_body::expression::ExpressionBasis;
 use holo_body::params::EXPRESSION_DIM;
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_body::Skeleton;
+use holo_mesh::sdf::Sdf;
 use holo_mesh::sparse::sparse_extract;
-use std::hint::black_box;
+use holo_runtime::bench::Criterion;
+use holo_runtime::{bench_group, bench_main};
 
 fn fig3(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig3");
     let basis = ExpressionBasis::standard();
     // The exact Fig. 3 scenario: open mouth + pout.
     let mut truth = [0.0f32; EXPRESSION_DIM];
@@ -27,25 +33,16 @@ fn fig3(c: &mut Criterion) {
     truth[3] = 1.0; // pout (fine)
     let learned = basis.learned_reconstruction(&truth);
 
-    report_header("Figure 3: learned model misses fine expressions (paper: open mouth survives, pout is lost)");
-    report(&format!("{:>14} {:>8} {:>12} {:>14}", "component", "class", "true coeff", "learned coeff"));
     for (i, comp) in basis.components.iter().enumerate() {
         if truth[i] != 0.0 || learned[i] != 0.0 {
-            report(&format!(
-                "{:>14} {:>8} {:>12.2} {:>14.2}",
-                comp.name,
-                if comp.coarse { "coarse" } else { "fine" },
-                truth[i],
-                learned[i]
-            ));
+            group.fact(format!("class/{}", comp.name), if comp.coarse { "coarse" } else { "fine" }, "label");
+            group.fact(format!("coeff_true/{}", comp.name), truth[i], "coeff");
+            group.fact(format!("coeff_learned/{}", comp.name), learned[i], "coeff");
         }
     }
     assert_eq!(learned[0], 1.0, "open mouth must survive the learned model");
     assert_eq!(learned[3], 0.0, "pout must be lost by the learned model");
-    report(&format!(
-        "expression displacement error (RMS over face): {:.2} mm",
-        basis.displacement_error(&truth, &learned) * 1000.0
-    ));
+    group.fact("displacement_rms", basis.displacement_error(&truth, &learned) * 1000.0, "mm");
 
     // Geometric version: probe the *mouth region* specifically — the pout
     // is spatially tiny, so a whole-face average washes it out exactly
@@ -60,16 +57,12 @@ fn fig3(c: &mut Criterion) {
     params_learned.expression = learned;
     let sdf_true = BodySdf::from_pose(&sk, &params_true, SurfaceDetail::bare());
     let sdf_learned = BodySdf::from_pose(&sk, &params_learned, SurfaceDetail::bare());
-    let res = 256;
-    let mesh_true = sparse_extract(&sdf_true, res, 0.03);
+    let mesh_true = sparse_extract(&sdf_true, 256, 0.03);
     // Mouth region: vertices of the true-expression surface near the pout
     // bump; their exact distance to the learned surface is the visible
-    // defect.
-    let posed = sk.forward_kinematics(&params_true);
-    // The pout bump's surface-projected center (bump order follows the
-    // non-zero components: [jaw_open, pout]).
+    // defect. The pout bump's surface-projected center (bump order
+    // follows the non-zero components: [jaw_open, pout]).
     let mouth = sdf_true.bump_centers()[1];
-    use holo_mesh::sdf::Sdf;
     let mut max_mm = 0.0f64;
     let mut sum_mm = 0.0f64;
     let mut n = 0usize;
@@ -79,15 +72,14 @@ fn fig3(c: &mut Criterion) {
         sum_mm += d;
         n += 1;
     }
-    report(&format!(
-        "mouth-region defect (true-expression surface vs learned surface, {n} vertices): mean {:.2} mm, max {:.2} mm",
-        sum_mm / n.max(1) as f64,
-        max_mm
-    ));
+    group.fact("mouth_defect/vertices", n, "count");
+    group.fact("mouth_defect/mean", sum_mm / n.max(1) as f64, "mm");
+    group.fact("mouth_defect/max", max_mm, "mm");
+    group.finish();
     assert!(n > 10, "mouth region must be sampled");
     assert!(max_mm > 2.0, "learned model must visibly lose the pout (max defect {max_mm:.2} mm)");
     // Control: the same probe far from the face shows no difference.
-    let knee = posed.position(holo_body::Joint::LeftKnee);
+    let knee = sk.forward_kinematics(&params_true).position(holo_body::Joint::LeftKnee);
     // Away from the face the two fields are identical, so the *difference*
     // of the probes is exactly zero (each individual probe still carries
     // the mesh's own discretization error).
@@ -103,15 +95,6 @@ fn fig3(c: &mut Criterion) {
     coarse_only[0] = 1.0;
     let coarse_recon = basis.learned_reconstruction(&coarse_only);
     assert_eq!(basis.displacement_error(&coarse_only, &coarse_recon), 0.0);
-    report("control: coarse-only expression reconstructs exactly (error 0.00 mm)");
-
-    let mut group = c.benchmark_group("fig3");
-    group.sample_size(10);
-    group.bench_function("expression_face_extraction_res128", |b| {
-        let sdf = BodySdf::from_pose(&sk, &params_true, SurfaceDetail::bare());
-        b.iter(|| sparse_extract(black_box(&sdf), 128, 0.03))
-    });
-    group.finish();
 }
 
 bench_group!(benches, fig3);

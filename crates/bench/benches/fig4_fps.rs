@@ -5,76 +5,54 @@
 //! below the required 30 FPS for real-time telepresence"; an RTX 3080
 //! laptop GPU cannot handle resolutions 512 and 1024 at all.
 //!
-//! We report two columns: the *measured* wall-clock FPS of our own CPU
-//! reconstruction (same O(R^2) extraction work, analytic field), and the
-//! *modeled* FPS of an X-Avatar-class neural implicit on the paper's
-//! devices from the roofline cost model (calibration in `holo-gpu`).
+//! The facts are the *modeled* FPS of an X-Avatar-class neural implicit
+//! on the paper's devices and a mobile XR SoC, from the roofline cost
+//! model (calibration in `holo-gpu`); a device whose memory the workload
+//! does not fit records `"OOM"`. The timing is our own CPU
+//! reconstruction at resolution 256 (same O(R^2) extraction work,
+//! analytic field); resolution 128 is timed by the repository
+//! benchmark's `keypoint_recon` workload.
 
-use holo_runtime::bench::Criterion;
-use holo_runtime::{bench_group, bench_main};
-use holo_bench::{bench_scene, report, report_header};
+use holo_bench::bench_scene;
 use holo_gpu::workloads::reconstruction_workload;
 use holo_gpu::Device;
+use holo_runtime::bench::Criterion;
+use holo_runtime::{bench_group, bench_main};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::SemanticPipeline;
 use std::hint::black_box;
-use std::time::Instant;
 
 fn fig4(c: &mut Criterion) {
-    let scene = bench_scene(1.0);
-    let frame = scene.frame(5);
     let a100 = Device::a100();
     let rtx = Device::rtx3080_laptop();
-    let mobile = Device::mobile_soc();
-
-    report_header("Figure 4: reconstruction FPS vs resolution (paper A100: <3 FPS @128, <1 above; RTX 3080 laptop OOM @512/1024)");
-    report(&format!(
-        "{:>10} {:>16} {:>14} {:>18} {:>14}",
-        "resolution", "CPU measured", "A100 modeled", "RTX3080L modeled", "mobile XR SoC"
-    ));
+    let devices = [("a100", &a100), ("rtx3080_laptop", &rtx), ("mobile_soc", &Device::mobile_soc())];
+    let mut group = c.benchmark_group("fig4");
     let mut a100_fps = Vec::new();
     for res in [128u32, 256, 512, 1024] {
-        let mut p = KeypointPipeline::new(KeypointConfig { resolution: res, ..Default::default() }, 42);
-        let enc = p.encode(&frame).unwrap();
-        let t0 = Instant::now();
-        let _ = p.decode(&enc.payload).unwrap();
-        let cpu_fps = 1.0 / t0.elapsed().as_secs_f64();
         let w = reconstruction_workload(res, None).workload;
-        let fmt = |d: &Device| match d.fps(&w) {
-            Ok(f) => format!("{f:.2} FPS"),
-            Err(_) => "OOM".to_string(),
-        };
+        for (name, device) in devices {
+            let name = format!("fps_modeled/{name}/res{res}");
+            match device.fps(&w) {
+                Ok(fps) => group.fact(name, fps, "FPS"),
+                Err(_) => group.fact(name, "OOM", "FPS"),
+            }
+        }
         if let Ok(f) = a100.fps(&w) {
             a100_fps.push(f);
         }
-        report(&format!(
-            "{:>10} {:>13.2} FPS {:>14} {:>18} {:>14}",
-            res,
-            cpu_fps,
-            fmt(&a100),
-            fmt(&rtx),
-            fmt(&mobile)
-        ));
     }
     // Paper-shape assertions.
     assert!(a100_fps[0] < 3.0, "A100 @128 must be below 3 FPS (paper)");
     assert!(a100_fps[1..].iter().all(|&f| f < 1.0), "A100 above 128 must be below 1 FPS");
     assert!(rtx.fps(&reconstruction_workload(512, None).workload).is_err(), "RTX 3080 must OOM at 512");
     assert!(rtx.fps(&reconstruction_workload(1024, None).workload).is_err(), "RTX 3080 must OOM at 1024");
-    report("all far below the 30 FPS required for real-time telepresence (paper's conclusion)");
 
-    // Criterion: measured reconstruction at the two interactive-adjacent
-    // resolutions.
-    let mut group = c.benchmark_group("fig4");
+    // Criterion: measured CPU reconstruction at resolution 256.
+    let frame = bench_scene(1.0).frame(5);
+    let mut p = KeypointPipeline::new(KeypointConfig { resolution: 256, ..Default::default() }, 42);
+    let payload = p.encode(&frame).unwrap().payload;
     group.sample_size(10);
-    for res in [128u32, 256] {
-        let mut p = KeypointPipeline::new(KeypointConfig { resolution: res, ..Default::default() }, 42);
-        let enc = p.encode(&frame).unwrap();
-        let payload = enc.payload.clone();
-        group.bench_function(format!("cpu_reconstruct_res{res}"), |b| {
-            b.iter(|| p.decode(black_box(&payload)).unwrap())
-        });
-    }
+    group.bench_function("cpu_reconstruct_res256", |b| b.iter(|| p.decode(black_box(&payload)).unwrap()));
     group.finish();
 }
 

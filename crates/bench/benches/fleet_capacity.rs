@@ -9,9 +9,12 @@
 //! facts, so `BENCH_fleet_capacity.json` carries the scaling curve
 //! beside the timings and the gate compares it exactly; the curve
 //! itself is asserted monotone — more nodes must never sustain fewer
-//! subscribers.
+//! subscribers. Nodes have 120 Mbps egress, cascade edges 400 Mbps and
+//! subscribers 100 Mbps access. The bottleneck labels are measured
+//! attributions, not assumptions: a point whose label flips from
+//! node-egress to cascade marks where the mesh of inter-node links, not
+//! the nodes, becomes the scaling wall.
 
-use holo_bench::{report, report_header};
 use holo_fleet::{fleet_capacity, FleetCapacityConfig, FleetTopology, PolicyKind};
 use holo_runtime::bench::Criterion;
 use holo_runtime::{bench_group, bench_main};
@@ -45,12 +48,6 @@ fn fleet_capacity_bench(c: &mut Criterion) {
     let scene = SceneSource::new(&config, 0.5);
     let egress_bps = 120e6;
 
-    report_header("Fleet capacity: subscribers sustained vs. node count (rooms of 4)");
-    report(&format!(
-        "least-loaded placement, {:.0} Mbps node egress, 400 Mbps cascade, 100 Mbps access",
-        egress_bps / 1e6
-    ));
-
     let mut curve: Vec<(String, usize, usize, String)> = Vec::new();
     for tier in ["keypoint", "mesh"] {
         let mut prev: Option<usize> = None;
@@ -75,16 +72,6 @@ fn fleet_capacity_bench(c: &mut Criterion) {
             };
             let make = |room: usize| make_pipeline(tier, room);
             let m = fleet_capacity(&cfg, &scene, &make).expect("fleet capacity");
-            report(&format!(
-                "{:>9}: {} node{} -> {:>3} rooms / {:>4} subscribers  (stream {:6.3} Mbps, breaks at {})",
-                tier,
-                nodes,
-                if nodes == 1 { " " } else { "s" },
-                m.max_rooms,
-                m.total_subscribers,
-                m.stream_wire_bps / 1e6,
-                m.bottleneck,
-            ));
             // The headline claim: capacity scales with nodes. Strict
             // from 1 -> 2 (the ISSUE's floor), monotone thereafter.
             if let Some(prev_subs) = prev {
@@ -106,9 +93,6 @@ fn fleet_capacity_bench(c: &mut Criterion) {
             curve.push((tier.to_string(), nodes, m.total_subscribers, m.bottleneck.clone()));
         }
     }
-    report("bottleneck labels are measured attributions, not assumptions: a point");
-    report("whose label flips from node-egress to cascade marks where the mesh of");
-    report("inter-node links, not the nodes, becomes the scaling wall.");
 
     let mut group = c.benchmark_group("fleet_capacity");
     group.sample_size(10);

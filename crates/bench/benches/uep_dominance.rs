@@ -9,7 +9,6 @@
 //! parity frames and scheduled retries, or the comparison is
 //! meaningless.
 
-use holo_bench::{report, report_header};
 use holo_chaos::{run_uep_scenarios, run_uep_stream_scenario, FaultPlan, StreamConfig};
 use holo_net::wire::PayloadKind;
 use holo_runtime::bench::Criterion;
@@ -20,7 +19,6 @@ use std::hint::black_box;
 fn uep_dominance(c: &mut Criterion) {
     let seed = 42;
 
-    report_header("UEP dominance: weighted vs uniform at an equal redundancy budget");
     let cells = run_uep_scenarios(seed);
     let mut strict = 0usize;
     let mut dominates = true;
@@ -34,15 +32,7 @@ fn uep_dominance(c: &mut Criterion) {
         if w.usable < u.usable {
             dominates = false;
         }
-        report(&format!(
-            "{:<20} uniform usable {:>5.3} | weighted usable {:>5.3} (abandoned {:>2}, lost {:>2})",
-            u.plan, u.usable_rate, w.usable_rate, w.abandoned, w.lost,
-        ));
     }
-    report(&format!(
-        "weighted dominates: {dominates}, strictly better in {strict}/{} plans",
-        cells.len() / 2,
-    ));
 
     let mut group = c.benchmark_group("uep_dominance");
     group.sample_size(10);

@@ -1,7 +1,11 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Every bench regenerates one table or figure of the paper: it prints
-//! the same rows/series the paper reports (via [`report`]) and then
+//! Every bench regenerates one table or figure of the paper. Each seeded
+//! value the experiment produces is recorded once, as a fact
+//! (`group.fact(name, value, unit)`): the harness prints it as a
+//! `[fact]` line and writes it to `BENCH_<target>.json`, where
+//! `bench_gate` compares it exactly and EXPERIMENTS.md quotes it by name.
+//! The bench then asserts the paper's shape on those values and
 //! harness-times the operation the experiment measures. Scene setup is
 //! shared here so every bench observes the same participant.
 
@@ -19,24 +23,8 @@ pub fn bench_scene(seconds: f32) -> SceneSource {
     SceneSource::new(&config, seconds)
 }
 
-/// Print a report line that survives the harness output (stderr, tagged).
-pub fn report(line: &str) {
-    eprintln!("[paper] {line}");
-}
-
-/// Print a section header.
-pub fn report_header(title: &str) {
-    eprintln!();
-    eprintln!("[paper] ==== {title} ====");
-}
-
-/// Format bits-per-second as Mbps with two decimals.
-pub fn mbps(bps: f64) -> String {
-    format!("{:.2} Mbps", bps / 1e6)
-}
-
-/// Bandwidth at 30 FPS for a per-frame payload size (paper Table 2
-/// arithmetic: payload bytes x 8 x 30).
-pub fn bandwidth_at_30fps(bytes: usize) -> f64 {
-    bytes as f64 * 8.0 * 30.0
+/// Bandwidth in Mbps at 30 FPS for a per-frame payload size (paper
+/// Table 2 arithmetic: payload bytes x 8 x 30).
+pub fn mbps_at_30fps(bytes: usize) -> f64 {
+    bytes as f64 * 8.0 * 30.0 / 1e6
 }

@@ -85,7 +85,7 @@ if command -v cargo-clippy >/dev/null 2>&1; then
   echo "==> cargo clippy -- -D warnings, on the crates held to it"
   cargo clippy -q --offline -p holo-runtime --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-trace --all-targets -- -D warnings
-  for crate in chaos uep fuzz conf fleet obs gaussian mesh body capture compress net; do
+  for crate in chaos uep fuzz conf fleet obs gaussian mesh body capture compress net bench; do
     cargo clippy -q --offline -p "holo-$crate" --no-deps --all-targets -- -D warnings
   done
 else
