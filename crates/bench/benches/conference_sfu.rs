@@ -9,16 +9,19 @@
 //! room size fits when every subscriber gets at least 90 % of its frames
 //! usable within its latency budget; the search probes up to 32
 //! participants in quick mode (64 in full) and reports a capped answer
-//! as the cap. The measured max sizes are recorded as facts, so
+//! as the cap. The measured max sizes are recorded as facts, and so is
+//! the closed-form bound of four pipelines on a 25 Mbps link, so
 //! `BENCH_conference_sfu.json` carries them beside the timings and the
 //! gate compares them exactly.
 
 use holo_conf::{measure_max_room_size, CapacityConfig, ParticipantConfig, Room, RoomConfig};
-use holo_runtime::bench::{self, Criterion};
+use holo_runtime::bench::Criterion;
 use holo_runtime::{bench_group, bench_main};
+use semholo::conference::conference_capacity;
 use semholo::image::{ImageConfig, ImagePipeline};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::text::{TextConfig, TextPipeline};
+use semholo::traditional::{MeshWire, TraditionalPipeline};
 use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
 use std::hint::black_box;
 
@@ -62,27 +65,29 @@ fn conference_sfu(c: &mut Criterion) {
         measurements.push((kind, m));
     }
 
-    // Observability: one traced 4-party room. The chrome://tracing JSON
-    // (virtual-time spans, byte-identical per seed and mode) lands next
-    // to the BENCH JSONs, wherever the harness writes those.
-    {
-        let room_cfg = RoomConfig {
-            participants: ParticipantConfig::uniform_room(4, 100e6),
-            frames: if quick { 2 } else { 6 },
-            share_encoder: true,
-            ..Default::default()
-        };
-        let mut room = Room::new(room_cfg).unwrap();
-        let mut pipelines = vec![make_pipeline("keypoint")];
-        let trace_path =
-            bench::out_dir(env!("CARGO_MANIFEST_DIR")).join("TRACE_conference_room.json");
-        room.run_traced(&scene, &mut pipelines, &trace_path).expect("traced room");
-    }
-
     let mut group = c.benchmark_group("conference_sfu");
     group.sample_size(10);
     for (kind, m) in &measurements {
         group.fact(format!("max_room/{kind}"), m.max_size, "participants");
+    }
+    // The closed-form bound on a 25 Mbps link, on the conference
+    // example's rig: each pipeline's mean stream over six frames after
+    // one warm-up encode, against one upload plus N-1 downloads.
+    let rig = SemHoloConfig { capture_resolution: (64, 48), camera_count: 3, ..Default::default() };
+    let rig = SceneSource::new(&rig, 0.4);
+    let keypoint = KeypointConfig { resolution: 64, ..Default::default() };
+    let pipelines: [(&str, Box<dyn SemanticPipeline>); 4] = [
+        ("raw_mesh", Box::new(TraditionalPipeline::new(MeshWire::Raw, 14))),
+        ("compressed_mesh", Box::new(TraditionalPipeline::new(MeshWire::Compressed, 14))),
+        ("keypoint", Box::new(KeypointPipeline::new(keypoint, 42))),
+        ("text", make_pipeline("text")),
+    ];
+    for (name, mut p) in pipelines {
+        p.encode(&rig.frame(0)).expect("warm-up encode");
+        let bound = conference_capacity(p.as_mut(), &rig, 6, 4, 25e6).expect("closed form");
+        let (mbps, max) = (bound.stream_bps / 1e6, bound.max_participants);
+        group.fact(format!("closed_form/stream_mbps/{name}"), mbps, "Mbps");
+        group.fact(format!("closed_form/max_participants/{name}"), max, "participants");
     }
     // Honest timing: one 4-party keypoint room, end to end.
     group.bench_function("room4_keypoint", |b| {

@@ -19,8 +19,9 @@
 //! The resulting [`FuzzReport`] contains only seed-determined numbers —
 //! no wall clock, no addresses, fixed taxonomy order — and renders
 //! through `holo_runtime::ser`'s canonical JSON, so two same-seed runs
-//! produce byte-identical `FUZZ_report.json`. That byte-compare is part
-//! of `scripts/verify.sh`.
+//! produce byte-identical `FUZZ_report.json`. The workspace's
+//! `tests/committed_reports.rs` reruns the sweep and compares it with the
+//! committed file.
 
 use crate::alloc;
 use crate::mutate::{Mutator, MUTATION_NAMES};

@@ -17,7 +17,8 @@
 //! every public decoder behind one closure type, and [`harness`] sweeps
 //! the matrix and renders a canonical `FUZZ_report.json` whose bytes
 //! depend only on the seed — two same-seed runs byte-compare equal,
-//! which is what `scripts/verify.sh` checks.
+//! which the workspace's `tests/committed_reports.rs` checks against the
+//! committed file.
 //!
 //! There is no wall clock, no thread, and no dependency outside the
 //! workspace: the whole harness is a deterministic function of its

@@ -21,7 +21,7 @@ fn committed() -> Vec<(String, String)> {
         .map(|n| (n.clone(), std::fs::read_to_string(root.join(&n)).unwrap()))
         .collect();
     docs.sort();
-    assert!(docs.len() >= 15, "the 14 bench documents and the gaussian one");
+    assert!(docs.len() >= 12, "the 12 bench documents");
     docs
 }
 
@@ -102,7 +102,8 @@ fn changing_any_single_fact_exits_one_naming_it_old_and_new() {
         }
     }
     assert_eq!(failures.len(), rows("facts"));
-    assert!(failures.len() >= 242, "209 numeric bench facts, 26 labels, 7 gaussian values");
+    // 186 numeric facts, 8 closed-form conference bounds and 26 labels.
+    assert!(failures.len() >= 220, "194 numeric bench facts and 26 labels");
     // The paper's own tables are gated: Table 2's compressed mesh and
     // Fig. 2's coarsest surface error among them.
     for fact in ["table2_bandwidth table2/bytes/traditional_draco:", "fig2_quality fig2/surface_err/res128:"] {
@@ -142,11 +143,11 @@ fn a_missing_document_or_a_mode_mismatch_exits_one_and_misuse_exits_two() {
     assert!(stdout.contains(&format!("FAIL document {bench}: present -> (absent)")), "{stdout}");
 
     let mut docs = committed();
-    let i = docs.iter().position(|(n, _)| n == "BENCH_uep_dominance.json").unwrap();
+    let i = docs.iter().position(|(n, _)| n == "BENCH_table2_bandwidth.json").unwrap();
     docs[i].1 = docs[i].1.replacen(r#""mode":"quick""#, r#""mode":"full""#, 1);
     let (code, stdout) = gate("mode", &docs);
     assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("FAIL mode uep_dominance: quick -> full"), "{stdout}");
+    assert!(stdout.contains("FAIL mode table2_bandwidth: quick -> full"), "{stdout}");
     assert_eq!(stdout.matches("FAIL").count(), 2, "the verdict line and one failure:\n{stdout}");
 
     let out = Command::new(env!("CARGO_BIN_EXE_bench_gate")).arg("only_one_dir").output().unwrap();

@@ -5,17 +5,14 @@
 //! nothing, XOR-parity FEC(4,1), RTO-scheduled retransmission, and
 //! both. Then runs the full chaos matrix (streams × plans ×
 //! mechanisms, sessions, rooms with the semantic degradation ladder)
-//! and writes the canonical `RESILIENCE_chaos.json` report, which is
-//! byte-identical for a given seed. Every matrix cell is then judged
-//! against the telepresence SLO (`holo-obs`) and the verdicts land in
-//! `SLO_report.json`, equally byte-identical.
+//! and writes the canonical `RESILIENCE_chaos.json` report. Every matrix
+//! cell is then judged against the telepresence SLO (`holo-obs`) and the
+//! verdicts land in `SLO_report.json`. Both come from their recipes in
+//! `semholo_repro::reports`.
 //!
 //! Run with: `cargo run --release --example chaos_recovery`
 
-use holo_chaos::{
-    run_gaussian_scenarios, run_scenarios, run_stream_scenario, FaultPlan, Mechanisms,
-    StreamConfig,
-};
+use holo_chaos::{run_stream_scenario, FaultPlan, Mechanisms, StreamConfig};
 
 fn main() {
     let seed = 42;
@@ -63,9 +60,11 @@ fn main() {
 
     // 2. The full matrix: stream plans x mechanisms, session loss
     // policies, and rooms where the semantic ladder (mesh -> keypoints
-    // -> text) is the resilience mechanism.
+    // -> text) is the resilience mechanism, plus the fourth rung under
+    // fire: a bandwidth squeeze sized between the gaussian and mesh
+    // floors, with and without the prebuilt avatar blob.
     println!("\nrunning the full chaos matrix (seed {seed})...");
-    let mut report = run_scenarios(seed);
+    let report = semholo_repro::reports::chaos_matrix();
     for room in &report.rooms {
         println!(
             "room '{}': starved subscriber usable {:.3}, {} degraded frames, {} ladder downgrades, kept flowing: {}",
@@ -76,24 +75,7 @@ fn main() {
             room.kept_flowing
         );
     }
-    let path = std::path::Path::new("RESILIENCE_chaos.json");
-    std::fs::write(path, report.render()).expect("write resilience report");
-    println!(
-        "\ncanonical report ({} stream cells, {} sessions, {} rooms) written to {}",
-        report.streams.len(),
-        report.sessions.len(),
-        report.rooms.len(),
-        path.display()
-    );
-    println!("same seed, same bytes: re-running this example reproduces the file exactly.");
-
-    // 3. The fourth rung under fire: a bandwidth squeeze sized between
-    // the gaussian and mesh floors, run once with the starved
-    // subscriber holding the prebuilt avatar blob and once without.
-    // (Appended after the canonical report is written, so
-    // RESILIENCE_chaos.json stays byte-identical to the 3-tier era.)
     println!("\ngaussian squeeze (4-tier ladder, prebuild-gated):");
-    report.gaussian = run_gaussian_scenarios(seed);
     for g in &report.gaussian {
         println!(
             "  {} ({}): gaussian {} / keypoints {} frames ({:.0}% gaussian), usable {:.3}, kept flowing: {}",
@@ -107,17 +89,15 @@ fn main() {
         );
     }
 
-    // 4. Judge every matrix cell — including the gaussian cells —
-    // against the amortized telepresence SLO and write the
-    // machine-readable verdict document. Objectives the aggregates
-    // can't answer come back skipped, never silently passed; the bytes
-    // are canonical (same seed, same file).
+    // 3. Judge every matrix cell against the amortized telepresence SLO.
+    // Objectives the aggregates can't answer come back skipped, never
+    // silently passed.
     let spec = holo_obs::SloSpec::telepresence_amortized();
     println!("\nSLO verdicts ({}):", spec.name);
     for (cell, verdict) in report.slo_verdicts(&spec) {
         println!("  {cell:<42} {}", verdict.line());
     }
-    let slo = report.slo_report(&spec).render();
-    std::fs::write("SLO_report.json", &slo).expect("write SLO_report.json");
-    println!("wrote SLO_report.json ({} bytes, canonical)", slo.len());
+    println!();
+    semholo_repro::reports::write("RESILIENCE_chaos.json");
+    semholo_repro::reports::write("SLO_report.json");
 }

@@ -1,19 +1,20 @@
 //! Conference capacity: how many holographic participants fit on a
 //! 25 Mbps U.S. broadband link, per semantics type?
 //!
-//! Two answers, side by side: the closed-form mean-bandwidth bound
-//! (`core::conference`) and the empirical capacity measured by the
-//! holo-conf SFU simulation, which also sees egress queueing,
-//! keyframe/delta loss coupling, and latency.
+//! The closed-form mean-bandwidth bound (`core::conference`) per
+//! pipeline is a fact of the `conference_sfu` bench. This example
+//! measures the empirical capacity of a keypoint room in the holo-conf
+//! SFU simulation, which also sees egress queueing, keyframe/delta loss
+//! coupling, and latency, and sets it beside the bound. It also writes
+//! `TRACE_conference_room.json`, a traced 4-party room, from its recipe
+//! in `semholo_repro::reports`.
 //!
 //! Run with: `cargo run --release --example conference_capacity`
 //! (`SEMHOLO_EXAMPLE_QUICK=1` shrinks the simulated probes for CI.)
 
 use holo_conf::{measure_max_room_size, CapacityConfig};
-use semholo::conference::{compare_capacity, conference_capacity};
+use semholo::conference::compare_capacity;
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
-use semholo::text::{TextConfig, TextPipeline};
-use semholo::traditional::{MeshWire, TraditionalPipeline};
 use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
 
 fn main() {
@@ -24,42 +25,15 @@ fn main() {
         ..Default::default()
     };
     let scene = SceneSource::new(&config, 0.4);
-    let broadband = 25e6;
-
-    // --- Closed-form: mean stream bits vs. access bits. ---
-    let mut pipelines: Vec<(&str, Box<dyn SemanticPipeline>)> = vec![
-        ("traditional raw mesh", Box::new(TraditionalPipeline::new(MeshWire::Raw, 14))),
-        ("traditional compressed", Box::new(TraditionalPipeline::new(MeshWire::Compressed, 14))),
-        (
-            "keypoint semantics",
-            Box::new(KeypointPipeline::new(KeypointConfig { resolution: 64, ..Default::default() }, 42)),
-        ),
-        ("text semantics", Box::new(TextPipeline::new(TextConfig::default(), 42))),
-    ];
-
-    println!("conference capacity on a 25 Mbps access link (SFU: 1 upload + N-1 downloads)\n");
-    println!("closed-form bound (mean bandwidth only):");
-    println!("{:>24} {:>14} {:>22}", "pipeline", "stream", "max participants");
-    for (name, p) in &mut pipelines {
-        // Warm up stateful pipelines.
-        let _ = p.encode(&scene.frame(0));
-        let report = conference_capacity(p.as_mut(), &scene, 6, 4, broadband).expect("capacity");
-        println!(
-            "{:>24} {:>9.2} Mbps {:>22}",
-            name,
-            report.stream_bps / 1e6,
-            report.max_participants
-        );
-    }
 
     // --- Simulated: the holo-conf SFU room, grown until it breaks. ---
     let cap_cfg = CapacityConfig {
         frames: if quick { 3 } else { 6 },
-        access_bps: broadband,
+        access_bps: 25e6,
         cap: if quick { 16 } else { 48 },
         ..Default::default()
     };
-    println!();
+    println!("conference capacity on a 25 Mbps access link (SFU: 1 upload + N-1 downloads)\n");
     println!(
         "simulated SFU rooms (>= {:.0}% usable frames per subscriber, cap {}):",
         cap_cfg.criteria.min_usable_rate * 100.0,
@@ -89,4 +63,6 @@ fn main() {
     println!();
     println!("the paper's argument, quantified: semantic streams turn a 2-person");
     println!("mesh call into a room of dozens on the same U.S. broadband line.");
+    println!();
+    semholo_repro::reports::write("TRACE_conference_room.json");
 }

@@ -7,25 +7,20 @@
 //! never allocate past the declared cap, round-trip valid input. This
 //! binary installs the tracking allocator, so the cap check is real.
 //!
-//! Writes the canonical `FUZZ_report.json`: same seed, same bytes
-//! (`scripts/verify.sh` runs it twice and byte-compares). Exits
-//! non-zero on any contract violation.
+//! Writes the canonical `FUZZ_report.json` from its recipe in
+//! `semholo_repro::reports`. Exits non-zero on any contract violation.
 //!
 //! Run with: `cargo run --release --example fuzz_sweep`
 
-use holo_fuzz::{run_sweep, FuzzConfig, TrackingAllocator};
+use holo_fuzz::TrackingAllocator;
+use semholo_repro::reports;
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 fn main() {
-    let cfg = FuzzConfig { seed: 7, mutations_per_target: 10_000 };
-
-    println!(
-        "fuzz sweep: seed {}, {} mutants per target, allocation caps enforced\n",
-        cfg.seed, cfg.mutations_per_target
-    );
-    let report = run_sweep(&cfg);
+    println!("fuzz sweep: seed 7, 10000 mutants per target, allocation caps enforced\n");
+    let report = reports::fuzz_sweep();
 
     println!(
         "{:<24} {:>7} {:>8} {:>8} {:>7} {:>12} {:>8}",
@@ -44,10 +39,8 @@ fn main() {
             t.cap_exceeded,
         );
     }
-
-    let json = report.render();
-    std::fs::write("FUZZ_report.json", &json).expect("write FUZZ_report.json");
-    println!("\nwrote FUZZ_report.json ({} bytes, canonical)", json.len());
+    println!();
+    reports::write("FUZZ_report.json");
 
     assert!(report.alloc_tracking, "tracking allocator not installed?");
     if !report.clean() {

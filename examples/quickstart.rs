@@ -10,7 +10,6 @@
 
 use holo_gpu::Device;
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
-use semholo::session::{Session, SessionConfig};
 use semholo::{Content, SceneSource, SemHoloConfig, SemanticPipeline};
 
 fn main() {
@@ -60,21 +59,17 @@ fn main() {
         q.f_score.unwrap()
     );
 
-    // 6. Observability: run a short session with the holo-trace recorder
-    // on and show where the milliseconds go. Every span is stamped in
-    // virtual SimTime, so TRACE_quickstart.json is byte-identical across
-    // runs of the same seed (open it in chrome://tracing or Perfetto).
-    let frames = 30;
-    let mut session = Session::new(SessionConfig::default());
-    let trace_path = std::path::Path::new("TRACE_quickstart.json");
-    let (report, trace) = session
-        .run_traced(&mut pipeline, &scene, frames, trace_path)
-        .expect("traced session");
-    println!(
-        "\ntraced session: {}/{frames} frames delivered, mean e2e {:.1} ms",
-        report.delivered,
-        report.e2e_ms.mean()
-    );
+    // 6. Observability: a 30-frame session with the holo-trace recorder
+    // on, and where the milliseconds go. The recipe in
+    // `semholo_repro::reports` replays steps 2-3 on a fresh pipeline and
+    // records the session on this thread's recorder, which the table
+    // reads. Every span is stamped in virtual SimTime, so
+    // TRACE_quickstart.json is the same bytes on every run (open it in
+    // chrome://tracing or Perfetto).
+    println!();
+    semholo_repro::reports::write("TRACE_quickstart.json");
+    let trace = holo_trace::trace_report();
+    let count = |stage: &str| trace.get(stage).map_or(0, |s| s.count);
+    println!("traced session: {}/{} frames delivered", count("render"), count("frame"));
     println!("{}", trace.table());
-    println!("chrome://tracing trace written to {}", trace_path.display());
 }

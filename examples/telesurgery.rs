@@ -38,7 +38,6 @@ fn main() {
                 foveal_radius_deg: radius,
                 peripheral_resolution: 48,
                 predict_saccades: true,
-                ..Default::default()
             },
             2.0,
             42,

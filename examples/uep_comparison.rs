@@ -7,22 +7,20 @@
 //! frame) and once with the importance-weighted policy (keyframes
 //! duplicated, deltas striped wider, tails unprotected, doomed
 //! retries abandoned) — and writes the canonical `UEP_report.json`
-//! dominance document. Both policies spend *exactly* the same parity
-//! frames and scheduled retries; only the allocation differs.
+//! dominance document from its recipe in `semholo_repro::reports`.
+//! Both policies spend *exactly* the same parity frames and scheduled
+//! retries; only the allocation differs.
 //!
 //! Run with: `cargo run --release --example uep_comparison`
 
-use holo_chaos::{run_uep_scenarios, uep_report};
+use holo_chaos::run_uep_scenarios;
+use holo_runtime::ser::{self, JsonValue};
+use semholo_repro::reports;
 
 fn main() {
-    // SEMHOLO_EXAMPLE_QUICK is deliberately ignored: the whole sweep
-    // is a few ms of virtual-time simulation, and the quick and full
-    // artifacts must be the same bytes for scripts/verify.sh's
-    // double-run comparison.
-    let seed = 42;
-    let cells = run_uep_scenarios(seed);
+    let cells = run_uep_scenarios(reports::SEED);
 
-    println!("UEP sweep: {} plans x 2 policies (seed {seed})\n", cells.len() / 2);
+    println!("UEP sweep: {} plans x 2 policies (seed {})\n", cells.len() / 2, reports::SEED);
     println!(
         "{:<20} {:>8} {:>8} {:>6} {:>10} {:>6} {:>8} {:>8}",
         "plan", "policy", "usable", "late", "abandoned", "lost", "fec_fix", "retx_fix"
@@ -41,29 +39,22 @@ fn main() {
             cell.recovered_retx
         );
     }
+    println!();
 
-    let spec = holo_obs::SloSpec::telepresence();
-    let doc = uep_report(seed, &cells, &spec);
-    println!("\nper-plan verdicts ({}):", spec.name);
+    let doc = ser::parse(&reports::write("UEP_report.json")).expect("the report is JSON");
+    println!("\nper-plan verdicts ({}):", holo_obs::SloSpec::telepresence().name);
     for cell in doc.get("cells").and_then(|c| c.as_array()).into_iter().flatten() {
         let plan = cell.get("plan").and_then(|p| p.as_str()).unwrap_or("?");
-        let strict = matches!(
-            cell.get("strictly_better"),
-            Some(holo_runtime::ser::JsonValue::Bool(true))
-        );
+        let strict = matches!(cell.get("strictly_better"), Some(JsonValue::Bool(true)));
         println!(
             "  {:<20} {}",
             plan,
             if strict { "weighted strictly better" } else { "weighted >= uniform" }
         );
     }
-    let json = doc.render();
-    std::fs::write("UEP_report.json", &json).expect("write UEP_report.json");
     println!(
         "\nweighted dominates: {:?}, strict wins: {:?}",
         doc.get("dominates"),
         doc.get("strict_wins")
     );
-    println!("wrote UEP_report.json ({} bytes, canonical)", json.len());
-    println!("same seed, same bytes: re-running this example reproduces the file exactly.");
 }

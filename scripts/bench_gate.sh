@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
-# The bench gate: regenerate every BENCH_*.json in quick mode (plus the
-# byte-derived gaussian document) into a scratch directory and compare
-# against the committed copies at the repo root. Facts must match to
-# the digit — any changed value or unit, one-sided fact or document, or
-# mode mismatch exits 1 naming it, old -> new. Timings are printed as an
-# advisory ratio table that never affects the exit code (see
-# crates/holo-obs/src/gate.rs). Nothing in the working tree is written
-# except the ignored BENCH_gate_report.json.
+# The bench gate: regenerate every BENCH_*.json in quick mode into a
+# scratch directory and compare against the committed copies at the repo
+# root. Facts must match to the digit — any changed value or unit,
+# one-sided fact or document, or mode mismatch exits 1 naming it,
+# old -> new. Timings are printed as an advisory ratio table that never
+# affects the exit code (see crates/holo-obs/src/gate.rs). Nothing in the
+# working tree is written except the ignored BENCH_gate_report.json.
 #
 # To re-baseline after a deliberate change, write the root copies:
 #   cargo bench -q --offline --workspace -- --quick
-#   cargo run -q --release --offline --example gaussian_amortization
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fresh="$(mktemp -d)"
@@ -18,11 +16,5 @@ trap 'rm -rf "$fresh"' EXIT
 
 echo "==> cargo bench -q --offline -- --quick (into $fresh)"
 HOLO_BENCH_OUT_DIR="$fresh" cargo bench -q --offline --workspace -- --quick
-cargo build -q --release --offline --example gaussian_amortization
 cargo build -q --release --offline -p holo-obs --bin bench_gate
-(cd "$fresh" && "$OLDPWD/target/release/examples/gaussian_amortization" >/dev/null)
-
-echo "==> conference trace: quick-mode bytes match the committed trace"
-cmp "$fresh/TRACE_conference_room.json" TRACE_conference_room.json
-
 target/release/bench_gate . "$fresh" --report BENCH_gate_report.json

@@ -11,5 +11,7 @@
 //! See `README.md` for the map and `DESIGN.md` / `EXPERIMENTS.md` for
 //! the reproduction methodology and results.
 
+pub mod reports;
+
 /// Re-export of the core crate for convenience in examples and tests.
 pub use semholo;

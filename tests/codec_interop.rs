@@ -191,9 +191,9 @@ fn closed_loop_delta_streams_are_pinned() {
     };
     let got = [
         pose(PoseDeltaConfig::default()),
-        pose(PoseDeltaConfig { keyframe_interval: 3, ..Default::default() }),
+        pose(PoseDeltaConfig { keyframe_interval: 3 }),
         gaussian(GaussianUpdateConfig::default()),
-        gaussian(GaussianUpdateConfig { keyframe_interval: 3, ..Default::default() }),
+        gaussian(GaussianUpdateConfig { keyframe_interval: 3 }),
     ];
     let pinned: [(u64, usize); 4] = [
         (0xc06e_2db0_eccd_981d, 1361),

@@ -51,7 +51,7 @@ fn same_seed_is_byte_identical_even_under_stress() {
             ..Default::default()
         };
         let mut room = Room::new(cfg).unwrap();
-        room.run(&scene, &mut vec![kp(7)]).unwrap()
+        room.run(&scene, &mut [kp(7)]).unwrap()
     };
     let r1 = run();
     let r2 = run();
@@ -98,7 +98,7 @@ fn two_party_room_matches_session_reference() {
         ..Default::default()
     };
     let mut room = Room::new(cfg).unwrap();
-    let room_report = room.run(&scene, &mut vec![kp(3), kp(9)]).unwrap();
+    let room_report = room.run(&scene, &mut [kp(3), kp(9)]).unwrap();
     let sub = &room_report.subscribers[1];
 
     assert_eq!(

@@ -66,7 +66,7 @@ fn one_node_fleet_reproduces_standalone_room_byte_for_byte() {
     );
     // And the fleet knows no cascade traffic existed.
     assert_eq!(run.report.cascade_bytes_offered, 0);
-    assert_eq!(run.report.first_bottleneck.contains("cascade"), false);
+    assert!(!run.report.first_bottleneck.contains("cascade"));
 }
 
 #[test]
