@@ -65,6 +65,10 @@ impl Sdf for ShiftedLattice<'_> {
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         self.0.distance_in(p, scope, radius)
     }
+
+    fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        self.0.distance_batch_in(ps, scope, radius, out)
+    }
 }
 
 /// Mean distance in mm from a mesh's vertices to a field's surface.

@@ -357,20 +357,28 @@ impl Sdf for BodySdf {
         self.bounds
     }
 
+    fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        let mut out = [(0.0, scope)];
+        self.distance_batch_in(&[p], scope, radius, &mut out);
+        out[0]
+    }
+
     /// The detail is a function of the point and the union's value, so
     /// which parts are alive is the union's alone; the interval the
     /// union proves is loosened by what `detail` can add inside the ball.
-    fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
-        let (d, scope) = self.union.distance_in(p, scope, radius);
-        let v = self.detail(p, d);
-        if radius == 0.0 {
-            return (v, scope); // the union bounds nothing at a point
+    fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        self.union.distance_batch_in(ps, scope, radius, out);
+        for (&p, (d, scope)) in ps.iter().zip(out) {
+            *d = self.detail(p, *d);
+            if radius == 0.0 {
+                continue; // the union bounds nothing at a point
+            }
+            // Every bump whose support meets the ball, at full strength, and
+            // the cloth's amplitude where the ball dips below the neck line.
+            let bumps: f32 = self.bumps.iter().filter(|&&(c, r, _)| (p - c).length() < r + radius).map(|b| b.2.abs()).sum();
+            let cloth = self.cloth.filter(|_| p.y - radius < self.cloth_top).map_or(0.0, |(amp, _)| amp);
+            *scope = scope.loosened(bumps + cloth);
         }
-        // Every bump whose support meets the ball, at full strength, and
-        // the cloth's amplitude where the ball dips below the neck line.
-        let bumps: f32 = self.bumps.iter().filter(|&&(c, r, _)| (p - c).length() < r + radius).map(|b| b.2.abs()).sum();
-        let cloth = self.cloth.filter(|_| p.y - radius < self.cloth_top).map_or(0.0, |(amp, _)| amp);
-        (v, scope.loosened(bumps + cloth))
     }
 }
 

@@ -3,9 +3,9 @@
 //! Every geometric computation in the workspace — avatar skinning, signed
 //! distance fields, marching cubes, camera models, volume rendering — is
 //! built on the primitives in this crate. The crate is dependency-light by
-//! design: plain `f32` scalar math, no SIMD intrinsics, so results are
-//! bit-identical across platforms, which the deterministic benchmarks rely
-//! on.
+//! design: plain `f32` math, so results are bit-identical across
+//! platforms, which the deterministic benchmarks rely on. The one SIMD
+//! type, [`F32x4`], is held to the same rule: each lane is the scalar op.
 //!
 //! # Modules
 //!
@@ -14,6 +14,8 @@
 //! - [`quat`] — unit quaternions for joint rotations ([`Quat`]).
 //! - [`mat`] — [`Mat3`] and [`Mat4`] column-major matrices.
 //! - [`aabb`] — axis-aligned bounding boxes.
+//! - [`lanes`] — [`F32x4`], four `f32` lanes that compute the scalar
+//!   ops' bits, for evaluating a field at four points at once.
 //! - [`ray`] — rays and primitive intersections.
 //! - [`rng`] — [`Pcg32`], a small deterministic PCG random generator used
 //!   by every stochastic component so experiments replay from a seed.
@@ -21,6 +23,7 @@
 //!   harness and QoE model.
 
 pub mod aabb;
+pub mod lanes;
 pub mod mat;
 pub mod quat;
 pub mod ray;
@@ -29,6 +32,7 @@ pub mod stats;
 pub mod vec;
 
 pub use aabb::Aabb;
+pub use lanes::F32x4;
 pub use mat::{Mat3, Mat4};
 pub use quat::Quat;
 pub use ray::Ray;

@@ -97,19 +97,28 @@ impl MeshBuilder {
         Self { mesh: TriMesh::new(), edge_vertices: LatticeMap::new(), stats: ExtractionStats::default() }
     }
 
-    /// The welded surface vertex on edge `a`-`b` (indices into the
-    /// tetrahedron's arrays), created on first use.
-    fn edge_vertex(&mut self, tet: &Tet, a: usize, b: usize) -> u32 {
-        let key = edge_key(tet.keys[a], tet.keys[b]);
-        if let Some(idx) = self.edge_vertices.get(key) {
-            return idx;
+    /// The welded surface vertex on edge `a`-`b` (corners of the cube),
+    /// created on first use. The cube's slots remember what its earlier
+    /// tetrahedra resolved, so each of its edges is looked up once.
+    fn edge_vertex(&mut self, cube: &mut Cube, a: usize, b: usize) -> u32 {
+        let slot = a.min(b) * 8 + a.max(b);
+        if cube.edges[slot] != NO_VERTEX {
+            return cube.edges[slot];
         }
-        let (va, vb) = (tet.val[a], tet.val[b]);
-        let denom = vb - va;
-        let t = if denom.abs() < 1e-12 { 0.5 } else { ((tet.iso - va) / denom).clamp(0.0, 1.0) };
-        let idx = self.mesh.vertices.len() as u32;
-        self.mesh.vertices.push(tet.pos[a].lerp(tet.pos[b], t));
-        self.edge_vertices.insert(key, idx);
+        let key = edge_key(cube.keys[a], cube.keys[b]);
+        let idx = match self.edge_vertices.get(key) {
+            Some(idx) => idx,
+            None => {
+                let (va, vb) = (cube.val[a], cube.val[b]);
+                let denom = vb - va;
+                let t = if denom.abs() < 1e-12 { 0.5 } else { ((cube.iso - va) / denom).clamp(0.0, 1.0) };
+                let idx = self.mesh.vertices.len() as u32;
+                self.mesh.vertices.push(cube.pos[a].lerp(cube.pos[b], t));
+                self.edge_vertices.insert(key, idx);
+                idx
+            }
+        };
+        cube.edges[slot] = idx;
         idx
     }
 
@@ -131,17 +140,17 @@ impl MeshBuilder {
         self.stats.triangles_emitted += 1;
     }
 
-    /// Polygonize one tetrahedron.
-    fn do_tet(&mut self, tet: &Tet) {
-        // Corner indices: the inside ones ascending, then the outside
-        // ones ascending.
+    /// Polygonize one tetrahedron of `cube`, with corners `tet`.
+    fn do_tet(&mut self, cube: &mut Cube, tet: &[usize; 4]) {
+        // Corners: the inside ones in `tet`'s order, then the outside
+        // ones in `tet`'s order.
         let mut order = [0usize; 4];
         let mut inside = 0;
         let mut n = 0;
         for want_inside in [true, false] {
-            for (i, &v) in tet.val.iter().enumerate() {
-                if (v < tet.iso) == want_inside {
-                    order[n] = i;
+            for &c in tet {
+                if (cube.val[c] < cube.iso) == want_inside {
+                    order[n] = c;
                     n += 1;
                 }
             }
@@ -150,27 +159,27 @@ impl MeshBuilder {
             }
         }
         let [p, q, r, s] = order;
-        let pos = &tet.pos;
+        let pos = cube.pos;
         match inside {
             1 => {
-                let v0 = self.edge_vertex(tet, p, q);
-                let v1 = self.edge_vertex(tet, p, r);
-                let v2 = self.edge_vertex(tet, p, s);
+                let v0 = self.edge_vertex(cube, p, q);
+                let v1 = self.edge_vertex(cube, p, r);
+                let v2 = self.edge_vertex(cube, p, s);
                 self.push_triangle(v0, v1, v2, pos[p]);
             }
             3 => {
-                let v0 = self.edge_vertex(tet, s, p);
-                let v1 = self.edge_vertex(tet, s, q);
-                let v2 = self.edge_vertex(tet, s, r);
+                let v0 = self.edge_vertex(cube, s, p);
+                let v1 = self.edge_vertex(cube, s, q);
+                let v2 = self.edge_vertex(cube, s, r);
                 // Anchor at the centroid of the inside face.
                 let anchor = (pos[p] + pos[q] + pos[r]) / 3.0;
                 self.push_triangle(v0, v1, v2, anchor);
             }
             2 => {
-                let vac = self.edge_vertex(tet, p, r);
-                let vad = self.edge_vertex(tet, p, s);
-                let vbc = self.edge_vertex(tet, q, r);
-                let vbd = self.edge_vertex(tet, q, s);
+                let vac = self.edge_vertex(cube, p, r);
+                let vad = self.edge_vertex(cube, p, s);
+                let vbc = self.edge_vertex(cube, q, r);
+                let vbd = self.edge_vertex(cube, q, s);
                 let anchor = (pos[p] + pos[q]) * 0.5;
                 self.push_triangle(vac, vad, vbd, anchor);
                 self.push_triangle(vac, vbd, vbc, anchor);
@@ -182,8 +191,9 @@ impl MeshBuilder {
     /// Polygonize the cube whose corners (in [`CUBE_CORNERS`] order) have
     /// the given lattice keys, positions and field values.
     pub fn do_cube(&mut self, keys: &[u64; 8], pos: &[Vec3; 8], val: &[f32; 8], iso: f32) {
-        for t in &CUBE_TETS {
-            self.do_tet(&Tet { keys: t.map(|c| keys[c]), pos: t.map(|c| pos[c]), val: t.map(|c| val[c]), iso });
+        let mut cube = Cube { keys, pos, val, iso, edges: [NO_VERTEX; 64] };
+        for tet in &CUBE_TETS {
+            self.do_tet(&mut cube, tet);
         }
     }
 
@@ -193,14 +203,19 @@ impl MeshBuilder {
     }
 }
 
-/// One tetrahedron of a cube's split: corner lattice keys, positions and
-/// field values, and the isovalue to polygonize at.
-struct Tet {
-    keys: [u64; 4],
-    pos: [Vec3; 4],
-    val: [f32; 4],
+/// A cube being polygonized: corner lattice keys, positions and field
+/// values, the isovalue, and the vertex each corner pair's edge resolved
+/// to (slot `8 * lo + hi`), once one of its tetrahedra has asked.
+struct Cube<'a> {
+    keys: &'a [u64; 8],
+    pos: &'a [Vec3; 8],
+    val: &'a [f32; 8],
     iso: f32,
+    edges: [u32; 64],
 }
+
+/// An edge slot no tetrahedron has asked for yet; no vertex index reaches it.
+const NO_VERTEX: u32 = u32::MAX;
 
 /// Extract the isosurface of `sdf` on a dense grid. Returns the welded
 /// triangle mesh with computed normals.

@@ -7,7 +7,7 @@
 //! The isosurface extractors in [`crate::marching`] and [`crate::sparse`]
 //! consume any [`Sdf`].
 
-use holo_math::{Aabb, Vec3};
+use holo_math::{Aabb, F32x4, Vec3};
 
 /// A signed distance field: negative inside, positive outside, zero on the
 /// surface. Implementations should be exact or conservative (a lower bound
@@ -33,6 +33,19 @@ pub trait Sdf: Sync {
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         let _ = radius;
         (self.distance(p), scope)
+    }
+
+    /// [`Self::distance_in`] at every point of `ps`, all under the one
+    /// `scope` and over the one `radius`; `out[i]` receives the answer
+    /// for `ps[i]`, the same bits as that call. How the octree asks: a
+    /// block's corners at once, and a node's eight children's centers.
+    /// A composite field evaluates its parts at several points per
+    /// instruction here; the default asks point by point.
+    fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        assert_eq!(ps.len(), out.len(), "one answer per point");
+        for (&p, answer) in ps.iter().zip(out) {
+            *answer = self.distance_in(p, scope, radius);
+        }
     }
 
     /// Surface normal by central differences.
@@ -160,6 +173,71 @@ impl Sdf for SdfRoundCone {
     fn bounds(&self) -> Aabb {
         let r = self.ra.max(self.rb);
         Aabb::from_points(&[self.a, self.b]).expanded(r)
+    }
+}
+
+/// A non-degenerate [`SdfRoundCone`]'s constants, derived once with the
+/// ops its `distance` derives them with, each in every lane: what the
+/// four-lane kernel evaluates it from.
+#[derive(Debug, Clone, Copy)]
+struct PreparedCone {
+    a: [F32x4; 3],
+    ba: [F32x4; 3],
+    l2: F32x4,
+    rr: F32x4,
+    a2: F32x4,
+    il2: F32x4,
+    /// `rr.signum() * rr * rr`, the factor `k` applies to `x2`.
+    k_rr: F32x4,
+    ra: F32x4,
+    rb: F32x4,
+}
+
+impl PreparedCone {
+    /// `None` for a cone `distance` treats as two spheres.
+    fn new(c: &SdfRoundCone) -> Option<Self> {
+        let ba = c.b - c.a;
+        let l2 = ba.dot(ba);
+        let rr = c.ra - c.rb;
+        let a2 = l2 - rr * rr;
+        if a2 <= 0.0 || l2 < 1e-12 {
+            return None;
+        }
+        let splat3 = |v: Vec3| [v.x, v.y, v.z].map(F32x4::splat);
+        Some(Self {
+            a: splat3(c.a),
+            ba: splat3(ba),
+            l2: F32x4::splat(l2),
+            rr: F32x4::splat(rr),
+            a2: F32x4::splat(a2),
+            il2: F32x4::splat(1.0 / l2),
+            k_rr: F32x4::splat(rr.signum() * rr * rr),
+            ra: F32x4::splat(c.ra),
+            rb: F32x4::splat(c.rb),
+        })
+    }
+
+    /// [`SdfRoundCone::distance`] at the four points `(x, y, z)`, lane by
+    /// lane the same bits: the same ops in the same order, all three
+    /// branches computed and the taken one selected.
+    #[inline]
+    fn distance4(&self, [px, py, pz]: [F32x4; 3]) -> F32x4 {
+        let [ax, ay, az] = self.a;
+        let [bx, by, bz] = self.ba;
+        let (pax, pay, paz) = (px - ax, py - ay, pz - az);
+        let y = pax * bx + pay * by + paz * bz;
+        let z = y - self.l2;
+        let (wx, wy, wz) = (pax * self.l2 - bx * y, pay * self.l2 - by * y, paz * self.l2 - bz * y);
+        let x2 = wx * wx + wy * wy + wz * wz;
+        let y2 = y * y * self.l2;
+        let z2 = z * z * self.l2;
+        let k = self.k_rr * x2;
+        let past_b = (z.signum() * self.a2 * z2).gt(k);
+        let before_a = (y.signum() * self.a2 * y2).lt(k);
+        let at_b = (x2 + z2).sqrt() * self.il2 - self.rb;
+        let at_a = (x2 + y2).sqrt() * self.il2 - self.ra;
+        let side = ((x2 * self.a2 * self.il2).sqrt() + y * self.rr) * self.il2 - self.ra;
+        F32x4::select(past_b, at_b, F32x4::select(before_a, at_a, side))
     }
 }
 
@@ -360,13 +438,18 @@ impl Sdf for Primitive {
 /// exact no-ops of the blend throughout a ball (DESIGN.md §15, "Exact
 /// no-op culling"): the [`SdfScope`] is the set of parts `0..64` still
 /// alive, with an interval the value stays in throughout the ball (§15,
-/// "The field bounds itself"). [`Sdf::distance`] has no region to reason
-/// about and instead skips, point by point, the parts whose bounding
-/// ball already proves them no-ops (§15, "Per-point culling").
+/// "The field bounds itself"). That is one body, [`Sdf::distance_batch_in`],
+/// which folds up to four points' parts at once, evaluating round cones
+/// four lanes at a time (§15, "Corners by lanes"); `distance_in` is its
+/// batch of one. [`Sdf::distance`] has no region to reason about and
+/// instead skips, point by point, the parts whose bounding ball already
+/// proves them no-ops (§15, "Per-point culling").
 pub struct GriddedUnion {
     parts: Vec<Primitive>,
     /// [`Primitive::bounding_ball`] of each part.
     balls: Vec<(Vec3, f32)>,
+    /// Each part's four-lane kernel, where it has one.
+    cones: Vec<Option<PreparedCone>>,
     /// Blend radius.
     pub smoothness: f32,
     bounds: Aabb,
@@ -375,6 +458,11 @@ pub struct GriddedUnion {
     /// in ascending order.
     cell_start: Vec<u32>,
     listed: Vec<u16>,
+    /// Per axis and cell index, the bits of the parts below 64 whose
+    /// cell range spans that index. A part is listed in exactly the cells
+    /// its three ranges span, so the cell at `(x, y, z)` lists those in
+    /// `spans[0][x] & spans[1][y] & spans[2][z]`.
+    spans: [[u64; 64]; 3],
     margin: f32,
     /// Every part's value falls no faster than the point moves outside
     /// the part — what a scope's lower bound rests on.
@@ -444,9 +532,24 @@ impl GriddedUnion {
                 }
             }
         }
+        let mut spans = [[0u64; 64]; 3];
+        for (pi, part) in ranges.iter().enumerate().take(64) {
+            for (span, &(lo, hi)) in spans.iter_mut().zip(part) {
+                for mask in &mut span[lo..=hi] {
+                    *mask |= 1 << pi;
+                }
+            }
+        }
         let balls = parts.iter().map(Primitive::bounding_ball).collect();
+        let cones = parts
+            .iter()
+            .map(|part| match part {
+                Primitive::RoundCone(c) => PreparedCone::new(c),
+                _ => None,
+            })
+            .collect();
         let falls_no_faster = parts.iter().all(Primitive::falls_no_faster_outside);
-        Self { parts, balls, smoothness, bounds, dims, cell_start, listed, margin, falls_no_faster }
+        Self { parts, balls, cones, smoothness, bounds, dims, cell_start, listed, spans, margin, falls_no_faster }
     }
 
     /// Number of parts.
@@ -475,6 +578,12 @@ impl GriddedUnion {
     /// to the content box where that is the answer instead. Public so that
     /// a test can fold the list again with nothing skipped.
     pub fn listed_at(&self, p: Vec3) -> Result<&[u16], f32> {
+        self.cell_at(p).map(|cell| self.listed(cell))
+    }
+
+    /// The grid cell whose list [`Self::listed_at`] reads at `p`, as
+    /// indices per axis, or the distance to the content box.
+    fn cell_at(&self, p: Vec3) -> Result<[usize; 3], f32> {
         // Every part lies inside the content box, so the distance to the
         // box bounds the distance to any part — but it vanishes on the
         // box's faces, where there may be no surface. It answers only
@@ -488,83 +597,211 @@ impl GriddedUnion {
         // within `margin` of `p` is listed there.
         let size = self.bounds.size();
         let rel = p - self.bounds.min;
-        let idx = |r: f32, s: f32| (((r / s.max(1e-9)) * self.dims as f32) as u32).min(self.dims - 1);
-        let (x, y, z) = (idx(rel.x, size.x), idx(rel.y, size.y), idx(rel.z, size.z));
-        let cell = ((z * self.dims + y) * self.dims + x) as usize;
-        Ok(&self.listed[self.cell_start[cell] as usize..self.cell_start[cell + 1] as usize])
+        let idx = |r: f32, s: f32| (((r / s.max(1e-9)) * self.dims as f32) as u32).min(self.dims - 1) as usize;
+        Ok([idx(rel.x, size.x), idx(rel.y, size.y), idx(rel.z, size.z)])
     }
 
-    /// The one evaluation body. `SCOPED = false` is `distance`: nothing
-    /// is narrowed, at no cost for the bookkeeping, and a listed part is
+    fn listed(&self, [x, y, z]: [usize; 3]) -> &[u16] {
+        let n = self.dims as usize;
+        let cell = (z * n + y) * n + x;
+        &self.listed[self.cell_start[cell] as usize..self.cell_start[cell + 1] as usize]
+    }
+
+    /// The bits of the parts below 64 the cell lists.
+    fn listed_mask(&self, [x, y, z]: [usize; 3]) -> u64 {
+        self.spans[0][x] & self.spans[1][y] & self.spans[2][z]
+    }
+
+    /// `distance`: the listed parts' blend, clamped, where a part is
     /// skipped when its bounding ball proves it a no-op at `p`.
-    /// `SCOPED = true` skips parts dead in `scope`, kills those that
-    /// are no-ops throughout the ball of `radius`, and bounds the value
-    /// there (DESIGN.md §15, "The field bounds itself").
-    fn eval<const SCOPED: bool>(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+    fn eval(&self, p: Vec3) -> f32 {
         let cell = match self.listed_at(p) {
             Ok(cell) => cell,
-            Err(outside) => return (outside, scope),
+            Err(outside) => return outside,
         };
-        let mut alive = scope.alive;
-        // Part i is a no-op within `radius` when an earlier exact part j,
-        // listed in every grid cell the ball touches, is nearer by `gap`.
-        let gap = self.smoothness + 2.0 * radius + CULL_SLACK;
-        // j's box is within `margin` of the whole ball — so j is listed
-        // there — when j is at most this far from the center.
-        let witness_reach = self.margin - radius - CULL_SLACK;
-        let narrowing = SCOPED && witness_reach >= 0.0;
-        // A point has no region to bound.
-        let bounding = SCOPED && radius > 0.0;
-        let mut nearest_exact = f32::INFINITY;
-        let mut hi = f32::INFINITY;
-        // The same fold begun at the clamp: no part unlisted here, more
-        // than `margin` away, can take the union's fold below it.
-        let mut floor = self.cap();
         let mut d = f32::INFINITY;
         for &pi in cell {
-            // Parts past the mask width have no bit and stay alive.
-            let bit = if pi < 64 { 1u64 << pi } else { 0 };
-            if SCOPED && !alive & bit != 0 {
+            // Part i is at least `|p - c| - r` away; once that exceeds
+            // the running blend by the blend radius it cannot move it.
+            let (c, r) = self.balls[pi as usize];
+            let reach = d + self.smoothness + CULL_SLACK + r;
+            if (p - c).length_sq() >= reach * reach {
                 continue;
             }
-            if !SCOPED {
-                // Part i is at least `|p - c| - r` away; once that exceeds
-                // the running blend by the blend radius it cannot move it.
-                // Region culling already did this work for a scoped caller.
-                let (c, r) = self.balls[pi as usize];
-                let reach = d + self.smoothness + CULL_SLACK + r;
-                if (p - c).length_sq() >= reach * reach {
-                    continue;
-                }
-            }
-            let part = &self.parts[pi as usize];
-            let v = part.distance(p);
-            if narrowing && part.is_exact() {
-                if nearest_exact <= witness_reach && v - nearest_exact >= gap {
-                    alive &= !bit;
-                }
-                nearest_exact = nearest_exact.min(v);
-            }
-            if bounding {
-                // The blend never exceeds a blended part, and where a
-                // part is not listed it is farther than the clamp.
-                hi = hi.min(part.ceiling(p, v, radius));
-                floor = smooth_min(floor, v, self.smoothness);
-            }
-            d = smooth_min(d, v, self.smoothness);
+            d = smooth_min(d, self.parts[pi as usize].distance(p), self.smoothness);
         }
-        // A fold falls no faster than its fastest argument, and a segment
-        // that enters an ellipsoid starts within `radius` of it, where
-        // `lo` is negative.
-        let lo = floor - radius - CULL_SLACK;
-        let lo = if bounding && self.falls_no_faster && lo > 0.0 { lo } else { f32::NEG_INFINITY };
-        (d.min(self.cap()), SdfScope { alive, lo, hi: hi + CULL_SLACK })
+        d.min(self.cap())
+    }
+
+    /// The scoped body, for up to four points under one scope over one
+    /// radius: the lanes share `scope`'s alive set, and each has its own
+    /// list. The parts alive and listed in any lane are visited once, in
+    /// ascending order, each evaluated in every lane at once and folded
+    /// into the lanes that list it — so each lane folds its own parts in
+    /// its own list's order, with `distance_in`'s rules: skip what
+    /// `scope` has dropped, drop what is a no-op throughout the ball of
+    /// `radius`, and bound the value there (DESIGN.md §15, "Corners by
+    /// lanes"). Parts from 64 on have no bit: they end every list and
+    /// each lane folds them from its own, in order.
+    fn eval_lanes(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        let rules = Rules::new(self, radius);
+        let mut fold = Fold::new(self.cap(), scope.alive);
+        let mut tails: [&[u16]; F32x4::LANES] = [&[]; F32x4::LANES];
+        let mut masks = [0u64; F32x4::LANES];
+        let mut answered = [true; F32x4::LANES];
+        for (lane, &p) in ps.iter().enumerate() {
+            match self.cell_at(p) {
+                Ok(cell) => {
+                    // The parts below 64 as bits, and the list from 64 on.
+                    let listed = self.listed_mask(cell);
+                    if self.parts.len() > 64 {
+                        tails[lane] = &self.listed(cell)[listed.count_ones() as usize..];
+                    }
+                    masks[lane] = listed & scope.alive;
+                    answered[lane] = false;
+                }
+                // Beyond the clamp the box distance answers.
+                Err(outside) => out[lane] = (outside, scope),
+            }
+        }
+        // Spare lanes repeat the first point, and nothing is folded there.
+        let pts: [Vec3; F32x4::LANES] = std::array::from_fn(|lane| ps[if lane < ps.len() { lane } else { 0 }]);
+        let lanes = [F32x4::from_array(pts.map(|p| p.x)), F32x4::from_array(pts.map(|p| p.y)), F32x4::from_array(pts.map(|p| p.z))];
+        let mut visit = masks.iter().fold(0, |all, m| all | m);
+        while visit != 0 {
+            let pi = visit.trailing_zeros() as usize;
+            let bit = 1u64 << pi;
+            visit &= !bit;
+            let listing = masks.map(|m| m & bit != 0);
+            let part = &self.parts[pi];
+            let v = match &self.cones[pi] {
+                Some(cone) => cone.distance4(lanes),
+                None => F32x4::from_array(std::array::from_fn(|lane| if listing[lane] { part.distance(pts[lane]) } else { 0.0 })),
+            };
+            fold.add(&rules, part, bit, &pts, listing, v);
+        }
+        for (lane, &p) in ps.iter().enumerate() {
+            for &pi in tails[lane] {
+                let part = &self.parts[pi as usize];
+                let listing = std::array::from_fn(|other| other == lane);
+                fold.add(&rules, part, 0, &pts, listing, F32x4::splat(part.distance(p)));
+            }
+        }
+        for (lane, answer) in fold.finish(self, &rules).into_iter().enumerate().take(ps.len()) {
+            if !answered[lane] {
+                out[lane] = answer;
+            }
+        }
+    }
+}
+
+/// What a scoped evaluation over a ball of `radius` may conclude: the
+/// same for every point of a batch, so worked out once per batch.
+struct Rules {
+    radius: f32,
+    radius4: F32x4,
+    /// Part i is a no-op within `radius` when an earlier exact part j,
+    /// listed in every grid cell the ball touches, is nearer by `gap`.
+    gap: F32x4,
+    /// j's box is within `margin` of the whole ball — so j is listed
+    /// there — when j is at most this far from the center.
+    witness_reach: F32x4,
+    narrowing: bool,
+    /// A point has no region to bound.
+    bounding: bool,
+    smoothness: f32,
+}
+
+impl Rules {
+    fn new(union: &GriddedUnion, radius: f32) -> Self {
+        let witness_reach = union.margin - radius - CULL_SLACK;
+        Self {
+            radius,
+            radius4: F32x4::splat(radius),
+            gap: F32x4::splat(union.smoothness + 2.0 * radius + CULL_SLACK),
+            witness_reach: F32x4::splat(witness_reach),
+            narrowing: witness_reach >= 0.0,
+            bounding: radius > 0.0,
+            smoothness: union.smoothness,
+        }
+    }
+}
+
+/// [`smooth_min`] per lane, the same ops in the same order.
+#[inline]
+fn smooth_min4(a: F32x4, b: F32x4, k: f32) -> F32x4 {
+    if k <= 0.0 {
+        return a.min(b);
+    }
+    let k4 = F32x4::splat(k);
+    let h = (k4 - (a - b).abs()).max(F32x4::splat(0.0)) / k4;
+    a.min(b) - h * h * k4 * F32x4::splat(0.25)
+}
+
+/// Four points' scoped folds, part by part.
+struct Fold {
+    d: F32x4,
+    alive: [u64; F32x4::LANES],
+    nearest_exact: F32x4,
+    hi: F32x4,
+    /// The same fold begun at the clamp: no part unlisted here, more
+    /// than `margin` away, can take the union's fold below it.
+    floor: F32x4,
+}
+
+impl Fold {
+    fn new(cap: f32, alive: u64) -> Self {
+        let inf = F32x4::splat(f32::INFINITY);
+        Self { d: inf, alive: [alive; F32x4::LANES], nearest_exact: inf, hi: inf, floor: F32x4::splat(cap) }
+    }
+
+    /// Blend `part`, whose value at `pts` is `v` and whose alive bit
+    /// (none past 63) is `bit`, into the lanes `listing` names.
+    #[inline]
+    fn add(&mut self, rules: &Rules, part: &Primitive, bit: u64, pts: &[Vec3; F32x4::LANES], listing: [bool; F32x4::LANES], v: F32x4) {
+        let listed = F32x4::mask_of(listing);
+        if rules.narrowing && part.is_exact() {
+            let dead = listed & self.nearest_exact.le(rules.witness_reach) & (v - self.nearest_exact).ge(rules.gap);
+            let mut lanes = dead.bitmask();
+            while lanes != 0 {
+                self.alive[lanes.trailing_zeros() as usize] &= !bit;
+                lanes &= lanes - 1;
+            }
+            self.nearest_exact = F32x4::select(listed, self.nearest_exact.min(v), self.nearest_exact);
+        }
+        if rules.bounding {
+            // The blend never exceeds a blended part, and where a part is
+            // not listed it is farther than the clamp. An exact part's
+            // `ceiling` is `v + radius`, which the lanes add at once.
+            let ceiling = if part.is_exact() {
+                v + rules.radius4
+            } else {
+                let v = v.to_array();
+                F32x4::from_array(std::array::from_fn(|lane| part.ceiling(pts[lane], v[lane], rules.radius)))
+            };
+            self.hi = F32x4::select(listed, self.hi.min(ceiling), self.hi);
+            self.floor = F32x4::select(listed, smooth_min4(self.floor, v, rules.smoothness), self.floor);
+        }
+        self.d = F32x4::select(listed, smooth_min4(self.d, v, rules.smoothness), self.d);
+    }
+
+    /// Each lane's value and scope.
+    fn finish(&self, union: &GriddedUnion, rules: &Rules) -> [(f32, SdfScope); F32x4::LANES] {
+        let (d, hi, floor) = (self.d.to_array(), self.hi.to_array(), self.floor.to_array());
+        std::array::from_fn(|lane| {
+            // A fold falls no faster than its fastest argument, and a
+            // segment that enters an ellipsoid starts within `radius` of
+            // it, where `lo` is negative.
+            let lo = floor[lane] - rules.radius - CULL_SLACK;
+            let lo = if rules.bounding && union.falls_no_faster && lo > 0.0 { lo } else { f32::NEG_INFINITY };
+            (d[lane].min(union.cap()), SdfScope { alive: self.alive[lane], lo, hi: hi[lane] + CULL_SLACK })
+        })
     }
 }
 
 impl Sdf for GriddedUnion {
     fn distance(&self, p: Vec3) -> f32 {
-        self.eval::<false>(p, SdfScope::ALL, 0.0).0
+        self.eval(p)
     }
 
     fn bounds(&self) -> Aabb {
@@ -572,7 +809,16 @@ impl Sdf for GriddedUnion {
     }
 
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
-        self.eval::<true>(p, scope, radius)
+        let mut out = [(0.0, scope)];
+        self.eval_lanes(&[p], scope, radius, &mut out);
+        out[0]
+    }
+
+    fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        assert_eq!(ps.len(), out.len(), "one answer per point");
+        for (ps, out) in ps.chunks(F32x4::LANES).zip(out.chunks_mut(F32x4::LANES)) {
+            self.eval_lanes(ps, scope, radius, out);
+        }
     }
 }
 
@@ -589,6 +835,10 @@ impl<S: Sdf + ?Sized> Sdf for &S {
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         (**self).distance_in(p, scope, radius)
     }
+
+    fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        (**self).distance_batch_in(ps, scope, radius, out)
+    }
 }
 
 impl Sdf for Box<dyn Sdf + Send> {
@@ -603,14 +853,169 @@ impl Sdf for Box<dyn Sdf + Send> {
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         (**self).distance_in(p, scope, radius)
     }
+
+    fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        (**self).distance_batch_in(ps, scope, radius, out)
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use holo_math::{approx_eq, Pcg32};
     use holo_runtime::check::any;
-    use holo_runtime::{holo_prop, prop_assert};
+    use holo_runtime::{holo_prop, prop_assert, prop_assert_eq};
+
+    /// Up to 12 primitives of all four kinds.
+    pub(crate) fn random_parts(rng: &mut Pcg32) -> Vec<Primitive> {
+        let mut point = |reach: f32| Vec3::new(rng.range_f32(-reach, reach), rng.range_f32(-reach, reach), rng.range_f32(-reach, reach));
+        let parts: Vec<Primitive> = (0..12)
+            .map(|i| {
+                let (a, b) = (point(0.4), point(0.15));
+                let (ra, rb) = (0.02 + b.x.abs(), 0.02 + b.y.abs());
+                match i % 4 {
+                    0 => Primitive::Sphere(SdfSphere { center: a, radius: ra }),
+                    1 => Primitive::Capsule(SdfCapsule { a, b: a + b, radius: ra }),
+                    2 => Primitive::RoundCone(SdfRoundCone { a, b: a + b, ra, rb }),
+                    _ => Primitive::Ellipsoid(SdfEllipsoid { center: a, radii: Vec3::new(ra, rb, 0.02 + b.z.abs()) }),
+                }
+            })
+            .collect();
+        let keep = 1 + rng.next_u32() as usize % parts.len();
+        parts[..keep].to_vec()
+    }
+
+    /// `parts` under a random blend, listing margin and grid.
+    pub(crate) fn union_of(parts: Vec<Primitive>, rng: &mut Pcg32) -> GriddedUnion {
+        let smoothness = rng.range_f32(0.0, 0.05);
+        let margin = smoothness + rng.range_f32(0.02, 0.3);
+        GriddedUnion::build(parts, smoothness, 1 + rng.next_u32() % 12, margin)
+    }
+
+    /// The scoped body as it was before it took lanes, one point and one
+    /// part at a time: what [`Sdf::distance_batch_in`] is held to, lane
+    /// by lane and bit for bit.
+    fn scoped_reference(union: &GriddedUnion, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
+        let cell = match union.listed_at(p) {
+            Ok(cell) => cell,
+            Err(outside) => return (outside, scope),
+        };
+        let mut alive = scope.alive;
+        let gap = union.smoothness + 2.0 * radius + CULL_SLACK;
+        let witness_reach = union.margin - radius - CULL_SLACK;
+        let narrowing = witness_reach >= 0.0;
+        let bounding = radius > 0.0;
+        let mut nearest_exact = f32::INFINITY;
+        let mut hi = f32::INFINITY;
+        let mut floor = union.cap();
+        let mut d = f32::INFINITY;
+        for &pi in cell {
+            let bit = if pi < 64 { 1u64 << pi } else { 0 };
+            if !alive & bit != 0 {
+                continue;
+            }
+            let part = &union.parts[pi as usize];
+            let v = part.distance(p);
+            if narrowing && part.is_exact() {
+                if nearest_exact <= witness_reach && v - nearest_exact >= gap {
+                    alive &= !bit;
+                }
+                nearest_exact = nearest_exact.min(v);
+            }
+            if bounding {
+                hi = hi.min(part.ceiling(p, v, radius));
+                floor = smooth_min(floor, v, union.smoothness);
+            }
+            d = smooth_min(d, v, union.smoothness);
+        }
+        let lo = floor - radius - CULL_SLACK;
+        let lo = if bounding && union.falls_no_faster && lo > 0.0 { lo } else { f32::NEG_INFINITY };
+        (d.min(union.cap()), SdfScope { alive, lo, hi: hi + CULL_SLACK })
+    }
+
+    fn unit(rng: &mut Pcg32) -> Vec3 {
+        let v = Vec3::new(rng.normal(), rng.normal(), rng.normal());
+        if v.length_sq() > 1e-12 { v.normalized() } else { Vec3::X }
+    }
+
+    holo_prop! {
+        #![cases(512)]
+
+        /// Each lane of a batch is the scalar fold of its own point, to
+        /// the bit: the value, and the scope's alive set and interval.
+        /// Unions of all four kinds, with cones `distance` treats as two
+        /// spheres (one end containing the other, and both ends at one
+        /// point), sometimes 70 parts so that lists run past the mask;
+        /// 1 to 27 points, over no radius or a random one, under a scope
+        /// narrowed through a ball that contains theirs — and some points
+        /// outside the content box, beyond the clamp.
+        fn a_batch_is_the_scalar_fold_of_each_lane(seed in any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let mut parts = random_parts(&mut rng);
+            if rng.chance(0.5) {
+                let a = Vec3::new(rng.range_f32(-0.3, 0.3), rng.range_f32(-0.3, 0.3), rng.range_f32(-0.3, 0.3));
+                let (ra, rb) = (rng.range_f32(0.05, 0.15), rng.range_f32(0.01, 0.04));
+                let inner = a + unit(&mut rng) * (ra - rb) * rng.range_f32(0.0, 1.0);
+                parts.insert(rng.index(parts.len() + 1), Primitive::RoundCone(SdfRoundCone { a, b: inner, ra, rb }));
+                parts.insert(rng.index(parts.len() + 1), Primitive::RoundCone(SdfRoundCone { a, b: a, ra: rb, rb: ra }));
+            }
+            if rng.chance(0.25) {
+                while parts.len() < 70 {
+                    parts.extend(random_parts(&mut rng));
+                }
+                parts.truncate(70);
+            }
+            let union = union_of(parts, &mut rng);
+            let b = union.bounds();
+            let center = b.center() + unit(&mut rng).mul_elem(b.size()) * rng.range_f32(0.0, 0.7);
+            let outer = rng.range_f32(0.0, 0.4);
+            let scope = if rng.chance(0.25) { SdfScope::ALL } else { scoped_reference(&union, center, SdfScope::ALL, outer).1 };
+            let radius = if rng.chance(0.5) { 0.0 } else { rng.range_f32(0.0, outer) };
+            let ps: Vec<Vec3> = (0..1 + rng.index(27))
+                .map(|_| match rng.next_u32() % 8 {
+                    0 => b.center() + unit(&mut rng) * rng.range_f32(1.0, 4.0),
+                    _ => center + unit(&mut rng) * ((outer - radius) * rng.range_f32(0.0, 1.0)),
+                })
+                .collect();
+            let mut out = vec![(f32::NAN, SdfScope::ALL); ps.len()];
+            union.distance_batch_in(&ps, scope, radius, &mut out);
+            for (&p, &(v, got)) in ps.iter().zip(&out) {
+                let (want_v, want) = scoped_reference(&union, p, scope, radius);
+                prop_assert_eq!(v.to_bits(), want_v.to_bits(), "value at {:?}: {} against {}", p, v, want_v);
+                prop_assert_eq!(got.alive, want.alive, "alive at {:?}", p);
+                prop_assert_eq!((got.lo.to_bits(), got.hi.to_bits()), (want.lo.to_bits(), want.hi.to_bits()), "interval at {:?}: {:?} against {:?}", p, got, want);
+            }
+        }
+    }
+
+    /// The four-lane cone kernel is `SdfRoundCone::distance`, to the bit,
+    /// around random cones: near them, on the axis beyond either end and
+    /// at the ends themselves, where `y` or `z` is a signed zero.
+    #[test]
+    fn the_cone_kernel_is_the_scalar_cone() {
+        let mut rng = Pcg32::new(0xC0DE);
+        let mut kernels = 0;
+        for _ in 0..2000 {
+            let a = Vec3::new(rng.range_f32(-1.0, 1.0), rng.range_f32(-1.0, 1.0), rng.range_f32(-1.0, 1.0));
+            let cone = SdfRoundCone { a, b: a + unit(&mut rng) * rng.range_f32(0.0, 0.5), ra: rng.range_f32(0.0, 0.2), rb: rng.range_f32(0.0, 0.2) };
+            let Some(prepared) = PreparedCone::new(&cone) else { continue };
+            kernels += 1;
+            for _ in 0..8 {
+                let pts: [Vec3; 4] = std::array::from_fn(|lane| match rng.next_u32() % 5 {
+                    0 => cone.a,
+                    1 => cone.b,
+                    2 => cone.a.lerp(cone.b, rng.range_f32(-3.0, 4.0)),
+                    _ => cone.a.lerp(cone.b, rng.range_f32(-0.5, 1.5)) + unit(&mut rng) * rng.range_f32(0.0, 0.5) * (lane as f32 + 1.0),
+                });
+                let lanes = [F32x4::from_array(pts.map(|p| p.x)), F32x4::from_array(pts.map(|p| p.y)), F32x4::from_array(pts.map(|p| p.z))];
+                let got = prepared.distance4(lanes).to_array();
+                for (p, v) in pts.iter().zip(got) {
+                    assert_eq!(v.to_bits(), cone.distance(*p).to_bits(), "{cone:?} at {p:?}");
+                }
+            }
+        }
+        assert!(kernels > 1000, "{kernels} non-degenerate cones");
+    }
 
     #[test]
     fn sphere_distance_exact() {

@@ -10,13 +10,16 @@
 //! welded on the *global* leaf lattice, so the result is identical in
 //! structure to the dense extraction restricted to near-surface cells.
 //!
-//! Every sample goes through [`Sdf::distance_in`]: each node hands the
-//! scope its center evaluation narrowed to its children and its block's
-//! corners, so a composite field stops evaluating parts that cannot
-//! matter inside the node — without changing one bit of any value — and
-//! can say that its value stays clear of the isovalue throughout the
-//! node, which drops it. A node's center is itself a lattice site, and
-//! no site is sampled twice (DESIGN.md §15).
+//! Every sample goes through [`Sdf::distance_batch_in`], several points
+//! under one scope: each node hands the scope its center evaluation
+//! narrowed to its eight children's centers, asked in one batch, and a
+//! block hands it to its uncached corners, asked in another. So a
+//! composite field stops evaluating parts that cannot matter inside the
+//! node — without changing one bit of any value — can evaluate its parts
+//! at several points per instruction, and can say that its value stays
+//! clear of the isovalue throughout the node, which drops it. A node's
+//! center is itself a lattice site, and no site is sampled twice
+//! (DESIGN.md §15).
 
 use crate::lattice::{corner_key, LatticeMap};
 use crate::marching::{ExtractionStats, MarchingConfig, MeshBuilder, CUBE_CORNERS};
@@ -48,7 +51,10 @@ pub fn sparse_extract_with_stats<S: Sdf + ?Sized>(
     safety: f32,
 ) -> (TriMesh, ExtractionStats) {
     let (mut octree, res) = Octree::new(sdf, resolution, safety);
-    octree.descend(res, 0, 0, 0, SdfScope::ALL);
+    let mut root = [(0.0, SdfScope::ALL)];
+    let center = octree.site(res / 2, res / 2, res / 2);
+    octree.sample(&[center], SdfScope::ALL, octree.half_diag(res), &mut root);
+    octree.descend(res, 0, 0, 0, root[0]);
     octree.builder.finish()
 }
 
@@ -81,38 +87,28 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
         self.origin + Vec3::new(x as f32, y as f32, z as f32) * self.cell
     }
 
-    /// One field evaluation: `distance(p)`, and `scope` narrowed to the
-    /// ball of `radius` around `p`.
-    fn sample(&mut self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
-        let (v, scope) = self.sdf.distance_in(p, scope, radius);
+    /// Half the diagonal of a node of `span` cells: the radius of the
+    /// ball around its center that holds it.
+    fn half_diag(&self, span: u32) -> f32 {
+        span as f32 * self.cell * 0.5 * 1.732_051
+    }
+
+    /// Field evaluations at `ps`: `distance` at each, and `scope`
+    /// narrowed to the ball of `radius` around each.
+    fn sample(&mut self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        self.sdf.distance_batch_in(ps, scope, radius, out);
         // Narrowing is exact, not approximate: every extraction in a
         // debug build checks it on every value it samples.
-        debug_assert_eq!(v.to_bits(), self.sdf.distance(p).to_bits(), "scoped distance at {p:?}");
-        self.builder.stats.field_evals += 1;
-        (v, scope)
-    }
-
-    /// Field value at a lattice site; `scope` is that of a block touching it.
-    fn corner_value(&mut self, key: u64, p: Vec3, scope: SdfScope) -> f32 {
-        if let Some(bits) = self.corners.get(key) {
-            return f32::from_bits(bits);
+        for (p, (v, _)) in ps.iter().zip(out.iter()) {
+            debug_assert_eq!(v.to_bits(), self.sdf.distance(*p).to_bits(), "scoped distance at {p:?}");
         }
-        let v = self.sample(p, scope, 0.0).0;
-        self.corners.insert(key, v.to_bits());
-        v
+        self.builder.stats.field_evals += ps.len() as u64;
     }
 
-    /// Visit one node. `scope` is valid throughout the parent's bounding
-    /// ball, which contains this node's.
-    fn descend(&mut self, span: u32, x: u32, y: u32, z: u32, scope: SdfScope) {
-        let half = span / 2;
-        // `half` is a whole number of cells: the center is a lattice
-        // site, strictly inside the node, so nothing has sampled it yet.
-        let (cx, cy, cz) = (x + half, y + half, z + half);
-        let half_diag = span as f32 * self.cell * 0.5 * 1.732_051;
-        // Children's centers and block corners all lie within `half_diag`
-        // of the center, so the narrowed scope holds for everything below.
-        let (d, scope) = self.sample(self.site(cx, cy, cz), scope, half_diag);
+    /// Visit one node, given its center's sample: the value there, and
+    /// the scope narrowed to the node's bounding ball.
+    fn descend(&mut self, span: u32, x: u32, y: u32, z: u32, (d, scope): (f32, SdfScope)) {
+        let half_diag = self.half_diag(span);
         // The caller's assumed band, intersected with the field's proven one.
         if (d - self.iso).abs() > half_diag + self.safety || scope.excludes(self.iso) {
             return; // no surface can cross this node
@@ -120,28 +116,52 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
         if span == 2 {
             return self.block(x, y, z, d, scope);
         }
-        // Eight blocks below have this site as a corner.
-        self.corners.insert(corner_key(cx, cy, cz), d.to_bits());
+        // `half` and `quarter` are whole numbers of cells: the centers
+        // are lattice sites, the node's on the children's shared corner,
+        // and each child's strictly inside it, so nothing has sampled
+        // those yet. Eight blocks below have the node's as a corner.
+        let (half, quarter) = (span / 2, span / 4);
+        self.corners.insert(corner_key(x + half, y + half, z + half), d.to_bits());
         // `CUBE_CORNERS` runs x fastest, z slowest: the child order.
-        for &(dx, dy, dz) in &CUBE_CORNERS {
-            self.descend(half, x + dx * half, y + dy * half, z + dz * half, scope);
+        let child = CUBE_CORNERS.map(|(dx, dy, dz)| (x + dx * half, y + dy * half, z + dz * half));
+        let centers = child.map(|(cx, cy, cz)| self.site(cx + quarter, cy + quarter, cz + quarter));
+        // Children's centers and block corners all lie within `half_diag`
+        // of the center, so the narrowed scope holds for everything below.
+        let mut samples = [(0.0, scope); 8];
+        self.sample(&centers, scope, self.half_diag(half), &mut samples);
+        for ((cx, cy, cz), sample) in child.into_iter().zip(samples) {
+            self.descend(half, cx, cy, cz, sample);
         }
     }
 
     /// Polygonize the 2×2×2 leaf cells at `(x, y, z)`: gather the block's
     /// 27 lattice sites once — the middle one is the node center, with
-    /// value `center` — then run the eight cubes, in child order, from
-    /// the gathered arrays.
+    /// value `center`, and the others another block sampled are cached —
+    /// sample the rest in one batch under the block's `scope`, then run
+    /// the eight cubes, in child order, from the gathered arrays.
     fn block(&mut self, x: u32, y: u32, z: u32, center: f32, scope: SdfScope) {
         let mut keys = [0u64; 27];
         let mut pos = [Vec3::ZERO; 27];
         let mut val = [0f32; 27];
-        for i in 0..27u32 {
-            let (sx, sy, sz) = (x + i % 3, y + i / 3 % 3, z + i / 9);
-            let (key, p) = (corner_key(sx, sy, sz), self.site(sx, sy, sz));
-            keys[i as usize] = key;
-            pos[i as usize] = p;
-            val[i as usize] = if i == 13 { center } else { self.corner_value(key, p, scope) };
+        let (mut missing, mut missing_at, mut n) = ([Vec3::ZERO; 26], [0usize; 26], 0);
+        for i in 0..27 {
+            let (sx, sy, sz) = (x + i as u32 % 3, y + i as u32 / 3 % 3, z + i as u32 / 9);
+            keys[i] = corner_key(sx, sy, sz);
+            pos[i] = self.site(sx, sy, sz);
+            if i == 13 {
+                val[i] = center;
+            } else if let Some(bits) = self.corners.get(keys[i]) {
+                val[i] = f32::from_bits(bits);
+            } else {
+                (missing[n], missing_at[n]) = (pos[i], i);
+                n += 1;
+            }
+        }
+        let mut samples = [(0.0, scope); 26];
+        self.sample(&missing[..n], scope, 0.0, &mut samples[..n]);
+        for (&i, &(v, _)) in missing_at[..n].iter().zip(&samples[..n]) {
+            val[i] = v;
+            self.corners.insert(keys[i], v.to_bits());
         }
         for &(ox, oy, oz) in &CUBE_CORNERS {
             self.builder.stats.cubes_visited += 1;
@@ -159,7 +179,8 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
 mod tests {
     use super::*;
     use crate::marching::marching_tetrahedra;
-    use crate::sdf::{GriddedUnion, Primitive, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfSphere, SdfUnion};
+    use crate::sdf::tests::{random_parts, union_of};
+    use crate::sdf::{GriddedUnion, Primitive, SdfSphere, SdfUnion};
     use holo_math::{Aabb, Pcg32};
     use holo_runtime::check::any;
     use holo_runtime::{holo_prop, prop_assert, prop_assert_eq};
@@ -193,7 +214,15 @@ mod tests {
                     let (cx, cy, cz) = (x + dx, y + dy, z + dz);
                     keys[ci] = corner_key(cx, cy, cz);
                     pos[ci] = self.origin + Vec3::new(cx as f32, cy as f32, cz as f32) * self.cell;
-                    val[ci] = self.corner_value(keys[ci], pos[ci], scope);
+                    val[ci] = match self.corners.get(keys[ci]) {
+                        Some(bits) => f32::from_bits(bits),
+                        None => {
+                            let v = self.sdf.distance_in(pos[ci], scope, 0.0).0;
+                            self.builder.stats.field_evals += 1;
+                            self.corners.insert(keys[ci], v.to_bits());
+                            v
+                        }
+                    };
                 }
                 if val.iter().all(|&v| v >= self.iso) || val.iter().all(|&v| v < self.iso) {
                     return;
@@ -226,30 +255,6 @@ mod tests {
     /// margin and grid.
     fn random_union(rng: &mut Pcg32) -> GriddedUnion {
         union_of(random_parts(rng), rng)
-    }
-
-    fn random_parts(rng: &mut Pcg32) -> Vec<Primitive> {
-        let mut point = |reach: f32| Vec3::new(rng.range_f32(-reach, reach), rng.range_f32(-reach, reach), rng.range_f32(-reach, reach));
-        let parts: Vec<Primitive> = (0..12)
-            .map(|i| {
-                let (a, b) = (point(0.4), point(0.15));
-                let (ra, rb) = (0.02 + b.x.abs(), 0.02 + b.y.abs());
-                match i % 4 {
-                    0 => Primitive::Sphere(SdfSphere { center: a, radius: ra }),
-                    1 => Primitive::Capsule(SdfCapsule { a, b: a + b, radius: ra }),
-                    2 => Primitive::RoundCone(SdfRoundCone { a, b: a + b, ra, rb }),
-                    _ => Primitive::Ellipsoid(SdfEllipsoid { center: a, radii: Vec3::new(ra, rb, 0.02 + b.z.abs()) }),
-                }
-            })
-            .collect();
-        let keep = 1 + rng.next_u32() as usize % parts.len();
-        parts[..keep].to_vec()
-    }
-
-    fn union_of(parts: Vec<Primitive>, rng: &mut Pcg32) -> GriddedUnion {
-        let smoothness = rng.range_f32(0.0, 0.05);
-        let margin = smoothness + rng.range_f32(0.02, 0.3);
-        GriddedUnion::build(parts, smoothness, 1 + rng.next_u32() % 12, margin)
     }
 
     /// A field seen only through `distance` and `bounds`: it proves nothing.

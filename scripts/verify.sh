@@ -43,7 +43,7 @@ if command -v cargo-clippy >/dev/null 2>&1; then
   cargo clippy -q --offline -p holo-runtime --all-targets -- -D warnings
   cargo clippy -q --offline -p holo-trace --all-targets -- -D warnings
   cargo clippy -q --offline -p semholo-repro --no-deps --all-targets -- -D warnings
-  for crate in chaos uep fuzz conf fleet obs gaussian mesh body capture compress net bench; do
+  for crate in chaos uep fuzz conf fleet obs gaussian math mesh body capture compress net bench; do
     cargo clippy -q --offline -p "holo-$crate" --no-deps --all-targets -- -D warnings
   done
 else
