@@ -268,12 +268,6 @@ impl BodySdf {
         Self { union, bumps, bump_ball: (middle, reach * reach), cloth, cloth_top, bounds }
     }
 
-    /// Number of primitive parts in the blend (a proxy for evaluation
-    /// cost, used by the GPU workload model).
-    pub fn part_count(&self) -> usize {
-        self.union.len()
-    }
-
     /// The blended primitives, before expression and cloth detail.
     pub fn union(&self) -> &GriddedUnion {
         &self.union
@@ -350,11 +344,21 @@ impl BodySdf {
 
 impl Sdf for BodySdf {
     fn distance(&self, p: Vec3) -> f32 {
-        self.detail(p, self.union.distance(p))
+        let mut out = [0.0];
+        self.distance_batch(&[p], &mut out);
+        out[0]
     }
 
     fn bounds(&self) -> Aabb {
         self.bounds
+    }
+
+    /// The union's lanes, then the detail point by point.
+    fn distance_batch(&self, ps: &[Vec3], out: &mut [f32]) {
+        self.union.distance_batch(ps, out);
+        for (&p, d) in ps.iter().zip(out) {
+            *d = self.detail(p, *d);
+        }
     }
 
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
@@ -405,7 +409,9 @@ pub fn blend(a: f32, b: f32, k: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::motion::{MotionKind, MotionSynthesizer};
     use holo_math::Pcg32;
+    use holo_runtime::prop_assert_eq;
 
     fn neutral_sdf(detail: SurfaceDetail) -> BodySdf {
         let sk = Skeleton::neutral();
@@ -545,6 +551,65 @@ mod tests {
                     let nested = &cells[((z * dims + y) * dims + x) as usize];
                     assert_eq!(body.union.listed_at(center), Ok(&nested[..]), "cell ({x}, {y}, {z})");
                 }
+            }
+        }
+    }
+
+    /// The union's value at `p` as a fold of every part its cell lists,
+    /// in order, with nothing skipped, clamped — or the box distance.
+    fn full_fold(union: &GriddedUnion, p: Vec3) -> f32 {
+        match union.listed_at(p) {
+            Ok(listed) => {
+                let fold = listed.iter().fold(f32::INFINITY, |d, &pi| smooth_min(d, union.parts()[pi as usize].distance(p), union.smoothness));
+                fold.min(union.cap())
+            }
+            Err(outside) => outside,
+        }
+    }
+
+    holo_runtime::holo_prop! {
+        #![cases(96)]
+
+        /// Each lane of a body's batch, and its `distance`, is `detail` on
+        /// the full fold of its own point, to the bit: random frames of
+        /// every motion with random girth and expression, clothed or bare,
+        /// at points on the surface (where cloth and bumps apply), near
+        /// it, at the bumps, and anywhere in and around the bounds.
+        fn a_bodys_batch_is_the_detail_of_the_full_fold(seed in holo_runtime::check::any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let kinds = [MotionKind::Idle, MotionKind::Talking, MotionKind::Waving, MotionKind::Walking];
+            let clip = MotionSynthesizer::new(seed).clip(kinds[rng.index(4)], 0.5, 30.0);
+            let mut params = clip.frame(rng.index(clip.frames.len())).clone();
+            params.betas[4] = rng.range_f32(-3.0, 3.0);
+            for e in &mut params.expression {
+                *e = if rng.chance(0.5) { rng.range_f32(-1.0, 1.0) } else { 0.0 };
+            }
+            let detail = if rng.chance(0.5) { SurfaceDetail::full() } else { SurfaceDetail::bare() };
+            let body = BodySdf::from_pose(&Skeleton::neutral(), &params, detail);
+            let b = body.bounds().expanded(0.3);
+            let bumps = body.bump_centers();
+            let ps: Vec<Vec3> = (0..1 + rng.index(13))
+                .map(|_| {
+                    let mut p = Vec3::new(rng.range_f32(b.min.x, b.max.x), rng.range_f32(b.min.y, b.max.y), rng.range_f32(b.min.z, b.max.z));
+                    match rng.next_u32() % 4 {
+                        0 if !bumps.is_empty() => bumps[rng.index(bumps.len())] + Vec3::new(rng.normal(), rng.normal(), rng.normal()) * 0.01,
+                        0 | 1 => p,
+                        _ => {
+                            // Onto the surface, or within a few millimetres of it.
+                            for _ in 0..6 {
+                                p -= body.normal(p, 1e-3) * body.distance(p);
+                            }
+                            p + Vec3::new(rng.normal(), rng.normal(), rng.normal()) * rng.range_f32(0.0, 0.01)
+                        }
+                    }
+                })
+                .collect();
+            let mut out = vec![f32::NAN; ps.len()];
+            body.distance_batch(&ps, &mut out);
+            for (&p, &v) in ps.iter().zip(&out) {
+                let want = body.detail(p, full_fold(&body.union, p));
+                prop_assert_eq!(v.to_bits(), want.to_bits(), "batch at {:?}: {} against {}", p, v, want);
+                prop_assert_eq!(body.distance(p).to_bits(), want.to_bits(), "distance at {:?}", p);
             }
         }
     }

@@ -222,10 +222,19 @@ impl F32x4 {
         }
     }
 
-    /// A mask from one flag per lane.
+    /// The mask whose lane `i` is set where bit `i` of `bits` is: the
+    /// inverse of [`Self::bitmask`] on a mask.
     #[inline]
-    pub fn mask_of(set: [bool; 4]) -> Self {
-        Self::from_array(set.map(|s| f32::from_bits(if s { u32::MAX } else { 0 })))
+    pub fn from_bitmask(bits: u32) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let lane_bits = sse!(_mm_set_epi32(8, 4, 2, 1));
+            Self(sse!(_mm_castsi128_ps(_mm_cmpeq_epi32(_mm_and_si128(_mm_set1_epi32(bits as i32), lane_bits), lane_bits))))
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Self::mask(std::array::from_fn(|i| bits >> i & 1 == 1))
+        }
     }
 
     /// Bit `i` is the sign bit of lane `i`: for a mask, which lanes are set.
@@ -359,7 +368,7 @@ mod tests {
         }
     }
 
-    fn mask(set: bool) -> u32 {
+    fn mask_bits(set: bool) -> u32 {
         if set { u32::MAX } else { 0 }
     }
 
@@ -389,13 +398,13 @@ mod tests {
 
     #[test]
     fn compares_are_ordered_and_false_on_nan() {
-        check("lt", |a, b| a.lt(b), |a, b| mask(a < b));
-        check("gt", |a, b| a.gt(b), |a, b| mask(a > b));
-        check("le", |a, b| a.le(b), |a, b| mask(a <= b));
-        check("ge", |a, b| a.ge(b), |a, b| mask(a >= b));
-        check("is_nan", |_, b| b.is_nan(), |_, b| mask(b.is_nan()));
-        check("and", |a, b| a.lt(b) & b.le(a), |a, b| mask(a < b && b <= a));
-        check("and", |a, b| a.le(b) & b.le(a), |a, b| mask(a <= b && b <= a));
+        check("lt", |a, b| a.lt(b), |a, b| mask_bits(a < b));
+        check("gt", |a, b| a.gt(b), |a, b| mask_bits(a > b));
+        check("le", |a, b| a.le(b), |a, b| mask_bits(a <= b));
+        check("ge", |a, b| a.ge(b), |a, b| mask_bits(a >= b));
+        check("is_nan", |_, b| b.is_nan(), |_, b| mask_bits(b.is_nan()));
+        check("and", |a, b| a.lt(b) & b.le(a), |a, b| mask_bits(a < b && b <= a));
+        check("and", |a, b| a.le(b) & b.le(a), |a, b| mask_bits(a <= b && b <= a));
     }
 
     #[test]
@@ -407,8 +416,9 @@ mod tests {
             assert_eq!(F32x4::from_array(a).bitmask(), want, "{a:?}");
         }
         for set in 0..16u32 {
-            let flags = std::array::from_fn(|i| set >> i & 1 == 1);
-            assert_eq!(F32x4::mask_of(flags).bitmask(), set);
+            let mask = F32x4::from_bitmask(set | 0xffff_fff0).to_array().map(f32::to_bits);
+            assert_eq!(mask, std::array::from_fn(|i| mask_bits(set >> i & 1 == 1)), "{set:#b}");
+            assert_eq!(F32x4::from_bitmask(set).bitmask(), set);
         }
     }
 

@@ -19,6 +19,18 @@ pub trait Sdf: Sync {
     /// A bounding box guaranteed to contain the zero level set.
     fn bounds(&self) -> Aabb;
 
+    /// [`Self::distance`] at every point of `ps`; `out[i]` receives the
+    /// same bits as `distance(ps[i])`. How the sphere tracer asks: its
+    /// four rays' current points at once, and a normal's six offsets. A
+    /// composite field evaluates its parts at several points per
+    /// instruction here; the default asks point by point.
+    fn distance_batch(&self, ps: &[Vec3], out: &mut [f32]) {
+        assert_eq!(ps.len(), out.len(), "one answer per point");
+        for (&p, d) in ps.iter().zip(out) {
+            *d = self.distance(p);
+        }
+    }
+
     /// [`Self::distance`] at `p` — the same bits — for a caller that is
     /// sampling nested regions. The returned scope holds at every point
     /// within `radius` of `p`; the `scope` passed in must be
@@ -48,12 +60,13 @@ pub trait Sdf: Sync {
         }
     }
 
-    /// Surface normal by central differences.
+    /// Surface normal by central differences, its six offsets asked as
+    /// one batch.
     fn normal(&self, p: Vec3, eps: f32) -> Vec3 {
-        let dx = self.distance(p + Vec3::new(eps, 0.0, 0.0)) - self.distance(p - Vec3::new(eps, 0.0, 0.0));
-        let dy = self.distance(p + Vec3::new(0.0, eps, 0.0)) - self.distance(p - Vec3::new(0.0, eps, 0.0));
-        let dz = self.distance(p + Vec3::new(0.0, 0.0, eps)) - self.distance(p - Vec3::new(0.0, 0.0, eps));
-        Vec3::new(dx, dy, dz).normalized()
+        let (x, y, z) = (Vec3::new(eps, 0.0, 0.0), Vec3::new(0.0, eps, 0.0), Vec3::new(0.0, 0.0, eps));
+        let mut d = [0.0; 6];
+        self.distance_batch(&[p + x, p - x, p + y, p - y, p + z, p - z], &mut d);
+        Vec3::new(d[0] - d[1], d[2] - d[3], d[4] - d[5]).normalized()
     }
 }
 
@@ -123,9 +136,7 @@ impl Sdf for SdfCapsule {
     }
 
     fn bounds(&self) -> Aabb {
-        let mut b = Aabb::from_points(&[self.a, self.b]);
-        b = b.expanded(self.radius);
-        b
+        Aabb::from_points(&[self.a, self.b]).expanded(self.radius)
     }
 }
 
@@ -176,68 +187,99 @@ impl Sdf for SdfRoundCone {
     }
 }
 
-/// A non-degenerate [`SdfRoundCone`]'s constants, derived once with the
-/// ops its `distance` derives them with, each in every lane: what the
-/// four-lane kernel evaluates it from.
+/// A part's [`Sdf::distance`] on four lanes, lane by lane the same bits:
+/// its constants derived once, at [`GriddedUnion::build`], with the ops
+/// `distance` derives them with, each in every lane; then the same ops in
+/// the same order, every branch computed and the taken one selected by
+/// the same comparison.
 #[derive(Debug, Clone, Copy)]
-struct PreparedCone {
-    a: [F32x4; 3],
-    ba: [F32x4; 3],
-    l2: F32x4,
-    rr: F32x4,
-    a2: F32x4,
-    il2: F32x4,
+enum PreparedPart {
+    Sphere { center: [F32x4; 3], radius: F32x4 },
+    /// `denom` is `ba.dot(ba).max(1e-12)`.
+    Capsule { a: [F32x4; 3], ba: [F32x4; 3], denom: F32x4, radius: F32x4 },
+    /// A round cone whose sides `distance` evaluates; `k_rr` is
     /// `rr.signum() * rr * rr`, the factor `k` applies to `x2`.
-    k_rr: F32x4,
-    ra: F32x4,
-    rb: F32x4,
+    Cone { a: [F32x4; 3], ba: [F32x4; 3], l2: F32x4, rr: F32x4, a2: F32x4, il2: F32x4, k_rr: F32x4, ra: F32x4, rb: F32x4 },
+    /// A round cone `distance` treats as the union of its end spheres.
+    TwoSpheres { a: [F32x4; 3], ra: F32x4, b: [F32x4; 3], rb: F32x4 },
+    /// `radii2` is each radius squared; `-r_min` answers at the center.
+    Ellipsoid { center: [F32x4; 3], radii: [F32x4; 3], radii2: [F32x4; 3], neg_r_min: F32x4 },
 }
 
-impl PreparedCone {
-    /// `None` for a cone `distance` treats as two spheres.
-    fn new(c: &SdfRoundCone) -> Option<Self> {
-        let ba = c.b - c.a;
-        let l2 = ba.dot(ba);
-        let rr = c.ra - c.rb;
-        let a2 = l2 - rr * rr;
-        if a2 <= 0.0 || l2 < 1e-12 {
-            return None;
+/// `v` in every lane of three.
+fn splat3(v: Vec3) -> [F32x4; 3] {
+    [v.x, v.y, v.z].map(F32x4::splat)
+}
+
+/// [`Vec3::length`], lane by lane.
+#[inline]
+fn length4([x, y, z]: [F32x4; 3]) -> F32x4 {
+    (x * x + y * y + z * z).sqrt()
+}
+
+/// `p - c` per axis.
+#[inline]
+fn offset4([px, py, pz]: [F32x4; 3], [cx, cy, cz]: [F32x4; 3]) -> [F32x4; 3] {
+    [px - cx, py - cy, pz - cz]
+}
+
+impl PreparedPart {
+    fn new(part: &Primitive) -> Self {
+        let s = F32x4::splat;
+        match *part {
+            Primitive::Sphere(c) => Self::Sphere { center: splat3(c.center), radius: s(c.radius) },
+            Primitive::Capsule(c) => Self::Capsule { a: splat3(c.a), ba: splat3(c.b - c.a), denom: s((c.b - c.a).length_sq().max(1e-12)), radius: s(c.radius) },
+            Primitive::RoundCone(c) => {
+                let ba = c.b - c.a;
+                let l2 = ba.dot(ba);
+                let rr = c.ra - c.rb;
+                let a2 = l2 - rr * rr;
+                if a2 <= 0.0 || l2 < 1e-12 {
+                    return Self::TwoSpheres { a: splat3(c.a), ra: s(c.ra), b: splat3(c.b), rb: s(c.rb) };
+                }
+                let (il2, k_rr) = (s(1.0 / l2), s(rr.signum() * rr * rr));
+                Self::Cone { a: splat3(c.a), ba: splat3(ba), l2: s(l2), rr: s(rr), a2: s(a2), il2, k_rr, ra: s(c.ra), rb: s(c.rb) }
+            }
+            Primitive::Ellipsoid(e) => Self::Ellipsoid { center: splat3(e.center), radii: splat3(e.radii), radii2: splat3(e.radii.mul_elem(e.radii)), neg_r_min: s(-e.r_min()) },
         }
-        let splat3 = |v: Vec3| [v.x, v.y, v.z].map(F32x4::splat);
-        Some(Self {
-            a: splat3(c.a),
-            ba: splat3(ba),
-            l2: F32x4::splat(l2),
-            rr: F32x4::splat(rr),
-            a2: F32x4::splat(a2),
-            il2: F32x4::splat(1.0 / l2),
-            k_rr: F32x4::splat(rr.signum() * rr * rr),
-            ra: F32x4::splat(c.ra),
-            rb: F32x4::splat(c.rb),
-        })
     }
 
-    /// [`SdfRoundCone::distance`] at the four points `(x, y, z)`, lane by
-    /// lane the same bits: the same ops in the same order, all three
-    /// branches computed and the taken one selected.
+    /// The part's `distance` at the four points `p`.
     #[inline]
-    fn distance4(&self, [px, py, pz]: [F32x4; 3]) -> F32x4 {
-        let [ax, ay, az] = self.a;
-        let [bx, by, bz] = self.ba;
-        let (pax, pay, paz) = (px - ax, py - ay, pz - az);
-        let y = pax * bx + pay * by + paz * bz;
-        let z = y - self.l2;
-        let (wx, wy, wz) = (pax * self.l2 - bx * y, pay * self.l2 - by * y, paz * self.l2 - bz * y);
-        let x2 = wx * wx + wy * wy + wz * wz;
-        let y2 = y * y * self.l2;
-        let z2 = z * z * self.l2;
-        let k = self.k_rr * x2;
-        let past_b = (z.signum() * self.a2 * z2).gt(k);
-        let before_a = (y.signum() * self.a2 * y2).lt(k);
-        let at_b = (x2 + z2).sqrt() * self.il2 - self.rb;
-        let at_a = (x2 + y2).sqrt() * self.il2 - self.ra;
-        let side = ((x2 * self.a2 * self.il2).sqrt() + y * self.rr) * self.il2 - self.ra;
-        F32x4::select(past_b, at_b, F32x4::select(before_a, at_a, side))
+    fn distance4(&self, p: [F32x4; 3]) -> F32x4 {
+        match *self {
+            Self::Sphere { center, radius } => length4(offset4(p, center)) - radius,
+            Self::Capsule { a, ba: [bx, by, bz], denom, radius } => {
+                let [pax, pay, paz] = offset4(p, a);
+                // `clamp(0.0, 1.0)`, which keeps a NaN and a `-0.0`.
+                let h = (pax * bx + pay * by + paz * bz) / denom;
+                let h = F32x4::select(h.lt(F32x4::splat(0.0)), F32x4::splat(0.0), h);
+                let h = F32x4::select(h.gt(F32x4::splat(1.0)), F32x4::splat(1.0), h);
+                length4([pax - bx * h, pay - by * h, paz - bz * h]) - radius
+            }
+            Self::Cone { a, ba: [bx, by, bz], l2, rr, a2, il2, k_rr, ra, rb } => {
+                let [pax, pay, paz] = offset4(p, a);
+                let y = pax * bx + pay * by + paz * bz;
+                let z = y - l2;
+                let [wx, wy, wz] = [pax * l2 - bx * y, pay * l2 - by * y, paz * l2 - bz * y];
+                let x2 = wx * wx + wy * wy + wz * wz;
+                let y2 = y * y * l2;
+                let z2 = z * z * l2;
+                let k = k_rr * x2;
+                let past_b = (z.signum() * a2 * z2).gt(k);
+                let before_a = (y.signum() * a2 * y2).lt(k);
+                let at_b = (x2 + z2).sqrt() * il2 - rb;
+                let at_a = (x2 + y2).sqrt() * il2 - ra;
+                let side = ((x2 * a2 * il2).sqrt() + y * rr) * il2 - ra;
+                F32x4::select(past_b, at_b, F32x4::select(before_a, at_a, side))
+            }
+            Self::TwoSpheres { a, ra, b, rb } => (length4(offset4(p, a)) - ra).min(length4(offset4(p, b)) - rb),
+            Self::Ellipsoid { center, radii: [rx, ry, rz], radii2: [sx, sy, sz], neg_r_min } => {
+                let [qx, qy, qz] = offset4(p, center);
+                let (k0, k1) = (length4([qx / rx, qy / ry, qz / rz]), length4([qx / sx, qy / sy, qz / sz]));
+                F32x4::select(k1.lt(F32x4::splat(1e-12)), neg_r_min, k0 * (k0 - F32x4::splat(1.0)) / k1)
+            }
+        }
     }
 }
 
@@ -438,18 +480,18 @@ impl Sdf for Primitive {
 /// exact no-ops of the blend throughout a ball (DESIGN.md §15, "Exact
 /// no-op culling"): the [`SdfScope`] is the set of parts `0..64` still
 /// alive, with an interval the value stays in throughout the ball (§15,
-/// "The field bounds itself"). That is one body, [`Sdf::distance_batch_in`],
-/// which folds up to four points' parts at once, evaluating round cones
-/// four lanes at a time (§15, "Corners by lanes"); `distance_in` is its
-/// batch of one. [`Sdf::distance`] has no region to reason about and
-/// instead skips, point by point, the parts whose bounding ball already
-/// proves them no-ops (§15, "Per-point culling").
+/// "The field bounds itself"). [`Sdf::distance`] has no region to reason
+/// about and instead skips, lane by lane, the parts whose bounding ball
+/// already proves them no-ops (§15, "Per-point culling"). Each question
+/// has one body, which folds four points' parts at once on four-lane
+/// kernels (§15, "Corners by lanes", "Rays by lanes"); the single-point
+/// calls are its batches of one.
 pub struct GriddedUnion {
     parts: Vec<Primitive>,
     /// [`Primitive::bounding_ball`] of each part.
     balls: Vec<(Vec3, f32)>,
-    /// Each part's four-lane kernel, where it has one.
-    cones: Vec<Option<PreparedCone>>,
+    /// Each part's four-lane kernel.
+    kernels: Vec<PreparedPart>,
     /// Blend radius.
     pub smoothness: f32,
     bounds: Aabb,
@@ -541,15 +583,9 @@ impl GriddedUnion {
             }
         }
         let balls = parts.iter().map(Primitive::bounding_ball).collect();
-        let cones = parts
-            .iter()
-            .map(|part| match part {
-                Primitive::RoundCone(c) => PreparedCone::new(c),
-                _ => None,
-            })
-            .collect();
+        let kernels = parts.iter().map(PreparedPart::new).collect();
         let falls_no_faster = parts.iter().all(Primitive::falls_no_faster_outside);
-        Self { parts, balls, cones, smoothness, bounds, dims, cell_start, listed, spans, margin, falls_no_faster }
+        Self { parts, balls, kernels, smoothness, bounds, dims, cell_start, listed, spans, margin, falls_no_faster }
     }
 
     /// Number of parts.
@@ -578,27 +614,28 @@ impl GriddedUnion {
     /// to the content box where that is the answer instead. Public so that
     /// a test can fold the list again with nothing skipped.
     pub fn listed_at(&self, p: Vec3) -> Result<&[u16], f32> {
-        self.cell_at(p).map(|cell| self.listed(cell))
+        self.cells(splat3(p))[0].map(|cell| self.listed(cell))
     }
 
-    /// The grid cell whose list [`Self::listed_at`] reads at `p`, as
-    /// indices per axis, or the distance to the content box.
-    fn cell_at(&self, p: Vec3) -> Result<[usize; 3], f32> {
-        // Every part lies inside the content box, so the distance to the
-        // box bounds the distance to any part — but it vanishes on the
+    /// The grid cell whose list [`Self::listed_at`] reads at each of four
+    /// points, as indices per axis, or the distance to the content box.
+    fn cells(&self, p: [F32x4; 3]) -> [Result<[usize; 3], f32>; F32x4::LANES] {
+        // `Aabb::signed_distance`. Every part lies inside the content box,
+        // so it bounds the distance to any part — but it vanishes on the
         // box's faces, where there may be no surface. It answers only
-        // where it is the better bound, beyond what the blend is clamped to.
-        let outside = self.bounds.signed_distance(p);
-        if outside >= self.cap() {
-            return Err(outside);
-        }
+        // beyond what the blend is clamped to, where it is the better bound.
+        let (zero, half, size) = (F32x4::splat(0.0), splat3(self.bounds.size() * 0.5), <[f32; 3]>::from(self.bounds.size()));
+        let q = offset4(offset4(p, splat3(self.bounds.center())).map(F32x4::abs), half);
+        let outside = (length4(q.map(|q| q.max(zero))) + q[0].max(q[1]).max(q[2]).min(zero)).to_array();
         // The cell `p` is in, or the one it projects to: projecting onto
         // the box brings `p` no farther from any part, so every part
         // within `margin` of `p` is listed there.
-        let size = self.bounds.size();
-        let rel = p - self.bounds.min;
-        let idx = |r: f32, s: f32| (((r / s.max(1e-9)) * self.dims as f32) as u32).min(self.dims - 1) as usize;
-        Ok([idx(rel.x, size.x), idx(rel.y, size.y), idx(rel.z, size.z)])
+        let rel = offset4(p, splat3(self.bounds.min));
+        let idx = std::array::from_fn::<_, 3, _>(|axis| (rel[axis] / F32x4::splat(size[axis].max(1e-9)) * F32x4::splat(self.dims as f32)).to_array());
+        std::array::from_fn(|lane| match outside[lane] {
+            outside if outside >= self.cap() => Err(outside),
+            _ => Ok(idx.map(|axis| (axis[lane] as u32).min(self.dims - 1) as usize)),
+        })
     }
 
     fn listed(&self, [x, y, z]: [usize; 3]) -> &[u16] {
@@ -607,92 +644,95 @@ impl GriddedUnion {
         &self.listed[self.cell_start[cell] as usize..self.cell_start[cell + 1] as usize]
     }
 
-    /// The bits of the parts below 64 the cell lists.
-    fn listed_mask(&self, [x, y, z]: [usize; 3]) -> u64 {
-        self.spans[0][x] & self.spans[1][y] & self.spans[2][z]
+    /// What both lane bodies start from.
+    fn lanes(&self, ps: &[Vec3]) -> Lanes<'_> {
+        let pts = std::array::from_fn(|lane| ps[if lane < ps.len() { lane } else { 0 }]);
+        let xyz = [pts.map(|p| p.x), pts.map(|p| p.y), pts.map(|p| p.z)].map(F32x4::from_array);
+        let mut lanes = Lanes { pts, xyz, masks: [0; F32x4::LANES], tails: [&[]; F32x4::LANES], outside: [None; F32x4::LANES] };
+        for (lane, cell) in self.cells(xyz).into_iter().enumerate().take(ps.len()) {
+            match cell {
+                Ok([x, y, z]) => {
+                    lanes.masks[lane] = self.spans[0][x] & self.spans[1][y] & self.spans[2][z];
+                    if self.parts.len() > 64 {
+                        lanes.tails[lane] = &self.listed([x, y, z])[lanes.masks[lane].count_ones() as usize..];
+                    }
+                }
+                Err(outside) => lanes.outside[lane] = Some(outside),
+            }
+        }
+        lanes
     }
 
-    /// `distance`: the listed parts' blend, clamped, where a part is
-    /// skipped when its bounding ball proves it a no-op at `p`.
-    fn eval(&self, p: Vec3) -> f32 {
-        let cell = match self.listed_at(p) {
-            Ok(cell) => cell,
-            Err(outside) => return outside,
-        };
-        let mut d = f32::INFINITY;
-        for &pi in cell {
+    /// The unscoped body, for up to four points: each lane folds its own
+    /// list and clamps, skipping a part whose bounding ball already
+    /// proves it a no-op of the lane's running blend (DESIGN.md §15,
+    /// "Per-point culling"). A part is evaluated, in every lane at once,
+    /// only if some lane needs it.
+    fn eval_lanes(&self, ps: &[Vec3], out: &mut [f32]) {
+        let lanes = self.lanes(ps);
+        let mut d = F32x4::splat(f32::INFINITY);
+        walk(lanes.masks, lanes.tails, |pi, listing| {
             // Part i is at least `|p - c| - r` away; once that exceeds
             // the running blend by the blend radius it cannot move it.
-            let (c, r) = self.balls[pi as usize];
-            let reach = d + self.smoothness + CULL_SLACK + r;
-            if (p - c).length_sq() >= reach * reach {
-                continue;
+            let (c, r) = self.balls[pi];
+            let [x, y, z] = offset4(lanes.xyz, splat3(c));
+            let reach = d + F32x4::splat(self.smoothness) + F32x4::splat(CULL_SLACK) + F32x4::splat(r);
+            let needed = listing & !(x * x + y * y + z * z).ge(reach * reach).bitmask();
+            if needed != 0 {
+                let folded = smooth_min4(d, self.kernels[pi].distance4(lanes.xyz), self.smoothness);
+                d = F32x4::select(F32x4::from_bitmask(needed), folded, d);
             }
-            d = smooth_min(d, self.parts[pi as usize].distance(p), self.smoothness);
-        }
-        d.min(self.cap())
+        });
+        let d = d.min(F32x4::splat(self.cap())).to_array();
+        out.iter_mut().zip(lanes.outside).zip(d).for_each(|((v, outside), d)| *v = outside.unwrap_or(d));
     }
 
     /// The scoped body, for up to four points under one scope over one
-    /// radius: the lanes share `scope`'s alive set, and each has its own
-    /// list. The parts alive and listed in any lane are visited once, in
-    /// ascending order, each evaluated in every lane at once and folded
-    /// into the lanes that list it — so each lane folds its own parts in
-    /// its own list's order, with `distance_in`'s rules: skip what
-    /// `scope` has dropped, drop what is a no-op throughout the ball of
-    /// `radius`, and bound the value there (DESIGN.md §15, "Corners by
-    /// lanes"). Parts from 64 on have no bit: they end every list and
-    /// each lane folds them from its own, in order.
-    fn eval_lanes(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+    /// radius: each lane folds the parts of its own list that `scope`
+    /// keeps alive, with `distance_in`'s rules — drop what is a no-op
+    /// throughout the ball of `radius`, and bound the value there
+    /// (DESIGN.md §15, "Corners by lanes").
+    fn eval_lanes_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
+        let lanes = self.lanes(ps);
         let rules = Rules::new(self, radius);
         let mut fold = Fold::new(self.cap(), scope.alive);
-        let mut tails: [&[u16]; F32x4::LANES] = [&[]; F32x4::LANES];
-        let mut masks = [0u64; F32x4::LANES];
-        let mut answered = [true; F32x4::LANES];
-        for (lane, &p) in ps.iter().enumerate() {
-            match self.cell_at(p) {
-                Ok(cell) => {
-                    // The parts below 64 as bits, and the list from 64 on.
-                    let listed = self.listed_mask(cell);
-                    if self.parts.len() > 64 {
-                        tails[lane] = &self.listed(cell)[listed.count_ones() as usize..];
-                    }
-                    masks[lane] = listed & scope.alive;
-                    answered[lane] = false;
-                }
-                // Beyond the clamp the box distance answers.
-                Err(outside) => out[lane] = (outside, scope),
-            }
-        }
-        // Spare lanes repeat the first point, and nothing is folded there.
-        let pts: [Vec3; F32x4::LANES] = std::array::from_fn(|lane| ps[if lane < ps.len() { lane } else { 0 }]);
-        let lanes = [F32x4::from_array(pts.map(|p| p.x)), F32x4::from_array(pts.map(|p| p.y)), F32x4::from_array(pts.map(|p| p.z))];
-        let mut visit = masks.iter().fold(0, |all, m| all | m);
-        while visit != 0 {
-            let pi = visit.trailing_zeros() as usize;
-            let bit = 1u64 << pi;
-            visit &= !bit;
-            let listing = masks.map(|m| m & bit != 0);
-            let part = &self.parts[pi];
-            let v = match &self.cones[pi] {
-                Some(cone) => cone.distance4(lanes),
-                None => F32x4::from_array(std::array::from_fn(|lane| if listing[lane] { part.distance(pts[lane]) } else { 0.0 })),
-            };
-            fold.add(&rules, part, bit, &pts, listing, v);
-        }
-        for (lane, &p) in ps.iter().enumerate() {
-            for &pi in tails[lane] {
-                let part = &self.parts[pi as usize];
-                let listing = std::array::from_fn(|other| other == lane);
-                fold.add(&rules, part, 0, &pts, listing, F32x4::splat(part.distance(p)));
-            }
-        }
+        walk(lanes.masks.map(|m| m & scope.alive), lanes.tails, |pi, listing| {
+            let bit = if pi < 64 { 1 << pi } else { 0 };
+            fold.add(&rules, &self.parts[pi], bit, &lanes.pts, listing, self.kernels[pi].distance4(lanes.xyz));
+        });
         for (lane, answer) in fold.finish(self, &rules).into_iter().enumerate().take(ps.len()) {
-            if !answered[lane] {
-                out[lane] = answer;
-            }
+            out[lane] = lanes.outside[lane].map_or(answer, |outside| (outside, scope));
         }
     }
+}
+
+/// Call `visit(pi, listing)` for each part some lane lists, with the
+/// lanes that list it as bits: those in `masks` once each, ascending,
+/// then each lane's tail — so each lane sees its own list in order.
+#[inline]
+fn walk(masks: [u64; F32x4::LANES], tails: [&[u16]; F32x4::LANES], mut visit: impl FnMut(usize, u32)) {
+    let mut todo = masks.iter().fold(0, |all, m| all | m);
+    while todo != 0 {
+        let pi = todo.trailing_zeros() as usize;
+        todo &= todo - 1;
+        visit(pi, masks.iter().enumerate().fold(0, |bits, (lane, m)| bits | ((m >> pi) as u32 & 1) << lane));
+    }
+    for (lane, tail) in tails.iter().enumerate() {
+        for &pi in *tail {
+            visit(pi as usize, 1 << lane);
+        }
+    }
+}
+
+/// Up to four points as lanes (spare lanes repeat the first, and fold
+/// nothing); each lane's listed parts below 64 as bits, and its list from
+/// 64 on, which has no bits; or the box distance, where that answers.
+struct Lanes<'a> {
+    pts: [Vec3; F32x4::LANES],
+    xyz: [F32x4; 3],
+    masks: [u64; F32x4::LANES],
+    tails: [&'a [u16]; F32x4::LANES],
+    outside: [Option<f32>; F32x4::LANES],
 }
 
 /// What a scoped evaluation over a ball of `radius` may conclude: the
@@ -756,10 +796,11 @@ impl Fold {
     }
 
     /// Blend `part`, whose value at `pts` is `v` and whose alive bit
-    /// (none past 63) is `bit`, into the lanes `listing` names.
+    /// (none past 63) is `bit`, into the lanes `listing` names (bit `i`
+    /// for lane `i`).
     #[inline]
-    fn add(&mut self, rules: &Rules, part: &Primitive, bit: u64, pts: &[Vec3; F32x4::LANES], listing: [bool; F32x4::LANES], v: F32x4) {
-        let listed = F32x4::mask_of(listing);
+    fn add(&mut self, rules: &Rules, part: &Primitive, bit: u64, pts: &[Vec3; F32x4::LANES], listing: u32, v: F32x4) {
+        let listed = F32x4::from_bitmask(listing);
         if rules.narrowing && part.is_exact() {
             let dead = listed & self.nearest_exact.le(rules.witness_reach) & (v - self.nearest_exact).ge(rules.gap);
             let mut lanes = dead.bitmask();
@@ -801,7 +842,16 @@ impl Fold {
 
 impl Sdf for GriddedUnion {
     fn distance(&self, p: Vec3) -> f32 {
-        self.eval(p)
+        let mut out = [0.0];
+        self.eval_lanes(&[p], &mut out);
+        out[0]
+    }
+
+    fn distance_batch(&self, ps: &[Vec3], out: &mut [f32]) {
+        assert_eq!(ps.len(), out.len(), "one answer per point");
+        for (ps, out) in ps.chunks(F32x4::LANES).zip(out.chunks_mut(F32x4::LANES)) {
+            self.eval_lanes(ps, out);
+        }
     }
 
     fn bounds(&self) -> Aabb {
@@ -810,14 +860,14 @@ impl Sdf for GriddedUnion {
 
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         let mut out = [(0.0, scope)];
-        self.eval_lanes(&[p], scope, radius, &mut out);
+        self.eval_lanes_in(&[p], scope, radius, &mut out);
         out[0]
     }
 
     fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
         assert_eq!(ps.len(), out.len(), "one answer per point");
         for (ps, out) in ps.chunks(F32x4::LANES).zip(out.chunks_mut(F32x4::LANES)) {
-            self.eval_lanes(ps, scope, radius, out);
+            self.eval_lanes_in(ps, scope, radius, out);
         }
     }
 }
@@ -830,6 +880,10 @@ impl<S: Sdf + ?Sized> Sdf for &S {
 
     fn bounds(&self) -> Aabb {
         (**self).bounds()
+    }
+
+    fn distance_batch(&self, ps: &[Vec3], out: &mut [f32]) {
+        (**self).distance_batch(ps, out)
     }
 
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
@@ -848,6 +902,10 @@ impl Sdf for Box<dyn Sdf + Send> {
 
     fn bounds(&self) -> Aabb {
         (**self).bounds()
+    }
+
+    fn distance_batch(&self, ps: &[Vec3], out: &mut [f32]) {
+        (**self).distance_batch(ps, out)
     }
 
     fn distance_in(&self, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
@@ -933,9 +991,64 @@ pub(crate) mod tests {
         (d.min(union.cap()), SdfScope { alive, lo, hi: hi + CULL_SLACK })
     }
 
+    /// The unscoped body as it was before it took lanes, one point and one
+    /// part at a time: what [`Sdf::distance_batch`] is held to, lane by
+    /// lane and bit for bit.
+    fn unscoped_reference(union: &GriddedUnion, p: Vec3) -> f32 {
+        let cell = match union.listed_at(p) {
+            Ok(cell) => cell,
+            Err(outside) => return outside,
+        };
+        let mut d = f32::INFINITY;
+        for &pi in cell {
+            // Part i is at least `|p - c| - r` away; once that exceeds
+            // the running blend by the blend radius it cannot move it.
+            let (c, r) = union.balls[pi as usize];
+            let reach = d + union.smoothness + CULL_SLACK + r;
+            if (p - c).length_sq() >= reach * reach {
+                continue;
+            }
+            d = smooth_min(d, union.parts[pi as usize].distance(p), union.smoothness);
+        }
+        d.min(union.cap())
+    }
+
     fn unit(rng: &mut Pcg32) -> Vec3 {
         let v = Vec3::new(rng.normal(), rng.normal(), rng.normal());
         if v.length_sq() > 1e-12 { v.normalized() } else { Vec3::X }
+    }
+
+    /// Unions of all four kinds, with cones `distance` treats as two
+    /// spheres (one end containing the other, and both ends at one
+    /// point), sometimes 70 parts so that lists run past the mask.
+    fn hard_union(rng: &mut Pcg32) -> GriddedUnion {
+        let mut parts = random_parts(rng);
+        if rng.chance(0.5) {
+            let a = Vec3::new(rng.range_f32(-0.3, 0.3), rng.range_f32(-0.3, 0.3), rng.range_f32(-0.3, 0.3));
+            let (ra, rb) = (rng.range_f32(0.05, 0.15), rng.range_f32(0.01, 0.04));
+            let inner = a + unit(rng) * (ra - rb) * rng.range_f32(0.0, 1.0);
+            parts.insert(rng.index(parts.len() + 1), Primitive::RoundCone(SdfRoundCone { a, b: inner, ra, rb }));
+            parts.insert(rng.index(parts.len() + 1), Primitive::RoundCone(SdfRoundCone { a, b: a, ra: rb, rb: ra }));
+        }
+        if rng.chance(0.25) {
+            while parts.len() < 70 {
+                parts.extend(random_parts(rng));
+            }
+            parts.truncate(70);
+        }
+        union_of(parts, rng)
+    }
+
+    /// 1 to 27 points within `spread` of `center`, and some outside the
+    /// content box, beyond the clamp.
+    fn batch_points(rng: &mut Pcg32, union: &GriddedUnion, center: Vec3, spread: f32) -> Vec<Vec3> {
+        let b = union.bounds();
+        (0..1 + rng.index(27))
+            .map(|_| match rng.next_u32() % 8 {
+                0 => b.center() + unit(rng) * rng.range_f32(1.0, 4.0),
+                _ => center + unit(rng) * (spread * rng.range_f32(0.0, 1.0)),
+            })
+            .collect()
     }
 
     holo_prop! {
@@ -943,40 +1056,17 @@ pub(crate) mod tests {
 
         /// Each lane of a batch is the scalar fold of its own point, to
         /// the bit: the value, and the scope's alive set and interval.
-        /// Unions of all four kinds, with cones `distance` treats as two
-        /// spheres (one end containing the other, and both ends at one
-        /// point), sometimes 70 parts so that lists run past the mask;
-        /// 1 to 27 points, over no radius or a random one, under a scope
-        /// narrowed through a ball that contains theirs — and some points
-        /// outside the content box, beyond the clamp.
+        /// [`hard_union`]s; [`batch_points`], over no radius or a random
+        /// one, under a scope narrowed through a ball that contains theirs.
         fn a_batch_is_the_scalar_fold_of_each_lane(seed in any::<u64>()) {
             let mut rng = Pcg32::new(seed);
-            let mut parts = random_parts(&mut rng);
-            if rng.chance(0.5) {
-                let a = Vec3::new(rng.range_f32(-0.3, 0.3), rng.range_f32(-0.3, 0.3), rng.range_f32(-0.3, 0.3));
-                let (ra, rb) = (rng.range_f32(0.05, 0.15), rng.range_f32(0.01, 0.04));
-                let inner = a + unit(&mut rng) * (ra - rb) * rng.range_f32(0.0, 1.0);
-                parts.insert(rng.index(parts.len() + 1), Primitive::RoundCone(SdfRoundCone { a, b: inner, ra, rb }));
-                parts.insert(rng.index(parts.len() + 1), Primitive::RoundCone(SdfRoundCone { a, b: a, ra: rb, rb: ra }));
-            }
-            if rng.chance(0.25) {
-                while parts.len() < 70 {
-                    parts.extend(random_parts(&mut rng));
-                }
-                parts.truncate(70);
-            }
-            let union = union_of(parts, &mut rng);
+            let union = hard_union(&mut rng);
             let b = union.bounds();
             let center = b.center() + unit(&mut rng).mul_elem(b.size()) * rng.range_f32(0.0, 0.7);
             let outer = rng.range_f32(0.0, 0.4);
             let scope = if rng.chance(0.25) { SdfScope::ALL } else { scoped_reference(&union, center, SdfScope::ALL, outer).1 };
             let radius = if rng.chance(0.5) { 0.0 } else { rng.range_f32(0.0, outer) };
-            let ps: Vec<Vec3> = (0..1 + rng.index(27))
-                .map(|_| match rng.next_u32() % 8 {
-                    0 => b.center() + unit(&mut rng) * rng.range_f32(1.0, 4.0),
-                    _ => center + unit(&mut rng) * ((outer - radius) * rng.range_f32(0.0, 1.0)),
-                })
-                .collect();
+            let ps = batch_points(&mut rng, &union, center, outer - radius);
             let mut out = vec![(f32::NAN, SdfScope::ALL); ps.len()];
             union.distance_batch_in(&ps, scope, radius, &mut out);
             for (&p, &(v, got)) in ps.iter().zip(&out) {
@@ -986,35 +1076,94 @@ pub(crate) mod tests {
                 prop_assert_eq!((got.lo.to_bits(), got.hi.to_bits()), (want.lo.to_bits(), want.hi.to_bits()), "interval at {:?}: {:?} against {:?}", p, got, want);
             }
         }
+
+        /// Each lane of an unscoped batch, and `distance` itself, is the
+        /// scalar fold of its own point, to the bit, on the same unions
+        /// and points.
+        fn an_unscoped_batch_is_the_scalar_fold_of_each_lane(seed in any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let union = hard_union(&mut rng);
+            let b = union.bounds();
+            let center = b.center() + unit(&mut rng).mul_elem(b.size()) * rng.range_f32(0.0, 0.7);
+            let spread = rng.range_f32(0.0, 0.4);
+            let ps = batch_points(&mut rng, &union, center, spread);
+            let mut out = vec![f32::NAN; ps.len()];
+            union.distance_batch(&ps, &mut out);
+            for (&p, &v) in ps.iter().zip(&out) {
+                let want = unscoped_reference(&union, p);
+                prop_assert_eq!(v.to_bits(), want.to_bits(), "batch at {:?}: {} against {}", p, v, want);
+                prop_assert_eq!(union.distance(p).to_bits(), want.to_bits(), "distance at {:?}", p);
+            }
+        }
     }
 
-    /// The four-lane cone kernel is `SdfRoundCone::distance`, to the bit,
-    /// around random cones: near them, on the axis beyond either end and
-    /// at the ends themselves, where `y` or `z` is a signed zero.
+    /// Each part's four-lane kernel is its scalar `distance`, to the bit,
+    /// around random parts of every kind: near them, and where the scalar
+    /// code branches or meets a signed zero — the ends of a cone or a
+    /// capsule and its axis beyond them, points on a capsule's segment, a
+    /// capsule whose ends coincide, cones `distance` treats as two spheres
+    /// (one end containing the other, and both ends at one point), and an
+    /// ellipsoid's center and axes, some through a center at the origin
+    /// with `-0.0` offsets; and a NaN coordinate, which `clamp` keeps.
     #[test]
-    fn the_cone_kernel_is_the_scalar_cone() {
+    fn every_kernel_is_its_scalar_part() {
         let mut rng = Pcg32::new(0xC0DE);
-        let mut kernels = 0;
-        for _ in 0..2000 {
-            let a = Vec3::new(rng.range_f32(-1.0, 1.0), rng.range_f32(-1.0, 1.0), rng.range_f32(-1.0, 1.0));
-            let cone = SdfRoundCone { a, b: a + unit(&mut rng) * rng.range_f32(0.0, 0.5), ra: rng.range_f32(0.0, 0.2), rb: rng.range_f32(0.0, 0.2) };
-            let Some(prepared) = PreparedCone::new(&cone) else { continue };
-            kernels += 1;
+        let mut kernels = [0; 5];
+        for i in 0..5000 {
+            let a = if rng.chance(0.1) { Vec3::ZERO } else { Vec3::new(rng.range_f32(-1.0, 1.0), rng.range_f32(-1.0, 1.0), rng.range_f32(-1.0, 1.0)) };
+            let (ra, rb) = (rng.range_f32(0.0, 0.2), rng.range_f32(0.0, 0.2));
+            let b = match rng.next_u32() % 4 {
+                0 => a,
+                _ => a + unit(&mut rng) * rng.range_f32(0.0, 0.5),
+            };
+            let part = match i % 5 {
+                0 => Primitive::Sphere(SdfSphere { center: a, radius: ra }),
+                1 => Primitive::Capsule(SdfCapsule { a, b, radius: ra }),
+                2 => Primitive::RoundCone(SdfRoundCone { a, b, ra, rb }),
+                // One end sphere inside the other.
+                3 => Primitive::RoundCone(SdfRoundCone { a, b: a + unit(&mut rng) * (ra - rb).abs() * rng.range_f32(0.0, 1.0), ra, rb }),
+                _ => Primitive::Ellipsoid(SdfEllipsoid { center: a, radii: Vec3::new(0.01 + ra, 0.01 + rb, rng.range_f32(0.01, 0.2)) }),
+            };
+            let (a, b) = match part {
+                Primitive::Capsule(c) => (c.a, c.b),
+                Primitive::RoundCone(c) => (c.a, c.b),
+                _ => (a, a),
+            };
+            let kernel = PreparedPart::new(&part);
+            kernels[match kernel {
+                PreparedPart::Sphere { .. } => 0,
+                PreparedPart::Capsule { .. } => 1,
+                PreparedPart::Cone { .. } => 2,
+                PreparedPart::TwoSpheres { .. } => 3,
+                PreparedPart::Ellipsoid { .. } => 4,
+            }] += 1;
             for _ in 0..8 {
-                let pts: [Vec3; 4] = std::array::from_fn(|lane| match rng.next_u32() % 5 {
-                    0 => cone.a,
-                    1 => cone.b,
-                    2 => cone.a.lerp(cone.b, rng.range_f32(-3.0, 4.0)),
-                    _ => cone.a.lerp(cone.b, rng.range_f32(-0.5, 1.5)) + unit(&mut rng) * rng.range_f32(0.0, 0.5) * (lane as f32 + 1.0),
+                let pts: [Vec3; 4] = std::array::from_fn(|lane| match rng.next_u32() % 8 {
+                    7 => Vec3::new(f32::NAN, a.y, a.z),
+                    0 => a,
+                    1 => b,
+                    2 => a.lerp(b, rng.range_f32(-3.0, 4.0)),
+                    3 => a.lerp(b, rng.range_f32(0.0, 1.0)),
+                    4 => {
+                        // On an axis through `a`, the other offsets zero.
+                        let mut q = [a.x, a.y, a.z];
+                        let axis = rng.index(3);
+                        q[axis] += rng.range_f32(-0.3, 0.3);
+                        if a == Vec3::ZERO {
+                            q[(axis + 1) % 3] = -0.0;
+                        }
+                        Vec3::from(q)
+                    }
+                    _ => a.lerp(b, rng.range_f32(-0.5, 1.5)) + unit(&mut rng) * rng.range_f32(0.0, 0.5) * (lane as f32 + 1.0),
                 });
                 let lanes = [F32x4::from_array(pts.map(|p| p.x)), F32x4::from_array(pts.map(|p| p.y)), F32x4::from_array(pts.map(|p| p.z))];
-                let got = prepared.distance4(lanes).to_array();
+                let got = kernel.distance4(lanes).to_array();
                 for (p, v) in pts.iter().zip(got) {
-                    assert_eq!(v.to_bits(), cone.distance(*p).to_bits(), "{cone:?} at {p:?}");
+                    assert_eq!(v.to_bits(), part.distance(*p).to_bits(), "{part:?} at {p:?}");
                 }
             }
         }
-        assert!(kernels > 1000, "{kernels} non-degenerate cones");
+        assert!(kernels.iter().all(|&n| n > 400), "kernels by kind {kernels:?}");
     }
 
     #[test]

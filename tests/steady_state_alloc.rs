@@ -1,11 +1,15 @@
-//! The allocation law of the mesh sender (ROADMAP item 2): a
-//! steady-state `MeshEncoder::encode` allocates its output and nothing
-//! else. This binary installs the counting allocator; its counters are
-//! per thread, so the test harness's other threads do not show.
+//! Allocation laws: a steady-state `MeshEncoder::encode` allocates its
+//! output and nothing else, and so does a capture camera's
+//! `render_rgbd`. This binary installs the counting allocator; its
+//! counters are per thread, so the test harness's other threads do not
+//! show.
 
-use holo_body::{BodyModel, MotionKind, MotionSynthesizer};
+use holo_body::{BodyModel, BodySdf, MotionKind, MotionSynthesizer, Skeleton, SurfaceDetail};
+use holo_capture::render::{render_rgbd, ShadingConfig};
+use holo_capture::{Camera, CameraIntrinsics, DepthNoiseModel};
 use holo_compress::meshcodec::{encode_mesh, MeshCodecConfig, MeshEncoder};
 use holo_fuzz::alloc::{alloc_bytes, alloc_calls};
+use holo_math::{Pcg32, Vec3};
 use holo_mesh::trimesh::TriMesh;
 
 #[global_allocator]
@@ -73,4 +77,20 @@ fn steady_state_mesh_encode_allocates_its_output_and_nothing_else() {
     // For contrast, not pinned: what the one-shot function asks of the heap.
     let (_, calls, bytes) = counted(|| encode_mesh(&meshes[5], &cfg));
     println!("one-shot encode_mesh: {calls} calls, {bytes} B");
+}
+
+/// A 96×72 render of a posed, clothed body allocates the depth image and
+/// the color image — 4 and 3 bytes a pixel — and nothing else: the trace
+/// pass keeps its rays on the stack and its hits in the depth image.
+#[test]
+fn render_rgbd_allocates_its_two_images_and_nothing_else() {
+    assert!(holo_fuzz::alloc::installed());
+    let clip = MotionSynthesizer::new(42).clip(MotionKind::Waving, 10.0 / 30.0, 30.0);
+    let body = BodySdf::from_pose(&Skeleton::neutral(), clip.frame(5), SurfaceDetail::full());
+    let camera = Camera::look_at(CameraIntrinsics::from_fov(96, 72, 1.0), Vec3::new(0.4, 1.3, 2.4), Vec3::new(0.0, 1.0, 0.0));
+    let mut rng = Pcg32::new(42);
+    let (frame, calls, bytes) =
+        counted(|| render_rgbd(&body, &camera, &DepthNoiseModel::default(), &ShadingConfig::default(), &mut rng));
+    assert!(frame.depth.coverage() > 0.05, "the body fills {} of the image", frame.depth.coverage());
+    assert_eq!((calls, bytes), (2, 96 * 72 * (4 + 3)), "{calls} allocation calls of {bytes} B in all");
 }
