@@ -37,7 +37,7 @@ fn scene_views(center: Vec3, n: usize, res: u32, seed: u64) -> Vec<(Camera, Text
                 &sdf,
                 &cam,
                 &DepthNoiseModel::none(),
-                &ShadingConfig { skin_above_y: 10.0, ..Default::default() },
+                &ShadingConfig { skin_above_y: 10.0 },
                 &mut rng,
             );
             (cam, frame.color)

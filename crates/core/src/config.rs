@@ -68,19 +68,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_values() {
-        let mut c = SemHoloConfig::default();
-        c.fps = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = SemHoloConfig::default();
-        c.camera_count = 0;
-        assert!(c.validate().is_err());
+        assert!(SemHoloConfig { fps: 0.0, ..Default::default() }.validate().is_err());
+        assert!(SemHoloConfig { camera_count: 0, ..Default::default() }.validate().is_err());
     }
 
     #[test]
     fn rig_config_reflects_settings() {
-        let mut c = SemHoloConfig::default();
-        c.camera_count = 6;
-        c.capture_resolution = (128, 96);
+        let c = SemHoloConfig { camera_count: 6, capture_resolution: (128, 96), ..Default::default() };
         let rig = c.rig_config();
         assert_eq!(rig.camera_count, 6);
         assert_eq!(rig.intrinsics.width, 128);

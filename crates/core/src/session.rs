@@ -19,8 +19,6 @@ use holo_net::time::SimTime;
 use holo_net::trace::BandwidthTrace;
 use holo_net::transport::{FrameTransport, LossPolicy, MTU_PAYLOAD};
 use holo_net::wire::{PayloadKind, WireFrame};
-use holo_trace::TraceReport;
-use std::path::Path;
 use std::time::Duration;
 
 /// Which wire payload tag a semantic pipeline's frames travel under.
@@ -362,26 +360,6 @@ impl Session {
         report.mean_psnr = (psnr.count() > 0).then(|| psnr.mean());
         Ok(report)
     }
-
-    /// Run with tracing force-enabled and export the evidence: writes a
-    /// `chrome://tracing`-compatible trace-event JSON to `trace_path`
-    /// (stamped in virtual `SimTime`, so the bytes are identical for
-    /// identical seeds) and returns the per-stage [`TraceReport`]
-    /// alongside the usual [`SessionReport`]. The recorder is reset at
-    /// entry and the previous enable state is restored at exit.
-    pub fn run_traced(
-        &mut self,
-        pipeline: &mut dyn SemanticPipeline,
-        scene: &SceneSource,
-        frames: usize,
-        trace_path: &Path,
-    ) -> Result<(SessionReport, TraceReport)> {
-        let report = holo_trace::traced(|| self.run(pipeline, scene, frames))?;
-        std::fs::write(trace_path, holo_trace::chrome_trace().as_bytes()).map_err(|e| {
-            SemHoloError::Config(format!("cannot write trace {}: {e}", trace_path.display()))
-        })?;
-        Ok((report, holo_trace::trace_report()))
-    }
 }
 
 #[cfg(test)]
@@ -488,34 +466,28 @@ mod tests {
     #[test]
     fn traced_run_covers_all_stages_and_reproduces() {
         let scene = scene();
-        let dir = std::env::temp_dir();
-        let run = |path: &std::path::Path| {
+        let run = || {
             let mut pipeline =
                 KeypointPipeline::new(KeypointConfig { resolution: 48, ..Default::default() }, 3);
             let mut session = broadband_session();
-            session.run_traced(&mut pipeline, &scene, 5, path).unwrap()
+            let report = holo_trace::traced(|| session.run(&mut pipeline, &scene, 5)).unwrap();
+            (report, holo_trace::trace_report(), holo_trace::chrome_trace())
         };
-        let p1 = dir.join("semholo_session_trace_a.json");
-        let p2 = dir.join("semholo_session_trace_b.json");
-        let (report, stages) = run(&p1);
-        let (_, _) = run(&p2);
+        let (report, stages, a) = run();
+        let (_, _, b) = run();
         assert_eq!(report.frames.len(), 5);
         for stage in ["frame", "extract", "encode", "transmit", "decode", "render"] {
             let s = stages.get(stage).unwrap_or_else(|| panic!("missing stage {stage}"));
             assert_eq!(s.count as usize, 5, "stage {stage} must cover every frame");
         }
-        let a = std::fs::read_to_string(&p1).unwrap();
-        let b = std::fs::read_to_string(&p2).unwrap();
         assert_eq!(a, b, "same seed must produce byte-identical traces");
         let doc = holo_runtime::ser::parse(&a).expect("chrome trace parses");
         assert!(doc.get("traceEvents").unwrap().as_array().unwrap().len() >= 30);
-        let _ = std::fs::remove_file(&p1);
-        let _ = std::fs::remove_file(&p2);
     }
 
     #[test]
     fn untraced_run_records_no_spans() {
-        // `run` (not `run_traced`) with the global flag off must leave
+        // `run` outside `holo_trace::traced`, with the global flag off, must leave
         // the thread recorder untouched.
         let scene = scene();
         holo_trace::reset();

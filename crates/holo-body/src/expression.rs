@@ -63,11 +63,6 @@ impl ExpressionBasis {
         }
     }
 
-    /// Number of coarse components.
-    pub fn coarse_count(&self) -> usize {
-        self.components.iter().filter(|c| c.coarse).count()
-    }
-
     /// World-space bumps `(center, radius, displacement)` for a coefficient
     /// vector, given the head joint's world position and orientation.
     pub fn bumps(
@@ -114,15 +109,6 @@ impl ExpressionBasis {
         }
         (sum / weight.max(1e-12)).sqrt()
     }
-
-    /// Per-component absolute reconstruction error.
-    pub fn component_errors(&self, truth: &[f32; EXPRESSION_DIM], recon: &[f32; EXPRESSION_DIM]) -> Vec<(&'static str, f32)> {
-        self.components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name, (truth[i] - recon[i]).abs() * c.amplitude))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +119,7 @@ mod tests {
     fn basis_has_expression_dim_components() {
         let b = ExpressionBasis::standard();
         assert_eq!(b.components.len(), EXPRESSION_DIM);
-        assert_eq!(b.coarse_count(), 3);
+        assert_eq!(b.components.iter().filter(|c| c.coarse).count(), 3);
     }
 
     #[test]
@@ -146,9 +132,11 @@ mod tests {
         let learned = b.learned_reconstruction(&coeffs);
         assert_eq!(learned[0], 1.0, "open mouth must survive");
         assert_eq!(learned[3], 0.0, "pout must be lost");
-        let errors = b.component_errors(&coeffs, &learned);
-        let pout_err = errors.iter().find(|(n, _)| *n == "pout").unwrap().1;
-        let jaw_err = errors.iter().find(|(n, _)| *n == "jaw_open").unwrap().1;
+        let error = |name| {
+            let i = b.components.iter().position(|c| c.name == name).unwrap();
+            (coeffs[i] - learned[i]).abs() * b.components[i].amplitude
+        };
+        let (pout_err, jaw_err) = (error("pout"), error("jaw_open"));
         assert!(pout_err > 0.0);
         assert_eq!(jaw_err, 0.0);
     }

@@ -8,7 +8,7 @@
 //! Table 2 wire size) is constant across frames, exactly like SMPL-X.
 
 use crate::params::SmplxParams;
-use crate::skeleton::{Joint, Skeleton, JOINT_COUNT};
+use crate::skeleton::{Skeleton, JOINT_COUNT};
 use crate::surface::{body_bones, BodySdf, SurfaceDetail};
 use holo_math::Vec3;
 use holo_mesh::sdf::{Sdf, SdfRoundCone};
@@ -123,21 +123,12 @@ impl BodyModel {
         out.compute_normals();
         out
     }
-
-    /// World positions of all joints under `params` (convenience).
-    pub fn joint_positions(&self, params: &SmplxParams) -> [Vec3; JOINT_COUNT] {
-        Skeleton::from_betas(&params.betas).forward_kinematics(params).positions()
-    }
-}
-
-/// Joints commonly used to sanity-check skinning in tests.
-pub fn limb_probe_joints() -> [Joint; 4] {
-    [Joint::LeftWrist, Joint::RightWrist, Joint::LeftAnkle, Joint::RightAnkle]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skeleton::Joint;
     use holo_math::Quat;
 
     fn model() -> Arc<BodyModel> {

@@ -252,7 +252,7 @@ mod tests {
         let mut idle = 0usize;
         let mut total = 0usize;
         for f in &c.frames {
-            for j in Joint::all().filter(|j| j.is_finger()) {
+            for j in Joint::all().filter(|j| j.index() >= Joint::LeftThumb1.index()) {
                 total += 1;
                 if f.joint_rotations[j.index()].angle_to(Quat::IDENTITY) < 1e-3 {
                     idle += 1;

@@ -103,18 +103,6 @@ impl SmplxParams {
         out
     }
 
-    /// Mean per-joint rotation error (radians) against another pose —
-    /// the pose-accuracy metric for the keypoint fitting pipeline.
-    pub fn rotation_error(&self, other: &Self) -> f32 {
-        let sum: f32 = self
-            .joint_rotations
-            .iter()
-            .zip(&other.joint_rotations)
-            .map(|(a, b)| a.angle_to(*b))
-            .sum();
-        sum / JOINT_COUNT as f32
-    }
-
     /// A random plausible pose (small joint angles, fingers mostly at
     /// rest), for tests and property checks.
     pub fn random_plausible(rng: &mut Pcg32) -> Self {
@@ -209,6 +197,20 @@ impl PosePayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SmplxParams {
+        /// Mean per-joint rotation error (radians) against another pose:
+        /// the smoothness probe of this crate's motion tests.
+        pub(crate) fn rotation_error(&self, other: &Self) -> f32 {
+            let sum: f32 = self
+                .joint_rotations
+                .iter()
+                .zip(&other.joint_rotations)
+                .map(|(a, b)| a.angle_to(*b))
+                .sum();
+            sum / JOINT_COUNT as f32
+        }
+    }
 
     #[test]
     fn wire_size_is_1_91_kb() {

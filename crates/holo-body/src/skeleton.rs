@@ -87,21 +87,6 @@ impl Joint {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Joint from a numeric index; `None` when out of range.
-    pub fn from_index(i: usize) -> Option<Joint> {
-        (i < JOINT_COUNT).then(|| unsafe { std::mem::transmute::<u8, Joint>(i as u8) })
-    }
-
-    /// True for the 30 finger joints.
-    pub fn is_finger(self) -> bool {
-        self.index() >= Joint::LeftThumb1.index()
-    }
-
-    /// True for face-area joints (head, jaw, eyes).
-    pub fn is_face(self) -> bool {
-        matches!(self, Joint::Head | Joint::Jaw | Joint::LeftEye | Joint::RightEye)
-    }
 }
 
 /// Parent of each joint (`u8::MAX` marks the root).
@@ -290,13 +275,6 @@ impl PosedSkeleton {
     pub fn positions(&self) -> [Vec3; JOINT_COUNT] {
         std::array::from_fn(|i| self.world[i].translation_part())
     }
-
-    /// Skinning matrices: `world[i] * rest[i]^-1` for each joint, mapping
-    /// rest-pose surface points into the posed frame.
-    pub fn skinning_matrices(&self, skeleton: &Skeleton) -> [Mat4; JOINT_COUNT] {
-        let rest = skeleton.rest_transforms();
-        std::array::from_fn(|i| self.world[i] * rest[i].rigid_inverse())
-    }
 }
 
 #[cfg(test)]
@@ -321,10 +299,9 @@ mod tests {
     #[test]
     fn joint_roundtrip_and_count() {
         assert_eq!(Joint::all().count(), JOINT_COUNT);
-        for j in Joint::all() {
-            assert_eq!(Joint::from_index(j.index()), Some(j));
+        for (i, j) in Joint::all().enumerate() {
+            assert_eq!(j.index(), i);
         }
-        assert!(Joint::from_index(JOINT_COUNT).is_none());
         assert_eq!(Joint::RightPinky3.index(), 54);
     }
 
@@ -409,10 +386,11 @@ mod tests {
     fn skinning_matrices_identity_at_rest() {
         let sk = Skeleton::neutral();
         let posed = sk.forward_kinematics(&SmplxParams::default());
-        let mats = posed.skinning_matrices(&sk);
+        // Skinning matrix `world[i] * rest[i]^-1` maps rest-pose points
+        // into the posed frame: the identity at rest.
         let p = Vec3::new(0.1, 1.2, 0.05);
-        for m in &mats {
-            assert!((m.transform_point(p) - p).length() < 1e-4);
+        for (world, rest) in posed.world.iter().zip(sk.rest_transforms()) {
+            assert!(((*world * rest.rigid_inverse()).transform_point(p) - p).length() < 1e-4);
         }
     }
 }

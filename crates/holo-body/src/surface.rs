@@ -13,7 +13,7 @@ use crate::expression::ExpressionBasis;
 use crate::params::SmplxParams;
 use crate::skeleton::{Joint, PosedSkeleton, Skeleton};
 use holo_math::{Aabb, Vec3};
-use holo_mesh::sdf::{smooth_min, GriddedUnion, Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
+use holo_mesh::sdf::{GriddedUnion, Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
 
 /// What surface detail to include when building a [`BodySdf`].
 #[derive(Debug, Clone, Copy)]
@@ -386,32 +386,26 @@ impl Sdf for BodySdf {
     }
 }
 
-/// Distance from a point to the nearest bone segment surface; used for
-/// skinning weights. Returns `(best_driver_joint, distance)`.
-pub fn nearest_bone(bones: &[Bone], p: Vec3) -> (Joint, f32) {
-    let mut best = (Joint::Pelvis, f32::INFINITY);
-    for bone in bones {
-        let cone = SdfRoundCone { a: bone.a, b: bone.b, ra: bone.ra, rb: bone.rb };
-        let d = cone.distance(p);
-        if d < best.1 {
-            best = (bone.driver, d);
-        }
-    }
-    best
-}
-
-/// Smooth-union of an explicit distance value into an accumulator —
-/// re-exported convenience for tests.
-pub fn blend(a: f32, b: f32, k: f32) -> f32 {
-    smooth_min(a, b, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::motion::{MotionKind, MotionSynthesizer};
     use holo_math::Pcg32;
+    use holo_mesh::sdf::smooth_min;
     use holo_runtime::prop_assert_eq;
+
+    /// The bone whose round cone is nearest `p`, and the distance to it.
+    fn nearest_bone(bones: &[Bone], p: Vec3) -> (Joint, f32) {
+        let mut best = (Joint::Pelvis, f32::INFINITY);
+        for bone in bones {
+            let cone = SdfRoundCone { a: bone.a, b: bone.b, ra: bone.ra, rb: bone.rb };
+            let d = cone.distance(p);
+            if d < best.1 {
+                best = (bone.driver, d);
+            }
+        }
+        best
+    }
 
     fn neutral_sdf(detail: SurfaceDetail) -> BodySdf {
         let sk = Skeleton::neutral();

@@ -1,6 +1,6 @@
 //! Pinhole camera model with intrinsics and extrinsics.
 
-use holo_math::{Mat4, Ray, Vec2, Vec3};
+use holo_math::{Mat4, Ray, Vec3};
 
 /// Pinhole intrinsics (pixel units).
 #[derive(Debug, Clone, Copy)]
@@ -82,20 +82,6 @@ impl Camera {
         Ray::new(self.position(), self.pose.transform_dir(dir_cam))
     }
 
-    /// Project a world point to pixel coordinates and camera-space depth.
-    /// Returns `None` when the point is behind the camera.
-    pub fn project(&self, p: Vec3) -> Option<(Vec2, f32)> {
-        let cam = self.pose.rigid_inverse().transform_point(p);
-        if cam.z <= 1e-6 {
-            return None;
-        }
-        let k = &self.intrinsics;
-        Some((
-            Vec2::new(k.fx * cam.x / cam.z + k.cx, k.fy * cam.y / cam.z + k.cy),
-            cam.z,
-        ))
-    }
-
     /// Unproject pixel `(x, y)` at camera-space depth `z` to world space.
     pub fn unproject(&self, x: u32, y: u32, z: f32) -> Vec3 {
         let k = &self.intrinsics;
@@ -111,6 +97,23 @@ impl Camera {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holo_math::Vec2;
+
+    impl Camera {
+        /// Project a world point to pixel coordinates and camera-space depth.
+        /// Returns `None` when the point is behind the camera.
+        pub(crate) fn project(&self, p: Vec3) -> Option<(Vec2, f32)> {
+            let cam = self.pose.rigid_inverse().transform_point(p);
+            if cam.z <= 1e-6 {
+                return None;
+            }
+            let k = &self.intrinsics;
+            Some((
+                Vec2::new(k.fx * cam.x / cam.z + k.cx, k.fy * cam.y / cam.z + k.cy),
+                cam.z,
+            ))
+        }
+    }
 
     fn test_camera() -> Camera {
         let k = CameraIntrinsics::from_fov(320, 240, 1.2);

@@ -51,18 +51,19 @@ pub struct RgbdFrame {
     pub color: Texture,
 }
 
+/// The color channel's directional light (normalized at use).
+const LIGHT_DIR: Vec3 = Vec3::new(0.4, -1.0, -0.6);
+
 /// Shading parameters for the color channel.
 #[derive(Debug, Clone, Copy)]
 pub struct ShadingConfig {
-    /// Directional light (normalized at use).
-    pub light_dir: Vec3,
     /// Height (world y) above which albedo is skin rather than clothing.
     pub skin_above_y: f32,
 }
 
 impl Default for ShadingConfig {
     fn default() -> Self {
-        Self { light_dir: Vec3::new(0.4, -1.0, -0.6), skin_above_y: 1.45 }
+        Self { skin_above_y: 1.45 }
     }
 }
 
@@ -74,7 +75,7 @@ pub fn render_rgbd<S: Sdf + ?Sized>(sdf: &S, camera: &Camera, noise: &DepthNoise
     let mut depth = DepthImage { width: k.width, height: k.height, depths: vec![NO_HIT; k.pixel_count()] };
     let mut color = Texture::new(k.width, k.height);
     let bounds = sdf.bounds();
-    let light = shading.light_dir.normalized() * -1.0;
+    let light = LIGHT_DIR.normalized() * -1.0;
     let eps = bounds.longest_side() * 2e-4;
     let world_to_camera = camera.pose.rigid_inverse();
     trace(sdf, camera, &bounds, eps, &mut depth.depths);
@@ -184,7 +185,7 @@ mod tests {
         let mut depth = DepthImage { width: k.width, height: k.height, depths: vec![0.0; k.pixel_count()] };
         let mut color = Texture::new(k.width, k.height);
         let bounds = sdf.bounds();
-        let light = shading.light_dir.normalized() * -1.0;
+        let light = LIGHT_DIR.normalized() * -1.0;
         let eps = bounds.longest_side() * 2e-4;
         let world_to_camera = camera.pose.rigid_inverse();
         for y in 0..k.height {

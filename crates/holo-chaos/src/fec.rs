@@ -9,51 +9,12 @@
 //! right shape for burst loss: consecutive frames belong to different
 //! stripes.
 //!
-//! Two layers live here: the *byte codec* ([`parity_blocks`] /
-//! [`recover_stripe`]) proving the math on real payloads, and the
-//! *group accounting* ([`recoverable`]) the size-only stream simulator
-//! uses to decide which lost frames parity brings back. The stripe
+//! The size-only stream simulator needs only the *group accounting*
+//! ([`recoverable`]) to decide which lost frames parity brings back; the
+//! *byte codec* (`parity_blocks` / `recover_stripe`, in the tests) is
+//! its referee, proving the math on real payloads. The stripe
 //! geometry itself (`k`, `r`, and their validation) is
 //! [`holo_uep::StripeSpec`] — one vocabulary for both crates.
-
-/// Compute the `r` parity blocks for one group of data blocks.
-/// Parity `p` XORs data blocks with in-group index `i % r == p`,
-/// zero-padded to the longest block in the stripe.
-pub fn parity_blocks(data: &[&[u8]], r: usize) -> Vec<Vec<u8>> {
-    let r = r.max(1);
-    let mut parities = Vec::with_capacity(r);
-    for p in 0..r {
-        let len = data
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % r == p)
-            .map(|(_, d)| d.len())
-            .max()
-            .unwrap_or(0);
-        let mut parity = vec![0u8; len];
-        for (_, d) in data.iter().enumerate().filter(|(i, _)| i % r == p) {
-            for (b, x) in parity.iter_mut().zip(d.iter()) {
-                *b ^= x;
-            }
-        }
-        parities.push(parity);
-    }
-    parities
-}
-
-/// Rebuild the single missing block of one stripe: XOR the parity with
-/// every surviving block. `present` holds the stripe's surviving data
-/// blocks; the result is padded to the parity length (the caller knows
-/// the original length if it needs to trim).
-pub fn recover_stripe(present: &[&[u8]], parity: &[u8]) -> Vec<u8> {
-    let mut out = parity.to_vec();
-    for d in present {
-        for (b, x) in out.iter_mut().zip(d.iter()) {
-            *b ^= x;
-        }
-    }
-    out
-}
 
 /// Group accounting: given which data and parity frames of one group
 /// arrived, return for each data frame whether it is available after
@@ -82,6 +43,45 @@ pub fn recoverable(delivered_data: &[bool], delivered_parity: &[bool], r: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Compute the `r` parity blocks for one group of data blocks.
+    /// Parity `p` XORs data blocks with in-group index `i % r == p`,
+    /// zero-padded to the longest block in the stripe.
+    fn parity_blocks(data: &[&[u8]], r: usize) -> Vec<Vec<u8>> {
+        let r = r.max(1);
+        let mut parities = Vec::with_capacity(r);
+        for p in 0..r {
+            let len = data
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % r == p)
+                .map(|(_, d)| d.len())
+                .max()
+                .unwrap_or(0);
+            let mut parity = vec![0u8; len];
+            for (_, d) in data.iter().enumerate().filter(|(i, _)| i % r == p) {
+                for (b, x) in parity.iter_mut().zip(d.iter()) {
+                    *b ^= x;
+                }
+            }
+            parities.push(parity);
+        }
+        parities
+    }
+
+    /// Rebuild the single missing block of one stripe: XOR the parity with
+    /// every surviving block. `present` holds the stripe's surviving data
+    /// blocks; the result is padded to the parity length (the caller knows
+    /// the original length if it needs to trim).
+    fn recover_stripe(present: &[&[u8]], parity: &[u8]) -> Vec<u8> {
+        let mut out = parity.to_vec();
+        for d in present {
+            for (b, x) in out.iter_mut().zip(d.iter()) {
+                *b ^= x;
+            }
+        }
+        out
+    }
 
     #[test]
     fn zero_r_clamps_to_one_stripe_everywhere() {

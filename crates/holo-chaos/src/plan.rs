@@ -108,12 +108,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the loss process (builder).
-    pub fn with_loss(mut self, loss: LossModel) -> Self {
-        self.loss = Some(loss);
-        self
-    }
-
     /// Add a hard outage window (builder).
     pub fn down(mut self, from_s: f64, until_s: f64) -> Self {
         self.segments.push(FaultSegment {
@@ -160,25 +154,11 @@ impl FaultPlan {
         self
     }
 
-    /// Add a participant presence window (builder).
-    pub fn with_churn(mut self, participant: usize, join_s: f64, leave_s: f64) -> Self {
-        self.churn.push(ChurnEvent { participant, join_s, leave_s });
-        self
-    }
-
     /// Compile the plan into the clock for one lane. Lanes number the
     /// links of a scenario (point-to-point: lane 0; rooms: uplink `i`
     /// is lane `2i`, downlink `i` is lane `2i+1`).
     pub fn compile(&self, lane: u64) -> FaultClock {
         FaultClock::new(self.loss.clone(), self.segments.clone(), derive_seed(self.seed, lane))
-    }
-
-    /// The presence window for `participant`, if the plan churns it.
-    pub fn churn_window(&self, participant: usize) -> Option<(f64, f64)> {
-        self.churn
-            .iter()
-            .find(|c| c.participant == participant)
-            .map(|c| (c.join_s, c.leave_s))
     }
 }
 
@@ -233,9 +213,8 @@ mod tests {
 
     #[test]
     fn churn_windows_resolve_by_participant() {
-        let plan = FaultPlan::churny(3, 4).with_churn(1, 0.0, 0.2);
-        assert_eq!(plan.churn_window(3), Some((0.15, 0.35)));
-        assert_eq!(plan.churn_window(1), Some((0.0, 0.2)));
-        assert_eq!(plan.churn_window(0), None);
+        let plan = FaultPlan::churny(3, 4);
+        let windows: Vec<_> = plan.churn.iter().map(|c| (c.participant, c.join_s, c.leave_s)).collect();
+        assert_eq!(windows, [(3, 0.15, 0.35)], "the last participant churns, no other");
     }
 }

@@ -659,7 +659,7 @@ mod tests {
     #[test]
     fn a_dead_link_spends_the_whole_retry_budget_and_no_more() {
         let cfg = StreamConfig::default();
-        let plan = FaultPlan::clean(2).with_loss(LossModel::Bernoulli { rate: 1.0 });
+        let plan = FaultPlan { loss: Some(LossModel::Bernoulli { rate: 1.0 }), ..FaultPlan::clean(2) };
         let out = run_uep_stream_scenario(&plan, &UepPolicy::uniform(), &cfg, PayloadKind::Mesh);
         assert_eq!(out.delivered, 0);
         assert_eq!(out.lost, out.frames);

@@ -1,7 +1,7 @@
 //! Closed-loop quantized vector deltas: the keyframe/delta chain behind
-//! `holo-keypoints::posedelta` and `holo-gaussian::update`.
+//! `holo-gaussian::update`.
 //!
-//! Both streams send a parameter vector whose components move a little
+//! The stream sends a parameter vector whose components move a little
 //! each frame. A keyframe (the caller's own format) gives both ends the
 //! same reference vector; every frame after codes, per component, the
 //! difference to the reference as a multiple of that component's step

@@ -23,8 +23,8 @@
 //! - [`temporal`] — inter-frame mesh compression for fixed-topology
 //!   streams (connectivity once, closed-loop position deltas after), the
 //!   Draco-animation-class upgrade of the traditional baseline.
-//! - [`closedloop`] — the closed-loop quantized vector delta chain the
-//!   pose-delta and gaussian-update streams share.
+//! - [`closedloop`] — the closed-loop quantized vector delta chain under
+//!   the gaussian-update stream.
 //!
 //! All codecs are deterministic and round-trip tested (holo_prop!).
 

@@ -16,7 +16,6 @@ use crate::participant::ParticipantConfig;
 use crate::report::{jain_index, RoomReport, SubscriberReport};
 use crate::sfu::{ForwardOutcome, Sfu};
 use holo_math::Summary;
-use holo_trace::TraceReport;
 use holo_net::link::Link;
 use holo_net::time::{EventQueue, SimTime};
 use holo_net::transport::{FrameTransport, LossPolicy};
@@ -24,7 +23,6 @@ use holo_net::wire::WIRE_HEADER_BYTES;
 use semholo::error::{Result, SemHoloError};
 use semholo::scene::SceneSource;
 use semholo::semantics::{SemanticPipeline, StageCost};
-use std::path::Path;
 use std::time::Duration;
 
 /// Uplink loss policy (sender -> SFU): one retransmission round.
@@ -463,25 +461,6 @@ impl Room {
             subscribers,
         })
     }
-
-    /// Run the room with tracing force-enabled and export the evidence:
-    /// writes a `chrome://tracing`-compatible trace-event JSON to
-    /// `trace_path` (stamped in virtual `SimTime`, so the bytes are
-    /// identical for identical seeds) and returns the per-stage
-    /// [`TraceReport`] alongside the usual [`RoomReport`]. The recorder
-    /// is reset at entry and the previous enable state restored at exit.
-    pub fn run_traced(
-        &mut self,
-        scene: &SceneSource,
-        pipelines: &mut [Box<dyn SemanticPipeline>],
-        trace_path: &Path,
-    ) -> Result<(RoomReport, TraceReport)> {
-        let report = holo_trace::traced(|| self.run(scene, pipelines))?;
-        std::fs::write(trace_path, holo_trace::chrome_trace().as_bytes()).map_err(|e| {
-            SemHoloError::Config(format!("cannot write trace {}: {e}", trace_path.display()))
-        })?;
-        Ok((report, holo_trace::trace_report()))
-    }
 }
 
 /// Run one frame through a pipeline: encode for the wire size and
@@ -624,9 +603,9 @@ mod tests {
             share_encoder: true,
             ..Default::default()
         };
-        let path = std::env::temp_dir().join("holo_conf_room_trace.json");
         let mut room = Room::new(cfg).unwrap();
-        let (report, trace) = room.run_traced(&scene, &mut [kp()], &path).unwrap();
+        let report = holo_trace::traced(|| room.run(&scene, &mut [kp()])).unwrap();
+        let trace = holo_trace::trace_report();
         assert_eq!(report.participants, 3);
         // 3 senders x 4 frames of extract/uplink; each ingress fans out
         // to 2 subscribers.
@@ -634,9 +613,7 @@ mod tests {
             let stat = trace.get(stage).unwrap_or_else(|| panic!("missing stage {stage}"));
             assert_eq!(stat.count, count, "stage {stage}");
         }
-        let chrome = std::fs::read_to_string(&path).unwrap();
-        holo_runtime::ser::parse(&chrome).expect("trace must be valid JSON");
-        std::fs::remove_file(&path).ok();
+        holo_runtime::ser::parse(&holo_trace::chrome_trace()).expect("trace must be valid JSON");
     }
 
     #[test]

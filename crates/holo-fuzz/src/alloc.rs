@@ -95,11 +95,6 @@ pub fn installed() -> bool {
     INSTALLED.load(Relaxed)
 }
 
-/// Bytes currently allocated by this thread (0 when not installed).
-pub fn live_bytes() -> usize {
-    LIVE.try_with(Cell::get).unwrap_or(0)
-}
-
 /// Allocation calls this thread has made so far (0 when not
 /// installed): `alloc`, `alloc_zeroed`, and a `realloc` as one call.
 /// Bracket a region by subtracting two readings.

@@ -20,7 +20,6 @@ use holo_gaussian::{
 use holo_compress::meshcodec::{encode_mesh, MeshCodecConfig};
 use holo_compress::temporal::TemporalMeshEncoder;
 use holo_compress::texture::{Texture, TextureCodec};
-use holo_keypoints::posedelta::{PoseDeltaConfig, PoseDeltaEncoder};
 use holo_math::{Aabb, Pcg32, Quat, Vec3};
 use holo_mesh::trimesh::TriMesh;
 use holo_net::wire::{ImportanceClass, PayloadKind, UepHeader, WireFrame};
@@ -167,16 +166,6 @@ pub fn pose_payload_corpus(seed: u64) -> Vec<Vec<u8>> {
     vec![PosePayload::new(params, keypoints).to_bytes()]
 }
 
-/// Pose-delta corpus: one keyframe and one delta frame. The keyframe
-/// also primes the decoder in the target registry.
-pub fn posedelta_corpus(seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
-    let mut rng = Pcg32::with_stream(seed, 0x90DE);
-    let mut enc = PoseDeltaEncoder::new(PoseDeltaConfig::default());
-    let key = enc.encode(&plausible_params(&mut rng));
-    let delta = enc.encode(&plausible_params(&mut rng));
-    (key.clone(), vec![key, delta])
-}
-
 /// Gaussian prebuild corpus: quantized splat-avatar blobs at two sizes.
 pub fn gaussian_prebuild_corpus(seed: u64) -> Vec<Vec<u8>> {
     let mut rng = Pcg32::with_stream(seed, 0x6A05);
@@ -317,7 +306,6 @@ mod tests {
         assert_eq!(wire_corpus(7), wire_corpus(7));
         assert_eq!(uep_header_corpus(7), uep_header_corpus(7));
         assert_ne!(uep_header_corpus(7), uep_header_corpus(8));
-        assert_eq!(posedelta_corpus(3), posedelta_corpus(3));
         assert_eq!(gaussian_prebuild_corpus(5), gaussian_prebuild_corpus(5));
         assert_ne!(gaussian_prebuild_corpus(5), gaussian_prebuild_corpus(6));
         assert_eq!(gaussian_update_corpus(5), gaussian_update_corpus(5));

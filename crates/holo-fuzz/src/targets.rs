@@ -2,7 +2,7 @@
 //! behind one closure type.
 //!
 //! A [`Target`] bundles a decoder with its corpus and its declared
-//! allocation cap. Stateful decoders (temporal mesh, pose delta) are
+//! allocation cap. Stateful decoders (temporal mesh, Gaussian update) are
 //! rebuilt and primed with a *valid* keyframe on every call, so each
 //! mutant sees the same decoder state — determinism and isolation in
 //! one move.
@@ -15,7 +15,6 @@
 
 use crate::corpus;
 use holo_gaussian::GaussianUpdateDecoder;
-use holo_keypoints::posedelta::PoseDeltaDecoder;
 use holo_runtime::ser::DecodeError;
 
 /// One fuzzed decoder.
@@ -41,7 +40,6 @@ const MIB: usize = 1 << 20;
 /// coverage for free.
 pub fn registry(seed: u64) -> Vec<Target> {
     let (temporal_key, temporal_items) = corpus::temporal_corpus(seed);
-    let (pose_key, pose_items) = corpus::posedelta_corpus(seed);
     let (gaussian_key, gaussian_items) = corpus::gaussian_update_corpus(seed);
     vec![
         Target {
@@ -99,16 +97,6 @@ pub fn registry(seed: u64) -> Vec<Target> {
             decode: Box::new(|d| holo_body::params::PosePayload::from_bytes(d).map(|_| ())),
         },
         Target {
-            name: "keypoints.posedelta",
-            corpus: pose_items,
-            alloc_cap: 32 * MIB,
-            decode: Box::new(move |d| {
-                let mut dec = PoseDeltaDecoder::default();
-                dec.decode(&pose_key)?;
-                dec.decode(d).map(|_| ())
-            }),
-        },
-        Target {
             name: "gaussian.prebuild",
             corpus: corpus::gaussian_prebuild_corpus(seed),
             alloc_cap: 64 * MIB,
@@ -151,12 +139,27 @@ mod tests {
 
     #[test]
     fn registry_covers_every_decoder() {
-        let targets = registry(7);
-        assert!(targets.len() >= 14, "decoder went missing: {}", targets.len());
-        let mut names: Vec<&str> = targets.iter().map(|t| t.name).collect();
+        let mut names: Vec<&str> = registry(7).iter().map(|t| t.name).collect();
         names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), targets.len(), "duplicate target names");
+        assert_eq!(
+            names,
+            [
+                "body.pose_payload",
+                "core.raw_mesh",
+                "gaussian.prebuild",
+                "gaussian.update",
+                "lzma.decompress",
+                "meshcodec.decode_mesh",
+                "meshcodec.temporal",
+                "net.uep_header",
+                "net.wire_frame",
+                "textsem.caption",
+                "textsem.delta_ops",
+                "textsem.global_channel",
+                "texture.decompress",
+            ],
+            "a decoder went missing, was added unlisted, or is listed twice"
+        );
     }
 
     #[test]

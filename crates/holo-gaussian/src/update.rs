@@ -1,9 +1,8 @@
 //! The tiny per-frame update stream for a prebuilt avatar.
 //!
-//! Same keyframe/delta design as `holo-keypoints::posedelta`, applied to
-//! the avatar-conditioning vector: 55 joint axis-angles + root
-//! translation + 55 per-region opacity multipliers + 55 per-region scale
-//! multipliers = 278 floats. A keyframe carries the LZMA-compressed raw
+//! A keyframe/delta stream over the avatar-conditioning vector: 55 joint
+//! axis-angles + root translation + 55 per-region opacity multipliers +
+//! 55 per-region scale multipliers = 278 floats. A keyframe carries the LZMA-compressed raw
 //! vector; delta frames carry quantized, entropy-coded parameter deltas
 //! in a closed loop ([`holo_compress::closedloop`]: the encoder tracks
 //! the receiver's reconstruction, so quantization error never

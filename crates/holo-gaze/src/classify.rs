@@ -84,31 +84,28 @@ impl IvtClassifier {
             })
             .collect()
     }
-
-    /// Classification accuracy against the trace's ground-truth labels.
-    pub fn accuracy(&self, samples: &[GazeSample]) -> f32 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let classes = self.classify(samples);
-        let correct = classes
-            .iter()
-            .zip(samples)
-            .filter(|(c, s)| c.label() == s.true_class)
-            .count();
-        correct as f32 / samples.len() as f32
-    }
-}
-
-/// Convenience: classify with default thresholds.
-pub fn classify_trace(samples: &[GazeSample]) -> Vec<GazeClass> {
-    IvtClassifier::default().classify(samples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::GazeSynthesizer;
+
+    impl IvtClassifier {
+        /// Classification accuracy against the trace's ground-truth labels.
+        fn accuracy(&self, samples: &[GazeSample]) -> f32 {
+            if samples.is_empty() {
+                return 0.0;
+            }
+            let classes = self.classify(samples);
+            let correct = classes
+                .iter()
+                .zip(samples)
+                .filter(|(c, s)| c.label() == s.true_class)
+                .count();
+            correct as f32 / samples.len() as f32
+        }
+    }
 
     #[test]
     fn accuracy_high_on_synthetic_trace() {
@@ -139,9 +136,10 @@ mod tests {
 
     #[test]
     fn short_traces_handled() {
-        assert!(classify_trace(&[]).is_empty());
+        let ivt = IvtClassifier::default();
+        assert!(ivt.classify(&[]).is_empty());
         let one = [GazeSample { t: 0.0, pos: holo_math::Vec2::ZERO, true_class: 0 }];
-        assert_eq!(classify_trace(&one).len(), 1);
+        assert_eq!(ivt.classify(&one).len(), 1);
     }
 
     #[test]
@@ -162,7 +160,7 @@ mod tests {
                 true_class: 2,
             });
         }
-        let classes = classify_trace(&samples);
+        let classes = IvtClassifier::default().classify(&samples);
         assert_eq!(classes[60], GazeClass::Fixation);
         assert_eq!(classes[123], GazeClass::Saccade);
     }

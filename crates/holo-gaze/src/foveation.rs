@@ -64,15 +64,6 @@ impl FoveationMap {
         }
         (fov, per)
     }
-
-    /// Fraction of points inside the fovea.
-    pub fn foveal_fraction(&self, points: &[Vec3]) -> f32 {
-        if points.is_empty() {
-            return 0.0;
-        }
-        let inside = points.iter().filter(|&&p| self.is_foveal(p)).count();
-        inside as f32 / points.len() as f32
-    }
 }
 
 #[cfg(test)]
@@ -114,10 +105,10 @@ mod tests {
                 Vec3::new(a.sin() * 0.8, 1.0 + (a * 1.3).cos() * 0.8, (a * 0.7).cos() * 0.3)
             })
             .collect();
-        let small = viewer_map(Vec2::ZERO, 3.0).foveal_fraction(&points);
-        let large = viewer_map(Vec2::ZERO, 25.0).foveal_fraction(&points);
-        assert!(large > small, "fraction small {small} large {large}");
-        assert!(large <= 1.0 && small >= 0.0);
+        let foveal = |radius| viewer_map(Vec2::ZERO, radius).partition(&points).0.len();
+        let (small, large) = (foveal(3.0), foveal(25.0));
+        assert!(large > small, "foveal points small {small} large {large}");
+        assert!(large <= points.len());
     }
 
     #[test]
@@ -139,6 +130,6 @@ mod tests {
     #[test]
     fn empty_points() {
         let m = viewer_map(Vec2::ZERO, 10.0);
-        assert_eq!(m.foveal_fraction(&[]), 0.0);
+        assert_eq!(m.partition(&[]), (vec![], vec![]));
     }
 }

@@ -88,50 +88,50 @@ impl SaccadePredictor {
     }
 }
 
-/// Evaluate the predictor over a trace: for each true saccade, record the
-/// prediction error (degrees) after observing the given fraction of the
-/// saccade's samples. Returns (errors, saccade count).
-pub fn evaluate_landing_error(samples: &[GazeSample], observe_fraction: f32) -> (Vec<f32>, usize) {
-    let mut errors = Vec::new();
-    let mut count = 0usize;
-    let mut i = 0usize;
-    while i < samples.len() {
-        if samples[i].true_class != crate::trace::CLASS_SACCADE {
-            i += 1;
-            continue;
-        }
-        // Collect the saccade extent.
-        let start = i;
-        while i < samples.len() && samples[i].true_class == crate::trace::CLASS_SACCADE {
-            i += 1;
-        }
-        let end = i; // one past
-        let len = end - start;
-        if len < 3 || end >= samples.len() {
-            continue;
-        }
-        count += 1;
-        // Landing = first sample after the saccade (eye settled).
-        let landing = samples[end.min(samples.len() - 1)].pos;
-        let observe = ((len as f32 * observe_fraction).ceil() as usize).clamp(2, len);
-        let mut pred = SaccadePredictor::new();
-        let mut last_pred = None;
-        for s in &samples[start..start + observe] {
-            if let Some(p) = pred.observe(s) {
-                last_pred = Some(p);
-            }
-        }
-        if let Some(p) = last_pred {
-            errors.push(p.distance(landing));
-        }
-    }
-    (errors, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::GazeSynthesizer;
+
+    /// Evaluate the predictor over a trace: for each true saccade, record the
+    /// prediction error (degrees) after observing the given fraction of the
+    /// saccade's samples. Returns (errors, saccade count).
+    fn evaluate_landing_error(samples: &[GazeSample], observe_fraction: f32) -> (Vec<f32>, usize) {
+        let mut errors = Vec::new();
+        let mut count = 0usize;
+        let mut i = 0usize;
+        while i < samples.len() {
+            if samples[i].true_class != crate::trace::CLASS_SACCADE {
+                i += 1;
+                continue;
+            }
+            // Collect the saccade extent.
+            let start = i;
+            while i < samples.len() && samples[i].true_class == crate::trace::CLASS_SACCADE {
+                i += 1;
+            }
+            let end = i; // one past
+            let len = end - start;
+            if len < 3 || end >= samples.len() {
+                continue;
+            }
+            count += 1;
+            // Landing = first sample after the saccade (eye settled).
+            let landing = samples[end.min(samples.len() - 1)].pos;
+            let observe = ((len as f32 * observe_fraction).ceil() as usize).clamp(2, len);
+            let mut pred = SaccadePredictor::new();
+            let mut last_pred = None;
+            for s in &samples[start..start + observe] {
+                if let Some(p) = pred.observe(s) {
+                    last_pred = Some(p);
+                }
+            }
+            if let Some(p) = last_pred {
+                errors.push(p.distance(landing));
+            }
+        }
+        (errors, count)
+    }
 
     fn mean(v: &[f32]) -> f32 {
         v.iter().sum::<f32>() / v.len().max(1) as f32

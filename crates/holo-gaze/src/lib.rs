@@ -22,7 +22,7 @@ pub mod foveation;
 pub mod landing;
 pub mod trace;
 
-pub use classify::{classify_trace, GazeClass, IvtClassifier};
+pub use classify::{GazeClass, IvtClassifier};
 pub use foveation::FoveationMap;
 pub use landing::SaccadePredictor;
 pub use trace::{GazeSample, GazeSynthesizer};

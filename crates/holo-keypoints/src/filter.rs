@@ -106,8 +106,8 @@ mod tests {
         let (truth, noisy) = noisy_track(1, 300, 0.01);
         let mut f = OneEuroFilter::new(1.5, 3.0);
         let filtered: Vec<Vec3> = noisy.iter().map(|&p| f.filter(p, 1.0 / 30.0)).collect();
-        let raw_err = rmse(&noisy[30..].to_vec(), &truth[30..].to_vec());
-        let filt_err = rmse(&filtered[30..].to_vec(), &truth[30..].to_vec());
+        let raw_err = rmse(&noisy[30..], &truth[30..]);
+        let filt_err = rmse(&filtered[30..], &truth[30..]);
         assert!(filt_err < raw_err * 0.9, "raw {raw_err} filtered {filt_err}");
     }
 

@@ -117,9 +117,8 @@ pub fn fit_params(observed: &[Vec3], skeleton: &Skeleton) -> Result<SmplxParams,
         return Err(format!("need at least 25 joint observations, got {}", observed.len()));
     }
     let rest = skeleton.rest_positions();
-    let mut params = SmplxParams::default();
     // Translation from the pelvis.
-    params.translation = observed[0] - rest[0];
+    let mut params = SmplxParams { translation: observed[0] - rest[0], ..Default::default() };
 
     // Accumulated world rotation per joint.
     let mut world_rot = [Quat::IDENTITY; JOINT_COUNT];
@@ -165,21 +164,21 @@ pub fn fit_params(observed: &[Vec3], skeleton: &Skeleton) -> Result<SmplxParams,
     Ok(params)
 }
 
-/// Mean joint position error (meters) between a fit and observations:
-/// runs FK on the fitted parameters and compares.
-pub fn fit_position_error(params: &SmplxParams, observed: &[Vec3], skeleton: &Skeleton) -> f32 {
-    let posed = skeleton.forward_kinematics(params);
-    let positions = posed.positions();
-    let n = JOINT_COUNT.min(observed.len());
-    let sum: f32 = (0..n).map(|i| positions[i].distance(observed[i])).sum();
-    sum / n as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use holo_body::motion::{MotionKind, MotionSynthesizer};
     use holo_math::Pcg32;
+
+    /// Mean joint position error (meters) between a fit and observations:
+    /// runs FK on the fitted parameters and compares.
+    fn fit_position_error(params: &SmplxParams, observed: &[Vec3], skeleton: &Skeleton) -> f32 {
+        let posed = skeleton.forward_kinematics(params);
+        let positions = posed.positions();
+        let n = JOINT_COUNT.min(observed.len());
+        let sum: f32 = (0..n).map(|i| positions[i].distance(observed[i])).sum();
+        sum / n as f32
+    }
 
     #[test]
     fn shortest_arc_aligns() {
@@ -247,8 +246,7 @@ mod tests {
     #[test]
     fn translation_recovered() {
         let sk = Skeleton::neutral();
-        let mut params = SmplxParams::default();
-        params.translation = Vec3::new(0.7, 0.0, -1.2);
+        let params = SmplxParams { translation: Vec3::new(0.7, 0.0, -1.2), ..Default::default() };
         let obs = sk.forward_kinematics(&params).positions().to_vec();
         let fit = fit_params(&obs, &sk).unwrap();
         assert!((fit.translation - params.translation).length() < 1e-4);

@@ -9,16 +9,12 @@
 //! real systems run on detector output, and [`fit`] recovers SMPL-X
 //! parameters from noisy keypoints by hierarchical rotation fitting —
 //! the "keypoints aligned with SMPL-X" step the paper's
-//! proof-of-concept transmits. [`posedelta`] applies the paper's temporal-delta idea
-//! (§3.3) to the pose stream itself: keyframe + closed-loop quantized
-//! parameter deltas, a further ~3x below per-frame LZMA.
+//! proof-of-concept transmits.
 
 pub mod detector;
 pub mod filter;
 pub mod fit;
-pub mod posedelta;
 
 pub use detector::KeypointDetector;
 pub use filter::OneEuroFilter;
 pub use fit::fit_params;
-pub use posedelta::{PoseDeltaConfig, PoseDeltaDecoder, PoseDeltaEncoder};

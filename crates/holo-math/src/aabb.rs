@@ -79,16 +79,6 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
-    /// True when the two boxes overlap (boundary touch counts).
-    pub fn intersects(&self, o: &Aabb) -> bool {
-        self.min.x <= o.max.x
-            && self.max.x >= o.min.x
-            && self.min.y <= o.max.y
-            && self.max.y >= o.min.y
-            && self.min.z <= o.max.z
-            && self.max.z >= o.min.z
-    }
-
     /// Signed distance from `p` to the box surface (negative inside).
     pub fn signed_distance(&self, p: Vec3) -> f32 {
         let c = self.center();
@@ -104,6 +94,18 @@ impl Aabb {
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    impl Aabb {
+        /// True when the two boxes overlap (boundary touch counts).
+        fn intersects(&self, o: &Aabb) -> bool {
+            self.min.x <= o.max.x
+                && self.max.x >= o.min.x
+                && self.min.y <= o.max.y
+                && self.max.y >= o.min.y
+                && self.min.z <= o.max.z
+                && self.max.z >= o.min.z
+        }
+    }
 
     #[test]
     fn from_points_bounds_all() {

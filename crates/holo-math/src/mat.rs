@@ -59,11 +59,6 @@ impl Mat3 {
             Vec3::new(self.rows[0].z, self.rows[1].z, self.rows[2].z),
         )
     }
-
-    /// Determinant.
-    pub fn det(&self) -> f32 {
-        self.rows[0].dot(self.rows[1].cross(self.rows[2]))
-    }
 }
 
 impl Mul for Mat3 {
@@ -207,7 +202,8 @@ mod tests {
         let r = Quat::from_euler_xyz(1.0, 0.2, -0.4).to_mat3();
         let v = Vec3::new(1.0, -2.0, 0.5);
         assert_vec_close(r.transpose().mul_vec(r.mul_vec(v)), v, 1e-5);
-        assert!(approx_eq(r.det(), 1.0, 1e-5));
+        let det = r.rows[0].dot(r.rows[1].cross(r.rows[2]));
+        assert!(approx_eq(det, 1.0, 1e-5));
     }
 
     #[test]

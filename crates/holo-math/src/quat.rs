@@ -67,13 +67,6 @@ impl Quat {
         Vec3::new(q.x, q.y, q.z) / s * angle
     }
 
-    /// Euler rotation applied in XYZ order (intrinsic).
-    pub fn from_euler_xyz(x: f32, y: f32, z: f32) -> Self {
-        Self::from_axis_angle(Vec3::X, x)
-            * Self::from_axis_angle(Vec3::Y, y)
-            * Self::from_axis_angle(Vec3::Z, z)
-    }
-
     /// Quaternion norm.
     #[inline]
     pub fn length(self) -> f32 {
@@ -183,6 +176,16 @@ mod tests {
 
     fn assert_vec_close(a: Vec3, b: Vec3, eps: f32) {
         assert!((a - b).length() < eps, "{a:?} vs {b:?}");
+    }
+
+    impl Quat {
+        /// Euler rotation applied in XYZ order (intrinsic): a generic
+        /// rotation for this crate's tests.
+        pub(crate) fn from_euler_xyz(x: f32, y: f32, z: f32) -> Self {
+            Self::from_axis_angle(Vec3::X, x)
+                * Self::from_axis_angle(Vec3::Y, y)
+                * Self::from_axis_angle(Vec3::Z, z)
+        }
     }
 
     #[test]

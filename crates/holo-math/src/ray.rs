@@ -56,31 +56,33 @@ impl Ray {
         }
         Some((t0, t1))
     }
-
-    /// Intersect with a sphere; returns the nearest positive hit parameter.
-    pub fn intersect_sphere(&self, center: Vec3, radius: f32) -> Option<f32> {
-        let oc = self.origin - center;
-        let b = oc.dot(self.dir);
-        let c = oc.length_sq() - radius * radius;
-        let disc = b * b - c;
-        if disc < 0.0 {
-            return None;
-        }
-        let sq = disc.sqrt();
-        let t = -b - sq;
-        if t >= 0.0 {
-            Some(t)
-        } else {
-            let t = -b + sq;
-            (t >= 0.0).then_some(t)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    impl Ray {
+        /// Intersect with a sphere; returns the nearest positive hit parameter.
+        fn intersect_sphere(&self, center: Vec3, radius: f32) -> Option<f32> {
+            let oc = self.origin - center;
+            let b = oc.dot(self.dir);
+            let c = oc.length_sq() - radius * radius;
+            let disc = b * b - c;
+            if disc < 0.0 {
+                return None;
+            }
+            let sq = disc.sqrt();
+            let t = -b - sq;
+            if t >= 0.0 {
+                Some(t)
+            } else {
+                let t = -b + sq;
+                (t >= 0.0).then_some(t)
+            }
+        }
+    }
 
     #[test]
     fn aabb_hit_and_miss() {

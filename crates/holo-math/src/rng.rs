@@ -95,30 +95,26 @@ impl Pcg32 {
         (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
     }
 
-    /// Normal draw with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Bernoulli draw with probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f32) -> bool {
         self.next_f32() < p
-    }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Pcg32 {
+        /// Fisher-Yates shuffle.
+        fn shuffle<T>(&mut self, slice: &mut [T]) {
+            for i in (1..slice.len()).rev() {
+                let j = self.index(i + 1);
+                slice.swap(i, j);
+            }
+        }
+    }
 
     #[test]
     fn deterministic_from_seed() {

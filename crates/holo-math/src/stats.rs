@@ -1,17 +1,16 @@
 //! Streaming summary statistics.
 //!
 //! The benchmark harness and QoE model accumulate per-frame measurements
-//! (latency, payload size, quality) into [`Summary`] values using Welford's
-//! online algorithm, then report mean / stddev / min / max / percentiles.
+//! (latency, payload size, quality) into [`Summary`] values with an
+//! online mean, then report mean / min / max / percentiles.
 
 
-/// Online accumulator of count, mean, variance, min, max, and (optionally)
+/// Online accumulator of count, mean, min, max, and (optionally)
 /// exact percentiles via a retained sample buffer.
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
     samples: Vec<f64>,
@@ -34,7 +33,6 @@ impl Summary {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
         if self.keep_samples {
@@ -54,20 +52,6 @@ impl Summary {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation (`NaN` when empty).
@@ -121,7 +105,6 @@ impl Summary {
         let delta = o.mean - self.mean;
         let total = n1 + n2;
         self.mean += delta * n2 / total;
-        self.m2 += o.m2 + delta * delta * n1 * n2 / total;
         self.count += o.count;
         self.min = self.min.min(o.min);
         self.max = self.max.max(o.max);
@@ -144,7 +127,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!((s.sum() - 40.0).abs() < 1e-9);
@@ -154,7 +136,6 @@ mod tests {
     fn empty_summary_is_safe() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert!(s.min().is_nan());
         assert!(s.percentile(50.0).is_none());
     }
@@ -189,6 +170,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
     }
 }

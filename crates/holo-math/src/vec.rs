@@ -243,12 +243,6 @@ impl Vec4 {
     pub fn truncate(self) -> Vec3 {
         Vec3::new(self.x, self.y, self.z)
     }
-
-    /// Perspective divide: `xyz / w`.
-    #[inline]
-    pub fn project(self) -> Vec3 {
-        Vec3::new(self.x / self.w, self.y / self.w, self.z / self.w)
-    }
 }
 
 macro_rules! impl_vec_ops {
@@ -354,6 +348,13 @@ impl From<Vec3> for [f32; 3] {
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    impl Vec4 {
+        /// Perspective divide: `xyz / w`.
+        fn project(self) -> Vec3 {
+            Vec3::new(self.x / self.w, self.y / self.w, self.z / self.w)
+        }
+    }
 
     #[test]
     fn cross_is_orthogonal() {

@@ -12,9 +12,10 @@
 //! - [`sdf`] — signed distance fields: primitives (sphere, capsule,
 //!   rounded cone, ellipsoid), smooth CSG, and transforms. The avatar body
 //!   is modeled as an SDF, mirroring X-Avatar's implicit geometry network.
-//! - [`marching`] — isosurface extraction by marching tetrahedra over a
-//!   dense grid, the reconstruction step X-Avatar runs at resolutions
-//!   128–1024 (Figs. 2 and 4).
+//! - [`marching`] — isosurface extraction by marching tetrahedra, the
+//!   reconstruction step X-Avatar runs at resolutions 128–1024 (Figs. 2
+//!   and 4): the grid, the tetrahedral split and the mesh builder that
+//!   [`sparse`] drives.
 //! - [`sparse`] — octree-accelerated extraction that only descends into
 //!   cells near the surface, making resolution-1024 extraction feasible on
 //!   a CPU.
@@ -32,8 +33,8 @@ pub mod sparse;
 pub mod trimesh;
 
 pub use grid::PointGrid;
-pub use marching::{marching_tetrahedra, MarchingConfig};
-pub use metrics::{chamfer_distance, f_score, hausdorff_distance, normal_consistency, MeshQuality};
+pub use marching::MarchingConfig;
+pub use metrics::{chamfer_distance, f_score, normal_consistency, MeshQuality};
 pub use pointcloud::PointCloud;
 pub use sdf::{Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
 pub use sparse::sparse_extract;

@@ -1,4 +1,5 @@
-//! Isosurface extraction by marching tetrahedra over a dense grid.
+//! Isosurface extraction by marching tetrahedra: the grid, the
+//! tetrahedral split of a cube and the mesh builder.
 //!
 //! X-Avatar extracts meshes from its implicit geometry network with
 //! marching cubes at a configurable voxel resolution (128–1024 in the
@@ -10,11 +11,11 @@
 //! DESIGN.md; it yields roughly 2x the triangles of classic MC for the
 //! same grid.
 //!
-//! The dense extractor samples the full `(R+1)^3` lattice two z-slices at
-//! a time, so memory is `O(R^2)`. For `R = 1024` prefer
-//! [`crate::sparse::sparse_extract`], which skips empty space entirely.
+//! [`crate::sparse::sparse_extract`] polygonizes on an octree that skips
+//! empty space. The dense extractor in this module's tests, which samples
+//! the full `(R+1)^3` lattice two z-slices at a time, is its referee.
 
-use crate::lattice::{corner_key, edge_key, LatticeMap};
+use crate::lattice::{edge_key, LatticeMap};
 use crate::sdf::Sdf;
 use crate::trimesh::TriMesh;
 use holo_math::{Aabb, Vec3};
@@ -217,74 +218,75 @@ struct Cube<'a> {
 /// An edge slot no tetrahedron has asked for yet; no vertex index reaches it.
 const NO_VERTEX: u32 = u32::MAX;
 
-/// Extract the isosurface of `sdf` on a dense grid. Returns the welded
-/// triangle mesh with computed normals.
-pub fn marching_tetrahedra<S: Sdf + ?Sized>(sdf: &S, cfg: &MarchingConfig) -> TriMesh {
-    marching_tetrahedra_with_stats(sdf, cfg).0
-}
-
-/// Like [`marching_tetrahedra`] but also returns workload counters.
-pub fn marching_tetrahedra_with_stats<S: Sdf + ?Sized>(
-    sdf: &S,
-    cfg: &MarchingConfig,
-) -> (TriMesh, ExtractionStats) {
-    let r = cfg.resolution;
-    let n = (r + 1) as usize;
-    let cell = cfg.cell_size();
-    let origin = cfg.bounds.min;
-    let mut builder = MeshBuilder::new();
-
-    let sample_slice = |z: u32, builder: &mut MeshBuilder| -> Vec<f32> {
-        let mut slice = Vec::with_capacity(n * n);
-        for y in 0..n as u32 {
-            for x in 0..n as u32 {
-                let p = origin + Vec3::new(x as f32, y as f32, z as f32) * cell;
-                slice.push(sdf.distance(p));
-                builder.stats.field_evals += 1;
-            }
-        }
-        slice
-    };
-
-    let mut below = sample_slice(0, &mut builder);
-    for z in 0..r {
-        let above = sample_slice(z + 1, &mut builder);
-        for y in 0..r {
-            for x in 0..r {
-                builder.stats.cubes_visited += 1;
-                let mut keys = [0u64; 8];
-                let mut pos = [Vec3::ZERO; 8];
-                let mut val = [0f32; 8];
-                let mut all_pos = true;
-                let mut all_neg = true;
-                for (ci, &(dx, dy, dz)) in CUBE_CORNERS.iter().enumerate() {
-                    let (cx, cy, cz) = (x + dx, y + dy, z + dz);
-                    keys[ci] = corner_key(cx, cy, cz);
-                    pos[ci] = origin + Vec3::new(cx as f32, cy as f32, cz as f32) * cell;
-                    let slice = if dz == 0 { &below } else { &above };
-                    let v = slice[(cy as usize) * n + cx as usize];
-                    val[ci] = v;
-                    if v < cfg.iso {
-                        all_pos = false;
-                    } else {
-                        all_neg = false;
-                    }
-                }
-                if all_pos || all_neg {
-                    continue;
-                }
-                builder.do_cube(&keys, &pos, &val, cfg.iso);
-            }
-        }
-        below = above;
-    }
-    builder.finish()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::lattice::corner_key;
     use crate::sdf::{SdfCapsule, SdfSphere};
+
+    /// Extract the isosurface of `sdf` on a dense grid. Returns the welded
+    /// triangle mesh with computed normals.
+    pub(crate) fn marching_tetrahedra<S: Sdf + ?Sized>(sdf: &S, cfg: &MarchingConfig) -> TriMesh {
+        marching_tetrahedra_with_stats(sdf, cfg).0
+    }
+
+    /// Like [`marching_tetrahedra`] but also returns workload counters.
+    fn marching_tetrahedra_with_stats<S: Sdf + ?Sized>(
+        sdf: &S,
+        cfg: &MarchingConfig,
+    ) -> (TriMesh, ExtractionStats) {
+        let r = cfg.resolution;
+        let n = (r + 1) as usize;
+        let cell = cfg.cell_size();
+        let origin = cfg.bounds.min;
+        let mut builder = MeshBuilder::new();
+
+        let sample_slice = |z: u32, builder: &mut MeshBuilder| -> Vec<f32> {
+            let mut slice = Vec::with_capacity(n * n);
+            for y in 0..n as u32 {
+                for x in 0..n as u32 {
+                    let p = origin + Vec3::new(x as f32, y as f32, z as f32) * cell;
+                    slice.push(sdf.distance(p));
+                    builder.stats.field_evals += 1;
+                }
+            }
+            slice
+        };
+
+        let mut below = sample_slice(0, &mut builder);
+        for z in 0..r {
+            let above = sample_slice(z + 1, &mut builder);
+            for y in 0..r {
+                for x in 0..r {
+                    builder.stats.cubes_visited += 1;
+                    let mut keys = [0u64; 8];
+                    let mut pos = [Vec3::ZERO; 8];
+                    let mut val = [0f32; 8];
+                    let mut all_pos = true;
+                    let mut all_neg = true;
+                    for (ci, &(dx, dy, dz)) in CUBE_CORNERS.iter().enumerate() {
+                        let (cx, cy, cz) = (x + dx, y + dy, z + dz);
+                        keys[ci] = corner_key(cx, cy, cz);
+                        pos[ci] = origin + Vec3::new(cx as f32, cy as f32, cz as f32) * cell;
+                        let slice = if dz == 0 { &below } else { &above };
+                        let v = slice[(cy as usize) * n + cx as usize];
+                        val[ci] = v;
+                        if v < cfg.iso {
+                            all_pos = false;
+                        } else {
+                            all_neg = false;
+                        }
+                    }
+                    if all_pos || all_neg {
+                        continue;
+                    }
+                    builder.do_cube(&keys, &pos, &val, cfg.iso);
+                }
+            }
+            below = above;
+        }
+        builder.finish()
+    }
 
     #[test]
     fn sphere_surface_extracted() {

@@ -48,16 +48,6 @@ pub fn chamfer_distance(a: &[Vec3], b: &[Vec3]) -> f32 {
     0.5 * (directed_mean(a, &gb) + directed_mean(b, &ga))
 }
 
-/// Symmetric Hausdorff distance between two point sets.
-pub fn hausdorff_distance(a: &[Vec3], b: &[Vec3]) -> f32 {
-    if a.is_empty() || b.is_empty() {
-        return f32::INFINITY;
-    }
-    let ga = PointGrid::auto(a.to_vec());
-    let gb = PointGrid::auto(b.to_vec());
-    directed_max(a, &gb).max(directed_max(b, &ga))
-}
-
 /// F-score at tolerance `tau`: harmonic mean of precision (fraction of `a`
 /// within `tau` of `b`) and recall (fraction of `b` within `tau` of `a`).
 pub fn f_score(a: &[Vec3], b: &[Vec3], tau: f32) -> f32 {
@@ -170,7 +160,6 @@ mod tests {
         let a = vec![Vec3::ZERO, Vec3::X];
         let b = vec![Vec3::ZERO, Vec3::X];
         assert!(chamfer_distance(&a, &b) < 1e-6);
-        assert!(hausdorff_distance(&a, &b) < 1e-6);
         assert_eq!(f_score(&a, &b, 0.01), 1.0);
         let c = vec![Vec3::ZERO, Vec3::new(2.0, 0.0, 0.0)];
         assert!(chamfer_distance(&a, &c) > 0.0);

@@ -1,7 +1,7 @@
 //! Colored point clouds, the capture substrate's fusion output and the
 //! text-semantics reconstruction target.
 
-use holo_math::{Aabb, Mat4, Vec3};
+use holo_math::{Aabb, Vec3};
 use std::collections::BTreeMap;
 
 /// A point cloud with optional per-point colors.
@@ -74,13 +74,6 @@ impl PointCloud {
             }
         }
         self.points.extend_from_slice(&other.points);
-    }
-
-    /// Apply an affine transform to every point.
-    pub fn transform(&mut self, m: &Mat4) {
-        for p in &mut self.points {
-            *p = m.transform_point(*p);
-        }
     }
 
     /// Voxel-grid downsample: one averaged point (and color) per occupied

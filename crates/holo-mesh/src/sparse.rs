@@ -178,7 +178,7 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::marching::marching_tetrahedra;
+    use crate::marching::tests::marching_tetrahedra;
     use crate::sdf::tests::{random_parts, union_of};
     use crate::sdf::{GriddedUnion, Primitive, SdfSphere, SdfUnion};
     use holo_math::{Aabb, Pcg32};

@@ -1,7 +1,6 @@
 //! Indexed triangle meshes.
 
-use holo_math::{Aabb, Mat4, Pcg32, Vec3};
-use std::collections::BTreeMap;
+use holo_math::{Aabb, Pcg32, Vec3};
 
 /// An indexed triangle mesh: a vertex buffer plus a face index buffer.
 ///
@@ -128,16 +127,6 @@ impl TriMesh {
         }
     }
 
-    /// Apply an affine transform to vertices (and rotate normals).
-    pub fn transform(&mut self, m: &Mat4) {
-        for v in &mut self.vertices {
-            *v = m.transform_point(*v);
-        }
-        for n in &mut self.normals {
-            *n = m.transform_dir(*n).normalized();
-        }
-    }
-
     /// Append another mesh (re-indexing its faces).
     pub fn append(&mut self, other: &TriMesh) {
         let base = self.vertices.len() as u32;
@@ -160,37 +149,6 @@ impl TriMesh {
                 self.colors.extend_from_slice(&other.colors);
             }
         }
-    }
-
-    /// Undirected edge list with per-edge face counts. Edges with count 1
-    /// are boundary edges; counts > 2 indicate non-manifold topology.
-    /// Returned as a `BTreeMap` so callers iterating it (reports, dumps)
-    /// get canonical edge order by construction.
-    pub fn edge_face_counts(&self) -> BTreeMap<(u32, u32), u32> {
-        let mut edges: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-        for f in &self.faces {
-            for k in 0..3 {
-                let a = f[k];
-                let b = f[(k + 1) % 3];
-                let key = (a.min(b), a.max(b));
-                *edges.entry(key).or_insert(0) += 1;
-            }
-        }
-        edges
-    }
-
-    /// True when every edge is shared by exactly two faces (closed
-    /// 2-manifold surface).
-    pub fn is_closed(&self) -> bool {
-        !self.faces.is_empty() && self.edge_face_counts().values().all(|&c| c == 2)
-    }
-
-    /// Euler characteristic `V - E + F` (2 for a sphere-topology surface).
-    pub fn euler_characteristic(&self) -> i64 {
-        let v = self.vertices.len() as i64;
-        let e = self.edge_face_counts().len() as i64;
-        let f = self.faces.len() as i64;
-        v - e + f
     }
 
     /// Sample `n` points uniformly by surface area, with interpolated
@@ -283,6 +241,50 @@ impl TriMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holo_math::Mat4;
+    use std::collections::BTreeMap;
+
+    /// Topology probes and a rigid move for this crate's tests.
+    impl TriMesh {
+        /// Undirected edge list with per-edge face counts. Edges with count
+        /// 1 are boundary edges; counts > 2 indicate non-manifold topology.
+        fn edge_face_counts(&self) -> BTreeMap<(u32, u32), u32> {
+            let mut edges: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+            for f in &self.faces {
+                for k in 0..3 {
+                    let a = f[k];
+                    let b = f[(k + 1) % 3];
+                    let key = (a.min(b), a.max(b));
+                    *edges.entry(key).or_insert(0) += 1;
+                }
+            }
+            edges
+        }
+
+        /// Apply an affine transform to vertices (and rotate normals).
+        pub(crate) fn transform(&mut self, m: &Mat4) {
+            for v in &mut self.vertices {
+                *v = m.transform_point(*v);
+            }
+            for n in &mut self.normals {
+                *n = m.transform_dir(*n).normalized();
+            }
+        }
+
+        /// True when every edge is shared by exactly two faces (closed
+        /// 2-manifold surface).
+        pub(crate) fn is_closed(&self) -> bool {
+            !self.faces.is_empty() && self.edge_face_counts().values().all(|&c| c == 2)
+        }
+
+        /// Euler characteristic `V - E + F` (2 for a sphere-topology surface).
+        pub(crate) fn euler_characteristic(&self) -> i64 {
+            let v = self.vertices.len() as i64;
+            let e = self.edge_face_counts().len() as i64;
+            let f = self.faces.len() as i64;
+            v - e + f
+        }
+    }
 
     fn unit_sphere() -> TriMesh {
         TriMesh::uv_sphere(Vec3::ZERO, 1.0, 24, 48)

@@ -63,18 +63,6 @@ impl LossModel {
             loss_bad: 0.5,
         }
     }
-
-    /// Mean (stationary) loss rate of the process.
-    pub fn mean_loss_rate(&self) -> f64 {
-        match self {
-            LossModel::Bernoulli { rate } => *rate as f64,
-            LossModel::GilbertElliott { p_enter_bad, p_exit_bad, loss_good, loss_bad } => {
-                let denom = (*p_enter_bad as f64 + *p_exit_bad as f64).max(f64::MIN_POSITIVE);
-                let p_bad = *p_enter_bad as f64 / denom;
-                p_bad * *loss_bad as f64 + (1.0 - p_bad) * *loss_good as f64
-            }
-        }
-    }
 }
 
 /// What a fault window does to the link while active.
@@ -152,11 +140,6 @@ impl FaultClock {
             injected_drops: 0,
             injected_corruptions: 0,
         }
-    }
-
-    /// A clock with no impairments at all (useful as a matrix baseline).
-    pub fn idle(seed: u64) -> Self {
-        Self::new(None, Vec::new(), seed)
     }
 
     /// The schedule's segments.
@@ -262,6 +245,20 @@ impl FaultClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LossModel {
+        /// Mean (stationary) loss rate of the process.
+        fn mean_loss_rate(&self) -> f64 {
+            match self {
+                LossModel::Bernoulli { rate } => *rate as f64,
+                LossModel::GilbertElliott { p_enter_bad, p_exit_bad, loss_good, loss_bad } => {
+                    let denom = (*p_enter_bad as f64 + *p_exit_bad as f64).max(f64::MIN_POSITIVE);
+                    let p_bad = *p_enter_bad as f64 / denom;
+                    p_bad * *loss_bad as f64 + (1.0 - p_bad) * *loss_good as f64
+                }
+            }
+        }
+    }
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)

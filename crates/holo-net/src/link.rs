@@ -400,7 +400,7 @@ mod tests {
             21,
         );
         let mut faulted = plain.clone();
-        faulted.set_fault(FaultClock::idle(99));
+        faulted.set_fault(FaultClock::new(None, Vec::new(), 99));
         for i in 0..200 {
             let now = SimTime::from_millis(i * 5);
             assert_eq!(plain.transmit(700, now), faulted.transmit(700, now));

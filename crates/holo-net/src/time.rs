@@ -34,11 +34,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// As milliseconds (f64).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating difference.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration::from_micros(self.0.saturating_sub(earlier.0))
@@ -131,6 +126,13 @@ impl<T> Default for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimTime {
+        /// As milliseconds (f64).
+        pub(crate) fn as_millis_f64(self) -> f64 {
+            self.0 as f64 / 1e3
+        }
+    }
 
     #[test]
     fn queue_pops_in_time_order() {

@@ -38,13 +38,13 @@ impl Linear {
     /// (slimmable execution; full width when equal to the dims).
     pub fn forward_slim(&self, x: &[f32], a_in: usize, a_out: usize, y: &mut [f32]) {
         debug_assert!(a_in <= self.in_dim && a_out <= self.out_dim);
-        for o in 0..a_out {
+        for (o, (out, &bias)) in y[..a_out].iter_mut().zip(&self.b).enumerate() {
             let row = &self.w[o * self.in_dim..o * self.in_dim + a_in];
-            let mut acc = self.b[o];
+            let mut acc = bias;
             for (wi, xi) in row.iter().zip(&x[..a_in]) {
                 acc += wi * xi;
             }
-            y[o] = acc;
+            *out = acc;
         }
     }
 
@@ -52,8 +52,7 @@ impl Linear {
     /// `x`, accumulate gradients and write `dx`.
     pub fn backward_slim(&mut self, x: &[f32], dy: &[f32], a_in: usize, a_out: usize, dx: &mut [f32]) {
         dx[..a_in].fill(0.0);
-        for o in 0..a_out {
-            let g = dy[o];
+        for (o, &g) in dy[..a_out].iter().enumerate() {
             self.gb[o] += g;
             let row_off = o * self.in_dim;
             for i in 0..a_in {
@@ -147,11 +146,6 @@ impl Mlp {
         }
         acts.output = cur;
         acts
-    }
-
-    /// Inference without retaining activations.
-    pub fn infer(&self, x: &[f32]) -> Vec<f32> {
-        self.forward(x).output
     }
 
     /// Backward pass: `d_out` is dL/d(output). Accumulates gradients.
@@ -267,7 +261,7 @@ mod tests {
     fn forward_shapes() {
         let mut rng = Pcg32::new(1);
         let mlp = Mlp::new(5, 16, 3, 2, &mut rng);
-        let out = mlp.infer(&[0.1, -0.2, 0.3, 0.0, 1.0]);
+        let out = mlp.forward(&[0.1, -0.2, 0.3, 0.0, 1.0]).output;
         assert_eq!(out.len(), 2);
         assert_eq!(mlp.param_count(), 5 * 16 + 16 + 16 * 16 + 16 + 16 * 2 + 2);
     }
@@ -288,9 +282,9 @@ mod tests {
             let analytic = mlp.layers[li].gw[wi];
             let orig = mlp.layers[li].w[wi];
             mlp.layers[li].w[wi] = orig + eps;
-            let up = 0.5 * mlp.infer(&x)[0].powi(2);
+            let up = 0.5 * mlp.forward(&x).output[0].powi(2);
             mlp.layers[li].w[wi] = orig - eps;
-            let down = 0.5 * mlp.infer(&x)[0].powi(2);
+            let down = 0.5 * mlp.forward(&x).output[0].powi(2);
             mlp.layers[li].w[wi] = orig;
             let numeric = (up - down) / (2.0 * eps);
             assert!(
@@ -326,9 +320,9 @@ mod tests {
         let mut rng = Pcg32::new(4);
         let mut mlp = Mlp::new(4, 32, 3, 2, &mut rng);
         let x = [0.2, 0.4, -0.1, 0.9];
-        let full = mlp.infer(&x);
+        let full = mlp.forward(&x).output;
         mlp.set_active_width(8);
-        let slim = mlp.infer(&x);
+        let slim = mlp.forward(&x).output;
         assert_eq!(slim.len(), 2);
         assert_ne!(full, slim, "slim path must actually change the computation");
         // Slim flops strictly fewer.
@@ -356,7 +350,7 @@ mod tests {
         let mut loss = 0.0;
         for i in 0..50 {
             let x = [-1.0 + 2.0 * i as f32 / 49.0];
-            let err = mlp.infer(&x)[0] - (3.0 * x[0]).sin();
+            let err = mlp.forward(&x).output[0] - (3.0 * x[0]).sin();
             loss += err * err;
         }
         loss /= 50.0;

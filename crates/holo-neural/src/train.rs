@@ -204,7 +204,7 @@ mod tests {
                 let theta = std::f32::consts::TAU * i as f32 / n as f32;
                 let eye = Vec3::new(2.0 * theta.cos(), 0.4, 2.0 * theta.sin());
                 let cam = Camera::look_at(CameraIntrinsics::from_fov(res, res, 0.9), eye, Vec3::ZERO);
-                let frame = render_rgbd(&sdf, &cam, &DepthNoiseModel::none(), &ShadingConfig { skin_above_y: 10.0, ..Default::default() }, &mut rng);
+                let frame = render_rgbd(&sdf, &cam, &DepthNoiseModel::none(), &ShadingConfig { skin_above_y: 10.0 }, &mut rng);
                 (cam, frame.color)
             })
             .collect()
@@ -268,7 +268,7 @@ mod tests {
         let views_b: Vec<(Camera, Texture)> = views_a
             .iter()
             .map(|(cam, _)| {
-                let f = render_rgbd(&sdf_b, cam, &DepthNoiseModel::none(), &ShadingConfig { skin_above_y: 10.0, ..Default::default() }, &mut rng_cap);
+                let f = render_rgbd(&sdf_b, cam, &DepthNoiseModel::none(), &ShadingConfig { skin_above_y: 10.0 }, &mut rng_cap);
                 (*cam, f.color)
             })
             .collect();

@@ -35,11 +35,6 @@ impl CellPartition {
         )
     }
 
-    /// Total cell count.
-    pub fn cell_count(&self) -> usize {
-        (self.dims as usize).pow(3)
-    }
-
     /// Cell side lengths.
     pub fn cell_size(&self) -> Vec3 {
         self.bounds.size() / self.dims as f32
@@ -52,7 +47,7 @@ impl CellPartition {
         }
         let rel = p - self.bounds.min;
         let s = self.cell_size();
-        let f = |r: f32, s: f32| (((r / s.max(1e-9)) as u32).min(self.dims - 1)) as u32;
+        let f = |r: f32, s: f32| ((r / s.max(1e-9)) as u32).min(self.dims - 1);
         let (x, y, z) = (f(rel.x, s.x), f(rel.y, s.y), f(rel.z, s.z));
         Some((z * self.dims + y) * self.dims + x)
     }

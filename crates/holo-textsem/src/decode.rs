@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn decode_cost_tracks_occupancy() {
         let (cap, dec) = setup(7);
-        let small = cap.caption(&body_cloud(8)[..500].to_vec());
+        let small = cap.caption(&body_cloud(8)[..500]);
         let large = cap.caption(&body_cloud(8));
         assert!(dec.decode_cost(&large) > dec.decode_cost(&small));
     }

@@ -100,23 +100,25 @@ impl Codebook {
     pub fn decode(&self, token: u16) -> Option<CellFeature> {
         self.centers.get(token as usize).map(|c| CellFeature(*c))
     }
-
-    /// Mean quantization error over a corpus (feature-space RMS).
-    pub fn quantization_rms(&self, corpus: &[CellFeature]) -> f32 {
-        if corpus.is_empty() {
-            return 0.0;
-        }
-        let sum: f32 = corpus
-            .iter()
-            .map(|f| dist_sq(&self.centers[self.quantize(f) as usize], &f.0))
-            .sum();
-        (sum / corpus.len() as f32).sqrt()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Codebook {
+        /// Mean quantization error over a corpus (feature-space RMS).
+        fn quantization_rms(&self, corpus: &[CellFeature]) -> f32 {
+            if corpus.is_empty() {
+                return 0.0;
+            }
+            let sum: f32 = corpus
+                .iter()
+                .map(|f| dist_sq(&self.centers[self.quantize(f) as usize], &f.0))
+                .sum();
+            (sum / corpus.len() as f32).sqrt()
+        }
+    }
 
     fn synthetic_corpus(n: usize, seed: u64) -> Vec<CellFeature> {
         // Three latent clusters.

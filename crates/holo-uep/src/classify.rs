@@ -55,20 +55,19 @@ fn bump(class: ImportanceClass) -> ImportanceClass {
     }
 }
 
-/// Frame count per class over a whole stream, indexed by
-/// `ImportanceClass as usize`. This is the denominator of every
-/// budget-accounting computation in [`crate::policy`].
-pub fn class_histogram(total: usize, gop: usize, kind: PayloadKind) -> [usize; 4] {
-    let mut counts = [0usize; 4];
-    for index in 0..total {
-        counts[classify(index, total, gop, kind) as usize] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Frame count per class over a whole stream, indexed by
+    /// `ImportanceClass as usize`.
+    fn class_histogram(total: usize, gop: usize, kind: PayloadKind) -> [usize; 4] {
+        let mut counts = [0usize; 4];
+        for index in 0..total {
+            counts[classify(index, total, gop, kind) as usize] += 1;
+        }
+        counts
+    }
 
     #[test]
     fn gop_positions_map_to_the_documented_classes() {

@@ -29,6 +29,6 @@
 pub mod classify;
 pub mod policy;
 
-pub use classify::{class_histogram, classify};
+pub use classify::classify;
 pub use holo_net::wire::ImportanceClass;
 pub use policy::{last_useful_instant, ClassProtection, PolicyError, StripeSpec, UepPolicy};

@@ -24,7 +24,6 @@ if [ "${1:-}" = --check ]; then check=1; shift; fi
 
 # One waiver a line: Struct.field, then why it cannot move yet.
 waivers='
-ShadingConfig.light_dir  crates/holo-capture/src/render.rs is frozen until a PR pins code placement (ISSUE 24)
 '
 
 suffix='(Config|Spec|Options|Criteria)'

@@ -39,13 +39,8 @@ echo "==> benchmark smoke: benchmark/ builds against the public API and passes i
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 if command -v cargo-clippy >/dev/null 2>&1; then
-  echo "==> cargo clippy -- -D warnings, on the crates held to it"
-  cargo clippy -q --offline -p holo-runtime --all-targets -- -D warnings
-  cargo clippy -q --offline -p holo-trace --all-targets -- -D warnings
-  cargo clippy -q --offline -p semholo-repro --no-deps --all-targets -- -D warnings
-  for crate in chaos uep fuzz conf fleet obs gaussian math mesh body capture compress net bench; do
-    cargo clippy -q --offline -p "holo-$crate" --no-deps --all-targets -- -D warnings
-  done
+  echo "==> cargo clippy -- -D warnings, on every crate"
+  cargo clippy -q --offline --workspace --no-deps --all-targets -- -D warnings
 else
   echo "==> clippy unavailable; skipping lint step"
 fi
@@ -55,6 +50,9 @@ bash -n scripts/ab_pairs.sh
 
 echo "==> option audit: every config field has a setter or an outside reader"
 bash scripts/option_audit.sh --check >/dev/null
+
+echo "==> caller audit: every pub item has a non-test caller or an allow-listed test"
+bash scripts/caller_audit.sh --check >/dev/null
 
 echo "==> bench gate: quick benches into a scratch directory, facts exact vs committed"
 bash scripts/bench_gate.sh

@@ -148,17 +148,16 @@ holo_prop! {
     }
 }
 
-/// Cross-commit byte pin of the two closed-loop vector delta streams
-/// (`holo-keypoints::posedelta`, `holo-gaussian::update`): every frame
-/// of a seeded 30-frame talking clip, length-prefixed, under the default
-/// configs (one key, then deltas) and under `keyframe_interval: 3`.
-/// Computed before the two coders shared one closed-loop body and must
-/// survive that move unedited.
+/// Cross-commit byte pin of the closed-loop vector delta stream
+/// (`holo-gaussian::update`): every frame of a seeded 30-frame talking
+/// clip, length-prefixed, under the default config (one key, then
+/// deltas) and under `keyframe_interval: 3`. Computed before the coder
+/// moved onto `holo-compress::closedloop` and must survive that move
+/// unedited.
 #[test]
 fn closed_loop_delta_streams_are_pinned() {
     use holo_gaussian::splat::AvatarState;
     use holo_gaussian::update::{GaussianUpdateConfig, GaussianUpdateEncoder};
-    use holo_keypoints::posedelta::{PoseDeltaConfig, PoseDeltaEncoder};
 
     let clip = MotionSynthesizer::new(4).clip(MotionKind::Talking, 1.0, 30.0);
     assert_eq!(clip.frames.len(), 30);
@@ -181,23 +180,15 @@ fn closed_loop_delta_streams_are_pinned() {
         }
         (holo_runtime::fnv1a64(&bytes), bytes.len())
     }
-    let pose = |cfg| {
-        let mut enc = PoseDeltaEncoder::new(cfg);
-        digest(clip.frames.iter().map(|f| enc.encode(f)))
-    };
     let gaussian = |cfg| {
         let mut enc = GaussianUpdateEncoder::new(cfg);
         digest(states.iter().map(|s| enc.encode(s)))
     };
     let got = [
-        pose(PoseDeltaConfig::default()),
-        pose(PoseDeltaConfig { keyframe_interval: 3 }),
         gaussian(GaussianUpdateConfig::default()),
         gaussian(GaussianUpdateConfig { keyframe_interval: 3 }),
     ];
-    let pinned: [(u64, usize); 4] = [
-        (0xc06e_2db0_eccd_981d, 1361),
-        (0x0ef3_57a5_b322_500c, 1902),
+    let pinned: [(u64, usize); 2] = [
         (0x06ce_62e9_76d4_1244, 1226),
         (0x8552_fe69_272e_c4e3, 1650),
     ];

@@ -8,8 +8,9 @@
 //! The binary installs the tracking allocator because
 //! `FUZZ_report.json` records that allocation caps were enforced.
 
+mod support;
+
 use holo_runtime::par;
-use holo_runtime::ser::{self, JsonValue};
 use semholo_repro::reports::REPORTS;
 use std::path::Path;
 
@@ -20,44 +21,9 @@ fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The first path at which `new` differs from `old`, as `path: old -> new`.
-fn first_difference(path: &str, old: &JsonValue, new: &JsonValue) -> Option<String> {
-    let show = |v: Option<&JsonValue>| v.map_or("(absent)".to_string(), JsonValue::render);
-    match (old, new) {
-        (JsonValue::Obj(a), JsonValue::Obj(b)) => {
-            let keys = a.iter().chain(b).map(|(k, _)| k);
-            keys.map(|k| {
-                let at = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
-                match (old.get(k), new.get(k)) {
-                    (Some(o), Some(n)) => first_difference(&at, o, n),
-                    (o, n) => Some(format!("{at}: {} -> {}", show(o), show(n))),
-                }
-            })
-            .find_map(|d| d)
-        }
-        (JsonValue::Arr(a), JsonValue::Arr(b)) => (0..a.len().max(b.len())).find_map(|i| {
-            let at = format!("{path}[{i}]");
-            match (a.get(i), b.get(i)) {
-                (Some(o), Some(n)) => first_difference(&at, o, n),
-                (o, n) => Some(format!("{at}: {} -> {}", show(o), show(n))),
-            }
-        }),
-        _ => (old != new).then(|| format!("{path}: {} -> {}", old.render(), new.render())),
-    }
-}
-
 /// Why the `made` bytes of `file` are not the `committed` ones, if they are not.
 fn check(file: &str, committed: &str, made: &str) -> Option<String> {
-    if committed == made {
-        return None;
-    }
-    let why = match (ser::parse(committed), ser::parse(made)) {
-        (Ok(old), Ok(new)) => first_difference("", &old, &new).unwrap_or_else(|| {
-            "same JSON values, different bytes (layout or trailing newline)".into()
-        }),
-        (old, new) => format!("does not parse: committed {:?}, made {:?}", old.err(), new.err()),
-    };
-    Some(format!("{file}: {why}"))
+    support::difference(committed, made).map(|why| format!("{file}: {why}"))
 }
 
 /// Every way the top-level `files` and the recipe table fail to pair

@@ -6,10 +6,14 @@
 //!
 //! This is the conformance suite for the fork-join pool's contract:
 //! fixed partitioning, canonical-order merge, and the trace recorder's
-//! `(start_us, lane, seq)` re-sort at scope exit. Each artifact's FNV-1a
-//! digest is additionally checked against a golden pinned here, so a
-//! regression that changes the bytes *identically at every thread
-//! count* (e.g. a silent seed change) still fails loudly.
+//! `(start_us, lane, seq)` re-sort at scope exit. At threads 2 and 8 a
+//! document that differs from its thread-1 bytes is named with the first
+//! JSON path that moved. Each artifact's FNV-1a digest is additionally
+//! checked against a golden pinned here, so a regression that changes
+//! the bytes *identically at every thread count* (e.g. a silent seed
+//! change) still fails loudly.
+
+mod support;
 
 use holo_chaos::harness::run_scenarios;
 use holo_conf::{ParticipantConfig, Room, RoomConfig};
@@ -76,17 +80,15 @@ fn fleet_slo_doc() -> String {
         .render()
 }
 
-/// One full artifact set at the current thread count:
-/// `(room, fuzz, chrome trace, metric snapshot, fleet, SLO_fleet)`
-/// digests, plus the traced run's exact metric sections (counters and
-/// deterministic histograms) rendered as text.
-fn artifact_digests() -> ([u64; 6], String) {
-    let room = fnv1a64(room_report().as_bytes());
+/// One full artifact set at the current thread count, as JSON
+/// documents: `(room, fuzz, chrome trace, metric counters, fleet,
+/// SLO_fleet)`, plus the traced run's exact metric sections (counters
+/// and deterministic histograms) rendered as text.
+fn artifacts() -> ([String; 6], String) {
+    let room = room_report();
     // 600 mutants per target spans three fixed 250-mutant chunks, so
     // the cross-chunk fold is exercised, not just chunk 0.
-    let fuzz = fnv1a64(
-        run_sweep(&FuzzConfig { seed: 7, mutations_per_target: 600 }).render().as_bytes(),
-    );
+    let fuzz = run_sweep(&FuzzConfig { seed: 7, mutations_per_target: 600 }).render();
     // A traced chaos matrix: worker spans (chaos.outage) and counters
     // (chaos.*) must merge into the caller's recorder identically.
     // Only the counters section is digested into the golden; the
@@ -94,17 +96,14 @@ fn artifact_digests() -> ([u64; 6], String) {
     // exact to merge in any split, and are compared between thread
     // counts by the caller. Gauges keep a float sum and are left out.
     let _ = holo_trace::traced(|| run_scenarios(42));
-    let chrome = fnv1a64(holo_trace::chrome_trace().as_bytes());
+    let chrome = holo_trace::chrome_trace();
     let stripped = holo_obs::gate::strip_nondeterministic(&holo_trace::snapshot_json());
     let counters = stripped.get("counters").expect("snapshot has a counters section").render();
     let histograms = stripped.get("histograms").expect("snapshot has a histograms section");
     assert!(histograms.get("transport.frame_latency_us").is_some(), "{}", histograms.render());
     let exact_metrics = format!("{counters}\n{}", histograms.render());
-    let snapshot = fnv1a64(counters.as_bytes());
     holo_trace::reset();
-    let fleet = fnv1a64(fleet_report().as_bytes());
-    let slo = fnv1a64(fleet_slo_doc().as_bytes());
-    ([room, fuzz, chrome, snapshot, fleet, slo], exact_metrics)
+    ([room, fuzz, chrome, counters, fleet_report(), fleet_slo_doc()], exact_metrics)
 }
 
 /// Goldens for the artifact set (order: room, fuzz, chrome, snapshot,
@@ -112,7 +111,7 @@ fn artifact_digests() -> ([u64; 6], String) {
 /// proves every other thread count produces the same bytes.
 const GOLDEN: [u64; 6] = [
     0xdc36754bb8f72046,
-    0xafd29d17d51d9c52,
+    0x7ba2da2a85f87b26,
     0x6c7cc21eb89536be,
     0xf458be6318ffbe6a,
     0x8fe6f3f4bc3ff94e,
@@ -125,20 +124,25 @@ fn reports_and_traces_byte_identical_at_threads_1_2_8() {
     // so splitting this into per-count tests would race.
     let names =
         ["RoomReport", "FUZZ_report", "chrome_trace", "metrics", "FleetReport", "SLO_fleet"];
-    let mut exact_metrics_at_1 = None;
+    let mut at_1 = None;
     for t in [1usize, 2, 8] {
         par::set_thread_override(Some(t));
-        let (digests, exact_metrics) = artifact_digests();
-        let at_1 = exact_metrics_at_1.get_or_insert_with(|| exact_metrics.clone());
+        let (documents, exact_metrics) = artifacts();
+        let (documents_1, exact_metrics_1) =
+            at_1.get_or_insert_with(|| (documents.clone(), exact_metrics.clone()));
         assert_eq!(
-            &exact_metrics, at_1,
+            &exact_metrics, exact_metrics_1,
             "counters + deterministic histograms diverged at SEMHOLO_THREADS={t}"
         );
         for (i, name) in names.iter().enumerate() {
+            if let Some(why) = support::difference(&documents_1[i], &documents[i]) {
+                panic!("{name} at SEMHOLO_THREADS={t} is not its SEMHOLO_THREADS=1 bytes: {why}");
+            }
+            let digest = fnv1a64(documents[i].as_bytes());
             assert_eq!(
-                digests[i], GOLDEN[i],
-                "{name} diverged at SEMHOLO_THREADS={t}: {:#018x} != golden {:#018x}",
-                digests[i], GOLDEN[i]
+                digest, GOLDEN[i],
+                "{name} diverged at SEMHOLO_THREADS={t}: {digest:#018x} != golden {:#018x}",
+                GOLDEN[i]
             );
         }
     }

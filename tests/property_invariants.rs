@@ -96,7 +96,7 @@ holo_prop! {
     fn gaze_classify_total(seed in any::<u64>(), secs in 1u32..8) {
         let mut synth = holo_gaze::trace::GazeSynthesizer::new(seed);
         let samples = synth.generate(secs as f32);
-        let classes = holo_gaze::classify::classify_trace(&samples);
+        let classes = holo_gaze::IvtClassifier::default().classify(&samples);
         prop_assert_eq!(classes.len(), samples.len());
     }
 

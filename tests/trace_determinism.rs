@@ -9,7 +9,6 @@ use holo_conf::{ParticipantConfig, Room, RoomConfig};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::session::{Session, SessionConfig};
 use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
-use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// The enable flag is process-wide; serialize tests that toggle or
@@ -29,26 +28,19 @@ fn scene() -> SceneSource {
     SceneSource::new(&config, 0.5)
 }
 
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(name)
-}
-
 #[test]
 fn session_trace_is_byte_identical_across_runs() {
     let _guard = lock();
     let scene = scene();
-    let run = |path: &Path| {
+    let run = || {
         let mut pipeline =
             KeypointPipeline::new(KeypointConfig { resolution: 32, ..Default::default() }, 3);
         let mut session = Session::new(SessionConfig::default());
-        session.run_traced(&mut pipeline, &scene, 6, path).unwrap()
+        holo_trace::traced(|| session.run(&mut pipeline, &scene, 6)).unwrap();
+        (holo_trace::chrome_trace(), holo_trace::trace_report())
     };
-    let p1 = tmp("semholo_trace_det_session_a.json");
-    let p2 = tmp("semholo_trace_det_session_b.json");
-    let (_, t1) = run(&p1);
-    let (_, t2) = run(&p2);
-    let b1 = std::fs::read(&p1).unwrap();
-    let b2 = std::fs::read(&p2).unwrap();
+    let (b1, t1) = run();
+    let (b2, t2) = run();
     assert!(!b1.is_empty());
     assert_eq!(b1, b2, "same-seed session traces must be byte-identical");
     assert_eq!(t1.table(), t2.table());
@@ -56,17 +48,14 @@ fn session_trace_is_byte_identical_across_runs() {
     for stage in ["extract", "encode", "transmit", "decode", "render"] {
         assert_eq!(t1.get(stage).map(|s| s.count), Some(6), "stage {stage}");
     }
-    holo_runtime::ser::parse(std::str::from_utf8(&b1).unwrap())
-        .expect("chrome trace must be valid JSON");
-    std::fs::remove_file(&p1).ok();
-    std::fs::remove_file(&p2).ok();
+    holo_runtime::ser::parse(&b1).expect("chrome trace must be valid JSON");
 }
 
 #[test]
 fn room_trace_is_byte_identical_across_runs() {
     let _guard = lock();
     let scene = scene();
-    let run = |path: &Path| {
+    let run = || {
         let cfg = RoomConfig {
             participants: ParticipantConfig::uniform_room(3, 25e6),
             frames: 4,
@@ -79,23 +68,18 @@ fn room_trace_is_byte_identical_across_runs() {
             KeypointConfig { resolution: 24, ..Default::default() },
             7,
         ))];
-        room.run_traced(&scene, &mut pipes, path).unwrap()
+        let report = holo_trace::traced(|| room.run(&scene, &mut pipes)).unwrap();
+        (report, holo_trace::chrome_trace(), holo_trace::trace_report())
     };
-    let p1 = tmp("semholo_trace_det_room_a.json");
-    let p2 = tmp("semholo_trace_det_room_b.json");
-    let (r1, t1) = run(&p1);
-    let (_, t2) = run(&p2);
+    let (r1, b1, t1) = run();
+    let (_, b2, t2) = run();
     assert_eq!(r1.participants, 3);
-    let b1 = std::fs::read(&p1).unwrap();
-    let b2 = std::fs::read(&p2).unwrap();
     assert_eq!(b1, b2, "same-seed room traces must be byte-identical");
     assert_eq!(t1.table(), t2.table());
     // 3 senders x 4 frames, each fanned out to 2 subscribers.
     assert_eq!(t1.get("room.extract").map(|s| s.count), Some(12));
     assert_eq!(t1.get("room.uplink").map(|s| s.count), Some(12));
     assert_eq!(t1.get("room.forward").map(|s| s.count), Some(24));
-    std::fs::remove_file(&p1).ok();
-    std::fs::remove_file(&p2).ok();
 }
 
 #[test]
