@@ -1,112 +1,22 @@
-//! **Table 1** — the semantics taxonomy, measured.
-//!
-//! The paper grades each semantic type qualitatively: computation
-//! overhead for extraction and reconstruction (L/M/H), data size (L/M/H),
-//! visual quality (L/M/H), and output format — keypoint L/H/L, image
-//! -/H/M, text H/H/L (extract/recon/size). This bench runs the three
-//! semantic pipelines, the gaussian tier and the traditional baseline on
-//! the same captured frame, records the quantities behind those grades,
-//! and re-derives the letter grades from them (`grades/<row>`).
-//!
-//! Stage times are modeled A100 milliseconds. A stage with no modeled
-//! workload (image extraction, both traditional stages) has only a CPU
-//! wall-clock time, which is not a fact: it gets no time and the grade
-//! `-`, as the paper grades image extraction.
+//! **Table 1** — one encode per pipeline class, after the same warm-up
+//! and frame-4 round trip the facts take. The taxonomy's quantities and
+//! grades are facts, made by `holo_bench::table1_taxonomy::facts`.
 
-use holo_bench::{bench_scene, mbps_at_30fps};
-use holo_gaussian::GaussianPipeline;
-use holo_gpu::Device;
-use holo_runtime::bench::{BenchmarkGroup, Criterion};
+use holo_bench::table1_taxonomy::{measure, pipeline, scene};
+use holo_runtime::bench::Criterion;
 use holo_runtime::{bench_group, bench_main};
-use semholo::image::{ImageConfig, ImagePipeline};
-use semholo::keypoint::{KeypointConfig, KeypointPipeline};
-use semholo::text::{TextConfig, TextPipeline};
-use semholo::traditional::{MeshWire, TraditionalPipeline};
-use semholo::{SceneSource, SemanticPipeline, StageCost};
 use std::hint::black_box;
 
-/// Record one row's facts; returns its payload bytes and modeled
-/// reconstruction milliseconds for the shape assertions.
-fn measure(
-    group: &mut BenchmarkGroup<'_>,
-    pipeline: &mut dyn SemanticPipeline,
-    scene: &SceneSource,
-    name: &str,
-) -> (usize, Option<f64>) {
-    let device = Device::a100();
-    // Only a modeled stage has an A100 time; skip `time_on`'s CPU fallback.
-    let a100_ms = |stage: &StageCost| {
-        stage.gpu.is_some().then(|| stage.time_on(&device).expect("fits an A100").as_secs_f64() * 1e3)
-    };
-    let frame = scene.frame(4);
-    // Warm up stateful pipelines (codebooks, NeRF pre-train) on frame 0.
-    let warm = scene.frame(0);
-    if let Ok(enc) = pipeline.encode(&warm) {
-        let _ = pipeline.decode(&enc.payload);
-    }
-    let enc = pipeline.encode(&frame).expect("encode");
-    let rec = pipeline.decode(&enc.payload).expect("decode");
-    let (extract_ms, recon_ms, payload) = (a100_ms(&enc.extract), a100_ms(&rec.recon), enc.payload.len());
-    for (stage, ms) in [("extract", extract_ms), ("recon", recon_ms)] {
-        if let Some(ms) = ms {
-            group.fact(format!("{stage}_a100/{name}"), ms, "ms");
-        }
-    }
-    group.fact(format!("payload/{name}"), payload, "bytes");
-    group.fact(format!("bandwidth/{name}"), mbps_at_30fps(payload), "Mbps");
-    let q = pipeline.quality(&frame, &rec.content);
-    match (q.chamfer, q.psnr_db) {
-        (Some(c), _) => group.fact(format!("chamfer/{name}"), c * 1000.0, "mm"),
-        (None, Some(p)) => group.fact(format!("psnr/{name}"), p, "dB"),
-        _ => {}
-    }
-    group.fact(format!("format/{name}"), rec.content.format_name(), "label");
-    let grade = |value: Option<f64>, low: f64, high: f64| match value {
-        None => "-",
-        Some(v) if v < low => "L",
-        Some(v) if v < high => "M",
-        Some(_) => "H",
-    };
-    let grades = [
-        grade(extract_ms, 5.0, 50.0),
-        grade(recon_ms, 50.0, 300.0),
-        grade(Some(payload as f64), 8_000.0, 80_000.0),
-    ];
-    group.fact(format!("grades/{name}"), grades.join("/"), "label");
-    (payload, recon_ms)
-}
-
 fn table1(c: &mut Criterion) {
-    let scene = bench_scene(0.5);
-    let mut group = c.benchmark_group("table1");
-    let mut kp = KeypointPipeline::new(KeypointConfig { resolution: 128, ..Default::default() }, 42);
-    let (kp_payload, kp_recon) = measure(&mut group, &mut kp, &scene, "keypoint");
-    let mut img = ImagePipeline::new(ImageConfig { pretrain_steps: 150, ..Default::default() }, 42);
-    measure(&mut group, &mut img, &scene, "image");
-    let mut txt = TextPipeline::new(TextConfig::default(), 42);
-    measure(&mut group, &mut txt, &scene, "text");
-    let mut gau = GaussianPipeline::default();
-    let (gau_payload, gau_recon) = measure(&mut group, &mut gau, &scene, "gaussian");
-    let mut trad = TraditionalPipeline::new(MeshWire::Compressed, 14);
-    let (trad_payload, _) = measure(&mut group, &mut trad, &scene, "traditional");
-
-    // Paper-shape assertions.
-    let (kp_recon, gau_recon) = (kp_recon.unwrap(), gau_recon.unwrap());
-    assert!(kp_payload * 10 < trad_payload, "keypoint payload must be far below mesh");
-    assert!(kp_recon > 300.0, "keypoint reconstruction must be the bottleneck (H)");
-    // The amortized tier's shape: steady-state payload below even the
-    // keypoint tier (the prebuild blob carries the geometry), and a
-    // reconstruction that skips the implicit-surface solve entirely.
-    assert!(gau_payload < kp_payload, "gaussian update must undercut keypoints");
-    assert!(gau_recon < kp_recon, "splat posing must beat implicit surfaces");
-
-    // Criterion: one encode per pipeline class.
-    group.sample_size(10);
+    let scene = scene();
     let frame = scene.frame(6);
-    group.bench_function("keypoint_encode", |b| b.iter(|| kp.encode(black_box(&frame)).unwrap()));
-    group.bench_function("gaussian_encode", |b| b.iter(|| gau.encode(black_box(&frame)).unwrap()));
-    group.bench_function("text_encode", |b| b.iter(|| txt.encode(black_box(&frame)).unwrap()));
-    group.bench_function("traditional_encode", |b| b.iter(|| trad.encode(black_box(&frame)).unwrap()));
+    let mut group = c.benchmark_group("table1");
+    group.sample_size(10);
+    for row in ["keypoint", "gaussian", "text", "traditional"] {
+        let mut p = pipeline(row);
+        measure(p.as_mut(), &scene);
+        group.bench_function(format!("{row}_encode"), |b| b.iter(|| p.encode(black_box(&frame)).unwrap()));
+    }
     group.finish();
 }
 

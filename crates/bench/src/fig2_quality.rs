@@ -24,19 +24,18 @@
 //!   not because it measures the folds.
 //!
 //! Extraction at resolution 128 is timed by the repository benchmark's
-//! `keypoint_recon` workload, so this bench records facts only.
+//! `keypoint_recon` workload, so no bench target times this experiment.
 
-use holo_bench::bench_scene;
+use crate::{bench_scene, Facts};
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_body::{Joint, Skeleton};
 use holo_math::Vec3;
 use holo_mesh::sdf::Sdf;
 use holo_mesh::sparse::sparse_extract;
-use holo_runtime::bench::Criterion;
-use holo_runtime::{bench_group, bench_main};
 use semholo::semantics::mesh_quality;
 
-fn fig2(c: &mut Criterion) {
+/// `BENCH_fig2_quality.json`.
+pub fn facts() -> String {
     let scene = bench_scene(1.0);
     let frame = scene.frame(5);
     let sk = Skeleton::neutral();
@@ -61,9 +60,9 @@ fn fig2(c: &mut Criterion) {
         (if n > 0 { sum / n as f64 } else { f64::NAN }, n)
     };
 
-    let mut group = c.benchmark_group("fig2");
+    let mut facts = Facts::new("fig2_quality", "fig2");
     let sampling_floor = mesh_quality(&gt_clothed, &gt_clothed, 7).chamfer.unwrap() * 1000.0;
-    group.fact("chamfer_clothed/sampling_floor", sampling_floor, "mm");
+    facts.fact("chamfer_clothed/sampling_floor", sampling_floor, "mm");
     let mut hand_errors = Vec::new();
     let mut clothed_chamfers = Vec::new();
     for res in [128u32, 256, 512, 1024] {
@@ -79,19 +78,18 @@ fn fig2(c: &mut Criterion) {
         let (hand_err, hand_verts) = region_error(&mesh, &wrists, 0.14);
         let (face_err, _) = region_error(&mesh, &[head], 0.16);
         let chamfer = mesh_quality(&gt_clothed, &mesh, 7).chamfer.unwrap() * 1000.0;
-        group.fact(format!("surface_err/res{res}"), overall * 1000.0, "mm");
-        group.fact(format!("hand_err/res{res}"), hand_err * 1000.0, "mm");
-        group.fact(format!("hand_verts/res{res}"), hand_verts, "count");
-        group.fact(format!("face_err/res{res}"), face_err * 1000.0, "mm");
-        group.fact(format!("chamfer_clothed/res{res}"), chamfer, "mm");
+        facts.fact(format!("surface_err/res{res}"), overall * 1000.0, "mm");
+        facts.fact(format!("hand_err/res{res}"), hand_err * 1000.0, "mm");
+        facts.fact(format!("hand_verts/res{res}"), hand_verts, "count");
+        facts.fact(format!("face_err/res{res}"), face_err * 1000.0, "mm");
+        facts.fact(format!("chamfer_clothed/res{res}"), chamfer, "mm");
         hand_errors.push(hand_err);
         clothed_chamfers.push(chamfer);
     }
     let bare_ref = sparse_extract(&bare_sdf, 256, 0.03);
     let bare_ref = mesh_quality(&gt_clothed, &bare_ref, 9).chamfer.unwrap() * 1000.0;
-    group.fact("chamfer_clothed/bare_reference", bare_ref, "mm");
+    facts.fact("chamfer_clothed/bare_reference", bare_ref, "mm");
     clothed_chamfers.push(bare_ref);
-    group.finish();
 
     // Paper-shape assertions.
     assert!(
@@ -108,7 +106,5 @@ fn fig2(c: &mut Criterion) {
             "clothed chamfer {cc} mm should sit just above the sampling floor {sampling_floor} mm"
         );
     }
+    facts.render()
 }
-
-bench_group!(benches, fig2);
-bench_main!(benches);

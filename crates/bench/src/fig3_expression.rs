@@ -12,20 +12,19 @@
 //! identical, and a coarse-only expression reconstructs with error 0.
 //!
 //! Extraction at resolution 128 is timed by the repository benchmark's
-//! `keypoint_recon` workload, so this bench records facts only.
+//! `keypoint_recon` workload, so no bench target times this experiment.
 
-use holo_bench::bench_scene;
+use crate::{bench_scene, Facts};
 use holo_body::expression::ExpressionBasis;
 use holo_body::params::EXPRESSION_DIM;
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_body::Skeleton;
 use holo_mesh::sdf::Sdf;
 use holo_mesh::sparse::sparse_extract;
-use holo_runtime::bench::Criterion;
-use holo_runtime::{bench_group, bench_main};
 
-fn fig3(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig3");
+/// `BENCH_fig3_expression.json`.
+pub fn facts() -> String {
+    let mut facts = Facts::new("fig3_expression", "fig3");
     let basis = ExpressionBasis::standard();
     // The exact Fig. 3 scenario: open mouth + pout.
     let mut truth = [0.0f32; EXPRESSION_DIM];
@@ -35,14 +34,14 @@ fn fig3(c: &mut Criterion) {
 
     for (i, comp) in basis.components.iter().enumerate() {
         if truth[i] != 0.0 || learned[i] != 0.0 {
-            group.fact(format!("class/{}", comp.name), if comp.coarse { "coarse" } else { "fine" }, "label");
-            group.fact(format!("coeff_true/{}", comp.name), truth[i], "coeff");
-            group.fact(format!("coeff_learned/{}", comp.name), learned[i], "coeff");
+            facts.fact(format!("class/{}", comp.name), if comp.coarse { "coarse" } else { "fine" }, "label");
+            facts.fact(format!("coeff_true/{}", comp.name), truth[i], "coeff");
+            facts.fact(format!("coeff_learned/{}", comp.name), learned[i], "coeff");
         }
     }
     assert_eq!(learned[0], 1.0, "open mouth must survive the learned model");
     assert_eq!(learned[3], 0.0, "pout must be lost by the learned model");
-    group.fact("displacement_rms", basis.displacement_error(&truth, &learned) * 1000.0, "mm");
+    facts.fact("displacement_rms", basis.displacement_error(&truth, &learned) * 1000.0, "mm");
 
     // Geometric version: probe the *mouth region* specifically — the pout
     // is spatially tiny, so a whole-face average washes it out exactly
@@ -72,10 +71,9 @@ fn fig3(c: &mut Criterion) {
         sum_mm += d;
         n += 1;
     }
-    group.fact("mouth_defect/vertices", n, "count");
-    group.fact("mouth_defect/mean", sum_mm / n.max(1) as f64, "mm");
-    group.fact("mouth_defect/max", max_mm, "mm");
-    group.finish();
+    facts.fact("mouth_defect/vertices", n, "count");
+    facts.fact("mouth_defect/mean", sum_mm / n.max(1) as f64, "mm");
+    facts.fact("mouth_defect/max", max_mm, "mm");
     assert!(n > 10, "mouth region must be sampled");
     assert!(max_mm > 2.0, "learned model must visibly lose the pout (max defect {max_mm:.2} mm)");
     // Control: the same probe far from the face shows no difference.
@@ -95,7 +93,5 @@ fn fig3(c: &mut Criterion) {
     coarse_only[0] = 1.0;
     let coarse_recon = basis.learned_reconstruction(&coarse_only);
     assert_eq!(basis.displacement_error(&coarse_only, &coarse_recon), 0.0);
+    facts.render()
 }
-
-bench_group!(benches, fig3);
-bench_main!(benches);

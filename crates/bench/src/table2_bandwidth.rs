@@ -17,19 +17,18 @@
 //! against compressed mesh delivery.
 //!
 //! The codecs are timed by the repository benchmark's `mesh_codec`
-//! workload, so this bench records facts only.
+//! workload, so no bench target times this experiment.
 
-use holo_bench::{bench_scene, mbps_at_30fps};
+use crate::{bench_scene, mbps_at_30fps, Facts};
 use holo_compress::lzma::{lzma_compress, lzma_decompress};
 use holo_compress::meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig};
-use holo_runtime::bench::Criterion;
-use holo_runtime::{bench_group, bench_main};
 use semholo::traditional::mesh_to_raw_bytes;
 use semholo::KeypointPipeline;
 
-fn table2(c: &mut Criterion) {
+/// `BENCH_table2_bandwidth.json`.
+pub fn facts() -> String {
     let scene = bench_scene(1.0);
-    let mut group = c.benchmark_group("table2");
+    let mut facts = Facts::new("table2_bandwidth", "table2");
 
     // --- Semantic side: the 1.91 KB pose payload, LZMA-compressed. ---
     let mut kp = KeypointPipeline::new(Default::default(), 42);
@@ -64,13 +63,13 @@ fn table2(c: &mut Criterion) {
         ("traditional_raw", mesh_raw),
         ("traditional_draco", mesh_comp),
     ] {
-        group.fact(format!("bytes/{row}"), bytes, "bytes");
-        group.fact(format!("bandwidth/{row}"), mbps_at_30fps(bytes), "Mbps");
+        facts.fact(format!("bytes/{row}"), bytes, "bytes");
+        facts.fact(format!("bandwidth/{row}"), mbps_at_30fps(bytes), "Mbps");
     }
-    group.fact("savings/raw", mesh_raw as f64 / pose_raw as f64, "ratio");
-    group.fact("savings/compressed", mesh_comp as f64 / pose_comp_mean as f64, "ratio");
-    group.fact("mesh_vertices", mesh.vertex_count(), "count");
-    group.fact("mesh_faces", mesh.face_count(), "count");
+    facts.fact("savings/raw", mesh_raw as f64 / pose_raw as f64, "ratio");
+    facts.fact("savings/compressed", mesh_comp as f64 / pose_comp_mean as f64, "ratio");
+    facts.fact("mesh_vertices", mesh.vertex_count(), "count");
+    facts.fact("mesh_faces", mesh.face_count(), "count");
 
     // --- Extension row: temporal (inter-frame) mesh coding. ---
     {
@@ -89,9 +88,9 @@ fn table2(c: &mut Criterion) {
             }
         }
         let mean_delta = delta_total / (frames - 1);
-        group.fact("temporal/keyframe", key, "bytes");
-        group.fact("temporal/delta_mean", mean_delta, "bytes");
-        group.fact("temporal/bandwidth", mbps_at_30fps(mean_delta), "Mbps");
+        facts.fact("temporal/keyframe", key, "bytes");
+        facts.fact("temporal/delta_mean", mean_delta, "bytes");
+        facts.fact("temporal/bandwidth", mbps_at_30fps(mean_delta), "Mbps");
     }
 
     // --- Extension row: the amortized gaussian tier. ---
@@ -114,12 +113,9 @@ fn table2(c: &mut Criterion) {
             &tier("gaussian", p.prebuild_bytes(), mean_update),
             &tier("mesh", 0, mesh_comp),
         );
-        group.fact("gaussian/update_mean", mean_update, "bytes");
-        group.fact("gaussian/bandwidth", mbps_at_30fps(mean_update), "Mbps");
-        group.fact("gaussian/break_even_vs_mesh", break_even, "s");
+        facts.fact("gaussian/update_mean", mean_update, "bytes");
+        facts.fact("gaussian/bandwidth", mbps_at_30fps(mean_update), "Mbps");
+        facts.fact("gaussian/break_even_vs_mesh", break_even, "s");
     }
-    group.finish();
+    facts.render()
 }
-
-bench_group!(benches, table2);
-bench_main!(benches);

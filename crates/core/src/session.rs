@@ -160,27 +160,6 @@ impl SessionReport {
         }
         delivered.iter().filter(|f| f.e2e_ms <= 100.0).count() as f64 / delivered.len() as f64
     }
-
-    /// Per-frame SLO observations at the given capture rate: capture
-    /// instant in virtual µs plus the integer-µs end-to-end latency for
-    /// delivered frames (`None` for lost or corrupt-dropped frames).
-    pub fn slo_obs(&self, fps: f64) -> Vec<holo_obs::FrameObs> {
-        self.frames
-            .iter()
-            .map(|f| holo_obs::FrameObs {
-                at_us: SimTime::from_secs_f64(f.index as f64 / fps).0,
-                e2e_us: f
-                    .delivered
-                    .then(|| (f.e2e_ms * 1_000.0).round() as u64),
-                tier: "",
-            })
-            .collect()
-    }
-
-    /// Evaluate a declarative SLO over this run in virtual time.
-    pub fn slo(&self, spec: &holo_obs::SloSpec, fps: f64) -> holo_obs::SloVerdict {
-        spec.evaluate_frames(&self.slo_obs(fps))
-    }
 }
 
 /// A running session.
@@ -557,41 +536,6 @@ mod tests {
         // Without retransmission nothing can be "recovered".
         assert_eq!(report.recovered, 0);
         assert!(report.delivered < 6, "burst loss must cost frames under DropFrame");
-    }
-
-    #[test]
-    fn slo_verdict_reflects_delivery() {
-        let scene = scene();
-        let mut pipeline =
-            KeypointPipeline::new(KeypointConfig { resolution: 48, ..Default::default() }, 3);
-        let mut session = broadband_session();
-        let report = session.run(&mut pipeline, &scene, 10).unwrap();
-        let obs = report.slo_obs(30.0);
-        assert_eq!(obs.len(), 10);
-        assert_eq!(
-            obs.iter().filter(|o| o.e2e_us.is_some()).count(),
-            report.delivered
-        );
-        // A spec with no latency ceiling passes on delivery rate alone;
-        // an impossible latency ceiling must fail.
-        let lax = holo_obs::SloSpec {
-            max_p99_e2e_ms: None,
-            max_stall_ms: None,
-            max_window_burn: None,
-            min_usable_rate: Some(0.8),
-            ..holo_obs::SloSpec::named("lax")
-        };
-        assert!(report.slo(&lax, 30.0).pass());
-        let strict = holo_obs::SloSpec {
-            max_p99_e2e_ms: Some(0.001),
-            ..holo_obs::SloSpec::named("strict")
-        };
-        assert!(!report.slo(&strict, 30.0).pass());
-        // Verdicts are pure functions of the report: byte-identical.
-        assert_eq!(
-            report.slo(&lax, 30.0).to_json().render(),
-            report.slo(&lax, 30.0).to_json().render()
-        );
     }
 
     #[test]

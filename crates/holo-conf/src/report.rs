@@ -192,8 +192,6 @@ impl RoomReport {
                 frames_usable: s.usable as u64,
                 usable_rate: None,
                 p99_e2e_ms: s.e2e_ms.percentile(99.0),
-                max_stall_ms: None,
-                worst_window_burn: None,
                 tier_fractions: {
                     let mut tf = if s.usable > 0 {
                         vec![

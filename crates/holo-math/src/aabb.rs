@@ -95,18 +95,6 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
-    impl Aabb {
-        /// True when the two boxes overlap (boundary touch counts).
-        fn intersects(&self, o: &Aabb) -> bool {
-            self.min.x <= o.max.x
-                && self.max.x >= o.min.x
-                && self.min.y <= o.max.y
-                && self.max.y >= o.min.y
-                && self.min.z <= o.max.z
-                && self.max.z >= o.min.z
-        }
-    }
-
     #[test]
     fn from_points_bounds_all() {
         let pts = [Vec3::new(1.0, -2.0, 3.0), Vec3::new(-1.0, 4.0, 0.0), Vec3::new(0.5, 0.0, -5.0)];
@@ -126,15 +114,6 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.min, Vec3::ONE);
         assert_eq!(b.max, Vec3::ONE);
-    }
-
-    #[test]
-    fn intersects_symmetric() {
-        let a = Aabb::new(Vec3::ZERO, Vec3::ONE);
-        let b = Aabb::new(Vec3::splat(0.5), Vec3::splat(2.0));
-        let c = Aabb::new(Vec3::splat(3.0), Vec3::splat(4.0));
-        assert!(a.intersects(&b) && b.intersects(&a));
-        assert!(!a.intersects(&c) && !c.intersects(&a));
     }
 
     #[test]

@@ -63,27 +63,6 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
-    impl Ray {
-        /// Intersect with a sphere; returns the nearest positive hit parameter.
-        fn intersect_sphere(&self, center: Vec3, radius: f32) -> Option<f32> {
-            let oc = self.origin - center;
-            let b = oc.dot(self.dir);
-            let c = oc.length_sq() - radius * radius;
-            let disc = b * b - c;
-            if disc < 0.0 {
-                return None;
-            }
-            let sq = disc.sqrt();
-            let t = -b - sq;
-            if t >= 0.0 {
-                Some(t)
-            } else {
-                let t = -b + sq;
-                (t >= 0.0).then_some(t)
-            }
-        }
-    }
-
     #[test]
     fn aabb_hit_and_miss() {
         let b = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
@@ -110,20 +89,5 @@ mod tests {
         assert!(inside.intersect_aabb(&b).is_some());
         let outside = Ray::new(Vec3::new(2.0, 0.0, -5.0), Vec3::Z);
         assert!(outside.intersect_aabb(&b).is_none());
-    }
-
-    #[test]
-    fn sphere_nearest_hit() {
-        let r = Ray::new(Vec3::new(0.0, 0.0, -5.0), Vec3::Z);
-        let t = r.intersect_sphere(Vec3::ZERO, 1.0).unwrap();
-        assert!(approx_eq(t, 4.0, 1e-5));
-        assert!(r.intersect_sphere(Vec3::new(10.0, 0.0, 0.0), 1.0).is_none());
-    }
-
-    #[test]
-    fn sphere_from_inside() {
-        let r = Ray::new(Vec3::ZERO, Vec3::X);
-        let t = r.intersect_sphere(Vec3::ZERO, 2.0).unwrap();
-        assert!(approx_eq(t, 2.0, 1e-5));
     }
 }

@@ -106,16 +106,6 @@ impl Pcg32 {
 mod tests {
     use super::*;
 
-    impl Pcg32 {
-        /// Fisher-Yates shuffle.
-        fn shuffle<T>(&mut self, slice: &mut [T]) {
-            for i in (1..slice.len()).rev() {
-                let j = self.index(i + 1);
-                slice.swap(i, j);
-            }
-        }
-    }
-
     #[test]
     fn deterministic_from_seed() {
         let mut a = Pcg32::new(42);
@@ -172,16 +162,5 @@ mod tests {
         let mut b = root.fork(2);
         let same = (0..32).filter(|_| a.next_u32() == b.next_u32()).count();
         assert!(same < 2);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Pcg32::new(9);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted); // overwhelmingly likely
     }
 }

@@ -349,13 +349,6 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
-    impl Vec4 {
-        /// Perspective divide: `xyz / w`.
-        fn project(self) -> Vec3 {
-            Vec3::new(self.x / self.w, self.y / self.w, self.z / self.w)
-        }
-    }
-
     #[test]
     fn cross_is_orthogonal() {
         let a = Vec3::new(1.0, 2.0, 3.0);
@@ -395,12 +388,6 @@ mod tests {
     #[test]
     fn vec2_distance() {
         assert!(approx_eq(Vec2::new(0.0, 0.0).distance(Vec2::new(3.0, 4.0)), 5.0, 1e-6));
-    }
-
-    #[test]
-    fn vec4_project() {
-        let v = Vec4::new(2.0, 4.0, 6.0, 2.0);
-        assert_eq!(v.project(), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

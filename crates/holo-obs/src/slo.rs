@@ -2,36 +2,15 @@
 //!
 //! A [`SloSpec`] states objectives — p99 motion-to-photon latency,
 //! usable-frame rate, stall budget, worst-window burn rate, per-tier
-//! quality floors — and is evaluated against either per-frame
-//! observations ([`SloSpec::evaluate_frames`]) or an aggregate summary
-//! ([`SloSpec::evaluate_summary`]) when only report-level numbers
-//! survive (chaos matrix cells, fleet nodes). Every input is virtual
-//! time (integer µs) or an exact count, so a verdict is a pure function
-//! of the run: byte-identical across repeats and thread counts.
-//!
-//! Burn rates follow the SRE shape: the run is cut into fixed
-//! `window_ms` windows by capture time, each window's violation
-//! fraction (frames unusable or over the latency target) is computed
-//! exactly, and the *worst* window must stay under the budget — a run
-//! that averages fine but dies for two seconds mid-call fails here
-//! while passing the whole-run averages.
+//! quality floors — and is evaluated against an aggregate summary
+//! ([`SloSpec::evaluate_summary`]) of what a report retains (room
+//! subscribers, chaos matrix cells, fleet nodes). Every input is
+//! virtual time (integer µs) or an exact count, so a verdict is a pure
+//! function of the run: byte-identical across repeats and thread
+//! counts. The stall and burn-rate objectives need per-frame data no
+//! summary retains, so a spec that sets them gets them back skipped.
 
 use holo_runtime::ser::{JsonValue, ToJson};
-use holo_trace::LatencySketch;
-
-/// One frame's observation: capture instant plus its end-to-end
-/// latency when the frame reached the eye usable (`None` = lost,
-/// corrupt, or dependency-broken).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameObs {
-    /// Capture time, virtual µs.
-    pub at_us: u64,
-    /// Capture-to-photon latency, µs; `None` when the frame never
-    /// became usable.
-    pub e2e_us: Option<u64>,
-    /// Quality tier the frame was delivered at (`""` = untiered).
-    pub tier: &'static str,
-}
 
 /// A declarative service-level objective set.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,9 +24,7 @@ pub struct SloSpec {
     /// Longest gap between consecutive usable photons must be ≤ this
     /// many ms.
     pub max_stall_ms: Option<f64>,
-    /// Burn-rate window length, ms (capture-time windows).
-    pub window_ms: u64,
-    /// Worst window's violation fraction must be ≤ this.
+    /// Worst one-second window's violation fraction must be ≤ this.
     pub max_window_burn: Option<f64>,
     /// Per-tier floors: at least this fraction of usable frames must
     /// have been delivered at the named tier.
@@ -65,7 +42,6 @@ impl SloSpec {
             max_p99_e2e_ms: Some(100.0),
             min_usable_rate: Some(0.90),
             max_stall_ms: Some(250.0),
-            window_ms: 1_000,
             max_window_burn: Some(0.25),
             tier_floors: Vec::new(),
         }
@@ -90,46 +66,6 @@ impl SloSpec {
         spec
     }
 
-    /// Evaluate against per-frame observations.
-    pub fn evaluate_frames(&self, frames: &[FrameObs]) -> SloVerdict {
-        let scheduled = frames.len() as u64;
-        let mut e2e = LatencySketch::new();
-        let mut photon_us: Vec<u64> = Vec::new();
-        for f in frames {
-            if let Some(us) = f.e2e_us {
-                e2e.record(us);
-                photon_us.push(f.at_us + us);
-            }
-        }
-        photon_us.sort_unstable();
-        let usable = e2e.count;
-
-        let mut v = SloVerdict::new(&self.name);
-        if let Some(limit) = self.max_p99_e2e_ms {
-            let p99_ms = e2e.quantile_us(0.99) as f64 / 1e3;
-            v.check_le("p99_e2e_ms", p99_ms, limit);
-        }
-        if let Some(limit) = self.min_usable_rate {
-            let rate = if scheduled == 0 { 1.0 } else { usable as f64 / scheduled as f64 };
-            v.check_ge("usable_rate", rate, limit);
-        }
-        if let Some(limit) = self.max_stall_ms {
-            v.check_le("max_stall_ms", stall_ms(frames, &photon_us), limit);
-        }
-        if let Some(limit) = self.max_window_burn {
-            v.check_le("worst_window_burn", self.worst_window_burn(frames), limit);
-        }
-        for (tier, floor) in &self.tier_floors {
-            let at_tier = frames
-                .iter()
-                .filter(|f| f.e2e_us.is_some() && f.tier == tier.as_str())
-                .count() as u64;
-            let frac = if usable == 0 { 0.0 } else { at_tier as f64 / usable as f64 };
-            v.check_ge(&format!("tier:{tier}"), frac, *floor);
-        }
-        v
-    }
-
     /// Evaluate against an aggregate summary (objectives whose datum is
     /// absent are recorded as skipped, never silently passed).
     pub fn evaluate_summary(&self, s: &SloSummary) -> SloVerdict {
@@ -147,15 +83,11 @@ impl SloSpec {
             });
             v.check_ge("usable_rate", rate, limit);
         }
-        match (self.max_stall_ms, s.max_stall_ms) {
-            (Some(limit), Some(stall)) => v.check_le("max_stall_ms", stall, limit),
-            (Some(_), None) => v.skip("max_stall_ms"),
-            _ => {}
+        if self.max_stall_ms.is_some() {
+            v.skip("max_stall_ms");
         }
-        match (self.max_window_burn, s.worst_window_burn) {
-            (Some(limit), Some(burn)) => v.check_le("worst_window_burn", burn, limit),
-            (Some(_), None) => v.skip("worst_window_burn"),
-            _ => {}
+        if self.max_window_burn.is_some() {
+            v.skip("worst_window_burn");
         }
         for (tier, floor) in &self.tier_floors {
             match s.tier_fractions.iter().find(|(t, _)| t == tier) {
@@ -165,51 +97,6 @@ impl SloSpec {
         }
         v
     }
-
-    /// Worst capture-time window's violation fraction. A frame violates
-    /// when it is unusable or over the p99 latency target.
-    pub fn worst_window_burn(&self, frames: &[FrameObs]) -> f64 {
-        if frames.is_empty() {
-            return 0.0;
-        }
-        let window_us = self.window_ms.max(1) * 1_000;
-        let mut per_window: std::collections::BTreeMap<u64, (u64, u64)> =
-            std::collections::BTreeMap::new();
-        for f in frames {
-            let slot = per_window.entry(f.at_us / window_us).or_default();
-            slot.0 += 1;
-            let over_latency = match (f.e2e_us, self.max_p99_e2e_ms) {
-                (Some(us), Some(limit)) => us as f64 / 1e3 > limit,
-                (Some(_), None) => false,
-                (None, _) => true,
-            };
-            if over_latency {
-                slot.1 += 1;
-            }
-        }
-        per_window
-            .values()
-            .map(|&(total, bad)| bad as f64 / total as f64)
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Longest photon gap in ms. Leading gap (first capture to first
-/// usable photon) counts; with no usable frames at all the stall is
-/// the whole scheduled span.
-fn stall_ms(frames: &[FrameObs], sorted_photon_us: &[u64]) -> f64 {
-    let Some(first_at) = frames.iter().map(|f| f.at_us).min() else {
-        return 0.0;
-    };
-    let last_at = frames.iter().map(|f| f.at_us).max().unwrap_or(first_at);
-    if sorted_photon_us.is_empty() {
-        return (last_at - first_at) as f64 / 1e3;
-    }
-    let mut worst = sorted_photon_us[0].saturating_sub(first_at);
-    for pair in sorted_photon_us.windows(2) {
-        worst = worst.max(pair[1] - pair[0]);
-    }
-    worst as f64 / 1e3
 }
 
 /// Aggregate inputs for [`SloSpec::evaluate_summary`].
@@ -224,10 +111,6 @@ pub struct SloSummary {
     pub usable_rate: Option<f64>,
     /// p99 end-to-end ms, when the source report has one.
     pub p99_e2e_ms: Option<f64>,
-    /// Longest stall ms, when known.
-    pub max_stall_ms: Option<f64>,
-    /// Worst window burn, when known.
-    pub worst_window_burn: Option<f64>,
     /// `(tier, fraction of usable frames)` pairs, when known.
     pub tier_fractions: Vec<(String, f64)>,
 }
@@ -235,7 +118,7 @@ pub struct SloSummary {
 impl SloSummary {
     /// Roll `other` up into this summary as a floor, not an average:
     /// counts add and p99 is the worst present value. Nothing else is
-    /// carried — rates, stalls, burns and tier splits do not add up.
+    /// carried — rates and tier splits do not add up.
     pub fn absorb(&mut self, other: &SloSummary) {
         self.frames_expected += other.frames_expected;
         self.frames_usable += other.frames_usable;
@@ -365,103 +248,9 @@ impl SloVerdict {
     }
 }
 
-/// Histograms of a metric snapshot that are safe to gate on: every
-/// histogram **not** flagged `nondeterministic: true`. Wall-clock
-/// families (whatever `holo_trace::WallTimer` recorded) are excluded by
-/// their flag — never by a name list, so a new wall-clock metric is
-/// excluded the day it is added, not the day someone remembers to
-/// update a list.
-pub fn deterministic_histograms(snapshot: &JsonValue) -> Vec<(String, JsonValue)> {
-    let Some(JsonValue::Obj(pairs)) = snapshot.get("histograms") else {
-        return Vec::new();
-    };
-    pairs
-        .iter()
-        .filter(|(_, h)| !matches!(h.get("nondeterministic"), Some(JsonValue::Bool(true))))
-        .map(|(k, h)| (k.clone(), h.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn obs(at_ms: u64, e2e_ms: Option<u64>) -> FrameObs {
-        FrameObs { at_us: at_ms * 1_000, e2e_us: e2e_ms.map(|m| m * 1_000), tier: "" }
-    }
-
-    #[test]
-    fn healthy_run_passes_telepresence() {
-        let frames: Vec<FrameObs> = (0..300).map(|i| obs(i * 33, Some(60))).collect();
-        let v = SloSpec::telepresence().evaluate_frames(&frames);
-        assert!(v.pass(), "{}", v.line());
-        assert!(v.skipped.is_empty());
-    }
-
-    #[test]
-    fn latency_breach_fails_p99_only() {
-        let frames: Vec<FrameObs> = (0..300)
-            .map(|i| obs(i * 33, Some(if i % 50 == 0 { 400 } else { 60 })))
-            .collect();
-        let v = SloSpec::telepresence().evaluate_frames(&frames);
-        assert!(!v.pass());
-        let p99 = v.checks.iter().find(|c| c.objective == "p99_e2e_ms").unwrap();
-        assert!(!p99.pass);
-        let usable = v.checks.iter().find(|c| c.objective == "usable_rate").unwrap();
-        assert!(usable.pass);
-    }
-
-    #[test]
-    fn burst_loss_fails_burn_but_not_average() {
-        // 20s run at 30fps; one second loses everything: overall usable
-        // rate ~0.95 (passes ≥0.9) but the worst window burns 100%.
-        let frames: Vec<FrameObs> = (0..600)
-            .map(|i| {
-                let at = i * 33;
-                obs(at, if (3_000..4_000).contains(&at) { None } else { Some(60) })
-            })
-            .collect();
-        let spec = SloSpec::telepresence();
-        let v = spec.evaluate_frames(&frames);
-        let usable = v.checks.iter().find(|c| c.objective == "usable_rate").unwrap();
-        assert!(usable.pass, "{}", v.line());
-        let burn = v.checks.iter().find(|c| c.objective == "worst_window_burn").unwrap();
-        assert!(!burn.pass);
-        assert_eq!(burn.actual, 1.0);
-    }
-
-    #[test]
-    fn stall_budget_catches_gaps() {
-        let mut frames: Vec<FrameObs> = (0..30).map(|i| obs(i * 33, Some(50))).collect();
-        frames.extend((20..30).map(|i| obs(1_000 + i * 33, Some(50))));
-        let spec = SloSpec {
-            max_stall_ms: Some(100.0),
-            max_window_burn: None,
-            min_usable_rate: None,
-            ..SloSpec::telepresence()
-        };
-        let v = spec.evaluate_frames(&frames);
-        let stall = v.checks.iter().find(|c| c.objective == "max_stall_ms").unwrap();
-        assert!(!stall.pass);
-        assert!(stall.actual > 300.0, "{}", stall.actual);
-    }
-
-    #[test]
-    fn tier_floor_enforced() {
-        let frames: Vec<FrameObs> = (0..100)
-            .map(|i| FrameObs {
-                at_us: i * 33_000,
-                e2e_us: Some(50_000),
-                tier: if i % 4 == 0 { "keypoint" } else { "full" },
-            })
-            .collect();
-        let mut spec = SloSpec::telepresence();
-        spec.tier_floors.push(("full".to_string(), 0.9));
-        let v = spec.evaluate_frames(&frames);
-        let tier = v.checks.iter().find(|c| c.objective == "tier:full").unwrap();
-        assert!(!tier.pass);
-        assert_eq!(tier.actual, 0.75);
-    }
 
     #[test]
     fn amortized_spec_judges_or_skips_the_gaussian_floor() {
@@ -512,36 +301,29 @@ mod tests {
             frames_expected: 10,
             frames_usable: usable,
             p99_e2e_ms: p99,
-            max_stall_ms: Some(5.0),
+            usable_rate: Some(0.5),
             tier_fractions: vec![("full".to_string(), 1.0)],
-            ..SloSummary::default()
         };
         for s in [sub(9, Some(80.0)), sub(10, None), sub(7, Some(120.0)), sub(10, Some(90.0))] {
             total.absorb(&s);
         }
         assert_eq!((total.frames_expected, total.frames_usable), (40, 36));
         assert_eq!(total.p99_e2e_ms, Some(120.0));
-        assert_eq!(total.max_stall_ms, None, "per-subject inputs are not carried");
+        assert_eq!(total.usable_rate, None, "per-subject inputs are not carried");
         assert!(total.tier_fractions.is_empty());
     }
 
     #[test]
     fn verdict_json_is_canonical() {
-        let frames: Vec<FrameObs> = (0..30).map(|i| obs(i * 33, Some(60))).collect();
-        let v = SloSpec::telepresence().evaluate_frames(&frames);
-        let a = v.to_json().render();
-        let b = SloSpec::telepresence().evaluate_frames(&frames).to_json().render();
+        let s = SloSummary {
+            frames_expected: 30,
+            frames_usable: 30,
+            p99_e2e_ms: Some(60.0),
+            ..SloSummary::default()
+        };
+        let a = SloSpec::telepresence().evaluate_summary(&s).to_json().render();
+        let b = SloSpec::telepresence().evaluate_summary(&s).to_json().render();
         assert_eq!(a, b);
         holo_runtime::ser::parse(&a).expect("verdict json parses");
-    }
-
-    #[test]
-    fn flag_filter_drops_wall_clock_histograms() {
-        let mut m = holo_trace::Metrics::default();
-        m.histogram("stage_us", 1_000);
-        m.wall_time("compress.lzma.encode_us", std::time::Duration::from_millis(3));
-        let kept = deterministic_histograms(&m.to_json());
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].0, "stage_us");
     }
 }

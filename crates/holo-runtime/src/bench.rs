@@ -7,24 +7,14 @@
 //! inner iteration count, times a set of samples, and records
 //! median/p95/mean/min/max wall-clock per iteration.
 //!
-//! A bench also records **facts** ([`Criterion::fact`],
-//! [`BenchmarkGroup::fact`]): seeded, byte-derived values — usable-frame
-//! permilles, room sizes, payload bytes — under a stable name with a
-//! unit and no closure to time. `holo_obs::gate` compares them exactly.
+//! A bench only times: each benchmark prints one summary line to
+//! stderr and the binary writes no file. The values a bench's
+//! experiment produces are facts, made by the recipes in `holo-bench`'s
+//! library and checked by `tests/committed_reports.rs`.
 //!
-//! When the binary exits, the harness writes `BENCH_<target>.json` at
-//! the repo root (one file per bench target): `mode` and `cores` say
-//! how the document was made, `facts` hold the values, `results` the
-//! timings. One summary line per benchmark goes to stderr.
-//!
-//! Knobs:
-//! - `--quick` CLI flag (as in `cargo bench -- --quick`): fewer
-//!   samples, shorter warmup; benches read it back through
-//!   [`Criterion::quick`] to cap their probes.
-//! - `HOLO_BENCH_OUT_DIR`: override the output directory ([`out_dir`]).
+//! One knob: the `--quick` CLI flag (as in `cargo bench -- --quick`)
+//! selects fewer samples and a shorter warmup.
 
-use crate::ser::{JsonValue, ToJson};
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Measurement configuration for one harness run.
@@ -93,43 +83,6 @@ pub struct BenchResult {
     pub max_ns: f64,
 }
 
-impl ToJson for BenchResult {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("group", self.group.to_json()),
-            ("name", self.name.to_json()),
-            ("samples", self.samples.to_json()),
-            ("iters_per_sample", self.iters_per_sample.to_json()),
-            ("median_ns", self.median_ns.to_json()),
-            ("p95_ns", self.p95_ns.to_json()),
-            ("mean_ns", self.mean_ns.to_json()),
-            ("min_ns", self.min_ns.to_json()),
-            ("max_ns", self.max_ns.to_json()),
-        ])
-    }
-}
-
-/// One recorded fact: a value the bench computed, not a timing. The
-/// name is stable (it never carries the value); the unit says what the
-/// value counts (`"permille"`, `"bytes"`, `"label"`, ..).
-struct Fact {
-    group: String,
-    name: String,
-    value: JsonValue,
-    unit: String,
-}
-
-impl ToJson for Fact {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("group", self.group.to_json()),
-            ("name", self.name.to_json()),
-            ("value", self.value.clone()),
-            ("unit", self.unit.to_json()),
-        ])
-    }
-}
-
 /// Passed to each benchmark closure; `iter` runs the measurement.
 pub struct Bencher<'a> {
     config: &'a BenchConfig,
@@ -139,8 +92,8 @@ pub struct Bencher<'a> {
 }
 
 impl<'a> Bencher<'a> {
-    /// Warm up, calibrate, and time the routine. Results are collected
-    /// by the enclosing [`Criterion`].
+    /// Warm up, calibrate, and time the routine. The enclosing
+    /// [`Criterion`] summarizes the samples.
     pub fn iter<R>(&mut self, mut routine: impl FnMut() -> R) {
         let cfg = self.config;
         // Warmup: run until the budget elapses (at least once).
@@ -185,21 +138,12 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// API surface this workspace uses.
 pub struct Criterion {
     config: BenchConfig,
-    results: Vec<BenchResult>,
-    facts: Vec<Fact>,
 }
 
 impl Criterion {
     /// Harness with an explicit configuration (tests use this).
     pub fn with_config(config: BenchConfig) -> Self {
-        Self { config, results: Vec::new(), facts: Vec::new() }
-    }
-
-    /// Whether this run uses the `--quick` profile. A bench caps its
-    /// probes on this, so they cannot disagree with the document's
-    /// `mode`.
-    pub fn quick(&self) -> bool {
-        self.config.quick
+        Self { config }
     }
 
     /// Harness configured from the CLI arguments `cargo bench` passes
@@ -211,34 +155,19 @@ impl Criterion {
     }
 
     /// Open a named group; benchmarks registered through it share the
-    /// group label in the report.
+    /// group label in the printed row.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup { criterion: self, group: name.into(), sample_size: None }
     }
 
-    /// Register and run an ungrouped benchmark.
-    pub fn bench_function(&mut self, name: impl Into<String>, f: impl FnMut(&mut Bencher)) {
-        self.run_bench(String::new(), name.into(), None, f);
-    }
-
-    /// Record an ungrouped fact; see [`BenchmarkGroup::fact`].
-    pub fn fact(&mut self, name: impl Into<String>, value: impl ToJson, unit: &str) {
-        self.record_fact(String::new(), name.into(), value.to_json(), unit);
-    }
-
-    fn record_fact(&mut self, group: String, name: String, value: JsonValue, unit: &str) {
-        let label = format!("{group}/{name}");
-        let scalar = match &value {
-            JsonValue::Num(n) => n.is_finite(),
-            JsonValue::Str(_) | JsonValue::Bool(_) => true,
-            _ => false,
-        };
-        assert!(scalar, "fact {label}: {value:?} is not a finite number, a string or a bool");
-        if let Some(old) = self.facts.iter().find(|f| f.group == group && f.name == name) {
-            panic!("fact {label} recorded twice: {} then {}", old.value.render(), value.render());
-        }
-        eprintln!("[fact] {label} = {} {unit}", value.render());
-        self.facts.push(Fact { group, name, value, unit: unit.to_string() });
+    /// Register and run an ungrouped benchmark; returns its statistics,
+    /// `None` when the closure never called [`Bencher::iter`].
+    pub fn bench_function(
+        &mut self,
+        name: impl Into<String>,
+        f: impl FnMut(&mut Bencher),
+    ) -> Option<BenchResult> {
+        self.run_bench(String::new(), name.into(), None, f)
     }
 
     fn run_bench(
@@ -247,7 +176,7 @@ impl Criterion {
         name: String,
         sample_size: Option<usize>,
         mut f: impl FnMut(&mut Bencher),
-    ) {
+    ) -> Option<BenchResult> {
         let mut config = self.config.clone();
         if let Some(n) = sample_size {
             // --quick caps a group-level sample_size at the profile count.
@@ -256,8 +185,8 @@ impl Criterion {
         let mut bencher = Bencher { config: &config, sample_ns: Vec::new(), iters_per_sample: 0 };
         f(&mut bencher);
         if bencher.sample_ns.is_empty() {
-            // Closure never called iter(); nothing to record.
-            return;
+            // Closure never called iter(); nothing to report.
+            return None;
         }
         let mut sorted = bencher.sample_ns.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
@@ -284,85 +213,7 @@ impl Criterion {
             result.samples,
             result.iters_per_sample,
         );
-        self.results.push(result);
-    }
-
-    /// All results recorded so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    /// Serialize the whole run as a JSON tree.
-    pub fn report_json(&self, bench_name: &str) -> JsonValue {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        JsonValue::obj([
-            ("bench", bench_name.to_json()),
-            ("mode", if self.quick() { "quick" } else { "full" }.to_json()),
-            ("cores", cores.to_json()),
-            ("facts", self.facts.to_json()),
-            ("results", self.results.to_json()),
-        ])
-    }
-
-    /// Write `BENCH_<bench_name>.json` into `out_dir`; returns the
-    /// written path.
-    pub fn write_report(&self, out_dir: &Path, bench_name: &str) -> std::io::Result<PathBuf> {
-        let path = out_dir.join(format!("BENCH_{bench_name}.json"));
-        std::fs::write(&path, self.report_json(bench_name).render() + "\n")?;
-        Ok(path)
-    }
-
-    /// Called by [`bench_main!`](crate::bench_main) after all groups
-    /// ran: resolve the bench target name and output directory, write
-    /// the report. The gate needs the document, so a failed write
-    /// fails the bench.
-    pub fn finalize(&self, manifest_dir: &str) {
-        let name = bench_target_name();
-        match self.write_report(&out_dir(manifest_dir), &name) {
-            Ok(path) => eprintln!("[bench] report: {}", path.display()),
-            Err(e) => {
-                eprintln!("[bench] report write failed for {name}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Where a bench writes its artifacts: `HOLO_BENCH_OUT_DIR` if set,
-/// else the repo root above the crate's manifest dir.
-pub fn out_dir(manifest_dir: &str) -> PathBuf {
-    std::env::var_os("HOLO_BENCH_OUT_DIR")
-        .map_or_else(|| repo_root(manifest_dir), PathBuf::from)
-}
-
-/// The bench target name, recovered from the executable path by
-/// stripping the `-<metadata hash>` suffix cargo appends.
-fn bench_target_name() -> String {
-    let exe = std::env::args().next().unwrap_or_default();
-    let stem = Path::new(&exe)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("unknown")
-        .to_string();
-    match stem.rsplit_once('-') {
-        Some((base, hash))
-            if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) =>
-        {
-            base.to_string()
-        }
-        _ => stem,
-    }
-}
-
-/// Repo root from a crate manifest dir: hop out of `crates/<name>`,
-/// otherwise use the manifest dir itself.
-fn repo_root(manifest_dir: &str) -> PathBuf {
-    let dir = Path::new(manifest_dir);
-    match dir.parent() {
-        Some(parent) if parent.file_name().is_some_and(|n| n == "crates") => {
-            parent.parent().unwrap_or(dir).to_path_buf()
-        }
-        _ => dir.to_path_buf(),
+        Some(result)
     }
 }
 
@@ -393,20 +244,18 @@ impl<'a> BenchmarkGroup<'a> {
         self
     }
 
-    /// Register and run a benchmark in this group.
-    pub fn bench_function(&mut self, name: impl Into<String>, f: impl FnMut(&mut Bencher)) {
-        self.criterion.run_bench(self.group.clone(), name.into(), self.sample_size, f);
+    /// Register and run a benchmark in this group; returns its
+    /// statistics, `None` when the closure never called
+    /// [`Bencher::iter`].
+    pub fn bench_function(
+        &mut self,
+        name: impl Into<String>,
+        f: impl FnMut(&mut Bencher),
+    ) -> Option<BenchResult> {
+        self.criterion.run_bench(self.group.clone(), name.into(), self.sample_size, f)
     }
 
-    /// Record a fact in this group. Panics on a value that is not a
-    /// finite number, a string or a bool, and on a `(group, name)`
-    /// already recorded: either would make a document the gate
-    /// mis-joins.
-    pub fn fact(&mut self, name: impl Into<String>, value: impl ToJson, unit: &str) {
-        self.criterion.record_fact(self.group.clone(), name.into(), value.to_json(), unit);
-    }
-
-    /// End the group (results are recorded eagerly; this exists for
+    /// End the group (each benchmark runs and prints eagerly; this exists for
     /// criterion source-compatibility).
     pub fn finish(self) {}
 }
@@ -423,15 +272,13 @@ macro_rules! bench_group {
 }
 
 /// Define `main()` for a `harness = false` bench target: parses CLI
-/// args, runs the groups, writes `BENCH_<target>.json` at the repo
-/// root.
+/// args and runs the groups.
 #[macro_export]
 macro_rules! bench_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             let mut c = $crate::bench::Criterion::from_args();
             $( $group(&mut c); )+
-            c.finalize(env!("CARGO_MANIFEST_DIR"));
         }
     };
 }
@@ -454,53 +301,16 @@ mod tests {
     fn records_stats_per_benchmark() {
         let mut c = Criterion::with_config(tiny_config());
         let mut group = c.benchmark_group("g");
-        group.bench_function("sum", |b| {
-            b.iter(|| (0..100u64).sum::<u64>())
-        });
+        let r = group.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>())).expect("timed");
         group.finish();
-        c.bench_function("ungrouped", |b| b.iter(|| 1 + 1));
-        assert_eq!(c.results().len(), 2);
-        let r = &c.results()[0];
+        assert!(c.bench_function("ungrouped", |b| b.iter(|| 1 + 1)).is_some());
+        assert!(c.bench_function("never_iterated", |_| {}).is_none());
         assert_eq!((r.group.as_str(), r.name.as_str()), ("g", "sum"));
         assert_eq!(r.samples, 3);
         assert_eq!(r.iters_per_sample, 3);
         assert!(r.median_ns > 0.0 && r.median_ns.is_finite());
         assert!(r.p95_ns >= r.median_ns);
         assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
-    }
-
-    #[test]
-    fn report_json_contains_required_keys() {
-        let mut c = Criterion::with_config(tiny_config());
-        c.bench_function("x", |b| b.iter(|| 2 * 2));
-        let json = c.report_json("smoke");
-        let text = json.render();
-        let parsed = crate::ser::parse(&text).unwrap();
-        assert_eq!(parsed.get("bench").unwrap().as_str(), Some("smoke"));
-        let results = parsed.get("results").unwrap().as_array().unwrap();
-        assert_eq!(results.len(), 1);
-        assert!(results[0].get("median_ns").unwrap().as_f64().unwrap() > 0.0);
-        assert!(results[0].get("p95_ns").unwrap().as_f64().is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "fact g/n recorded twice: 553 then 554")]
-    fn a_fact_recorded_twice_panics_with_both_values() {
-        let mut c = Criterion::with_config(tiny_config());
-        let mut group = c.benchmark_group("g");
-        group.fact("n", 553u64, "permille");
-        group.fact("n", 554u64, "permille");
-    }
-
-    #[test]
-    #[should_panic(expected = "fact /ratio: Num(NaN) is not a finite number")]
-    fn a_non_finite_fact_panics() {
-        Criterion::with_config(tiny_config()).fact("ratio", f64::NAN, "ratio");
-    }
-
-    #[test]
-    fn bench_name_strips_metadata_hash() {
-        assert!(!super::bench_target_name().is_empty());
     }
 
     #[test]

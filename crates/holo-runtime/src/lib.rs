@@ -9,10 +9,9 @@
 //!   seeded shrinking generators driven by the [`holo_prop!`] macro.
 //!   Override the base seed with the `HOLO_PROP_SEED` env var.
 //! - [`bench`] — a criterion-compatible micro-bench harness (warmup,
-//!   per-sample timing, median/p95) that writes `BENCH_<name>.json` at
-//!   the repo root for the perf trajectory.
+//!   per-sample timing, median/p95) that prints its rows to stderr.
 //! - [`ser`] — a minimal derive-free JSON emitter ([`ser::ToJson`]) and
-//!   parser, used for bench reports and structured test assertions,
+//!   parser, used for reports and structured test assertions,
 //!   plus the hostile-input decode primitives every wire-facing decoder
 //!   shares: the typed [`ser::DecodeError`] taxonomy and the
 //!   bounds-checked [`ser::ByteReader`] cursor.

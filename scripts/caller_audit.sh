@@ -41,7 +41,6 @@ holo_mesh::sdf::SdfUnion                                    tests/capture_truth.
 holo_mesh::trimesh::TriMesh::surface_area                   crates/holo-compress/src/meshcodec.rs tests::sphere_roundtrip
 holo_mesh::trimesh::TriMesh::uv_sphere                      tests/property_invariants.rs mesh_codec_face_invariant
 holo_obs::attribution::AttributionReport::tiles_exactly     tests/slo_attribution.rs session_attribution_tiles_every_delivered_frame
-holo_obs::gate::strip_nondeterministic                      tests/parallel_determinism.rs reports_and_traces_byte_identical_at_threads_1_2_8
 holo_trace::snapshot_json                                   tests/parallel_determinism.rs reports_and_traces_byte_identical_at_threads_1_2_8
 holo_trace::metrics::Metrics::counter_value                 tests/trace_determinism.rs traced_scope_restores_the_flag_on_err_and_on_panic
 '

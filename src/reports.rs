@@ -1,12 +1,13 @@
-//! Every committed top-level report and the one recipe that makes its
-//! bytes.
+//! Every committed top-level JSON file but `BENCHMARK.json`, and the
+//! one recipe that makes its bytes.
 //!
 //! A report's example writes it through [`write`], and
 //! `tests/committed_reports.rs` runs every recipe at thread counts 1, 2
-//! and 8 and compares the bytes with the committed file. The
-//! `BENCH_*.json` documents are not here: `cargo bench` writes those and
-//! `bench_gate` compares their facts. Every recipe is seeded virtual time
-//! or byte-derived, so the same code makes the same bytes.
+//! and 8 and compares the bytes with the committed file. The twelve
+//! `BENCH_*.json` documents hold the paper's facts; their recipes live
+//! in `holo-bench`'s library and `examples/paper_facts.rs` writes them.
+//! Every recipe is seeded virtual time or byte-derived, so the same code
+//! makes the same bytes.
 
 use holo_chaos::{run_gaussian_scenarios, run_scenarios, run_uep_scenarios, ResilienceReport};
 use holo_conf::{ParticipantConfig, Room, RoomConfig};
@@ -30,7 +31,7 @@ pub const SEED: u64 = 42;
 pub type Recipe = fn() -> String;
 
 /// `(file, recipe)` for every committed report.
-pub const REPORTS: [(&str, Recipe); 9] = [
+pub const REPORTS: [(&str, Recipe); 21] = [
     ("RESILIENCE_chaos.json", resilience_chaos),
     ("SLO_report.json", slo_report),
     ("FUZZ_report.json", fuzz_report),
@@ -40,6 +41,18 @@ pub const REPORTS: [(&str, Recipe); 9] = [
     ("GAUSSIAN_frontier.json", gaussian_frontier),
     ("TRACE_quickstart.json", trace_quickstart),
     ("TRACE_conference_room.json", trace_conference_room),
+    ("BENCH_table1_taxonomy.json", holo_bench::table1_taxonomy::facts),
+    ("BENCH_table2_bandwidth.json", holo_bench::table2_bandwidth::facts),
+    ("BENCH_fig2_quality.json", holo_bench::fig2_quality::facts),
+    ("BENCH_fig3_expression.json", holo_bench::fig3_expression::facts),
+    ("BENCH_fig4_fps.json", holo_bench::fig4_fps::facts),
+    ("BENCH_ablation_foveation.json", holo_bench::ablation_foveation::facts),
+    ("BENCH_ablation_nerf.json", holo_bench::ablation_nerf::facts),
+    ("BENCH_ablation_text.json", holo_bench::ablation_text::facts),
+    ("BENCH_ablation_keypoints.json", holo_bench::ablation_keypoints::facts),
+    ("BENCH_ablation_gaussian.json", holo_bench::ablation_gaussian::facts),
+    ("BENCH_conference_sfu.json", holo_bench::conference_sfu::facts),
+    ("BENCH_fleet_capacity.json", holo_bench::fleet_capacity::facts),
 ];
 
 /// Write `file` into the current directory from its recipe, say so, and

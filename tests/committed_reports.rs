@@ -1,9 +1,10 @@
 //! Every committed report reproduces. Each recipe in
 //! `semholo_repro::reports` must return the committed file's bytes at
 //! thread counts 1, 2 and 8, and every top-level JSON other than
-//! `BENCHMARK.json` and the `BENCH_*` documents must have exactly one
-//! recipe. A mismatch names the file and the first JSON path that
-//! differs, old -> new.
+//! `BENCHMARK.json` (the benchmark's declaration, not a report) must
+//! have exactly one recipe: the `BENCH_*` documents of the paper's facts
+//! as much as any other. A mismatch names the file and the first JSON
+//! path that differs, old -> new.
 //!
 //! The binary installs the tracking allocator because
 //! `FUZZ_report.json` records that allocation caps were enforced.
@@ -31,7 +32,7 @@ fn check(file: &str, committed: &str, made: &str) -> Option<String> {
 fn unpaired(files: &[String]) -> Vec<String> {
     let reports = files
         .iter()
-        .filter(|f| f.ends_with(".json") && *f != "BENCHMARK.json" && !f.starts_with("BENCH_"));
+        .filter(|f| f.ends_with(".json") && *f != "BENCHMARK.json");
     let mut errors: Vec<String> = reports
         .filter(|f| REPORTS.iter().filter(|(name, _)| name == f).count() != 1)
         .map(|f| format!("{f} is committed but has no single recipe"))
@@ -82,10 +83,24 @@ fn a_moved_digit_names_its_path() {
 }
 
 #[test]
+fn a_moved_fact_names_its_path() {
+    let committed = std::fs::read_to_string(root().join("BENCH_table2_bandwidth.json")).unwrap();
+    let moved = committed.replacen(r#""value":0.46944,"#, r#""value":0.46945,"#, 1);
+    assert_ne!(moved, committed);
+    let error = check("BENCH_table2_bandwidth.json", &committed, &moved).expect("a moved digit must fail");
+    assert_eq!(error, "BENCH_table2_bandwidth.json: facts[1].value: 0.46944 -> 0.46945");
+}
+
+#[test]
 fn a_committed_report_without_a_recipe_fails() {
     let mut files = top_level_files();
     files.push("NEW_report.json".into());
     assert_eq!(unpaired(&files), ["NEW_report.json is committed but has no single recipe"]);
-    files.retain(|f| f != "SLO_fleet.json" && f != "NEW_report.json");
+    files.push("BENCH_new.json".into());
+    assert_eq!(
+        unpaired(&files),
+        ["NEW_report.json is committed but has no single recipe", "BENCH_new.json is committed but has no single recipe"]
+    );
+    files.retain(|f| f != "SLO_fleet.json" && f != "NEW_report.json" && f != "BENCH_new.json");
     assert_eq!(unpaired(&files), ["SLO_fleet.json has a recipe but is not committed"]);
 }

@@ -1,4 +1,4 @@
-//! EXPERIMENTS.md quotes the committed bench facts. A measured cell is
+//! EXPERIMENTS.md quotes the committed paper facts. A measured cell is
 //! followed by `<!-- fact: <bench> <group>/<name> -->`, and the cell must
 //! print that fact of the committed `BENCH_<bench>.json`: a number as
 //! the fact rounded to the decimals the cell prints, a label verbatim
@@ -21,7 +21,7 @@ fn committed_facts() -> Facts {
     let mut facts = Facts::new();
     for entry in std::fs::read_dir(root()).unwrap() {
         let file = entry.unwrap().file_name().into_string().unwrap();
-        if !file.starts_with("BENCH_") || !file.ends_with(".json") || file == "BENCH_gate_report.json" {
+        if !file.starts_with("BENCH_") || !file.ends_with(".json") {
             continue;
         }
         let doc = ser::parse(&std::fs::read_to_string(root().join(&file)).unwrap()).unwrap();
@@ -63,15 +63,18 @@ fn mismatch(label: bool, cell: &str, value: &JsonValue) -> Option<String> {
     (printed != cell).then(|| format!("cell {cell:?}, fact {} prints {printed:?}", value.render()))
 }
 
+/// The line that names a section's recipe and reproduces its document.
+const REPRODUCE: &str = "`cargo run --release --example paper_facts` writes";
+
 /// Every marker's disagreement with `facts`, one line each, and the
-/// number of markers read. A `cargo bench` section that quotes no fact
-/// is a disagreement too.
+/// number of markers read. A section that reproduces a document but
+/// quotes no fact is a disagreement too.
 fn check(text: &str, facts: &Facts) -> (usize, Vec<String>) {
     let mut errors: Vec<String> = text
         .split("\n## ")
         .skip(1)
-        .filter(|section| section.contains("cargo bench") && !section.contains(MARKER))
-        .map(|section| format!("section {:?} runs `cargo bench` but quotes no fact", section.lines().next().unwrap()))
+        .filter(|section| section.contains(REPRODUCE) && !section.contains(MARKER))
+        .map(|section| format!("section {:?} reproduces a document but quotes no fact", section.lines().next().unwrap()))
         .collect();
     let mut markers = 0;
     for (i, line) in text.lines().enumerate() {
@@ -125,4 +128,10 @@ fn a_changed_digit_or_an_unknown_fact_fails() {
     let (_, errors) = check(&relabelled, &facts);
     assert_eq!(errors.len(), 1, "{errors:?}");
     assert!(errors[0].contains("cell \"0OM\""), "{errors:?}");
+
+    // Table 2's section with its markers turned into plain comments.
+    let (start, end) = (text.find("\n## Table 2").unwrap(), text.find("\n## Figure 2").unwrap());
+    let unquoted = format!("{}{}{}", &text[..start], text[start..end].replace(MARKER, "<!-- "), &text[end..]);
+    let (_, errors) = check(&unquoted, &facts);
+    assert_eq!(errors, [r#"section "Table 2 — required bandwidth at 30 FPS" reproduces a document but quotes no fact"#]);
 }

@@ -19,6 +19,7 @@ use holo_chaos::harness::run_scenarios;
 use holo_conf::{ParticipantConfig, Room, RoomConfig};
 use holo_fleet::{run_fleet, run_fleet_observed, FleetConfig, FleetTopology, RoomSpec};
 use holo_fuzz::{run_sweep, FuzzConfig};
+use holo_runtime::ser::JsonValue;
 use holo_runtime::{fnv1a64, par};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::semantics::SemanticPipeline;
@@ -97,7 +98,7 @@ fn artifacts() -> ([String; 6], String) {
     // counts by the caller. Gauges keep a float sum and are left out.
     let _ = holo_trace::traced(|| run_scenarios(42));
     let chrome = holo_trace::chrome_trace();
-    let stripped = holo_obs::gate::strip_nondeterministic(&holo_trace::snapshot_json());
+    let stripped = support::strip_nondeterministic(&holo_trace::snapshot_json());
     let counters = stripped.get("counters").expect("snapshot has a counters section").render();
     let histograms = stripped.get("histograms").expect("snapshot has a histograms section");
     assert!(histograms.get("transport.frame_latency_us").is_some(), "{}", histograms.render());
@@ -147,4 +148,22 @@ fn reports_and_traces_byte_identical_at_threads_1_2_8() {
         }
     }
     par::set_thread_override(None);
+}
+
+#[test]
+fn snapshot_strip_removes_only_flagged_histograms() {
+    let mut m = holo_trace::Metrics::default();
+    m.counter("frames", 3);
+    m.histogram("stage_us", 1_000);
+    m.wall_time("compress.lzma.encode_us", std::time::Duration::from_millis(3));
+    let stripped = support::strip_nondeterministic(&m.to_json());
+    let Some(JsonValue::Obj(histograms)) = stripped.get("histograms") else {
+        panic!("no histograms section: {}", stripped.render());
+    };
+    let kept: Vec<&str> = histograms.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(kept, ["stage_us"]);
+    let text = stripped.render();
+    assert!(text.contains("\"frames\":3"), "{text}");
+    // Stripping is idempotent and keeps canonical key order.
+    assert_eq!(support::strip_nondeterministic(&stripped).render(), text);
 }

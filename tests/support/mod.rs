@@ -2,6 +2,28 @@
 
 use holo_runtime::ser::{self, JsonValue};
 
+/// A metric snapshot with every histogram flagged `nondeterministic:
+/// true` dropped, for byte comparison across runs. What
+/// `holo_trace::WallTimer` records carries that flag, so wall-clock
+/// families are excluded by it, never by a name list: a new wall-clock
+/// metric is excluded the day it is added. Everything else — key order,
+/// counters, gauges, deterministic histograms — passes through.
+#[allow(dead_code)] // committed_reports.rs shares this module and strips no snapshot.
+pub fn strip_nondeterministic(snapshot: &JsonValue) -> JsonValue {
+    let JsonValue::Obj(sections) = snapshot else {
+        return snapshot.clone();
+    };
+    let flagged = |h: &JsonValue| matches!(h.get("nondeterministic"), Some(JsonValue::Bool(true)));
+    let strip = |(name, section): &(String, JsonValue)| match (name.as_str(), section) {
+        ("histograms", JsonValue::Obj(hs)) => {
+            let kept = hs.iter().filter(|(_, h)| !flagged(h)).cloned().collect();
+            (name.clone(), JsonValue::Obj(kept))
+        }
+        _ => (name.clone(), section.clone()),
+    };
+    JsonValue::Obj(sections.iter().map(strip).collect())
+}
+
 /// Why the document `new` is not `old`, if it is not: the first JSON
 /// path that differs, as `path: old -> new`, or why none can be named.
 pub fn difference(old: &str, new: &str) -> Option<String> {
