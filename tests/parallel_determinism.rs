@@ -167,3 +167,16 @@ fn snapshot_strip_removes_only_flagged_histograms() {
     // Stripping is idempotent and keeps canonical key order.
     assert_eq!(support::strip_nondeterministic(&stripped).render(), text);
 }
+
+#[test]
+fn flag_filter_drops_wall_clock_histograms() {
+    let mut m = holo_trace::Metrics::default();
+    m.histogram("stage_us", 1_000);
+    m.wall_time("compress.lzma.encode_us", std::time::Duration::from_millis(3));
+    let stripped = support::strip_nondeterministic(&m.to_json());
+    let Some(JsonValue::Obj(kept)) = stripped.get("histograms") else {
+        panic!("no histograms section: {}", stripped.render());
+    };
+    assert_eq!(kept.len(), 1);
+    assert_eq!(kept[0].0, "stage_us");
+}
