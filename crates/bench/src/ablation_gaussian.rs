@@ -6,9 +6,7 @@
 //! density), while the per-frame update stream carries only pose and
 //! region conditioning (its size does not). This recipe sweeps the fit
 //! voxel size to map prebuild bytes against reconstruction quality and
-//! shows the update stream is density-invariant; the `ablation_gaussian`
-//! bench times the tier's hot paths: offline fit, update encode, update
-//! decode, and decode + splat posing.
+//! shows the update stream is density-invariant.
 
 use crate::{bench_scene, mbps_at_30fps, Facts};
 use holo_gaussian::{FitConfig, GaussianPipeline, GaussianUpdateConfig};

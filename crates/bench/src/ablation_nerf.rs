@@ -22,7 +22,7 @@ use holo_neural::nerf::{NerfField, VolumeRenderer};
 use holo_neural::train::{psnr, RayDataset, TrainConfig, Trainer};
 
 /// The training schedule of both parts.
-pub const TRAIN: TrainConfig = TrainConfig { steps: 400, batch: 24, lr: 2e-3, t_near: 0.5, t_far: 4.5 };
+const TRAIN: TrainConfig = TrainConfig { steps: 400, batch: 24, lr: 2e-3, t_near: 0.5, t_far: 4.5 };
 
 /// Image side of every view, pixels.
 const RES: u32 = 12;
@@ -52,42 +52,6 @@ fn scene_views(center: Vec3, n: usize, res: u32, seed: u64) -> Vec<(Camera, Text
         .collect()
 }
 
-/// Part 2's model after training, and what trained it.
-pub struct Slimmable {
-    /// One weight set, sandwich-trained at every width.
-    pub field: NerfField,
-    /// The training rays.
-    pub data: RayDataset,
-    /// The view held out of training.
-    pub held_out: (Camera, Texture),
-    /// The renderer that trained it.
-    pub renderer: VolumeRenderer,
-    /// The ray sampler, where training left it.
-    pub rng: Pcg32,
-}
-
-/// Train one weight set sandwich-style at every width: 1 200 steps of
-/// 16 rays, each step at the next width in turn.
-pub fn slimmable() -> Slimmable {
-    let mut views = scene_views(Vec3::ZERO, 4, RES, 2);
-    let held_out = views.remove(0);
-    let data = RayDataset::from_views(&views);
-    let mut field = NerfField::new(4, 48, 3, &mut Pcg32::new(9));
-    let mut opt = holo_neural::mlp::Adam::new(&field.mlp, 2e-3);
-    let renderer = VolumeRenderer::new(10, Vec3::ZERO);
-    let mut rng = Pcg32::new(10);
-    for step in 0..1200 {
-        field.set_active_width(WIDTHS[step % WIDTHS.len()]);
-        field.mlp.zero_grad();
-        for _ in 0..16 {
-            let r = &data.rays[rng.index(data.len())];
-            renderer.render_and_backward(&mut field, &r.ray, TRAIN.t_near, TRAIN.t_far, r.target);
-        }
-        opt.step(&mut field.mlp);
-    }
-    Slimmable { field, data, held_out, renderer, rng }
-}
-
 /// `BENCH_ablation_nerf.json`.
 pub fn facts() -> String {
     let mut facts = Facts::new("ablation_nerf", "ablation_nerf");
@@ -112,9 +76,25 @@ pub fn facts() -> String {
     assert!(fine_steps * 2 < scratch_steps + 1, "fine-tuning must be much cheaper");
 
     // --- Part 2: slimmable widths. ---
-    // Train sandwich-style at several widths, then compare quality and
-    // cost per width — the §3.2 resolution ladder coupling.
-    let Slimmable { mut field, held_out, .. } = slimmable();
+    // Train one weight set sandwich-style: 1 200 steps of 16 rays, each
+    // step at the next width in turn. Then compare quality and cost per
+    // width — the §3.2 resolution ladder coupling.
+    let mut views = scene_views(Vec3::ZERO, 4, RES, 2);
+    let held_out = views.remove(0);
+    let data = RayDataset::from_views(&views);
+    let mut field = NerfField::new(4, 48, 3, &mut Pcg32::new(9));
+    let mut opt = holo_neural::mlp::Adam::new(&field.mlp, 2e-3);
+    let renderer = VolumeRenderer::new(10, Vec3::ZERO);
+    let mut rng = Pcg32::new(10);
+    for step in 0..1200 {
+        field.set_active_width(WIDTHS[step % WIDTHS.len()]);
+        field.mlp.zero_grad();
+        for _ in 0..16 {
+            let r = &data.rays[rng.index(data.len())];
+            renderer.render_and_backward(&mut field, &r.ray, cfg.t_near, cfg.t_far, r.target);
+        }
+        opt.step(&mut field.mlp);
+    }
     let t = Trainer::new(VolumeRenderer::new(10, Vec3::ZERO), 11);
     let mut psnrs = Vec::new();
     for &w in &WIDTHS {

@@ -10,8 +10,7 @@
 //! usable within its latency budget; the search probes up to 32
 //! participants over 4 frames and reports a capped answer as the cap.
 //! The measured max sizes are facts, and so is the closed-form bound of
-//! four pipelines on a 25 Mbps link. The `conference_sfu` bench times
-//! one 4-party keypoint room end to end.
+//! four pipelines on a 25 Mbps link.
 
 use crate::Facts;
 use holo_conf::{measure_max_room_size, CapacityConfig};
@@ -23,7 +22,7 @@ use semholo::traditional::{MeshWire, TraditionalPipeline};
 use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
 
 /// A room's pipeline: `keypoint` (resolution 32), `image` or `text`.
-pub fn make_pipeline(kind: &str) -> Box<dyn SemanticPipeline> {
+fn make_pipeline(kind: &str) -> Box<dyn SemanticPipeline> {
     match kind {
         "keypoint" => Box::new(KeypointPipeline::new(
             KeypointConfig { resolution: 32, ..Default::default() },
@@ -35,15 +34,11 @@ pub fn make_pipeline(kind: &str) -> Box<dyn SemanticPipeline> {
     }
 }
 
-/// The rooms' scene: 48x36 pixels, two cameras, 0.4 s.
-pub fn scene() -> SceneSource {
-    let config = SemHoloConfig { capture_resolution: (48, 36), camera_count: 2, ..Default::default() };
-    SceneSource::new(&config, 0.4)
-}
-
 /// `BENCH_conference_sfu.json`.
 pub fn facts() -> String {
-    let scene = scene();
+    // The rooms' scene: 48x36 pixels, two cameras, 0.4 s.
+    let config = SemHoloConfig { capture_resolution: (48, 36), camera_count: 2, ..Default::default() };
+    let scene = SceneSource::new(&config, 0.4);
     let base_cfg = CapacityConfig { frames: 4, access_bps: 100e6, cap: 32, ..Default::default() };
 
     let mut measurements = Vec::new();

@@ -24,7 +24,7 @@
 //!   not because it measures the folds.
 //!
 //! Extraction at resolution 128 is timed by the repository benchmark's
-//! `keypoint_recon` workload, so no bench target times this experiment.
+//! `keypoint_recon` workload.
 
 use crate::{bench_scene, Facts};
 use holo_body::surface::{BodySdf, SurfaceDetail};

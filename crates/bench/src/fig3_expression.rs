@@ -12,7 +12,7 @@
 //! identical, and a coarse-only expression reconstructs with error 0.
 //!
 //! Extraction at resolution 128 is timed by the repository benchmark's
-//! `keypoint_recon` workload, so no bench target times this experiment.
+//! `keypoint_recon` workload.
 
 use crate::{bench_scene, Facts};
 use holo_body::expression::ExpressionBasis;

@@ -8,10 +8,10 @@
 //! The facts are the *modeled* FPS of an X-Avatar-class neural implicit
 //! on the paper's devices and a mobile XR SoC, from the roofline cost
 //! model (calibration in `holo-gpu`); a device whose memory the workload
-//! does not fit records `"OOM"`. The `fig4_fps` bench times our own
-//! CPU reconstruction at resolution 256 (same O(R^2) extraction work,
-//! analytic field); resolution 128 is timed by the repository
-//! benchmark's `keypoint_recon` workload.
+//! does not fit records `"OOM"`. Our own CPU reconstruction (same
+//! O(R^2) extraction work, analytic field) records its wall time in
+//! each decode's `recon.cpu_wall`; resolution 128 is timed by the
+//! repository benchmark's `keypoint_recon` workload.
 
 use crate::Facts;
 use holo_gpu::workloads::reconstruction_workload;

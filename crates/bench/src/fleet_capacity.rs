@@ -12,8 +12,7 @@
 //! subscribers 100 Mbps access. The bottleneck labels are measured
 //! attributions, not assumptions: a point whose label flips from
 //! node-egress to cascade marks where the mesh of inter-node links, not
-//! the nodes, becomes the scaling wall. The `fleet_capacity` bench
-//! times the full search on a 2-node fleet.
+//! the nodes, becomes the scaling wall.
 
 use crate::Facts;
 use holo_fleet::{fleet_capacity, FleetCapacityConfig, FleetTopology, PolicyKind};
@@ -26,7 +25,7 @@ const FLEETS: [(usize, usize); 4] = [(1, 1), (2, 1), (2, 2), (2, 4)];
 
 /// Room `room`'s pipeline on a tier: `keypoint` (resolution 32, seeded
 /// by room) or `mesh`.
-pub fn make_pipeline(kind: &str, room: usize) -> Box<dyn SemanticPipeline> {
+fn make_pipeline(kind: &str, room: usize) -> Box<dyn SemanticPipeline> {
     match kind {
         "keypoint" => Box::new(KeypointPipeline::new(
             KeypointConfig { resolution: 32, ..Default::default() },
@@ -38,37 +37,29 @@ pub fn make_pipeline(kind: &str, room: usize) -> Box<dyn SemanticPipeline> {
     }
 }
 
-/// The rooms' scene: 48x36 pixels, two cameras, 0.5 s.
-pub fn scene() -> SceneSource {
-    let config = SemHoloConfig { capture_resolution: (48, 36), camera_count: 2, ..Default::default() };
-    SceneSource::new(&config, 0.5)
-}
-
-/// The monotone room-count search on `regions` x `nodes_per_region`
-/// nodes of 120 Mbps egress joined by 400 Mbps cascade links: rooms of
-/// four on 100 Mbps access links, 3 frames each, least-loaded placement.
-pub fn search(regions: usize, nodes_per_region: usize) -> FleetCapacityConfig {
-    FleetCapacityConfig {
-        topology: FleetTopology::uniform(regions, nodes_per_region, 120e6, 400e6, 1.0, 20.0),
-        room_size: 4,
-        access_bps: 100e6,
-        frames: 3,
-        seed: 42,
-        policy: PolicyKind::LeastLoaded,
-        max_rooms: 256,
-        min_usable_rate: 0.9,
-    }
-}
-
 /// `BENCH_fleet_capacity.json`.
 pub fn facts() -> String {
-    let scene = scene();
+    // The rooms' scene: 48x36 pixels, two cameras, 0.5 s.
+    let config = SemHoloConfig { capture_resolution: (48, 36), camera_count: 2, ..Default::default() };
+    let scene = SceneSource::new(&config, 0.5);
     let mut curve: Vec<(String, usize, usize, String)> = Vec::new();
     for tier in ["keypoint", "mesh"] {
         let mut prev: Option<usize> = None;
         for (regions, nodes_per_region) in FLEETS {
             let nodes = regions * nodes_per_region;
-            let cfg = search(regions, nodes_per_region);
+            // Nodes of 120 Mbps egress joined by 400 Mbps cascade
+            // links; rooms of four on 100 Mbps access links, 3 frames
+            // each, least-loaded placement.
+            let cfg = FleetCapacityConfig {
+                topology: FleetTopology::uniform(regions, nodes_per_region, 120e6, 400e6, 1.0, 20.0),
+                room_size: 4,
+                access_bps: 100e6,
+                frames: 3,
+                seed: 42,
+                policy: PolicyKind::LeastLoaded,
+                max_rooms: 256,
+                min_usable_rate: 0.9,
+            };
             let make = |room: usize| make_pipeline(tier, room);
             let m = fleet_capacity(&cfg, &scene, &make).expect("fleet capacity");
             // The headline claim: capacity scales with nodes. Strict

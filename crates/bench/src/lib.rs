@@ -1,4 +1,4 @@
-//! The paper's evaluation as committed facts, and the scenes its benches
+//! The paper's evaluation as committed facts, and the scene its recipes
 //! share.
 //!
 //! Every table and figure of the paper's evaluation, and every §3
@@ -12,10 +12,10 @@
 //! `examples/paper_facts.rs` rewrites them. EXPERIMENTS.md quotes the
 //! facts by name.
 //!
-//! The `[[bench]]` targets under `benches/` only time: each builds its
-//! own state, times the operation its experiment measures, and prints
-//! the rows to stderr. Scene setup is shared here so every recipe and
-//! bench observes the same participant.
+//! No recipe reads the clock: the repository benchmark (`benchmark/`)
+//! times the frame, room and fleet paths, and every pipeline stage
+//! records its own wall time in `StageCost::cpu_wall`. Scene setup is
+//! shared here so every recipe observes the same participant.
 
 use holo_runtime::ser::{JsonValue, ToJson};
 use semholo::{SceneSource, SemHoloConfig};

@@ -26,7 +26,7 @@ use semholo::{QualityReport, SceneSource, SemanticPipeline, StageCost};
 const ROWS: [&str; 5] = ["keypoint", "image", "text", "gaussian", "traditional"];
 
 /// The pipeline a row measures.
-pub fn pipeline(row: &str) -> Box<dyn SemanticPipeline> {
+fn pipeline(row: &str) -> Box<dyn SemanticPipeline> {
     match row {
         "keypoint" => {
             Box::new(KeypointPipeline::new(KeypointConfig { resolution: 128, ..Default::default() }, 42))
@@ -39,13 +39,8 @@ pub fn pipeline(row: &str) -> Box<dyn SemanticPipeline> {
     }
 }
 
-/// The scene every row captures.
-pub fn scene() -> SceneSource {
-    bench_scene(0.5)
-}
-
 /// What one row measures; its facts are made from it.
-pub struct Row {
+struct Row {
     /// Modeled A100 extraction milliseconds, when the stage is modeled.
     extract_ms: Option<f64>,
     /// Modeled A100 reconstruction milliseconds, when modeled.
@@ -60,7 +55,7 @@ pub struct Row {
 
 /// Warm the pipeline up on frame 0 (codebooks, NeRF pre-train), then
 /// encode, decode and grade frame 4.
-pub fn measure(pipeline: &mut dyn SemanticPipeline, scene: &SceneSource) -> Row {
+fn measure(pipeline: &mut dyn SemanticPipeline, scene: &SceneSource) -> Row {
     let device = Device::a100();
     // Only a modeled stage has an A100 time; skip `time_on`'s CPU fallback.
     let a100_ms = |stage: &StageCost| {
@@ -113,7 +108,7 @@ fn record(facts: &mut Facts, name: &str, row: &Row) {
 
 /// `BENCH_table1_taxonomy.json`.
 pub fn facts() -> String {
-    let scene = scene();
+    let scene = bench_scene(0.5);
     let mut facts = Facts::new("table1_taxonomy", "table1");
     let rows: Vec<Row> = ROWS
         .iter()

@@ -17,7 +17,7 @@
 //! against compressed mesh delivery.
 //!
 //! The codecs are timed by the repository benchmark's `mesh_codec`
-//! workload, so no bench target times this experiment.
+//! workload.
 
 use crate::{bench_scene, mbps_at_30fps, Facts};
 use holo_compress::lzma::{lzma_compress, lzma_decompress};

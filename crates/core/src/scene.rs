@@ -7,6 +7,7 @@
 //! pay for expensive captures they never use.
 
 use crate::config::SemHoloConfig;
+use crate::error::{Result, SemHoloError};
 use holo_body::model::BodyModel;
 use holo_body::motion::{MotionClip, MotionSynthesizer};
 use holo_body::params::SmplxParams;
@@ -119,6 +120,19 @@ impl SceneSource {
             params: self.clip.frame(index).clone(),
             context: self.context.clone(),
         }
+    }
+
+    /// `Ok` when the scene has at least `frames` frames; otherwise a
+    /// [`SemHoloError::Config`] naming both counts. A run that indexes
+    /// frames `0..frames` checks this first instead of panicking.
+    pub fn require_frames(&self, frames: usize) -> Result<()> {
+        if frames > self.len() {
+            return Err(SemHoloError::Config(format!(
+                "{frames} frames requested but the scene has only {}",
+                self.len()
+            )));
+        }
+        Ok(())
     }
 
     /// Iterate over the first `n` frames.

@@ -32,8 +32,9 @@ pub fn payload_kind_for(kind: SemanticKind) -> PayloadKind {
     }
 }
 
-/// Fixed render/display overhead added to every frame.
-const RENDER_OVERHEAD: Duration = Duration::from_millis(11);
+/// Fixed render/display overhead added to every frame, by a session
+/// and by every subscriber of a room alike.
+pub const RENDER_OVERHEAD: Duration = Duration::from_millis(11);
 
 /// Session parameters.
 #[derive(Debug, Clone)]

@@ -96,6 +96,7 @@ pub fn measure_max_room_size(
     cfg: &CapacityConfig,
     make_pipeline: &mut dyn FnMut() -> Box<dyn SemanticPipeline>,
 ) -> Result<CapacityMeasurement> {
+    scene.require_frames(cfg.frames)?;
     // Closed-form side: mean stream bandwidth over the probe window.
     let fps = scene.context().config.fps as f64;
     let mut probe_pipeline = make_pipeline();

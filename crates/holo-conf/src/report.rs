@@ -142,7 +142,9 @@ impl RoomReport {
         self.subscribers.iter().map(|s| s.usable_rate).fold(f64::INFINITY, f64::min)
     }
 
-    /// Mean end-to-end latency across subscribers' usable frames, ms.
+    /// Unweighted mean of the per-subscriber mean end-to-end latencies,
+    /// ms: each subscriber with at least one usable frame counts once,
+    /// however many frames it used. NaN when no subscriber has one.
     pub fn mean_e2e_ms(&self) -> f64 {
         let mut s = Summary::new();
         for sub in &self.subscribers {

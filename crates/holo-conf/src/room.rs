@@ -23,13 +23,10 @@ use holo_net::wire::WIRE_HEADER_BYTES;
 use semholo::error::{Result, SemHoloError};
 use semholo::scene::SceneSource;
 use semholo::semantics::{SemanticPipeline, StageCost};
-use std::time::Duration;
+use semholo::session::RENDER_OVERHEAD;
 
 /// Uplink loss policy (sender -> SFU): one retransmission round.
 const UPLINK_POLICY: LossPolicy = LossPolicy::RetransmitOnce;
-
-/// Fixed render/display overhead per frame.
-const RENDER_OVERHEAD: Duration = Duration::from_millis(11);
 
 /// Room parameters.
 #[derive(Debug, Clone)]
@@ -154,6 +151,7 @@ impl Room {
         pipelines: &mut [Box<dyn SemanticPipeline>],
     ) -> Result<RoomReport> {
         let cfg = &self.config;
+        scene.require_frames(cfg.frames)?;
         let n = cfg.participants.len();
         let expected_pipelines = if cfg.share_encoder { 1 } else { n };
         if pipelines.len() != expected_pipelines {
@@ -539,6 +537,21 @@ mod tests {
         // 3 participants, 1 pipeline, share_encoder off: error.
         let mut one = vec![kp()];
         assert!(room.run(&scene, &mut one).is_err());
+    }
+
+    #[test]
+    fn more_frames_than_the_scene_holds_is_a_config_error() {
+        let config = SemHoloConfig { capture_resolution: (48, 36), camera_count: 2, ..Default::default() };
+        let scene = SceneSource::new(&config, 0.2);
+        assert_eq!(scene.len(), 6);
+        let cfg = RoomConfig {
+            participants: ParticipantConfig::uniform_room(3, 25e6),
+            frames: 7,
+            share_encoder: true,
+            ..Default::default()
+        };
+        let Err(err) = Room::new(cfg).unwrap().run(&scene, &mut [kp()]) else { panic!("room must refuse") };
+        assert_eq!(err.to_string(), "config error: 7 frames requested but the scene has only 6");
     }
 
     #[test]

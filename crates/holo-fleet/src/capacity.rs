@@ -161,6 +161,7 @@ pub fn fleet_capacity(
     scene: &SceneSource,
     make_pipeline: &(dyn Fn(usize) -> Box<dyn SemanticPipeline> + Sync),
 ) -> Result<FleetCapacityMeasurement> {
+    scene.require_frames(cfg.frames)?;
     // Measure the stream's wire rate once from room 0's pipeline.
     let fps = scene.context().config.fps as f64;
     let mut sizer = make_pipeline(0);
@@ -257,6 +258,24 @@ mod tests {
             max_rooms: 512,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn more_frames_than_the_scene_holds_is_a_config_error() {
+        let scene = scene();
+        let frames = scene.len() + 1;
+        let cfg = FleetCapacityConfig { frames, ..base(FleetTopology::single(50e6)) };
+        let run = FleetConfig {
+            topology: cfg.topology.clone(),
+            rooms: probe_rooms(&cfg, 1),
+            frames,
+            ..Default::default()
+        };
+        let want = format!("config error: {frames} frames requested but the scene has only {}", scene.len());
+        let Err(capacity) = fleet_capacity(&cfg, &scene, &make_pipeline) else { panic!("capacity must refuse") };
+        assert_eq!(capacity.to_string(), want);
+        let Err(fleet) = run_fleet(&run, &scene, &make_pipeline) else { panic!("run must refuse") };
+        assert_eq!(fleet.to_string(), want);
     }
 
     #[test]

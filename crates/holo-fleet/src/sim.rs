@@ -287,6 +287,7 @@ pub fn run_fleet(
     make_pipeline: &(dyn Fn(usize) -> Box<dyn SemanticPipeline> + Sync),
 ) -> Result<FleetRun> {
     cfg.topology.validate().map_err(SemHoloError::Config)?;
+    scene.require_frames(cfg.frames)?;
     if cfg.rooms.is_empty() {
         return Err(SemHoloError::Config("a fleet run needs at least one room".into()));
     }

@@ -8,8 +8,6 @@
 //! - [`check`] — a deterministic property-testing mini-framework:
 //!   seeded shrinking generators driven by the [`holo_prop!`] macro.
 //!   Override the base seed with the `HOLO_PROP_SEED` env var.
-//! - [`bench`] — a criterion-compatible micro-bench harness (warmup,
-//!   per-sample timing, median/p95) that prints its rows to stderr.
 //! - [`ser`] — a minimal derive-free JSON emitter ([`ser::ToJson`]) and
 //!   parser, used for reports and structured test assertions,
 //!   plus the hostile-input decode primitives every wire-facing decoder
@@ -22,7 +20,6 @@
 //! - [`fnv1a64`] — the one FNV-1a digest behind every pinned golden
 //!   and every name-derived seed in the workspace.
 
-pub mod bench;
 pub mod bytes;
 pub mod check;
 pub mod par;

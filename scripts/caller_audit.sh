@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Caller audit: every `pub` fn, struct, enum, trait, type, const and
 # static declared in non-test code under crates/, with the number of
-# word matches of its name in non-test code under crates/ (benches and
-# binaries included), src/, examples/ and benchmark/src. Files are
-# split the way scripts/nontest_lines.sh splits them: a file's first
-# `#[cfg(test)]` and below is test code, and so is every file under a
-# tests/ directory. Comments, string literals, `pub use` re-exports,
-# `impl` headers and the declared name on its own declaration line are
-# not matches; a `$crate::` path in a `macro_rules!` body is. The count is by name
-# only, so an item whose name collides with another's (`len`, `new`)
-# is never listed; an item that is listed has no non-test caller.
+# word matches of its name in non-test code under crates/, src/,
+# examples/ and benchmark/src. Files are split the way
+# scripts/nontest_lines.sh splits them: a file's first `#[cfg(test)]`
+# and below is test code, and so is every file under a tests/
+# directory. Comments, string literals, `pub use` re-exports, `impl`
+# headers and the declared name on its own declaration line are not
+# matches; a `$crate::` path in a `macro_rules!` body is. The count is
+# by name only, so an item whose name collides with another's (`len`,
+# `new`) is never listed; an item that is listed has no non-test caller.
 #
 #   scripts/caller_audit.sh [--check]
 #

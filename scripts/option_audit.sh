@@ -9,7 +9,7 @@
 # per struct and in total: fields, fields with no setter, fields with
 # neither. A unit-test module (a file's first `#[cfg(test)]` and below)
 # is not a caller; an integration test under a tests/ directory sees
-# only the public API, as an example or a bench target does, and is.
+# only the public API, as an example does, and is.
 # A field with neither is an option only its default can reach: make it
 # a constant.
 #

@@ -55,9 +55,6 @@ bash scripts/option_audit.sh --check >/dev/null
 echo "==> caller audit: every pub item has a non-test caller or an allow-listed test"
 bash scripts/caller_audit.sh --check >/dev/null
 
-echo "==> cargo bench --no-run: every bench target compiles (they only time; the facts are reports)"
-cargo bench -q --offline --workspace --no-run
-
 echo "==> verify wrote nothing into the tree"
 [ "$(git status --porcelain)" = "$status_before" ] \
   || { echo "verify changed the working tree:"; git status --short; exit 1; }
