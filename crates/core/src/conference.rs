@@ -181,7 +181,7 @@ pub fn conference_capacity(
     let fps = scene.context().config.fps as f64;
     let mut total_bytes = 0usize;
     let mut n = 0usize;
-    for frame in scene.frames(frames) {
+    for frame in scene.frames(frames)? {
         let enc = pipeline.encode(&frame)?;
         total_bytes += enc.payload.len();
         n += 1;
@@ -330,5 +330,17 @@ mod tests {
         assert!((c.ratio - 0.75).abs() < 1e-12);
         assert!(compare_capacity(0, 5).ratio.is_infinite());
         assert_eq!(compare_capacity(0, 0).ratio, 1.0);
+    }
+
+    #[test]
+    fn more_frames_than_the_scene_holds_is_a_config_error() {
+        let scene = scene();
+        let frames = scene.len() + 1;
+        let mut raw = TraditionalPipeline::new(MeshWire::Raw, 14);
+        let Err(err) = conference_capacity(&mut raw, &scene, frames, 3, 25e6) else {
+            panic!("a probe longer than its scene must be refused")
+        };
+        let want = format!("config error: {frames} frames requested but the scene has only {}", scene.len());
+        assert_eq!(err.to_string(), want);
     }
 }

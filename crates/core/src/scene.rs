@@ -124,7 +124,8 @@ impl SceneSource {
 
     /// `Ok` when the scene has at least `frames` frames; otherwise a
     /// [`SemHoloError::Config`] naming both counts. A run that indexes
-    /// frames `0..frames` checks this first instead of panicking.
+    /// frames `0..frames` checks this first instead of panicking or
+    /// running short.
     pub fn require_frames(&self, frames: usize) -> Result<()> {
         if frames > self.len() {
             return Err(SemHoloError::Config(format!(
@@ -135,9 +136,11 @@ impl SceneSource {
         Ok(())
     }
 
-    /// Iterate over the first `n` frames.
-    pub fn frames(&self, n: usize) -> impl Iterator<Item = SceneFrame> + '_ {
-        (0..n.min(self.len())).map(move |i| self.frame(i))
+    /// Iterate over the first `n` frames; the error of
+    /// [`require_frames`](Self::require_frames) when the scene has fewer.
+    pub fn frames(&self, n: usize) -> Result<impl Iterator<Item = SceneFrame> + '_> {
+        self.require_frames(n)?;
+        Ok((0..n).map(move |i| self.frame(i)))
     }
 }
 

@@ -203,7 +203,7 @@ impl Session {
         let mut psnr = Summary::new();
         let tracing = holo_trace::enabled();
         let wire_kind = payload_kind_for(pipeline.kind());
-        for frame in scene.frames(frames) {
+        for frame in scene.frames(frames)? {
             let capture_t = frame.time;
             let encoded = pipeline.encode(&frame)?;
             let extract = encoded.extract.time_on(&self.device)?;
@@ -467,17 +467,28 @@ mod tests {
 
     #[test]
     fn untraced_run_records_no_spans() {
-        // `run` outside `holo_trace::traced`, with the global flag off, must leave
-        // the thread recorder untouched.
+        // `run` outside `holo_trace::traced` must leave the thread
+        // recorder untouched.
         let scene = scene();
         holo_trace::reset();
-        if !holo_trace::enabled() {
-            let mut pipeline =
-                KeypointPipeline::new(KeypointConfig { resolution: 48, ..Default::default() }, 3);
-            let mut session = broadband_session();
-            session.run(&mut pipeline, &scene, 2).unwrap();
-            holo_trace::with_recorder(|r| assert!(r.spans.is_empty()));
-        }
+        let mut pipeline =
+            KeypointPipeline::new(KeypointConfig { resolution: 48, ..Default::default() }, 3);
+        let mut session = broadband_session();
+        session.run(&mut pipeline, &scene, 2).unwrap();
+        holo_trace::with_recorder(|r| assert!(r.spans.is_empty()));
+    }
+
+    #[test]
+    fn more_frames_than_the_scene_holds_is_a_config_error() {
+        let scene = scene();
+        let frames = scene.len() + 1;
+        let mut pipeline =
+            KeypointPipeline::new(KeypointConfig { resolution: 32, ..Default::default() }, 3);
+        let Err(err) = broadband_session().run(&mut pipeline, &scene, frames) else {
+            panic!("a session longer than its scene must be refused")
+        };
+        let want = format!("config error: {frames} frames requested but the scene has only {}", scene.len());
+        assert_eq!(err.to_string(), want);
     }
 
     #[test]

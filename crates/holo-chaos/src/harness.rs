@@ -364,14 +364,13 @@ mod tests {
 
     #[test]
     fn the_matrix_is_thread_count_independent() {
-        // Safe to flip the process-wide override mid-suite precisely
-        // because of what this test asserts: no result depends on it.
+        // The override is this test thread's own, so no neighbouring
+        // test can change the count between the two runs.
         use holo_runtime::par;
         par::set_thread_override(Some(1));
         let one = run_scenarios(7).render();
         par::set_thread_override(Some(8));
         let eight = run_scenarios(7).render();
-        par::set_thread_override(None);
         assert_eq!(one, eight, "report bytes diverged across thread counts");
     }
 }

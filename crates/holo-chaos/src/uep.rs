@@ -186,7 +186,6 @@ mod tests {
         let one = run_uep_scenarios(7).to_json().render();
         par::set_thread_override(Some(8));
         let eight = run_uep_scenarios(7).to_json().render();
-        par::set_thread_override(None);
         assert_eq!(one, eight, "UEP cells diverged across thread counts");
     }
 

@@ -96,12 +96,11 @@ pub fn measure_max_room_size(
     cfg: &CapacityConfig,
     make_pipeline: &mut dyn FnMut() -> Box<dyn SemanticPipeline>,
 ) -> Result<CapacityMeasurement> {
-    scene.require_frames(cfg.frames)?;
     // Closed-form side: mean stream bandwidth over the probe window.
     let fps = scene.context().config.fps as f64;
     let mut probe_pipeline = make_pipeline();
     let mut total = 0usize;
-    for frame in scene.frames(cfg.frames) {
+    for frame in scene.frames(cfg.frames)? {
         total += probe_pipeline.encode(&frame)?.payload.len();
     }
     let stream_bps = total as f64 / cfg.frames.max(1) as f64 * 8.0 * fps;

@@ -426,7 +426,6 @@ mod tests {
         let one = run_sweep(&cfg).render();
         par::set_thread_override(Some(8));
         let eight = run_sweep(&cfg).render();
-        par::set_thread_override(None);
         assert_eq!(one, eight, "FUZZ report bytes diverged across thread counts");
     }
 

@@ -15,11 +15,12 @@
 //!   per-chunk payload concatenation (worker 0's items, then worker
 //!   1's, …) reproduces exactly the sequential item order, so any
 //!   order-sensitive side channel can be merged deterministically.
-//! * **Scope hooks.** Thread-local state (the `holo-trace` recorder)
-//!   would silently die with the worker threads. A process-wide
-//!   [`ScopeHooks`] installation lets an observer snapshot each
-//!   worker's state at chunk completion and merge the snapshots — in
-//!   worker index order — on the parent thread at scope exit.
+//! * **Scope hooks.** Thread-local state (the `holo-trace` recorder
+//!   and its switch) would silently die with the worker threads. A
+//!   process-wide [`ScopeHooks`] installation lets an observer hand the
+//!   parent's state to each worker before its chunk starts, snapshot
+//!   each worker's state at chunk completion and merge the snapshots —
+//!   in worker index order — on the parent thread at scope exit.
 //!   `holo-trace` installs hooks that re-sort merged spans by
 //!   `(start_us, lane, seq)` so traces are byte-identical across
 //!   thread counts.
@@ -30,36 +31,38 @@
 //!   falls back to a plain in-place map, so parallelism never
 //!   multiplies and nested scopes cannot deadlock or tear recorders.
 //!
-//! Worker count resolution: [`set_thread_override`] (tests and
-//! benches) beats the `SEMHOLO_THREADS` environment variable, which
-//! beats [`std::thread::available_parallelism`]. **Every thread count
-//! produces the same bytes** — `SEMHOLO_THREADS` only trades wall
-//! clock, never results; `scripts/verify.sh` enforces this by running
-//! the chaos matrix and fuzz sweep at 1 and 8 threads and
-//! byte-comparing the reports.
+//! Worker count: the calling thread's [`set_thread_override`], else
+//! `SEMHOLO_THREADS`, else [`std::thread::available_parallelism`]. The
+//! override is the setting thread's own; workers never read one, as a
+//! nested scope runs sequentially. **Every thread count produces the
+//! same bytes** — the count only trades wall clock, never results;
+//! `tests/committed_reports.rs` holds every committed report to this at
+//! 1, 2 and 8 threads.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Hard cap on workers: beyond this, coordination costs dwarf any
 /// speedup on the workloads this repo runs.
 pub const MAX_WORKERS: usize = 64;
 
-/// Opaque token produced on the parent thread when a scope opens.
-pub type ScopeToken = Box<dyn Any + Send>;
+/// Opaque token produced on the parent thread when a scope opens; every
+/// worker reads it.
+pub type ScopeToken = Box<dyn Any + Send + Sync>;
 /// Opaque payload captured on a worker thread when its chunk completes.
 pub type ScopePayload = Box<dyn Any + Send>;
 
-/// Observer hooks for a fork-join scope (see module docs). All three
+/// Observer hooks for a fork-join scope (see module docs). All four
 /// are plain `fn` pointers so the registration is `Copy` and the hot
 /// path stays allocation-free when no observer is installed.
 #[derive(Clone, Copy)]
 pub struct ScopeHooks {
     /// Runs on the parent thread before any worker starts.
     pub begin: fn() -> ScopeToken,
+    /// Runs on each worker thread before its chunk starts.
+    pub enter: fn(&ScopeToken),
     /// Runs on each worker thread after its chunk completes.
     pub collect: fn() -> ScopePayload,
     /// Runs on the parent thread after all workers joined; payloads
@@ -76,32 +79,29 @@ pub fn set_scope_hooks(hooks: ScopeHooks) -> bool {
     HOOKS.set(hooks).is_ok()
 }
 
-/// Programmatic worker-count override: `Some(n)` pins the count,
-/// `None` restores env/auto resolution. Used by tests and the scaling
-/// bench to sweep thread counts inside one process.
+/// Pin the worker count of the scopes the calling thread opens: `Some(n)`
+/// pins it, `None` restores env/auto resolution. Other threads keep
+/// their own setting.
 pub fn set_thread_override(n: Option<usize>) {
-    OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
+    OVERRIDE.set(n.unwrap_or(0));
 }
 
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Resolve the worker count: override, then `SEMHOLO_THREADS`, then
-/// [`std::thread::available_parallelism`]; always in
-/// `1..=`[`MAX_WORKERS`]. Deliberately **not** cached: the env read is
-/// trivia next to any scope worth parallelizing, and tests sweep it.
+/// Resolve the calling thread's worker count: its override, then
+/// `SEMHOLO_THREADS`, then [`std::thread::available_parallelism`];
+/// always in `1..=`[`MAX_WORKERS`]. The last two are read once per
+/// process.
 pub fn threads() -> usize {
-    let o = OVERRIDE.load(Ordering::SeqCst);
-    if o > 0 {
-        return o.clamp(1, MAX_WORKERS);
-    }
-    if let Ok(v) = std::env::var("SEMHOLO_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n.clamp(1, MAX_WORKERS);
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(1, MAX_WORKERS)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    let n = match OVERRIDE.get() {
+        0 => *DEFAULT.get_or_init(|| {
+            let env = std::env::var("SEMHOLO_THREADS").ok();
+            env.and_then(|v| v.trim().parse().ok()).filter(|&n| n >= 1).unwrap_or_else(|| {
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            })
+        }),
+        n => n,
+    };
+    n.clamp(1, MAX_WORKERS)
 }
 
 /// The fixed partition map: `len` items over at most `workers`
@@ -127,6 +127,8 @@ pub fn partition(len: usize, workers: usize) -> Vec<Range<usize>> {
 
 thread_local! {
     static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+    /// This thread's [`set_thread_override`]; 0 is none.
+    static OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// True while the current thread is executing inside a fork-join
@@ -193,6 +195,7 @@ where
     chunks.reverse();
 
     let f = &f;
+    let token_ref = token.as_ref();
     let mut results: Vec<R> = Vec::new();
     let mut payloads: Vec<ScopePayload> = Vec::new();
     let mut panic_payload: Option<Box<dyn Any + Send>> = None;
@@ -201,9 +204,12 @@ where
             .into_iter()
             .map(|chunk| {
                 s.spawn(move || {
+                    if let (Some(h), Some(token)) = (hooks, token_ref) {
+                        (h.enter)(token);
+                    }
                     let _flag = ScopeFlagGuard::enter();
                     let out: Vec<R> = chunk.into_iter().map(f).collect();
-                    let payload = HOOKS.get().map(|h| (h.collect)());
+                    let payload = hooks.map(|h| (h.collect)());
                     (out, payload)
                 })
             })
@@ -245,44 +251,32 @@ pub fn scope<R: Send>(tasks: Vec<Box<dyn FnOnce() -> R + Send>>) -> Vec<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The override is process-wide; serialize tests that touch it.
-    fn override_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let _g = override_lock();
         for t in [1, 4] {
             set_thread_override(Some(t));
             let out: Vec<u32> = par_map(Vec::<u32>::new(), |x| x + 1);
             assert!(out.is_empty());
         }
-        set_thread_override(None);
     }
 
     #[test]
     fn single_item_maps_in_place() {
-        let _g = override_lock();
         set_thread_override(Some(8));
         assert_eq!(par_map(vec![21], |x: u64| x * 2), vec![42]);
-        set_thread_override(None);
     }
 
     #[test]
     fn many_items_preserve_input_order_at_every_thread_count() {
-        let _g = override_lock();
         let items: Vec<usize> = (0..103).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * x).collect();
         for t in [1, 2, 3, 8, 64] {
             set_thread_override(Some(t));
             assert_eq!(par_map(items.clone(), |x| x * x), expected, "threads={t}");
         }
-        set_thread_override(None);
     }
 
     #[test]
@@ -310,7 +304,6 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_to_the_caller() {
-        let _g = override_lock();
         set_thread_override(Some(4));
         let caught = std::panic::catch_unwind(|| {
             par_map((0..16).collect::<Vec<u32>>(), |x| {
@@ -318,7 +311,6 @@ mod tests {
                 x
             })
         });
-        set_thread_override(None);
         let err = caught.expect_err("panic must cross the scope");
         let msg = err
             .downcast_ref::<&str>()
@@ -330,7 +322,6 @@ mod tests {
 
     #[test]
     fn nested_par_map_falls_back_to_sequential() {
-        let _g = override_lock();
         set_thread_override(Some(4));
         static PEAK_NESTED: AtomicU32 = AtomicU32::new(0);
         let out = par_map((0..8).collect::<Vec<u32>>(), |x| {
@@ -347,27 +338,40 @@ mod tests {
         assert!(!in_scope(), "scope flag must clear at exit");
         assert_eq!(out.len(), 8);
         assert_eq!(PEAK_NESTED.load(Ordering::Relaxed), 32);
-        set_thread_override(None);
     }
 
     #[test]
     fn scope_runs_heterogeneous_tasks_in_order() {
-        let _g = override_lock();
         set_thread_override(Some(3));
         let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> =
             vec![Box::new(|| 1), Box::new(|| 2), Box::new(|| 3)];
         assert_eq!(scope(tasks), vec![1, 2, 3]);
-        set_thread_override(None);
     }
 
     #[test]
     fn threads_respects_override_and_clamps() {
-        let _g = override_lock();
         set_thread_override(Some(3));
         assert_eq!(threads(), 3);
         set_thread_override(Some(10_000));
         assert_eq!(threads(), MAX_WORKERS);
-        set_thread_override(None);
-        assert!(threads() >= 1);
+        let unpinned = std::thread::spawn(threads).join().unwrap();
+        assert!((1..=MAX_WORKERS).contains(&unpinned));
+    }
+
+    #[test]
+    fn the_override_belongs_to_the_thread_that_set_it() {
+        let (b_set, b_has_set) = mpsc::channel();
+        let (a_set, a_has_set) = mpsc::channel();
+        let b = std::thread::spawn(move || {
+            set_thread_override(Some(1));
+            b_set.send(()).unwrap();
+            a_has_set.recv().unwrap();
+            threads()
+        });
+        b_has_set.recv().unwrap();
+        set_thread_override(Some(7));
+        a_set.send(()).unwrap();
+        assert_eq!(b.join().unwrap(), 1, "another thread's override reached this one");
+        assert_eq!(threads(), 7);
     }
 }

@@ -15,15 +15,18 @@
 //!    [`WallTimer`], into histograms flagged `nondeterministic`, which
 //!    are excluded from the byte-identity guarantee.)
 //! 2. **A free disabled path.** Every recording entry point first reads
-//!    one relaxed `AtomicBool`; when tracing is off the call returns
-//!    immediately without allocating or touching the thread-local
-//!    recorder. Enable with `SEMHOLO_TRACE=1` or [`enable`].
+//!    this thread's switch, one thread-local load; when tracing is off
+//!    the call returns immediately without allocating or touching the
+//!    recorder. Turn it on for a process with `SEMHOLO_TRACE=1`, or
+//!    for one run on one thread with [`traced`].
 //!
-//! The recorder is thread-local: each simulation thread owns its own
-//! event stream, so tests run in parallel without interleaving spans.
-//! When a simulation fans out over the deterministic fork-join pool,
-//! use [`parallel::par_map`] — it merges worker recorders back into the
-//! caller's at scope exit, byte-identically across thread counts.
+//! The recorder and its switch are thread-local: each simulation thread
+//! owns its own event stream and decides for itself whether to record,
+//! so tests run in parallel without interleaving spans or flipping each
+//! other's tracing. When a simulation fans out over the deterministic
+//! fork-join pool, use [`parallel::par_map`] — each worker takes the
+//! caller's switch, and the caller's recorder takes the workers' spans
+//! at scope exit, byte-identically across thread counts.
 //!
 //! - [`recorder`] — the thread-local [`Recorder`]: span enter/exit with
 //!   parent nesting, logical lane ids (chrome "tids"), metrics.
@@ -41,18 +44,17 @@
 //! # Example
 //!
 //! ```
-//! holo_trace::enable();
-//! holo_trace::reset();
-//! holo_trace::span_enter("frame", 0);
-//! holo_trace::span_enter("extract", 0);
-//! holo_trace::span_exit(7_000);          // virtual microseconds
-//! holo_trace::span_exit(9_000);
-//! holo_trace::counter("frames", 1);
+//! holo_trace::traced(|| {
+//!     holo_trace::span_enter("frame", 0);
+//!     holo_trace::span_enter("extract", 0);
+//!     holo_trace::span_exit(7_000);      // virtual microseconds
+//!     holo_trace::span_exit(9_000);
+//!     holo_trace::counter("frames", 1);
+//! });
 //! let report = holo_trace::trace_report();
 //! assert_eq!(report.get("extract").unwrap().count, 1);
 //! let json = holo_trace::chrome_trace(); // byte-identical per seed
 //! assert!(json.contains("\"traceEvents\""));
-//! # holo_trace::disable();
 //! ```
 
 pub mod chrome;
@@ -67,53 +69,35 @@ pub use recorder::{Recorder, SpanEvent};
 pub use report::{StageStat, TraceReport};
 pub use sketch::LatencySketch;
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// Process-wide enable flag: the fast path every instrumentation site
-/// checks first.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Whether `SEMHOLO_TRACE` has been consulted yet.
-static ENV_CHECKED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::new());
+    /// This thread's switch: the fast path every instrumentation site
+    /// checks first. `None` until [`traced`] sets it or the thread
+    /// first asks and takes `SEMHOLO_TRACE`'s answer.
+    static ENABLED: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
-/// Is tracing on? One relaxed atomic load after the first call (the
-/// first call reads `SEMHOLO_TRACE`; `1` or any non-empty value other
-/// than `0` enables).
+/// Is tracing on for this thread? One thread-local load after the
+/// thread's first call. A thread that is not inside [`traced`] and is
+/// not a worker of a traced scope follows `SEMHOLO_TRACE`, read once
+/// per process: `1` or any non-empty value other than `0` enables.
 #[inline]
 pub fn enabled() -> bool {
-    if !ENV_CHECKED.load(Ordering::Relaxed) {
-        init_from_env();
-    }
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.get().unwrap_or_else(from_env)
 }
 
 #[cold]
-fn init_from_env() {
-    let on = std::env::var("SEMHOLO_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    // `enable`/`disable` may have run first; they set ENV_CHECKED before
-    // this can observe it unset, so only a pristine process lands here.
-    if !ENV_CHECKED.swap(true, Ordering::Relaxed) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-}
-
-/// Turn tracing on programmatically (overrides the environment).
-pub fn enable() {
-    ENV_CHECKED.store(true, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turn tracing off programmatically (overrides the environment).
-pub fn disable() {
-    ENV_CHECKED.store(true, Ordering::Relaxed);
-    ENABLED.store(false, Ordering::Relaxed);
+fn from_env() -> bool {
+    static ENV: OnceLock<bool> = OnceLock::new();
+    let on = *ENV.get_or_init(|| {
+        std::env::var("SEMHOLO_TRACE").is_ok_and(|v| !v.is_empty() && v != "0")
+    });
+    ENABLED.set(Some(on));
+    on
 }
 
 /// Clear this thread's recorder: spans, open stack, metrics, lane.
@@ -121,22 +105,22 @@ pub fn reset() {
     RECORDER.with(|r| r.borrow_mut().reset());
 }
 
-/// Run `f` with tracing force-enabled on a freshly reset recorder, and
-/// restore the previous enable state on the way out — by a drop guard,
-/// so an `Err` result and a panic unwinding through here are covered
-/// alike. The recorder is left as `f` filled it: read the evidence
-/// ([`trace_report`], [`chrome_trace`], [`with_recorder`]) afterwards.
+/// Run `f` with tracing on for this thread, on a freshly reset
+/// recorder, and restore the thread's previous switch on the way out —
+/// by a drop guard, so an `Err` result and a panic unwinding through
+/// here are covered alike. Other threads are not touched. Scopes nest:
+/// an inner one restores the outer's switch, but its reset also clears
+/// what the outer scope had recorded. The recorder is left as `f`
+/// filled it: read the evidence ([`trace_report`], [`chrome_trace`],
+/// [`with_recorder`]) afterwards.
 pub fn traced<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore(bool);
+    struct Restore(Option<bool>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            if !self.0 {
-                disable();
-            }
+            ENABLED.set(self.0);
         }
     }
-    let _restore = Restore(enabled());
-    enable();
+    let _restore = Restore(ENABLED.replace(Some(true)));
     reset();
     f()
 }
@@ -280,18 +264,10 @@ pub fn trace_report() -> TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The enable flag is process-wide; serialize tests that toggle it.
-    pub(crate) fn flag_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_path_records_nothing() {
-        let _g = flag_lock();
-        disable();
+        ENABLED.set(Some(false));
         reset();
         span_enter("s", 0);
         span_exit(10);
@@ -307,32 +283,27 @@ mod tests {
 
     #[test]
     fn the_timer_records_only_when_tracing_is_on() {
-        let _g = flag_lock();
-        enable();
-        reset();
-        let wall = WallTimer::start().stop("t_us");
+        let wall = traced(|| WallTimer::start().stop("t_us"));
         with_recorder(|r| {
             let h = &r.metrics.histograms["t_us"];
             assert!(h.nondeterministic);
             assert_eq!((h.count, h.max_us), (1, wall.as_micros() as u64));
         });
-        disable();
         reset();
     }
 
     #[test]
     fn enabled_records_spans_and_metrics() {
-        let _g = flag_lock();
-        enable();
-        reset();
-        span_enter_frame("frame", 100, 3);
-        span_enter("inner", 150);
-        span_exit(250);
-        span_exit(400);
-        counter("c", 2);
-        counter("c", 3);
-        gauge("depth", 4.0);
-        histogram("lat_us", 300);
+        traced(|| {
+            span_enter_frame("frame", 100, 3);
+            span_enter("inner", 150);
+            span_exit(250);
+            span_exit(400);
+            counter("c", 2);
+            counter("c", 3);
+            gauge("depth", 4.0);
+            histogram("lat_us", 300);
+        });
         with_recorder(|r| {
             assert_eq!(r.spans.len(), 2);
             // Children complete (and are recorded) before parents.
@@ -343,37 +314,55 @@ mod tests {
             assert_eq!(r.spans[1].frame, Some(3));
             assert_eq!(r.metrics.counters.get("c"), Some(&5));
         });
-        disable();
         reset();
     }
 
     #[test]
     fn lanes_tag_spans() {
-        let _g = flag_lock();
-        enable();
-        reset();
-        set_lane(7);
-        span_enter("fwd", 0);
-        span_exit(5);
+        traced(|| {
+            set_lane(7);
+            span_enter("fwd", 0);
+            span_exit(5);
+        });
         with_recorder(|r| assert_eq!(r.spans[0].lane, 7));
-        disable();
         reset();
     }
 
     #[test]
     fn reset_clears_everything() {
-        let _g = flag_lock();
-        enable();
-        reset();
-        span_enter("s", 0);
-        span_exit(1);
-        counter("c", 1);
-        reset();
+        traced(|| {
+            span_enter("s", 0);
+            span_exit(1);
+            counter("c", 1);
+            reset();
+        });
         with_recorder(|r| {
             assert!(r.spans.is_empty());
             assert!(r.metrics.is_empty());
             assert_eq!(r.lane, 0);
         });
-        disable();
+    }
+
+    #[test]
+    fn one_threads_traced_exit_leaves_another_thread_tracing() {
+        use std::sync::mpsc;
+        let (a_in, a_is_in) = mpsc::channel();
+        let (b_in, b_is_in) = mpsc::channel();
+        let a = std::thread::spawn(move || {
+            traced(|| {
+                a_in.send(()).unwrap();
+                b_is_in.recv().unwrap();
+            })
+        });
+        a_is_in.recv().unwrap();
+        traced(|| {
+            b_in.send(()).unwrap();
+            a.join().unwrap();
+            span_enter("b", 0);
+            span_exit(1);
+        });
+        let names: Vec<_> = with_recorder(|r| r.spans.iter().map(|s| s.name).collect());
+        assert_eq!(names, ["b"], "another thread's traced exit switched this one off");
+        reset();
     }
 }

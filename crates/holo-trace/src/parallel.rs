@@ -5,10 +5,13 @@
 //! TLS that dies with the worker. This module closes that hole: it
 //! installs [`holo_runtime::par::ScopeHooks`] that
 //!
-//! 1. mark the parent recorder's span count when a scope opens,
-//! 2. snapshot each worker's recorder (spans + metrics) when its chunk
+//! 1. mark the parent recorder's span count and read the parent's
+//!    switch when a scope opens,
+//! 2. hand that switch to each worker before its chunk starts, so a
+//!    worker records exactly when its caller does,
+//! 3. snapshot each worker's recorder (spans + metrics) when its chunk
 //!    completes, and
-//! 3. at scope exit — on the parent thread, with payloads in worker
+//! 4. at scope exit — on the parent thread, with payloads in worker
 //!    index order — append the snapshots, [`Metrics::merge`] the
 //!    registries, and **stable-sort the scope-local spans by
 //!    `(start_us, lane)`**.
@@ -43,26 +46,27 @@ struct TracePayload {
     spans_dropped: u64,
 }
 
-/// Parent-side scope state: where this scope's spans start.
+/// Parent-side scope state: the parent's switch, and where this
+/// scope's spans start.
 struct TraceToken {
+    enabled: bool,
     marker: usize,
 }
 
 fn begin() -> ScopeToken {
-    let marker =
-        if crate::enabled() { crate::with_recorder(|r| r.spans.len()) } else { 0 };
-    Box::new(TraceToken { marker })
+    let enabled = crate::enabled();
+    let marker = if enabled { crate::with_recorder(|r| r.spans.len()) } else { 0 };
+    Box::new(TraceToken { enabled, marker })
 }
 
+fn enter(token: &ScopeToken) {
+    let token = token.downcast_ref::<TraceToken>().expect("foreign scope token");
+    crate::ENABLED.set(Some(token.enabled));
+}
+
+/// A worker thread lives for one chunk, so its recorder holds exactly
+/// what the chunk recorded: nothing, when its caller was not tracing.
 fn collect() -> ScopePayload {
-    if !crate::enabled() {
-        return Box::new(TracePayload {
-            spans: Vec::new(),
-            metrics: Metrics::default(),
-            truncated: false,
-            spans_dropped: 0,
-        });
-    }
     crate::with_recorder(|r| {
         Box::new(TracePayload {
             spans: std::mem::take(&mut r.spans),
@@ -107,7 +111,7 @@ fn end(token: ScopeToken, payloads: Vec<ScopePayload>) {
 pub fn install() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
-        par::set_scope_hooks(ScopeHooks { begin, collect, end });
+        par::set_scope_hooks(ScopeHooks { begin, enter, collect, end });
     });
 }
 
@@ -137,16 +141,17 @@ mod tests {
     /// One traced parallel workload; returns (chrome trace, metric
     /// snapshot) rendered from the caller's recorder after the scope.
     fn traced_run() -> (String, String) {
-        crate::reset();
-        let out = par_map((0..6u64).collect::<Vec<_>>(), |i| {
-            crate::set_lane(i as u32);
-            crate::span_enter("work", i * 100);
-            crate::span_enter("inner", i * 100 + 10);
-            crate::counter("items", 1);
-            crate::gauge("idx", i as f64);
-            crate::span_exit(i * 100 + 40);
-            crate::span_exit(i * 100 + 50);
-            i * 2
+        let out = crate::traced(|| {
+            par_map((0..6u64).collect::<Vec<_>>(), |i| {
+                crate::set_lane(i as u32);
+                crate::span_enter("work", i * 100);
+                crate::span_enter("inner", i * 100 + 10);
+                crate::counter("items", 1);
+                crate::gauge("idx", i as f64);
+                crate::span_exit(i * 100 + 40);
+                crate::span_exit(i * 100 + 50);
+                i * 2
+            })
         });
         assert_eq!(out, (0..6).map(|i| i * 2).collect::<Vec<_>>());
         (crate::chrome_trace(), crate::snapshot_json().render())
@@ -154,8 +159,6 @@ mod tests {
 
     #[test]
     fn merge_is_byte_identical_across_thread_counts() {
-        let _g = crate::tests::flag_lock();
-        crate::enable();
         par::set_thread_override(Some(1));
         let base = traced_run();
         assert!(base.0.contains("\"name\":\"work\""));
@@ -165,34 +168,28 @@ mod tests {
             assert_eq!(run.0, base.0, "chrome trace diverged at threads={t}");
             assert_eq!(run.1, base.1, "metric snapshot diverged at threads={t}");
         }
-        par::set_thread_override(None);
-        crate::disable();
         crate::reset();
     }
 
     #[test]
     fn worker_metrics_merge_exactly() {
-        let _g = crate::tests::flag_lock();
-        crate::enable();
         par::set_thread_override(Some(4));
-        crate::reset();
-        par_map((0..100u64).collect::<Vec<_>>(), |i| {
-            crate::counter("n", 1);
-            crate::counter("sum", i);
+        crate::traced(|| {
+            par_map((0..100u64).collect::<Vec<_>>(), |i| {
+                crate::counter("n", 1);
+                crate::counter("sum", i);
+            })
         });
         crate::with_recorder(|r| {
             assert_eq!(r.metrics.counter_value("n"), 100);
             assert_eq!(r.metrics.counter_value("sum"), (0..100).sum::<u64>());
         });
-        par::set_thread_override(None);
-        crate::disable();
         crate::reset();
     }
 
     #[test]
     fn disabled_tracing_still_maps() {
-        let _g = crate::tests::flag_lock();
-        crate::disable();
+        crate::ENABLED.set(Some(false));
         par::set_thread_override(Some(4));
         let out = par_map(vec![1u32, 2, 3], |x| {
             crate::span_enter("ghost", 0);
@@ -201,29 +198,25 @@ mod tests {
         });
         assert_eq!(out, vec![2, 3, 4]);
         crate::with_recorder(|r| assert!(r.spans.is_empty()));
-        par::set_thread_override(None);
     }
 
     #[test]
     fn surrounding_spans_survive_a_scope() {
         // Spans already on the parent recorder must not be re-sorted or
         // lost; only the scope-local suffix is canonicalized.
-        let _g = crate::tests::flag_lock();
-        crate::enable();
-        crate::reset();
         par::set_thread_override(Some(2));
-        crate::span_enter("outer", 0);
-        crate::span_exit(5);
-        par_map(vec![900u64, 100], |start| {
-            crate::span_enter("par", start);
-            crate::span_exit(start + 1);
+        crate::traced(|| {
+            crate::span_enter("outer", 0);
+            crate::span_exit(5);
+            par_map(vec![900u64, 100], |start| {
+                crate::span_enter("par", start);
+                crate::span_exit(start + 1);
+            });
         });
         crate::with_recorder(|r| {
             let got: Vec<_> = r.spans.iter().map(|s| (s.name, s.start_us)).collect();
             assert_eq!(got, vec![("outer", 0), ("par", 100), ("par", 900)]);
         });
-        par::set_thread_override(None);
-        crate::disable();
         crate::reset();
     }
 }

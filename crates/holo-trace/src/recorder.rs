@@ -87,9 +87,9 @@ impl Recorder {
     }
 
     /// Close the innermost open span. Exiting with no span open is a
-    /// no-op (a site that only records when enabled may race a mid-span
-    /// `enable()`); exiting earlier than the start clamps to zero
-    /// duration rather than underflowing.
+    /// no-op (the recorder was reset under an open span, as a nested
+    /// `traced` scope does); exiting earlier than the start clamps to
+    /// zero duration rather than underflowing.
     pub fn span_exit(&mut self, at_us: u64) {
         let Some(open) = self.open.pop() else {
             return;

@@ -8,17 +8,23 @@
 #
 #   scripts/ab_pairs.sh <parent-ref> <workload|all> [pairs=10] [seconds=30] [seed=42]
 #
-# The parent is checked out under target/ab/ with `git archive` (not
-# `git worktree add`: nothing is left registered in .git, and rerunning
-# needs no prune), each side builds its own benchmark/ package with its
-# own CARGO_TARGET_DIR, and each binary runs from the root of its own
-# tree, so each writes its own benchmark/out. Odd pairs run the parent
-# first, even pairs the change. No network, nothing under benchmark/ is
-# touched. `all` takes the workloads of BENCHMARK.json one after another.
+# Both sides are built at one path, one after the other: the parent
+# from `git archive`, then the working tree as it stands (tracked and
+# untracked files, ignored ones left out), each extracted into
+# target/ab/tree and built with CARGO_TARGET_DIR=target/ab/target, which
+# is emptied first. So panic strings, package IDs and code placement
+# differ only where the code does. Each binary is copied out to
+# target/ab/bin/ and its sha256 and `.text` start printed; equal
+# binaries are reported as such and no pair is run. Otherwise the
+# parent runs from its own tree (target/ab/parent) and the change from
+# the repository root, so each writes its own benchmark/out. Odd pairs
+# run the parent first, even pairs the change. No network, nothing under
+# benchmark/ is touched, nothing is left registered in .git. `all` takes
+# the workloads of BENCHMARK.json one after another.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 2 ]] || { sed -n '2,17s/^# \{0,1\}//p' "$0"; exit 2; }
+[[ $# -ge 2 ]] || { sed -n '2,23s/^# \{0,1\}//p' "$0"; exit 2; }
 ref="$1" which="$2" pairs="${3:-10}" seconds="${4:-30}" seed="${5:-42}"
 root="$PWD" ab="$PWD/target/ab"
 commit="$(git rev-parse --short "${ref}^{commit}")"
@@ -40,20 +46,38 @@ layers() {
 workloads="$which"
 [[ "$which" != all ]] || workloads="$(workload_names)"
 
-rm -rf "$ab/parent" "$ab/runs" && mkdir -p "$ab/parent" "$ab/runs"
-git archive "$commit" | tar -x -C "$ab/parent"
-echo "==> building parent ${commit} and the working tree" >&2
-(cd "$ab/parent" && CARGO_TARGET_DIR="$ab/parent-target" \
-  cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
-CARGO_TARGET_DIR="$ab/change-target" \
-  cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+# build <side>: build the tree extracted at target/ab/tree and copy its
+# binary to target/ab/bin/<side>.
+build() {
+  rm -rf "$ab/target"
+  (cd "$ab/tree" && CARGO_TARGET_DIR="$ab/target" \
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+  cp "$ab/target/release/semholo-benchmark" "$ab/bin/$1"
+}
+rm -rf "$ab/tree" "$ab/parent" "$ab/bin" "$ab/runs" && mkdir -p "$ab/tree" "$ab/bin" "$ab/runs"
+echo "==> building parent ${commit}, then the working tree, both at ${ab}/tree" >&2
+git archive "$commit" | tar -x -C "$ab/tree"
+build parent
+mv "$ab/tree" "$ab/parent" && mkdir "$ab/tree"
+git ls-files -z --cached --others --exclude-standard |
+  while IFS= read -r -d '' f; do [[ ! -e "$f" ]] || printf '%s\0' "$f"; done |
+  tar -c --null -T - | tar -x -C "$ab/tree"
+build change
+for side in parent change; do
+  text="$(readelf -SW "$ab/bin/$side" | sed -n 's/.* \.text  *PROGBITS  *\([0-9a-f]*\) .*/0x\1/p')"
+  echo "${side}: sha256 $(sha256sum <"$ab/bin/$side" | cut -d' ' -f1), .text at ${text}"
+done
+if cmp -s "$ab/bin/parent" "$ab/bin/change"; then
+  echo "the binaries are identical: no pair is run, there is no difference to measure"
+  exit 0
+fi
 
 # run <side> <workload> <pair> [trace=0]: the run's last stdout line, a
 # JSON object; all of its stdout is kept under target/ab/runs/.
 run() {
   local dir="$root"
   [[ "$1" == change ]] || dir="$ab/parent"
-  (cd "$dir" && "$ab/$1-target/release/semholo-benchmark" \
+  (cd "$dir" && "$ab/bin/$1" \
     --workload "$2" --seed "$seed" --seconds "$seconds" --trace "${4:-0}") >"$ab/runs/$1_$2_$3.txt"
   tail -n 1 "$ab/runs/$1_$2_$3.txt"
 }

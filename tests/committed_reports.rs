@@ -6,6 +6,10 @@
 //! as much as any other. A mismatch names the file and the first JSON
 //! path that differs, old -> new.
 //!
+//! Each report is its own test, `reproduces_at_threads_1_2_8::<file
+//! stem in lower case>`, so libtest runs the reports side by side: the
+//! thread count is each test thread's own.
+//!
 //! The binary installs the tracking allocator because
 //! `FUZZ_report.json` records that allocation caps were enforced.
 
@@ -53,22 +57,57 @@ fn top_level_files() -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn every_report_has_one_recipe_and_reproduces_at_threads_1_2_8() {
-    assert_eq!(unpaired(&top_level_files()), Vec::<String>::new());
-    let read = |file: &&str| std::fs::read_to_string(root().join(file)).unwrap();
-    let committed: Vec<String> = REPORTS.iter().map(|(file, _)| read(file)).collect();
-    // One test drives all thread counts: the override is process-wide.
-    let mut errors = Vec::new();
-    for threads in [1usize, 2, 8] {
-        par::set_thread_override(Some(threads));
-        for ((file, recipe), committed) in REPORTS.iter().zip(&committed) {
-            let made = recipe();
-            errors.extend(check(file, committed, &made).map(|e| format!("threads {threads}: {e}")));
-        }
-    }
-    par::set_thread_override(None);
+/// The test that checks `file`: its stem in lower case.
+fn test_name(file: &str) -> String {
+    file.trim_end_matches(".json").to_lowercase()
+}
+
+/// The recipe of the report whose test is `test` makes the committed
+/// bytes at thread counts 1, 2 and 8.
+fn reproduces(test: &str) {
+    let (file, recipe) = REPORTS
+        .iter()
+        .find(|(file, _)| test_name(file) == test)
+        .unwrap_or_else(|| panic!("{test} checks no report in REPORTS"));
+    let committed = std::fs::read_to_string(root().join(file)).unwrap();
+    let errors: Vec<String> = [1usize, 2, 8]
+        .into_iter()
+        .filter_map(|threads| {
+            par::set_thread_override(Some(threads));
+            check(file, &committed, &recipe()).map(|e| format!("threads {threads}: {e}"))
+        })
+        .collect();
     assert!(errors.is_empty(), "{}", errors.join("\n"));
+}
+
+/// One `#[test]` per report, named as [`test_name`] names it; `TESTED`
+/// lists them in `REPORTS` order.
+macro_rules! one_test_per_report {
+    ($($test:ident)*) => {
+        const TESTED: &[&str] = &[$(stringify!($test)),*];
+        mod reproduces_at_threads_1_2_8 {
+            $(#[test]
+            fn $test() {
+                super::reproduces(stringify!($test));
+            })*
+        }
+    };
+}
+
+one_test_per_report! {
+    resilience_chaos slo_report fuzz_report fleet_capacity slo_fleet uep_report
+    gaussian_frontier trace_quickstart trace_conference_room
+    bench_table1_taxonomy bench_table2_bandwidth bench_fig2_quality bench_fig3_expression
+    bench_fig4_fps bench_ablation_foveation bench_ablation_nerf bench_ablation_text
+    bench_ablation_keypoints bench_ablation_gaussian bench_conference_sfu
+    bench_fleet_capacity
+}
+
+#[test]
+fn every_report_has_one_recipe_and_one_test() {
+    assert_eq!(unpaired(&top_level_files()), Vec::<String>::new());
+    let names: Vec<String> = REPORTS.iter().map(|(file, _)| test_name(file)).collect();
+    assert_eq!(names, TESTED, "every REPORTS entry needs its test in one_test_per_report!");
 }
 
 #[test]

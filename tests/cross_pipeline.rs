@@ -70,7 +70,7 @@ fn all_pipelines_roundtrip_every_frame_kind() {
         )),
     ];
     for p in &mut pipelines {
-        for frame in scene.frames(3) {
+        for frame in scene.frames(3).unwrap() {
             let enc = p.encode(&frame).unwrap_or_else(|e| panic!("{:?} encode: {e}", p.kind()));
             assert!(!enc.payload.is_empty());
             let rec = p.decode(&enc.payload).unwrap_or_else(|e| panic!("{:?} decode: {e}", p.kind()));

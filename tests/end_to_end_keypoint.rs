@@ -22,7 +22,7 @@ fn full_session_is_deterministic() {
         let scene = scene();
         let mut p = KeypointPipeline::new(KeypointConfig { resolution: 48, ..Default::default() }, 9);
         let mut payloads = Vec::new();
-        for frame in scene.frames(5) {
+        for frame in scene.frames(5).unwrap() {
             payloads.push(p.encode(&frame).unwrap().payload.to_vec());
         }
         payloads

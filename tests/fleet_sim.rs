@@ -135,7 +135,6 @@ fn fleet_report_byte_identical_across_thread_counts() {
     let render_at = |threads: usize| {
         par::set_thread_override(Some(threads));
         let run = run_fleet(&cfg, &scene, &make_pipeline).unwrap();
-        par::set_thread_override(None);
         (run.report.render(), run.rooms.iter().map(|r| r.render()).collect::<Vec<_>>())
     };
     let (report1, rooms1) = render_at(1);

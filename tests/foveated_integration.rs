@@ -61,7 +61,7 @@ fn deterministic_across_runs() {
         let scene = scene();
         let mut p = pipeline(12.0, seed);
         let mut out = Vec::new();
-        for frame in scene.frames(3) {
+        for frame in scene.frames(3).unwrap() {
             out.push(p.encode(&frame).unwrap().payload.to_vec());
         }
         out

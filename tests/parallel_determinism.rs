@@ -121,8 +121,8 @@ const GOLDEN: [u64; 6] = [
 
 #[test]
 fn reports_and_traces_byte_identical_at_threads_1_2_8() {
-    // One test drives all thread counts: the override is process-wide,
-    // so splitting this into per-count tests would race.
+    // One test drives all thread counts, so that threads 2 and 8 are
+    // each compared with the thread-1 bytes of this run.
     let names =
         ["RoomReport", "FUZZ_report", "chrome_trace", "metrics", "FleetReport", "SLO_fleet"];
     let mut at_1 = None;
@@ -147,7 +147,6 @@ fn reports_and_traces_byte_identical_at_threads_1_2_8() {
             );
         }
     }
-    par::set_thread_override(None);
 }
 
 #[test]

@@ -156,7 +156,7 @@ fn fused_clouds_stay_inside_body_bounds() {
         ..Default::default()
     };
     let scene = semholo::SceneSource::new(&config, 0.3);
-    for frame in scene.frames(4) {
+    for frame in scene.frames(4).unwrap() {
         let sdf = BodySdf::from_pose(&Skeleton::neutral(), &frame.params, SurfaceDetail::full());
         let bounds = holo_mesh::sdf::Sdf::bounds(&sdf).expanded(0.05);
         let cloud = frame.captured_cloud();

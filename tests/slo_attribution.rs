@@ -22,15 +22,6 @@ use holo_trace::SpanEvent;
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::session::{Session, SessionConfig};
 use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
-use std::sync::Mutex;
-
-/// The trace enable flag and the thread override are process-wide;
-/// serialize the tests that touch either.
-static TRACE_FLAG: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn scene() -> SceneSource {
     let config =
@@ -49,7 +40,6 @@ fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<SpanEvent>) {
 
 #[test]
 fn session_attribution_tiles_every_delivered_frame() {
-    let _guard = lock();
     let (report, spans) = traced(|| {
         let mut pipeline =
             KeypointPipeline::new(KeypointConfig { resolution: 32, ..Default::default() }, 3);
@@ -72,7 +62,6 @@ fn session_attribution_tiles_every_delivered_frame() {
 
 #[test]
 fn room_attribution_tiles_every_usable_copy() {
-    let _guard = lock();
     let (report, spans) = traced(|| {
         let cfg = RoomConfig {
             participants: ParticipantConfig::uniform_room(3, 25e6),
@@ -105,7 +94,6 @@ fn room_attribution_tiles_every_usable_copy() {
 
 #[test]
 fn slo_documents_are_byte_identical_across_thread_counts() {
-    let _guard = lock();
     let spec = SloSpec::telepresence();
     let fleet_doc = || {
         let cfg = FleetConfig {
@@ -154,7 +142,6 @@ fn slo_documents_are_byte_identical_across_thread_counts() {
     par::set_thread_override(Some(8));
     let fleet_8 = fleet_doc();
     let room_8 = room_doc();
-    par::set_thread_override(None);
     assert_eq!(fleet_1, fleet_8, "SLO_fleet document must not depend on thread count");
     assert_eq!(room_1, room_8, "room SLO verdicts must not depend on thread count");
     holo_runtime::ser::parse(&fleet_1).expect("fleet SLO doc parses");

@@ -3,21 +3,12 @@
 //! stamped in virtual `SimTime` rather than wall clock. These tests pin
 //! that property for both the point-to-point session and the N-party
 //! room, plus the contracts that a disabled recorder stays empty and
-//! that the traced-run scope always puts the enable flag back.
+//! that the traced-run scope always puts the thread's switch back.
 
 use holo_conf::{ParticipantConfig, Room, RoomConfig};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::session::{Session, SessionConfig};
 use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
-use std::sync::Mutex;
-
-/// The enable flag is process-wide; serialize tests that toggle or
-/// observe it so parallel test threads don't race each other.
-static TRACE_FLAG: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn scene() -> SceneSource {
     let config = SemHoloConfig {
@@ -30,7 +21,6 @@ fn scene() -> SceneSource {
 
 #[test]
 fn session_trace_is_byte_identical_across_runs() {
-    let _guard = lock();
     let scene = scene();
     let run = || {
         let mut pipeline =
@@ -53,7 +43,6 @@ fn session_trace_is_byte_identical_across_runs() {
 
 #[test]
 fn room_trace_is_byte_identical_across_runs() {
-    let _guard = lock();
     let scene = scene();
     let run = || {
         let cfg = RoomConfig {
@@ -84,7 +73,6 @@ fn room_trace_is_byte_identical_across_runs() {
 
 #[test]
 fn disabled_recorder_stays_empty() {
-    let _guard = lock();
     if holo_trace::enabled() {
         // SEMHOLO_TRACE=1 in the environment: the disabled-path contract
         // can't be observed in this process.
@@ -108,30 +96,26 @@ fn disabled_recorder_stays_empty() {
 
 #[test]
 fn traced_scope_restores_the_flag_on_err_and_on_panic() {
-    let _guard = lock();
-    let was_enabled = holo_trace::enabled();
+    let before = holo_trace::enabled();
 
-    holo_trace::disable();
     let failed: Result<(), &str> = holo_trace::traced(|| {
         assert!(holo_trace::enabled(), "the scope forces tracing on");
         holo_trace::counter("scope.ran", 1);
         Err("the run failed")
     });
     assert_eq!(failed, Err("the run failed"));
-    assert!(!holo_trace::enabled(), "flag not restored after Err");
+    assert_eq!(holo_trace::enabled(), before, "flag not restored after Err");
     // What the closure recorded is still readable after the scope.
     assert_eq!(holo_trace::with_recorder(|r| r.metrics.counter_value("scope.ran")), 1);
 
     let unwound = std::panic::catch_unwind(|| holo_trace::traced(|| panic!("the run panicked")));
     assert!(unwound.is_err());
-    assert!(!holo_trace::enabled(), "flag not restored after a panic");
+    assert_eq!(holo_trace::enabled(), before, "flag not restored after a panic");
 
-    holo_trace::enable();
-    holo_trace::traced(|| ());
-    assert!(holo_trace::enabled(), "a previously-enabled flag must stay enabled");
-
-    if !was_enabled {
-        holo_trace::disable();
-    }
+    holo_trace::traced(|| {
+        holo_trace::traced(|| ());
+        assert!(holo_trace::enabled(), "a previously-enabled flag must stay enabled");
+    });
+    assert_eq!(holo_trace::enabled(), before, "nested scopes must restore the outer flag");
     holo_trace::reset();
 }
