@@ -168,7 +168,12 @@ impl SemanticPipeline for KeypointPipeline {
                 BodySdf::from_joint_positions(&positions, &expr, SurfaceDetail::bare())
             }
         };
-        let (mesh, _stats) = sparse_extract_with_stats(&sdf, self.config.resolution, 0.03);
+        let (mesh, stats) = sparse_extract_with_stats(&sdf, self.config.resolution, 0.03);
+        if holo_trace::enabled() {
+            holo_trace::counter("mesh.extract.field_evals", stats.field_evals);
+            holo_trace::counter("mesh.extract.cubes_visited", stats.cubes_visited);
+            holo_trace::counter("mesh.extract.triangles_emitted", stats.triangles_emitted);
+        }
         // The modeled workload represents X-Avatar's implicit-network
         // queries at this resolution (calibration in holo-gpu).
         let workload = reconstruction_workload(self.config.resolution, None).workload;
@@ -260,6 +265,24 @@ mod tests {
         let rec = p.decode(&enc.payload).unwrap();
         let Content::Mesh(mesh) = &rec.content else { panic!() };
         assert!(mesh.face_count() > 1000);
+    }
+
+    /// Under `traced`, a decode adds its extraction's counts to the
+    /// thread's counters: those of extracting the same body again.
+    #[test]
+    fn a_traced_decode_counts_its_extraction() {
+        let scene = scene();
+        let mut p = pipeline(48);
+        let enc = p.encode(&scene.frame(0)).unwrap();
+        holo_trace::traced(|| p.decode(&enc.payload)).unwrap();
+        let count = |name: &str| holo_trace::with_recorder(|r| r.metrics.counter_value(&format!("mesh.extract.{name}")));
+        let pose = PosePayload::from_bytes(&lzma_decompress(&enc.payload).unwrap()).unwrap();
+        let sdf = BodySdf::from_pose(&Skeleton::neutral(), &pose.params, SurfaceDetail::bare());
+        let (_, stats) = sparse_extract_with_stats(&sdf, 48, 0.03);
+        assert_eq!(count("field_evals"), stats.field_evals);
+        assert_eq!(count("cubes_visited"), stats.cubes_visited);
+        assert_eq!(count("triangles_emitted"), stats.triangles_emitted);
+        holo_trace::reset();
     }
 
     #[test]

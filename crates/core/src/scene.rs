@@ -14,9 +14,10 @@ use holo_body::params::SmplxParams;
 use holo_body::skeleton::Skeleton;
 use holo_body::surface::{BodySdf, SurfaceDetail};
 use holo_capture::rig::CaptureRig;
-use holo_capture::render::RgbdFrame;
-use holo_math::Pcg32;
+use holo_capture::render::{RayCounts, RgbdFrame};
+use holo_math::{Aabb, Pcg32};
 use holo_mesh::pointcloud::PointCloud;
+use holo_mesh::sdf::Sdf;
 use holo_mesh::sparse::sparse_extract;
 use holo_mesh::trimesh::TriMesh;
 use std::sync::Arc;
@@ -58,10 +59,17 @@ impl SceneFrame {
     }
 
     /// RGB-D captures from every rig camera (deterministic per frame).
+    /// With tracing on, it adds to this thread's counters what the trace
+    /// passes did: rays that enter the body's box, rays marched, hits and
+    /// march steps (`capture.render.*`).
     pub fn capture(&self) -> Vec<RgbdFrame> {
         let sdf = self.ground_truth_sdf();
         let mut rng = Pcg32::with_stream(self.context.config.seed, 0x1000 + self.index as u64);
-        self.context.rig.capture(&sdf, &mut rng)
+        let frames = self.context.rig.capture(&sdf, &mut rng);
+        if holo_trace::enabled() {
+            count_rays(&sdf.bounds(), &frames);
+        }
+        frames
     }
 
     /// Fused colored point cloud from the captures.
@@ -73,6 +81,24 @@ impl SceneFrame {
     pub fn posed_mesh(&self) -> TriMesh {
         self.context.body_model.pose_mesh(&self.params)
     }
+}
+
+/// Flush the trace passes' [`RayCounts`] of `frames`, and how many of
+/// their pixels' rays enter `bounds` — the rays a renderer with no hull
+/// would march — into this thread's counters.
+fn count_rays(bounds: &Aabb, frames: &[RgbdFrame]) {
+    let mut in_box = 0;
+    for frame in frames {
+        let k = frame.camera.intrinsics;
+        for y in 0..k.height {
+            in_box += (0..k.width).filter(|&x| frame.camera.pixel_ray(x, y).intersect_aabb(bounds).is_some()).count() as u64;
+        }
+    }
+    let sum = |count: fn(&RayCounts) -> u64| frames.iter().map(|f| count(&f.rays)).sum();
+    holo_trace::counter("capture.render.rays_in_box", in_box);
+    holo_trace::counter("capture.render.rays_marched", sum(|r| r.marched));
+    holo_trace::counter("capture.render.rays_hit", sum(|r| r.hits));
+    holo_trace::counter("capture.render.march_steps", sum(|r| r.steps));
 }
 
 /// A deterministic stream of scene frames.
@@ -186,6 +212,25 @@ mod tests {
         let c = scene.frame(10).captured_cloud();
         assert_ne!(a.points.len(), 0);
         assert!(a.points != c.points);
+    }
+
+    /// One frame of the benchmark's scene (four cameras of 96×72, seed
+    /// 42, `Waving`), captured under `traced`: the counters are the
+    /// frames' own counts, which the renderer's tests hold to the scalar
+    /// renderer's hits; the hull leaves most rays in the box unmarched.
+    #[test]
+    fn a_traced_capture_counts_its_rays() {
+        let config = SemHoloConfig { motion: holo_body::motion::MotionKind::Waving, ..Default::default() };
+        let frame = SceneSource::new(&config, 0.5).frame(5);
+        let frames = holo_trace::traced(|| frame.capture());
+        let count = |name: &str| holo_trace::with_recorder(|r| r.metrics.counter_value(&format!("capture.render.{name}")));
+        let sum = |of: fn(&RayCounts) -> u64| frames.iter().map(|f| of(&f.rays)).sum::<u64>();
+        assert_eq!(count("rays_marched"), sum(|r| r.marched));
+        assert_eq!(count("rays_hit"), sum(|r| r.hits));
+        assert_eq!(count("march_steps"), sum(|r| r.steps));
+        let (in_box, marched, hits) = (count("rays_in_box"), count("rays_marched"), count("rays_hit"));
+        assert!(hits > 1_000 && marched * 10 < in_box * 6, "{hits} hits, {marched} of {in_box} rays marched");
+        holo_trace::reset();
     }
 
     #[test]

@@ -468,7 +468,18 @@ mod tests {
     #[test]
     fn untraced_run_records_no_spans() {
         // `run` outside `holo_trace::traced` must leave the thread
-        // recorder untouched.
+        // recorder untouched. `SEMHOLO_TRACE` turns tracing on for every
+        // thread of this process, so the check runs in a child without it.
+        if std::env::var_os("SEMHOLO_TRACE").is_some() {
+            let child = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["session::tests::untraced_run_records_no_spans", "--exact"])
+                .env_remove("SEMHOLO_TRACE")
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&child.stdout);
+            assert!(child.status.success() && stdout.contains("1 passed"), "the untraced run failed:\n{stdout}");
+            return;
+        }
         let scene = scene();
         holo_trace::reset();
         let mut pipeline =

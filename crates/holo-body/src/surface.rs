@@ -13,7 +13,7 @@ use crate::expression::ExpressionBasis;
 use crate::params::SmplxParams;
 use crate::skeleton::{Joint, PosedSkeleton, Skeleton};
 use holo_math::{Aabb, Vec3};
-use holo_mesh::sdf::{GriddedUnion, Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfRoundCone, SdfScope, SdfSphere};
+use holo_mesh::sdf::{GriddedUnion, Primitive, Sdf, SdfCapsule, SdfEllipsoid, SdfHull, SdfRoundCone, SdfScope, SdfSphere};
 
 /// What surface detail to include when building a [`BodySdf`].
 #[derive(Debug, Clone, Copy)]
@@ -384,6 +384,14 @@ impl Sdf for BodySdf {
             *scope = scope.loosened(bumps + cloth);
         }
     }
+
+    /// The union's hull, lowered by the most `detail` can take off: every
+    /// outward bump at full strength, and the cloth's amplitude.
+    fn hull(&self) -> Option<SdfHull<'_>> {
+        let bumps: f32 = self.bumps.iter().map(|b| b.2.max(0.0)).sum();
+        let cloth = self.cloth.map_or(0.0, |(amp, _)| amp.abs());
+        self.union.hull().map(|hull| hull.lowered(bumps + cloth))
+    }
 }
 
 #[cfg(test)]
@@ -604,6 +612,56 @@ mod tests {
                 let want = body.detail(p, full_fold(&body.union, p));
                 prop_assert_eq!(v.to_bits(), want.to_bits(), "batch at {:?}: {} against {}", p, v, want);
                 prop_assert_eq!(body.distance(p).to_bits(), want.to_bits(), "distance at {:?}", p);
+            }
+        }
+    }
+
+    holo_runtime::holo_prop! {
+        #![cases(4096)]
+
+        /// A body never reads below its hull: random frames of every
+        /// motion with random girth and expression, clothed or bare, at
+        /// points near the joints, on and within the blend radius of the
+        /// surface, at the bumps, anywhere around the bounds, and beyond
+        /// the clamp.
+        fn a_body_never_reads_below_its_hull(seed in holo_runtime::check::any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let kinds = [MotionKind::Idle, MotionKind::Talking, MotionKind::Waving, MotionKind::Walking];
+            let clip = MotionSynthesizer::new(seed).clip(kinds[rng.index(4)], 0.5, 30.0);
+            let mut params = clip.frame(rng.index(clip.frames.len())).clone();
+            params.betas[4] = rng.range_f32(-3.0, 3.0);
+            for e in &mut params.expression {
+                *e = if rng.chance(0.5) { rng.range_f32(-1.0, 1.0) } else { 0.0 };
+            }
+            let detail = if rng.chance(0.5) { SurfaceDetail::full() } else { SurfaceDetail::bare() };
+            let posed = Skeleton::neutral().forward_kinematics(&params);
+            let body = BodySdf::from_posed(&posed, &params, detail);
+            let hull = body.hull().expect("a body's ellipsoids are round enough for a hull");
+            // What the hull is lowered by: the most `detail` may take off.
+            let lowered = body.union.hull().expect("the body's union has a hull").floor() - hull.floor();
+            let b = body.bounds();
+            let bumps = body.bump_centers();
+            let jitter = |rng: &mut Pcg32, by: f32| Vec3::new(rng.normal(), rng.normal(), rng.normal()) * by;
+            for _ in 0..8 {
+                let p = match rng.next_u32() % 5 {
+                    0 => posed.positions()[rng.index(crate::skeleton::JOINT_COUNT)] + jitter(&mut rng, 0.05),
+                    1 if !bumps.is_empty() => bumps[rng.index(bumps.len())] + jitter(&mut rng, 0.01),
+                    1 | 2 => {
+                        let mut p = b.center() + Vec3::new(rng.range_f32(-0.5, 0.5), rng.range_f32(-0.5, 0.5), rng.range_f32(-0.5, 0.5)).mul_elem(b.size());
+                        for _ in 0..6 {
+                            p -= body.normal(p, 1e-3) * body.distance(p);
+                        }
+                        let by = rng.range_f32(0.0, 0.015);
+                        p + jitter(&mut rng, by)
+                    }
+                    3 => Vec3::new(rng.range_f32(b.min.x, b.max.x), rng.range_f32(b.min.y, b.max.y), rng.range_f32(b.min.z, b.max.z)) + jitter(&mut rng, 0.1),
+                    _ => b.center() + jitter(&mut rng, 1.0).normalized() * rng.range_f32(1.0, 3.0),
+                };
+                let under = hull.capsules().map(|(a, b, radius)| SdfCapsule { a, b, radius }.distance(p)).fold(hull.floor(), f32::min);
+                let d = body.distance(p);
+                holo_runtime::prop_assert!(d >= under, "{} at {:?} is below the hull's {}", d, p, under);
+                let blend = body.union.distance(p);
+                holo_runtime::prop_assert!(d >= blend - lowered - 1e-6, "the detail takes {} off at {:?}, more than {}", blend - d, p, lowered);
             }
         }
     }

@@ -3,16 +3,19 @@
 //!
 //! Each pixel's camera ray marches through the field, stepping by the
 //! current distance value, which can never overshoot an exact or
-//! conservative SDF. Rays march four at a time, one
+//! conservative SDF. A pixel whose ray cannot come near the field's hull
+//! ([`Sdf::hull`]) is not marched: it is a miss (DESIGN.md §15, "Rays
+//! that cannot hit"). Rays march four at a time, one
 //! [`Sdf::distance_batch`] call a step, on lanes that refill row-major as
 //! rays finish; a second pass shades the hits row-major into depth
-//! samples and colors (DESIGN.md §15, "Rays by lanes").
+//! samples and colors, two hits' normals a batch (DESIGN.md §15, "Rays by
+//! lanes").
 
 use crate::camera::Camera;
 use crate::noise::DepthNoiseModel;
 use holo_compress::texture::Texture;
-use holo_math::{Aabb, F32x4, Pcg32, Ray, Vec3};
-use holo_mesh::sdf::Sdf;
+use holo_math::{Aabb, F32x4, Mat4, Pcg32, Ray, Vec2, Vec3};
+use holo_mesh::sdf::{Sdf, SdfHull};
 
 /// A depth map; `0.0` marks missing/no-hit pixels.
 #[derive(Debug, Clone)]
@@ -40,6 +43,18 @@ impl DepthImage {
     }
 }
 
+/// What a render's trace pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RayCounts {
+    /// Rays marched: those that enter the field's box from a pixel the
+    /// field's hull does not rule out.
+    pub marched: u64,
+    /// Rays that reached the surface.
+    pub hits: u64,
+    /// Field evaluations the marching took, one a ray step.
+    pub steps: u64,
+}
+
 /// One captured RGB-D frame from a single camera.
 #[derive(Debug, Clone)]
 pub struct RgbdFrame {
@@ -49,6 +64,8 @@ pub struct RgbdFrame {
     pub depth: DepthImage,
     /// Color channel.
     pub color: Texture,
+    /// What tracing it took.
+    pub rays: RayCounts,
 }
 
 /// The color channel's directional light (normalized at use).
@@ -72,44 +89,161 @@ impl Default for ShadingConfig {
 /// draws from pixel by pixel, row-major, as a one-pass renderer would.
 pub fn render_rgbd<S: Sdf + ?Sized>(sdf: &S, camera: &Camera, noise: &DepthNoiseModel, shading: &ShadingConfig, rng: &mut Pcg32) -> RgbdFrame {
     let k = camera.intrinsics;
+    let width = k.width as usize;
     let mut depth = DepthImage { width: k.width, height: k.height, depths: vec![NO_HIT; k.pixel_count()] };
     let mut color = Texture::new(k.width, k.height);
     let bounds = sdf.bounds();
     let light = LIGHT_DIR.normalized() * -1.0;
     let eps = bounds.longest_side() * 2e-4;
     let world_to_camera = camera.pose.rigid_inverse();
-    trace(sdf, camera, &bounds, eps, &mut depth.depths);
+    mark_candidates(sdf.hull(), camera, &world_to_camera, eps, &mut depth.depths);
+    let rays = trace(sdf, camera, &bounds, eps, &mut depth.depths);
 
-    for y in 0..k.height {
-        for x in 0..k.width {
-            let t = std::mem::replace(&mut depth.depths[(y * k.width + x) as usize], 0.0);
-            if t == NO_HIT {
-                continue;
-            }
-            let ray = camera.pixel_ray(x, y);
-            let p = ray.at(t);
-            let n = sdf.normal(p, eps.max(1e-4));
-            let cos_inc = n.dot(ray.dir).abs();
-            // Depth channel: camera-space z with sensor noise.
-            let cam_z = world_to_camera.transform_point(p).z;
-            if let Some(z) = noise.apply(cam_z, cos_inc, rng) {
-                depth.depths[(y * k.width + x) as usize] = z;
-            }
-            // Color channel: Lambertian with region albedo.
-            let albedo = if p.y > shading.skin_above_y { Vec3::new(0.85, 0.66, 0.55) } else { Vec3::new(0.25, 0.35, 0.60) };
-            let c = albedo * (n.dot(light).max(0.0) * 0.8 + 0.2);
-            color.set(x, y, [c.x, c.y, c.z].map(|c| (c.clamp(0.0, 1.0) * 255.0) as u8));
+    let mut shade = |depths: &mut [f32], pixel: usize, ray: Ray, p: Vec3, n: Vec3| {
+        let cos_inc = n.dot(ray.dir).abs();
+        // Depth channel: camera-space z with sensor noise.
+        let cam_z = world_to_camera.transform_point(p).z;
+        if let Some(z) = noise.apply(cam_z, cos_inc, rng) {
+            depths[pixel] = z;
         }
+        // Color channel: Lambertian with region albedo.
+        let albedo = if p.y > shading.skin_above_y { Vec3::new(0.85, 0.66, 0.55) } else { Vec3::new(0.25, 0.35, 0.60) };
+        let c = albedo * (n.dot(light).max(0.0) * 0.8 + 0.2);
+        color.set((pixel % width) as u32, (pixel / width) as u32, [c.x, c.y, c.z].map(|c| (c.clamp(0.0, 1.0) * 255.0) as u8));
+    };
+    // A hit waits here for the next, so that their normals' twelve
+    // offsets are one batch; both are then shaded, in pixel order.
+    let e = eps.max(1e-4);
+    let mut held: Option<(usize, Ray, Vec3)> = None;
+    let mut ds = [0.0; 12];
+    for pixel in 0..depth.depths.len() {
+        let t = std::mem::replace(&mut depth.depths[pixel], 0.0);
+        if t < 0.0 {
+            continue;
+        }
+        let ray = camera.pixel_ray((pixel % width) as u32, (pixel / width) as u32);
+        let p = ray.at(t);
+        let Some((first, first_ray, q)) = held.take() else {
+            held = Some((pixel, ray, p));
+            continue;
+        };
+        let (a, b) = (normal_offsets(q, e), normal_offsets(p, e));
+        sdf.distance_batch(&std::array::from_fn::<_, 12, _>(|i| if i < 6 { a[i] } else { b[i - 6] }), &mut ds);
+        shade(&mut depth.depths, first, first_ray, q, normal_of(&ds[..6]));
+        shade(&mut depth.depths, pixel, ray, p, normal_of(&ds[6..]));
     }
-    RgbdFrame { camera: *camera, depth, color }
+    if let Some((pixel, ray, p)) = held {
+        sdf.distance_batch(&normal_offsets(p, e), &mut ds[..6]);
+        shade(&mut depth.depths, pixel, ray, p, normal_of(&ds[..6]));
+    }
+    RgbdFrame { camera: *camera, depth, color, rays }
+}
+
+/// The six points [`Sdf::normal`] asks at.
+fn normal_offsets(p: Vec3, e: f32) -> [Vec3; 6] {
+    let (x, y, z) = (Vec3::new(e, 0.0, 0.0), Vec3::new(0.0, e, 0.0), Vec3::new(0.0, 0.0, e));
+    [p + x, p - x, p + y, p - y, p + z, p - z]
+}
+
+/// [`Sdf::normal`] from the field's values at [`normal_offsets`].
+fn normal_of(d: &[f32]) -> Vec3 {
+    Vec3::new(d[0] - d[1], d[2] - d[3], d[4] - d[5]).normalized()
 }
 
 /// The trace pass's mark for a pixel with no hit: a hit's `t` is never
 /// negative, and is `0.0` for a camera within `eps` of the surface.
 const NO_HIT: f32 = -1.0;
 
+/// The mark for a pixel whose ray is to be marched; one that misses
+/// keeps it.
+const CANDIDATE: f32 = -2.0;
+
 /// Steps a ray may take before it counts as a miss.
 const MAX_STEPS: u32 = 192;
+
+/// Mark [`CANDIDATE`] every pixel of `ts` (row-major, otherwise
+/// [`NO_HIT`]) whose ray may come within `eps` of one of `hull`'s
+/// capsules; all of them when there is no hull, or its floor is not above
+/// `eps`. Any other ray stays more than `eps` from every capsule, where
+/// the field reads above `min(floor, eps) = eps`: it is a miss.
+///
+/// A capsule of radius `R` about the camera-space segment `ab` is the
+/// union of balls of radius `R` about the segment's points `c`. When
+/// `c.z > R`, every point of such a ball projects within
+/// `f·R·|c| / (c.z·(c.z − R))` pixels of `c`'s image; the centers' images
+/// are the segment's image, and `|c|` and `c.z` are at their worst at an
+/// end. So the capsule covers no pixel center farther than
+/// `f·R·max(|a|, |b|) / (z·(z − R))` from the image of `ab`, `z` the
+/// nearer end's depth, plus a pixel for rounding. A capsule that reaches
+/// within `R` of the camera plane marks the whole image.
+fn mark_candidates(hull: Option<SdfHull>, camera: &Camera, world_to_camera: &Mat4, eps: f32, ts: &mut [f32]) {
+    let Some(hull) = hull.filter(|hull| hull.floor() > eps) else {
+        return ts.fill(CANDIDATE);
+    };
+    let k = camera.intrinsics;
+    let focal = k.fx.max(k.fy);
+    let image = |p: Vec3| Vec2::new(k.fx * p.x / p.z + k.cx, k.fy * p.y / p.z + k.cy);
+    for (a, b, radius) in hull.capsules() {
+        let (a, b, radius) = (world_to_camera.transform_point(a), world_to_camera.transform_point(b), radius + eps);
+        let z = a.z.min(b.z);
+        let reach = focal * radius * a.length().max(b.length()) / (z * (z - radius)) + 1.0;
+        if z <= radius || !reach.is_finite() {
+            return ts.fill(CANDIDATE);
+        }
+        mark_stadium(ts, k.width, k.height, image(a), image(b), reach);
+    }
+}
+
+/// Mark [`CANDIDATE`] every pixel whose center `(x + 0.5, y + 0.5)` lies
+/// within `reach` of the image segment `ab`: row by row, the interval
+/// the row's line cuts from the two end discs and the strip between.
+fn mark_stadium(ts: &mut [f32], width: u32, height: u32, a: Vec2, b: Vec2, reach: f32) {
+    // The pixels `i` whose centers `i + 0.5` lie in `lo..=hi`, within `0..n`.
+    let span = |lo: f32, hi: f32, n: u32| {
+        let (first, last) = ((lo - 0.5).ceil().max(0.0), (hi - 0.5).floor().min(n as f32 - 1.0));
+        (first <= last).then_some((first as usize, last as usize))
+    };
+    let Some((top, bottom)) = span(a.y.min(b.y) - reach, a.y.max(b.y) + reach, height) else {
+        return;
+    };
+    let d = Vec2::new(b.x - a.x, b.y - a.y);
+    let len2 = d.x * d.x + d.y * d.y;
+    let inv_len = 1.0 / len2.sqrt();
+    let n = Vec2::new(-d.y * inv_len, d.x * inv_len);
+    for row in top..=bottom {
+        let y = row as f32 + 0.5;
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for end in [a, b] {
+            let half2 = reach * reach - (y - end.y) * (y - end.y);
+            if half2 >= 0.0 {
+                let half = half2.sqrt();
+                (lo, hi) = (lo.min(end.x - half), hi.max(end.x + half));
+            }
+        }
+        if len2 > 0.0 {
+            // On the row, `(q − a)·d` in `0..=|d|²` and `(q − a)·n` in
+            // `−reach..=reach` are each `slope·x + at` in a range.
+            let (mut x0, mut x1) = (f32::NEG_INFINITY, f32::INFINITY);
+            for (slope, at, min, max) in [(d.x, d.y * (y - a.y) - d.x * a.x, 0.0, len2), (n.x, n.y * (y - a.y) - n.x * a.x, -reach, reach)] {
+                if slope == 0.0 {
+                    if !(min..=max).contains(&at) {
+                        (x0, x1) = (f32::INFINITY, f32::NEG_INFINITY);
+                    }
+                } else {
+                    let (u, v) = ((min - at) / slope, (max - at) / slope);
+                    (x0, x1) = (x0.max(u.min(v)), x1.min(u.max(v)));
+                }
+            }
+            if x0 <= x1 {
+                (lo, hi) = (lo.min(x0), hi.max(x1));
+            }
+        }
+        if let Some((first, last)) = span(lo, hi, width) {
+            let start = row * width as usize;
+            ts[start + first..=start + last].fill(CANDIDATE);
+        }
+    }
+}
 
 /// A ray in flight: its pixel, how far it has marched, where it leaves
 /// the box, and the steps it has taken.
@@ -122,35 +256,52 @@ struct March {
     steps: u32,
 }
 
-/// Sphere-trace every pixel's ray of `camera` through `sdf`, writing each
-/// hit's `t` into `ts` (row-major) and leaving the rest as they are.
+/// Sphere-trace the ray of every [`CANDIDATE`] pixel of `camera` through
+/// `sdf`, writing each hit's `t` into `ts` (row-major) and leaving the
+/// rest as they are.
 ///
 /// Four rays march at once, one [`Sdf::distance_batch`] call per step. A
 /// lane keeps its ray until it hits, leaves the box or runs out of steps,
-/// and then takes the next row-major ray that enters the box, so the
-/// lanes stay full however unequal the rays' step counts are. Each ray
-/// takes the steps a ray traced on its own takes, and gets the same bits.
-fn trace<S: Sdf + ?Sized>(sdf: &S, camera: &Camera, bounds: &Aabb, eps: f32, ts: &mut [f32]) {
+/// and then takes the next row-major candidate ray that enters the box,
+/// so the lanes stay full however unequal the rays' step counts are.
+/// Each ray takes the steps a ray traced on its own takes, and gets the
+/// same bits.
+fn trace<S: Sdf + ?Sized>(sdf: &S, camera: &Camera, bounds: &Aabb, eps: f32, ts: &mut [f32]) -> RayCounts {
     let width = camera.intrinsics.width as usize;
-    let mut queue = (0..ts.len()).filter_map(|pixel| {
-        let ray = camera.pixel_ray((pixel % width) as u32, (pixel / width) as u32);
-        let (t0, t_exit) = ray.intersect_aabb(bounds)?;
-        Some(March { pixel, ray, t: t0.max(0.0), t_exit, steps: 0 })
-    });
+    let mut next = 0;
+    let mut queue = |ts: &[f32]| {
+        while let Some(&mark) = ts.get(next) {
+            let pixel = next;
+            next += 1;
+            if mark != CANDIDATE {
+                continue;
+            }
+            let ray = camera.pixel_ray((pixel % width) as u32, (pixel / width) as u32);
+            if let Some((t0, t_exit)) = ray.intersect_aabb(bounds) {
+                return Some(March { pixel, ray, t: t0.max(0.0), t_exit, steps: 0 });
+            }
+        }
+        None
+    };
+    let mut counts = RayCounts::default();
     let mut lanes: [Option<March>; F32x4::LANES] = [None; F32x4::LANES];
     let (mut ps, mut ds) = ([Vec3::ZERO; F32x4::LANES], [0.0; F32x4::LANES]);
     loop {
         let mut live = 0;
         for lane in &mut lanes {
-            *lane = lane.or_else(|| queue.next());
+            if lane.is_none() {
+                *lane = queue(ts);
+                counts.marched += lane.is_some() as u64;
+            }
             if let Some(m) = lane {
                 ps[live] = m.ray.at(m.t);
                 live += 1;
             }
         }
         if live == 0 {
-            return;
+            return counts;
         }
+        counts.steps += live as u64;
         sdf.distance_batch(&ps[..live], &mut ds[..live]);
         for (lane, &d) in lanes.iter_mut().filter(|lane| lane.is_some()).zip(&ds) {
             let m = lane.as_mut().expect("a live lane");
@@ -158,6 +309,7 @@ fn trace<S: Sdf + ?Sized>(sdf: &S, camera: &Camera, bounds: &Aabb, eps: f32, ts:
             let hit = d < eps;
             if hit {
                 ts[m.pixel] = m.t;
+                counts.hits += 1;
             } else {
                 m.t += d.max(eps);
             }
@@ -172,14 +324,16 @@ fn trace<S: Sdf + ?Sized>(sdf: &S, camera: &Camera, bounds: &Aabb, eps: f32, ts:
 mod tests {
     use super::*;
     use crate::camera::CameraIntrinsics;
+    use crate::rig::{CaptureRig, RigConfig};
     use holo_body::{BodySdf, MotionKind, MotionSynthesizer, Skeleton, SurfaceDetail};
-    use holo_mesh::sdf::SdfSphere;
+    use holo_mesh::sdf::{GriddedUnion, Primitive, SdfCapsule, SdfSphere};
     use holo_runtime::check::any;
     use holo_runtime::{holo_prop, prop_assert_eq};
 
     /// The renderer as it was before it traced on lanes: pixel by pixel,
-    /// row-major, each ray marched to its end and shaded before the next
-    /// starts. What [`render_rgbd`] is held to, bit for bit.
+    /// row-major, every ray that enters the box marched to its end and
+    /// shaded before the next starts. What [`render_rgbd`] is held to,
+    /// bit for bit.
     fn render_reference<S: Sdf + ?Sized>(sdf: &S, camera: &Camera, noise: &DepthNoiseModel, shading: &ShadingConfig, rng: &mut Pcg32) -> RgbdFrame {
         let k = camera.intrinsics;
         let mut depth = DepthImage { width: k.width, height: k.height, depths: vec![0.0; k.pixel_count()] };
@@ -188,15 +342,18 @@ mod tests {
         let light = LIGHT_DIR.normalized() * -1.0;
         let eps = bounds.longest_side() * 2e-4;
         let world_to_camera = camera.pose.rigid_inverse();
+        let mut rays = RayCounts::default();
         for y in 0..k.height {
             for x in 0..k.width {
                 let ray = camera.pixel_ray(x, y);
                 let Some((t0, t1)) = ray.intersect_aabb(&bounds) else {
                     continue;
                 };
+                rays.marched += 1;
                 let mut t = t0.max(0.0);
                 let mut hit = false;
                 for _ in 0..192 {
+                    rays.steps += 1;
                     let d = sdf.distance(ray.at(t));
                     if d < eps {
                         hit = true;
@@ -210,6 +367,7 @@ mod tests {
                 if !hit {
                     continue;
                 }
+                rays.hits += 1;
                 let p = ray.at(t);
                 let e = eps.max(1e-4);
                 let n = Vec3::new(
@@ -228,7 +386,74 @@ mod tests {
                 color.set(x, y, [c.x, c.y, c.z].map(|c| (c.clamp(0.0, 1.0) * 255.0) as u8));
             }
         }
-        RgbdFrame { camera: *camera, depth, color }
+        RgbdFrame { camera: *camera, depth, color, rays }
+    }
+
+    /// `render_rgbd` and `render_reference` of one scene from one
+    /// generator state: the same depth bits, color bytes, generator state
+    /// and hits, and no more rays marched. Returns both frames' counts.
+    fn assert_renders_alike<S: Sdf + ?Sized>(sdf: &S, camera: &Camera, noise: &DepthNoiseModel, seed: u64) -> (RayCounts, RayCounts) {
+        let (mut lanes_rng, mut scalar_rng) = (Pcg32::new(seed), Pcg32::new(seed));
+        let got = render_rgbd(sdf, camera, noise, &ShadingConfig::default(), &mut lanes_rng);
+        let want = render_reference(sdf, camera, noise, &ShadingConfig::default(), &mut scalar_rng);
+        let bits = |f: &RgbdFrame| f.depth.depths.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "depth");
+        assert_eq!(got.color.data, want.color.data, "color");
+        assert_eq!(lanes_rng.next_u32(), scalar_rng.next_u32(), "the generator's next draw");
+        assert_eq!(got.rays.hits, want.rays.hits, "hits");
+        assert!(got.rays.marched <= want.rays.marched && got.rays.steps <= want.rays.steps, "{:?} against {:?}", got.rays, want.rays);
+        (got.rays, want.rays)
+    }
+
+    /// The benchmark's rig — four cameras of 96×72 on the default ring,
+    /// sensor noise on — on random frames of its seed-42 `Waving` clip,
+    /// clothed: the same image as the scalar renderer, from under 60 %
+    /// of its rays.
+    #[test]
+    fn the_bench_rig_renders_what_the_scalar_renderer_renders() {
+        let rig = CaptureRig::new(&RigConfig { intrinsics: CameraIntrinsics::from_fov(96, 72, 1.1), ..Default::default() });
+        let clip = MotionSynthesizer::new(42).clip(MotionKind::Waving, 106.0 / 30.0, 30.0);
+        let mut rng = Pcg32::new(0xB0D7);
+        let (mut got, mut want) = (RayCounts::default(), RayCounts::default());
+        for _ in 0..3 {
+            let frame = rng.index(clip.frames.len());
+            let body = BodySdf::from_pose(&Skeleton::neutral(), clip.frame(frame), SurfaceDetail::full());
+            for camera in &rig.cameras {
+                let (g, w) = assert_renders_alike(&body, camera, &rig.noise, rng.next_u32() as u64);
+                (got.marched, got.hits, want.marched, want.hits) = (got.marched + g.marched, got.hits + g.hits, want.marched + w.marched, want.hits + w.hits);
+            }
+        }
+        assert!(want.hits > 1_000 && got.marched * 10 < want.marched * 6, "marched {:?} against {:?}", got, want);
+    }
+
+    /// A field that proves no hull has every ray that enters its box
+    /// marched, as the scalar renderer marches them.
+    #[test]
+    fn a_field_with_no_hull_marches_every_ray_in_its_box() {
+        let (s, cam) = sphere_setup();
+        assert!(s.hull().is_none());
+        let (got, want) = assert_renders_alike(&s, &cam, &DepthNoiseModel::default(), 7);
+        assert_eq!(got, want);
+    }
+
+    /// A capsule that passes beside the camera and on behind it reaches
+    /// the camera plane: no footprint bounds it, and the whole image is
+    /// marched.
+    #[test]
+    fn a_capsule_through_the_camera_plane_marches_the_whole_image() {
+        let parts = vec![
+            Primitive::Sphere(SdfSphere { center: Vec3::ZERO, radius: 0.4 }),
+            Primitive::Capsule(SdfCapsule { a: Vec3::ZERO, b: Vec3::new(0.0, 0.0, 3.5), radius: 0.05 }),
+        ];
+        let union = GriddedUnion::build(parts, 0.02, 8, 0.3);
+        assert!(union.hull().is_some());
+        let camera = Camera::look_at(CameraIntrinsics::from_fov(24, 18, 1.0), Vec3::new(0.0, 0.3, 3.0), Vec3::ZERO);
+        let (got, want) = assert_renders_alike(&union, &camera, &DepthNoiseModel::default(), 8);
+        assert_eq!(got, want);
+        // Two metres off, the same union is culled.
+        let camera = Camera::look_at(CameraIntrinsics::from_fov(24, 18, 1.0), Vec3::new(2.0, 0.3, 0.0), Vec3::ZERO);
+        let (got, want) = assert_renders_alike(&union, &camera, &DepthNoiseModel::default(), 9);
+        assert!(got.marched < want.marched, "{got:?} against {want:?}");
     }
 
     holo_prop! {

@@ -21,7 +21,7 @@ pub trait Sdf: Sync {
 
     /// [`Self::distance`] at every point of `ps`; `out[i]` receives the
     /// same bits as `distance(ps[i])`. How the sphere tracer asks: its
-    /// four rays' current points at once, and a normal's six offsets. A
+    /// four rays' current points at once, and two normals' twelve. A
     /// composite field evaluates its parts at several points per
     /// instruction here; the default asks point by point.
     fn distance_batch(&self, ps: &[Vec3], out: &mut [f32]) {
@@ -58,6 +58,12 @@ pub trait Sdf: Sync {
         for (&p, answer) in ps.iter().zip(out) {
             *answer = self.distance_in(p, scope, radius);
         }
+    }
+
+    /// Capsules and a floor the field never reads below ([`SdfHull`]),
+    /// where the field can prove them; the default proves nothing.
+    fn hull(&self) -> Option<SdfHull<'_>> {
+        None
     }
 
     /// Surface normal by central differences, its six offsets asked as
@@ -98,6 +104,44 @@ impl SdfScope {
     /// narrowed this scope, throughout the ball.
     pub fn loosened(self, by: f32) -> Self {
         Self { lo: self.lo - by, hi: self.hi + by, ..self }
+    }
+}
+
+/// What a field proves about where it can be small: capsules `(a, b, r)`
+/// and a `floor` with `distance(p) >= min(floor, min_i (|p - [a_i, b_i]| - r_i))`
+/// at every `p`. A ray that stays more than `eps` outside every capsule
+/// never reads a value below `min(floor, eps)` (DESIGN.md §15, "Rays that
+/// cannot hit"). A view of the parts a [`GriddedUnion`] holds: it
+/// allocates nothing, and each capsule is derived as it is read.
+#[derive(Debug, Clone, Copy)]
+pub struct SdfHull<'a> {
+    parts: &'a [Primitive],
+    /// How far out an ellipsoid's capsule must hold: the listing margin.
+    reach: f32,
+    /// What every capsule's radius grows by.
+    grow: f32,
+    floor: f32,
+}
+
+impl<'a> SdfHull<'a> {
+    /// Each capsule `(a, b, r)`, one per part, in part order.
+    pub fn capsules(&self) -> impl Iterator<Item = (Vec3, Vec3, f32)> + 'a {
+        let (reach, grow) = (self.reach, self.grow);
+        self.parts.iter().map(move |part| {
+            let (a, b, r) = part.hull_capsule(reach);
+            (a, b, r + grow)
+        })
+    }
+
+    /// The value the field may fall to away from every capsule.
+    pub fn floor(&self) -> f32 {
+        self.floor
+    }
+
+    /// The hull of a field that reads at most `by` below this one's:
+    /// every capsule grows by `by` and the floor falls by it.
+    pub fn lowered(self, by: f32) -> Self {
+        Self { grow: self.grow + by, floor: self.floor - by, ..self }
     }
 }
 
@@ -424,6 +468,30 @@ impl Primitive {
                 if inside < 0.0 { inside } else { f32::INFINITY }
             }
             _ => v + radius,
+        }
+    }
+
+    /// A capsule `(a, b, r)` the part's solid lies in, such that
+    /// `distance(p) >= min(|p - [a, b]| - r, reach)` everywhere. An exact
+    /// part's value is the distance to its solid, which a capsule around
+    /// the solid can only undercut: a round cone's lies in the capsule of
+    /// its larger radius. IQ's ellipsoid bound is
+    /// `s·α²/β − α/β` at `s` meters from the center in a direction where
+    /// `k0 = s·α` and `k1 = s·β`, with `α/β <= r_max` and `α²/β >= c`,
+    /// `c = 2 r_min r_max / (r_min² + r_max²)` (Kantorovich). So it is at
+    /// least `c·s − r_max`, which stays above `min(s − r, reach)` for
+    /// the `r` below; no radius would do for every `s`, because the
+    /// bound's slope is below one off the axes.
+    fn hull_capsule(&self, reach: f32) -> (Vec3, Vec3, f32) {
+        match *self {
+            Primitive::Sphere(s) => (s.center, s.center, s.radius),
+            Primitive::Capsule(s) => (s.a, s.b, s.radius),
+            Primitive::RoundCone(s) => (s.a, s.b, s.ra.max(s.rb)),
+            Primitive::Ellipsoid(s) => {
+                let (lo, hi) = (s.r_min(), s.radii.max_component());
+                let c = 2.0 * lo * hi / (lo * lo + hi * hi);
+                (s.center, s.center, (hi + (1.0 - c) * reach) / c)
+            }
         }
     }
 
@@ -870,6 +938,22 @@ impl Sdf for GriddedUnion {
             self.eval_lanes_in(ps, scope, radius, out);
         }
     }
+
+    /// One capsule per part, grown by the blend radius; the floor is the
+    /// clamp. The value is `min(fold, cap)` over the listed parts, or the
+    /// box distance from `cap` up, and a left fold of `smooth_min`s is
+    /// never more than `k` below its least argument: write the running
+    /// value as `m − e·k` with `m` the least argument so far; a part at
+    /// or above `m` takes at most `(1 − e)²·k/4` off, and
+    /// `e + (1 − e)²/4 <= 1`; a part below `m` leaves the value at most
+    /// `k` below itself. Both give up `CULL_SLACK`. A union holding an
+    /// ellipsoid past the `√2` gate proves no hull, as it proves no lower
+    /// bound for a scope: the capsule would still hold, but it widens as
+    /// `1/c` and would rule out little.
+    fn hull(&self) -> Option<SdfHull<'_>> {
+        let grow = self.smoothness + CULL_SLACK;
+        self.falls_no_faster.then_some(SdfHull { parts: &self.parts, reach: self.margin, grow, floor: self.cap() - CULL_SLACK })
+    }
 }
 
 /// Blanket impl so `&S` and boxed SDFs work wherever an `Sdf` is expected.
@@ -893,6 +977,10 @@ impl<S: Sdf + ?Sized> Sdf for &S {
     fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
         (**self).distance_batch_in(ps, scope, radius, out)
     }
+
+    fn hull(&self) -> Option<SdfHull<'_>> {
+        (**self).hull()
+    }
 }
 
 impl Sdf for Box<dyn Sdf + Send> {
@@ -914,6 +1002,10 @@ impl Sdf for Box<dyn Sdf + Send> {
 
     fn distance_batch_in(&self, ps: &[Vec3], scope: SdfScope, radius: f32, out: &mut [(f32, SdfScope)]) {
         (**self).distance_batch_in(ps, scope, radius, out)
+    }
+
+    fn hull(&self) -> Option<SdfHull<'_>> {
+        (**self).hull()
     }
 }
 
@@ -1290,6 +1382,94 @@ pub(crate) mod tests {
         assert_eq!(long.lo, f32::NEG_INFINITY);
         assert!((round.lo - (0.1 - 0.05 - CULL_SLACK)).abs() < 1e-6, "{round:?}");
         assert!(round.excludes(0.0) && !long.excludes(0.0));
+    }
+
+    /// The least of a hull's capsules at `p`, or its floor.
+    fn hull_value(hull: &SdfHull, p: Vec3) -> f32 {
+        hull.capsules().map(|(a, b, radius)| SdfCapsule { a, b, radius }.distance(p)).fold(hull.floor(), f32::min)
+    }
+
+    holo_prop! {
+        #![cases(4096)]
+
+        /// A union never reads below its hull: [`hard_union`]s, most of
+        /// their elongated ellipsoids made round enough to keep the hull,
+        /// at points near the parts' ends and centers, within the blend
+        /// radius of the surface, anywhere around the box, and beyond the
+        /// clamp.
+        fn a_union_never_reads_below_its_hull(seed in any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let union = hard_union(&mut rng);
+            let parts: Vec<Primitive> = union
+                .parts()
+                .iter()
+                .map(|&part| match part {
+                    Primitive::Ellipsoid(e) if !part.falls_no_faster_outside() && rng.chance(0.8) => {
+                        let r = e.r_min();
+                        Primitive::Ellipsoid(SdfEllipsoid { radii: Vec3::new(r, r * rng.range_f32(1.0, 1.414), r * rng.range_f32(1.0, 1.414)), ..e })
+                    }
+                    part => part,
+                })
+                .collect();
+            let union = GriddedUnion::build(parts, union.smoothness, union.dims, union.margin);
+            let Some(hull) = union.hull() else {
+                prop_assert!(!union.falls_no_faster, "a union of round parts proves a hull");
+                return Ok(());
+            };
+            let b = union.bounds();
+            for _ in 0..32 {
+                let p = match rng.next_u32() % 4 {
+                    0 => {
+                        let (a, end, r) = union.parts[rng.index(union.len())].hull_capsule(union.margin);
+                        a.lerp(end, rng.range_f32(0.0, 1.0)) + unit(&mut rng) * r * rng.range_f32(0.0, 2.0)
+                    }
+                    1 => {
+                        let mut p = b.center() + unit(&mut rng).mul_elem(b.size()) * 0.5;
+                        for _ in 0..6 {
+                            p -= union.normal(p, 1e-3) * union.distance(p);
+                        }
+                        p + unit(&mut rng) * rng.range_f32(0.0, union.smoothness + 0.01)
+                    }
+                    2 => b.center() + unit(&mut rng).mul_elem(b.size()) * rng.range_f32(0.0, 1.0),
+                    _ => b.center() + unit(&mut rng) * rng.range_f32(1.0, 4.0),
+                };
+                let (d, under) = (union.distance(p), hull_value(&hull, p));
+                prop_assert!(d >= under, "{} at {:?} is below the hull's {}", d, p, under);
+            }
+        }
+    }
+
+    /// The hull is one capsule per part and the clamp less the slack; a
+    /// union that holds a 1 : 3 : 1 ellipsoid has none.
+    #[test]
+    fn an_elongated_ellipsoid_leaves_its_union_no_hull() {
+        let sphere = Primitive::Sphere(SdfSphere { center: Vec3::ZERO, radius: 0.1 });
+        let round = GriddedUnion::build(vec![sphere, Primitive::Ellipsoid(SdfEllipsoid { center: Vec3::X, radii: Vec3::new(0.1, 0.14, 0.1) })], 0.02, 8, 0.3);
+        let hull = round.hull().expect("round parts prove a hull");
+        assert_eq!(hull.capsules().count(), 2);
+        assert_eq!(hull.floor(), round.cap() - CULL_SLACK);
+        assert_eq!(hull.capsules().next(), Some((Vec3::ZERO, Vec3::ZERO, 0.1 + (0.02 + CULL_SLACK))));
+        let long = GriddedUnion::build(vec![sphere, Primitive::Ellipsoid(SdfEllipsoid { center: Vec3::X, radii: Vec3::new(0.1, 0.3, 0.1) })], 0.02, 8, 0.3);
+        assert!(long.hull().is_none());
+        // `&S` and a box forward it.
+        assert!(<&GriddedUnion as Sdf>::hull(&&round).is_some());
+        let boxed: Box<dyn Sdf + Send> = Box::new(round);
+        assert!(boxed.hull().is_some() && SdfSphere { center: Vec3::ZERO, radius: 1.0 }.hull().is_none());
+    }
+
+    /// Off its axes IQ's bound rises slower than the point moves, so the
+    /// sphere through an ellipsoid's box corners is no capsule for it far
+    /// enough out: 35 cm from a 2 cm one it reads 3 mm below that
+    /// sphere's distance. The capsule derived for the reach still holds.
+    #[test]
+    fn an_ellipsoids_capsule_holds_where_its_corner_sphere_does_not() {
+        let e = SdfEllipsoid { center: Vec3::ZERO, radii: Vec3::new(0.02, 0.02, 0.02 * 2f32.sqrt()) };
+        let p = Vec3::new(1.0, 1.0, 2.0).normalized() * 0.35;
+        let corner_sphere = p.length() - e.radii.length();
+        assert!(e.distance(p) < corner_sphere - 3e-3, "{} against {corner_sphere}", e.distance(p));
+        let (a, b, radius) = Primitive::Ellipsoid(e).hull_capsule(0.3);
+        assert_eq!((a, b), (Vec3::ZERO, Vec3::ZERO));
+        assert!(e.distance(p) >= (p.length() - radius).min(0.3), "{} against a capsule of {radius}", e.distance(p));
     }
 
     #[test]

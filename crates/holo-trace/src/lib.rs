@@ -79,6 +79,9 @@ thread_local! {
     /// checks first. `None` until [`traced`] sets it or the thread
     /// first asks and takes `SEMHOLO_TRACE`'s answer.
     static ENABLED: Cell<Option<bool>> = const { Cell::new(None) };
+    /// How many [`traced`] scopes this thread is inside. The switch
+    /// cannot say: it also caches `SEMHOLO_TRACE`'s answer.
+    static SCOPES: Cell<u32> = const { Cell::new(0) };
 }
 
 /// Is tracing on for this thread? One thread-local load after the
@@ -109,19 +112,23 @@ pub fn reset() {
 /// recorder, and restore the thread's previous switch on the way out —
 /// by a drop guard, so an `Err` result and a panic unwinding through
 /// here are covered alike. Other threads are not touched. Scopes nest:
-/// an inner one restores the outer's switch, but its reset also clears
-/// what the outer scope had recorded. The recorder is left as `f`
-/// filled it: read the evidence ([`trace_report`], [`chrome_trace`],
-/// [`with_recorder`]) afterwards.
+/// only the outermost resets the recorder, so an inner scope records on
+/// top of what the outer one has, and restores the outer's switch. The
+/// recorder is left as `f` filled it: read the evidence
+/// ([`trace_report`], [`chrome_trace`], [`with_recorder`]) afterwards.
 pub fn traced<T>(f: impl FnOnce() -> T) -> T {
     struct Restore(Option<bool>);
     impl Drop for Restore {
         fn drop(&mut self) {
             ENABLED.set(self.0);
+            SCOPES.set(SCOPES.get() - 1);
         }
     }
+    if SCOPES.get() == 0 {
+        reset();
+    }
+    SCOPES.set(SCOPES.get() + 1);
     let _restore = Restore(ENABLED.replace(Some(true)));
-    reset();
     f()
 }
 
@@ -314,6 +321,32 @@ mod tests {
             assert_eq!(r.spans[1].frame, Some(3));
             assert_eq!(r.metrics.counters.get("c"), Some(&5));
         });
+        reset();
+    }
+
+    /// A scope nested in another records on top of the outer one's
+    /// evidence, and the outer one's later records join both.
+    #[test]
+    fn a_nested_scope_keeps_the_outer_scopes_evidence() {
+        traced(|| {
+            span_enter("outer", 0);
+            span_exit(1);
+            counter("c", 1);
+            traced(|| {
+                span_enter("inner", 2);
+                span_exit(3);
+                counter("c", 2);
+            });
+            counter("c", 4);
+        });
+        with_recorder(|r| {
+            let names: Vec<_> = r.spans.iter().map(|s| s.name).collect();
+            assert_eq!(names, ["outer", "inner"]);
+            assert_eq!(r.metrics.counters.get("c"), Some(&7));
+        });
+        // The next outermost scope starts afresh.
+        traced(|| counter("d", 1));
+        with_recorder(|r| assert_eq!((r.spans.len(), r.metrics.counters.len()), (0, 1)));
         reset();
     }
 

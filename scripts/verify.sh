@@ -19,6 +19,12 @@ cargo build -q --release --offline --examples
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> the disabled-path checks, with SEMHOLO_TRACE=1 in the environment"
+# The variable turns tracing on for the whole test process; each check
+# then reruns itself in a child process without it.
+SEMHOLO_TRACE=1 cargo test -q --offline --test trace_determinism disabled_recorder_stays_empty -- --exact
+SEMHOLO_TRACE=1 cargo test -q --offline -p semholo --lib session::tests::untraced_run_records_no_spans -- --exact
+
 echo "==> every example in one scratch directory; each report it writes is the committed file"
 # tests/committed_reports.rs reproduces each report, the paper's
 # BENCH_*.json facts among them, from its recipe at thread counts 1, 2

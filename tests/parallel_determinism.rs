@@ -114,7 +114,7 @@ const GOLDEN: [u64; 6] = [
     0xdc36754bb8f72046,
     0x7ba2da2a85f87b26,
     0x6c7cc21eb89536be,
-    0xf458be6318ffbe6a,
+    0x59084d516e88b2d9,
     0x8fe6f3f4bc3ff94e,
     0xc832c977a97ed3b5,
 ];

@@ -73,9 +73,16 @@ fn room_trace_is_byte_identical_across_runs() {
 
 #[test]
 fn disabled_recorder_stays_empty() {
-    if holo_trace::enabled() {
-        // SEMHOLO_TRACE=1 in the environment: the disabled-path contract
-        // can't be observed in this process.
+    if std::env::var_os("SEMHOLO_TRACE").is_some() {
+        // The variable turns tracing on for every thread of this process,
+        // so the disabled path runs in a child without it.
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["disabled_recorder_stays_empty", "--exact"])
+            .env_remove("SEMHOLO_TRACE")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success() && stdout.contains("1 passed"), "the untraced run failed:\n{stdout}");
         return;
     }
     holo_trace::reset();
