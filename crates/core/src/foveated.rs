@@ -31,7 +31,7 @@ use holo_gaze::trace::{GazeSample, GazeSynthesizer};
 use holo_gpu::workloads::reconstruction_workload;
 use holo_keypoints::fit::fit_params;
 use holo_math::{Pcg32, Vec2, Vec3};
-use holo_mesh::sparse::sparse_extract;
+use holo_mesh::sparse::Extractor;
 use holo_mesh::trimesh::TriMesh;
 
 /// Gaze feedback delay (one network RTT), seconds.
@@ -82,6 +82,8 @@ pub struct FoveatedPipeline {
     /// Codes the foveal patch. Its topology moves with the gaze, so most
     /// frames re-walk it — into the memory the last frame's walk used.
     patch_encoder: MeshEncoder,
+    /// Extracts the periphery into the memory the last frame's used.
+    extractor: Extractor,
 }
 
 impl FoveatedPipeline {
@@ -99,6 +101,7 @@ impl FoveatedPipeline {
             last_encode_gaze: Vec2::ZERO,
             last_split: (0, 0),
             patch_encoder: MeshEncoder::default(),
+            extractor: Extractor::default(),
         }
     }
 
@@ -245,7 +248,7 @@ impl SemanticPipeline for FoveatedPipeline {
         let pose = PosePayload::from_bytes(&raw).map_err(reject_decode)?;
         // Peripheral reconstruction at low resolution.
         let sdf = BodySdf::from_pose(&self.skeleton, &pose.params, SurfaceDetail::bare());
-        let periphery_full = sparse_extract(&sdf, self.config.peripheral_resolution, 0.03);
+        let (periphery_full, _) = self.extractor.extract(&sdf, self.config.peripheral_resolution, 0.03);
         let map = viewer_map(gaze, self.config.foveal_radius_deg);
         let mut stitched = Self::submesh(&periphery_full, &map, false);
         stitched.append(&patch);

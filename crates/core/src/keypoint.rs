@@ -22,7 +22,7 @@ use holo_keypoints::detector::KeypointDetector;
 use holo_keypoints::filter::OneEuroFilter;
 use holo_keypoints::fit::fit_params;
 use holo_math::{Pcg32, Vec3};
-use holo_mesh::sparse::sparse_extract_with_stats;
+use holo_mesh::sparse::Extractor;
 
 /// How the receiver turns keypoints into geometry (ablation D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +74,9 @@ pub struct KeypointPipeline {
     prev_fit: Option<SmplxParams>,
     rng: Pcg32,
     frame_dt: f32,
+    /// The receiver's extraction scratch: a steady-state decode
+    /// allocates its mesh and not the maps that build it.
+    extractor: Extractor,
 }
 
 impl KeypointPipeline {
@@ -91,6 +94,7 @@ impl KeypointPipeline {
             prev_fit: None,
             rng: Pcg32::with_stream(seed, 0x4B50),
             frame_dt: 1.0 / 30.0,
+            extractor: Extractor::default(),
         }
     }
 
@@ -168,7 +172,7 @@ impl SemanticPipeline for KeypointPipeline {
                 BodySdf::from_joint_positions(&positions, &expr, SurfaceDetail::bare())
             }
         };
-        let (mesh, stats) = sparse_extract_with_stats(&sdf, self.config.resolution, 0.03);
+        let (mesh, stats) = self.extractor.extract(&sdf, self.config.resolution, 0.03);
         if holo_trace::enabled() {
             holo_trace::counter("mesh.extract.field_evals", stats.field_evals);
             holo_trace::counter("mesh.extract.cubes_visited", stats.cubes_visited);
@@ -278,7 +282,7 @@ mod tests {
         let count = |name: &str| holo_trace::with_recorder(|r| r.metrics.counter_value(&format!("mesh.extract.{name}")));
         let pose = PosePayload::from_bytes(&lzma_decompress(&enc.payload).unwrap()).unwrap();
         let sdf = BodySdf::from_pose(&Skeleton::neutral(), &pose.params, SurfaceDetail::bare());
-        let (_, stats) = sparse_extract_with_stats(&sdf, 48, 0.03);
+        let (_, stats) = holo_mesh::sparse::sparse_extract_with_stats(&sdf, 48, 0.03);
         assert_eq!(count("field_evals"), stats.field_evals);
         assert_eq!(count("cubes_visited"), stats.cubes_visited);
         assert_eq!(count("triangles_emitted"), stats.triangles_emitted);

@@ -551,7 +551,7 @@ mod tests {
                 for x in 0..dims {
                     let center = bounds.min + Vec3::new(x as f32 + 0.5, y as f32 + 0.5, z as f32 + 0.5).mul_elem(cell_size);
                     let nested = &cells[((z * dims + y) * dims + x) as usize];
-                    assert_eq!(body.union.listed_at(center), Ok(&nested[..]), "cell ({x}, {y}, {z})");
+                    assert_eq!(body.union.listed_at(center), Ok(nested.clone()), "cell ({x}, {y}, {z})");
                 }
             }
         }

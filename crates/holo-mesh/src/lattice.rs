@@ -48,6 +48,8 @@ const NO_BRICK: u64 = u64::MAX;
 /// Insert-only map from packed lattice keys to `u32`, in two levels: an
 /// open-addressed directory of the bricks that hold anything, and the
 /// bricks themselves, each `BRICK_SITES` payloads in one flat vector.
+/// Emptied whole by [`LatticeMap::clear`], which keeps both levels'
+/// memory for the next extraction.
 pub(crate) struct LatticeMap {
     /// `(brick key, brick number)`, linearly probed; a power of two long.
     directory: Vec<(u64, u32)>,
@@ -56,10 +58,20 @@ pub(crate) struct LatticeMap {
     sites: Vec<u32>,
 }
 
-impl LatticeMap {
-    pub fn new() -> Self {
+impl Default for LatticeMap {
+    fn default() -> Self {
         let bits = 8;
         Self { directory: vec![(NO_BRICK, 0); 1 << bits], shift: 64 - bits, sites: Vec::new() }
+    }
+}
+
+impl LatticeMap {
+
+    /// Forget every key and keep the memory: the directory keeps its
+    /// size, every slot vacant, and the bricks their capacity.
+    pub fn clear(&mut self) {
+        self.directory.fill((NO_BRICK, 0));
+        self.sites.clear();
     }
 
     #[inline]
@@ -127,7 +139,7 @@ mod tests {
 
     #[test]
     fn agrees_with_a_std_map_across_growth() {
-        let mut map = LatticeMap::new();
+        let mut map = LatticeMap::default();
         let mut reference = HashMap::new();
         let mut rng = holo_math::Pcg32::new(5);
         for i in 0..20_000u32 {
@@ -142,6 +154,31 @@ mod tests {
         assert!(map.directory.len() > 1 << 8, "the directory must have grown");
         for (key, value) in reference {
             assert_eq!(map.get(key), Some(value));
+        }
+    }
+
+    /// A cleared map keeps its grown directory and holds nothing; filled
+    /// again, it answers as a new map filled the same way.
+    #[test]
+    fn a_cleared_map_answers_as_a_new_one() {
+        let mut rng = holo_math::Pcg32::new(6);
+        let mut keys = |n: usize| -> Vec<u64> { (0..n).map(|_| corner_key(rng.next_u32() % 40, rng.next_u32() % 40, rng.next_u32() % 40)).collect() };
+        let (first, second) = (keys(20_000), keys(2_000));
+        let mut map = LatticeMap::default();
+        for (i, &key) in first.iter().enumerate() {
+            map.insert(key, i as u32);
+        }
+        let grown = map.directory.len();
+        map.clear();
+        assert_eq!(map.directory.len(), grown);
+        assert!(first.iter().all(|&key| map.get(key).is_none()));
+        let mut fresh = LatticeMap::default();
+        for (i, &key) in second.iter().enumerate() {
+            map.insert(key, i as u32);
+            fresh.insert(key, i as u32);
+        }
+        for &key in first.iter().chain(&second) {
+            assert_eq!(map.get(key), fresh.get(key));
         }
     }
 

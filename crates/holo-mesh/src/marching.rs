@@ -86,16 +86,24 @@ pub(crate) const CUBE_TETS: [[usize; 4]; 6] = [
 ];
 
 /// Incrementally builds a welded triangle mesh from per-edge surface
-/// vertices keyed by global lattice corner ids.
+/// vertices keyed by global lattice corner ids. The vertices and faces
+/// are staged here and copied out by [`MeshBuilder::finish`], so a
+/// builder that is cleared and reused keeps the memory it grew.
+#[derive(Default)]
 pub(crate) struct MeshBuilder {
-    mesh: TriMesh,
+    vertices: Vec<Vec3>,
+    faces: Vec<[u32; 3]>,
     edge_vertices: LatticeMap,
     pub stats: ExtractionStats,
 }
 
 impl MeshBuilder {
-    pub fn new() -> Self {
-        Self { mesh: TriMesh::new(), edge_vertices: LatticeMap::new(), stats: ExtractionStats::default() }
+    /// Empty, with the memory the last mesh grew.
+    pub fn clear(&mut self) {
+        self.vertices.clear();
+        self.faces.clear();
+        self.edge_vertices.clear();
+        self.stats = ExtractionStats::default();
     }
 
     /// The welded surface vertex on edge `a`-`b` (corners of the cube),
@@ -113,8 +121,8 @@ impl MeshBuilder {
                 let (va, vb) = (cube.val[a], cube.val[b]);
                 let denom = vb - va;
                 let t = if denom.abs() < 1e-12 { 0.5 } else { ((cube.iso - va) / denom).clamp(0.0, 1.0) };
-                let idx = self.mesh.vertices.len() as u32;
-                self.mesh.vertices.push(cube.pos[a].lerp(cube.pos[b], t));
+                let idx = self.vertices.len() as u32;
+                self.vertices.push(cube.pos[a].lerp(cube.pos[b], t));
                 self.edge_vertices.insert(key, idx);
                 idx
             }
@@ -127,16 +135,16 @@ impl MeshBuilder {
         if ia == ib || ib == ic || ia == ic {
             return; // degenerate after welding
         }
-        let a = self.mesh.vertices[ia as usize];
-        let b = self.mesh.vertices[ib as usize];
-        let c = self.mesh.vertices[ic as usize];
+        let a = self.vertices[ia as usize];
+        let b = self.vertices[ib as usize];
+        let c = self.vertices[ic as usize];
         let n = (b - a).cross(c - a);
         // Orient so the normal points from the inside anchor toward outside.
         let want = (a + b + c) / 3.0 - anchor;
         if n.dot(want) >= 0.0 {
-            self.mesh.faces.push([ia, ib, ic]);
+            self.faces.push([ia, ib, ic]);
         } else {
-            self.mesh.faces.push([ia, ic, ib]);
+            self.faces.push([ia, ic, ib]);
         }
         self.stats.triangles_emitted += 1;
     }
@@ -198,9 +206,12 @@ impl MeshBuilder {
         }
     }
 
-    pub fn finish(mut self) -> (TriMesh, ExtractionStats) {
-        self.mesh.compute_normals();
-        (self.mesh, self.stats)
+    /// The mesh so far, its vertices, faces and normals each allocated
+    /// once at its length, and the counters.
+    pub fn finish(&self) -> (TriMesh, ExtractionStats) {
+        let mut mesh = TriMesh { vertices: self.vertices.clone(), faces: self.faces.clone(), ..TriMesh::default() };
+        mesh.compute_normals();
+        (mesh, self.stats)
     }
 }
 
@@ -239,7 +250,7 @@ pub(crate) mod tests {
         let n = (r + 1) as usize;
         let cell = cfg.cell_size();
         let origin = cfg.bounds.min;
-        let mut builder = MeshBuilder::new();
+        let mut builder = MeshBuilder::default();
 
         let sample_slice = |z: u32, builder: &mut MeshBuilder| -> Vec<f32> {
             let mut slice = Vec::with_capacity(n * n);

@@ -532,13 +532,16 @@ impl Sdf for Primitive {
 /// A spatially accelerated smooth union: parts are bucketed into a coarse
 /// grid so evaluation touches only nearby parts instead of all of them.
 ///
-/// A body SDF has ~80 primitive parts; naive union evaluation makes
-/// resolution-1024 extraction (Figs. 2/4) minutes of CPU. The grid keeps
-/// per-cell part lists within a `margin`, and the value is the blend of
-/// the listed parts clamped to `margin - smoothness`: nearer than that it
-/// is the plain union's value, and the clamp is a *conservative
-/// underestimate* wherever an unlisted part could have mattered. A point
-/// outside the parts' box reads the cell it projects to — still a
+/// A body SDF has ~60 primitive parts; naive union evaluation makes
+/// resolution-1024 extraction (Figs. 2/4) minutes of CPU. The grid lists
+/// in each cell the parts within a `margin` of it, and the value is the
+/// blend of the listed parts clamped to `margin - smoothness`: nearer
+/// than that it is the plain union's value, and the clamp is a
+/// *conservative underestimate* wherever an unlisted part could have
+/// mattered. The lists are not stored: a part's padded box spans a range
+/// of cells on each axis, and each axis index keeps a bit mask of the
+/// parts spanning it, so a cell's list is the AND of its three masks. A
+/// point outside the parts' box reads the cell it projects to — still a
 /// complete list (DESIGN.md §15, "The far field") — and only from the
 /// clamp value outward does the distance to the box answer instead. So
 /// the field is small only near the surface, never on a face of the box:
@@ -564,15 +567,15 @@ pub struct GriddedUnion {
     pub smoothness: f32,
     bounds: Aabb,
     dims: u32,
-    /// Cell `c` lists the parts `listed[cell_start[c]..cell_start[c + 1]]`,
-    /// in ascending order.
-    cell_start: Vec<u32>,
-    listed: Vec<u16>,
-    /// Per axis and cell index, the bits of the parts below 64 whose
-    /// cell range spans that index. A part is listed in exactly the cells
-    /// its three ranges span, so the cell at `(x, y, z)` lists those in
-    /// `spans[0][x] & spans[1][y] & spans[2][z]`.
-    spans: [[u64; 64]; 3],
+    /// Words in a span row: one bit per part, at least one word.
+    words: usize,
+    /// Per axis and cell index, a row of `words` words: bit `i % 64` of
+    /// word `i / 64` is set when part `i`'s cell range spans that index.
+    /// A part is listed in exactly the cells its three ranges span, so
+    /// the cell at `(x, y, z)` lists, word by word, the AND of the rows
+    /// `(0, x)`, `(1, y)` and `(2, z)`. Row `(axis, i)` starts at word
+    /// `(axis * dims + i) * words`.
+    spans: Vec<u64>,
     margin: f32,
     /// Every part's value falls no faster than the point moves outside
     /// the part — what a scope's lower bound rests on.
@@ -602,58 +605,23 @@ impl GriddedUnion {
         let per_meter =
             Vec3::new(1.0 / cell_size.x.max(1e-9), 1.0 / cell_size.y.max(1e-9), 1.0 / cell_size.z.max(1e-9));
         let clamp_idx = |v: f32| (v.floor().max(0.0) as u32).min(dims - 1) as usize;
-        // Cell index range, per axis, overlapped by each padded part box.
-        let ranges: Vec<[(usize, usize); 3]> = parts
-            .iter()
-            .map(|part| {
-                let pb = part.bounds().expanded(margin);
-                let lo = (pb.min - bounds.min).mul_elem(per_meter);
-                let hi = (pb.max - bounds.min).mul_elem(per_meter);
-                [(clamp_idx(lo.x), clamp_idx(hi.x)), (clamp_idx(lo.y), clamp_idx(hi.y)), (clamp_idx(lo.z), clamp_idx(hi.z))]
-            })
-            .collect();
-        // The x-runs of cells one part is listed in.
-        let runs = |&[(x0, x1), (y0, y1), (z0, z1)]: &[(usize, usize); 3]| {
-            (z0..=z1).flat_map(move |z| (y0..=y1).map(move |y| (z * n + y) * n + x0..=(z * n + y) * n + x1))
-        };
-        // Counting sort by cell: count, running sum (now `cell_start[c]`
-        // is where cell `c` ends), then fill each cell from its end with
-        // the parts in descending order — which leaves every list
-        // ascending and `cell_start[c]` where cell `c` begins.
-        let mut cell_start = vec![0u32; n * n * n + 1];
-        for part in &ranges {
-            for run in runs(part) {
-                for count in &mut cell_start[run] {
-                    *count += 1;
-                }
-            }
-        }
-        let mut end = 0;
-        for slot in &mut cell_start {
-            end += *slot;
-            *slot = end;
-        }
-        let mut listed = vec![0u16; end as usize];
-        for (pi, part) in ranges.iter().enumerate().rev() {
-            for run in runs(part) {
-                for start in &mut cell_start[run] {
-                    *start -= 1;
-                    listed[*start as usize] = pi as u16;
-                }
-            }
-        }
-        let mut spans = [[0u64; 64]; 3];
-        for (pi, part) in ranges.iter().enumerate().take(64) {
-            for (span, &(lo, hi)) in spans.iter_mut().zip(part) {
-                for mask in &mut span[lo..=hi] {
-                    *mask |= 1 << pi;
+        // Each padded part box's cell index range, per axis, set in the rows.
+        let words = parts.len().div_ceil(64).max(1);
+        let mut spans = vec![0u64; 3 * n * words];
+        for (pi, part) in parts.iter().enumerate() {
+            let pb = part.bounds().expanded(margin);
+            let lo = <[f32; 3]>::from((pb.min - bounds.min).mul_elem(per_meter));
+            let hi = <[f32; 3]>::from((pb.max - bounds.min).mul_elem(per_meter));
+            for axis in 0..3 {
+                for i in clamp_idx(lo[axis])..=clamp_idx(hi[axis]) {
+                    spans[(axis * n + i) * words + pi / 64] |= 1 << (pi % 64);
                 }
             }
         }
         let balls = parts.iter().map(Primitive::bounding_ball).collect();
         let kernels = parts.iter().map(PreparedPart::new).collect();
         let falls_no_faster = parts.iter().all(Primitive::falls_no_faster_outside);
-        Self { parts, balls, kernels, smoothness, bounds, dims, cell_start, listed, spans, margin, falls_no_faster }
+        Self { parts, balls, kernels, smoothness, bounds, dims, words, spans, margin, falls_no_faster }
     }
 
     /// Number of parts.
@@ -681,12 +649,15 @@ impl GriddedUnion {
     /// ascending indices into [`Self::parts`] — or, as `Err`, the distance
     /// to the content box where that is the answer instead. Public so that
     /// a test can fold the list again with nothing skipped.
-    pub fn listed_at(&self, p: Vec3) -> Result<&[u16], f32> {
-        self.cells(splat3(p))[0].map(|cell| self.listed(cell))
+    pub fn listed_at(&self, p: Vec3) -> Result<Vec<u16>, f32> {
+        self.cells(splat3(p))[0].map(|rows| {
+            (0..self.words).flat_map(|w| bits(self.listing(rows, w)).map(move |bit| (w * 64 + bit) as u16)).collect()
+        })
     }
 
     /// The grid cell whose list [`Self::listed_at`] reads at each of four
-    /// points, as indices per axis, or the distance to the content box.
+    /// points, as the first word of its span row per axis, or the
+    /// distance to the content box.
     fn cells(&self, p: [F32x4; 3]) -> [Result<[usize; 3], f32>; F32x4::LANES] {
         // `Aabb::signed_distance`. Every part lies inside the content box,
         // so it bounds the distance to any part — but it vanishes on the
@@ -700,35 +671,46 @@ impl GriddedUnion {
         // within `margin` of `p` is listed there.
         let rel = offset4(p, splat3(self.bounds.min));
         let idx = std::array::from_fn::<_, 3, _>(|axis| (rel[axis] / F32x4::splat(size[axis].max(1e-9)) * F32x4::splat(self.dims as f32)).to_array());
+        let row = |axis: usize, i: f32| (axis * self.dims as usize + (i as u32).min(self.dims - 1) as usize) * self.words;
         std::array::from_fn(|lane| match outside[lane] {
             outside if outside >= self.cap() => Err(outside),
-            _ => Ok(idx.map(|axis| (axis[lane] as u32).min(self.dims - 1) as usize)),
+            _ => Ok(std::array::from_fn(|axis| row(axis, idx[axis][lane]))),
         })
     }
 
-    fn listed(&self, [x, y, z]: [usize; 3]) -> &[u16] {
-        let n = self.dims as usize;
-        let cell = (z * n + y) * n + x;
-        &self.listed[self.cell_start[cell] as usize..self.cell_start[cell + 1] as usize]
+    /// Word `w` of the list of the cell whose span rows start at `rows`.
+    #[inline]
+    fn listing(&self, [x, y, z]: [usize; 3], w: usize) -> u64 {
+        self.spans[x + w] & self.spans[y + w] & self.spans[z + w]
     }
 
     /// What both lane bodies start from.
-    fn lanes(&self, ps: &[Vec3]) -> Lanes<'_> {
+    fn lanes(&self, ps: &[Vec3]) -> Lanes {
         let pts = std::array::from_fn(|lane| ps[if lane < ps.len() { lane } else { 0 }]);
         let xyz = [pts.map(|p| p.x), pts.map(|p| p.y), pts.map(|p| p.z)].map(F32x4::from_array);
-        let mut lanes = Lanes { pts, xyz, masks: [0; F32x4::LANES], tails: [&[]; F32x4::LANES], outside: [None; F32x4::LANES] };
+        let mut lanes = Lanes { pts, xyz, rows: [None; F32x4::LANES], outside: [None; F32x4::LANES] };
         for (lane, cell) in self.cells(xyz).into_iter().enumerate().take(ps.len()) {
             match cell {
-                Ok([x, y, z]) => {
-                    lanes.masks[lane] = self.spans[0][x] & self.spans[1][y] & self.spans[2][z];
-                    if self.parts.len() > 64 {
-                        lanes.tails[lane] = &self.listed([x, y, z])[lanes.masks[lane].count_ones() as usize..];
-                    }
-                }
+                Ok(rows) => lanes.rows[lane] = Some(rows),
                 Err(outside) => lanes.outside[lane] = Some(outside),
             }
         }
         lanes
+    }
+
+    /// Call `visit(pi, listing)` for each part some lane lists, with the
+    /// lanes that list it as bits, in ascending part order — so each lane
+    /// sees its own list in order. Word 0, the parts a scope covers, is
+    /// masked by `alive`.
+    #[inline]
+    fn walk(&self, lanes: &Lanes, alive: u64, mut visit: impl FnMut(usize, u32)) {
+        for w in 0..self.words {
+            let word_alive = if w == 0 { alive } else { u64::MAX };
+            let masks = lanes.rows.map(|rows| rows.map_or(0, |rows| self.listing(rows, w) & word_alive));
+            for bit in bits(masks.iter().fold(0, |all, m| all | m)) {
+                visit(w * 64 + bit, masks.iter().enumerate().fold(0, |lanes, (lane, m)| lanes | ((m >> bit) as u32 & 1) << lane));
+            }
+        }
     }
 
     /// The unscoped body, for up to four points: each lane folds its own
@@ -739,7 +721,7 @@ impl GriddedUnion {
     fn eval_lanes(&self, ps: &[Vec3], out: &mut [f32]) {
         let lanes = self.lanes(ps);
         let mut d = F32x4::splat(f32::INFINITY);
-        walk(lanes.masks, lanes.tails, |pi, listing| {
+        self.walk(&lanes, u64::MAX, |pi, listing| {
             // Part i is at least `|p - c| - r` away; once that exceeds
             // the running blend by the blend radius it cannot move it.
             let (c, r) = self.balls[pi];
@@ -764,7 +746,7 @@ impl GriddedUnion {
         let lanes = self.lanes(ps);
         let rules = Rules::new(self, radius);
         let mut fold = Fold::new(self.cap(), scope.alive);
-        walk(lanes.masks.map(|m| m & scope.alive), lanes.tails, |pi, listing| {
+        self.walk(&lanes, scope.alive, |pi, listing| {
             let bit = if pi < 64 { 1 << pi } else { 0 };
             fold.add(&rules, &self.parts[pi], bit, &lanes.pts, listing, self.kernels[pi].distance4(lanes.xyz));
         });
@@ -774,32 +756,23 @@ impl GriddedUnion {
     }
 }
 
-/// Call `visit(pi, listing)` for each part some lane lists, with the
-/// lanes that list it as bits: those in `masks` once each, ascending,
-/// then each lane's tail — so each lane sees its own list in order.
+/// The set bits of `mask`, ascending.
 #[inline]
-fn walk(masks: [u64; F32x4::LANES], tails: [&[u16]; F32x4::LANES], mut visit: impl FnMut(usize, u32)) {
-    let mut todo = masks.iter().fold(0, |all, m| all | m);
-    while todo != 0 {
-        let pi = todo.trailing_zeros() as usize;
-        todo &= todo - 1;
-        visit(pi, masks.iter().enumerate().fold(0, |bits, (lane, m)| bits | ((m >> pi) as u32 & 1) << lane));
-    }
-    for (lane, tail) in tails.iter().enumerate() {
-        for &pi in *tail {
-            visit(pi as usize, 1 << lane);
-        }
-    }
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        bit
+    })
 }
 
 /// Up to four points as lanes (spare lanes repeat the first, and fold
-/// nothing); each lane's listed parts below 64 as bits, and its list from
-/// 64 on, which has no bits; or the box distance, where that answers.
-struct Lanes<'a> {
+/// nothing); each lane's cell as the first word of its span row per
+/// axis, or the box distance, where that answers.
+struct Lanes {
     pts: [Vec3; F32x4::LANES],
     xyz: [F32x4; 3],
-    masks: [u64; F32x4::LANES],
-    tails: [&'a [u16]; F32x4::LANES],
+    rows: [Option<[usize; 3]>; F32x4::LANES],
     outside: [Option<f32>; F32x4::LANES],
 }
 
@@ -1059,7 +1032,7 @@ pub(crate) mod tests {
         let mut hi = f32::INFINITY;
         let mut floor = union.cap();
         let mut d = f32::INFINITY;
-        for &pi in cell {
+        for &pi in &cell {
             let bit = if pi < 64 { 1u64 << pi } else { 0 };
             if !alive & bit != 0 {
                 continue;
@@ -1092,7 +1065,7 @@ pub(crate) mod tests {
             Err(outside) => return outside,
         };
         let mut d = f32::INFINITY;
-        for &pi in cell {
+        for &pi in &cell {
             // Part i is at least `|p - c| - r` away; once that exceeds
             // the running blend by the blend radius it cannot move it.
             let (c, r) = union.balls[pi as usize];
@@ -1185,6 +1158,60 @@ pub(crate) mod tests {
                 let want = unscoped_reference(&union, p);
                 prop_assert_eq!(v.to_bits(), want.to_bits(), "batch at {:?}: {} against {}", p, v, want);
                 prop_assert_eq!(union.distance(p).to_bits(), want.to_bits(), "distance at {:?}", p);
+            }
+        }
+    }
+
+    holo_prop! {
+        #![cases(1024)]
+
+        /// [`GriddedUnion::listed_at`] is the definition, recomputed
+        /// here: a part is listed in the cells its margin-padded box
+        /// spans, each axis's range clamped to the grid as `build` clamps
+        /// it; a point reads the cell it lies in or projects to, unless
+        /// the content box is at least the clamp away, where that
+        /// distance answers. [`hard_union`]s, 70-part ones included, at
+        /// points inside the content box, on its faces and beyond it.
+        fn listed_at_is_the_cells_the_padded_boxes_span(seed in any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let union = hard_union(&mut rng);
+            let (bounds, dims) = (union.bounds, union.dims);
+            let cell_size = bounds.size() / dims as f32;
+            let per_meter = Vec3::new(1.0 / cell_size.x.max(1e-9), 1.0 / cell_size.y.max(1e-9), 1.0 / cell_size.z.max(1e-9));
+            let clamp_idx = |v: f32| (v.floor().max(0.0) as u32).min(dims - 1);
+            let ranges: Vec<[(u32, u32); 3]> = union
+                .parts()
+                .iter()
+                .map(|part| {
+                    let pb = part.bounds().expanded(union.margin);
+                    let (lo, hi) = ((pb.min - bounds.min).mul_elem(per_meter), (pb.max - bounds.min).mul_elem(per_meter));
+                    [(clamp_idx(lo.x), clamp_idx(hi.x)), (clamp_idx(lo.y), clamp_idx(hi.y)), (clamp_idx(lo.z), clamp_idx(hi.z))]
+                })
+                .collect();
+            let size = <[f32; 3]>::from(bounds.size());
+            for _ in 0..32 {
+                let inside = bounds.min + Vec3::new(rng.range_f32(0.0, 1.0), rng.range_f32(0.0, 1.0), rng.range_f32(0.0, 1.0)).mul_elem(bounds.size());
+                let p = match rng.next_u32() % 3 {
+                    0 => inside,
+                    1 => {
+                        let mut p = <[f32; 3]>::from(inside);
+                        let axis = rng.index(3);
+                        p[axis] = if rng.chance(0.5) { bounds.min[axis] } else { bounds.max[axis] };
+                        Vec3::from(p)
+                    }
+                    _ => bounds.center() + unit(&mut rng).mul_elem(bounds.size()) * rng.range_f32(0.5, 3.0),
+                };
+                let outside = bounds.signed_distance(p);
+                let want = if outside >= union.cap() {
+                    Err(outside)
+                } else {
+                    let rel = <[f32; 3]>::from(p - bounds.min);
+                    let cell: [u32; 3] = std::array::from_fn(|axis| ((rel[axis] / size[axis].max(1e-9) * dims as f32) as u32).min(dims - 1));
+                    Ok((0..union.len() as u16)
+                        .filter(|&pi| ranges[pi as usize].iter().zip(cell).all(|(&(lo, hi), i)| (lo..=hi).contains(&i)))
+                        .collect())
+                };
+                prop_assert_eq!(union.listed_at(p), want, "at {:?}, {} parts on a {}-cell grid", p, union.len(), dims);
             }
         }
     }

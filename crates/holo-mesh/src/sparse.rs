@@ -50,12 +50,31 @@ pub fn sparse_extract_with_stats<S: Sdf + ?Sized>(
     resolution: u32,
     safety: f32,
 ) -> (TriMesh, ExtractionStats) {
-    let (mut octree, res) = Octree::new(sdf, resolution, safety);
-    let mut root = [(0.0, SdfScope::ALL)];
-    let center = octree.site(res / 2, res / 2, res / 2);
-    octree.sample(&[center], SdfScope::ALL, octree.half_diag(res), &mut root);
-    octree.descend(res, 0, 0, 0, root[0]);
-    octree.builder.finish()
+    Extractor::default().extract(sdf, resolution, safety)
+}
+
+/// What an extraction works in: the corner map, and the mesh builder's
+/// edge map and staging buffers. Each extraction empties them and keeps
+/// their memory, so a caller that extracts frame after frame through one
+/// `Extractor` allocates, once the buffers have grown, only each output
+/// mesh (DESIGN.md §15, "The extractor's scratch"). What an extraction
+/// returns does not depend on what the scratch held before.
+#[derive(Default)]
+pub struct Extractor {
+    corners: LatticeMap,
+    builder: MeshBuilder,
+}
+
+impl Extractor {
+    /// [`sparse_extract_with_stats`], in this scratch.
+    pub fn extract<S: Sdf + ?Sized>(&mut self, sdf: &S, resolution: u32, safety: f32) -> (TriMesh, ExtractionStats) {
+        let (mut octree, res) = Octree::new(sdf, resolution, safety, self);
+        let mut root = [(0.0, SdfScope::ALL)];
+        let center = octree.site(res / 2, res / 2, res / 2);
+        octree.sample(&[center], SdfScope::ALL, octree.half_diag(res), &mut root);
+        octree.descend(res, 0, 0, 0, root[0]);
+        octree.builder.finish()
+    }
 }
 
 /// Recursive descent over octree nodes. A node spans `span` leaf cells
@@ -69,17 +88,20 @@ struct Octree<'a, S: ?Sized> {
     safety: f32,
     /// Leaf-lattice site values (as `f32` bits), shared across the
     /// up-to-8 blocks that touch each site.
-    corners: LatticeMap,
-    builder: MeshBuilder,
+    corners: &'a mut LatticeMap,
+    builder: &'a mut MeshBuilder,
 }
 
 impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
-    /// The tree over `sdf`'s bounds, and its root's span.
-    fn new(sdf: &'a S, resolution: u32, safety: f32) -> (Self, u32) {
+    /// The tree over `sdf`'s bounds in `scratch`, emptied, and its root's span.
+    fn new(sdf: &'a S, resolution: u32, safety: f32, scratch: &'a mut Extractor) -> (Self, u32) {
         let res = resolution.max(2).next_power_of_two();
         let cfg = MarchingConfig::for_sdf(sdf, res);
         let (origin, cell, iso) = (cfg.bounds.min, cfg.cell_size(), cfg.iso);
-        (Self { sdf, origin, cell, iso, safety, corners: LatticeMap::new(), builder: MeshBuilder::new() }, res)
+        let Extractor { corners, builder } = scratch;
+        corners.clear();
+        builder.clear();
+        (Self { sdf, origin, cell, iso, safety, corners, builder }, res)
     }
 
     /// Position of the leaf-lattice site `(x, y, z)`.
@@ -242,7 +264,8 @@ mod tests {
     }
 
     fn per_leaf_extract<S: Sdf + ?Sized>(sdf: &S, resolution: u32, safety: f32) -> (TriMesh, ExtractionStats) {
-        let (mut octree, res) = Octree::new(sdf, resolution, safety);
+        let mut scratch = Extractor::default();
+        let (mut octree, res) = Octree::new(sdf, resolution, safety, &mut scratch);
         octree.descend_per_leaf(res, 0, 0, 0, SdfScope::ALL);
         octree.builder.finish()
     }

@@ -3,8 +3,11 @@
 # alternating pairs of one benchmark run at a parent commit and one at
 # the working tree, and per end-to-end metric every pair, both medians
 # with quartiles, the parent's interquartile range as a share of its
-# median, and the pairs the change won; then, from one traced run per
-# side, where the difference is: every per-layer metric that moved.
+# median, and the pairs the change won; then, from three traced runs per
+# side, run alternately, where the difference is: each per-layer timing
+# as both sides' medians and min-max ranges, "moved" only where the two
+# ranges are disjoint and "unresolved" otherwise, and each per-layer
+# count that is not the same in all six runs.
 #
 #   scripts/ab_pairs.sh <parent-ref> <workload|all> [pairs=10] [seconds=30] [seed=42]
 #
@@ -24,7 +27,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 2 ]] || { sed -n '2,23s/^# \{0,1\}//p' "$0"; exit 2; }
+[[ $# -ge 2 ]] || { sed -n '2,26s/^# \{0,1\}//p' "$0"; exit 2; }
 ref="$1" which="$2" pairs="${3:-10}" seconds="${4:-30}" seed="${5:-42}"
 root="$PWD" ab="$PWD/target/ab"
 commit="$(git rev-parse --short "${ref}^{commit}")"
@@ -41,7 +44,8 @@ metrics() {
     on && /"better":/ { gsub(/[",]/, ""); print name, $2 }' BENCHMARK.json
 }
 layers() {
-  awk '/"per_layer"/ { on = 1 } on && /"name":/ { gsub(/[",]/, ""); print $2 }' BENCHMARK.json
+  awk '/"per_layer"/ { on = 1 } on && /"name":/ { gsub(/[",]/, ""); name = $2 }
+    on && /"unit":/ { gsub(/[",]/, ""); print name, $2 }' BENCHMARK.json
 }
 workloads="$which"
 [[ "$which" != all ]] || workloads="$(workload_names)"
@@ -81,8 +85,8 @@ run() {
     --workload "$2" --seed "$seed" --seconds "$seconds" --trace "${4:-0}") >"$ab/runs/$1_$2_$3.txt"
   tail -n 1 "$ab/runs/$1_$2_$3.txt"
 }
-# traced_frame <side> <workload>: the frame time a traced run printed.
-traced_frame() { awk '$1 == "frame_ms_p50" { print $2 }' "$ab/runs/$1_$2_traced.txt"; }
+# traced_frame <side> <workload> <k>: the frame time traced run k printed.
+traced_frame() { awk '$1 == "frame_ms_p50" { print $2 }' "$ab/runs/$1_$2_traced$3.txt"; }
 # field <json> <name>: a top-level number, or a metric's value.
 field() {
   sed -n "s/.*\"$2\":\({\"value\":\)\{0,1\}\([-0-9.eE+]*\).*/\2/p" <<<"$1"
@@ -135,15 +139,42 @@ for workload in $workloads; do
   done
   # Where: a traced run's last line holds the per-layer metrics (its
   # frame time, which pays for the tracing, is in the text above it).
-  # Counts repeat run to run and are printed in full; timings are one
-  # run's, so read them against the spread of the pairs above.
-  echo "--> ${workload}: one traced run per side" >&2
-  traced_parent="$(run parent "$workload" traced 1)" traced_change="$(run change "$workload" traced 1)"
-  echo "where, one traced run per side: per-layer metrics that differ (parent, change, change vs parent)"
+  # Three runs a side, alternating as the pairs do. A timing moved only
+  # where the two sides' ranges do not overlap; a count repeats run to
+  # run, so one that differs anywhere is printed whole. A layer the
+  # workload does not run reads 0 in every run and is left out.
+  traced_parent=() traced_change=()
+  for ((k = 1; k <= 3; k++)); do
+    echo "--> ${workload}: traced run ${k}/3 per side" >&2
+    if ((k % 2)); then
+      traced_parent+=("$(run parent "$workload" "traced$k" 1)"); traced_change+=("$(run change "$workload" "traced$k" 1)")
+    else
+      traced_change+=("$(run change "$workload" "traced$k" 1)"); traced_parent+=("$(run parent "$workload" "traced$k" 1)")
+    fi
+  done
+  echo "where, three traced runs per side: per-layer timings (median [min, max], parent then change) and counts that differ"
   {
-    echo "frame_ms_p50 $(traced_frame parent "$workload") $(traced_frame change "$workload")"
-    layers | while read -r metric; do
-      echo "$metric $(field "$traced_parent" "$metric") $(field "$traced_change" "$metric")"
+    for side in parent change; do
+      for k in 1 2 3; do traced_frame "$side" "$workload" "$k"; done
+    done | paste -sd' ' - | sed 's/^/frame_ms_p50 ms /'
+    layers | while read -r metric unit; do
+      for traced in "${traced_parent[@]}" "${traced_change[@]}"; do field "$traced" "$metric"; done |
+        paste -sd' ' - | sed "s|^|$metric $unit |"
     done
-  } | awk '$2 != $3 { printf "  %-36s %18.12g %18.12g %+8.2f %%\n", $1, $2, $3, ($2 ? 100 * ($3 - $2) / $2 : 0) }'
+  } | awk 'NF == 8 && ($3 != 0 || $4 != 0 || $5 != 0 || $6 != 0 || $7 != 0 || $8 != 0) {
+      timing = $2 == "ms" || $2 == "ns" || $2 == "1/s" || $2 == "%"
+      if (!timing) {
+        if ($3 != $4 || $3 != $5 || $3 != $6 || $3 != $7 || $3 != $8)
+          printf "  %-36s count  %s/%s/%s -> %s/%s/%s\n", $1, $3, $4, $5, $6, $7, $8
+        next
+      }
+      for (side = 0; side < 2; side++) {
+        a = $(3 + 3 * side); b = $(4 + 3 * side); c = $(5 + 3 * side)
+        lo[side] = a < b ? (a < c ? a : c) : (b < c ? b : c)
+        hi[side] = a > b ? (a > c ? a : c) : (b > c ? b : c)
+        med[side] = a + b + c - lo[side] - hi[side]
+      }
+      verdict = hi[1] < lo[0] || hi[0] < lo[1] ? "moved" : "unresolved"
+      printf "  %-36s %12.6g [%.6g, %.6g] %12.6g [%.6g, %.6g] %+8.2f %%  %s\n", $1, med[0], lo[0], hi[0], med[1], lo[1], hi[1], (med[0] ? 100 * (med[1] - med[0]) / med[0] : 0), verdict
+    }'
 done

@@ -1,8 +1,10 @@
 //! Allocation laws: a steady-state `MeshEncoder::encode` allocates its
 //! output and nothing else, and so does a capture camera's
-//! `render_rgbd`. This binary installs the counting allocator; its
-//! counters are per thread, so the test harness's other threads do not
-//! show.
+//! `render_rgbd`; a steady-state keypoint decode allocates its mesh and
+//! little else, and what it returns does not depend on the frames the
+//! pipeline decoded before. This binary installs the counting
+//! allocator; its counters are per thread, so the test harness's other
+//! threads do not show.
 
 use holo_body::{BodyModel, BodySdf, MotionKind, MotionSynthesizer, Skeleton, SurfaceDetail};
 use holo_capture::render::{render_rgbd, ShadingConfig};
@@ -11,6 +13,8 @@ use holo_compress::meshcodec::{encode_mesh, MeshCodecConfig, MeshEncoder};
 use holo_fuzz::alloc::{alloc_bytes, alloc_calls};
 use holo_math::{Pcg32, Vec3};
 use holo_mesh::trimesh::TriMesh;
+use semholo::keypoint::{KeypointConfig, KeypointPipeline};
+use semholo::{Content, SceneSource, SemHoloConfig, SemanticPipeline};
 
 #[global_allocator]
 static ALLOC: holo_fuzz::TrackingAllocator = holo_fuzz::TrackingAllocator;
@@ -93,4 +97,83 @@ fn render_rgbd_allocates_its_two_images_and_nothing_else() {
         counted(|| render_rgbd(&body, &camera, &DepthNoiseModel::default(), &ShadingConfig::default(), &mut rng));
     assert!(frame.depth.coverage() > 0.05, "the body fills {} of the image", frame.depth.coverage());
     assert_eq!((calls, bytes), (2, 96 * 72 * (4 + 3)), "{calls} allocation calls of {bytes} B in all");
+}
+
+/// Frames 0..20 of the benchmark's keypoint scene (seed 42, `Talking`)
+/// as its sender ships them.
+fn keypoint_payloads() -> Vec<Vec<u8>> {
+    let config = SemHoloConfig { seed: 42, motion: MotionKind::Talking, ..Default::default() };
+    let scene = SceneSource::new(&config, 21.0 / config.fps);
+    let mut sender = KeypointPipeline::new(KeypointConfig::default(), 42);
+    (0..20).map(|i| sender.encode(&scene.frame(i)).expect("encodes").payload.to_vec()).collect()
+}
+
+fn receiver(resolution: u32) -> KeypointPipeline {
+    KeypointPipeline::new(KeypointConfig { resolution, ..Default::default() }, 42)
+}
+
+fn decoded_mesh(pipeline: &mut KeypointPipeline, payload: &[u8]) -> TriMesh {
+    match pipeline.decode(payload).expect("decodes").content {
+        Content::Mesh(mesh) => mesh,
+        _ => panic!("a keypoint decode returns a mesh"),
+    }
+}
+
+/// A res-128 keypoint decode through one pipeline: frames 0..3 grow the
+/// extractor's maps and staging buffers. From frame 3 on each decode
+/// makes at most 64 allocation calls of at most 2 MB in all, every
+/// buffer of the mesh is allocated at its length (within a quarter),
+/// and besides the mesh's buffers at most 128 KiB is asked for: the
+/// pose, the body field and the codec's, not the maps that build the
+/// mesh.
+#[test]
+fn steady_state_keypoint_decode_allocates_its_mesh_and_little_else() {
+    assert!(holo_fuzz::alloc::installed());
+    let payloads = keypoint_payloads();
+    let mut pipeline = receiver(128);
+    for (i, payload) in payloads.iter().enumerate() {
+        let (mesh, calls, bytes) = counted(|| decoded_mesh(&mut pipeline, payload));
+        let buffers = [
+            ("vertices", mesh.vertices.len(), mesh.vertices.capacity()),
+            ("faces", mesh.faces.len(), mesh.faces.capacity()),
+            ("normals", mesh.normals.len(), mesh.normals.capacity()),
+            ("colors", mesh.colors.len(), mesh.colors.capacity()),
+        ];
+        let output: u64 = buffers.iter().map(|&(_, _, capacity)| 12 * capacity as u64).sum();
+        println!("frame {i}: {calls} calls, {bytes} B, {output} B of them the mesh's");
+        if i < 3 {
+            continue;
+        }
+        assert!(calls <= 64 && bytes <= 2 << 20, "frame {i}: {calls} allocation calls of {bytes} B in all");
+        for (name, len, capacity) in buffers {
+            assert!(capacity * 4 <= len * 5, "frame {i}: {name} has capacity {capacity} for {len}");
+        }
+        assert!(bytes - output <= 128 << 10, "frame {i}: {} B besides the mesh's {output} B", bytes - output);
+    }
+}
+
+/// Three words a vertex, face or normal.
+type Words = Vec<[u32; 3]>;
+
+/// The bits of a mesh's vertices, faces and normals.
+fn mesh_bits(mesh: &TriMesh) -> (Words, Words, Words) {
+    let bits = |v: &[Vec3]| v.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect();
+    (bits(&mesh.vertices), mesh.faces.clone(), bits(&mesh.normals))
+}
+
+/// One pipeline decodes the clip forward, then backward, then a frame at
+/// twice the resolution, which outgrows every buffer the clip grew; each
+/// mesh is, bit for bit, a fresh pipeline's decode of that frame.
+#[test]
+fn a_decode_does_not_depend_on_the_frames_decoded_before() {
+    let payloads = keypoint_payloads();
+    let fresh: Vec<_> = payloads.iter().map(|payload| mesh_bits(&decoded_mesh(&mut receiver(128), payload))).collect();
+    let mut pipeline = receiver(128);
+    let order: Vec<usize> = (0..payloads.len()).chain((0..payloads.len()).rev()).collect();
+    for (step, &i) in order.iter().enumerate() {
+        assert!(mesh_bits(&decoded_mesh(&mut pipeline, &payloads[i])) == fresh[i], "frame {i}, decode {step} of the pipeline");
+    }
+    pipeline.config.resolution = 256;
+    let want = mesh_bits(&decoded_mesh(&mut receiver(256), &payloads[10]));
+    assert!(mesh_bits(&decoded_mesh(&mut pipeline, &payloads[10])) == want, "frame 10 at res 256 after the clip at 128");
 }
