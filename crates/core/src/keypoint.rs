@@ -177,6 +177,8 @@ impl SemanticPipeline for KeypointPipeline {
             holo_trace::counter("mesh.extract.field_evals", stats.field_evals);
             holo_trace::counter("mesh.extract.cubes_visited", stats.cubes_visited);
             holo_trace::counter("mesh.extract.triangles_emitted", stats.triangles_emitted);
+            holo_trace::counter("mesh.extract.crossing_cubes", stats.crossing_cubes);
+            holo_trace::counter("mesh.extract.lattice_lookups", stats.lattice_lookups);
         }
         // The modeled workload represents X-Avatar's implicit-network
         // queries at this resolution (calibration in holo-gpu).
@@ -286,6 +288,9 @@ mod tests {
         assert_eq!(count("field_evals"), stats.field_evals);
         assert_eq!(count("cubes_visited"), stats.cubes_visited);
         assert_eq!(count("triangles_emitted"), stats.triangles_emitted);
+        assert_eq!(count("crossing_cubes"), stats.crossing_cubes);
+        assert_eq!(count("lattice_lookups"), stats.lattice_lookups);
+        assert!(stats.crossing_cubes > 0 && stats.lattice_lookups > stats.crossing_cubes);
         holo_trace::reset();
     }
 

@@ -159,8 +159,8 @@ pub struct BodySdf {
     union: GriddedUnion,
     /// Expression bumps: `(center, radius, displacement)`.
     bumps: Vec<(Vec3, f32, f32)>,
-    /// A ball `(center, radius squared)` containing every bump's support;
-    /// a point outside it skips the bump loop, which could not touch it.
+    /// A ball `(center, radius)` containing every bump's support; a point
+    /// outside it skips the bump loop, which could not touch it.
     bump_ball: (Vec3, f32),
     cloth: Option<(f32, f32)>, // (amplitude, frequency)
     /// Only points below this height get cloth displacement (clothes cover
@@ -265,7 +265,7 @@ impl BodySdf {
         if detail.cloth {
             bounds = bounds.expanded(detail.cloth_amplitude);
         }
-        Self { union, bumps, bump_ball: (middle, reach * reach), cloth, cloth_top, bounds }
+        Self { union, bumps, bump_ball: (middle, reach), cloth, cloth_top, bounds }
     }
 
     /// The blended primitives, before expression and cloth detail.
@@ -319,7 +319,8 @@ impl BodySdf {
     #[inline]
     fn detail(&self, p: Vec3, mut d: f32) -> f32 {
         // Expression bumps: local outward displacement.
-        if (p - self.bump_ball.0).length_sq() < self.bump_ball.1 {
+        let (middle, reach) = self.bump_ball;
+        if (p - middle).length_sq() < reach * reach {
             for &(center, radius, disp) in &self.bumps {
                 let r = (p - center).length();
                 if r < radius {
@@ -379,7 +380,15 @@ impl Sdf for BodySdf {
             }
             // Every bump whose support meets the ball, at full strength, and
             // the cloth's amplitude where the ball dips below the neck line.
-            let bumps: f32 = self.bumps.iter().filter(|&&(c, r, _)| (p - c).length() < r + radius).map(|b| b.2.abs()).sum();
+            // A ball that cannot meet the bump ball meets no bump: `reach`
+            // exceeds each support's far side by a margin that covers the
+            // rounding of both tests.
+            let (middle, reach) = self.bump_ball;
+            let bumps: f32 = if (p - middle).length() >= reach + radius {
+                0.0
+            } else {
+                self.bumps.iter().filter(|&&(c, r, _)| (p - c).length() < r + radius).map(|b| b.2.abs()).sum()
+            };
             let cloth = self.cloth.filter(|_| p.y - radius < self.cloth_top).map_or(0.0, |(amp, _)| amp);
             *scope = scope.loosened(bumps + cloth);
         }
@@ -612,6 +621,59 @@ mod tests {
                 let want = body.detail(p, full_fold(&body.union, p));
                 prop_assert_eq!(v.to_bits(), want.to_bits(), "batch at {:?}: {} against {}", p, v, want);
                 prop_assert_eq!(body.distance(p).to_bits(), want.to_bits(), "distance at {:?}", p);
+            }
+        }
+    }
+
+    holo_runtime::holo_prop! {
+        #![cases(256)]
+
+        /// A node sample's scope skips the bump loop only where it could
+        /// add nothing: each answer of a body's scoped batch, value and
+        /// scope, is the union's loosened by every bump whose support
+        /// meets the ball, found with no early-out — to the bit. Random
+        /// frames of every motion with random expression, clothed or
+        /// bare, at points near the face (at the bumps, and up to 0.3 m
+        /// off them) and anywhere in and around the bounds, over radii
+        /// 0..0.2 and exactly 0.
+        fn a_scoped_batch_skips_only_bumps_it_cannot_meet(seed in holo_runtime::check::any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let kinds = [MotionKind::Idle, MotionKind::Talking, MotionKind::Waving, MotionKind::Walking];
+            let clip = MotionSynthesizer::new(seed).clip(kinds[rng.index(4)], 0.5, 30.0);
+            let mut params = clip.frame(rng.index(clip.frames.len())).clone();
+            for e in &mut params.expression {
+                *e = if rng.chance(0.5) { rng.range_f32(-1.0, 1.0) } else { 0.0 };
+            }
+            let detail = if rng.chance(0.5) { SurfaceDetail::full() } else { SurfaceDetail::bare() };
+            let body = BodySdf::from_pose(&Skeleton::neutral(), &params, detail);
+            let b = body.bounds().expanded(0.3);
+            let bumps = body.bump_centers();
+            let ps: Vec<Vec3> = (0..1 + rng.index(13))
+                .map(|_| match rng.next_u32() % 3 {
+                    0 if !bumps.is_empty() => {
+                        let by = rng.range_f32(0.0, 0.3);
+                        bumps[rng.index(bumps.len())] + Vec3::new(rng.normal(), rng.normal(), rng.normal()).normalized() * by
+                    }
+                    _ => Vec3::new(rng.range_f32(b.min.x, b.max.x), rng.range_f32(b.min.y, b.max.y), rng.range_f32(b.min.z, b.max.z)),
+                })
+                .collect();
+            let radius = if rng.chance(0.2) { 0.0 } else { rng.range_f32(0.0, 0.2) };
+            let scope = if rng.chance(0.5) { SdfScope::ALL } else { body.union.distance_in(b.center(), SdfScope::ALL, 2.0).1 };
+            let mut got = vec![(f32::NAN, SdfScope::ALL); ps.len()];
+            body.distance_batch_in(&ps, scope, radius, &mut got);
+            let mut want = vec![(f32::NAN, SdfScope::ALL); ps.len()];
+            body.union.distance_batch_in(&ps, scope, radius, &mut want);
+            for ((&p, &(v, got)), &(d, union_scope)) in ps.iter().zip(&got).zip(&want) {
+                let want_v = body.detail(p, d);
+                let want = if radius == 0.0 {
+                    union_scope
+                } else {
+                    let bumps: f32 = body.bumps.iter().filter(|&&(c, r, _)| (p - c).length() < r + radius).map(|b| b.2.abs()).sum();
+                    let cloth = body.cloth.filter(|_| p.y - radius < body.cloth_top).map_or(0.0, |(amp, _)| amp);
+                    union_scope.loosened(bumps + cloth)
+                };
+                prop_assert_eq!(v.to_bits(), want_v.to_bits(), "value at {:?}", p);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "scope at {:?} over {}", p, radius);
             }
         }
     }

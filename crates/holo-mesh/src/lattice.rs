@@ -1,20 +1,25 @@
-//! The extractors' one piece of bookkeeping: a map from packed lattice
-//! keys to `u32` payloads.
+//! The extractors' one piece of bookkeeping: a store of lattice sites.
 //!
-//! Both extractors weld surface vertices per lattice *edge*, and the
-//! sparse extractor additionally shares field values per lattice
-//! *corner*; each is "have I seen this lattice site, and what did I store
-//! there". Keys come from [`corner_key`] / [`edge_key`], are never
-//! attacker-chosen, and arrive in the octree's spatially coherent order,
-//! so the map is a two-level brick index rather than a general hash map:
-//! a 4×4×4 block of sites is one contiguous 256-byte brick, and only a
-//! small open-addressed directory (multiplicative hash, linear probing)
-//! is searched per lookup. Neighbouring sites share cache lines, the
-//! directory stays cache-resident, and both levels grow with what the
-//! extraction inserts — nothing is sized from the resolution.
+//! The sparse extractor shares a field value per lattice *corner*, and
+//! both extractors weld surface vertices per lattice *edge*. Every edge
+//! of the tetrahedral split runs from a lower corner to one whose offset
+//! bits are a superset of the lower one's, so an edge is exactly its lower
+//! site and the direction `hi ^ lo` (1..=7), and a site owns the (up to)
+//! seven edges that leave it. So one store answers both: per site a value
+//! and, once the first edge leaving it is asked for, a record of seven
+//! vertex slots.
+//!
+//! Keys come from [`corner_key`], are never attacker-chosen, and arrive in
+//! the octree's spatially coherent order, so the store is a two-level
+//! brick index rather than a general hash map: a 4×4×4 block of sites is
+//! one contiguous brick, and only a small open-addressed directory
+//! (multiplicative hash, linear probing) is searched per keyed lookup. A
+//! lookup resolves a key to its site's *slot*, and everything after that
+//! is indexed by the slot, with no hash. Neighbouring sites share cache
+//! lines, the directory stays cache-resident, and both levels grow with
+//! what the extraction reaches — nothing is sized from the resolution.
 
-/// Bits per axis in a packed key. Coordinates stay below `2^20` so the
-/// sum of two corner keys (an [`edge_key`]) cannot carry across fields.
+/// Bits per axis in a packed key.
 const AXIS_BITS: u32 = 21;
 
 /// Pack lattice coordinates into a unique 64-bit corner id.
@@ -24,14 +29,6 @@ pub(crate) fn corner_key(x: u32, y: u32, z: u32) -> u64 {
     ((x as u64) << (2 * AXIS_BITS)) | ((y as u64) << AXIS_BITS) | z as u64
 }
 
-/// Id of the lattice edge between two corners: the packed coordinates of
-/// twice its midpoint. Distinct edges of the tetrahedral split have
-/// distinct midpoints, and the key does not depend on argument order.
-#[inline]
-pub(crate) fn edge_key(a: u64, b: u64) -> u64 {
-    a + b
-}
-
 /// log2 of a brick's side, in lattice sites.
 const BRICK_BITS: u32 = 2;
 const BRICK_SITES: usize = 1 << (3 * BRICK_BITS);
@@ -39,39 +36,61 @@ const BRICK_SITES: usize = 1 << (3 * BRICK_BITS);
 const BRICK_MASK: u64 = (1 << BRICK_BITS) - 1;
 const SITE_MASK: u64 = (BRICK_MASK << (2 * AXIS_BITS)) | (BRICK_MASK << AXIS_BITS) | BRICK_MASK;
 
-/// Marks an unused site, and (as a key) an unused directory slot: no
-/// vertex index or brick key reaches it. A stored `VACANT` reads back as
-/// absent, which for the one NaN with this bit pattern means "sample again".
-const VACANT: u32 = u32::MAX;
+/// Marks an unset value, record or vertex, and (as a key) an unused
+/// directory slot: no vertex index, record number or brick key reaches
+/// it. A stored `VACANT` value reads back as absent, which for the one
+/// NaN with this bit pattern means "sample again".
+pub(crate) const VACANT: u32 = u32::MAX;
 const NO_BRICK: u64 = u64::MAX;
 
-/// Insert-only map from packed lattice keys to `u32`, in two levels: an
-/// open-addressed directory of the bricks that hold anything, and the
-/// bricks themselves, each `BRICK_SITES` payloads in one flat vector.
-/// Emptied whole by [`LatticeMap::clear`], which keeps both levels'
-/// memory for the next extraction.
-pub(crate) struct LatticeMap {
+/// One lattice site: its field value's bits, and the number of its edge
+/// record, each [`VACANT`] until set.
+#[derive(Clone, Copy)]
+struct Site {
+    value: u32,
+    record: u32,
+}
+
+const VACANT_SITE: Site = Site { value: VACANT, record: VACANT };
+
+/// Insert-only store of lattice sites, in two levels: an open-addressed
+/// directory of the bricks that hold anything, and the bricks themselves,
+/// each `BRICK_SITES` sites in one flat vector. A site's edge record (the
+/// vertex on each of its seven edges) is allocated when the first of them
+/// is asked for. Emptied whole by [`Lattice::clear`], which keeps every
+/// level's memory for the next extraction.
+pub(crate) struct Lattice {
     /// `(brick key, brick number)`, linearly probed; a power of two long.
     directory: Vec<(u64, u32)>,
     /// `64 - log2(directory.len())`: the hash keeps its top bits.
     shift: u32,
-    sites: Vec<u32>,
+    sites: Vec<Site>,
+    /// Per record, the vertex on the edge in direction `d` at `d - 1`.
+    records: Vec<[u32; 7]>,
+    /// Keyed lookups since the last [`Lattice::clear`].
+    lookups: u64,
 }
 
-impl Default for LatticeMap {
+impl Default for Lattice {
     fn default() -> Self {
         let bits = 8;
-        Self { directory: vec![(NO_BRICK, 0); 1 << bits], shift: 64 - bits, sites: Vec::new() }
+        Self { directory: vec![(NO_BRICK, 0); 1 << bits], shift: 64 - bits, sites: Vec::new(), records: Vec::new(), lookups: 0 }
     }
 }
 
-impl LatticeMap {
-
-    /// Forget every key and keep the memory: the directory keeps its
-    /// size, every slot vacant, and the bricks their capacity.
+impl Lattice {
+    /// Forget every site and keep the memory: the directory keeps its
+    /// size, every slot vacant, and the bricks and records their capacity.
     pub fn clear(&mut self) {
         self.directory.fill((NO_BRICK, 0));
         self.sites.clear();
+        self.records.clear();
+        self.lookups = 0;
+    }
+
+    /// Keyed lookups ([`Lattice::slot`] calls) since the last clear.
+    pub fn lookups(&self) -> u64 {
+        self.lookups
     }
 
     #[inline]
@@ -92,32 +111,57 @@ impl LatticeMap {
         slot
     }
 
+    /// The slot of the site `key`, its brick entered vacant if new. A
+    /// slot stays valid until the next clear.
     #[inline]
-    pub fn get(&self, key: u64) -> Option<u32> {
-        let (brick, site) = Self::split(key);
-        let (found, number) = self.directory[self.probe(brick)];
-        if found == NO_BRICK {
-            return None;
-        }
-        let value = self.sites[number as usize * BRICK_SITES + site];
-        (value != VACANT).then_some(value)
-    }
-
-    #[inline]
-    pub fn insert(&mut self, key: u64, value: u32) {
+    pub fn slot(&mut self, key: u64) -> usize {
+        self.lookups += 1;
         let (brick, site) = Self::split(key);
         let (found, mut number) = self.directory[self.probe(brick)];
         if found == NO_BRICK {
             number = self.add_brick(brick);
         }
-        self.sites[number as usize * BRICK_SITES + site] = value;
+        number as usize * BRICK_SITES + site
+    }
+
+    /// The value stored at `slot`, if any.
+    #[inline]
+    pub fn value(&self, slot: usize) -> Option<f32> {
+        let bits = self.sites[slot].value;
+        (bits != VACANT).then(|| f32::from_bits(bits))
+    }
+
+    #[inline]
+    pub fn set_value(&mut self, slot: usize, value: f32) {
+        self.sites[slot].value = value.to_bits();
+    }
+
+    /// Store `value` at the site `key`.
+    pub fn insert(&mut self, key: u64, value: f32) {
+        let slot = self.slot(key);
+        self.set_value(slot, value);
+    }
+
+    /// The vertex on the edge leaving the site at `slot` in direction
+    /// `dir` (1..=7: the offset bits the upper end adds), [`VACANT`]
+    /// until set. The site's record is allocated on first use.
+    #[inline]
+    pub fn edge(&mut self, slot: usize, dir: usize) -> &mut u32 {
+        debug_assert!((1..=7).contains(&dir), "edge direction {dir}");
+        let mut record = self.sites[slot].record;
+        if record == VACANT {
+            record = self.records.len() as u32;
+            self.records.push([VACANT; 7]);
+            self.sites[slot].record = record;
+        }
+        &mut self.records[record as usize][dir - 1]
     }
 
     /// Append a vacant brick and enter it in the directory, which doubles
     /// when half full.
     fn add_brick(&mut self, brick: u64) -> u32 {
         let number = (self.sites.len() / BRICK_SITES) as u32;
-        self.sites.resize(self.sites.len() + BRICK_SITES, VACANT);
+        self.sites.resize(self.sites.len() + BRICK_SITES, VACANT_SITE);
         if (number as usize + 1) * 2 > self.directory.len() {
             self.shift -= 1;
             let old = std::mem::replace(&mut self.directory, vec![(NO_BRICK, 0); 1 << (64 - self.shift)]);
@@ -137,74 +181,106 @@ mod tests {
     use super::*;
     use std::collections::hash_map::{Entry, HashMap};
 
+    /// The value at `key`, through a slot.
+    fn get(lattice: &mut Lattice, key: u64) -> Option<u32> {
+        let slot = lattice.slot(key);
+        lattice.value(slot).map(f32::to_bits)
+    }
+
     #[test]
     fn agrees_with_a_std_map_across_growth() {
-        let mut map = LatticeMap::default();
+        let mut lattice = Lattice::default();
         let mut reference = HashMap::new();
         let mut rng = holo_math::Pcg32::new(5);
         for i in 0..20_000u32 {
             // Clustered keys, as a surface produces, with repeats.
             let key = corner_key(rng.next_u32() % 40, rng.next_u32() % 40, rng.next_u32() % 40);
-            assert_eq!(map.get(key), reference.get(&key).copied());
+            assert_eq!(get(&mut lattice, key), reference.get(&key).copied());
             if let Entry::Vacant(vacant) = reference.entry(key) {
-                map.insert(key, i);
+                lattice.insert(key, f32::from_bits(i));
                 vacant.insert(i);
+                // An edge record of its own: direction `i % 7 + 1` holds `i`.
+                let slot = lattice.slot(key);
+                *lattice.edge(slot, i as usize % 7 + 1) = i;
             }
         }
-        assert!(map.directory.len() > 1 << 8, "the directory must have grown");
+        assert!(lattice.directory.len() > 1 << 8, "the directory must have grown");
         for (key, value) in reference {
-            assert_eq!(map.get(key), Some(value));
+            assert_eq!(get(&mut lattice, key), Some(value));
+            let slot = lattice.slot(key);
+            for dir in 1..=7 {
+                let want = if dir == value as usize % 7 + 1 { value } else { VACANT };
+                assert_eq!(*lattice.edge(slot, dir), want);
+            }
         }
     }
 
-    /// A cleared map keeps its grown directory and holds nothing; filled
-    /// again, it answers as a new map filled the same way.
+    /// A cleared store keeps its grown directory and holds nothing;
+    /// filled again, it answers as a new store filled the same way.
     #[test]
     fn a_cleared_map_answers_as_a_new_one() {
         let mut rng = holo_math::Pcg32::new(6);
         let mut keys = |n: usize| -> Vec<u64> { (0..n).map(|_| corner_key(rng.next_u32() % 40, rng.next_u32() % 40, rng.next_u32() % 40)).collect() };
         let (first, second) = (keys(20_000), keys(2_000));
-        let mut map = LatticeMap::default();
+        let mut lattice = Lattice::default();
         for (i, &key) in first.iter().enumerate() {
-            map.insert(key, i as u32);
+            lattice.insert(key, f32::from_bits(i as u32));
+            let slot = lattice.slot(key);
+            *lattice.edge(slot, 1 + i % 7) = i as u32;
         }
-        let grown = map.directory.len();
-        map.clear();
-        assert_eq!(map.directory.len(), grown);
-        assert!(first.iter().all(|&key| map.get(key).is_none()));
-        let mut fresh = LatticeMap::default();
+        let grown = lattice.directory.len();
+        lattice.clear();
+        assert_eq!((lattice.directory.len(), lattice.lookups()), (grown, 0));
+        assert!(first.iter().all(|&key| get(&mut lattice, key).is_none()));
+        lattice.clear();
+        let mut fresh = Lattice::default();
         for (i, &key) in second.iter().enumerate() {
-            map.insert(key, i as u32);
-            fresh.insert(key, i as u32);
+            for store in [&mut lattice, &mut fresh] {
+                store.insert(key, f32::from_bits(i as u32));
+                let slot = store.slot(key);
+                *store.edge(slot, 7 - i % 7) = i as u32;
+            }
         }
         for &key in first.iter().chain(&second) {
-            assert_eq!(map.get(key), fresh.get(key));
+            assert_eq!(get(&mut lattice, key), get(&mut fresh, key));
+            let (a, b) = (lattice.slot(key), fresh.slot(key));
+            assert!((1..=7).all(|dir| *lattice.edge(a, dir) == *fresh.edge(b, dir)));
         }
+        assert_eq!(lattice.lookups(), fresh.lookups());
     }
 
+    /// Every edge of the split runs from a lower corner to a superset of
+    /// its offset bits, so (lower site, `hi ^ lo`) names it; the 19 edges
+    /// of a cube name 19 distinct slots, and two face-adjacent cubes name
+    /// the same slot exactly for their 5 shared edges.
     #[test]
-    fn edge_keys_are_symmetric_and_distinct_within_a_cube() {
+    fn tet_edges_are_distinct_lower_site_directions() {
         use crate::marching::{CUBE_CORNERS, CUBE_TETS};
-        let corner = |i: usize, at: (u32, u32, u32)| {
+        let site = |i: usize, at: (u32, u32, u32)| {
             let (dx, dy, dz) = CUBE_CORNERS[i];
             corner_key(at.0 + dx, at.1 + dy, at.2 + dz)
         };
-        // All tetrahedron edges of two face-adjacent cubes: equal keys
-        // exactly when the edges coincide geometrically.
-        let mut seen: HashMap<u64, (u64, u64)> = HashMap::new();
+        let mut lattice = Lattice::default();
+        // (lower site's slot, direction) -> the edge's two sites.
+        let mut seen: HashMap<(usize, usize), (u64, u64)> = HashMap::new();
         for at in [(3, 4, 5), (4, 4, 5)] {
+            let mut own = std::collections::HashSet::new();
             for tet in &CUBE_TETS {
                 for i in 0..4 {
                     for j in i + 1..4 {
-                        let (a, b) = (corner(tet[i], at), corner(tet[j], at));
-                        assert_eq!(edge_key(a, b), edge_key(b, a));
-                        let ends = (a.min(b), a.max(b));
-                        assert_eq!(*seen.entry(edge_key(a, b)).or_insert(ends), ends);
+                        let (a, b) = (tet[i], tet[j]);
+                        let (lo, hi) = (a & b, a | b);
+                        assert!(lo == a.min(b) && hi == a.max(b), "corners {a} and {b}: neither holds the other's bits");
+                        let ends = (site(lo, at), site(hi, at));
+                        let edge = (lattice.slot(ends.0), a ^ b);
+                        own.insert(edge);
+                        assert_eq!(*seen.entry(edge).or_insert(ends), ends);
                     }
                 }
             }
+            assert_eq!(own.len(), 19, "19 edges per cube");
         }
-        // 19 edges per cube, 5 of them on the shared face.
+        // 5 of them on the shared face.
         assert_eq!(seen.len(), 19 + 19 - 5);
     }
 }

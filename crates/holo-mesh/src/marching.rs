@@ -15,7 +15,7 @@
 //! empty space. The dense extractor in this module's tests, which samples
 //! the full `(R+1)^3` lattice two z-slices at a time, is its referee.
 
-use crate::lattice::{edge_key, LatticeMap};
+use crate::lattice::{Lattice, VACANT};
 use crate::sdf::Sdf;
 use crate::trimesh::TriMesh;
 use holo_math::{Aabb, Vec3};
@@ -57,8 +57,14 @@ pub struct ExtractionStats {
     /// the eight of every 2×2×2 block that survived pruning, crossing or
     /// not).
     pub cubes_visited: u64,
-    /// Triangles emitted before degenerate removal.
+    /// Triangles emitted; one that welding made degenerate is dropped
+    /// uncounted.
     pub triangles_emitted: u64,
+    /// Cubes polygonized: those whose corners straddle the isovalue.
+    pub crossing_cubes: u64,
+    /// Keyed calls into the lattice store, which holds the corner values
+    /// and welds the vertices: everything after a key is found is indexed.
+    pub lattice_lookups: u64,
 }
 
 /// Corner offsets of a unit cube; bit 0 = +x, bit 1 = +y, bit 2 = +z.
@@ -86,14 +92,19 @@ pub(crate) const CUBE_TETS: [[usize; 4]; 6] = [
 ];
 
 /// Incrementally builds a welded triangle mesh from per-edge surface
-/// vertices keyed by global lattice corner ids. The vertices and faces
-/// are staged here and copied out by [`MeshBuilder::finish`], so a
-/// builder that is cleared and reused keeps the memory it grew.
+/// vertices, welded in its [`Lattice`]: each edge's vertex lives in the
+/// record of its lower site. The lattice is also where the sparse
+/// extractor keeps its corner values. The vertices, their normals' sums
+/// and the faces are staged here and copied out by
+/// [`MeshBuilder::finish`], so a builder that is cleared and reused keeps
+/// the memory it grew.
 #[derive(Default)]
 pub(crate) struct MeshBuilder {
     vertices: Vec<Vec3>,
+    /// Per vertex, the sum of its faces' cross products so far.
+    normals: Vec<Vec3>,
     faces: Vec<[u32; 3]>,
-    edge_vertices: LatticeMap,
+    pub lattice: Lattice,
     pub stats: ExtractionStats,
 }
 
@@ -101,36 +112,37 @@ impl MeshBuilder {
     /// Empty, with the memory the last mesh grew.
     pub fn clear(&mut self) {
         self.vertices.clear();
+        self.normals.clear();
         self.faces.clear();
-        self.edge_vertices.clear();
+        self.lattice.clear();
         self.stats = ExtractionStats::default();
     }
 
     /// The welded surface vertex on edge `a`-`b` (corners of the cube),
-    /// created on first use. The cube's slots remember what its earlier
-    /// tetrahedra resolved, so each of its edges is looked up once.
-    fn edge_vertex(&mut self, cube: &mut Cube, a: usize, b: usize) -> u32 {
-        let slot = a.min(b) * 8 + a.max(b);
-        if cube.edges[slot] != NO_VERTEX {
-            return cube.edges[slot];
+    /// created on first use. One of the two corners holds a subset of the
+    /// other's offset bits, so the edge is the lower one's site and the
+    /// direction `a ^ b`.
+    fn edge_vertex(&mut self, cube: &Cube, a: usize, b: usize) -> u32 {
+        let lo = a & b;
+        debug_assert!(lo == a || lo == b, "corners {a} and {b} span no edge of the split");
+        let vertex = self.lattice.edge(cube.slots[lo], a ^ b);
+        if *vertex == VACANT {
+            let (va, vb) = (cube.val[a], cube.val[b]);
+            let denom = vb - va;
+            let t = if denom.abs() < 1e-12 { 0.5 } else { ((cube.iso - va) / denom).clamp(0.0, 1.0) };
+            *vertex = self.vertices.len() as u32;
+            self.vertices.push(cube.pos[a].lerp(cube.pos[b], t));
+            self.normals.push(Vec3::ZERO);
         }
-        let key = edge_key(cube.keys[a], cube.keys[b]);
-        let idx = match self.edge_vertices.get(key) {
-            Some(idx) => idx,
-            None => {
-                let (va, vb) = (cube.val[a], cube.val[b]);
-                let denom = vb - va;
-                let t = if denom.abs() < 1e-12 { 0.5 } else { ((cube.iso - va) / denom).clamp(0.0, 1.0) };
-                let idx = self.vertices.len() as u32;
-                self.vertices.push(cube.pos[a].lerp(cube.pos[b], t));
-                self.edge_vertices.insert(key, idx);
-                idx
-            }
-        };
-        cube.edges[slot] = idx;
-        idx
+        *vertex
     }
 
+    /// Emit a face, oriented away from `anchor`, and add its cross product
+    /// to its vertices' normals: the same product `TriMesh::compute_normals`
+    /// takes of the face as stored. A flipped face's product is the exact
+    /// negation of the unflipped one (IEEE subtraction is sign-symmetric,
+    /// and a sum begun at `+0` never holds `−0`), so each sum is, bit for
+    /// bit, the one a second pass over the faces would make.
     fn push_triangle(&mut self, ia: u32, ib: u32, ic: u32, anchor: Vec3) {
         if ia == ib || ib == ic || ia == ic {
             return; // degenerate after welding
@@ -143,14 +155,20 @@ impl MeshBuilder {
         let want = (a + b + c) / 3.0 - anchor;
         if n.dot(want) >= 0.0 {
             self.faces.push([ia, ib, ic]);
+            for i in [ia, ib, ic] {
+                self.normals[i as usize] += n;
+            }
         } else {
             self.faces.push([ia, ic, ib]);
+            for i in [ia, ic, ib] {
+                self.normals[i as usize] -= n;
+            }
         }
         self.stats.triangles_emitted += 1;
     }
 
     /// Polygonize one tetrahedron of `cube`, with corners `tet`.
-    fn do_tet(&mut self, cube: &mut Cube, tet: &[usize; 4]) {
+    fn do_tet(&mut self, cube: &Cube, tet: &[usize; 4]) {
         // Corners: the inside ones in `tet`'s order, then the outside
         // ones in `tet`'s order.
         let mut order = [0usize; 4];
@@ -198,36 +216,32 @@ impl MeshBuilder {
     }
 
     /// Polygonize the cube whose corners (in [`CUBE_CORNERS`] order) have
-    /// the given lattice keys, positions and field values.
-    pub fn do_cube(&mut self, keys: &[u64; 8], pos: &[Vec3; 8], val: &[f32; 8], iso: f32) {
-        let mut cube = Cube { keys, pos, val, iso, edges: [NO_VERTEX; 64] };
+    /// the given lattice slots, positions and field values.
+    pub fn do_cube(&mut self, slots: &[usize; 8], pos: &[Vec3; 8], val: &[f32; 8], iso: f32) {
+        self.stats.crossing_cubes += 1;
+        let cube = Cube { slots, pos, val, iso };
         for tet in &CUBE_TETS {
-            self.do_tet(&mut cube, tet);
+            self.do_tet(&cube, tet);
         }
     }
 
     /// The mesh so far, its vertices, faces and normals each allocated
     /// once at its length, and the counters.
     pub fn finish(&self) -> (TriMesh, ExtractionStats) {
-        let mut mesh = TriMesh { vertices: self.vertices.clone(), faces: self.faces.clone(), ..TriMesh::default() };
-        mesh.compute_normals();
-        (mesh, self.stats)
+        let normals = self.normals.iter().map(|n| n.normalized()).collect();
+        let mesh = TriMesh { vertices: self.vertices.clone(), faces: self.faces.clone(), normals, ..TriMesh::default() };
+        (mesh, ExtractionStats { lattice_lookups: self.lattice.lookups(), ..self.stats })
     }
 }
 
-/// A cube being polygonized: corner lattice keys, positions and field
-/// values, the isovalue, and the vertex each corner pair's edge resolved
-/// to (slot `8 * lo + hi`), once one of its tetrahedra has asked.
+/// A cube being polygonized: its corners' lattice slots, positions and
+/// field values, and the isovalue.
 struct Cube<'a> {
-    keys: &'a [u64; 8],
+    slots: &'a [usize; 8],
     pos: &'a [Vec3; 8],
     val: &'a [f32; 8],
     iso: f32,
-    edges: [u32; 64],
 }
-
-/// An edge slot no tetrahedron has asked for yet; no vertex index reaches it.
-const NO_VERTEX: u32 = u32::MAX;
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -236,7 +250,9 @@ pub(crate) mod tests {
     use crate::sdf::{SdfCapsule, SdfSphere};
 
     /// Extract the isosurface of `sdf` on a dense grid. Returns the welded
-    /// triangle mesh with computed normals.
+    /// triangle mesh with computed normals. A crossing cube's corners are
+    /// found in the builder's lattice, which welds, as the sparse
+    /// extractor's does; the values come from the two slices.
     pub(crate) fn marching_tetrahedra<S: Sdf + ?Sized>(sdf: &S, cfg: &MarchingConfig) -> TriMesh {
         marching_tetrahedra_with_stats(sdf, cfg).0
     }
@@ -270,14 +286,12 @@ pub(crate) mod tests {
             for y in 0..r {
                 for x in 0..r {
                     builder.stats.cubes_visited += 1;
-                    let mut keys = [0u64; 8];
                     let mut pos = [Vec3::ZERO; 8];
                     let mut val = [0f32; 8];
                     let mut all_pos = true;
                     let mut all_neg = true;
                     for (ci, &(dx, dy, dz)) in CUBE_CORNERS.iter().enumerate() {
                         let (cx, cy, cz) = (x + dx, y + dy, z + dz);
-                        keys[ci] = corner_key(cx, cy, cz);
                         pos[ci] = origin + Vec3::new(cx as f32, cy as f32, cz as f32) * cell;
                         let slice = if dz == 0 { &below } else { &above };
                         let v = slice[(cy as usize) * n + cx as usize];
@@ -291,7 +305,8 @@ pub(crate) mod tests {
                     if all_pos || all_neg {
                         continue;
                     }
-                    builder.do_cube(&keys, &pos, &val, cfg.iso);
+                    let slots = CUBE_CORNERS.map(|(dx, dy, dz)| builder.lattice.slot(corner_key(x + dx, y + dy, z + dz)));
+                    builder.do_cube(&slots, &pos, &val, cfg.iso);
                 }
             }
             below = above;

@@ -787,8 +787,9 @@ struct Rules {
     /// j's box is within `margin` of the whole ball — so j is listed
     /// there — when j is at most this far from the center.
     witness_reach: F32x4,
+    /// A point (`radius == 0`) has no region to narrow or to bound: its
+    /// scope keeps the alive set passed in and proves no interval.
     narrowing: bool,
-    /// A point has no region to bound.
     bounding: bool,
     smoothness: f32,
 }
@@ -801,7 +802,7 @@ impl Rules {
             radius4: F32x4::splat(radius),
             gap: F32x4::splat(union.smoothness + 2.0 * radius + CULL_SLACK),
             witness_reach: F32x4::splat(witness_reach),
-            narrowing: witness_reach >= 0.0,
+            narrowing: radius > 0.0 && witness_reach >= 0.0,
             bounding: radius > 0.0,
             smoothness: union.smoothness,
         }
@@ -1017,7 +1018,8 @@ pub(crate) mod tests {
 
     /// The scoped body as it was before it took lanes, one point and one
     /// part at a time: what [`Sdf::distance_batch_in`] is held to, lane
-    /// by lane and bit for bit.
+    /// by lane and bit for bit. A point (`radius == 0`) narrows nothing,
+    /// as `Rules` has it: its `alive` is the scope's.
     fn scoped_reference(union: &GriddedUnion, p: Vec3, scope: SdfScope, radius: f32) -> (f32, SdfScope) {
         let cell = match union.listed_at(p) {
             Ok(cell) => cell,
@@ -1026,7 +1028,7 @@ pub(crate) mod tests {
         let mut alive = scope.alive;
         let gap = union.smoothness + 2.0 * radius + CULL_SLACK;
         let witness_reach = union.margin - radius - CULL_SLACK;
-        let narrowing = witness_reach >= 0.0;
+        let narrowing = radius > 0.0 && witness_reach >= 0.0;
         let bounding = radius > 0.0;
         let mut nearest_exact = f32::INFINITY;
         let mut hi = f32::INFINITY;

@@ -21,7 +21,7 @@
 //! center is itself a lattice site, and no site is sampled twice
 //! (DESIGN.md §15).
 
-use crate::lattice::{corner_key, LatticeMap};
+use crate::lattice::corner_key;
 use crate::marching::{ExtractionStats, MarchingConfig, MeshBuilder, CUBE_CORNERS};
 use crate::sdf::{Sdf, SdfScope};
 use crate::trimesh::TriMesh;
@@ -53,15 +53,15 @@ pub fn sparse_extract_with_stats<S: Sdf + ?Sized>(
     Extractor::default().extract(sdf, resolution, safety)
 }
 
-/// What an extraction works in: the corner map, and the mesh builder's
-/// edge map and staging buffers. Each extraction empties them and keeps
-/// their memory, so a caller that extracts frame after frame through one
-/// `Extractor` allocates, once the buffers have grown, only each output
-/// mesh (DESIGN.md §15, "The extractor's scratch"). What an extraction
-/// returns does not depend on what the scratch held before.
+/// What an extraction works in: the mesh builder's lattice, which holds
+/// the corner values and welds the vertices, and its staging buffers.
+/// Each extraction empties them and keeps their memory, so a caller that
+/// extracts frame after frame through one `Extractor` allocates, once the
+/// buffers have grown, only each output mesh (DESIGN.md §15, "The
+/// extractor's scratch"). What an extraction returns does not depend on
+/// what the scratch held before.
 #[derive(Default)]
 pub struct Extractor {
-    corners: LatticeMap,
     builder: MeshBuilder,
 }
 
@@ -86,9 +86,8 @@ struct Octree<'a, S: ?Sized> {
     cell: f32,
     iso: f32,
     safety: f32,
-    /// Leaf-lattice site values (as `f32` bits), shared across the
-    /// up-to-8 blocks that touch each site.
-    corners: &'a mut LatticeMap,
+    /// The mesh being built. Its lattice holds the leaf-lattice site
+    /// values, shared across the up-to-8 blocks that touch each site.
     builder: &'a mut MeshBuilder,
 }
 
@@ -98,10 +97,9 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
         let res = resolution.max(2).next_power_of_two();
         let cfg = MarchingConfig::for_sdf(sdf, res);
         let (origin, cell, iso) = (cfg.bounds.min, cfg.cell_size(), cfg.iso);
-        let Extractor { corners, builder } = scratch;
-        corners.clear();
+        let builder = &mut scratch.builder;
         builder.clear();
-        (Self { sdf, origin, cell, iso, safety, corners, builder }, res)
+        (Self { sdf, origin, cell, iso, safety, builder }, res)
     }
 
     /// Position of the leaf-lattice site `(x, y, z)`.
@@ -143,7 +141,7 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
         // and each child's strictly inside it, so nothing has sampled
         // those yet. Eight blocks below have the node's as a corner.
         let (half, quarter) = (span / 2, span / 4);
-        self.corners.insert(corner_key(x + half, y + half, z + half), d.to_bits());
+        self.builder.lattice.insert(corner_key(x + half, y + half, z + half), d);
         // `CUBE_CORNERS` runs x fastest, z slowest: the child order.
         let child = CUBE_CORNERS.map(|(dx, dy, dz)| (x + dx * half, y + dy * half, z + dz * half));
         let centers = child.map(|(cx, cy, cz)| self.site(cx + quarter, cy + quarter, cz + quarter));
@@ -156,24 +154,25 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
         }
     }
 
-    /// Polygonize the 2×2×2 leaf cells at `(x, y, z)`: gather the block's
-    /// 27 lattice sites once — the middle one is the node center, with
-    /// value `center`, and the others another block sampled are cached —
-    /// sample the rest in one batch under the block's `scope`, then run
-    /// the eight cubes, in child order, from the gathered arrays.
+    /// Polygonize the 2×2×2 leaf cells at `(x, y, z)`: resolve the block's
+    /// 27 lattice sites to their slots once — the middle one is the node
+    /// center, with value `center`, and the others another block sampled
+    /// hold their values — sample the rest in one batch under the block's
+    /// `scope`, then run the eight cubes, in child order, from the
+    /// gathered arrays; their edges are welded through the slots.
     fn block(&mut self, x: u32, y: u32, z: u32, center: f32, scope: SdfScope) {
-        let mut keys = [0u64; 27];
+        let mut slots = [0usize; 27];
         let mut pos = [Vec3::ZERO; 27];
         let mut val = [0f32; 27];
         let (mut missing, mut missing_at, mut n) = ([Vec3::ZERO; 26], [0usize; 26], 0);
         for i in 0..27 {
             let (sx, sy, sz) = (x + i as u32 % 3, y + i as u32 / 3 % 3, z + i as u32 / 9);
-            keys[i] = corner_key(sx, sy, sz);
+            slots[i] = self.builder.lattice.slot(corner_key(sx, sy, sz));
             pos[i] = self.site(sx, sy, sz);
             if i == 13 {
                 val[i] = center;
-            } else if let Some(bits) = self.corners.get(keys[i]) {
-                val[i] = f32::from_bits(bits);
+            } else if let Some(v) = self.builder.lattice.value(slots[i]) {
+                val[i] = v;
             } else {
                 (missing[n], missing_at[n]) = (pos[i], i);
                 n += 1;
@@ -183,7 +182,7 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
         self.sample(&missing[..n], scope, 0.0, &mut samples[..n]);
         for (&i, &(v, _)) in missing_at[..n].iter().zip(&samples[..n]) {
             val[i] = v;
-            self.corners.insert(keys[i], v.to_bits());
+            self.builder.lattice.set_value(slots[i], v);
         }
         for &(ox, oy, oz) in &CUBE_CORNERS {
             self.builder.stats.cubes_visited += 1;
@@ -192,7 +191,7 @@ impl<'a, S: Sdf + ?Sized> Octree<'a, S> {
             if cube.iter().all(|&v| v >= self.iso) || cube.iter().all(|&v| v < self.iso) {
                 continue;
             }
-            self.builder.do_cube(&at.map(|i| keys[i]), &at.map(|i| pos[i]), &cube, self.iso);
+            self.builder.do_cube(&at.map(|i| slots[i]), &at.map(|i| pos[i]), &cube, self.iso);
         }
     }
 }
@@ -229,19 +228,19 @@ mod tests {
             }
             if span == 1 {
                 self.builder.stats.cubes_visited += 1;
-                let mut keys = [0u64; 8];
+                let mut slots = [0usize; 8];
                 let mut pos = [Vec3::ZERO; 8];
                 let mut val = [0f32; 8];
                 for (ci, &(dx, dy, dz)) in CUBE_CORNERS.iter().enumerate() {
                     let (cx, cy, cz) = (x + dx, y + dy, z + dz);
-                    keys[ci] = corner_key(cx, cy, cz);
+                    slots[ci] = self.builder.lattice.slot(corner_key(cx, cy, cz));
                     pos[ci] = self.origin + Vec3::new(cx as f32, cy as f32, cz as f32) * self.cell;
-                    val[ci] = match self.corners.get(keys[ci]) {
-                        Some(bits) => f32::from_bits(bits),
+                    val[ci] = match self.builder.lattice.value(slots[ci]) {
+                        Some(v) => v,
                         None => {
                             let v = self.sdf.distance_in(pos[ci], scope, 0.0).0;
                             self.builder.stats.field_evals += 1;
-                            self.corners.insert(keys[ci], v.to_bits());
+                            self.builder.lattice.set_value(slots[ci], v);
                             v
                         }
                     };
@@ -249,7 +248,7 @@ mod tests {
                 if val.iter().all(|&v| v >= self.iso) || val.iter().all(|&v| v < self.iso) {
                     return;
                 }
-                self.builder.do_cube(&keys, &pos, &val, self.iso);
+                self.builder.do_cube(&slots, &pos, &val, self.iso);
                 return;
             }
             let half = span / 2;
@@ -365,6 +364,25 @@ mod tests {
             prop_assert_eq!(bits(&mesh.vertices), bits(&want.vertices));
             prop_assert_eq!(bits(&mesh.normals), bits(&want.normals));
             prop_assert_eq!(stats.triangles_emitted, want_stats.triangles_emitted);
+        }
+    }
+
+    holo_prop! {
+        #![cases(256)]
+
+        /// The normals summed as faces are emitted are, bit for bit, the
+        /// ones a second pass over the finished faces computes: each face
+        /// adds the cross product of its vertices as stored, a flipped
+        /// face the exact negation of its unflipped one.
+        fn emitted_normals_are_the_second_pass_normals(seed in any::<u64>()) {
+            let mut rng = Pcg32::new(seed);
+            let union = random_union(&mut rng);
+            let resolution = 2 + rng.next_u32() % 63;
+            let safety = [0.0, 0.01, 0.05][rng.next_u32() as usize % 3];
+            let mesh = sparse_extract(&union, resolution, safety);
+            let mut want = TriMesh { vertices: mesh.vertices.clone(), faces: mesh.faces.clone(), ..TriMesh::default() };
+            want.compute_normals();
+            prop_assert_eq!(bits(&mesh.normals), bits(&want.normals));
         }
     }
 

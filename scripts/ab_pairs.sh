@@ -3,11 +3,11 @@
 # alternating pairs of one benchmark run at a parent commit and one at
 # the working tree, and per end-to-end metric every pair, both medians
 # with quartiles, the parent's interquartile range as a share of its
-# median, and the pairs the change won; then, from three traced runs per
+# median, and the pairs the change won; then, from five traced runs per
 # side, run alternately, where the difference is: each per-layer timing
 # as both sides' medians and min-max ranges, "moved" only where the two
 # ranges are disjoint and "unresolved" otherwise, and each per-layer
-# count that is not the same in all six runs.
+# count that is not the same in all ten runs.
 #
 #   scripts/ab_pairs.sh <parent-ref> <workload|all> [pairs=10] [seconds=30] [seed=42]
 #
@@ -30,6 +30,7 @@ cd "$(dirname "$0")/.."
 [[ $# -ge 2 ]] || { sed -n '2,26s/^# \{0,1\}//p' "$0"; exit 2; }
 ref="$1" which="$2" pairs="${3:-10}" seconds="${4:-30}" seed="${5:-42}"
 root="$PWD" ab="$PWD/target/ab"
+traced_runs=5
 commit="$(git rev-parse --short "${ref}^{commit}")"
 
 # BENCHMARK.json is one key per line: the workloads' names, and each
@@ -139,40 +140,48 @@ for workload in $workloads; do
   done
   # Where: a traced run's last line holds the per-layer metrics (its
   # frame time, which pays for the tracing, is in the text above it).
-  # Three runs a side, alternating as the pairs do. A timing moved only
-  # where the two sides' ranges do not overlap; a count repeats run to
-  # run, so one that differs anywhere is printed whole. A layer the
-  # workload does not run reads 0 in every run and is left out.
+  # Five runs a side, alternating as the pairs do: with no change, two
+  # sides' ranges come out disjoint in 2 of the 252 equally likely
+  # orderings (under 1 %), where three runs a side gave 2 of 20. A timing
+  # moved only where the two sides' ranges do not overlap; a count
+  # repeats run to run, so one that differs anywhere is printed whole. A
+  # layer the workload does not run reads 0 in every run and is left out.
   traced_parent=() traced_change=()
-  for ((k = 1; k <= 3; k++)); do
-    echo "--> ${workload}: traced run ${k}/3 per side" >&2
+  for ((k = 1; k <= traced_runs; k++)); do
+    echo "--> ${workload}: traced run ${k}/${traced_runs} per side" >&2
     if ((k % 2)); then
       traced_parent+=("$(run parent "$workload" "traced$k" 1)"); traced_change+=("$(run change "$workload" "traced$k" 1)")
     else
       traced_change+=("$(run change "$workload" "traced$k" 1)"); traced_parent+=("$(run parent "$workload" "traced$k" 1)")
     fi
   done
-  echo "where, three traced runs per side: per-layer timings (median [min, max], parent then change) and counts that differ"
+  echo "where, ${traced_runs} traced runs per side: per-layer timings (median [min, max], parent then change) and counts that differ"
   {
     for side in parent change; do
-      for k in 1 2 3; do traced_frame "$side" "$workload" "$k"; done
+      for ((k = 1; k <= traced_runs; k++)); do traced_frame "$side" "$workload" "$k"; done
     done | paste -sd' ' - | sed 's/^/frame_ms_p50 ms /'
     layers | while read -r metric unit; do
       for traced in "${traced_parent[@]}" "${traced_change[@]}"; do field "$traced" "$metric"; done |
         paste -sd' ' - | sed "s|^|$metric $unit |"
     done
-  } | awk 'NF == 8 && ($3 != 0 || $4 != 0 || $5 != 0 || $6 != 0 || $7 != 0 || $8 != 0) {
+  } | awk -v n="$traced_runs" 'NF == 2 + 2 * n {
+      zero = 1; same = 1
+      for (i = 3; i <= NF; i++) { if ($i != 0) zero = 0; if ($i != $3) same = 0 }
+      if (zero) next
       timing = $2 == "ms" || $2 == "ns" || $2 == "1/s" || $2 == "%"
       if (!timing) {
-        if ($3 != $4 || $3 != $5 || $3 != $6 || $3 != $7 || $3 != $8)
-          printf "  %-36s count  %s/%s/%s -> %s/%s/%s\n", $1, $3, $4, $5, $6, $7, $8
+        if (!same) {
+          line = ""
+          for (i = 3; i <= NF; i++) line = line (i == 3 ? "" : i == 3 + n ? " -> " : "/") $i
+          printf "  %-36s count  %s\n", $1, line
+        }
         next
       }
       for (side = 0; side < 2; side++) {
-        a = $(3 + 3 * side); b = $(4 + 3 * side); c = $(5 + 3 * side)
-        lo[side] = a < b ? (a < c ? a : c) : (b < c ? b : c)
-        hi[side] = a > b ? (a > c ? a : c) : (b > c ? b : c)
-        med[side] = a + b + c - lo[side] - hi[side]
+        # One side: its n values, sorted, give the median and the range.
+        for (i = 1; i <= n; i++) v[i] = $(2 + side * n + i)
+        for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        lo[side] = v[1]; hi[side] = v[n]; med[side] = v[int((n + 1) / 2)]
       }
       verdict = hi[1] < lo[0] || hi[0] < lo[1] ? "moved" : "unresolved"
       printf "  %-36s %12.6g [%.6g, %.6g] %12.6g [%.6g, %.6g] %+8.2f %%  %s\n", $1, med[0], lo[0], hi[0], med[1], lo[1], hi[1], (med[0] ? 100 * (med[1] - med[0]) / med[0] : 0), verdict
