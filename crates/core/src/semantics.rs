@@ -43,19 +43,26 @@ impl SemanticKind {
 }
 
 /// CPU + modeled-GPU cost of a pipeline stage.
+///
+/// Rooms and sessions charge [`time_on`](Self::time_on) in virtual
+/// time, so what it returns must not depend on the machine: a stage
+/// with a modeled workload is charged the model, and a CPU-only stage
+/// is charged `cpu_wall`, which such a stage therefore fills with a
+/// fixed modeled figure, never a clock reading.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageCost {
-    /// Wall-clock time our implementation actually spent, as
-    /// [`holo_trace::WallTimer::stop`] measured it.
+    /// CPU time of the stage. A stage with a `gpu` workload reports the
+    /// wall time [`holo_trace::WallTimer::stop`] measured, which no
+    /// simulator charges; a CPU-only stage reports its modeled cost.
     pub cpu_wall: Duration,
-    /// Modeled accelerator workload (None when the stage is trivially
-    /// CPU-bound, like parsing a pose payload).
+    /// Modeled accelerator workload (None when the stage is CPU-only,
+    /// like posing and coding a mesh).
     pub gpu: Option<Workload>,
 }
 
 impl StageCost {
     /// Time this stage takes on a device: the modeled GPU time when a
-    /// workload exists, otherwise the measured CPU time.
+    /// workload exists, otherwise `cpu_wall`.
     pub fn time_on(&self, device: &holo_gpu::Device) -> Result<Duration> {
         match &self.gpu {
             Some(w) => Ok(device.exec_time(w)?),

@@ -412,9 +412,7 @@ mod tests {
     #[test]
     fn traditional_on_fat_link_has_low_network_latency() {
         // Traditional's problem is bandwidth, not per-frame network
-        // latency once the link is fat enough. (End-to-end time includes
-        // our real codec wall-clock, which varies with build profile, so
-        // the assertion targets the network component.)
+        // latency once the link is fat enough.
         let scene = scene();
         let mut trad = TraditionalPipeline::new(MeshWire::Compressed, 14);
         let mut session = Session::new(SessionConfig {

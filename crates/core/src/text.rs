@@ -15,6 +15,7 @@ use holo_runtime::bytes::Bytes;
 use holo_compress::primitives::{read_varint, write_varint};
 use holo_gpu::Workload;
 use holo_math::Pcg32;
+use holo_mesh::pointcloud::PointCloud;
 use holo_textsem::caption::{Caption, Captioner};
 use holo_textsem::cells::CellPartition;
 use holo_textsem::channels::{GlobalChannel, GlobalLocalCodec};
@@ -69,24 +70,23 @@ impl TextPipeline {
     /// Cold start: train the codebook on the first frame's features
     /// (both endpoints derive it identically from the calibration
     /// handshake, so it never crosses the per-frame wire).
-    fn ensure_codec(&mut self, frame: &SceneFrame) -> &GlobalLocalCodec {
-        if self.codec.is_none() {
-            let partition = CellPartition::body_volume(self.config.cells);
-            let cloud = frame.captured_cloud();
-            let corpus: Vec<_> = partition.features(&cloud.points).into_iter().map(|(_, f)| f).collect();
-            let mut rng = Pcg32::with_stream(self.seed, 0x7C);
-            let codebook = if corpus.is_empty() {
-                Codebook { centers: vec![[0.0; holo_textsem::cells::FEATURE_DIM]] }
-            } else {
-                Codebook::train(&corpus, self.config.vocabulary, 10, &mut rng)
-            };
-            self.codec = Some(GlobalLocalCodec {
-                global_partition: CellPartition::body_volume(4),
-                captioner: Captioner { partition: partition.clone(), codebook: codebook.clone() },
-                decoder: TextToCloud::new(partition, codebook),
-            });
+    fn ensure_codec(&mut self, cloud: &PointCloud) {
+        if self.codec.is_some() {
+            return;
         }
-        self.codec.as_ref().unwrap()
+        let partition = CellPartition::body_volume(self.config.cells);
+        let corpus: Vec<_> = partition.features(&cloud.points).into_iter().map(|(_, f)| f).collect();
+        let mut rng = Pcg32::with_stream(self.seed, 0x7C);
+        let codebook = if corpus.is_empty() {
+            Codebook { centers: vec![[0.0; holo_textsem::cells::FEATURE_DIM]] }
+        } else {
+            Codebook::train(&corpus, self.config.vocabulary, 10, &mut rng)
+        };
+        self.codec = Some(GlobalLocalCodec {
+            global_partition: CellPartition::body_volume(4),
+            captioner: Captioner { partition: partition.clone(), codebook: codebook.clone() },
+            decoder: TextToCloud::new(partition, codebook),
+        });
     }
 }
 
@@ -101,20 +101,20 @@ impl SemanticPipeline for TextPipeline {
 
     fn encode(&mut self, frame: &SceneFrame) -> Result<EncodedFrame> {
         let timer = holo_trace::WallTimer::start();
-        self.ensure_codec(frame);
-        let codec = self.codec.as_ref().unwrap();
         let cloud = frame.captured_cloud();
-        let (global, caption) = codec.encode(&cloud.points);
-        let is_delta = self.config.use_delta && frame.index > 0;
+        self.ensure_codec(&cloud);
+        let codec = self.codec.as_ref().expect("cold-started above");
+        let config = &self.config;
+        let is_delta = config.use_delta && frame.index > 0;
         // Dead-zone re-quantization against the receiver's current state
         // suppresses noise-driven token churn (worth ~an order of
         // magnitude on delta sizes; see ablation C).
-        let caption = if is_delta && self.config.token_stickiness > 1.0 {
+        let caption = if is_delta && config.token_stickiness > 1.0 {
             let prev: std::collections::BTreeMap<u32, u16> =
                 self.sender_delta.current().tokens.iter().copied().collect();
-            codec.captioner.caption_with_reference(&cloud.points, &prev, self.config.token_stickiness)
+            codec.captioner.caption_with_reference(&cloud.points, &prev, config.token_stickiness)
         } else {
-            caption
+            codec.captioner.caption(&cloud.points)
         };
         let body = if is_delta {
             DeltaCoder::ops_to_bytes(&self.sender_delta.encode(&caption))
@@ -127,12 +127,12 @@ impl SemanticPipeline for TextPipeline {
         if is_delta {
             flags |= FLAG_DELTA;
         }
-        if self.config.use_global_channel {
+        if config.use_global_channel {
             flags |= FLAG_GLOBAL;
         }
         write_varint(&mut payload, flags);
-        if self.config.use_global_channel {
-            let gb = global.to_bytes();
+        if config.use_global_channel {
+            let gb = codec.global(&cloud.points).to_bytes();
             write_varint(&mut payload, gb.len() as u32);
             payload.extend_from_slice(&gb);
         }

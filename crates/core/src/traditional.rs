@@ -11,6 +11,7 @@ use crate::scene::SceneFrame;
 use crate::semantics::{mesh_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost, QUALITY_REFERENCE_RESOLUTION};
 use holo_runtime::bytes::Bytes;
 use holo_compress::meshcodec::{decode_mesh, MeshCodecConfig, MeshEncoder};
+use std::time::Duration;
 
 /// Whether to compress the mesh on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +20,20 @@ pub enum MeshWire {
     Raw,
     /// Draco-style codec (Table 2 "w/ compression").
     Compressed,
+}
+
+impl MeshWire {
+    /// Modeled CPU time of a frame's extract (pose and serialize or
+    /// compress the mesh) and recon (parse or decompress it): each
+    /// stage's median release-build wall time on a two-vCPU x86 box.
+    /// Both stages are CPU-only, so rooms and sessions charge these
+    /// figures in virtual time (see [`StageCost`]).
+    fn cpu_costs(self) -> (Duration, Duration) {
+        match self {
+            MeshWire::Raw => (Duration::from_micros(550), Duration::from_micros(350)),
+            MeshWire::Compressed => (Duration::from_micros(1_700), Duration::from_micros(1_700)),
+        }
+    }
 }
 
 /// The traditional pipeline.
@@ -114,12 +129,10 @@ impl SemanticPipeline for TraditionalPipeline {
             MeshWire::Raw => mesh_to_raw_bytes(&mesh),
             MeshWire::Compressed => self.encoder.encode(&mesh, &self.codec),
         };
+        timer.stop("pipeline.traditional.extract_us");
         Ok(EncodedFrame {
             payload: Bytes::from(bytes),
-            extract: StageCost {
-                cpu_wall: timer.stop("pipeline.traditional.extract_us"),
-                gpu: None,
-            },
+            extract: StageCost { cpu_wall: self.wire.cpu_costs().0, gpu: None },
         })
     }
 
@@ -129,9 +142,10 @@ impl SemanticPipeline for TraditionalPipeline {
             MeshWire::Raw => mesh_from_raw_bytes(payload).map_err(reject_decode)?,
             MeshWire::Compressed => decode_mesh(payload).map_err(reject_decode)?,
         };
+        timer.stop("pipeline.traditional.recon_us");
         Ok(Reconstructed {
             content: Content::Mesh(mesh),
-            recon: StageCost { cpu_wall: timer.stop("pipeline.traditional.recon_us"), gpu: None },
+            recon: StageCost { cpu_wall: self.wire.cpu_costs().1, gpu: None },
         })
     }
 

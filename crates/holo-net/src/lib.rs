@@ -14,9 +14,14 @@
 //! [`WireFrame`] when a hop needs corruption to be detectable.
 //!
 //! - [`time`] — virtual clock ([`SimTime`]), microsecond resolution, and
-//!   the time-ordered, FIFO-on-ties [`EventQueue`] the simulators share.
+//!   the time-ordered, FIFO-on-ties [`EventQueue`] the simulators share:
+//!   a sorted run takes the pushes that arrive in time order (most of a
+//!   timeline) and a small heap the rest, and a pop takes the earlier
+//!   front by `(time, push number)`, so the order is a single heap's.
 //! - [`link`] — a bottleneck link: serialization at the (time-varying)
 //!   trace rate, propagation delay, jitter, tail-drop queue, random loss.
+//!   A packet's serialization time is reused from the one before when
+//!   size and rate repeat, as a frame's fragments do.
 //! - [`trace`] — bandwidth traces: constant, stepped, broadband (25 Mbps
 //!   class), and LTE-like Markov traces.
 //! - [`transport`] — a frame's size fragmented over a link: per-packet

@@ -115,6 +115,10 @@ pub struct Link {
     rng: Pcg32,
     stats: LinkStats,
     fault: Option<FaultClock>,
+    /// The last serialization time computed, keyed by `(wire_bytes,
+    /// rate bits)`: a frame's fragments share a size and usually a
+    /// rate, and the time is a pure function of the pair.
+    last_serialization: Option<((usize, u64), Duration)>,
 }
 
 impl Link {
@@ -127,6 +131,7 @@ impl Link {
             rng: Pcg32::new(seed),
             stats: LinkStats::default(),
             fault: None,
+            last_serialization: None,
         }
     }
 
@@ -190,7 +195,7 @@ impl Link {
         }
         let scale = self.fault.as_ref().map_or(1.0, |c| c.bandwidth_scale(start));
         let rate = (self.trace.bps_at(start.as_secs_f64()) * scale).max(1.0);
-        let serialization = Duration::from_secs_f64(wire_bytes as f64 * 8.0 / rate);
+        let serialization = self.serialization(wire_bytes, rate);
         self.busy_until = start + serialization;
         self.stats.admitted += 1;
         self.stats.bytes_admitted += wire_bytes as u64;
@@ -222,11 +227,27 @@ impl Link {
         }
         Delivery::At(self.busy_until + self.config.propagation + jitter + extra)
     }
+
+    /// How long `wire_bytes` occupy the wire at `rate` bits/s, reusing
+    /// the last packet's figure when size and rate are the same.
+    fn serialization(&mut self, wire_bytes: usize, rate: f64) -> Duration {
+        let key = (wire_bytes, rate.to_bits());
+        match self.last_serialization {
+            Some((last, time)) if last == key => time,
+            _ => {
+                let time = Duration::from_secs_f64(wire_bytes as f64 * 8.0 / rate);
+                self.last_serialization = Some((key, time));
+                time
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holo_runtime::check::{any, collection};
+    use holo_runtime::{holo_prop, prop_assert_eq};
 
     fn quiet_link(bps: f64) -> Link {
         Link::new(
@@ -416,5 +437,43 @@ mod tests {
         assert!(link.queue_delay(SimTime::ZERO) > Duration::ZERO);
         // After the queue drains, it's idle again.
         assert_eq!(link.queue_delay(SimTime::from_secs_f64(10.0)), Duration::ZERO);
+    }
+
+    holo_prop! {
+        #![cases(256)]
+
+        /// The memo changes no outcome: a link that recomputes every
+        /// serialization time (its memo cleared before each packet)
+        /// gives the same `Delivery` for every packet and the same
+        /// `LinkStats`, over a stepped trace and `holo-chaos`'s
+        /// `bandwidth_collapse` clock (capacity x0.002 from 1 s to
+        /// 3 s) with burst loss on top.
+        fn memoized_serialization_matches_the_formula(
+            packets in collection::vec((0usize..4, 1usize..1600, 0u64..2_000), 1..400),
+            seed in any::<u64>(),
+        ) {
+            use crate::fault::{FaultClock, FaultEffect, FaultSegment, LossModel};
+            let trace = BandwidthTrace::Steps {
+                steps: vec![(0.0, 20e6), (0.5, 3e6), (1.5, 45e6), (2.5, 8e6)],
+            };
+            let collapse = FaultSegment {
+                from: SimTime::from_secs_f64(1.0),
+                until: SimTime::from_secs_f64(3.0),
+                effect: FaultEffect::BandwidthScale(0.002),
+            };
+            let clock = FaultClock::new(Some(LossModel::burst5()), vec![collapse], seed ^ 0xC0);
+            let mut memo = Link::new(LinkConfig { loss_rate: 0.05, ..Default::default() }, trace, seed);
+            memo.set_fault(clock);
+            let mut formula = memo.clone();
+            let mut now = SimTime::ZERO;
+            for (i, &(shape, random_size, gap_us)) in packets.iter().enumerate() {
+                // Mostly a frame's fragment sizes, so the memo hits.
+                let size = [1200, 1200, 640, random_size][shape];
+                now += Duration::from_micros(gap_us * 3);
+                formula.last_serialization = None;
+                prop_assert_eq!(memo.transmit(size, now), formula.transmit(size, now), "packet {}", i);
+            }
+            prop_assert_eq!(memo.stats(), formula.stats());
+        }
     }
 }

@@ -90,7 +90,12 @@ pub struct GlobalLocalCodec {
 impl GlobalLocalCodec {
     /// Encode both channels.
     pub fn encode(&self, points: &[Vec3]) -> (GlobalChannel, Caption) {
-        let local = self.captioner.caption(points);
+        (self.global(points), self.captioner.caption(points))
+    }
+
+    /// Encode the global channel alone (a sender with its own local
+    /// caption, e.g. a sticky one, needs only this half).
+    pub fn global(&self, points: &[Vec3]) -> GlobalChannel {
         // Global: centroid of the points in each coarse cell. BTreeMap
         // iteration is already in cell order, so the channel's entry
         // order is canonical by construction.
@@ -113,7 +118,7 @@ impl GlobalLocalCodec {
                 (cell, [q(rel.x, s.x), q(rel.y, s.y), q(rel.z, s.z)])
             })
             .collect();
-        (GlobalChannel { entries }, local)
+        GlobalChannel { entries }
     }
 
     /// Decode. When `global` is present, coarse regions are rigidly

@@ -40,10 +40,12 @@ for example in examples/*.rs; do
 done
 for report in "$scratch"/*.json; do cmp "$report" "$(basename "$report")"; done
 
-echo "==> benchmark smoke: benchmark/ builds against the public API and passes its checks"
+echo "==> benchmark tests: benchmark/ builds against the public API and passes its checks"
 # The benchmark package is its own workspace, so nothing above compiles
-# it: a public-API break only it sees would pass otherwise. Writes nothing.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+# it: a public-API break only it sees would pass otherwise. Its unit
+# tests (the sim suite's checks among them) and its smoke test, which
+# runs every workload plain and traced. Writes nothing.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if command -v cargo-clippy >/dev/null 2>&1; then
   echo "==> cargo clippy -- -D warnings, on every crate"

@@ -6,10 +6,20 @@
 use holo_conf::{
     measure_max_room_size, CapacityConfig, DegradationLadder, ParticipantConfig, Room, RoomConfig,
 };
+use holo_math::Pcg32;
 use holo_net::trace::BandwidthTrace;
+use semholo::error::Result;
+use semholo::foveated::{FoveatedConfig, FoveatedPipeline};
+use semholo::image::{ImageConfig, ImagePipeline};
 use semholo::keypoint::{KeypointConfig, KeypointPipeline};
 use semholo::session::{Session, SessionConfig};
-use semholo::{SceneSource, SemHoloConfig, SemanticPipeline};
+use semholo::text::{TextConfig, TextPipeline};
+use semholo::traditional::{MeshWire, TraditionalPipeline};
+use semholo::{
+    Content, EncodedFrame, QualityReport, Reconstructed, SceneFrame, SceneSource, SemHoloConfig,
+    SemanticKind, SemanticPipeline, StageCost,
+};
+use std::time::Duration;
 
 fn scene() -> SceneSource {
     let config = SemHoloConfig {
@@ -21,8 +31,6 @@ fn scene() -> SceneSource {
 }
 
 fn kp(seed: u64) -> Box<dyn SemanticPipeline> {
-    // Keypoint stage costs are GPU-modeled (deterministic), which the
-    // byte-identity assertions below rely on.
     Box::new(KeypointPipeline::new(
         KeypointConfig { resolution: 32, ..Default::default() },
         seed,
@@ -151,4 +159,113 @@ fn simulated_capacity_stays_under_closed_form_bound() {
         }
     }
     assert!(m.probes.iter().any(|p| !p.fits || m.capped), "search never found the edge");
+}
+
+/// The pipelines the committed reports' rooms schedule: keypoint
+/// (resolution 32), image, text and compressed mesh.
+fn recipe_pipeline(kind: &str) -> Box<dyn SemanticPipeline> {
+    match kind {
+        "keypoint" => kp(42),
+        "image" => Box::new(ImagePipeline::new(ImageConfig::default(), 42)),
+        "text" => Box::new(TextPipeline::new(TextConfig::default(), 42)),
+        "mesh" => Box::new(TraditionalPipeline::new(MeshWire::Compressed, 14)),
+        other => panic!("no recipe pipeline {other}"),
+    }
+}
+
+/// A pipeline whose measured wall times are noise: every stage that
+/// carries a clock reading (one with a modeled workload) reports a
+/// random `cpu_wall` of up to 200 ms instead, as a loaded machine might.
+struct Jittered {
+    inner: Box<dyn SemanticPipeline>,
+    rng: Pcg32,
+}
+
+impl Jittered {
+    fn jitter(&mut self, cost: &mut StageCost) {
+        if cost.gpu.is_some() {
+            cost.cpu_wall = Duration::from_micros(u64::from(self.rng.next_u32() % 200_000));
+        }
+    }
+}
+
+impl SemanticPipeline for Jittered {
+    fn kind(&self) -> SemanticKind {
+        self.inner.kind()
+    }
+
+    fn encode(&mut self, frame: &SceneFrame) -> Result<EncodedFrame> {
+        let mut encoded = self.inner.encode(frame)?;
+        self.jitter(&mut encoded.extract);
+        Ok(encoded)
+    }
+
+    fn decode(&mut self, payload: &[u8]) -> Result<Reconstructed> {
+        let mut reconstructed = self.inner.decode(payload)?;
+        self.jitter(&mut reconstructed.recon);
+        Ok(reconstructed)
+    }
+
+    fn quality(&mut self, frame: &SceneFrame, content: &Content) -> QualityReport {
+        self.inner.quality(frame, content)
+    }
+}
+
+/// A room never charges a clock reading: with every measured wall time
+/// of a recipe pipeline replaced by noise, each recipe pipeline's room
+/// reports the same bytes.
+#[test]
+fn room_reports_ignore_measured_wall_time() {
+    let scene = scene();
+    for kind in ["keypoint", "image", "text", "mesh"] {
+        let run = |pipeline: Box<dyn SemanticPipeline>| {
+            let cfg = RoomConfig {
+                participants: ParticipantConfig::uniform_room(4, 25e6),
+                frames: 3,
+                seed: 5,
+                share_encoder: true,
+                ..Default::default()
+            };
+            Room::new(cfg).unwrap().run(&scene, &mut [pipeline]).unwrap().render()
+        };
+        let plain = run(recipe_pipeline(kind));
+        let jittered = run(Box::new(Jittered { inner: recipe_pipeline(kind), rng: Pcg32::new(9) }));
+        assert_eq!(plain, jittered, "{kind}: a measured wall time reached the room");
+    }
+}
+
+/// The other half: a CPU-only stage (no modeled workload), whose
+/// `cpu_wall` rooms and sessions do charge, reports a fixed modeled
+/// cost — the same on every frame and every run — not a clock reading.
+#[test]
+fn cpu_only_stages_charge_a_fixed_cost() {
+    let scene = scene();
+    let pipelines = || -> Vec<Box<dyn SemanticPipeline>> {
+        vec![
+            recipe_pipeline("image"),
+            recipe_pipeline("mesh"),
+            Box::new(TraditionalPipeline::new(MeshWire::Raw, 14)),
+            Box::new(FoveatedPipeline::new(FoveatedConfig::default(), 0.5, 42)),
+        ]
+    };
+    let costs = |mut pipeline: Box<dyn SemanticPipeline>| -> Vec<Duration> {
+        let mut out = Vec::new();
+        for index in 0..3 {
+            let encoded = pipeline.encode(&scene.frame(index)).unwrap();
+            let mut stages = vec![encoded.extract];
+            if pipeline.kind() != SemanticKind::Image {
+                // The image tier's recon is modeled; skip its training.
+                stages.push(pipeline.decode(&encoded.payload).unwrap().recon);
+            }
+            out.extend(stages.iter().filter(|s| s.gpu.is_none()).map(|s| s.cpu_wall));
+        }
+        out
+    };
+    for (a, b) in pipelines().into_iter().zip(pipelines()) {
+        let kind = a.kind();
+        let (first, second) = (costs(a), costs(b));
+        assert!(!first.is_empty(), "{kind:?} has no CPU-only stage");
+        assert_eq!(first, second, "{kind:?}: a CPU-only stage reported a clock reading");
+        assert!(first.iter().all(|d| !d.is_zero()), "{kind:?}: a CPU-only stage is free");
+    }
 }
