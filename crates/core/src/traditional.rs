@@ -10,7 +10,7 @@ use crate::error::{reject_decode, Result};
 use crate::scene::SceneFrame;
 use crate::semantics::{mesh_quality, Content, EncodedFrame, QualityReport, Reconstructed, SemanticKind, SemanticPipeline, StageCost, QUALITY_REFERENCE_RESOLUTION};
 use holo_runtime::bytes::Bytes;
-use holo_compress::meshcodec::{decode_mesh, MeshCodecConfig, MeshEncoder};
+use holo_compress::meshcodec::{MeshCodecConfig, MeshDecoder, MeshEncoder};
 use std::time::Duration;
 
 /// Whether to compress the mesh on the wire.
@@ -42,9 +42,11 @@ pub struct TraditionalPipeline {
     pub wire: MeshWire,
     /// Codec config for the compressed mode.
     pub codec: MeshCodecConfig,
-    /// The compressed mode's encoder: the avatar's topology never
-    /// changes, so its connectivity is walked on the first frame only.
+    /// The compressed mode's encoder and decoder: the avatar's topology
+    /// never changes, so its connectivity is coded and decoded on the
+    /// first frame only.
     encoder: MeshEncoder,
+    decoder: MeshDecoder,
 }
 
 impl TraditionalPipeline {
@@ -54,6 +56,7 @@ impl TraditionalPipeline {
             wire,
             codec: MeshCodecConfig { position_bits: quantization_bits },
             encoder: MeshEncoder::default(),
+            decoder: MeshDecoder::default(),
         }
     }
 }
@@ -107,6 +110,8 @@ pub fn mesh_from_raw_bytes(
         });
     }
     let mut mesh = holo_mesh::TriMesh::new();
+    mesh.vertices.reserve_exact(nv);
+    mesh.faces.reserve_exact(nf);
     for _ in 0..nv {
         mesh.vertices.push(holo_math::Vec3::new(r.f32_le()?, r.f32_le()?, r.f32_le()?));
     }
@@ -140,7 +145,7 @@ impl SemanticPipeline for TraditionalPipeline {
         let timer = holo_trace::WallTimer::start();
         let mesh = match self.wire {
             MeshWire::Raw => mesh_from_raw_bytes(payload).map_err(reject_decode)?,
-            MeshWire::Compressed => decode_mesh(payload).map_err(reject_decode)?,
+            MeshWire::Compressed => self.decoder.decode(payload).map_err(reject_decode)?,
         };
         timer.stop("pipeline.traditional.recon_us");
         Ok(Reconstructed {

@@ -10,14 +10,16 @@
 //!   models, bit trees, and direct bits: the entropy backbone of
 //!   [`lzma`] and [`closedloop`].
 //! - [`rans`] — static table-driven rANS over buffered symbol arrays, the
-//!   mesh path's entropy coder.
+//!   mesh path's entropy coder, with decoding tables kept between streams.
 //! - [`primitives`] — zigzag, varint, quantization and bucket transforms.
 //! - [`lzma`] — an LZ77 codec with hash-chain match finding, order-1
 //!   literal contexts, and rep-distance modeling: structurally an LZMA
 //!   sibling, used everywhere the paper says "LZMA".
 //! - [`meshcodec`] — a Draco-class triangle-mesh codec: connectivity by
 //!   region-growing traversal with implicit vertex numbering, positions by
-//!   quantization + parallelogram prediction, everything rANS-coded.
+//!   quantization + parallelogram prediction, each in its own rANS-coded
+//!   section; a kept [`MeshEncoder`] codes and a kept [`MeshDecoder`]
+//!   decodes the connectivity section once per topology.
 //! - [`texture`] — a DXT/BTC-style 4x4 block texture codec (4 bpp), the
 //!   "compressed 2D texture" channel of §3.1.
 //! - [`temporal`] — inter-frame mesh compression for fixed-topology
@@ -38,6 +40,6 @@ mod rc;
 pub mod texture;
 
 pub use lzma::{lzma_compress, lzma_decompress};
-pub use meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig, MeshEncoder};
+pub use meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig, MeshDecoder, MeshEncoder};
 pub use temporal::{TemporalMeshDecoder, TemporalMeshEncoder};
 pub use texture::{Texture, TextureCodec};

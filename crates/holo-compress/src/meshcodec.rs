@@ -14,13 +14,17 @@
 //!    residual is coded.
 //! 4. **Static rANS coding** of every symbol class ([`crate::rans`]): the
 //!    traversal buffers symbols, a second pass codes them (DESIGN.md §16).
+//! 5. **Connectivity and positions as separate sections**, as Draco's
+//!    `MeshDecoder` decodes connectivity before attributes: the first
+//!    section is a function of the faces alone, so [`MeshEncoder`] codes
+//!    it and [`MeshDecoder`] decodes it once per topology.
 //!
 //! The codec is lossless in connectivity (up to vertex re-ordering;
 //! unreferenced vertices are dropped) and lossy in positions by at most
 //! half a quantization step per component.
 
 use crate::primitives::{unzigzag, zigzag};
-use crate::rans::{RansDecoder, RansEncoder};
+use crate::rans::{RansDecoder, RansEncoder, RansTables};
 use holo_math::Vec3;
 use holo_mesh::trimesh::TriMesh;
 use holo_runtime::ser::{ByteReader, DecodeError};
@@ -38,7 +42,7 @@ impl Default for MeshCodecConfig {
     }
 }
 
-const MAGIC: u32 = 0x4D43_4432; // "MCD2"
+const MAGIC: u32 = 0x4D43_4433; // "MCD3"
 const BITS_RANGE: std::ops::RangeInclusive<u32> = 4..=20;
 
 // A vertex is a back-reference or a residual; an edge may also attach nothing.
@@ -46,14 +50,18 @@ const OP_KNOWN: u32 = 0;
 const OP_NEW: u32 = 1;
 const OP_SKIP: u32 = 2;
 
-// rANS contexts. An edge's op is coded under the two ops before it
-// (contexts 0..9, `prev2 * 3 + prev`): the traversal's skip/known/new
-// rhythm is what makes connectivity cheap, and order 0 gives it away.
+// The connectivity section's contexts. An edge's op is coded under the
+// two ops before it (contexts 0..9, `prev2 * 3 + prev`): the
+// traversal's skip/known/new rhythm is what makes connectivity cheap,
+// and order 0 gives it away.
 const CTX_SEED_OP: usize = 9;
-const CTX_ATTACH: usize = 10;
-const CTX_SEED: usize = 13;
-const CTX_BACKREF: usize = 16;
-const ALPHABETS: [u8; 17] = [3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 64, 64, 64, 64, 64, 64, 64];
+const CTX_BACKREF: usize = 10;
+const CONNECTIVITY_ALPHABETS: [u8; 11] = [3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 64];
+// The positions section's: three residual slot tables for attached
+// vertices, three for a component's seed vertices.
+const CTX_ATTACH: usize = 0;
+const CTX_SEED: usize = 3;
+const POSITION_ALPHABETS: [u8; 6] = [64; 6];
 
 fn next_op_context(context: usize, op: u32) -> usize {
     (context * 3 + op as usize) % 9
@@ -62,12 +70,26 @@ fn next_op_context(context: usize, op: u32) -> usize {
 type QPos = [i32; 3];
 const UNDISCOVERED: u32 = u32::MAX;
 
-/// Parallelogram prediction across edge `(u, v)` of a known triangle
-/// whose third vertex is `opp`. Wrapping: hostile input may not fit i32
-/// sums; its positions are garbage anyway, but debug must not panic.
-fn parallelogram(q: &[QPos], u: u32, v: u32, opp: u32) -> QPos {
+/// Parallelogram prediction `u + v − opp` across edge `(u, v)` of a known
+/// triangle whose third vertex is `opp`. Wrapping: hostile input may not
+/// fit i32 sums; its positions are garbage anyway, but debug must not panic.
+fn parallelogram(q: &[QPos], [u, v, opp]: [u32; 3]) -> QPos {
     let (a, b, o) = (q[u as usize], q[v as usize], q[opp as usize]);
     std::array::from_fn(|k| a[k].wrapping_add(b[k]).wrapping_sub(o[k]))
+}
+
+// A plan entry is the `[u, v, opp]` a new vertex is predicted from, as
+// indices into a position array that holds an all-zero entry at 0 and
+// vertex `i` at `i + 1`: a seed vertex's delta on the seed vertex `p`
+// before it is the parallelogram `[p + 1, 0, 0]`, the very first one's
+// `[0, 0, 0]`. An attached vertex's entry has no zero, so `v == 0` tells
+// the two residual kinds apart.
+fn residual_context(pred: [u32; 3]) -> usize {
+    if pred[1] == 0 {
+        CTX_SEED
+    } else {
+        CTX_ATTACH
+    }
 }
 
 /// Directed half-edges `[destination, face, third vertex]` grouped by
@@ -102,25 +124,26 @@ pub fn encode_mesh(mesh: &TriMesh, cfg: &MeshCodecConfig) -> Vec<u8> {
 }
 
 /// An encoder that keeps its memory between meshes and, while `faces`
-/// repeats, its walk: but for the residual slots, which every call
-/// rewrites, the buffered stream is a function of connectivity alone
-/// (DESIGN.md §16). What it emits never depends on what it encoded before.
+/// repeats, its walk and the connectivity section coded from it: every
+/// call codes only the positions section (DESIGN.md §16). What it emits
+/// never depends on what it encoded before.
 #[derive(Default)]
 pub struct MeshEncoder {
-    /// The `faces` the stream below was walked from; `None` until a walk
-    /// has finished, so an unwound one cannot be matched.
+    /// The `faces` the walk below was taken of; `None` until a walk and
+    /// its section have finished, so an unwound one cannot be matched.
     key: Option<Vec<[u32; 3]>>,
-    enc: RansEncoder,
-    /// Per new vertex `[place, c, u, v, opp]`: its three residuals' place
-    /// in `enc`, then itself and its parallelogram as indices into `qpos`.
-    residuals: Vec<[u32; 5]>,
+    /// The connectivity section of the walk: face count, then its rANS stream.
+    connectivity: Vec<u8>,
+    /// Per new vertex, in discovery order: its plan entry over `qpos`.
+    plan: Vec<[u32; 3]>,
     order: Vec<u32>,
-    /// This mesh's quantized positions, vertex `v` at `v + 1` behind an
-    /// all-zero entry: a seed vertex's delta on the seed vertex before it
-    /// is the parallelogram `(previous, 0, 0)`, the very first `(0, 0, 0)`.
+    /// This mesh's quantized positions, vertex `v` at `v + 1` behind the
+    /// all-zero entry a plan reads.
     qpos: Vec<QPos>,
+    positions: RansEncoder,
     // The walk's scratch. Stack entries: (u, v, opp) — find the face
     // containing directed edge (u, v); `opp` supports the prediction.
+    ops: RansEncoder,
     first: Vec<u32>,
     edges: Vec<[u32; 3]>,
     visited: Vec<bool>,
@@ -148,31 +171,38 @@ impl MeshEncoder {
             [r.x.round() as i32, r.y.round() as i32, r.z.round() as i32]
         }));
 
-        // Header (uncoded): magic, bits, face count, origin, step.
-        let mut out = Vec::with_capacity(self.last_len + self.last_len / 8);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(bits as u8);
-        out.extend_from_slice(&(mesh.faces.len() as u32).to_le_bytes());
-        for c in [origin.x, origin.y, origin.z, step] {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-
-        // Pass 1, when connectivity changed: walk it, buffering symbols.
+        // Pass 1, when connectivity changed: walk it, code its section.
         if !self.walked(&mesh.faces) {
             let mut key = self.key.take().unwrap_or_default();
             self.walk(&mesh.faces, mesh.vertices.len());
+            self.connectivity.clear();
+            self.connectivity.extend_from_slice(&(mesh.faces.len() as u32).to_le_bytes());
+            self.ops.finish(&CONNECTIVITY_ALPHABETS, &mut self.connectivity);
             key.clone_from(&mesh.faces);
             self.key = Some(key);
         }
-        // Pass 2: this mesh's residuals into their slots.
-        for &[place, c, u, v, opp] in &self.residuals {
-            let (q, pred) = (self.qpos[c as usize], parallelogram(&self.qpos, u, v, opp));
+
+        // Header (uncoded): magic, bits, origin, step; then the
+        // connectivity section behind its length.
+        let mut out = Vec::with_capacity(self.last_len + self.last_len / 8);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.push(bits as u8);
+        for c in [origin.x, origin.y, origin.z, step] {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.connectivity.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.connectivity);
+        // Pass 2: this mesh's residuals, in discovery order, coded as the
+        // positions section to the end of the buffer.
+        self.positions.clear();
+        for (&v, &pred) in self.order.iter().zip(&self.plan) {
+            let (q, p) = (self.qpos[v as usize + 1], parallelogram(&self.qpos, pred));
+            let context = residual_context(pred);
             for k in 0..3 {
-                self.enc.replace(place as usize + k, zigzag(q[k].wrapping_sub(pred[k])));
+                self.positions.bucketed(context + k, zigzag(q[k].wrapping_sub(p[k])));
             }
         }
-        // Pass 3: histogram, tables, code.
-        self.enc.finish(&ALPHABETS, &mut out);
+        self.positions.finish(&POSITION_ALPHABETS, &mut out);
         self.last_len = out.len();
         timer.stop("compress.mesh.encode_us");
         // Raw baseline: 12 bytes/vertex position + 12 bytes/face of indices.
@@ -189,18 +219,18 @@ impl MeshEncoder {
         &self.order
     }
 
-    /// Whether the buffered stream is `faces`' — a compare of the arrays
-    /// themselves: no hash, length or pointer stands in for connectivity.
+    /// Whether the connectivity section is `faces`' — a compare of the
+    /// arrays themselves: no hash, length or pointer stands in for them.
     pub(crate) fn walked(&self, faces: &[[u32; 3]]) -> bool {
         self.key.as_deref() == Some(faces)
     }
 
-    /// Buffer `faces`' ops, back-references and a placeholder per residual.
+    /// Buffer `faces`' ops and back-references, and plan every new vertex.
     fn walk(&mut self, faces: &[[u32; 3]], vertex_count: usize) {
-        let Self { enc, residuals, order, first, edges, visited, disc, stack, .. } = self;
+        let Self { ops, plan, order, first, edges, visited, disc, stack, .. } = self;
         half_edges(faces, vertex_count, first, edges);
-        enc.clear();
-        residuals.clear();
+        ops.clear();
+        plan.clear();
         order.clear();
         stack.clear();
         visited.clear();
@@ -208,19 +238,16 @@ impl MeshEncoder {
         disc.clear();
         disc.resize(vertex_count, UNDISCOVERED);
         // Code vertex `v`, the choice under `op_context`: a back-reference
-        // if discovered, else its residual against `pred` under `context`.
-        let mut vertex = |enc: &mut RansEncoder, op_context: usize, v: u32, pred: [u32; 3], context: usize| {
+        // if discovered, else a new vertex predicted from `pred`.
+        let mut vertex = |ops: &mut RansEncoder, op_context: usize, v: u32, pred: [u32; 3]| {
             let d = disc[v as usize];
             if d != UNDISCOVERED {
-                enc.symbol(op_context, OP_KNOWN);
-                enc.bucketed(CTX_BACKREF, order.len() as u32 - 1 - d);
+                ops.symbol(op_context, OP_KNOWN);
+                ops.bucketed(CTX_BACKREF, order.len() as u32 - 1 - d);
                 return OP_KNOWN;
             }
-            enc.symbol(op_context, OP_NEW);
-            let place = enc.bucketed(context, 0);
-            enc.bucketed(context + 1, 0);
-            enc.bucketed(context + 2, 0);
-            residuals.push([place as u32, v + 1, pred[0], pred[1], pred[2]]);
+            ops.symbol(op_context, OP_NEW);
+            plan.push(pred);
             disc[v as usize] = order.len() as u32;
             order.push(v);
             OP_NEW
@@ -235,7 +262,7 @@ impl MeshEncoder {
             visited[seed_face] = true;
             let [s0, s1, s2] = faces[seed_face];
             for v in [s0, s1, s2] {
-                vertex(enc, CTX_SEED_OP, v, [last, 0, 0], CTX_SEED);
+                vertex(ops, CTX_SEED_OP, v, [last, 0, 0]);
                 last = v + 1;
             }
             stack.extend([(s1, s0, s2), (s2, s1, s0), (s0, s2, s1)]);
@@ -249,10 +276,10 @@ impl MeshEncoder {
                         visited[fi as usize] = true;
                         stack.push((c, v, u));
                         stack.push((u, c, v));
-                        vertex(enc, op_context, c, [u + 1, v + 1, opp + 1], CTX_ATTACH)
+                        vertex(ops, op_context, c, [u + 1, v + 1, opp + 1])
                     }
                     _ => {
-                        enc.symbol(op_context, OP_SKIP);
+                        ops.symbol(op_context, OP_SKIP);
                         OP_SKIP
                     }
                 };
@@ -262,37 +289,167 @@ impl MeshEncoder {
     }
 }
 
-/// Decode a mesh produced by [`encode_mesh`]. Vertices come back in
-/// discovery order; faces keep their original winding.
-///
-/// Hostile-input contract: never panics (header parsing is bounds-checked,
-/// residual arithmetic wraps), never sizes a buffer from a declared count
-/// — vectors grow with the faces the coded bytes actually yield — and
-/// accepts only a stream consumed to its last byte (see [`RansDecoder`]).
+/// Decode a mesh produced by [`encode_mesh`]: [`MeshDecoder::decode`]
+/// on a fresh decoder.
 pub fn decode_mesh(data: &[u8]) -> Result<TriMesh, DecodeError> {
-    let timer = holo_trace::WallTimer::start();
-    let out = decode_mesh_inner(data);
-    timer.stop("compress.mesh.decode_us");
-    out
+    MeshDecoder::default().decode(data)
 }
 
-/// Most faces one coded byte can legitimately produce. A face costs at
-/// least two symbols (its op, then a back-reference slot or three
-/// residual slots), and the 12-bit static tables cap a frequency at
-/// 4095/4096, so a symbol costs at least log2(4096/4095) = 3.523e-4
-/// bits: 8 / (2 × 3.523e-4) = 11 355.6 faces per byte.
-const MAX_FACES_PER_BYTE: usize = 11_356;
+/// Most faces one byte of the connectivity section can legitimately
+/// produce. A face costs at least one symbol there (the op that attached
+/// it; a seed face, three), and the 12-bit static tables cap a frequency
+/// at 4095/4096, so a symbol costs at least log2(4096/4095) = 3.523e-4
+/// bits: 8 / 3.523e-4 = 22 711.2 faces per byte.
+const MAX_FACES_PER_BYTE: usize = 22_712;
 
-/// The vertex `op` names: a back-reference into `qverts`, or a new
-/// entry decoded as a residual on `pred` under `context`.
-fn decode_vertex(
-    dec: &mut RansDecoder<'_>,
-    op: u32,
-    qverts: &mut Vec<QPos>,
-    mut pred: QPos,
-    context: usize,
-) -> Result<u32, DecodeError> {
-    let n = qverts.len() as u32;
+/// A decoder that keeps its memory between meshes and, while the
+/// connectivity section repeats byte for byte, the faces and plan it
+/// decoded from it: a steady-state call decodes only the positions
+/// section (DESIGN.md §16). What it returns never depends on what it
+/// decoded before.
+#[derive(Default)]
+pub struct MeshDecoder {
+    /// The connectivity section `faces` and `plan` were decoded from;
+    /// `None` until a frame decoded from them has validated.
+    key: Option<Vec<u8>>,
+    faces: Vec<[u32; 3]>,
+    /// Per vertex, in discovery order: its plan entry over `qverts`.
+    plan: Vec<[u32; 3]>,
+    /// The positions being decoded, vertex `k` at `k + 1`.
+    qverts: Vec<QPos>,
+    stack: Vec<(u32, u32, u32)>,
+    connectivity_tables: RansTables,
+    position_tables: RansTables,
+}
+
+impl MeshDecoder {
+    /// Decode one mesh. Vertices come back in discovery order; faces
+    /// keep their original winding.
+    ///
+    /// Hostile-input contract: never panics (header parsing is
+    /// bounds-checked, residual arithmetic wraps), never sizes a buffer
+    /// from a declared count — the faces and plan grow with what the
+    /// coded bytes actually yield — and accepts only sections consumed
+    /// to their last byte (see [`RansDecoder`]). Connectivity is reused
+    /// only once a frame that carried it has validated in full.
+    pub fn decode(&mut self, data: &[u8]) -> Result<TriMesh, DecodeError> {
+        let timer = holo_trace::WallTimer::start();
+        let out = self.decode_inner(data);
+        timer.stop("compress.mesh.decode_us");
+        out
+    }
+
+    fn decode_inner(&mut self, data: &[u8]) -> Result<TriMesh, DecodeError> {
+        let mut r = ByteReader::new(data);
+        r.expect_magic(MAGIC)?;
+        let bits = r.u8()? as u32;
+        if !BITS_RANGE.contains(&bits) {
+            return Err(DecodeError::corrupt("mesh header", format!("position bits {bits} outside 4..=20")));
+        }
+        let fl = [r.f32_le()?, r.f32_le()?, r.f32_le()?, r.f32_le()?];
+        let (origin, step) = (Vec3::new(fl[0], fl[1], fl[2]), fl[3]);
+        if !step.is_finite() || step <= 0.0 {
+            return Err(DecodeError::corrupt("mesh header", "invalid quantization step"));
+        }
+        let section_len = r.u32_le()? as usize;
+        let section = r.take(section_len)?;
+
+        // The last accepted frame's connectivity, or this one decoded
+        // into the same faces and plan; the key is given up first, so a
+        // frame that fails leaves nothing the next could match.
+        let repeated = self.key.as_deref() == Some(section);
+        let key = if repeated {
+            None
+        } else {
+            let key = self.key.take().unwrap_or_default();
+            self.decode_connectivity(section)?;
+            Some(key)
+        };
+
+        let Self { faces, plan, qverts, position_tables, .. } = self;
+        let mut dec = position_tables.open(&mut r, &POSITION_ALPHABETS)?;
+        qverts.clear();
+        qverts.push([0; 3]);
+        for &pred in plan.iter() {
+            let mut q = parallelogram(qverts, pred);
+            let context = residual_context(pred);
+            for (k, c) in q.iter_mut().enumerate() {
+                *c = c.wrapping_add(unzigzag(dec.bucketed(context + k)?));
+            }
+            qverts.push(q);
+        }
+        dec.finish()?;
+
+        let mut mesh = TriMesh::new();
+        mesh.vertices = qverts[1..]
+            .iter()
+            .map(|q| origin + Vec3::new(q[0] as f32, q[1] as f32, q[2] as f32) * step)
+            .collect();
+        mesh.faces = faces.clone();
+        mesh.compute_normals();
+        if let Some(mut key) = key {
+            key.clear();
+            key.extend_from_slice(section);
+            self.key = Some(key);
+        }
+        Ok(mesh)
+    }
+
+    /// Decode a connectivity section into `faces` and `plan`.
+    fn decode_connectivity(&mut self, section: &[u8]) -> Result<(), DecodeError> {
+        let Self { faces, plan, stack, connectivity_tables, .. } = self;
+        let mut r = ByteReader::new(section);
+        let face_count = r.u32_le()? as usize;
+        // More faces declared than the section's bytes could possibly encode?
+        let face_cap = r.remaining().saturating_mul(MAX_FACES_PER_BYTE).min(100_000_000);
+        if face_count > face_cap {
+            return Err(DecodeError::LimitExceeded {
+                what: "mesh faces",
+                requested: face_count as u64,
+                limit: face_cap as u64,
+            });
+        }
+        let mut dec = connectivity_tables.open(&mut r, &CONNECTIVITY_ALPHABETS)?;
+        faces.clear();
+        plan.clear();
+        stack.clear();
+        let mut last = 0;
+        let mut op_context = 0;
+        while faces.len() < face_count {
+            // Seed triangle.
+            let mut ids = [0u32; 3];
+            for id in &mut ids {
+                let op = dec.symbol(CTX_SEED_OP)?;
+                *id = decode_vertex(&mut dec, op, plan, [last, 0, 0])?;
+                last = *id + 1;
+            }
+            faces.push(ids);
+            let [s0, s1, s2] = ids;
+            stack.extend([(s1, s0, s2), (s2, s1, s0), (s0, s2, s1)]);
+
+            while let Some((u, v, opp)) = stack.pop() {
+                let op = dec.symbol(op_context)?;
+                op_context = next_op_context(op_context, op);
+                if op == OP_SKIP {
+                    continue;
+                }
+                if faces.len() == face_count {
+                    return Err(DecodeError::corrupt("mesh", "more faces coded than declared"));
+                }
+                let c = decode_vertex(&mut dec, op, plan, [u + 1, v + 1, opp + 1])?;
+                faces.push([u, v, c]);
+                stack.push((c, v, u));
+                stack.push((u, c, v));
+            }
+        }
+        dec.finish()
+    }
+}
+
+/// The vertex `op` names: a back-reference among the `plan.len()`
+/// vertices discovered so far, or a new one predicted from `pred`.
+fn decode_vertex(dec: &mut RansDecoder<'_, '_>, op: u32, plan: &mut Vec<[u32; 3]>, pred: [u32; 3]) -> Result<u32, DecodeError> {
+    let n = plan.len() as u32;
     if op == OP_KNOWN {
         let back = dec.bucketed(CTX_BACKREF)?;
         if back >= n {
@@ -300,80 +457,8 @@ fn decode_vertex(
         }
         return Ok(n - 1 - back);
     }
-    for (k, p) in pred.iter_mut().enumerate() {
-        *p = p.wrapping_add(unzigzag(dec.bucketed(context + k)?));
-    }
-    qverts.push(pred);
+    plan.push(pred);
     Ok(n)
-}
-
-fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
-    let mut r = ByteReader::new(data);
-    r.expect_magic(MAGIC)?;
-    let bits = r.u8()? as u32;
-    if !BITS_RANGE.contains(&bits) {
-        return Err(DecodeError::corrupt("mesh header", format!("position bits {bits} outside 4..=20")));
-    }
-    let face_count = r.u32_le()? as usize;
-    let fl = [r.f32_le()?, r.f32_le()?, r.f32_le()?, r.f32_le()?];
-    let (origin, step) = (Vec3::new(fl[0], fl[1], fl[2]), fl[3]);
-    if !step.is_finite() || step <= 0.0 {
-        return Err(DecodeError::corrupt("mesh header", "invalid quantization step"));
-    }
-
-    // More faces declared than the coded bytes could possibly encode?
-    let face_cap = r.remaining().saturating_mul(MAX_FACES_PER_BYTE).min(100_000_000);
-    if face_count > face_cap {
-        return Err(DecodeError::LimitExceeded {
-            what: "mesh faces",
-            requested: face_count as u64,
-            limit: face_cap as u64,
-        });
-    }
-
-    let mut dec = RansDecoder::new(&mut r, &ALPHABETS)?;
-    let mut mesh = TriMesh::new();
-    let mut qverts: Vec<QPos> = Vec::new();
-    let mut last_abs: QPos = [0, 0, 0];
-    let mut op_context = 0;
-    let mut stack: Vec<(u32, u32, u32)> = Vec::new();
-
-    while mesh.faces.len() < face_count {
-        // Seed triangle.
-        let mut ids = [0u32; 3];
-        for id in &mut ids {
-            let op = dec.symbol(CTX_SEED_OP)?;
-            *id = decode_vertex(&mut dec, op, &mut qverts, last_abs, CTX_SEED)?;
-            last_abs = qverts[*id as usize];
-        }
-        mesh.faces.push(ids);
-        let [s0, s1, s2] = ids;
-        stack.extend([(s1, s0, s2), (s2, s1, s0), (s0, s2, s1)]);
-
-        while let Some((u, v, opp)) = stack.pop() {
-            let op = dec.symbol(op_context)?;
-            op_context = next_op_context(op_context, op);
-            if op == OP_SKIP {
-                continue;
-            }
-            let pred = parallelogram(&qverts, u, v, opp);
-            let c = decode_vertex(&mut dec, op, &mut qverts, pred, CTX_ATTACH)?;
-            mesh.faces.push([u, v, c]);
-            stack.push((c, v, u));
-            stack.push((u, c, v));
-        }
-    }
-    dec.finish()?;
-    if mesh.faces.len() != face_count {
-        return Err(DecodeError::corrupt("mesh", "more faces coded than declared"));
-    }
-
-    mesh.vertices = qverts
-        .into_iter()
-        .map(|q| origin + Vec3::new(q[0] as f32, q[1] as f32, q[2] as f32) * step)
-        .collect();
-    mesh.compute_normals();
-    Ok(mesh)
 }
 
 #[cfg(test)]
@@ -564,6 +649,32 @@ mod tests {
         }
     }
 
+    /// Where an encoded frame's connectivity section lies: behind the
+    /// 21-byte header and its own length word.
+    fn connectivity_span(data: &[u8]) -> std::ops::Range<usize> {
+        let len = u32::from_le_bytes(data[21..25].try_into().unwrap()) as usize;
+        25..25 + len
+    }
+
+    /// `data` with one byte more (`grow`) or fewer at the end of its
+    /// connectivity section, the section's length word following or not.
+    fn resized_connectivity(data: &[u8], grow: bool, relabel: bool) -> Vec<u8> {
+        let span = connectivity_span(data);
+        let mut out = data[..span.end].to_vec();
+        let len = if grow {
+            out.push(0);
+            span.len() + 1
+        } else {
+            out.pop();
+            span.len() - 1
+        };
+        out.extend_from_slice(&data[span.end..]);
+        if relabel {
+            out[21..25].copy_from_slice(&(len as u32).to_le_bytes());
+        }
+        out
+    }
+
     #[test]
     fn stream_must_be_consumed_exactly() {
         let mut m = sphere_mesh();
@@ -577,18 +688,43 @@ mod tests {
             let mut long = data.clone();
             long.push(0);
             assert!(decode_mesh(&long).is_err(), "trailing byte accepted");
+            // Either section cut or stretched where they meet, through a
+            // fresh decoder and through one that holds this connectivity.
+            let mut kept = MeshDecoder::default();
+            for grow in [true, false] {
+                for relabel in [true, false] {
+                    let bad = resized_connectivity(&data, grow, relabel);
+                    assert!(decode_mesh(&bad).is_err(), "grow {grow}, relabel {relabel}");
+                    kept.decode(&data).unwrap();
+                    assert!(kept.decode(&bad).is_err(), "grow {grow}, relabel {relabel}, kept");
+                }
+            }
         }
     }
 
     #[test]
     fn declared_faces_beyond_what_bytes_can_pay_for_are_refused() {
         let mut data = encode_mesh(&sphere_mesh(), &MeshCodecConfig::default());
-        data[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        let at = connectivity_span(&data).start;
+        let declare = |data: &mut Vec<u8>, faces: usize| data[at..at + 4].copy_from_slice(&(faces as u32).to_le_bytes());
+        declare(&mut data, u32::MAX as usize);
         assert_eq!(decode_mesh(&data).unwrap_err().kind(), "limit_exceeded");
+        // The cap is what the connectivity section's bytes pay for: the
+        // positions section, however long, buys no faces.
+        let section_bytes = connectivity_span(&data).len() - 4;
+        declare(&mut data, section_bytes * MAX_FACES_PER_BYTE + 1);
+        assert_eq!(decode_mesh(&data).unwrap_err().kind(), "limit_exceeded");
+        let mut padded = data.clone();
+        padded.resize(data.len() + (64 << 10), 0);
+        assert_eq!(decode_mesh(&padded).unwrap_err().kind(), "limit_exceeded");
+        // One byte fewer in the section lowers the cap with it.
+        declare(&mut data, (section_bytes - 1) * MAX_FACES_PER_BYTE + 1);
+        let cut = resized_connectivity(&data, false, true);
+        assert_eq!(decode_mesh(&cut).unwrap_err().kind(), "limit_exceeded");
         // Within the cap but more than the stream holds: the coded
         // bytes run dry, nothing was sized from the forged count.
-        let forged = (data.len() * 100) as u32;
-        data[5..9].copy_from_slice(&forged.to_le_bytes());
+        let forged = section_bytes * 100;
+        declare(&mut data, forged);
         assert_eq!(decode_mesh(&data).unwrap_err().kind(), "truncated");
     }
 
@@ -706,5 +842,99 @@ mod tests {
         for mesh in [&TriMesh::new(), &good] {
             assert_eq!(kept.encode(mesh, &cfg), encode_mesh(mesh, &cfg));
         }
+    }
+
+    /// A decode's outcome, comparable bit for bit: the mesh's vertex,
+    /// face and normal words, or the error's kind.
+    type Outcome = Result<Vec<[u32; 3]>, &'static str>;
+
+    fn outcome(decoded: Result<TriMesh, DecodeError>) -> Outcome {
+        let mesh = decoded.map_err(|e| e.kind())?;
+        let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        Ok(mesh.vertices.iter().map(bits).chain(mesh.faces.iter().copied()).chain(mesh.normals.iter().map(bits)).collect())
+    }
+
+    /// `good` made hostile by `kind`, its free choices drawn from `seed`;
+    /// `other` is another frame, perhaps of another topology.
+    fn hostile(good: &[u8], other: &[u8], kind: u32, seed: u64) -> Vec<u8> {
+        let mut rng = Pcg32::new(seed);
+        let (span, other_span) = (connectivity_span(good), connectivity_span(other));
+        let mut flip = |data: &mut Vec<u8>, at: std::ops::Range<usize>| {
+            let i = at.start + rng.index(at.len().max(1));
+            if let Some(b) = data.get_mut(i) {
+                *b ^= 1 << rng.range_u32(8);
+            }
+        };
+        let mut data = good.to_vec();
+        match kind {
+            0 => data.truncate(rng.index(good.len())),
+            1 => data.extend((0..1 + rng.range_u32(3)).map(|_| rng.next_u32() as u8)),
+            2 => flip(&mut data, span),
+            3 => flip(&mut data, span.end..good.len()),
+            // One topology's connectivity section on this frame's positions.
+            _ => {
+                data.truncate(21);
+                data.extend_from_slice(&other[21..other_span.end]);
+                data.extend_from_slice(&good[span.end..]);
+            }
+        }
+        data
+    }
+
+    holo_prop! {
+        #![cases(256)]
+
+        /// A kept decoder never differs from a fresh one, whatever it
+        /// decoded or refused before: each hostile frame is decoded twice,
+        /// then the good one, and every call is held to a fresh decoder's
+        /// mesh bits or error kind.
+        fn kept_decoder_equals_a_fresh_one_after_any_history(
+            start in 6u32..10,
+            edits in collection::vec((0u32..11, any::<u64>(), 2u32..23, 0u32..7), 2..9),
+        ) {
+            let mut kept = MeshDecoder::default();
+            let mut mesh = edited(&TriMesh::new(), start, 1);
+            let mut last = encode_mesh(&mesh, &MeshCodecConfig::default());
+            for (kind, seed, bits, hostility) in edits {
+                mesh = edited(&mesh, kind, seed);
+                let good = encode_mesh(&mesh, &MeshCodecConfig { position_bits: bits });
+                let bad = hostile(&good, &last, hostility, seed);
+                for (call, frame) in [&bad, &bad, &good].into_iter().enumerate() {
+                    let want = outcome(decode_mesh(frame));
+                    prop_assert!(outcome(kept.decode(frame)) == want, "call {} after edit {} made hostile by {}", call, kind, hostility);
+                }
+                prop_assert!(outcome(decode_mesh(&good)).is_ok());
+                last = good;
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_connectivity_section_is_decoded_once() {
+        let cfg = MeshCodecConfig::default();
+        let mut mesh = sphere_mesh();
+        let first = encode_mesh(&mesh, &cfg);
+        mesh.vertices.iter_mut().for_each(|v| *v *= 1.5);
+        let second = encode_mesh(&mesh, &cfg);
+        assert_eq!(first[connectivity_span(&first)], second[connectivity_span(&second)]);
+        assert_ne!(first, second);
+
+        let mut kept = MeshDecoder::default();
+        let want = kept.decode(&first).unwrap();
+        assert_eq!(kept.key.as_deref(), Some(&first[connectivity_span(&first)]));
+        // Faces the section never held: a hit returns them, so the
+        // section was not decoded again.
+        kept.faces.iter_mut().for_each(|f| f.swap(1, 2));
+        let hit = kept.decode(&second).unwrap();
+        assert!(hit.faces.iter().zip(&want.faces).all(|(a, b)| *a == [b[0], b[2], b[1]]));
+        // A frame refused in its positions keeps the cache; one refused
+        // in its connectivity gives it up before decoding.
+        assert!(kept.decode(&second[..second.len() - 1]).is_err());
+        assert!(kept.key.is_some());
+        let mut bad = second.clone();
+        bad[connectivity_span(&second).start] ^= 1;
+        assert!(kept.decode(&bad).is_err());
+        assert!(kept.key.is_none());
+        assert_eq!(outcome(kept.decode(&second)), outcome(decode_mesh(&second)));
     }
 }

@@ -70,16 +70,13 @@ impl EncStep {
 }
 
 /// Buffers a stream's symbols and bucketed values (start from
-/// `default()`); [`RansEncoder::finish`] builds the tables and codes it
-/// and leaves it buffered, so a caller whose next stream differs only in
-/// some values [`RansEncoder::replace`]s those and finishes again.
+/// `default()`); [`RansEncoder::finish`] builds the tables and codes it.
 #[derive(Default)]
 pub struct RansEncoder {
     /// `(context, symbol)` in decode order.
     symbols: Vec<(u8, u8)>,
-    /// Per bucketed value, in order: where its slot sits in `symbols`,
-    /// and the value, whose mantissa `finish` packs.
-    values: Vec<(u32, u32)>,
+    /// Every bucketed value, in order: `finish` packs their mantissas.
+    values: Vec<u32>,
     // `finish`'s scratch, the first two indexed `context << 8 | symbol`.
     counts: Vec<u32>,
     steps: Vec<EncStep>,
@@ -95,20 +92,10 @@ impl RansEncoder {
 
     /// Append an unsigned value as a bucket slot under `context`
     /// (alphabet 64) plus raw mantissa bits: cost grows with log(value).
-    /// Returns the value's place, for [`RansEncoder::replace`].
     #[inline]
-    pub fn bucketed(&mut self, context: usize, value: u32) -> usize {
-        self.values.push((self.symbols.len() as u32, value));
+    pub fn bucketed(&mut self, context: usize, value: u32) {
+        self.values.push(value);
         self.symbol(context, bucket_slot(value).0);
-        self.values.len() - 1
-    }
-
-    /// Overwrite the value appended at `place`, under the same context.
-    #[inline]
-    pub fn replace(&mut self, place: usize, value: u32) {
-        let at = self.values[place].0 as usize;
-        self.values[place].1 = value;
-        self.symbols[at].1 = bucket_slot(value).0 as u8;
     }
 
     /// Forget the stream, keep the memory.
@@ -157,7 +144,7 @@ impl RansEncoder {
         out.extend_from_slice(&(self.coded.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.coded);
         let (mut acc, mut acc_bits) = (0u64, 0u32);
-        for &(_, value) in &self.values {
+        for &value in &self.values {
             let bits = bucket_slot(value).1;
             acc |= ((value & ((1 << bits) - 1)) as u64) << acc_bits;
             acc_bits += bits;
@@ -181,32 +168,25 @@ struct DecTable {
     ranges: Vec<(u16, u16)>,
 }
 
-/// Reads back a stream written by [`RansEncoder`].
-///
-/// Hostile-input contract: tables are validated before use (alphabet
-/// size, every frequency below `SCALE`, sum exactly `SCALE`), a symbol
-/// drawn from an unused context is an error, a read past the end of
-/// either section is [`DecodeError::Truncated`] (nothing is zero-fed),
-/// and [`RansDecoder::finish`] demands every byte and bit was consumed.
-pub struct RansDecoder<'a> {
+/// A stream's decoding tables, kept between streams: each
+/// [`RansTables::open`] rebuilds them in the memory the last one left.
+#[derive(Default)]
+pub struct RansTables {
     tables: Vec<DecTable>,
-    x: u32,
-    coded: ByteReader<'a>,
-    mantissas: ByteReader<'a>,
-    acc: u64,
-    acc_bits: u32,
 }
 
-impl<'a> RansDecoder<'a> {
-    /// Parse the tables and open the stream that fills the rest of `r`.
-    pub fn new(r: &mut ByteReader<'a>, alphabets: &[u8]) -> Result<Self, DecodeError> {
-        let mut tables = Vec::with_capacity(alphabets.len());
-        for &alphabet in alphabets {
+impl RansTables {
+    /// Parse one table per context of `alphabets` from `r` and open the
+    /// stream that fills the rest of `r`.
+    pub fn open<'t, 'a>(&'t mut self, r: &mut ByteReader<'a>, alphabets: &[u8]) -> Result<RansDecoder<'t, 'a>, DecodeError> {
+        self.tables.resize_with(alphabets.len(), DecTable::default);
+        for (table, &alphabet) in self.tables.iter_mut().zip(alphabets) {
+            table.slot_symbol.clear();
+            table.ranges.clear();
             let used = r.u8()?;
             if used > alphabet {
                 return Err(DecodeError::corrupt("rans table", "more symbols than the alphabet"));
             }
-            let mut table = DecTable::default();
             let mut start = 0u32;
             for symbol in 0..used {
                 let freq = r.varint()?;
@@ -220,15 +200,33 @@ impl<'a> RansDecoder<'a> {
             if used > 0 && start != SCALE {
                 return Err(DecodeError::corrupt("rans table", "frequencies do not sum to 4096"));
             }
-            tables.push(table);
         }
         let coded_len = r.u32_le()? as usize;
         let mut coded = ByteReader::new(r.take(coded_len)?);
         let x = u32::from_be_bytes(coded.array()?);
         let mantissas = ByteReader::new(r.take(r.remaining())?);
-        Ok(Self { tables, x, coded, mantissas, acc: 0, acc_bits: 0 })
+        Ok(RansDecoder { tables: &self.tables, x, coded, mantissas, acc: 0, acc_bits: 0 })
     }
+}
 
+/// Reads back a stream written by [`RansEncoder`], through tables a
+/// [`RansTables::open`] parsed.
+///
+/// Hostile-input contract: tables are validated before use (alphabet
+/// size, every frequency below `SCALE`, sum exactly `SCALE`), a symbol
+/// drawn from an unused context is an error, a read past the end of
+/// either section is [`DecodeError::Truncated`] (nothing is zero-fed),
+/// and [`RansDecoder::finish`] demands every byte and bit was consumed.
+pub struct RansDecoder<'t, 'a> {
+    tables: &'t [DecTable],
+    x: u32,
+    coded: ByteReader<'a>,
+    mantissas: ByteReader<'a>,
+    acc: u64,
+    acc_bits: u32,
+}
+
+impl RansDecoder<'_, '_> {
     /// Decode the next symbol under `context`'s table.
     #[inline]
     pub fn symbol(&mut self, context: usize) -> Result<u32, DecodeError> {
@@ -290,7 +288,8 @@ mod tests {
     fn roundtrip(alphabets: &[u8], script: &[(usize, u32)]) -> usize {
         let out = encode(alphabets, script);
         let mut r = ByteReader::new(&out);
-        let mut dec = RansDecoder::new(&mut r, alphabets).unwrap();
+        let mut tables = RansTables::default();
+        let mut dec = tables.open(&mut r, alphabets).unwrap();
         for &(c, s) in script {
             assert_eq!(dec.symbol(c).unwrap(), s);
         }
@@ -439,7 +438,8 @@ mod tests {
         let mut out = Vec::new();
         enc.finish(&[64, 64], &mut out);
         let mut r = ByteReader::new(&out);
-        let mut dec = RansDecoder::new(&mut r, &[64, 64]).unwrap();
+        let mut tables = RansTables::default();
+        let mut dec = tables.open(&mut r, &[64, 64]).unwrap();
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(dec.bucketed(i % 2).unwrap(), v);
         }
@@ -452,7 +452,8 @@ mod tests {
         script: &[(usize, u32)],
     ) -> Result<(), DecodeError> {
         let mut r = ByteReader::new(data);
-        let mut dec = RansDecoder::new(&mut r, alphabets)?;
+        let mut tables = RansTables::default();
+        let mut dec = tables.open(&mut r, alphabets)?;
         for &(c, _) in script {
             dec.symbol(c)?;
         }
@@ -506,6 +507,29 @@ mod tests {
                 "{table:?}"
             );
         }
+    }
+
+    #[test]
+    fn kept_tables_decode_as_fresh_ones_do() {
+        // A stream that uses both contexts, then one that leaves the
+        // second unused: the kept tables must forget what it held.
+        let mut rng = Pcg32::new(6);
+        let both: Vec<(usize, u32)> = (0..500).map(|i| (i % 2, skewed(&mut rng, 8))).collect();
+        let first: Vec<(usize, u32)> = both.iter().copied().filter(|e| e.0 == 0).collect();
+        let mut tables = RansTables::default();
+        for script in [&both, &first, &both] {
+            let data = encode(&[8, 8], script);
+            let mut r = ByteReader::new(&data);
+            let mut dec = tables.open(&mut r, &[8, 8]).unwrap();
+            for &(c, s) in script.iter() {
+                assert_eq!(dec.symbol(c).unwrap(), s);
+            }
+            dec.finish().unwrap();
+        }
+        let data = encode(&[8, 8], &first);
+        let mut r = ByteReader::new(&data);
+        let mut dec = tables.open(&mut r, &[8, 8]).unwrap();
+        assert_eq!(dec.symbol(1).unwrap_err().kind(), "corrupt", "a context the stream left unused");
     }
 
     holo_prop! {

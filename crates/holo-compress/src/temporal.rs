@@ -17,7 +17,7 @@
 
 use crate::meshcodec::{decode_mesh, MeshCodecConfig, MeshEncoder};
 use crate::primitives::{unzigzag, zigzag};
-use crate::rans::{RansDecoder, RansEncoder};
+use crate::rans::{RansEncoder, RansTables};
 use holo_math::Vec3;
 use holo_mesh::trimesh::TriMesh;
 use holo_runtime::ser::{ByteReader, DecodeError};
@@ -46,6 +46,7 @@ pub struct TemporalMeshEncoder {
 #[derive(Default)]
 pub struct TemporalMeshDecoder {
     reference: Option<TriMesh>,
+    tables: RansTables,
 }
 
 impl TemporalMeshEncoder {
@@ -142,7 +143,7 @@ impl TemporalMeshDecoder {
                 if !step.is_finite() || step <= 0.0 {
                     return Err(DecodeError::corrupt("temporal", "invalid delta step"));
                 }
-                let mut dec = RansDecoder::new(&mut r, &DELTA_ALPHABETS)?;
+                let mut dec = self.tables.open(&mut r, &DELTA_ALPHABETS)?;
                 // Closed loop: apply to a scratch copy so a mid-stream
                 // truncation doesn't poison the reference.
                 let mut verts = reference.vertices.clone();

@@ -54,8 +54,9 @@ else
   echo "==> clippy unavailable; skipping lint step"
 fi
 
-echo "==> scripts/ab_pairs.sh parses (not run here: it builds a second tree)"
+echo "==> scripts/ab_pairs.sh and scripts/mutants.sh parse (not run here: each builds a second tree)"
 bash -n scripts/ab_pairs.sh
+bash -n scripts/mutants.sh
 
 echo "==> option audit: every config field has a setter or an outside reader"
 bash scripts/option_audit.sh --check >/dev/null

@@ -1,6 +1,6 @@
 //! Allocation laws: a steady-state `MeshEncoder::encode` allocates its
-//! output and nothing else, and so does a capture camera's
-//! `render_rgbd`; a steady-state keypoint decode allocates its mesh and
+//! output and nothing else, a steady-state `MeshDecoder::decode` the
+//! mesh it returns, and a capture camera's `render_rgbd` its images; a steady-state keypoint decode allocates its mesh and
 //! little else, and what it returns does not depend on the frames the
 //! pipeline decoded before. This binary installs the counting
 //! allocator; its counters are per thread, so the test harness's other
@@ -9,7 +9,7 @@
 use holo_body::{BodyModel, BodySdf, MotionKind, MotionSynthesizer, Skeleton, SurfaceDetail};
 use holo_capture::render::{render_rgbd, ShadingConfig};
 use holo_capture::{Camera, CameraIntrinsics, DepthNoiseModel};
-use holo_compress::meshcodec::{encode_mesh, MeshCodecConfig, MeshEncoder};
+use holo_compress::meshcodec::{decode_mesh, encode_mesh, MeshCodecConfig, MeshDecoder, MeshEncoder};
 use holo_fuzz::alloc::{alloc_bytes, alloc_calls};
 use holo_math::{Pcg32, Vec3};
 use holo_mesh::trimesh::TriMesh;
@@ -81,6 +81,62 @@ fn steady_state_mesh_encode_allocates_its_output_and_nothing_else() {
     // For contrast, not pinned: what the one-shot function asks of the heap.
     let (_, calls, bytes) = counted(|| encode_mesh(&meshes[5], &cfg));
     println!("one-shot encode_mesh: {calls} calls, {bytes} B");
+}
+
+/// Three allocation calls: the mesh's vertices, faces and normals, each
+/// allocated at its length.
+fn assert_only_the_mesh(what: &str, mesh: &TriMesh, calls: u64, bytes: u64) {
+    let buffers = [
+        ("vertices", mesh.vertices.len(), mesh.vertices.capacity()),
+        ("faces", mesh.faces.len(), mesh.faces.capacity()),
+        ("normals", mesh.normals.len(), mesh.normals.capacity()),
+    ];
+    assert_eq!(calls, 3, "{what}: {calls} allocation calls ({bytes} B)");
+    for (name, len, capacity) in buffers {
+        assert_eq!(capacity, len, "{what}: {name} has capacity {capacity} for {len}");
+    }
+    let output: usize = buffers.iter().map(|&(_, len, _)| 12 * len).sum();
+    assert_eq!(bytes, output as u64, "{what}: {bytes} B asked for, the mesh's {output} B");
+}
+
+#[test]
+fn steady_state_mesh_decode_allocates_its_mesh_and_nothing_else() {
+    assert!(holo_fuzz::alloc::installed());
+    let cfg = MeshCodecConfig::default();
+    let mut encoder = MeshEncoder::default();
+    let frames: Vec<Vec<u8>> = clip_meshes().iter().map(|mesh| encoder.encode(mesh, &cfg)).collect();
+    let mut decoder = MeshDecoder::default();
+
+    // Frame 0 decodes the connectivity and sizes every buffer: it may
+    // allocate what it likes. Every later frame: the mesh, once.
+    let (_, calls, bytes) = counted(|| decoder.decode(&frames[0]).unwrap());
+    println!("frame 0 through a fresh MeshDecoder: {calls} calls, {bytes} B");
+    for (i, frame) in frames.iter().enumerate().skip(1) {
+        let (mesh, calls, bytes) = counted(|| decoder.decode(frame).unwrap());
+        assert_only_the_mesh(&format!("frame {i}"), &mesh, calls, bytes);
+        assert!(mesh_bits(&mesh) == mesh_bits(&decode_mesh(frame).unwrap()), "frame {i}");
+    }
+
+    // After a topology change, only the frame after it is held to the law.
+    let dropped: Vec<Vec<u8>> = clip_meshes()[..3]
+        .iter()
+        .map(|mesh| {
+            let mut mesh = mesh.clone();
+            mesh.faces.pop();
+            encoder.encode(&mesh, &cfg)
+        })
+        .collect();
+    let (_, calls, bytes) = counted(|| decoder.decode(&dropped[0]).unwrap());
+    println!("connectivity decoded again after a topology change: {calls} calls, {bytes} B");
+    for (i, frame) in dropped.iter().enumerate().skip(1) {
+        let (mesh, calls, bytes) = counted(|| decoder.decode(frame).unwrap());
+        assert_only_the_mesh(&format!("frame {i} on the new topology"), &mesh, calls, bytes);
+        assert!(mesh_bits(&mesh) == mesh_bits(&decode_mesh(frame).unwrap()), "frame {i} on the new topology");
+    }
+
+    // For contrast, not pinned: what the one-shot function asks of the heap.
+    let (_, calls, bytes) = counted(|| decode_mesh(&frames[5]).unwrap());
+    println!("one-shot decode_mesh: {calls} calls, {bytes} B");
 }
 
 /// A 96×72 render of a posed, clothed body allocates the depth image and
