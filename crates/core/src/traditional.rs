@@ -31,7 +31,7 @@ impl MeshWire {
     fn cpu_costs(self) -> (Duration, Duration) {
         match self {
             MeshWire::Raw => (Duration::from_micros(550), Duration::from_micros(350)),
-            MeshWire::Compressed => (Duration::from_micros(1_700), Duration::from_micros(1_700)),
+            MeshWire::Compressed => (Duration::from_micros(570), Duration::from_micros(440)),
         }
     }
 }

@@ -95,7 +95,10 @@ impl BodyModel {
     }
 
     /// Pose the template with linear blend skinning. Topology (faces) is
-    /// shared with the template; positions and normals are fresh.
+    /// shared with the template; positions are fresh; normals are left
+    /// empty — no reader of a posed mesh wants them (the codecs and the
+    /// raw wire carry positions and faces only), and a receiver computes
+    /// its own with [`TriMesh::compute_normals`].
     pub fn pose_mesh(&self, params: &SmplxParams) -> TriMesh {
         let skeleton = Skeleton::from_betas(&params.betas);
         let posed = skeleton.forward_kinematics(params);
@@ -120,7 +123,6 @@ impl BodyModel {
             }
             out.vertices.push(p);
         }
-        out.compute_normals();
         out
     }
 }
@@ -182,6 +184,21 @@ mod tests {
         assert_eq!(posed.vertex_count(), m.vertex_count());
         assert_eq!(posed.raw_size_bytes(), m.template.raw_size_bytes());
         assert!(posed.validate().is_ok());
+    }
+
+    #[test]
+    fn posed_mesh_leaves_normals_empty() {
+        // The template has normals; a posed mesh has fresh positions
+        // only, and is a valid mesh without them.
+        let m = model();
+        assert_eq!(m.template.normals.len(), m.vertex_count());
+        let mut rng = holo_math::Pcg32::new(9);
+        for params in [SmplxParams::default(), SmplxParams::random_plausible(&mut rng)] {
+            let posed = m.pose_mesh(&params);
+            assert!(posed.normals.is_empty(), "{} normals", posed.normals.len());
+            assert_eq!(posed.vertex_count(), m.vertex_count());
+            assert!(posed.validate().is_ok());
+        }
     }
 
     #[test]

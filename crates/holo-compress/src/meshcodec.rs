@@ -23,7 +23,7 @@
 //! unreferenced vertices are dropped) and lossy in positions by at most
 //! half a quantization step per component.
 
-use crate::primitives::{unzigzag, zigzag};
+use crate::primitives::{round_to_i32, unzigzag, zigzag};
 use crate::rans::{RansDecoder, RansEncoder, RansTables};
 use holo_math::Vec3;
 use holo_mesh::trimesh::TriMesh;
@@ -168,7 +168,7 @@ impl MeshEncoder {
         self.qpos.push([0; 3]);
         self.qpos.extend(mesh.vertices.iter().map(|v| {
             let r = (*v - origin) / step;
-            [r.x.round() as i32, r.y.round() as i32, r.z.round() as i32]
+            [round_to_i32(r.x), round_to_i32(r.y), round_to_i32(r.z)]
         }));
 
         // Pass 1, when connectivity changed: walk it, code its section.

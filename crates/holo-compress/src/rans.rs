@@ -12,6 +12,15 @@
 //! `0..n`; `n == 0`: the stream never uses the context), the `u32` length
 //! of the rANS bytes, those bytes (initial state first, big endian), then
 //! the mantissas, LSB first, to the end of the buffer.
+//!
+//! Neither hot loop branches on the data. A symbol moves 0, 1 or 2
+//! renormalisation bytes: the encoder computes the count from two
+//! compares and writes both candidate bytes, and the decoder computes it
+//! from the state's leading zeros and shifts in two bytes as far as it
+//! needs. Mantissas are packed through a 64-bit accumulator stored or
+//! loaded 8 bytes at a time. The decoder so reads mantissa bytes ahead,
+//! and [`RansDecoder::finish`] refuses a stream that leaves a whole
+//! byte of them unread.
 
 use crate::primitives::{bucket_base, bucket_slot, write_varint};
 use holo_runtime::ser::{ByteReader, DecodeError};
@@ -75,8 +84,11 @@ impl EncStep {
 pub struct RansEncoder {
     /// `(context, symbol)` in decode order.
     symbols: Vec<(u8, u8)>,
-    /// Every bucketed value, in order: `finish` packs their mantissas.
-    values: Vec<u32>,
+    /// Every bucketed value's `(mantissa, width)`, in order: `finish`
+    /// packs them.
+    mantissas: Vec<(u32, u32)>,
+    /// The widths' sum: the mantissas take exactly its bytes.
+    mantissa_bits: u64,
     // `finish`'s scratch, the first two indexed `context << 8 | symbol`.
     counts: Vec<u32>,
     steps: Vec<EncStep>,
@@ -94,14 +106,17 @@ impl RansEncoder {
     /// (alphabet 64) plus raw mantissa bits: cost grows with log(value).
     #[inline]
     pub fn bucketed(&mut self, context: usize, value: u32) {
-        self.values.push(value);
-        self.symbol(context, bucket_slot(value).0);
+        let (slot, bits) = bucket_slot(value);
+        self.mantissas.push((value & ((1 << bits) - 1), bits));
+        self.mantissa_bits += bits as u64;
+        self.symbol(context, slot);
     }
 
     /// Forget the stream, keep the memory.
     pub fn clear(&mut self) {
         self.symbols.clear();
-        self.values.clear();
+        self.mantissas.clear();
+        self.mantissa_bits = 0;
     }
 
     /// Code the stream onto `out`. `alphabets[c]` is context `c`'s
@@ -128,35 +143,46 @@ impl RansEncoder {
                 start += f;
             }
         }
-        // Backwards over the symbols, emitting bytes last-first.
-        self.coded.clear();
+        // Backwards over the symbols, filling `coded` from its end: a
+        // symbol emits its state's low bytes while the state is at or
+        // above `x_max = freq << 19` — none, one, or (at or above
+        // `x_max << 8`) two, and never three, as the state stays below
+        // 2^31. Both candidate bytes are written; `at` keeps those emitted.
+        let len = 2 * self.symbols.len() + 4;
+        self.coded.resize(len, 0);
+        let mut at = len;
         let mut x = RANS_L;
         for &(c, s) in self.symbols.iter().rev() {
             let step = &self.steps[(c as usize) << 8 | s as usize];
-            while x >= ((RANS_L >> SCALE_BITS) << 8) * step.freq {
-                self.coded.push(x as u8);
-                x >>= 8;
-            }
-            x = step.apply(x);
+            let x_max = (step.freq as u64) << 19;
+            let n = (x as u64 >= x_max) as usize + (x as u64 >= x_max << 8) as usize;
+            self.coded[at - 1] = x as u8;
+            self.coded[at - 2] = (x >> 8) as u8;
+            at -= n;
+            x = step.apply(x >> (8 * n));
         }
-        self.coded.extend_from_slice(&x.to_le_bytes());
-        self.coded.reverse();
-        out.extend_from_slice(&(self.coded.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.coded);
-        let (mut acc, mut acc_bits) = (0u64, 0u32);
-        for &value in &self.values {
-            let bits = bucket_slot(value).1;
-            acc |= ((value & ((1 << bits) - 1)) as u64) << acc_bits;
+        at -= 4;
+        self.coded[at..at + 4].copy_from_slice(&x.to_be_bytes());
+        let coded = &self.coded[at..];
+        out.extend_from_slice(&(coded.len() as u32).to_le_bytes());
+        out.extend_from_slice(coded);
+        // The mantissas, LSB first: each value's bits join the
+        // accumulator, which is stored whole and advanced by its whole
+        // bytes; the last store holds the partial byte, zero-padded.
+        let start = out.len();
+        let bytes = self.mantissa_bits.div_ceil(8) as usize;
+        out.resize(start + bytes + 8, 0);
+        let (mut acc, mut acc_bits, mut at) = (0u64, 0u32, start);
+        for &(mantissa, bits) in &self.mantissas {
+            acc |= (mantissa as u64) << acc_bits;
             acc_bits += bits;
-            while acc_bits >= 8 {
-                out.push(acc as u8);
-                acc >>= 8;
-                acc_bits -= 8;
-            }
+            out[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+            let whole = acc_bits >> 3;
+            at += whole as usize;
+            acc >>= 8 * whole;
+            acc_bits &= 7;
         }
-        if acc_bits > 0 {
-            out.push(acc as u8);
-        }
+        out.truncate(start + bytes);
     }
 }
 
@@ -204,8 +230,8 @@ impl RansTables {
         let coded_len = r.u32_le()? as usize;
         let mut coded = ByteReader::new(r.take(coded_len)?);
         let x = u32::from_be_bytes(coded.array()?);
-        let mantissas = ByteReader::new(r.take(r.remaining())?);
-        Ok(RansDecoder { tables: &self.tables, x, coded, mantissas, acc: 0, acc_bits: 0 })
+        let mantissas = r.take(r.remaining())?;
+        Ok(RansDecoder { tables: &self.tables, x, coded: coded.rest(), coded_at: 0, mantissas, mantissas_at: 0, acc: 0, acc_bits: 0 })
     }
 }
 
@@ -220,11 +246,19 @@ impl RansTables {
 pub struct RansDecoder<'t, 'a> {
     tables: &'t [DecTable],
     x: u32,
-    coded: ByteReader<'a>,
-    mantissas: ByteReader<'a>,
+    coded: &'a [u8],
+    coded_at: usize,
+    mantissas: &'a [u8],
+    mantissas_at: usize,
+    /// Mantissa bits read ahead, LSB first: the low `acc_bits` are
+    /// unread, and above them sit zeros or the same bits of the bytes
+    /// from `mantissas_at` on, which a later read ORs in again.
     acc: u64,
     acc_bits: u32,
 }
+
+/// A read past the end of a section, as [`ByteReader::u8`] reports it.
+const ONE_BYTE_SHORT: DecodeError = DecodeError::Truncated { needed: 1, available: 0 };
 
 impl RansDecoder<'_, '_> {
     /// Decode the next symbol under `context`'s table.
@@ -237,19 +271,60 @@ impl RansDecoder<'_, '_> {
         };
         let (start, freq) = table.ranges[symbol as usize];
         self.x = freq as u32 * (self.x >> SCALE_BITS) + slot - start as u32;
-        while self.x < RANS_L {
-            self.x = (self.x << 8) | self.coded.u8()? as u32;
-        }
+        self.renormalise()?;
         Ok(symbol as u32)
     }
 
-    /// Inverse of [`RansEncoder::bucketed`].
+    /// Bring the state back to `[RANS_L, RANS_L << 8)`. A state with
+    /// `lz` leading zeros needs `(lz - 1) >> 3` bytes: two are read and
+    /// shifted in as far as it needs, with no branch on the count. A
+    /// state a valid stream cannot reach (`lz` 0 or above 20) or the
+    /// section's last byte is taken a byte at a time, so a hostile
+    /// initial state or a truncation ends as it would byte by byte.
+    #[inline]
+    fn renormalise(&mut self) -> Result<(), DecodeError> {
+        let lz = self.x.leading_zeros();
+        match self.coded.get(self.coded_at..self.coded_at + 2) {
+            Some(&[b0, b1]) if (1..=20).contains(&lz) => {
+                let n = (lz - 1) >> 3;
+                let next = u16::from_be_bytes([b0, b1]) as u32;
+                self.x = (self.x << (8 * n)) | (next >> (16 - 8 * n));
+                self.coded_at += n as usize;
+            }
+            _ => {
+                while self.x < RANS_L {
+                    let &byte = self.coded.get(self.coded_at).ok_or(ONE_BYTE_SHORT)?;
+                    self.x = (self.x << 8) | byte as u32;
+                    self.coded_at += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Inverse of [`RansEncoder::bucketed`]. Each call tops the
+    /// accumulator up by the whole bytes that fit under 64 bits, from one
+    /// 8-byte load and with no branch on the width; the last 7 bytes are
+    /// loaded zero-padded, so only there can a read run short.
     #[inline]
     pub fn bucketed(&mut self, context: usize) -> Result<u32, DecodeError> {
         let (base, bits) = bucket_base(self.symbol(context)?);
-        while self.acc_bits < bits {
-            self.acc |= (self.mantissas.u8()? as u64) << self.acc_bits;
-            self.acc_bits += 8;
+        let rest = &self.mantissas[self.mantissas_at..];
+        let fit = ((63 - self.acc_bits) >> 3) as usize;
+        if let Some(word) = rest.first_chunk::<8>() {
+            self.acc |= u64::from_le_bytes(*word) << self.acc_bits;
+            self.mantissas_at += fit;
+            self.acc_bits |= 56;
+        } else {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            let fit = fit.min(rest.len());
+            self.acc |= u64::from_le_bytes(word) << self.acc_bits;
+            self.mantissas_at += fit;
+            self.acc_bits += 8 * fit as u32;
+            if self.acc_bits < bits {
+                return Err(ONE_BYTE_SHORT);
+            }
         }
         let mantissa = self.acc as u32 & ((1 << bits) - 1);
         self.acc >>= bits;
@@ -258,9 +333,13 @@ impl RansDecoder<'_, '_> {
     }
 
     /// Close the stream: the state must be back at the encoder's initial constant,
-    /// every rANS byte consumed, every mantissa bit read, and the padding zero.
+    /// every rANS byte consumed, every mantissa byte loaded with fewer
+    /// than 8 of its bits unread (a whole byte loaded ahead and never
+    /// read is a stray byte), and those bits — the padding — zero.
     pub fn finish(self) -> Result<(), DecodeError> {
-        if self.x == RANS_L && self.coded.is_empty() && self.mantissas.is_empty() && self.acc == 0 {
+        let coded_read = self.coded_at == self.coded.len();
+        let mantissas_read = self.mantissas_at == self.mantissas.len() && self.acc_bits < 8;
+        if self.x == RANS_L && coded_read && mantissas_read && self.acc == 0 {
             return Ok(());
         }
         Err(DecodeError::corrupt("rans", "stream does not close: open state or unread bytes"))
@@ -271,8 +350,8 @@ impl RansDecoder<'_, '_> {
 mod tests {
     use super::*;
     use holo_math::Pcg32;
-    use holo_runtime::check::collection;
-    use holo_runtime::holo_prop;
+    use holo_runtime::check::{any, collection, PropFail};
+    use holo_runtime::{holo_prop, prop_assert, prop_assert_eq};
 
     fn encode(alphabets: &[u8], script: &[(usize, u32)]) -> Vec<u8> {
         let mut enc = RansEncoder::default();
@@ -530,6 +609,255 @@ mod tests {
         let mut r = ByteReader::new(&data);
         let mut dec = tables.open(&mut r, &[8, 8]).unwrap();
         assert_eq!(dec.symbol(1).unwrap_err().kind(), "corrupt", "a context the stream left unused");
+    }
+
+    /// One call of a stream: a symbol or a bucketed value, under a context.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Symbol(usize, u32),
+        Bucketed(usize, u32),
+    }
+
+    /// The bytewise coder the branch-free one must equal, byte for byte
+    /// and error for error (as `crc32_bytewise` is for the CRC): the
+    /// encoder renormalises and flushes mantissas a byte per loop turn.
+    fn reference_encode(alphabets: &[u8], ops: &[Op]) -> Vec<u8> {
+        let symbol = |op: &Op| match *op {
+            Op::Symbol(c, s) => (c, s),
+            Op::Bucketed(c, v) => (c, bucket_slot(v).0),
+        };
+        let mut out = Vec::new();
+        let mut steps = vec![EncStep::default(); alphabets.len() << 8];
+        for (c, &n) in alphabets.iter().enumerate() {
+            let mut counts = vec![0u32; n as usize];
+            ops.iter().map(symbol).filter(|e| e.0 == c).for_each(|(_, s)| counts[s as usize] += 1);
+            let mut freqs = vec![0u32; n as usize];
+            normalise(&counts, &mut freqs);
+            let used = freqs.iter().rposition(|&f| f != 0).map_or(0, |i| i + 1);
+            out.push(used as u8);
+            freqs[..used].iter().for_each(|&f| write_varint(&mut out, f));
+            let mut start = 0;
+            for (s, &f) in freqs.iter().enumerate() {
+                steps[c << 8 | s] = EncStep::new(start, f);
+                start += f;
+            }
+        }
+        let mut coded = Vec::new();
+        let mut x = RANS_L;
+        for (c, s) in ops.iter().rev().map(symbol) {
+            let step = &steps[c << 8 | s as usize];
+            while x >= ((RANS_L >> SCALE_BITS) << 8) * step.freq {
+                coded.push(x as u8);
+                x >>= 8;
+            }
+            x = step.apply(x);
+        }
+        coded.extend_from_slice(&x.to_le_bytes());
+        coded.reverse();
+        out.extend_from_slice(&(coded.len() as u32).to_le_bytes());
+        out.extend_from_slice(&coded);
+        let (mut acc, mut acc_bits) = (0u64, 0u32);
+        for op in ops {
+            let Op::Bucketed(_, value) = *op else { continue };
+            let bits = bucket_slot(value).1;
+            acc |= ((value & ((1 << bits) - 1)) as u64) << acc_bits;
+            acc_bits += bits;
+            while acc_bits >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                acc_bits -= 8;
+            }
+        }
+        if acc_bits > 0 {
+            out.push(acc as u8);
+        }
+        out
+    }
+
+    /// The bytewise decoder: renormalises and refills mantissas a byte
+    /// per loop turn, reading nothing ahead.
+    struct ReferenceDecoder<'t, 'a> {
+        tables: &'t [DecTable],
+        x: u32,
+        coded: ByteReader<'a>,
+        mantissas: ByteReader<'a>,
+        acc: u64,
+        acc_bits: u32,
+    }
+
+    impl ReferenceDecoder<'_, '_> {
+        fn symbol(&mut self, context: usize) -> Result<u32, DecodeError> {
+            let table = &self.tables[context];
+            let slot = self.x & (SCALE - 1);
+            let Some(&symbol) = table.slot_symbol.get(slot as usize) else {
+                return Err(DecodeError::corrupt("rans", "symbol drawn from an unused context"));
+            };
+            let (start, freq) = table.ranges[symbol as usize];
+            self.x = freq as u32 * (self.x >> SCALE_BITS) + slot - start as u32;
+            while self.x < RANS_L {
+                self.x = (self.x << 8) | self.coded.u8()? as u32;
+            }
+            Ok(symbol as u32)
+        }
+
+        fn bucketed(&mut self, context: usize) -> Result<u32, DecodeError> {
+            let slot = self.symbol(context)?;
+            let (base, bits) = if slot < 4 { (slot, 0) } else { ((2 | (slot & 1)) << ((slot >> 1) - 1), (slot >> 1) - 1) };
+            while self.acc_bits < bits {
+                self.acc |= (self.mantissas.u8()? as u64) << self.acc_bits;
+                self.acc_bits += 8;
+            }
+            let mantissa = self.acc as u32 & ((1 << bits) - 1);
+            self.acc >>= bits;
+            self.acc_bits -= bits;
+            Ok(base + mantissa)
+        }
+
+        fn finish(self) -> Result<(), DecodeError> {
+            if self.x == RANS_L && self.coded.is_empty() && self.mantissas.is_empty() && self.acc == 0 {
+                return Ok(());
+            }
+            Err(DecodeError::corrupt("rans", "stream does not close: open state or unread bytes"))
+        }
+    }
+
+    /// What decoding `ops`' calls from `data` yields, through the coder
+    /// (`reference` false) or the bytewise reference: every value, then
+    /// `finish`, or the first error.
+    fn decode_ops(data: &[u8], alphabets: &[u8], ops: &[Op], reference: bool) -> Result<Vec<u32>, DecodeError> {
+        let mut r = ByteReader::new(data);
+        let mut tables = RansTables::default();
+        let mut dec = tables.open(&mut r, alphabets)?;
+        let mut values = Vec::new();
+        if reference {
+            let RansDecoder { tables, x, coded, mantissas, .. } = dec;
+            let (coded, mantissas) = (ByteReader::new(coded), ByteReader::new(mantissas));
+            let mut dec = ReferenceDecoder { tables, x, coded, mantissas, acc: 0, acc_bits: 0 };
+            for op in ops {
+                values.push(match *op {
+                    Op::Symbol(c, _) => dec.symbol(c)?,
+                    Op::Bucketed(c, _) => dec.bucketed(c)?,
+                });
+            }
+            dec.finish()?;
+        } else {
+            for op in ops {
+                values.push(match *op {
+                    Op::Symbol(c, _) => dec.symbol(c)?,
+                    Op::Bucketed(c, _) => dec.bucketed(c)?,
+                });
+            }
+            dec.finish()?;
+        }
+        Ok(values)
+    }
+
+    /// Where the rANS bytes lie in a stream over `contexts` tables: the
+    /// initial state is their first four.
+    fn coded_span(data: &[u8], contexts: usize) -> std::ops::Range<usize> {
+        let mut r = ByteReader::new(data);
+        for _ in 0..contexts {
+            for _ in 0..r.u8().unwrap() {
+                r.varint().unwrap();
+            }
+        }
+        let len = r.u32_le().unwrap() as usize;
+        r.pos()..r.pos() + len
+    }
+
+    /// A random stream over `alphabets`' first four contexts (the fifth
+    /// stays unused), shaped by `shape`: uniform symbols, geometric ones,
+    /// or one symbol with a few frequency-1 strays, whose steps move two
+    /// renormalisation bytes; bucketed values of every magnitude under
+    /// the two 64-symbol contexts, so mantissa tails run past 8 bytes.
+    fn random_ops(rng: &mut Pcg32, alphabets: &[u8], shape: u32, len: usize) -> Vec<Op> {
+        (0..len)
+            .map(|_| {
+                let c = rng.index(4);
+                let n = alphabets[c] as u32;
+                let s = match shape {
+                    0 => rng.range_u32(n),
+                    1 => skewed(rng, n),
+                    _ => if rng.chance(0.003) { 1 + rng.range_u32(n - 1) } else { 0 },
+                };
+                if c >= 2 && rng.chance(0.5) {
+                    Op::Bucketed(c, rng.next_u32() >> rng.range_u32(33).min(31))
+                } else {
+                    Op::Symbol(c, s)
+                }
+            })
+            .collect()
+    }
+
+    holo_prop! {
+        #![cases(96)]
+
+        /// The branch-free coder writes the bytewise reference's bytes, and
+        /// reads back every stream — intact or hostile — to the same
+        /// values and the same `Ok` or error.
+        fn prop_coder_equals_the_bytewise_reference(
+            seed in any::<u64>(),
+            shape in 0u32..3,
+            narrow in 2u32..256,
+            len in 0usize..400,
+        ) {
+            let mut rng = Pcg32::new(seed);
+            let alphabets = [narrow as u8, 2 + rng.range_u32(254) as u8, 64, 64, 8];
+            let ops = random_ops(&mut rng, &alphabets, shape, len);
+            let mut enc = RansEncoder::default();
+            for op in &ops {
+                match *op {
+                    Op::Symbol(c, s) => enc.symbol(c, s),
+                    Op::Bucketed(c, v) => enc.bucketed(c, v),
+                }
+            }
+            let mut good = Vec::new();
+            enc.finish(&alphabets, &mut good);
+            prop_assert!(good == reference_encode(&alphabets, &ops), "streams differ");
+
+            let same = |data: &[u8], ops: &[Op]| {
+                let (got, want) = (decode_ops(data, &alphabets, ops, false), decode_ops(data, &alphabets, ops, true));
+                if got == want {
+                    return Ok(());
+                }
+                Err(format!("{got:?} against the reference's {want:?}"))
+            };
+            let want: Vec<u32> = ops.iter().map(|op| match *op { Op::Symbol(_, v) | Op::Bucketed(_, v) => v }).collect();
+            prop_assert_eq!(decode_ops(&good, &alphabets, &ops, false), Ok(want));
+            // Every truncation; a stray byte, zero or not, after the tail.
+            for cut in 0..good.len() {
+                same(&good[..cut], &ops).map_err(|e| PropFail::fail(format!("cut {cut}: {e}")))?;
+            }
+            for stray in [0u8, 1, 0x80] {
+                let mut long = good.clone();
+                long.push(stray);
+                same(&long, &ops).map_err(|e| PropFail::fail(format!("stray {stray}: {e}")))?;
+            }
+            // The rANS bytes cut short under a relabelled length.
+            let span = coded_span(&good, alphabets.len());
+            for short in 1..=span.len().min(6) {
+                let mut cut = good[..span.start - 4].to_vec();
+                cut.extend_from_slice(&((span.len() - short) as u32).to_le_bytes());
+                cut.extend_from_slice(&good[span.start..span.end - short]);
+                cut.extend_from_slice(&good[span.end..]);
+                same(&cut, &ops).map_err(|e| PropFail::fail(format!("{short} rANS bytes short: {e}")))?;
+            }
+            // Initial states a valid stream never starts from.
+            let low = rng.range_u32(RANS_L);
+            let high = (1 << 31) | rng.next_u32();
+            for x in [0, 1, 1 << 11, low, RANS_L - 1, RANS_L, (1 << 31) - 1, 1 << 31, high, u32::MAX] {
+                let mut forged = good.clone();
+                forged[span.start..span.start + 4].copy_from_slice(&x.to_be_bytes());
+                same(&forged, &ops).map_err(|e| PropFail::fail(format!("state {x:#x}: {e}")))?;
+            }
+            // A call under the context the stream never used.
+            if !ops.is_empty() {
+                let mut unused = ops.clone();
+                let i = rng.index(ops.len());
+                unused[i] = Op::Symbol(4, 0);
+                same(&good, &unused).map_err(|e| PropFail::fail(format!("unused context at {i}: {e}")))?;
+            }
+        }
     }
 
     holo_prop! {
